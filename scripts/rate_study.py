@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from vbpg.core import KernelSpec, SolverConfig
-from vbpg.diagnostics import (SublevelGrid, critical_points,
-                              estimate_level_set_rate, estimate_q_linear_rate,
-                              fit_error_bound, make_slice, probe_slice,
-                              samples_to_csv_lines)
+from vbpg.diagnostics import (SublevelGrid, certify_rate_chain,
+                              critical_points, estimate_level_set_rate,
+                              estimate_q_linear_rate, fit_error_bound,
+                              make_slice, probe_slice, samples_to_csv_lines)
 from vbpg.problems import lasso_spec
 from vbpg.solver import vbpg_run
 
@@ -57,14 +57,10 @@ def main():
               f"held-out violations {fit.violated_fraction:.1%}")
 
     sub = fit_error_bound(samples, "level_subdiff")
-    L = problem.f.lipschitz_L
-    gamma = min(sub.exponent, 1.0)
-    core = (sub.constant * (L + 1.0 / eps)) ** (1.0 / gamma)
-    theta = 1.0 + core * (slice_.radius_eta / 2.0) ** (1.0 / gamma - 1.0)
-    c0 = 1.5 * L + 1.0 / (2.0 * eps)
-    a = 0.5 * (1.0 / eps - L)
-    beta_cert = 1.0 / (1.0 + a / (c0 * theta * theta))
     beta_hat, window = estimate_q_linear_rate(trace, slice_.F_bar)
+    chain = certify_rate_chain(beta_hat, sub, problem.f.lipschitz_L, 1.0, 1.0,
+                               eps, eps, slice_.radius_eta)
+    beta_cert = chain.get("beta_certified", math.nan)
     print(f"\nvalue-gap contraction: observed {beta_hat:.4f} over tail "
           f"window {window}, certified bound {beta_cert:.4f}")
 

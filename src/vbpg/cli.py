@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -43,17 +42,6 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def thread_cap() -> int:
-    """Internal parallelism cap from VBPG_THREADS (default: machine cores).
-
-    Sampling fans out in vectorized batches sized by this cap; output
-    writing stays serialized regardless."""
-    env = os.environ.get("VBPG_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass
@@ -276,8 +264,7 @@ def cmd_probe(cfg, args, out: Path) -> int:
                               seeds_per_axis=5)
     try:
         samples = dx.probe_slice(problem, K, eps, slice_, int(pc["n_samples"]),
-                                 args.seed, grid=grid, crit_points=crit,
-                                 eval_chunk=128 * thread_cap())
+                                 args.seed, grid=grid, crit_points=crit)
     except dx.SliceEmptyError as exc:
         print(f"probe failed: {exc}", file=sys.stderr)
         return 3
@@ -287,36 +274,35 @@ def cmd_probe(cfg, args, out: Path) -> int:
 
     L, M, m = problem.f.lipschitz_L, config.M, config.m
     rho = problem.g.semiconvex_rho
-    fits = {}
+    fits, fit_objs = {}, {}
     for kind in ("level_subdiff", "level_bregman", "kl", "sharpness",
                  "gap_condition", "weak_subreg", "luo_tseng"):
         try:
-            fits[kind] = dx.fit_error_bound(samples, kind).to_dict()
+            fit_objs[kind] = dx.fit_error_bound(samples, kind)
+            fits[kind] = fit_objs[kind].to_dict()
         except (ValueError, dx.DegenerateSampleError) as exc:
             fits[kind] = {"bound_kind": kind, "error": str(exc)}
+    sub_fit = fit_objs.get("level_subdiff")
 
     checks = {}
     checks["step_containment"] = dx.check_step_containment(
         samples, slice_, m, L, config.eps_hi)
-    if "exponent" in fits["level_subdiff"]:
-        sub_fit = dx.fit_error_bound(samples, "level_subdiff")
+    if sub_fit is not None:
         checks["subdiff_implies_prox_eb"] = dx.check_subdiff_implies_prox_eb(
             samples, slice_, sub_fit, L, M, m, config.eps_lo, config.eps_hi)
     checks["value_proximity"] = dx.check_value_proximity(
         samples, slice_.F_bar, L, M, config.eps_lo)
-    if ("exponent" in fits.get("kl", {})
-            and "exponent" in fits.get("level_subdiff", {})):
-        sharp = (dx.fit_error_bound(samples, "sharpness")
-                 if "exponent" in fits.get("sharpness", {}) else None)
+    if "kl" in fit_objs and sub_fit is not None:
         checks["kl_exponent_map"] = dx.check_kl_exponent_map(
-            dx.fit_error_bound(samples, "kl"),
-            dx.fit_error_bound(samples, "level_subdiff"), sharp)
-    if "exponent" in fits.get("level_bregman", {}):
+            fit_objs["kl"], sub_fit, fit_objs.get("sharpness"))
+    if "level_bregman" in fit_objs:
         checks["gap_condition_links"] = dx.check_gap_condition_links(
-            samples, dx.fit_error_bound(samples, "level_bregman"),
-            m, config.eps_hi, rho)
-    checks["kl_sweep"] = dx.kl_exponent_sweep(
-        samples, [round(0.05 * k, 2) for k in range(1, 20)])
+            samples, fit_objs["level_bregman"], m, config.eps_hi, rho)
+    try:
+        checks["kl_sweep"] = dx.kl_exponent_sweep(
+            samples, [round(0.05 * k, 2) for k in range(1, 20)])
+    except dx.DegenerateSampleError as exc:
+        checks["kl_sweep"] = {"error": str(exc)}
 
     # rate chain: observed tail ratio against the certified bound
     rate = {}
@@ -325,18 +311,9 @@ def cmd_probe(cfg, args, out: Path) -> int:
         rate["beta_hat"] = beta_hat
         rate["window"] = list(window)
         rate["r_linear_envelope_C"] = dx.r_linear_envelope(trace, beta_hat)
-        if "exponent" in fits["level_subdiff"]:
-            fit = dx.fit_error_bound(samples, "level_subdiff")
-            gamma = min(fit.exponent, 1.0)
-            if gamma > 0:
-                c0 = 1.5 * L + M / (2.0 * config.eps_lo)
-                core = (fit.constant * (L + M / config.eps_lo)) ** (1 / gamma)
-                theta1 = 1.0 + core * (eta / 2.0) ** (1 / gamma - 1.0)
-                a = 0.5 * (m / config.eps_hi - L)
-                rate["theta"] = theta1
-                rate["beta_certified"] = dx.certified_q_rate(a, c0 * theta1 ** 2)
-                rate["chain_ok"] = bool(
-                    beta_hat <= rate["beta_certified"] * 1.05)
+        if sub_fit is not None:
+            rate.update(dx.certify_rate_chain(
+                beta_hat, sub_fit, L, M, m, config.eps_lo, config.eps_hi, eta))
     except ValueError as exc:
         rate["error"] = str(exc)
     checks["rate_chain"] = rate
@@ -461,6 +438,10 @@ def main(argv=None) -> int:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config parse error: {exc}", file=sys.stderr)
+            return 1
+        if not isinstance(cfg, dict):
+            print("config parse error: top level must be a JSON object",
+                  file=sys.stderr)
             return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

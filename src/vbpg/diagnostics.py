@@ -8,7 +8,7 @@ The test domain of every bound is a level slice
 around a reference point xbar with Fbar = F(xbar).  Probes sample the
 slice and annotate each point with the distances entering the bounds:
 
-    dist_level    dist(x, [F <= Fbar])       (grid + bisection oracle)
+    dist_level    dist(x, [F <= Fbar])       (batched grid + bisection oracle)
     dist_subdiff  dist(0, subdiff F(x))      (analytic, coordinatewise)
     dist_prox     dist(x, T(x))              (prox residual)
     dist_crit     dist(x, critical set)      (desk-scale approximation)
@@ -103,15 +103,30 @@ class ProbeSample:
 
 _DEFAULT_RESOLUTION = {1: 1e-4, 2: 5e-3, 3: 0.05}
 
+# float64 elements in one block of the nearest-candidate search (queries x
+# candidates x dim); bounds its temporaries at 2 MB each, also in d = 3
+_PROJECT_CHUNK_ELEMS = 1 << 18
+
 
 class SublevelGrid:
     """Dense-grid projection oracle onto sublevel sets, dimension <= 3.
 
-    Projection of x onto [F <= Fbar]: nearest grid point in the sublevel
-    set (the slice center is always seeded as a candidate, so singleton
-    sublevel sets at a minimizer are handled exactly), refined by
-    bisection along the segment from x, which pins the boundary point
-    where F crosses Fbar.
+    Projection of x onto [F <= Fbar]: the nearest point of the set among
+    the grid nodes and the seeded ``extra_points`` (the slice center is
+    always seeded, so singleton sublevel sets at a minimizer are handled
+    exactly), refined by a 60-step bisection along the segment from x,
+    which pins the point where F crosses Fbar.  The result lies in the
+    set, so the distance never undershoots the true one; it bisects toward
+    the nearest in-set node, not the nearest boundary point, so it can
+    exceed the true distance by up to one cell diagonal sqrt(d) h.
+
+    The nearest in-set point is searched among few candidates: the in-set
+    nodes with an axis neighbour outside the set or off the box, the
+    in-set seeds, and each query's own nearest node when it is in the set.
+    That is exact: if the nearest in-set node p has every axis neighbour
+    in the set, x lies within h/2 of p on every axis (a neighbour would be
+    nearer otherwise), so p is x's own nearest node.  The threshold and
+    the candidates are computed once per Fbar and cached.
     """
 
     def __init__(self, problem: Problem, center, halfwidth: float,
@@ -126,39 +141,102 @@ class SublevelGrid:
             lo, hi = c[i] - halfwidth, c[i] + halfwidth
             n = int(round((hi - lo) / self.resolution)) + 1
             axes.append(np.linspace(lo, hi, n))
+        self.axes = axes
+        self.shape = tuple(len(a) for a in axes)
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         seeds = [np.atleast_2d(as_vector(p, dim=problem.dim))
                  for p in ([c] + list(extra_points))]
         self.points = np.vstack([pts] + seeds)
         self.values = problem.F_batch(self.points)
+        self._level = None  # (F_bar, in-set mask, candidate indices)
+
+    def _level_set(self, F_bar: float) -> tuple[Array, Array]:
+        """In-set mask over ``points`` and the shared search candidates
+        (boundary nodes and in-set seeds, in point order) at F_bar."""
+        if self._level is None or self._level[0] != F_bar:
+            inside = self.values <= F_bar
+            n_grid = math.prod(self.shape)
+            on_grid = inside[:n_grid].reshape(self.shape)
+            padded = np.pad(on_grid, 1, constant_values=False)
+            interior = on_grid.copy()
+            for axis in range(on_grid.ndim):
+                for side in (slice(None, -2), slice(2, None)):
+                    window = [slice(1, -1)] * on_grid.ndim
+                    window[axis] = side
+                    interior &= padded[tuple(window)]
+            cand = np.concatenate([np.flatnonzero(on_grid & ~interior),
+                                   n_grid + np.flatnonzero(inside[n_grid:])])
+            self._level = (F_bar, inside, cand)
+        return self._level[1], self._level[2]
+
+    def _own_nodes(self, X: Array) -> Array:
+        """Flat index of the grid node nearest to each row of X."""
+        idx = []
+        for ax, col in zip(self.axes, X.T):
+            right = np.clip(np.searchsorted(ax, col), 0, len(ax) - 1)
+            left = np.maximum(right - 1, 0)
+            idx.append(np.where(col - ax[left] <= ax[right] - col, left, right))
+        return np.ravel_multi_index(tuple(idx), self.shape)
+
+    def _nearest_in_set(self, X: Array, inside: Array, cand: Array) -> Array:
+        """Index into ``points`` of the nearest in-set point to each row of
+        X; ties go to the lower index, as one argmin over all points."""
+        C = self.points[cand]
+        rows = max(1, _PROJECT_CHUNK_ELEMS // C.size)
+        best = np.empty(len(X), dtype=np.intp)
+        for s in range(0, len(X), rows):
+            sq = np.sum((C[None, :, :] - X[s:s + rows, None, :]) ** 2, axis=2)
+            best[s:s + rows] = cand[np.argmin(sq, axis=1)]
+        own = self._own_nodes(X)
+        own_sq = np.sum((self.points[own] - X) ** 2, axis=1)
+        best_sq = np.sum((self.points[best] - X) ** 2, axis=1)
+        take = inside[own] & ((own_sq < best_sq)
+                              | ((own_sq == best_sq) & (own < best)))
+        return np.where(take, own, best)
+
+    def project_many(self, F_bar: float, X,
+                     boundary_check: bool = True) -> tuple[Array, Array]:
+        """Distances to [F <= F_bar] and projections of the rows of X.
+
+        Rows already in the set get distance 0 and themselves.  Raises
+        SliceEmptyError when some row lies outside and the search box holds
+        no point of the set; with ``boundary_check`` on continuous F,
+        RuntimeError when a projection misses F = F_bar by more than 1e-6."""
+        dim = self.problem.dim
+        X = np.array(X, dtype=float).reshape(-1, dim)
+        dists, P = np.zeros(len(X)), X.copy()
+        out = np.flatnonzero(~(self.problem.F_batch(X) <= F_bar))
+        if out.size == 0:
+            return dists, P
+        inside, cand = self._level_set(F_bar)
+        if cand.size == 0:
+            raise SliceEmptyError("sublevel set empty in the search box")
+        Xo = X[out]
+        direction = self.points[self._nearest_in_set(Xo, inside, cand)] - Xo
+        # bisection on the predicate F <= Fbar along [x, target], all rows
+        lo_t, hi_t = np.zeros(len(Xo)), np.ones(len(Xo))
+        for _ in range(60):
+            mid = 0.5 * (lo_t + hi_t)
+            ok = self.problem.F_batch(Xo + mid[:, None] * direction) <= F_bar
+            hi_t = np.where(ok, mid, hi_t)
+            lo_t = np.where(ok, lo_t, mid)
+        proj = Xo + hi_t[:, None] * direction
+        if boundary_check and self.problem.F_is_continuous:
+            miss = np.abs(self.problem.F_batch(proj) - F_bar)
+            if np.any(miss > 1e-6 * (1.0 + abs(F_bar))):
+                raise RuntimeError("projection boundary check failed: "
+                                   "F(projection) != F_bar within 1e-6")
+        dists[out] = np.linalg.norm(Xo - proj, axis=1)
+        P[out] = proj
+        return dists, P
 
     def project(self, F_bar: float, x: Array,
                 boundary_check: bool = True) -> tuple[float, Array]:
-        x = as_vector(x, dim=self.problem.dim)
-        Fx = self.problem.F(x)
-        if Fx <= F_bar:
-            return 0.0, x.copy()
-        mask = self.values <= F_bar
-        if not np.any(mask):
-            raise SliceEmptyError("sublevel set empty in the search box")
-        cand = self.points[mask]
-        j = int(np.argmin(np.sum((cand - x[None, :]) ** 2, axis=1)))
-        target = cand[j]
-        # bisection on the predicate F <= Fbar along [x, target]
-        lo_t, hi_t = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo_t + hi_t)
-            if self.problem.F(x + mid * (target - x)) <= F_bar:
-                hi_t = mid
-            else:
-                lo_t = mid
-        proj = x + hi_t * (target - x)
-        if boundary_check and self.problem.F_is_continuous:
-            if abs(self.problem.F(proj) - F_bar) > 1e-6 * (1.0 + abs(F_bar)):
-                raise RuntimeError("projection boundary check failed: "
-                                   "F(projection) != F_bar within 1e-6")
-        return float(np.linalg.norm(x - proj)), proj
+        """One-row view of ``project_many``."""
+        d, P = self.project_many(F_bar, as_vector(x, dim=self.problem.dim),
+                                 boundary_check)
+        return float(d[0]), P[0]
 
     def min_value(self) -> float:
         return float(np.min(self.values))
@@ -240,28 +318,17 @@ def dist_to_set(x: Array, points: Array) -> float:
 _DRAW_CHUNK = 1024  # fixed so the random stream is batch-layout independent
 
 
-def _chunked_F(problem: Problem, X: Array, chunk: Optional[int]) -> Array:
-    if not chunk or chunk >= X.shape[0]:
-        return problem.F_batch(X)
-    parts = [problem.F_batch(X[i:i + chunk])
-             for i in range(0, X.shape[0], chunk)]
-    return np.concatenate(parts)
-
-
 def probe_slice(problem: Problem, K: KernelSpec, eps: float,
                 slice_: LevelSlice, n: int, seed: int,
                 grid: Optional[SublevelGrid] = None,
                 crit_points: Optional[Array] = None,
-                max_draws: int = 10 ** 6,
-                eval_chunk: Optional[int] = None) -> list:
+                max_draws: int = 10 ** 6) -> list:
     """n points uniform in the slice, each fully annotated.
 
     Samples failing Property (A) (F at the prox point dropping below
     Fbar) are flagged, not discarded.  Raises SliceEmptyError when the
-    draw budget is exhausted before n acceptances.  ``eval_chunk`` caps
-    the vectorized F-evaluation batch (parallelism knob); it cannot
-    affect which points are drawn, as draws come in fixed-size chunks
-    from the seeded generator."""
+    draw budget is exhausted before n acceptances.  All accepted points
+    are projected onto [F <= Fbar] in one batched oracle call."""
     rng = np.random.default_rng(seed)
     if grid is None:
         grid = SublevelGrid(problem, slice_.center,
@@ -280,23 +347,23 @@ def probe_slice(problem: Problem, K: KernelSpec, eps: float,
         m = min(_DRAW_CHUNK, max_draws - drawn)
         X = sample_ball(rng, m, slice_.center, slice_.radius_eta)
         drawn += m
-        FX = _chunked_F(problem, X, eval_chunk)
+        FX = problem.F_batch(X)
         ok = (FX > slice_.F_bar) & (FX < slice_.F_bar + slice_.value_band_nu)
         for x, Fx in zip(X[ok], FX[ok]):
             accepted.append((x, float(Fx)))
             if len(accepted) == n:
                 break
 
+    d_levels, _ = grid.project_many(slice_.F_bar, [x for x, _ in accepted])
     samples = []
-    for x, Fx in accepted:
+    for (x, Fx), d_level in zip(accepted, d_levels):
         E, G, prox = envelope_gap(problem, K, eps, x)
         t = prox.minimizer
         Ft = problem.F(t)
-        d_level, _ = grid.project(slice_.F_bar, x)
         d_sub = problem.g.subdiff_dist(x, problem.f.gradient(x))
         samples.append(ProbeSample(
             x=x,
-            dist_level=d_level,
+            dist_level=float(d_level),
             dist_subdiff=d_sub,
             value_gap=Fx - slice_.F_bar,
             dist_prox=float(np.linalg.norm(x - t)),
@@ -495,6 +562,28 @@ def check_step_containment(samples: Sequence[ProbeSample], slice_: LevelSlice,
             "n_violations": violations, "band_divisor": N}
 
 
+def _pow(base: float, exp: float) -> float:
+    try:
+        return base ** exp
+    except OverflowError:
+        return math.inf
+
+
+def prox_eb_thetas(gamma: float, c3: float, L: float, M: float,
+                   eps_lo: float, eta: float) -> tuple[float, float]:
+    """theta1 and theta2 of the implication from a level-set
+    subdifferential EB (exponent gamma > 0, constant c3) to the
+    prox-residual EB on the half-radius slice (see
+    ``check_subdiff_implies_prox_eb``).  A tiny gamma drives both past the
+    float range; they come back infinite (or nan), never as an
+    OverflowError."""
+    eta2 = eta / 2.0
+    core = _pow(c3 * (L + M / eps_lo), 1.0 / gamma)
+    theta1 = 1.0 + core * _pow(eta2, 1.0 / gamma - 1.0)
+    theta2 = _pow(eta2, 1.0 - 1.0 / gamma) + core
+    return theta1, theta2
+
+
 def check_subdiff_implies_prox_eb(samples: Sequence[ProbeSample],
                                   slice_: LevelSlice, fit: EBFit,
                                   L: float, M: float, m: float,
@@ -512,11 +601,12 @@ def check_subdiff_implies_prox_eb(samples: Sequence[ProbeSample],
     if not (gamma > 0 and math.isfinite(gamma)):
         return {"check": "subdiff_implies_prox_eb", "gated": True,
                 "reason": "gamma fit not in (0, inf)"}
+    theta1, theta2 = prox_eb_thetas(gamma, c3, L, M, eps_lo, slice_.radius_eta)
+    if not (math.isfinite(theta1) and math.isfinite(theta2)):
+        return {"check": "subdiff_implies_prox_eb", "gated": True,
+                "reason": "theta not finite"}
     p = gamma if gamma > 1 else 1.0
     eta2 = slice_.radius_eta / 2.0
-    core = (c3 * (L + M / eps_lo)) ** (1.0 / gamma)
-    theta1 = 1.0 + core * eta2 ** (1.0 / gamma - 1.0)
-    theta2 = eta2 ** (1.0 - 1.0 / gamma) + core
     theta = theta1 if gamma <= 1 else theta2
     N = max(lemma_sample_count(m, L, eps_hi, slice_.radius_eta,
                                slice_.value_band_nu), 1.0)
@@ -534,6 +624,10 @@ def check_subdiff_implies_prox_eb(samples: Sequence[ProbeSample],
             "n_checked": checked, "n_violations": violations}
 
 
+def value_proximity_c0(L: float, M: float, eps_lo: float) -> float:
+    return 1.5 * L + M / (2.0 * eps_lo)
+
+
 def check_value_proximity(samples: Sequence[ProbeSample], F_bar: float,
                           L: float, M: float, eps_lo: float) -> dict:
     """Value-proximity chain on a slice:
@@ -542,7 +636,7 @@ def check_value_proximity(samples: Sequence[ProbeSample], F_bar: float,
 
     with c0 = 3L/2 + M/(2 eps_lo).  Reports the worst violation of each
     link (negative slack means a violation)."""
-    c0 = 1.5 * L + M / (2.0 * eps_lo)
+    c0 = value_proximity_c0(L, M, eps_lo)
     worst_left = math.inf   # E(x) - F(T(x)) >= 0
     worst_right = math.inf  # c0 d^2 - (E(x) - Fbar) >= 0
     for s in samples:
@@ -672,6 +766,26 @@ def certified_q_rate(a: float, kappa_prime: float) -> float:
     return 1.0 / (1.0 + a / kappa_prime)
 
 
+def certify_rate_chain(beta_hat: float, sub_fit: EBFit, L: float, M: float,
+                       m: float, eps_lo: float, eps_hi: float,
+                       eta: float) -> dict:
+    """Certified Q-linear ratio 1/(1 + a/(c0 theta1^2)) from a level-set
+    subdifferential fit, with a = (m/eps_hi - L)/2, gamma capped at 1 and
+    theta1 from ``prox_eb_thetas``; chain_ok when the observed ratio stays
+    within 5% of it.  Empty when the fitted gamma is not positive, gated
+    when theta1 is not finite."""
+    gamma = min(sub_fit.exponent, 1.0)
+    if not gamma > 0:
+        return {}
+    theta1, _ = prox_eb_thetas(gamma, sub_fit.constant, L, M, eps_lo, eta)
+    if not math.isfinite(theta1):
+        return {"gated": True, "reason": "theta not finite"}
+    a = 0.5 * (m / eps_hi - L)
+    beta = certified_q_rate(a, value_proximity_c0(L, M, eps_lo) * theta1 ** 2)
+    return {"theta": theta1, "beta_certified": beta,
+            "chain_ok": bool(beta_hat <= beta * 1.05)}
+
+
 def r_linear_envelope(trace: Trace, beta: float) -> float:
     """Smallest C with ||x^k - x_final|| <= C (sqrt(beta))^k along the
     stored iterates (geometric envelope of the iterate tail)."""
@@ -694,13 +808,13 @@ def estimate_level_set_rate(trace: Trace, problem: Problem, F_bar: float,
     [F <= Fbar] ends the usable window (reported as converged)."""
     if min_dist is None:
         min_dist = 10.0 * grid.resolution
-    dists = []
-    for x, k in zip(trace.iterates, trace.iterate_indices):
-        if problem.F(x) <= F_bar:
-            dists.append(0.0)
-            break
-        d, _ = grid.project(F_bar, x, boundary_check=False)
-        dists.append(d)
+    k_end = next((k for k, x in enumerate(trace.iterates)
+                  if problem.F(x) <= F_bar), len(trace.iterates))
+    d, _ = grid.project_many(F_bar, trace.iterates[:k_end],
+                             boundary_check=False)
+    dists = [float(v) for v in d]
+    if k_end < len(trace.iterates):
+        dists.append(0.0)
     ratios = []
     for d0, d1 in zip(dists[:-1], dists[1:]):
         if d0 >= min_dist and d1 >= min_dist:

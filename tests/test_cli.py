@@ -50,6 +50,12 @@ class TestSolve:
         bad.write_text("{not json")
         assert run(["solve", "--config", bad, "--out", tmp_path]) == 1
 
+    def test_non_object_config_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", [1, 2])
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config parse error: top level must be a JSON object\n"
+
     def test_strict_validation_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "problem": {"kind": "quadratic",
@@ -134,6 +140,38 @@ class TestProbe:
         assert rep["checks"]["value_proximity"]["min_slack_c0_bound"] >= -1e-8
         assert not rep["checks"]["gap_condition_links"]["gated"]
         assert rep["checks"]["gap_condition_links"]["n_violations"] == 0
+
+
+    def test_tiny_gamma_theta_gated(self, tmp_path):
+        # off the minimizer the subdifferential distance stays away from 0,
+        # the fitted gamma is about 6e-4 and theta leaves the float range
+        path = write_config(tmp_path, "c.json", {
+            "problem": {"kind": "quadratic",
+                        "params": {"Q": [[1.0, 0.0], [0.0, 1.0]],
+                                   "b": [0.3, 0.0],
+                                   "g": {"kind": "scad", "lam": 0.5,
+                                         "a": 3.7}}},
+            "solver": {"epsilon": 0.99, "step_tol": 1e-9},
+            "x0": [3.0, -2.0],
+            "probe": {"center": [5.0, 5.0], "eta": 0.5, "nu": 0.1,
+                      "n_samples": 240, "resolution": 0.005,
+                      "box_halfwidth": 2.0}})
+        out = tmp_path / "o"
+        assert run(["probe", "--config", path, "--out", out]) == 0
+        report = json.loads((out / "eb_report.json").read_text())
+        assert report["checks"]["subdiff_implies_prox_eb"] == {
+            "check": "subdiff_implies_prox_eb", "gated": True,
+            "reason": "theta not finite"}
+
+    def test_few_samples_kl_sweep_recorded(self, tmp_path):
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        cfg["probe"]["n_samples"] = 5
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "o"
+        assert run(["probe", "--config", path, "--out", out]) == 0
+        report = json.loads((out / "eb_report.json").read_text())
+        assert "error" in report["checks"]["kl_sweep"]
+        assert "error" in report["fits"]["level_subdiff"]
 
 
 class TestCheck:
@@ -227,20 +265,20 @@ class TestDeterminism:
         for name in ("probe.csv", "eb_report.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        from vbpg.cli import thread_cap
-        monkeypatch.setenv("VBPG_THREADS", "2")
-        assert thread_cap() == 2
-        monkeypatch.delenv("VBPG_THREADS")
-        assert thread_cap() >= 1
-
     def test_probe_independent_of_thread_cap(self, tmp_path, monkeypatch):
+        # the projection oracle splits its nearest-candidate search into
+        # blocks under a fixed element budget; one query per block must
+        # give the same bytes as the default budget
+        import vbpg.diagnostics as dx
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        cfg["probe"]["center"] = [1.0, 1.0]
+        path = write_config(tmp_path, "offmin.json", cfg)
         outs = []
-        for tag, threads in (("a", "1"), ("b", "7")):
-            monkeypatch.setenv("VBPG_THREADS", threads)
+        for tag, budget in (("a", dx._PROJECT_CHUNK_ELEMS), ("b", 1)):
+            monkeypatch.setattr(dx, "_PROJECT_CHUNK_ELEMS", budget)
             out = tmp_path / tag
-            assert run(["probe", "--config", CONFIGS / "jump_probe.json",
-                        "--seed", 4, "--out", out]) == 0
+            assert run(["probe", "--config", path, "--seed", 4,
+                        "--out", out]) == 0
             outs.append(out)
-        assert (outs[0] / "probe.csv").read_bytes() == \
-            (outs[1] / "probe.csv").read_bytes()
+        for name in ("probe.csv", "eb_report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

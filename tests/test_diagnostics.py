@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vbpg.bregman import descent_case, descent_constants
-from vbpg.core import KernelSpec, SolverConfig
-from vbpg.diagnostics import (DegenerateSampleError, SliceEmptyError,
-                              SublevelGrid, check_critical_value_consistency,
+from vbpg.core import KernelSpec, Problem, SolverConfig
+from vbpg.diagnostics import (DegenerateSampleError, EBFit, SliceEmptyError,
+                              SublevelGrid, certify_rate_chain,
+                              check_critical_value_consistency,
                               check_gap_condition_links, check_kl_exponent_map,
                               check_level_set_rate_certificates,
                               check_step_containment,
@@ -66,6 +67,145 @@ class TestSublevelProjection:
         p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
         F_star = grid_min_F(p, np.zeros(2), 2.0)
         assert F_star == pytest.approx(p.F(np.array([0.5, 0.3])), abs=1e-9)
+
+
+def brute_project(grid, F_bar, x):
+    """The oracle's definition, one point at a time: argmin over every
+    in-set grid point and seed, then 60 scalar-F bisection steps."""
+    F = grid.problem.F
+    if F(x) <= F_bar:
+        return 0.0, x.copy()
+    cand = grid.points[grid.values <= F_bar]
+    if cand.shape[0] == 0:
+        raise SliceEmptyError("empty")
+    target = cand[np.argmin(np.sum((cand - x[None, :]) ** 2, axis=1))]
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if F(x + mid * (target - x)) <= F_bar:
+            hi = mid
+        else:
+            lo = mid
+    proj = x + hi * (target - x)
+    return float(np.linalg.norm(x - proj)), proj
+
+
+def assert_matches_brute(grid, F_bar, X, atol):
+    d, P = grid.project_many(F_bar, X)
+    for x, di, pi in zip(X, d, P):
+        d_ref, p_ref = brute_project(grid, F_bar, x)
+        assert abs(di - d_ref) <= atol
+        assert np.max(np.abs(pi - p_ref)) <= atol
+    return d
+
+
+def lasso_nd(dim):
+    b = [1.0, 0.8, -0.9][:dim]
+    return lasso_spec("l", np.eye(dim), b, 0.5).build()
+
+
+class TestBatchedProjection:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_singleton_at_minimizer(self, dim):
+        p = lasso_nd(dim)
+        x_star = np.array([0.5, 0.3, -0.4][:dim])
+        grid = SublevelGrid(p, x_star + 0.013, 1.0, extra_points=[x_star])
+        X = x_star + np.random.default_rng(dim).uniform(-0.4, 0.4, (25, dim))
+        d = assert_matches_brute(grid, p.F(x_star), X, atol=1e-7)
+        assert np.allclose(d, np.linalg.norm(X - x_star, axis=1), atol=1e-7)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_off_minimizer_region(self, dim):
+        p = lasso_nd(dim)
+        c = np.ones(dim)
+        grid = SublevelGrid(p, c, 1.5, extra_points=[c])
+        X = c + np.random.default_rng(10 + dim).uniform(-0.5, 0.5, (30, dim))
+        d = assert_matches_brute(grid, p.F(c), X, atol=1e-10)
+        assert np.sum(d > 0) > 5 and np.sum(d == 0) > 5
+
+    def test_nonconvex_mcp_region(self):
+        p = ProblemSpec("qm", "quadratic",
+                        {"Q": [[2.0, 0.3], [0.3, 1.0]], "b": [0.5, -0.4]},
+                        "mcp", {"lam": 0.6, "gamma": 4.0}, 2).build()
+        c = np.array([0.6, 1.2])
+        grid = SublevelGrid(p, c, 2.0, resolution=0.01, extra_points=[c])
+        X = c + np.random.default_rng(3).uniform(-0.6, 0.6, (40, 2))
+        assert_matches_brute(grid, p.F(c), X, atol=1e-10)
+
+    def test_own_node_inside_a_hole(self):
+        # F = -||x||^2/2 below -2e-6 leaves a hole of radius 2e-3 around 0
+        # that holds no grid node: every node near a query in the hole is
+        # interior, so only the query's own node finds the nearest one
+        p = ProblemSpec("cap", "quadratic",
+                        {"Q": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]},
+                        "zero", {}, 2).build()
+        h = 0.01
+        grid = SublevelGrid(p, [h / 2, h / 2], 0.5, resolution=h)
+        F_bar = -2e-6
+        X = np.random.default_rng(0).uniform(-1e-3, 1e-3, (20, 2))
+        d = assert_matches_brute(grid, F_bar, X, atol=1e-10)
+        assert np.all(d > 0) and np.all(d < h)
+
+    def test_jump_singleton(self):
+        p = ProblemSpec("jump", "zero", {}, "jump_quadratic", {"xbar": 0.0},
+                        1).build()
+        grid = SublevelGrid(p, np.zeros(1), 2.0)
+        X = np.array([[0.3], [-1.1], [0.0], [1e-5]])
+        d, P = grid.project_many(-1.0, X)
+        assert np.array_equal(d, np.abs(X[:, 0])) and np.all(P == 0.0)
+
+    def test_rows_inside_return_copies(self):
+        p = lasso_nd(2)
+        grid = SublevelGrid(p, np.ones(2), 1.5)
+        X = np.array([[1.0, 1.0], [0.9, 0.95], [2.0, 2.0]])
+        d, P = grid.project_many(p.F(np.ones(2)), X)
+        assert d[0] == 0.0 and d[1] == 0.0 and d[2] > 0
+        assert np.array_equal(P[:2], X[:2])
+        P[0, 0] = 7.0
+        assert X[0, 0] == 1.0
+
+    def test_empty_set_raises(self):
+        grid = SublevelGrid(square_problem(), np.zeros(1), 3.0)
+        with pytest.raises(SliceEmptyError):
+            grid.project_many(-1.0, np.array([[2.0], [0.5]]))
+
+    def test_project_is_one_row_of_project_many(self):
+        p = lasso_nd(2)
+        grid = SublevelGrid(p, np.ones(2), 1.5)
+        X = np.array([[1.3, 0.7], [1.1, 1.4]])
+        d, P = grid.project_many(p.F(np.ones(2)), X)
+        for i, x in enumerate(X):
+            di, pi = grid.project(p.F(np.ones(2)), x)
+            assert di == d[i] and np.array_equal(pi, P[i])
+
+    def test_probe_call_counts(self, monkeypatch):
+        p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
+        c = np.ones(2)
+        sl = make_slice(p, c, 0.5, 0.4)
+        grid = SublevelGrid(p, c, 1.5, extra_points=[c])
+        calls = {"F": 0, "F_batch": 0}
+
+        def counted(name):
+            fn = getattr(Problem, name)
+
+            def wrapper(self, *a):
+                calls[name] += 1
+                return fn(self, *a)
+            return wrapper
+
+        monkeypatch.setattr(Problem, "F", counted("F"))
+        monkeypatch.setattr(Problem, "F_batch", counted("F_batch"))
+        batch_calls = []
+        for n in (20, 120):
+            calls["F_batch"] = 0
+            probe_slice(p, EUC, 0.5, sl, n, 1, grid=grid,
+                        crit_points=np.array([[0.5, 0.3]]))
+            batch_calls.append(calls["F_batch"])
+        assert batch_calls[0] == batch_calls[1]
+        calls["F"] = 0
+        X = c + np.random.default_rng(2).uniform(-0.5, 0.5, (50, 2))
+        grid.project_many(sl.F_bar, X)
+        assert calls["F"] == 0
 
 
 class TestProbeSlice:
@@ -234,6 +374,18 @@ class TestExponentMaps:
             p.f.lipschitz_L, 1.0, 1.0, 0.5, 0.5)
         assert rep["n_violations"] == 0
 
+    def test_tiny_gamma_gated_not_overflow(self, lasso_campaign):
+        # (c3 (L + M/eps_lo))^(1/gamma) = 30^1000 leaves the float range
+        fit = EBFit("level_subdiff", exponent=1e-3, constant=10.0,
+                    r_squared=0.0, n_samples=240, violated_fraction=0.0)
+        rep = check_subdiff_implies_prox_eb(
+            lasso_campaign["samples"], lasso_campaign["slice"], fit,
+            1.0, 1.0, 1.0, 0.5, 0.5)
+        assert rep == {"check": "subdiff_implies_prox_eb", "gated": True,
+                       "reason": "theta not finite"}
+        assert certify_rate_chain(0.5, fit, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5) \
+            == {"gated": True, "reason": "theta not finite"}
+
 
 class TestValueProximity:
     def test_lasso_zero_violations(self, lasso_campaign):
@@ -359,6 +511,22 @@ class TestRates:
                                       jump_campaign["grid"])
         assert rep["converged"]
         assert math.isnan(rep["beta_levelset"])
+
+
+class TestRateChain:
+    def test_linear_exponent_closed_form(self):
+        # gamma = 1: theta1 = 1 + c3 (L + M/eps_lo), c0 = 3L/2 + M/(2 eps_lo)
+        fit = EBFit("level_subdiff", exponent=1.0, constant=1.0,
+                    r_squared=1.0, n_samples=100, violated_fraction=0.0)
+        rep = certify_rate_chain(0.9, fit, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5)
+        assert rep["theta"] == 4.0
+        assert rep["beta_certified"] == pytest.approx(1 / (1 + 0.5 / 40.0))
+        assert rep["chain_ok"]
+
+    def test_nonpositive_exponent_empty(self):
+        fit = EBFit("level_subdiff", exponent=-0.2, constant=1.0,
+                    r_squared=0.1, n_samples=100, violated_fraction=0.0)
+        assert certify_rate_chain(0.9, fit, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5) == {}
 
 
 class TestRateCertificates:
