@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, KernelSpec, Problem, as_vector
+from .core import Array, KernelSpec, Problem, as_vector, vector_norm
 
 
 class ProxError(RuntimeError):
@@ -32,15 +32,17 @@ class ProxResult:
     """One representative minimizer of the prox subproblem.
 
     ``subproblem_value`` is <grad f(x), t - x> + g(t) + D(x, t)/eps at the
-    returned t (it excludes f(x)).  ``multivalued_flag`` is set when the
-    coordinatewise candidate enumeration found two global minimizers
-    tying within 1e-10; ties are resolved toward smaller |t|.
+    returned t (it excludes f(x)), and ``g_value`` is its g(t) term.
+    ``multivalued_flag`` is set when the coordinatewise candidate
+    enumeration found two global minimizers tying within 1e-10; ties are
+    resolved toward smaller |t|.
     """
 
     minimizer: Array
     subproblem_value: float
     inner_iterations: int
     multivalued_flag: bool
+    g_value: float
 
 
 def distance(K: KernelSpec, x: Array, y: Array) -> float:
@@ -49,15 +51,18 @@ def distance(K: KernelSpec, x: Array, y: Array) -> float:
     return K.distance(x, as_vector(y, dim=x.size))
 
 
-def _subproblem_value(problem: Problem, K: KernelSpec, eps: float,
-                      x: Array, grad_x: Array, t: Array) -> float:
-    return (float(grad_x @ (t - x)) + problem.g.value(t)
-            + K.distance(x, t) / eps)
+def _prox_result(problem: Problem, K: KernelSpec, eps: float, x: Array,
+                 grad_x: Array, t: Array, inner_iterations: int = 0,
+                 tied: bool = False) -> ProxResult:
+    g_t = problem.g.value(t)
+    val = float(grad_x @ (t - x)) + g_t + K.distance(x, t) / eps
+    return ProxResult(t, val, inner_iterations, tied, g_t)
 
 
 def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
              warm_start: Array | None = None, inner_tol: float | None = None,
-             inner_max: int = 10000, strict: bool = False) -> ProxResult:
+             inner_max: int = 10000, strict: bool = False,
+             grad_x: Array | None = None) -> ProxResult:
     """Solve the prox subproblem at x.
 
     Separable fast path (euclidean/diagonal kernels, coordinatewise g):
@@ -65,56 +70,58 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
     enumeration.  General quadratic kernels: proximal-gradient iterations
     on the subproblem with step 1/(M/eps + L), run from ``warm_start``
     (default x) until the inner step norm falls below
-    ``inner_tol`` (default 1e-10 (1 + ||x||)).
+    ``inner_tol`` (default 1e-10 (1 + ||x||)).  ``grad_x`` is grad f(x)
+    when the caller already has it.
     """
     x = as_vector(x, dim=problem.dim)
+    return _prox_map(problem, K, eps, x, warm_start, inner_tol, inner_max,
+                     strict, grad_x)
+
+
+def _prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
+              warm_start: Array | None = None, inner_tol: float | None = None,
+              inner_max: int = 10000, strict: bool = False,
+              grad_x: Array | None = None) -> ProxResult:
+    """``prox_map`` on an already validated x."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if strict:
         L = problem.f.lipschitz_L
         if L > 0 and not eps < K.m / L:
             raise ValueError(f"eps={eps:g} outside (0, m/L)=(0, {K.m / L:g})")
-    grad_x = problem.f.gradient(x)
+    if grad_x is None:
+        grad_x = problem.f.gradient(x)
 
     weights = K.diag_weights(problem.dim)
     if weights is not None:
         t, tied = problem.g.scaled_prox(x, grad_x, weights, eps)
-        val = _subproblem_value(problem, K, eps, x, grad_x, t)
-        return ProxResult(minimizer=t, subproblem_value=val,
-                          inner_iterations=0, multivalued_flag=tied)
+        return _prox_result(problem, K, eps, x, grad_x, t, 0, tied)
 
     # strongly convex inner problem: smooth part <grad_x, y> + D(x, y)/eps
-    tol = inner_tol if inner_tol is not None else 1e-10 * (1.0 + float(np.linalg.norm(x)))
+    tol = inner_tol if inner_tol is not None else 1e-10 * (1.0 + vector_norm(x))
     step = 1.0 / (K.M / eps + problem.f.lipschitz_L)
-    ones = np.ones(problem.dim)
     y = x.copy() if warm_start is None else as_vector(warm_start, dim=problem.dim)
     for it in range(1, inner_max + 1):
         grad_smooth = grad_x + K.grad_y(x, y) / eps
-        y_next, _ = problem.g.scaled_prox(y - step * grad_smooth,
-                                          np.zeros(problem.dim), ones, step)
-        move = float(np.linalg.norm(y_next - y))
+        y_next, _ = problem.g.scaled_prox(y - step * grad_smooth, 0.0, 1.0,
+                                          step)
+        move = vector_norm(y_next - y)
         y = y_next
         if move <= tol:
-            val = _subproblem_value(problem, K, eps, x, grad_x, y)
-            return ProxResult(minimizer=y, subproblem_value=val,
-                              inner_iterations=it, multivalued_flag=False)
+            return _prox_result(problem, K, eps, x, grad_x, y, it)
     raise ProxError(f"inner prox solve did not converge in {inner_max} iterations")
 
 
 def envelope(problem: Problem, K: KernelSpec, eps: float, x: Array,
              prox: ProxResult | None = None) -> float:
     """E(x) = f(x) + optimal subproblem value; satisfies E(x) <= F(x)."""
-    if prox is None:
-        prox = prox_map(problem, K, eps, x)
-    return problem.f.value(as_vector(x)) + prox.subproblem_value
+    return envelope_gap(problem, K, eps, x, prox)[0]
 
 
 def gap(problem: Problem, K: KernelSpec, eps: float, x: Array,
         prox: ProxResult | None = None) -> float:
     """G(x) = (F(x) - E(x)) / eps = (g(x) - subproblem value) / eps >= 0."""
-    if prox is None:
-        prox = prox_map(problem, K, eps, x)
-    return (problem.g.value(as_vector(x)) - prox.subproblem_value) / eps
+    return envelope_gap(problem, K, eps, x, prox)[1]
 
 
 def envelope_gap(problem: Problem, K: KernelSpec, eps: float, x: Array,
@@ -122,10 +129,17 @@ def envelope_gap(problem: Problem, K: KernelSpec, eps: float, x: Array,
     """(E(x), G(x), prox result) from a single subproblem solve."""
     x = as_vector(x, dim=problem.dim)
     if prox is None:
-        prox = prox_map(problem, K, eps, x)
+        prox = _prox_map(problem, K, eps, x)
     E = problem.f.value(x) + prox.subproblem_value
     G = (problem.g.value(x) - prox.subproblem_value) / eps
     return E, G, prox
+
+
+def subgradient_from_gradients(K: KernelSpec, eps: float, x: Array, t: Array,
+                               grad_x: Array, grad_t: Array) -> Array:
+    """xi = grad f(t) - grad f(x) - grad_y D(x, t) / eps from gradients the
+    caller already holds."""
+    return grad_t - grad_x - K.grad_y(x, t) / eps
 
 
 def prox_subgradient(problem: Problem, K: KernelSpec, eps: float, x: Array,
@@ -142,12 +156,13 @@ def prox_subgradient(problem: Problem, K: KernelSpec, eps: float, x: Array,
     grad_x = problem.f.gradient(x)
     if check:
         # t must do at least as well as the feasible candidate y = x
-        val_t = _subproblem_value(problem, K, eps, x, grad_x, t)
+        val_t = _prox_result(problem, K, eps, x, grad_x, t).subproblem_value
         val_x = problem.g.value(x)
         if val_t > val_x + 1e-8 * (1.0 + abs(val_x)):
             raise ValueError("t is not a prox output for x "
                              "(subproblem optimality violated)")
-    return problem.f.gradient(t) - grad_x - K.grad_y(x, t) / eps
+    return subgradient_from_gradients(K, eps, x, t, grad_x,
+                                      problem.f.gradient(t))
 
 
 def residual_bound(L: float, M: float, eps_lo: float) -> float:
@@ -164,9 +179,10 @@ def residual_upper_estimate(problem: Problem, K: KernelSpec, eps: float,
     near-fixed points (small second component) its norm upper-estimates
     the subdifferential distance at x up to the move to T(x)."""
     x = as_vector(x, dim=problem.dim)
-    t = prox_map(problem, K, eps, x).minimizer
-    xi = prox_subgradient(problem, K, eps, x, t, check=False)
-    return float(np.linalg.norm(xi)), float(np.linalg.norm(x - t))
+    grad_x = problem.f.gradient(x)
+    t = _prox_map(problem, K, eps, x, grad_x=grad_x).minimizer
+    xi = subgradient_from_gradients(K, eps, x, t, grad_x, problem.f.gradient(t))
+    return vector_norm(xi), vector_norm(x - t)
 
 
 @dataclass(frozen=True)
@@ -225,7 +241,7 @@ def check_descent_inequality(problem: Problem, K: KernelSpec, eps: float,
     x = as_vector(x, dim=problem.dim)
     u = as_vector(u, dim=problem.dim)
     if prox is None:
-        prox = prox_map(problem, K, eps, x)
+        prox = _prox_map(problem, K, eps, x)
     t = prox.minimizer
     Ft, Fu = problem.F(t), problem.F(u)
     if math.isinf(Fu):

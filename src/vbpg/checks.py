@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from .bregman import (check_descent_inequality, descent_case,
-                      descent_constants, envelope_gap, prox_map,
-                      prox_subgradient, residual_bound)
-from .core import sample_box
+                      descent_constants, envelope_gap, prox_subgradient,
+                      residual_bound)
+from .core import sample_box, vector_norm
 from .diagnostics import check_semiconvex_gap_bounds, grid_min_F
 from .problems import GridProxOracle, ShippedInstance, shipped_instances
 from .solver import vbpg_run
@@ -40,11 +40,11 @@ def check_gradient_lipschitz(inst: ShippedInstance, rng, n=1000):
     Y = sample_box(rng, n, inst.box_center(), inst.sample_halfwidth)
     worst = 0.0
     for x, y in zip(X, Y):
-        dxy = float(np.linalg.norm(x - y))
+        dxy = vector_norm(x - y)
         if dxy < 1e-12:
             continue
-        ratio = float(np.linalg.norm(problem.f.gradient(x)
-                                     - problem.f.gradient(y))) / dxy
+        ratio = vector_norm(problem.f.gradient(x)
+                            - problem.f.gradient(y)) / dxy
         worst = max(worst, ratio)
     ok = worst <= L * (1.0 + 1e-9) + 1e-12
     return _record("gradient_lipschitz_ratio", inst.spec.name, ok, L - worst,
@@ -61,91 +61,65 @@ def check_kernel_bounds(inst: ShippedInstance, rng, n=500):
             r2 = float((x - y) @ (x - y))
             D = K.distance(x, y)
             worst = min(worst, D - 0.5 * K.m * r2, 0.5 * K.M * r2 - D)
-            gy = float(np.linalg.norm(K.grad_y(x, y)))
+            gy = vector_norm(K.grad_y(x, y))
             worst = min(worst, K.M * math.sqrt(r2) * (1 + 1e-9) - gy)
     return _record("kernel_distance_bounds", inst.spec.name,
                    worst >= -1e-10, worst)
 
 
-def check_gap_identity(inst: ShippedInstance, rng, n=300):
+def check_prox_invariants(inst: ShippedInstance, rng, n=300):
+    """Four records from one prox solve per sample: the gap identity, the
+    descent inequality (against a second sample set), the envelope/value
+    decrease and the prox-subgradient bound."""
     problem = inst.problem()
     K = inst.config.kernel_at(0)
     eps = inst.config.eps_at(0)
-    X = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
-    worst = 0.0
-    for x in X:
-        E, G, _ = envelope_gap(problem, K, eps, x)
-        Fx = problem.F(x)
-        worst = max(worst, abs(Fx - E - eps * G) / (1.0 + abs(Fx)))
-        if G < -1e-12 or E > Fx + 1e-10 * (1 + abs(Fx)):
-            worst = max(worst, 1.0)
-    return _record("gap_identity", inst.spec.name, worst <= 1e-10, 1e-10 - worst,
-                   f"max relative identity error {worst:.3g}")
-
-
-def check_descent(inst: ShippedInstance, rng, n=300):
-    problem = inst.problem()
-    K = inst.config.kernel_at(0)
-    eps = inst.config.eps_at(0)
-    consts = descent_constants(descent_case(problem), K.m, K.M,
-                               problem.f.lipschitz_L, eps, eps)
+    L = problem.f.lipschitz_L
+    consts = descent_constants(descent_case(problem), K.m, K.M, L, eps, eps)
+    a = 0.5 * (K.m / eps - L)
+    bound = residual_bound(L, K.M, eps)
     X = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
     U = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
-    worst = math.inf
-    for x, u in zip(X, U):
-        slack = check_descent_inequality(problem, K, eps, x, u, consts)
-        if math.isfinite(slack):
-            worst = min(worst, slack)
-    return _record("descent_inequality", inst.spec.name, worst >= -1e-8, worst,
-                   f"case {consts.case_id}")
-
-
-def check_envelope_decrease(inst: ShippedInstance, rng, n=300):
-    problem = inst.problem()
-    K = inst.config.kernel_at(0)
-    eps = inst.config.eps_at(0)
-    a = 0.5 * (K.m / eps - problem.f.lipschitz_L)
-    X = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
-    worst = math.inf
-    for x in X:
+    gap_err, descent, decrease, resid = 0.0, math.inf, math.inf, math.inf
+    for i, x in enumerate(X):
         E, G, prox = envelope_gap(problem, K, eps, x)
         t = prox.minimizer
+        Fx, Ft = problem.F(x), problem.F(t)
+        gap_err = max(gap_err, abs(Fx - E - eps * G) / (1.0 + abs(Fx)))
+        if G < -1e-12 or E > Fx + 1e-10 * (1 + abs(Fx)):
+            gap_err = max(gap_err, 1.0)
+        if i < len(U):
+            slack = check_descent_inequality(problem, K, eps, x, U[i], consts,
+                                             prox)
+            if math.isfinite(slack):
+                descent = min(descent, slack)
         r2 = float((x - t) @ (x - t))
-        Ft, Fx = problem.F(t), problem.F(x)
-        worst = min(worst, E - a * r2 - Ft, Fx - a * r2 - Ft)
-    return _record("envelope_value_decrease", inst.spec.name,
-                   worst >= -1e-8, worst)
-
-
-def check_residual_bound(inst: ShippedInstance, rng, n=300):
-    problem = inst.problem()
-    K = inst.config.kernel_at(0)
-    eps = inst.config.eps_at(0)
-    bound = residual_bound(problem.f.lipschitz_L, K.M, eps)
-    X = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
-    worst = math.inf
-    for x in X:
-        prox = prox_map(problem, K, eps, x)
-        t = prox.minimizer
+        decrease = min(decrease, E - a * r2 - Ft, Fx - a * r2 - Ft)
         xi = prox_subgradient(problem, K, eps, x, t, check=False)
-        worst = min(worst, bound * float(np.linalg.norm(x - t)) * (1 + 1e-9)
-                    - float(np.linalg.norm(xi)))
-    return _record("prox_subgradient_bound", inst.spec.name,
-                   worst >= -1e-12, worst)
+        resid = min(resid, bound * vector_norm(x - t) * (1 + 1e-9)
+                    - vector_norm(xi))
+    name = inst.spec.name
+    return [_record("gap_identity", name, gap_err <= 1e-10, 1e-10 - gap_err,
+                    f"max relative identity error {gap_err:.3g}"),
+            _record("descent_inequality", name, descent >= -1e-8, descent,
+                    f"case {consts.case_id}"),
+            _record("envelope_value_decrease", name, decrease >= -1e-8,
+                    decrease),
+            _record("prox_subgradient_bound", name, resid >= -1e-12, resid)]
 
 
 def check_prox_vs_grid(inst: ShippedInstance, rng, n=60):
     problem = inst.problem()
     g = problem.g
     oracle = GridProxOracle(g, -10.0, 10.0, 1e-4)
+    # one (v, w, eps) row per draw, the same stream as three scalar draws
+    V, W, EPS = rng.uniform([-6.0, 0.5, 0.2], [6.0, 2.0, 1.0], size=(n, 3)).T
+    T, _ = g.prox(V, W, EPS)
+    H = g.values(T) + 0.5 * (W / EPS) * (T - V) ** 2
     worst_arg = worst_val = 0.0
-    for _ in range(n):
-        v = float(rng.uniform(-6, 6))
-        w = float(rng.uniform(0.5, 2.0))
-        eps = float(rng.uniform(0.2, 1.0))
-        t, _ = g.prox1d(v, w, eps)
+    for v, w, eps, t, hval in zip(V.tolist(), W.tolist(), EPS.tolist(),
+                                  T.tolist(), H.tolist()):
         tg, hg = oracle.argmin(v, w, eps)
-        hval = g.value1d(t) + 0.5 * (w / eps) * (t - v) ** 2
         worst_arg = max(worst_arg, abs(t - tg))
         worst_val = max(worst_val, hval - hg)
     ok = worst_arg <= 2e-4 and worst_val <= 1e-8
@@ -158,15 +132,13 @@ def check_semiconvex_midpoint(inst: ShippedInstance, rng, n=400):
     rho = problem.g.semiconvex_rho
     if not math.isfinite(rho):
         return None
-    worst = math.inf
-    phi = lambda u: problem.g.value1d(u) + 0.5 * rho * u * u
-    for _ in range(n):
-        s, t = rng.uniform(-8, 8, size=2)
-        lhs = phi(0.5 * (s + t))
-        rhs = 0.5 * (phi(s) + phi(t))
-        if not math.isfinite(rhs):
-            continue  # extended-value convexity is vacuous here
-        worst = min(worst, rhs - lhs)
+    S, T = rng.uniform(-8, 8, size=(n, 2)).T
+    phi = lambda u: problem.g.values(u) + 0.5 * rho * u * u
+    rhs = 0.5 * (phi(S) + phi(T))
+    # extended-value convexity is vacuous where rhs is infinite
+    fin = np.isfinite(rhs)
+    lhs = phi(0.5 * (S[fin] + T[fin]))
+    worst = float(np.min(rhs[fin] - lhs, initial=math.inf))
     return _record("semiconvex_midpoint", inst.spec.name, worst >= -1e-10, worst,
                    f"rho={rho:g}")
 
@@ -253,8 +225,7 @@ def check_semiconvex_suite(inst: ShippedInstance, rng, n=200):
                    worst)
 
 
-_CHECKS = [check_gradient_lipschitz, check_kernel_bounds, check_gap_identity,
-           check_descent, check_envelope_decrease, check_residual_bound,
+_CHECKS = [check_gradient_lipschitz, check_kernel_bounds, check_prox_invariants,
            check_prox_vs_grid, check_semiconvex_midpoint,
            check_level_boundedness, check_solver_run, check_semiconvex_suite]
 
@@ -266,8 +237,9 @@ def run_invariant_suite(instances=None, seed: int = 0) -> list:
     records = []
     for name, inst in instances.items():
         for check in _CHECKS:
-            rng = np.random.default_rng(seed)
-            rec = check(inst, rng)
-            if rec is not None:
+            rec = check(inst, np.random.default_rng(seed))
+            if isinstance(rec, list):
+                records.extend(rec)
+            elif rec is not None:
                 records.append(rec)
     return records

@@ -28,14 +28,22 @@ Array = np.ndarray
 
 def as_vector(x, dim: Optional[int] = None) -> Array:
     """Coerce to a finite 1-D float array, validating dimension if given."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.asarray(x, dtype=float)
     if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+        if v.ndim:
+            raise ValueError(f"expected a vector, got shape {v.shape}")
+        v = v.reshape(1)
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
     return v
+
+
+def vector_norm(v: Array) -> float:
+    """Euclidean norm of a 1-D array: np.linalg.norm's value without its
+    per-call overhead."""
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +76,12 @@ class SmoothObjective:
 class Regularizer:
     """Base class for regularizers g.
 
-    Concrete regularizers are coordinate-separable: they provide a scalar
-    prox through :meth:`prox1d` and an exact scalar subdifferential
-    distance through :meth:`subdiff_dist1d`.  Values may be +inf
-    (indicator-type penalties); arithmetic with the +inf sentinel never
-    produces NaN because the quadratic model added to g is always finite.
+    Concrete regularizers are coordinate-separable and implement three
+    elementwise array methods, :meth:`values`, :meth:`prox` and
+    :meth:`subdiff_parts`; every other method is a view of those.  Values
+    may be +inf (indicator-type penalties); arithmetic with the +inf
+    sentinel never produces NaN because the quadratic model added to g is
+    always finite.
 
     Attributes
     ----------
@@ -91,49 +100,52 @@ class Regularizer:
     semiconvex_rho: float = math.inf
     continuous: bool = True
 
-    def value1d(self, t: float) -> float:
+    def values(self, T: Array) -> Array:
+        """g applied to every entry of T."""
         raise NotImplementedError
 
-    def prox1d(self, v: float, weight: float, eps: float) -> tuple[float, bool]:
-        """Global minimizer of g(t) + (weight/(2 eps)) (t - v)^2.
+    def prox(self, v: Array, weights: Array, eps: float) -> tuple[Array, Array]:
+        """Entrywise global minimizer of g(t) + (weights/(2 eps)) (t - v)^2
+        for a 1-D ``v``; ``weights`` and ``eps`` broadcast against it.
 
-        Returns ``(t, tied)`` where ``tied`` flags a near-tie between
-        distinct global minimizers (resolved toward smaller |t|).
+        Returns ``(t, tied)``; ``tied`` flags the entries with a near-tie
+        between distinct global minimizers (resolved toward smaller |t|).
         """
         raise NotImplementedError
 
-    def subdiff_dist1d(self, t: float, grad_f_t: float) -> float:
-        """dist(0, grad_f_t + subdiff g(t)); +inf outside dom g."""
+    def subdiff_parts(self, t: Array, grad_f: Array) -> Array:
+        """Entrywise dist(0, grad_f + subdiff g(t)); +inf outside dom g."""
         raise NotImplementedError
 
     def value(self, x: Array) -> float:
-        return float(sum(self.value1d(float(t)) for t in x))
+        # a Python sum: left to right, and cheaper than np.sum on short x
+        return float(sum(self.values(x).tolist()))
 
     def value_batch(self, X: Array) -> Array:
-        out = np.zeros(X.shape[0])
-        for j in range(X.shape[1]):
-            out += np.array([self.value1d(float(t)) for t in X[:, j]])
-        return out
+        return self.values(X).sum(axis=1)
 
     def scaled_prox(self, anchor: Array, linear: Array, weights: Array,
                     eps: float) -> tuple[Array, bool]:
         """Coordinatewise minimizer of <linear, y-anchor> + g(y) + sum_i
         weights_i (y_i - anchor_i)^2 / (2 eps)."""
-        v = anchor - eps * linear / weights
-        out = np.empty_like(anchor)
-        tied = False
-        for i in range(anchor.size):
-            out[i], tie = self.prox1d(float(v[i]), float(weights[i]), eps)
-            tied = tied or tie
-        return out, tied
+        t, tied = self.prox(anchor - eps * linear / weights, weights, eps)
+        return t, bool(np.count_nonzero(tied))
 
     def subdiff_dist(self, x: Array, grad_f: Array) -> float:
         """dist(0, grad f(x) + subdiff g(x)) for separable g."""
-        parts = [self.subdiff_dist1d(float(t), float(c))
-                 for t, c in zip(x, grad_f)]
-        if any(math.isinf(p) for p in parts):
-            return math.inf
-        return float(np.linalg.norm(parts))
+        return vector_norm(self.subdiff_parts(x, grad_f))
+
+    def value1d(self, t: float) -> float:
+        return float(self.values(np.array([t], dtype=float))[0])
+
+    def prox1d(self, v: float, weight: float, eps: float) -> tuple[float, bool]:
+        t, tied = self.prox(np.array([v], dtype=float),
+                            np.array([weight], dtype=float), eps)
+        return float(t[0]), bool(tied[0])
+
+    def subdiff_dist1d(self, t: float, grad_f_t: float) -> float:
+        return float(self.subdiff_parts(np.array([t], dtype=float),
+                                        np.array([grad_f_t], dtype=float))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,16 +186,20 @@ class KernelSpec:
     A: Optional[Array] = None
     m: float = field(init=False, default=1.0)
     M: float = field(init=False, default=1.0)
+    _weights: object = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        weights = None
         if self.kind == "euclidean":
-            m = M = 1.0
+            m = M = weights = 1.0
         elif self.kind == "diagonal":
             d = as_vector(self.d)
             if np.any(d <= 0):
                 raise ValueError("diagonal kernel weights must be positive")
             object.__setattr__(self, "d", d)
             m, M = float(d.min()), float(d.max())
+            weights = d.copy()
+            weights.flags.writeable = False
         elif self.kind == "quadratic":
             A = np.asarray(self.A, dtype=float)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -195,10 +211,13 @@ class KernelSpec:
                 raise ValueError("quadratic kernel matrix must be positive definite")
             object.__setattr__(self, "A", A)
             m, M = float(eigs[0]), float(eigs[-1])
+            if np.count_nonzero(A - np.diag(np.diagonal(A))) == 0:
+                weights = np.diagonal(A)  # a read-only view
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "M", M)
+        object.__setattr__(self, "_weights", weights)
 
     @staticmethod
     def euclidean() -> "KernelSpec":
@@ -235,15 +254,11 @@ class KernelSpec:
         """Per-coordinate weights if D is separable, else None.
 
         A quadratic kernel whose matrix is exactly diagonal is separable
-        and qualifies for the coordinatewise prox fast path.
+        and qualifies for the coordinatewise prox fast path.  The answer is
+        fixed at construction and read-only; for the euclidean kernel it is
+        the scalar 1.0, which broadcasts over any dimension ``dim``.
         """
-        if self.kind == "euclidean":
-            return np.ones(dim)
-        if self.kind == "diagonal":
-            return self.d.copy()
-        if np.count_nonzero(self.A - np.diag(np.diagonal(self.A))) == 0:
-            return np.diagonal(self.A).copy()
-        return None
+        return self._weights
 
     def label(self) -> str:
         return self.kind
@@ -303,7 +318,7 @@ class SolverConfig:
     def resolved_step_tol(self, x0: Array) -> float:
         if self.step_tol is not None:
             return self.step_tol
-        return 1e-10 * (1.0 + float(np.linalg.norm(x0)))
+        return 1e-10 * (1.0 + vector_norm(x0))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
-                   sample_ball)
+                   sample_ball, vector_norm)
 from .bregman import envelope_gap, prox_map
 from .solver import Trace, vbpg_run
 
@@ -366,7 +366,7 @@ def probe_slice(problem: Problem, K: KernelSpec, eps: float,
             dist_level=float(d_level),
             dist_subdiff=d_sub,
             value_gap=Fx - slice_.F_bar,
-            dist_prox=float(np.linalg.norm(x - t)),
+            dist_prox=vector_norm(x - t),
             dist_crit=dist_to_set(x, crit_points),
             property_A=bool(Ft >= slice_.F_bar - 1e-12 * (1.0 + abs(slice_.F_bar))),
             gap_value=G,
@@ -715,12 +715,12 @@ def check_semiconvex_gap_bounds(problem: Problem, K: KernelSpec, eps: float,
     m = K.m
     slacks = {"i": math.inf, "ii": math.inf, "iii": math.inf, "iv": math.inf}
     for x in X:
-        if not math.isfinite(problem.F(x)):
+        Fx = problem.F(x)
+        if not math.isfinite(Fx):
             continue
         E, G, prox = envelope_gap(problem, K, eps, x)
-        r = float(np.linalg.norm(x - prox.minimizer))
+        r = vector_norm(x - prox.minimizer)
         dsub = problem.g.subdiff_dist(x, problem.f.gradient(x))
-        Fx = problem.F(x)
         slacks["i"] = min(slacks["i"],
                           Fx - 0.5 * (m / eps_hi - rho) * r * r - E)
         slacks["ii"] = min(slacks["ii"],
@@ -971,11 +971,10 @@ def check_luo_tseng_bound(problem: Problem, samples: Sequence[ProbeSample],
     the critical set and verified on the near half."""
     if not problem.g.convex:
         return {"check": "luo_tseng", "gated": True, "reason": "g not convex"}
-    ones = np.ones(problem.dim)
     rows = []
     for s in samples:
-        p, _ = problem.g.scaled_prox(s.x, problem.f.gradient(s.x), ones, eps)
-        r = float(np.linalg.norm(s.x - p))
+        p, _ = problem.g.scaled_prox(s.x, problem.f.gradient(s.x), 1.0, eps)
+        r = vector_norm(s.x - p)
         rows.append((s, r))
     kept = [(s, r) for s, r in rows if r <= sigma and r > 0]
     n_excluded = len(rows) - len(kept)

@@ -25,14 +25,54 @@ _TIE_TOL = 1e-10
 _TIE_SEP = 1e-9
 
 
-def _pick_candidate(values, cands):
-    """Global minimum with ties (within 1e-10) broken toward small |t|."""
-    best = min(values)
-    tol = _TIE_TOL * (1.0 + abs(best))
-    tied = [t for t, v in zip(cands, values) if v <= best + tol]
-    t_star = min(tied, key=lambda t: (abs(t), t))
-    multi = max(tied) - min(tied) > _TIE_SEP
-    return float(t_star), bool(multi)
+def _clip(x: Array, lo: float, hi: float) -> Array:
+    """min(max(x, lo), hi) entrywise, in place on the temporary x."""
+    return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+
+
+def _pick_candidate(C: Array, H: Array) -> tuple[Array, Array]:
+    """Columnwise global minimum over stacked candidates C with values H,
+    both (k, n).  Candidates within 1e-10 (1 + |min|) of the minimum tie;
+    the smallest |t| wins, then the smallest t.  ``tied`` flags columns
+    whose tied candidates lie more than 1e-9 apart."""
+    cols = np.arange(C.shape[1])
+    j = H.argmin(axis=0)
+    best, t = H[j, cols], C[j, cols]
+    tied = H <= best + _TIE_TOL * (1.0 + np.abs(best))
+    if not np.count_nonzero(tied & (C != t)):
+        # every tie is a copy of the argmin: the usual case
+        return t, np.zeros(t.shape, dtype=bool)
+    a = np.where(tied, np.abs(C), np.inf).min(axis=0)
+    t = np.where((tied & (C == -a)).any(axis=0) & (a > 0.0), -a, a)
+    spread = (np.where(tied, C, -np.inf).max(axis=0)
+              - np.where(tied, C, np.inf).min(axis=0))
+    return t, spread > _TIE_SEP
+
+
+def _nonzero_den(den: Array) -> tuple[Array, Optional[Array]]:
+    """den with exact zeros replaced by 1, and their mask (None if there are
+    none); the caller overwrites the candidates divided by them."""
+    dead = den == 0.0
+    if not np.count_nonzero(dead):
+        return den, None
+    return np.where(dead, 1.0, den), dead
+
+
+def _no_ties(t: Array) -> tuple[Array, Array]:
+    return t, np.zeros(t.shape, dtype=bool)
+
+
+def _quadratic_pick(g: "Regularizer", C: Array, v: Array,
+                    kappa: Array) -> tuple[Array, Array]:
+    """Pick among candidates C of min_t g(t) + (kappa/2)(t - v)^2."""
+    return _pick_candidate(C, g.values(C) + 0.5 * kappa * (C - v) ** 2)
+
+
+def _kink_parts(t: Array, grad_f: Array, lam: float, slope: Array) -> Array:
+    """Distance for penalties with an l1 kink of weight lam at 0 and
+    derivative ``slope`` elsewhere."""
+    return np.where(t == 0.0, np.maximum(np.abs(grad_f) - lam, 0.0),
+                    np.abs(grad_f + slope))
 
 
 # ---------------------------------------------------------------------------
@@ -44,20 +84,14 @@ class ZeroRegularizer(Regularizer):
     convex = True
     semiconvex_rho = 0.0
 
-    def value1d(self, t):
-        return 0.0
+    def values(self, T):
+        return np.zeros(np.shape(T))
 
-    def value(self, x):
-        return 0.0
+    def prox(self, v, weights, eps):
+        return _no_ties(v)
 
-    def value_batch(self, X):
-        return np.zeros(X.shape[0])
-
-    def prox1d(self, v, weight, eps):
-        return v, False
-
-    def subdiff_dist1d(self, t, grad_f_t):
-        return abs(grad_f_t)
+    def subdiff_parts(self, t, grad_f):
+        return np.abs(grad_f)
 
 
 class L1Regularizer(Regularizer):
@@ -72,20 +106,15 @@ class L1Regularizer(Regularizer):
             raise ValueError("l1 weight must be nonnegative")
         self.lam = float(lam)
 
-    def value1d(self, t):
-        return self.lam * abs(t)
+    def values(self, T):
+        return self.lam * np.abs(T)
 
-    def value_batch(self, X):
-        return self.lam * np.sum(np.abs(X), axis=1)
+    def prox(self, v, weights, eps):
+        thr = self.lam * eps / weights
+        return _no_ties(np.copysign(np.maximum(np.abs(v) - thr, 0.0), v))
 
-    def prox1d(self, v, weight, eps):
-        thr = self.lam * eps / weight
-        return math.copysign(max(abs(v) - thr, 0.0), v), False
-
-    def subdiff_dist1d(self, t, grad_f_t):
-        if t == 0.0:
-            return max(abs(grad_f_t) - self.lam, 0.0)
-        return abs(grad_f_t + self.lam * math.copysign(1.0, t))
+    def subdiff_parts(self, t, grad_f):
+        return _kink_parts(t, grad_f, self.lam, np.copysign(self.lam, t))
 
 
 class SquaredL2Regularizer(Regularizer):
@@ -100,18 +129,15 @@ class SquaredL2Regularizer(Regularizer):
             raise ValueError("ridge weight must be nonnegative")
         self.lam = float(lam)
 
-    def value1d(self, t):
-        return 0.5 * self.lam * t * t
+    def values(self, T):
+        return 0.5 * self.lam * T * T
 
-    def value_batch(self, X):
-        return 0.5 * self.lam * np.sum(X * X, axis=1)
+    def prox(self, v, weights, eps):
+        kappa = weights / eps
+        return _no_ties(kappa * v / (self.lam + kappa))
 
-    def prox1d(self, v, weight, eps):
-        kappa = weight / eps
-        return kappa * v / (self.lam + kappa), False
-
-    def subdiff_dist1d(self, t, grad_f_t):
-        return abs(grad_f_t + self.lam * t)
+    def subdiff_parts(self, t, grad_f):
+        return np.abs(grad_f + self.lam * t)
 
 
 class BoxRegularizer(Regularizer):
@@ -127,25 +153,18 @@ class BoxRegularizer(Regularizer):
             raise ValueError("box requires lo < hi")
         self.lo, self.hi = float(lo), float(hi)
 
-    def value1d(self, t):
-        return 0.0 if self.lo <= t <= self.hi else math.inf
+    def values(self, T):
+        return np.where((T >= self.lo) & (T <= self.hi), 0.0, math.inf)
 
-    def value_batch(self, X):
-        inside = np.all((X >= self.lo) & (X <= self.hi), axis=1)
-        return np.where(inside, 0.0, math.inf)
+    def prox(self, v, weights, eps):
+        return _no_ties(np.minimum(np.maximum(v, self.lo), self.hi))
 
-    def prox1d(self, v, weight, eps):
-        return min(max(v, self.lo), self.hi), False
-
-    def subdiff_dist1d(self, t, grad_f_t):
-        if t < self.lo or t > self.hi:
-            return math.inf
-        if t == self.lo:
-            # normal cone (-inf, 0]: criticality needs grad_f_t >= 0
-            return max(-grad_f_t, 0.0)
-        if t == self.hi:
-            return max(grad_f_t, 0.0)
-        return abs(grad_f_t)
+    def subdiff_parts(self, t, grad_f):
+        # normal cone at lo is (-inf, 0]: criticality needs grad_f >= 0
+        d = np.where(t == self.lo, np.maximum(-grad_f, 0.0),
+                     np.where(t == self.hi, np.maximum(grad_f, 0.0),
+                              np.abs(grad_f)))
+        return np.where((t < self.lo) | (t > self.hi), math.inf, d)
 
 
 class ScadRegularizer(Regularizer):
@@ -166,59 +185,39 @@ class ScadRegularizer(Regularizer):
         self.lam, self.a = float(lam), float(a)
         self.semiconvex_rho = 1.0 / (a - 1.0)
 
-    def value1d(self, t):
+    def values(self, T):
         lam, a = self.lam, self.a
-        u = abs(t)
-        if u <= lam:
-            return lam * u
-        if u <= a * lam:
-            return (2 * a * lam * u - u * u - lam * lam) / (2 * (a - 1))
-        return 0.5 * lam * lam * (a + 1)
-
-    def value_batch(self, X):
-        lam, a = self.lam, self.a
-        U = np.abs(X)
-        inner = lam * U
+        U = np.abs(T)
         mid = (2 * a * lam * U - U * U - lam * lam) / (2 * (a - 1))
-        outer = 0.5 * lam * lam * (a + 1)
-        vals = np.where(U <= lam, inner, np.where(U <= a * lam, mid, outer))
-        return np.sum(vals, axis=1)
+        return np.where(U <= lam, lam * U,
+                        np.where(U <= a * lam, mid, 0.5 * lam * lam * (a + 1)))
 
-    def prox1d(self, v, weight, eps):
+    def prox(self, v, weights, eps):
         lam, a = self.lam, self.a
-        kappa = weight / eps
-        cands = [0.0, lam, -lam, a * lam, -a * lam]
+        kappa = weights / eps
+        C = np.empty((10, v.size))
+        C[:5] = np.array([[0.0], [lam], [-lam], [a * lam], [-a * lam]])
         # piece |t| <= lam: kink at 0 handled by the 0 candidate
-        cands.append(min(max(v - lam / kappa, 0.0), lam))
-        cands.append(min(max(v + lam / kappa, -lam), 0.0))
-        # middle pieces: stationary point of the blended quadratic
-        den = kappa - 1.0 / (a - 1.0)
-        if den != 0.0:
-            t_mid = (kappa * v - a * lam / (a - 1.0)) / den
-            cands.append(min(max(t_mid, lam), a * lam))
-            t_mid_neg = (kappa * v + a * lam / (a - 1.0)) / den
-            cands.append(min(max(t_mid_neg, -a * lam), -lam))
-        # flat tails
-        if v >= a * lam:
-            cands.append(v)
-        if v <= -a * lam:
-            cands.append(v)
-        vals = [self.value1d(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
-        return _pick_candidate(vals, cands)
+        C[5] = _clip(v - lam / kappa, 0.0, lam)
+        C[6] = _clip(v + lam / kappa, -lam, 0.0)
+        # middle pieces: stationary point of the blended quadratic; where
+        # den = 0 they fall back to the existing candidates lam and -lam
+        den, dead = _nonzero_den(kappa - 1.0 / (a - 1.0))
+        kv, s = kappa * v, a * lam / (a - 1.0)
+        C[7] = _clip((kv - s) / den, lam, a * lam)
+        C[8] = _clip((kv + s) / den, -a * lam, -lam)
+        if dead is not None:
+            C[7, dead], C[8, dead] = lam, -lam
+        # flat tails (0 duplicates the first candidate when v is inside)
+        C[9] = np.where(np.abs(v) >= a * lam, v, 0.0)
+        return _quadratic_pick(self, C, v, kappa)
 
-    def _deriv(self, t):
+    def subdiff_parts(self, t, grad_f):
         lam, a = self.lam, self.a
-        u, s = abs(t), math.copysign(1.0, t)
-        if u <= lam:
-            return s * lam
-        if u <= a * lam:
-            return s * (a * lam - u) / (a - 1)
-        return 0.0
-
-    def subdiff_dist1d(self, t, grad_f_t):
-        if t == 0.0:
-            return max(abs(grad_f_t) - self.lam, 0.0)
-        return abs(grad_f_t + self._deriv(t))
+        u = np.abs(t)
+        slope = np.where(u <= lam, lam,
+                         np.where(u <= a * lam, (a * lam - u) / (a - 1), 0.0))
+        return _kink_parts(t, grad_f, lam, np.copysign(slope, t))
 
 
 class McpRegularizer(Regularizer):
@@ -235,40 +234,30 @@ class McpRegularizer(Regularizer):
         self.lam, self.gamma = float(lam), float(gamma)
         self.semiconvex_rho = 1.0 / gamma
 
-    def value1d(self, t):
+    def values(self, T):
         lam, gamma = self.lam, self.gamma
-        u = abs(t)
-        if u <= gamma * lam:
-            return lam * u - u * u / (2 * gamma)
-        return 0.5 * gamma * lam * lam
+        U = np.abs(T)
+        return np.where(U <= gamma * lam, lam * U - U * U / (2 * gamma),
+                        0.5 * gamma * lam * lam)
 
-    def value_batch(self, X):
-        lam, gamma = self.lam, self.gamma
-        U = np.abs(X)
-        inner = lam * U - U * U / (2 * gamma)
-        vals = np.where(U <= gamma * lam, inner, 0.5 * gamma * lam * lam)
-        return np.sum(vals, axis=1)
+    def prox(self, v, weights, eps):
+        lam, gl = self.lam, self.gamma * self.lam
+        kappa = weights / eps
+        C = np.empty((6, v.size))
+        C[:3] = np.array([[0.0], [gl], [-gl]])
+        # firm-threshold points; where den = 0 they fall back to 0
+        den, dead = _nonzero_den(kappa - 1.0 / self.gamma)
+        kv = kappa * v
+        C[3] = _clip((kv - lam) / den, 0.0, gl)
+        C[4] = _clip((kv + lam) / den, -gl, 0.0)
+        if dead is not None:
+            C[3:5, dead] = 0.0
+        C[5] = np.where(np.abs(v) >= gl, v, 0.0)
+        return _quadratic_pick(self, C, v, kappa)
 
-    def prox1d(self, v, weight, eps):
-        lam, gamma = self.lam, self.gamma
-        kappa = weight / eps
-        cands = [0.0, gamma * lam, -gamma * lam]
-        den = kappa - 1.0 / gamma
-        if den != 0.0:
-            cands.append(min(max((kappa * v - lam) / den, 0.0), gamma * lam))
-            cands.append(min(max((kappa * v + lam) / den, -gamma * lam), 0.0))
-        if abs(v) >= gamma * lam:
-            cands.append(v)
-        vals = [self.value1d(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
-        return _pick_candidate(vals, cands)
-
-    def subdiff_dist1d(self, t, grad_f_t):
-        if t == 0.0:
-            return max(abs(grad_f_t) - self.lam, 0.0)
-        lam, gamma = self.lam, self.gamma
-        u = abs(t)
-        d = math.copysign(max(lam - u / gamma, 0.0), t)
-        return abs(grad_f_t + d)
+    def subdiff_parts(self, t, grad_f):
+        slope = np.maximum(self.lam - np.abs(t) / self.gamma, 0.0)
+        return _kink_parts(t, grad_f, self.lam, np.copysign(slope, t))
 
 
 class PowerRegularizer(Regularizer):
@@ -278,7 +267,8 @@ class PowerRegularizer(Regularizer):
     quadratic formula for p = 3, Cardano for p = 4).  These penalties are
     C^1 with derivative p sign(t) |t|^(p-1), so the subdifferential is a
     singleton everywhere.  They back the scalar exponent-fit profiles
-    |x|^1.5, |x|^3 and x^4.
+    |x|^1.5, |x|^3 and x^4.  Powers go through ``np.float_power``, which
+    rounds like the C library's ``pow``.
     """
 
     kind = "power"
@@ -291,38 +281,33 @@ class PowerRegularizer(Regularizer):
             raise ValueError(f"power penalty supports p in {self._SUPPORTED}")
         self.p = float(p)
 
-    def value1d(self, t):
-        return abs(t) ** self.p
+    def values(self, T):
+        return np.float_power(np.abs(T), self.p)
 
-    def value_batch(self, X):
-        return np.sum(np.abs(X) ** self.p, axis=1)
-
-    def prox1d(self, v, weight, eps):
-        kappa = weight / eps
+    def prox(self, v, weights, eps):
+        kappa = weights / eps
         p = self.p
-        s = math.copysign(1.0, v)
-        u = abs(v)
-        if u == 0.0:
-            return 0.0, False
+        u = np.abs(v)
         if p == 2.0:
             t = kappa * u / (2.0 + kappa)
         elif p == 1.5:
             # kappa r^2 + 1.5 r - kappa u = 0 in r = sqrt(t)
-            r = (-1.5 + math.sqrt(2.25 + 4 * kappa * kappa * u)) / (2 * kappa)
+            r = (-1.5 + np.sqrt(2.25 + 4 * kappa * kappa * u)) / (2 * kappa)
             t = r * r
         elif p == 3.0:
             # 3 t^2 + kappa t - kappa u = 0
-            t = (-kappa + math.sqrt(kappa * kappa + 12 * kappa * u)) / 6.0
+            t = (-kappa + np.sqrt(kappa * kappa + 12 * kappa * u)) / 6.0
         else:  # p == 4: 4 t^3 + kappa t - kappa u = 0, unique real root
             pc = kappa / 4.0
             qc = -kappa * u / 4.0
-            disc = math.sqrt(qc * qc / 4.0 + pc ** 3 / 27.0)
+            disc = np.sqrt(qc * qc / 4.0 + np.float_power(pc, 3) / 27.0)
             t = np.cbrt(-qc / 2.0 + disc) + np.cbrt(-qc / 2.0 - disc)
-        return s * max(t, 0.0), False
+        t = np.copysign(1.0, v) * np.maximum(t, 0.0)
+        return _no_ties(np.where(u == 0.0, 0.0, t))
 
-    def subdiff_dist1d(self, t, grad_f_t):
-        d = self.p * math.copysign(abs(t) ** (self.p - 1.0), t) if t != 0.0 else 0.0
-        return abs(grad_f_t + d)
+    def subdiff_parts(self, t, grad_f):
+        d = self.p * np.copysign(np.float_power(np.abs(t), self.p - 1.0), t)
+        return np.abs(grad_f + np.where(t != 0.0, d, 0.0))
 
 
 class JumpQuadraticRegularizer(Regularizer):
@@ -347,26 +332,19 @@ class JumpQuadraticRegularizer(Regularizer):
     def __init__(self, xbar: float = 0.0):
         self.xbar = float(xbar)
 
-    def value1d(self, t):
-        if t == self.xbar:
-            return -1.0
-        return 0.5 * (t - self.xbar) ** 2
+    def values(self, T):
+        R = T - self.xbar  # float_power(R, 2) rounds like (t - xbar) ** 2
+        return np.where(R == 0.0, -1.0, 0.5 * np.float_power(R, 2.0))
 
-    def value_batch(self, X):
-        R = X - self.xbar
-        vals = np.where(R == 0.0, -1.0, 0.5 * R * R)
-        return np.sum(vals, axis=1)
+    def prox(self, v, weights, eps):
+        kappa = weights / eps
+        C = np.empty((2, v.size))
+        C[0] = self.xbar
+        C[1] = (self.xbar + kappa * v) / (1.0 + kappa)
+        return _quadratic_pick(self, C, v, kappa)
 
-    def prox1d(self, v, weight, eps):
-        kappa = weight / eps
-        cands = [self.xbar, (self.xbar + kappa * v) / (1.0 + kappa)]
-        vals = [self.value1d(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
-        return _pick_candidate(vals, cands)
-
-    def subdiff_dist1d(self, t, grad_f_t):
-        if t == self.xbar:
-            return 0.0
-        return abs(grad_f_t + (t - self.xbar))
+    def subdiff_parts(self, t, grad_f):
+        return np.where(t == self.xbar, 0.0, np.abs(grad_f + (t - self.xbar)))
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +543,11 @@ def prox_1d(g: Regularizer, v: float, weight: float, eps: float) -> float:
     """Global minimizer of g(t) + (weight/(2 eps))(t - v)^2."""
     if weight <= 0 or eps <= 0:
         raise ValueError("weight and eps must be positive")
-    t, _ = g.prox1d(float(v), float(weight), float(eps))
-    return t
+    return g.prox1d(v, weight, float(eps))[0]
 
 
 def subdiff_dist_1d(g: Regularizer, t: float, grad_f_t: float) -> float:
-    return g.subdiff_dist1d(float(t), float(grad_f_t))
+    return g.subdiff_dist1d(t, grad_f_t)
 
 
 # ---------------------------------------------------------------------------

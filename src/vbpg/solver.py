@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, KernelSpec, Problem, SolverConfig, as_vector
-from .bregman import envelope_gap, prox_map, prox_subgradient
+from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
+                   vector_norm)
+from .bregman import prox_map, subgradient_from_gradients
 
 
 def _fmt(v: float) -> str:
@@ -31,11 +32,14 @@ def _fmt(v: float) -> str:
 class Trace:
     """Per-iteration record of a solver run.
 
-    Row k holds F(x^k), the step norm ||x^k - x^{k+1}||, the gap G(x^k)
-    and the residual ||xi^k|| certified at x^{k+1}.  ``f_values`` has one
-    extra trailing entry, F at the final accepted iterate.  ``iterates``
-    is thinned by ``trace_every`` but always includes x^0 and the final
-    point; ``iterate_indices`` maps entries back to iteration numbers.
+    Row k holds F(x^k), the step norm ||x^k - x^{k+1}||, the gap G(x^k),
+    the residual ||xi^k|| certified at x^{k+1}, and what the iteration
+    used: the step size eps^k, the index of its kernel in the schedule,
+    the prox's inner iterations (0 on the coordinatewise path) and its
+    tie flag.  ``f_values`` has one extra trailing entry, F at the final
+    accepted iterate.  ``iterates`` is thinned by ``trace_every`` but
+    always includes x^0 and the final point; ``iterate_indices`` maps
+    entries back to iteration numbers.
     """
 
     f_values: list = field(default_factory=list)
@@ -45,6 +49,9 @@ class Trace:
     iterates: list = field(default_factory=list)
     iterate_indices: list = field(default_factory=list)
     eps_used: list = field(default_factory=list)
+    kernel_indices: list = field(default_factory=list)
+    inner_iterations: list = field(default_factory=list)
+    tied: list = field(default_factory=list)
     terminated_reason: str = "max_iters"
     final_x: Array | None = None
 
@@ -61,12 +68,16 @@ class Trace:
         return self.residuals[-1] if self.residuals else math.nan
 
     def csv_lines(self) -> list:
-        lines = ["iter,F,step_norm,gap,residual"]
+        lines = ["iter,F,step_norm,gap,residual,eps,kernel,inner_iters,tied"]
         for k in range(self.n_iters):
             lines.append(",".join([str(k), _fmt(self.f_values[k]),
                                    _fmt(self.step_norms[k]),
                                    _fmt(self.gaps[k]),
-                                   _fmt(self.residuals[k])]))
+                                   _fmt(self.residuals[k]),
+                                   _fmt(self.eps_used[k]),
+                                   str(self.kernel_indices[k]),
+                                   str(self.inner_iterations[k]),
+                                   str(int(self.tied[k]))]))
         return lines
 
     def write_csv(self, path) -> None:
@@ -85,6 +96,10 @@ def vbpg_step(problem: Problem, K: KernelSpec, eps: float, x: Array) -> Array:
 def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
     """Iterate until the step norm falls below step_tol or max_iters.
 
+    grad f, g and F at the current point are carried from one iteration
+    to the next: g(x^{k+1}) comes from the prox's subproblem value, so an
+    iteration costs one gradient, one f value and one g value.
+
     Raises ``FloatingPointError`` when F turns non-finite along the run
     (a sign of an inadmissible problem/config pairing)."""
     x = as_vector(x0, dim=problem.dim)
@@ -94,26 +109,32 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
     trace.iterate_indices.append(0)
     trace.final_x = x.copy()
 
-    F_x = problem.F(x)
+    g_x = problem.g.value(x)
+    F_x = problem.f.value(x) + g_x
     if not math.isfinite(F_x):
         raise FloatingPointError("F(x0) is not finite")
+    grad_x = problem.f.gradient(x)
 
     for k in range(config.max_iters):
         K = config.kernel_at(k)
         eps = config.eps_at(k)
-        E, G, prox = envelope_gap(problem, K, eps, x)
+        prox = prox_map(problem, K, eps, x, grad_x=grad_x)
         t = prox.minimizer
-        step = float(np.linalg.norm(x - t))
-        xi = prox_subgradient(problem, K, eps, x, t, check=False)
+        step = vector_norm(x - t)
+        grad_t = problem.f.gradient(t)
+        xi = subgradient_from_gradients(K, eps, x, t, grad_x, grad_t)
 
         trace.f_values.append(F_x)
         trace.step_norms.append(step)
-        trace.gaps.append(G)
-        trace.residuals.append(float(np.linalg.norm(xi)))
+        trace.gaps.append((g_x - prox.subproblem_value) / eps)
+        trace.residuals.append(vector_norm(xi))
         trace.eps_used.append(eps)
+        trace.kernel_indices.append(k % len(config.kernels))
+        trace.inner_iterations.append(prox.inner_iterations)
+        trace.tied.append(prox.multivalued_flag)
 
-        x = t
-        F_x = problem.F(x)
+        x, grad_x, g_x = t, grad_t, prox.g_value
+        F_x = problem.f.value(x) + g_x
         if not math.isfinite(F_x):
             raise FloatingPointError(f"F became non-finite at iteration {k + 1}")
         if (k + 1) % config.trace_every == 0:

@@ -17,7 +17,7 @@ from vbpg.diagnostics import (check_semiconvex_gap_bounds,
                               estimate_level_set_rate, estimate_q_linear_rate,
                               fit_error_bound, grid_min_F, kl_exponent_sweep)
 from vbpg.problems import (GridProxOracle, build_regularizer,
-                           descent_case_fixtures, prox_1d)
+                           descent_case_fixtures)
 from vbpg.solver import summability_bound, vbpg_run
 from vbpg.cli import main as cli_main
 
@@ -261,13 +261,14 @@ def test_criterion_10_prox_oracle_equivalence():
     for kind, params in penalties.items():
         g = build_regularizer(kind, params)
         oracle = GridProxOracle(g, -10.0, 10.0, 1e-4)
-        for _ in range(10_000):
-            v = float(rng.uniform(-6, 6))
-            w = float(rng.uniform(0.5, 2.0))
-            eps = float(rng.uniform(0.1, 1.0))
-            t = prox_1d(g, v, w, eps)
+        # rows (v, w, eps): the stream of three scalar draws per triple
+        V, W, EPS = rng.uniform([-6.0, 0.5, 0.1], [6.0, 2.0, 1.0],
+                                size=(10_000, 3)).T
+        T, _ = g.prox(V, W, EPS)
+        H = g.values(T) + 0.5 * (W / EPS) * (T - V) ** 2
+        for v, w, eps, t, h in zip(V.tolist(), W.tolist(), EPS.tolist(),
+                                   T.tolist(), H.tolist()):
             tg, hg = oracle.argmin(v, w, eps)
-            h = g.value1d(t) + 0.5 * (w / eps) * (t - v) ** 2
             worst_arg = max(worst_arg, abs(t - tg))
             worst_val = max(worst_val, h - hg)
             assert abs(t - tg) <= 2e-4, (kind, v, w, eps)

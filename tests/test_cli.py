@@ -28,7 +28,7 @@ class TestSolve:
         assert summary["terminated_reason"] == "step_tol"
         assert summary["final_F"] == pytest.approx(-0.17, abs=1e-9)
         lines = (out / "trace.csv").read_text().splitlines()
-        assert lines[0] == "iter,F,step_norm,gap,residual"
+        assert lines[0] == "iter,F,step_norm,gap,residual,eps,kernel,inner_iters,tied"
         assert len(lines) == summary["iterations"] + 1
         assert (out / "manifest.json").exists()
 
@@ -43,7 +43,8 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["terminated_reason"] == "max_iters"
         assert summary["iterations"] == 0
-        assert (out / "trace.csv").read_text() == "iter,F,step_norm,gap,residual\n"
+        assert (out / "trace.csv").read_text() == (
+            "iter,F,step_norm,gap,residual,eps,kernel,inner_iters,tied\n")
 
     def test_malformed_json_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

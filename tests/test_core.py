@@ -116,6 +116,15 @@ class TestKernelSpec:
         Kq2 = KernelSpec.quadratic([[3.0, 0.1], [0.1, 2.0]])
         assert Kq2.diag_weights(2) is None
 
+    def test_diag_weights_fixed_at_construction(self):
+        assert KernelSpec.euclidean().diag_weights(5) == 1.0
+        d = np.array([1.5, 2.0])
+        K = KernelSpec.diagonal(d)
+        w = K.diag_weights(2)
+        assert w is K.diag_weights(2) and not w.flags.writeable
+        d[0] = 9.0  # the caller's array stays the caller's
+        assert w.tolist() == [1.5, 2.0]
+
 
 class TestShippedObjectives:
     def test_gradient_lipschitz_ratio(self, registry, rng):

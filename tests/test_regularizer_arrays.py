@@ -1,0 +1,407 @@
+"""The array-valued regularizers against a plain-Python per-coordinate
+reference.
+
+``_Ref*`` below are the scalar formulas the regularizers used before they
+became array-valued: one Python call per coordinate, candidate
+enumeration in lists, the same 1e-10 tie rule.  The array methods must
+return the same minimizer and the same tie flag on every entry, and the
+same values and subdifferential distances.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from vbpg.core import KernelSpec, SmoothObjective, SolverConfig
+from vbpg.problems import ProblemSpec, build_regularizer, prox_1d
+from vbpg.solver import vbpg_run
+
+
+def _pick_candidate(values, cands):
+    best = min(values)
+    tol = 1e-10 * (1.0 + abs(best))
+    tied = [t for t, v in zip(cands, values) if v <= best + tol]
+    t_star = min(tied, key=lambda t: (abs(t), t))
+    return float(t_star), bool(max(tied) - min(tied) > 1e-9)
+
+
+class _RefZero:
+    def value1d(self, t):
+        return 0.0
+
+    def prox1d(self, v, weight, eps):
+        return v, False
+
+    def subdiff_dist1d(self, t, c):
+        return abs(c)
+
+
+class _RefL1:
+    def __init__(self, lam):
+        self.lam = lam
+
+    def value1d(self, t):
+        return self.lam * abs(t)
+
+    def prox1d(self, v, weight, eps):
+        thr = self.lam * eps / weight
+        return math.copysign(max(abs(v) - thr, 0.0), v), False
+
+    def subdiff_dist1d(self, t, c):
+        if t == 0.0:
+            return max(abs(c) - self.lam, 0.0)
+        return abs(c + self.lam * math.copysign(1.0, t))
+
+
+class _RefSqL2:
+    def __init__(self, lam):
+        self.lam = lam
+
+    def value1d(self, t):
+        return 0.5 * self.lam * t * t
+
+    def prox1d(self, v, weight, eps):
+        kappa = weight / eps
+        return kappa * v / (self.lam + kappa), False
+
+    def subdiff_dist1d(self, t, c):
+        return abs(c + self.lam * t)
+
+
+class _RefBox:
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def value1d(self, t):
+        return 0.0 if self.lo <= t <= self.hi else math.inf
+
+    def prox1d(self, v, weight, eps):
+        return min(max(v, self.lo), self.hi), False
+
+    def subdiff_dist1d(self, t, c):
+        if t < self.lo or t > self.hi:
+            return math.inf
+        if t == self.lo:
+            return max(-c, 0.0)
+        if t == self.hi:
+            return max(c, 0.0)
+        return abs(c)
+
+
+class _RefScad:
+    def __init__(self, lam, a):
+        self.lam, self.a = lam, a
+
+    def value1d(self, t):
+        lam, a = self.lam, self.a
+        u = abs(t)
+        if u <= lam:
+            return lam * u
+        if u <= a * lam:
+            return (2 * a * lam * u - u * u - lam * lam) / (2 * (a - 1))
+        return 0.5 * lam * lam * (a + 1)
+
+    def prox1d(self, v, weight, eps):
+        lam, a = self.lam, self.a
+        kappa = weight / eps
+        cands = [0.0, lam, -lam, a * lam, -a * lam]
+        cands.append(min(max(v - lam / kappa, 0.0), lam))
+        cands.append(min(max(v + lam / kappa, -lam), 0.0))
+        den = kappa - 1.0 / (a - 1.0)
+        if den != 0.0:
+            t_mid = (kappa * v - a * lam / (a - 1.0)) / den
+            cands.append(min(max(t_mid, lam), a * lam))
+            t_mid_neg = (kappa * v + a * lam / (a - 1.0)) / den
+            cands.append(min(max(t_mid_neg, -a * lam), -lam))
+        if v >= a * lam:
+            cands.append(v)
+        if v <= -a * lam:
+            cands.append(v)
+        vals = [self.value1d(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
+        return _pick_candidate(vals, cands)
+
+    def subdiff_dist1d(self, t, c):
+        if t == 0.0:
+            return max(abs(c) - self.lam, 0.0)
+        lam, a = self.lam, self.a
+        u, s = abs(t), math.copysign(1.0, t)
+        if u <= lam:
+            d = s * lam
+        elif u <= a * lam:
+            d = s * (a * lam - u) / (a - 1)
+        else:
+            d = 0.0
+        return abs(c + d)
+
+
+class _RefMcp:
+    def __init__(self, lam, gamma):
+        self.lam, self.gamma = lam, gamma
+
+    def value1d(self, t):
+        lam, gamma = self.lam, self.gamma
+        u = abs(t)
+        if u <= gamma * lam:
+            return lam * u - u * u / (2 * gamma)
+        return 0.5 * gamma * lam * lam
+
+    def prox1d(self, v, weight, eps):
+        lam, gamma = self.lam, self.gamma
+        kappa = weight / eps
+        cands = [0.0, gamma * lam, -gamma * lam]
+        den = kappa - 1.0 / gamma
+        if den != 0.0:
+            cands.append(min(max((kappa * v - lam) / den, 0.0), gamma * lam))
+            cands.append(min(max((kappa * v + lam) / den, -gamma * lam), 0.0))
+        if abs(v) >= gamma * lam:
+            cands.append(v)
+        vals = [self.value1d(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
+        return _pick_candidate(vals, cands)
+
+    def subdiff_dist1d(self, t, c):
+        if t == 0.0:
+            return max(abs(c) - self.lam, 0.0)
+        d = math.copysign(max(self.lam - abs(t) / self.gamma, 0.0), t)
+        return abs(c + d)
+
+
+class _RefPower:
+    def __init__(self, p):
+        self.p = p
+
+    def value1d(self, t):
+        return abs(t) ** self.p
+
+    def prox1d(self, v, weight, eps):
+        kappa = weight / eps
+        p = self.p
+        s = math.copysign(1.0, v)
+        u = abs(v)
+        if u == 0.0:
+            return 0.0, False
+        if p == 2.0:
+            t = kappa * u / (2.0 + kappa)
+        elif p == 1.5:
+            r = (-1.5 + math.sqrt(2.25 + 4 * kappa * kappa * u)) / (2 * kappa)
+            t = r * r
+        elif p == 3.0:
+            t = (-kappa + math.sqrt(kappa * kappa + 12 * kappa * u)) / 6.0
+        else:
+            pc = kappa / 4.0
+            qc = -kappa * u / 4.0
+            disc = math.sqrt(qc * qc / 4.0 + pc ** 3 / 27.0)
+            t = np.cbrt(-qc / 2.0 + disc) + np.cbrt(-qc / 2.0 - disc)
+        return s * max(t, 0.0), False
+
+    def subdiff_dist1d(self, t, c):
+        d = self.p * math.copysign(abs(t) ** (self.p - 1.0), t) if t != 0.0 else 0.0
+        return abs(c + d)
+
+
+class _RefJump:
+    def __init__(self, xbar):
+        self.xbar = xbar
+
+    def value1d(self, t):
+        if t == self.xbar:
+            return -1.0
+        return 0.5 * (t - self.xbar) ** 2
+
+    def prox1d(self, v, weight, eps):
+        kappa = weight / eps
+        cands = [self.xbar, (self.xbar + kappa * v) / (1.0 + kappa)]
+        vals = [self.value1d(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
+        return _pick_candidate(vals, cands)
+
+    def subdiff_dist1d(self, t, c):
+        if t == self.xbar:
+            return 0.0
+        return abs(c + (t - self.xbar))
+
+
+# (kind, params, reference); every kind appears, with several parameter sets
+CASES = [
+    ("zero", {}, _RefZero()),
+    ("l1", {"lam": 0.8}, _RefL1(0.8)),
+    ("l1", {"lam": 0.15}, _RefL1(0.15)),
+    ("sq_l2", {"lam": 0.7}, _RefSqL2(0.7)),
+    ("box", {"lo": -1.0, "hi": 1.0}, _RefBox(-1.0, 1.0)),
+    ("box", {"lo": 0.0, "hi": 2.5}, _RefBox(0.0, 2.5)),
+    ("scad", {"lam": 1.0, "a": 3.7}, _RefScad(1.0, 3.7)),
+    ("scad", {"lam": 0.5, "a": 3.0}, _RefScad(0.5, 3.0)),
+    ("mcp", {"lam": 1.0, "gamma": 2.5}, _RefMcp(1.0, 2.5)),
+    ("mcp", {"lam": 0.6, "gamma": 4.0}, _RefMcp(0.6, 4.0)),
+    ("mcp", {"lam": 1.0, "gamma": 2.0}, _RefMcp(1.0, 2.0)),
+    ("power", {"p": 1.5}, _RefPower(1.5)),
+    ("power", {"p": 2.0}, _RefPower(2.0)),
+    ("power", {"p": 3.0}, _RefPower(3.0)),
+    ("power", {"p": 4.0}, _RefPower(4.0)),
+    ("jump_quadratic", {"xbar": 0.0}, _RefJump(0.0)),
+    ("jump_quadratic", {"xbar": 0.3}, _RefJump(0.3)),
+]
+IDS = [f"{k}-{'-'.join(f'{v:g}' for v in p.values())}" for k, p, _ in CASES]
+
+
+def _special_inputs(kind, params):
+    """(v, weight, eps) triples at thresholds, kinks and exact ties."""
+    w_eps = [(1.0, 0.5), (1.0, 1.0), (2.0, 0.5), (1.0, 4.0), (0.5, 1.0),
+             (1.0, 2.0), (0.8, 1.6)]
+    # kappa = rho exactly: the middle-piece candidates drop out
+    if kind == "mcp":
+        w_eps.append((1.0, params["gamma"]))
+    if kind == "scad":
+        w_eps.append((1.0, params["a"] - 1.0))
+    vs = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5]
+    lam = params.get("lam", 1.0)
+    triples = []
+    for w, eps in w_eps:
+        kappa = w / eps
+        pts = list(vs) + [lam / kappa, lam * eps / w, math.sqrt(2.0 / kappa)]
+        if kind == "mcp":
+            gl = params["gamma"] * lam
+            pts += [gl, gl * (1 + 1e-12), gl * (1 - 1e-12),
+                    math.sqrt(params["gamma"] * lam * lam / kappa)]
+        if kind == "scad":
+            a = params["a"]
+            pts += [a * lam, lam + lam / kappa, a * lam * (1 - 1e-13)]
+        if kind == "box":
+            pts += [params["lo"], params["hi"]]
+        if kind == "jump_quadratic":
+            xb = params["xbar"]
+            pts += [xb, xb + math.sqrt(2.0 * (1.0 + kappa) / kappa ** 2),
+                    xb + math.sqrt(2.0 / kappa + 2.0)]
+        for v in pts:
+            triples += [(v, w, eps), (-v, w, eps)]
+    return np.array(triples, dtype=float)
+
+
+def _random_inputs(seed, n=4000):
+    rng = np.random.default_rng(seed)
+    return rng.uniform([-6.0, 0.5, 0.1], [6.0, 2.0, 1.0], size=(n, 3))
+
+
+def _check_prox(g, ref, triples):
+    v, w, eps = triples.T
+    t, tied = g.prox(v, w, eps)
+    for i, (vi, wi, ei) in enumerate(triples.tolist()):
+        t_ref, tie_ref = ref.prox1d(vi, wi, ei)
+        assert t[i] == t_ref, (vi, wi, ei, t[i], t_ref)
+        assert bool(tied[i]) == tie_ref, (vi, wi, ei)
+        if i < 250:  # the one-element view
+            assert g.prox1d(vi, wi, ei) == (t_ref, tie_ref)
+
+
+@pytest.mark.parametrize("kind,params,ref", CASES, ids=IDS)
+def test_array_prox_matches_reference_on_random_triples(kind, params, ref):
+    g = build_regularizer(kind, params)
+    _check_prox(g, ref, _random_inputs(2024))
+
+
+@pytest.mark.parametrize("kind,params,ref", CASES, ids=IDS)
+def test_array_prox_matches_reference_at_thresholds_and_ties(kind, params, ref):
+    g = build_regularizer(kind, params)
+    _check_prox(g, ref, _special_inputs(kind, params))
+
+
+@pytest.mark.parametrize("kind,params,ref", CASES, ids=IDS)
+def test_scaled_prox_with_one_eps(kind, params, ref):
+    # the vector entry point: one eps, per-coordinate weights and a linear term
+    g = build_regularizer(kind, params)
+    rng = np.random.default_rng(4)
+    anchor = rng.uniform(-5, 5, 64)
+    linear = rng.uniform(-3, 3, 64)
+    weights = rng.uniform(0.5, 2.0, 64)
+    eps = 0.37
+    t, tied = g.scaled_prox(anchor, linear, weights, eps)
+    v = anchor - eps * linear / weights
+    ref_out = [ref.prox1d(float(vi), float(wi), eps) for vi, wi in zip(v, weights)]
+    assert t.tolist() == [r[0] for r in ref_out]
+    assert tied == any(r[1] for r in ref_out)
+
+
+@pytest.mark.parametrize("kind,params,ref", CASES, ids=IDS)
+def test_scaled_prox_with_the_euclidean_scalar_weight(kind, params, ref):
+    # the euclidean kernel passes weight 1.0 as a scalar; eps = 1/rho makes
+    # kappa = rho exactly, where MCP and SCAD drop their middle candidates
+    g = build_regularizer(kind, params)
+    v = np.linspace(-5.0, 5.0, 201)
+    rho = g.semiconvex_rho
+    for eps in [0.3, 1.0] + ([1.0 / rho] if 0 < rho < math.inf else []):
+        t, tied = g.scaled_prox(v, np.zeros(v.size), 1.0, eps)
+        ref_out = [ref.prox1d(vi, 1.0, eps) for vi in v.tolist()]
+        assert t.tolist() == [r[0] for r in ref_out]
+        assert tied == any(r[1] for r in ref_out)
+
+
+@pytest.mark.parametrize("kind,params,ref", CASES, ids=IDS)
+def test_values_and_subdiff_match_reference(kind, params, ref):
+    g = build_regularizer(kind, params)
+    rng = np.random.default_rng(9)
+    T = np.concatenate([rng.uniform(-6, 6, 500),
+                        [0.0, -0.0, 1.0, -1.0, 2.5, -2.5],
+                        list(params.values())])
+    C = rng.uniform(-3, 3, T.size)
+    vals = g.values(T)
+    parts = g.subdiff_parts(T, C)
+    for i, (ti, ci) in enumerate(zip(T, C)):
+        assert vals[i] == ref.value1d(float(ti)), ti
+        assert g.value1d(float(ti)) == ref.value1d(float(ti))
+        assert parts[i] == ref.subdiff_dist1d(float(ti), float(ci)), (ti, ci)
+        assert g.subdiff_dist1d(float(ti), float(ci)) == parts[i]
+    # vectors of length 2: the same sum as the per-coordinate reference
+    for x in T[:200].reshape(-1, 2):
+        assert g.value(x) == sum(ref.value1d(float(t)) for t in x)
+    X = T[:500].reshape(-1, 5)
+    assert np.array_equal(g.value_batch(X), vals[:500].reshape(-1, 5).sum(axis=1))
+    assert g.subdiff_dist(T[:4], C[:4]) == pytest.approx(
+        math.sqrt(sum(ref.subdiff_dist1d(float(t), float(c)) ** 2
+                      for t, c in zip(T[:4], C[:4]))), rel=1e-15)
+
+
+def test_prox_1d_view():
+    g = build_regularizer("mcp", {"lam": 1.0, "gamma": 2.0})
+    assert prox_1d(g, math.sqrt(8.0), 1.0, 4.0) == 0.0
+    with pytest.raises(ValueError):
+        prox_1d(g, 1.0, 0.0, 1.0)
+
+
+def _counted(problem_spec):
+    """The spec's problem with counters on grad f, f and g."""
+    p = problem_spec.build()
+    counts = {"grad": 0, "f": 0, "g": 0}
+
+    def counter(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    f = SmoothObjective(value=counter("f", p.f.value),
+                        gradient=counter("grad", p.f.gradient),
+                        lipschitz_L=p.f.lipschitz_L, convex=p.f.convex,
+                        value_batch=p.f.value_batch)
+    p.g.value = counter("g", p.g.value)
+    object.__setattr__(p, "f", f)
+    return p, counts
+
+
+QUAD = {"Q": [[2.0, 0.3], [0.3, 1.0]], "b": [0.5, -0.4]}
+
+
+@pytest.mark.parametrize("g_kind,g_params,kernel", [
+    ("l1", {"lam": 0.3}, KernelSpec.euclidean()),
+    ("mcp", {"lam": 0.6, "gamma": 4.0}, KernelSpec.diagonal([1.5, 1.0])),
+    ("scad", {"lam": 0.5, "a": 3.7}, KernelSpec.quadratic([[1.3, 0.2],
+                                                            [0.2, 1.0]])),
+])
+@pytest.mark.parametrize("max_iters", [0, 7, 600])
+def test_solver_makes_one_gradient_f_and_g_call_per_iteration(
+        g_kind, g_params, kernel, max_iters):
+    p, counts = _counted(ProblemSpec("c", "quadratic", QUAD, g_kind,
+                                     g_params, 2))
+    cfg = SolverConfig.constant(0.3, kernel, max_iters=max_iters)
+    trace = vbpg_run(p, cfg, np.array([1.5, -1.0]))
+    n = trace.n_iters
+    assert n == max_iters or trace.terminated_reason != "max_iters"
+    assert counts == {"grad": n + 1, "f": n + 1, "g": n + 1}

@@ -167,7 +167,7 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iter,F,step_norm,gap,residual"
+        assert lines[0] == "iter,F,step_norm,gap,residual,eps,kernel,inner_iters,tied"
         assert len(lines) == trace.n_iters + 1
         row = lines[1].split(",")
         assert int(row[0]) == 0
