@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, KernelSpec, Problem, as_vector, vector_norm
+from .core import (Array, KernelSpec, Problem, as_vector, row_dots,
+                   row_norms, vector_norm)
 
 
 class ProxError(RuntimeError):
@@ -110,6 +111,59 @@ def _prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
         if move <= tol:
             return _prox_result(problem, K, eps, x, grad_x, y, it)
     raise ProxError(f"inner prox solve did not converge in {inner_max} iterations")
+
+
+def prox_points(problem: Problem, K: KernelSpec, eps: float, X: Array,
+                grad_X: Array | None = None) -> Array:
+    """Prox minimizers of the rows of X, each with the bits of
+    ``prox_map(problem, K, eps, x).minimizer``.  ``grad_X`` is grad f at
+    the rows when the caller already has it.  Separable kernels make one
+    regularizer call over all entries; other kernels solve row by row."""
+    if grad_X is None:
+        grad_X = problem.f.grad_batch(X)
+    weights = K.diag_weights(problem.dim)
+    if weights is None:
+        return np.array([_prox_map(problem, K, eps, x, grad_x=gx).minimizer
+                         for x, gx in zip(X, grad_X)]).reshape(X.shape)
+    # the scaled prox of ``_prox_map``, on the flattened rows
+    V = X - eps * grad_X / weights
+    T, _ = problem.g.prox(V.ravel(), np.broadcast_to(weights, V.shape).ravel(),
+                          eps)
+    return T.reshape(X.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class PointAnnotation:
+    """Per-row prox quantities of an (n, dim) array X: E(x), G(x),
+    F(T(x)), dist(0, subdiff F(x)) and ||x - T(x)||."""
+
+    envelope: Array
+    gap: Array
+    prox_F: Array
+    dist_subdiff: Array
+    dist_prox: Array
+
+
+def annotate_points(problem: Problem, K: KernelSpec, eps: float,
+                    X: Array) -> PointAnnotation:
+    """``envelope_gap``, F at the prox point, the subdifferential distance
+    and the prox residual for every row of an (n, dim) array X in one
+    array pass.
+
+    dist_subdiff and dist_prox carry the bits of the per-point functions;
+    E, G and F(T x) sum f and g over the rows with ``batch`` and
+    ``value_batch``, so they agree with ``envelope_gap`` and ``F`` up to
+    summation roundoff."""
+    f, g = problem.f, problem.g
+    grad = f.grad_batch(X)
+    T = prox_points(problem, K, eps, X, grad)
+    g_T = g.value_batch(T)
+    sub = row_dots(grad, T - X) + g_T + K.distance_rows(X, T) / eps
+    return PointAnnotation(
+        envelope=f.batch(X) + sub,
+        gap=(g.value_batch(X) - sub) / eps, prox_F=f.batch(T) + g_T,
+        dist_subdiff=row_norms(g.subdiff_parts(X, grad)),
+        dist_prox=row_norms(X - T))
 
 
 def envelope(problem: Problem, K: KernelSpec, eps: float, x: Array,

@@ -1,8 +1,11 @@
 """Command-line orchestration: solve runs, probe campaigns, invariant
 suites, and kernel-schedule comparisons, producing CSV/JSON artifacts.
 
-Exit codes: 0 success, 1 config parse error, 2 validation failure (or
-refused precondition), 3 empty probe slice, 4 invariant failure.
+Exit codes: 0 success, 1 config parse error (including out-of-domain
+problem, kernel, solver or x0 parameters), 2 validation failure (or
+refused precondition), 3 empty probe slice, 4 invariant failure, 5
+numerical failure (F turned non-finite, or an inner prox solve did not
+converge).  Each failure prints one line on stderr.
 
 All randomness flows from the single seeded generator recorded in the
 run manifest, so identical (config, seed, command) invocations reproduce
@@ -13,6 +16,7 @@ clock and is the one file excluded from that contract.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as dx
-from .bregman import descent_case, descent_constants
+from .bregman import ProxError, descent_case, descent_constants
 from .checks import run_invariant_suite
 from .core import KernelSpec, Problem, SolverConfig, as_vector, validate_config
 from .problems import (ProblemSpec, ShippedInstance, build_problem,
@@ -59,6 +63,18 @@ class RunManifest:
 
 class ConfigError(ValueError):
     pass
+
+
+def _as_config_error(build):
+    """``build`` raising the ValueError of an out-of-domain parameter as a
+    ConfigError."""
+    @functools.wraps(build)
+    def wrapped(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:  # ConfigError included: same message
+            raise ConfigError(str(exc)) from exc
+    return wrapped
 
 
 def problem_spec_from_config(cfg: dict) -> ProblemSpec:
@@ -108,6 +124,12 @@ def problem_spec_from_config(cfg: dict) -> ProblemSpec:
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
+@_as_config_error
+def problem_from_spec(spec: ProblemSpec) -> Problem:
+    return build_problem(spec)
+
+
+@_as_config_error
 def kernel_from_config(kc, problem: Problem) -> KernelSpec:
     if not isinstance(kc, dict) or "kind" not in kc:
         raise ConfigError("kernel entries need a 'kind'")
@@ -145,6 +167,7 @@ def _hessian_of(problem: Problem):
     return H
 
 
+@_as_config_error
 def solver_config_from_config(cfg: dict, problem: Problem) -> SolverConfig:
     sc = cfg.get("solver", {})
     eps = sc.get("epsilon", 0.5)
@@ -158,6 +181,7 @@ def solver_config_from_config(cfg: dict, problem: Problem) -> SolverConfig:
                         trace_every=int(sc.get("trace_every", 1)))
 
 
+@_as_config_error
 def resolve_x0(cfg: dict, problem: Problem, rng) -> np.ndarray:
     if "x0" in cfg:
         return as_vector(cfg["x0"], dim=problem.dim)
@@ -188,7 +212,7 @@ def _beta_hat_or_none(trace: Trace):
 
 
 def cmd_solve(cfg, args, out: Path) -> int:
-    problem = build_problem(problem_spec_from_config(cfg))
+    problem = problem_from_spec(problem_spec_from_config(cfg))
     config = solver_config_from_config(cfg, problem)
     rc = _validate_or_exit(problem, config, args.strict)
     if rc:
@@ -227,7 +251,7 @@ def _probe_params(cfg: dict) -> dict:
 
 
 def cmd_probe(cfg, args, out: Path) -> int:
-    problem = build_problem(problem_spec_from_config(cfg))
+    problem = problem_from_spec(problem_spec_from_config(cfg))
     if problem.dim > 3:
         print("probe refused: projection oracle unavailable above dimension 3",
               file=sys.stderr)
@@ -256,12 +280,9 @@ def cmd_probe(cfg, args, out: Path) -> int:
 
     K = config.kernel_at(0)
     eps = config.eps_at(0)
-    halfwidth = pc["box_halfwidth"] or max(4.0 * eta, 1.0)
-    grid = dx.SublevelGrid(problem, center, halfwidth,
-                           resolution=pc["resolution"],
-                           extra_points=[center])
-    crit = dx.critical_points(problem, K, eps, center, max(2.0 * eta, 1.0),
-                              seeds_per_axis=5)
+    grid, crit = dx.probe_rig(problem, K, eps, slice_,
+                              halfwidth=pc["box_halfwidth"],
+                              resolution=pc["resolution"])
     try:
         samples = dx.probe_slice(problem, K, eps, slice_, int(pc["n_samples"]),
                                  args.seed, grid=grid, crit_points=crit)
@@ -352,7 +373,7 @@ def cmd_check(cfg, args, out: Path) -> int:
         # narrow the suite to the configured instance; strict mode refuses
         # inadmissible pairings before any work happens
         spec = problem_spec_from_config(cfg)
-        problem = build_problem(spec)
+        problem = problem_from_spec(spec)
         config = solver_config_from_config(cfg, problem)
         report = validate_config(problem, config)
         if args.strict and not report.ok:
@@ -360,7 +381,8 @@ def cmd_check(cfg, args, out: Path) -> int:
                 print(f"validation: {v}", file=sys.stderr)
             print("refused: validation failed in strict mode", file=sys.stderr)
             return 2
-        x0 = cfg.get("x0", [0.5] * problem.dim)
+        x0 = (resolve_x0(cfg, problem, None) if "x0" in cfg
+              else [0.5] * problem.dim)
         instances = {spec.name: ShippedInstance(
             spec=spec, config=config, x0=tuple(float(v) for v in x0),
             sample_halfwidth=float(cfg.get("check", {}).get("halfwidth", 2.0)))}
@@ -374,7 +396,7 @@ def cmd_check(cfg, args, out: Path) -> int:
 
 
 def cmd_compare(cfg, args, out: Path) -> int:
-    problem = build_problem(problem_spec_from_config(cfg))
+    problem = problem_from_spec(problem_spec_from_config(cfg))
     schedules = cfg.get("compare", {}).get("kernels", [])
     if not schedules:
         print("compare: schedule list is empty", file=sys.stderr)
@@ -385,15 +407,10 @@ def cmd_compare(cfg, args, out: Path) -> int:
     lines = ["schedule,iterations,beta_hat,final_F"]
     for idx, kc in enumerate(schedules):
         kcs = kc if isinstance(kc, list) else [kc]
-        kernels = tuple(kernel_from_config(k, problem) for k in kcs)
-        eps = sc.get("epsilon", 0.5)
+        row = dict(sc, kernel=kcs)
         if isinstance(kc, dict) and "epsilon" in kc:
-            eps = kc["epsilon"]  # per-row step size override
-        config = SolverConfig(
-            epsilons=tuple(float(e) for e in
-                           (eps if isinstance(eps, list) else [eps])),
-            kernels=kernels, max_iters=int(sc.get("max_iters", 500)),
-            step_tol=sc.get("step_tol"))
+            row["epsilon"] = kc["epsilon"]  # per-row step size override
+        config = solver_config_from_config({"solver": row}, problem)
         rc = _validate_or_exit(problem, config, args.strict)
         if rc:
             return rc
@@ -452,13 +469,19 @@ def main(argv=None) -> int:
     try:
         handler = {"solve": cmd_solve, "probe": cmd_probe,
                    "check": cmd_check, "compare": cmd_compare}[args.command]
-        return handler(cfg, args, out)
+        # a diverging run overflows before F turns non-finite; the failure
+        # is reported once, as exit code 5, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handler(cfg, args, out)
     except ConfigError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:
         print(f"config parse error: missing key {exc}", file=sys.stderr)
         return 1
+    except (FloatingPointError, ProxError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

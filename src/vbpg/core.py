@@ -46,6 +46,17 @@ def vector_norm(v: Array) -> float:
     return math.sqrt(v.dot(v))
 
 
+def row_dots(U: Array, V: Array) -> Array:
+    """<u, v> for each row pair of two (n, dim) arrays, with the bits of
+    ``u.dot(v)``: a stacked matmul makes the same BLAS dot call per row."""
+    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
+
+
+def row_norms(R: Array) -> Array:
+    """``vector_norm`` of each row of an (n, dim) array, bit for bit."""
+    return np.sqrt(row_dots(R, R))
+
+
 @dataclass(frozen=True, eq=False)
 class SmoothObjective:
     """Smooth part f of a composite objective.
@@ -53,8 +64,10 @@ class SmoothObjective:
     ``lipschitz_L`` certifies ||grad f(x) - grad f(y)|| <= L ||x - y||;
     it is supplied analytically by the problem builders (largest singular
     value of the Hessian for quadratics, spectral bound for logistic
-    losses).  ``value_batch`` evaluates f on the rows of an (n, dim)
-    array; it exists so grid oracles stay vectorized.
+    losses).  ``value_batch`` and ``gradient_batch`` evaluate f and its
+    gradient on the rows of an (n, dim) array, so grid oracles and
+    multi-start runs stay vectorized; ``gradient_batch`` gives each row
+    the bits of ``gradient``.
     """
 
     value: Callable[[Array], float]
@@ -62,6 +75,7 @@ class SmoothObjective:
     lipschitz_L: float
     convex: bool
     value_batch: Optional[Callable[[Array], Array]] = None
+    gradient_batch: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         if self.lipschitz_L < 0:
@@ -71,6 +85,11 @@ class SmoothObjective:
         if self.value_batch is not None:
             return self.value_batch(X)
         return np.array([self.value(row) for row in X])
+
+    def grad_batch(self, X: Array) -> Array:
+        if self.gradient_batch is not None:
+            return self.gradient_batch(X)
+        return np.array([self.gradient(row) for row in X]).reshape(X.shape)
 
 
 class Regularizer:
@@ -240,6 +259,15 @@ class KernelSpec:
         if self.kind == "diagonal":
             return 0.5 * float((self.d * r) @ r)
         return 0.5 * float(r @ (self.A @ r))
+
+    def distance_rows(self, X: Array, Y: Array) -> Array:
+        """``distance`` for each row pair of X and Y, bit for bit."""
+        R = Y - X
+        if self.kind == "euclidean":
+            return 0.5 * row_dots(R, R)
+        if self.kind == "diagonal":
+            return 0.5 * row_dots(self.d * R, R)
+        return 0.5 * row_dots(R, np.matmul(self.A, R[:, :, None])[:, :, 0])
 
     def grad_y(self, x: Array, y: Array) -> Array:
         """Gradient of D(x, .) at y, i.e. grad K(y) - grad K(x)."""

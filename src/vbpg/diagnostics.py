@@ -34,9 +34,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
-                   sample_ball, vector_norm)
-from .bregman import envelope_gap, prox_map
-from .solver import Trace, vbpg_run
+                   row_dots, row_norms, sample_ball)
+from .bregman import annotate_points, prox_points
+from .solver import Trace, vbpg_final_points
 
 # violation margin for one-sided inequality checks: wide enough to absorb
 # solver/projection-oracle noise on exactly-tight ratios, far below any
@@ -284,31 +284,58 @@ def critical_points(problem: Problem, K: KernelSpec, eps: float, center,
                     max_iters: int = 3000, tol: float = 1e-8) -> Array:
     """Prox fixed points found by grid-seeded runs, dimension <= 3.
 
-    Each candidate is validated by ||x - T(x)|| <= tol and the list is
-    deduplicated at 1e-6."""
+    The seeds with finite F run as one multi-start
+    (``vbpg_final_points``); each final point is validated by
+    ||x - T(x)|| <= tol and the list, in seed order, is deduplicated at
+    1e-6."""
     c = as_vector(center, dim=problem.dim)
     axes = [np.linspace(c[i] - halfwidth, c[i] + halfwidth, seeds_per_axis)
             for i in range(problem.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     seeds = np.stack([m.ravel() for m in mesh], axis=1)
+    seeds = seeds[np.isfinite(problem.F_batch(seeds))]
     config = SolverConfig.constant(eps, K, max_iters=max_iters, step_tol=1e-12)
+    final = vbpg_final_points(problem, config, seeds)
+    res = row_norms(final - prox_points(problem, K, eps, final))
     found = []
-    for s in seeds:
-        if not math.isfinite(problem.F(s)):
-            continue
-        trace = vbpg_run(problem, config, s)
-        xf = trace.final_x
-        res = float(np.linalg.norm(xf - prox_map(problem, K, eps, xf).minimizer))
-        if res <= tol:
-            if not any(np.linalg.norm(xf - p) <= 1e-6 for p in found):
-                found.append(xf)
+    for xf in final[res <= tol]:
+        if not any(np.linalg.norm(xf - p) <= 1e-6 for p in found):
+            found.append(xf)
     if not found:
         raise RuntimeError("critical set approximation came up empty")
     return np.array(found)
 
 
+def nearest_in_set(X: Array, points: Array) -> tuple[Array, Array]:
+    """Index of the nearest of ``points`` to each row of X (the first on
+    ties) and its distance."""
+    D = np.linalg.norm(points[None, :, :] - X[:, None, :], axis=2)
+    j = np.argmin(D, axis=1)
+    return j, D[np.arange(len(X)), j]
+
+
 def dist_to_set(x: Array, points: Array) -> float:
-    return float(np.min(np.linalg.norm(points - x[None, :], axis=1)))
+    """One-row view of ``nearest_in_set``."""
+    return float(nearest_in_set(x[None, :], points)[1][0])
+
+
+def probe_rig(problem: Problem, K: KernelSpec, eps: float, slice_: LevelSlice,
+              halfwidth: Optional[float] = None,
+              resolution: Optional[float] = None,
+              grid: Optional[SublevelGrid] = None,
+              crit_points: Optional[Array] = None) -> tuple:
+    """The sublevel grid and the critical set a probe of ``slice_`` uses,
+    building whichever is not given: a grid seeded with the center, of
+    halfwidth ``halfwidth`` (default max(4 eta, 1)), and the critical
+    points of 5 seeds per axis over halfwidth max(2 eta, 1)."""
+    c, eta = slice_.center, slice_.radius_eta
+    if grid is None:
+        grid = SublevelGrid(problem, c, halfwidth or max(4.0 * eta, 1.0),
+                            resolution=resolution, extra_points=[c])
+    if crit_points is None:
+        crit_points = critical_points(problem, K, eps, c, max(2.0 * eta, 1.0),
+                                      seeds_per_axis=5)
+    return grid, crit_points
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +354,13 @@ def probe_slice(problem: Problem, K: KernelSpec, eps: float,
 
     Samples failing Property (A) (F at the prox point dropping below
     Fbar) are flagged, not discarded.  Raises SliceEmptyError when the
-    draw budget is exhausted before n acceptances.  All accepted points
-    are projected onto [F <= Fbar] in one batched oracle call."""
+    draw budget is exhausted before n acceptances.  The accepted points
+    are projected onto [F <= Fbar] in one batched oracle call and
+    annotated in one array pass (``annotate_points``); a missing grid or
+    critical set comes from ``probe_rig``."""
     rng = np.random.default_rng(seed)
-    if grid is None:
-        grid = SublevelGrid(problem, slice_.center,
-                            max(4.0 * slice_.radius_eta, 1.0),
-                            extra_points=[slice_.center])
-    if crit_points is None:
-        crit_points = critical_points(problem, K, eps, slice_.center,
-                                      max(2.0 * slice_.radius_eta, 1.0),
-                                      seeds_per_axis=5)
+    grid, crit_points = probe_rig(problem, K, eps, slice_, grid=grid,
+                                  crit_points=crit_points)
     accepted = []
     drawn = 0
     while len(accepted) < n:
@@ -354,25 +377,19 @@ def probe_slice(problem: Problem, K: KernelSpec, eps: float,
             if len(accepted) == n:
                 break
 
-    d_levels, _ = grid.project_many(slice_.F_bar, [x for x, _ in accepted])
-    samples = []
-    for (x, Fx), d_level in zip(accepted, d_levels):
-        E, G, prox = envelope_gap(problem, K, eps, x)
-        t = prox.minimizer
-        Ft = problem.F(t)
-        d_sub = problem.g.subdiff_dist(x, problem.f.gradient(x))
-        samples.append(ProbeSample(
-            x=x,
-            dist_level=float(d_level),
-            dist_subdiff=d_sub,
-            value_gap=Fx - slice_.F_bar,
-            dist_prox=vector_norm(x - t),
-            dist_crit=dist_to_set(x, crit_points),
-            property_A=bool(Ft >= slice_.F_bar - 1e-12 * (1.0 + abs(slice_.F_bar))),
-            gap_value=G,
-            envelope_value=E,
-            prox_F=Ft))
-    return samples
+    X = np.array([x for x, _ in accepted]).reshape(-1, problem.dim)
+    d_levels, _ = grid.project_many(slice_.F_bar, X)
+    a = annotate_points(problem, K, eps, X)
+    _, d_crit = nearest_in_set(X, crit_points)
+    prop_A = a.prox_F >= slice_.F_bar - 1e-12 * (1.0 + abs(slice_.F_bar))
+    return [ProbeSample(x=x, dist_level=dl, dist_subdiff=ds,
+                        value_gap=Fx - slice_.F_bar, dist_prox=dp,
+                        dist_crit=dc, property_A=pa, gap_value=G,
+                        envelope_value=E, prox_F=Ft)
+            for (x, Fx), dl, ds, dp, dc, pa, G, E, Ft in zip(
+                accepted, d_levels.tolist(), a.dist_subdiff.tolist(),
+                a.dist_prox.tolist(), d_crit.tolist(), prop_A.tolist(),
+                a.gap.tolist(), a.envelope.tolist(), a.prox_F.tolist())]
 
 
 def samples_to_csv_lines(samples: Sequence[ProbeSample]) -> list:
@@ -713,23 +730,22 @@ def check_semiconvex_gap_bounds(problem: Problem, K: KernelSpec, eps: float,
     """
     rho = problem.g.semiconvex_rho
     m = K.m
-    slacks = {"i": math.inf, "ii": math.inf, "iii": math.inf, "iv": math.inf}
-    for x in X:
-        Fx = problem.F(x)
-        if not math.isfinite(Fx):
-            continue
-        E, G, prox = envelope_gap(problem, K, eps, x)
-        r = vector_norm(x - prox.minimizer)
-        dsub = problem.g.subdiff_dist(x, problem.f.gradient(x))
-        slacks["i"] = min(slacks["i"],
-                          Fx - 0.5 * (m / eps_hi - rho) * r * r - E)
-        slacks["ii"] = min(slacks["ii"],
-                           G - (m - eps_hi * rho) / (2 * eps_hi ** 2) * r * r)
-        if math.isfinite(dsub):
-            slacks["iii"] = min(slacks["iii"],
-                                dsub * dsub / (2 * (m - eps_hi * rho)) - G)
-            slacks["iv"] = min(slacks["iv"],
-                               eps_hi / (m - eps_hi * rho) * dsub - r)
+    X = np.asarray(X, dtype=float).reshape(-1, problem.dim)
+    FX = problem.F_batch(X)
+    keep = np.isfinite(FX)
+    X, Fx = X[keep], FX[keep]
+    a = annotate_points(problem, K, eps, X)
+    E, G, r, dsub = a.envelope, a.gap, a.dist_prox, a.dist_subdiff
+    fin = np.isfinite(dsub)
+
+    def worst(slack):
+        return float(np.min(slack, initial=math.inf))
+
+    slacks = {
+        "i": worst(Fx - 0.5 * (m / eps_hi - rho) * r * r - E),
+        "ii": worst(G - (m - eps_hi * rho) / (2 * eps_hi ** 2) * r * r),
+        "iii": worst(dsub[fin] * dsub[fin] / (2 * (m - eps_hi * rho)) - G[fin]),
+        "iv": worst(eps_hi / (m - eps_hi * rho) * dsub[fin] - r[fin])}
     return {"check": "semiconvex_gap_bounds", "min_slack": slacks}
 
 
@@ -894,44 +910,31 @@ def certify_growth_conditions(problem: Problem, slice_: LevelSlice,
     X = sample_ball(rng, n, slice_.center, eta)
     Y = sample_ball(rng, n, slice_.center, eta)
     f = problem.f
+    FX, GX = f.batch(X), f.grad_batch(X)
+    # projections onto the critical set, and f and grad f there
+    jx, _ = nearest_in_set(X, crit_points)
+    jy, _ = nearest_in_set(Y, crit_points)
+    XP, YP = crit_points[jx], crit_points[jy]
+    FXP, GXP = f.batch(crit_points)[jx], f.grad_batch(crit_points)[jx]
 
-    def proj_crit(x):
-        j = int(np.argmin(np.linalg.norm(crit_points - x[None, :], axis=1)))
-        return crit_points[j]
+    dxy, dxp = row_norms(Y - X), row_norms(XP - X)
+    moved, off = dxy > 1e-10, dxp > 1e-8
+    fgap = FX - f.value(slice_.center)
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked rows
+        quad = 2.0 * (f.batch(Y) - FX - row_dots(GX, Y - X)) / dxy ** 2
+        ratios = {
+            "lsc": quad[moved],
+            "lesc": quad[moved & (row_norms(XP - YP) <= 1e-8)],
+            "lwsc": (2.0 * (FXP - FX - row_dots(GX, XP - X)) / dxp ** 2)[off],
+            "lqgg": (row_dots(GX - GXP, X - XP) / dxp ** 2)[off],
+            "lrsi": (row_dots(GX, X - XP) / dxp ** 2)[off],
+            "lpl": (0.5 * row_dots(GX, GX) / fgap)[fgap > 1e-12]}
+    if problem.g.kind != "zero":
+        ratios["lrsi"] = ratios["lpl"] = np.empty(0)
 
-    lsc_r, lesc_r, lwsc_r, lqgg_r = [], [], [], []
-    lrsi_r, lpl_r = [], []
-    f_center = f.value(slice_.center)
-    for x, y in zip(X, Y):
-        dxy = float(np.linalg.norm(y - x))
-        gx = f.gradient(x)
-        if dxy > 1e-10:
-            quad = 2.0 * (f.value(y) - f.value(x) - float(gx @ (y - x))) / dxy ** 2
-            lsc_r.append(quad)
-        xp, yp = proj_crit(x), proj_crit(y)
-        if dxy > 1e-10 and np.linalg.norm(xp - yp) <= 1e-8:
-            quad = 2.0 * (f.value(y) - f.value(x) - float(gx @ (y - x))) / dxy ** 2
-            lesc_r.append(quad)
-        dxp = float(np.linalg.norm(xp - x))
-        if dxp > 1e-8:
-            lwsc_r.append(2.0 * (f.value(xp) - f.value(x)
-                                 - float(gx @ (xp - x))) / dxp ** 2)
-            lqgg_r.append(float((gx - f.gradient(xp)) @ (x - xp)) / dxp ** 2)
-            if problem.g.kind == "zero":
-                lrsi_r.append(float(gx @ (x - xp)) / dxp ** 2)
-        if problem.g.kind == "zero":
-            fgap = f.value(x) - f_center
-            if fgap > 1e-12:
-                lpl_r.append(0.5 * float(gx @ gx) / fgap)
-
-    def certify(ratios):
-        if not ratios:
-            return None
-        return max(min(ratios), 0.0)
-
-    mus = {"lsc": certify(lsc_r), "lesc": certify(lesc_r),
-           "lwsc": certify(lwsc_r), "lqgg": certify(lqgg_r),
-           "lrsi": certify(lrsi_r), "lpl": certify(lpl_r)}
+    # the certified modulus: the sampled infimum clipped at zero
+    mus = {k: max(float(r.min()), 0.0) if r.size else None
+           for k, r in ratios.items()}
     out = {"check": "growth_conditions", "mu": mus}
 
     rho = problem.g.semiconvex_rho
@@ -971,24 +974,22 @@ def check_luo_tseng_bound(problem: Problem, samples: Sequence[ProbeSample],
     the critical set and verified on the near half."""
     if not problem.g.convex:
         return {"check": "luo_tseng", "gated": True, "reason": "g not convex"}
-    rows = []
-    for s in samples:
-        p, _ = problem.g.scaled_prox(s.x, problem.f.gradient(s.x), 1.0, eps)
-        r = vector_norm(s.x - p)
-        rows.append((s, r))
-    kept = [(s, r) for s, r in rows if r <= sigma and r > 0]
-    n_excluded = len(rows) - len(kept)
-    if len(kept) < 5:
+    X = np.array([s.x for s in samples]).reshape(-1, problem.dim)
+    r = annotate_points(problem, KernelSpec.euclidean(), eps, X).dist_prox
+    kept = (r <= sigma) & (r > 0)
+    n_kept = int(np.count_nonzero(kept))
+    n_excluded = len(samples) - n_kept
+    if n_kept < 5:
         return {"check": "luo_tseng", "gated": True,
                 "reason": "too few samples below the residual threshold",
                 "n_excluded": n_excluded}
-    d = np.array([s.dist_crit for s, _ in kept])
-    r = np.array([r for _, r in kept])
+    d = np.array([s.dist_crit for s in samples])[kept]
+    r = r[kept]
     cal, val = _split_by_target(d)
     c6 = float(np.max(d[cal] / r[cal]))
     viol = int(np.sum(d[val] > c6 * r[val] * (1.0 + _REL_TOL) + 1e-12))
     return {"check": "luo_tseng", "gated": False, "c6": c6,
-            "sigma": sigma, "n_kept": len(kept), "n_excluded": n_excluded,
+            "sigma": sigma, "n_kept": n_kept, "n_excluded": n_excluded,
             "n_checked": int(len(val)), "n_violations": viol}
 
 

@@ -13,7 +13,7 @@ verified against a dense grid oracle in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -374,15 +374,21 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
     def value_batch(X):
         return 0.5 * np.einsum("ij,jk,ik->i", X, Q, X) + X @ b
 
+    def gradient_batch(X):
+        # Q @ x per row (one BLAS gemv each): X @ Q rounds differently
+        return np.matmul(Q, X[:, :, None])[:, :, 0] + b
+
     return SmoothObjective(value=value, gradient=gradient, lipschitz_L=L,
-                           convex=convex, value_batch=value_batch)
+                           convex=convex, value_batch=value_batch,
+                           gradient_batch=gradient_batch)
 
 
 def zero_objective(dim: int) -> SmoothObjective:
     return SmoothObjective(value=lambda x: 0.0,
                            gradient=lambda x: np.zeros(dim),
                            lipschitz_L=0.0, convex=True,
-                           value_batch=lambda X: np.zeros(X.shape[0]))
+                           value_batch=lambda X: np.zeros(X.shape[0]),
+                           gradient_batch=lambda X: np.zeros(X.shape))
 
 
 def logistic_objective(A, labels) -> SmoothObjective:
@@ -407,8 +413,14 @@ def logistic_objective(A, labels) -> SmoothObjective:
         Z = X @ Ay.T
         return np.sum(np.logaddexp(0.0, -Z), axis=1)
 
+    def gradient_batch(X):
+        # the two gemv products of ``gradient``, once per row
+        sig = 1.0 / (1.0 + np.exp(np.matmul(Ay, X[:, :, None])))
+        return -np.matmul(Ay.T, sig)[:, :, 0]
+
     return SmoothObjective(value=value, gradient=gradient, lipschitz_L=L,
-                           convex=True, value_batch=value_batch)
+                           convex=True, value_batch=value_batch,
+                           gradient_batch=gradient_batch)
 
 
 def scalar_profile_objective(profile_id: str) -> SmoothObjective:
@@ -423,13 +435,20 @@ def scalar_profile_objective(profile_id: str) -> SmoothObjective:
             value=lambda x: float(x[0] ** 2),
             gradient=lambda x: np.array([2.0 * x[0]]),
             lipschitz_L=2.0, convex=True,
-            value_batch=lambda X: X[:, 0] ** 2)
+            value_batch=lambda X: X[:, 0] ** 2,
+            gradient_batch=lambda X: 2.0 * X)
     if profile_id == "pl_nonconvex":
+        def gradient_batch(X):
+            # math.sin, as in ``gradient``: np.sin may round differently
+            sin2x = np.array([math.sin(2.0 * v) for v in X[:, 0].tolist()])
+            return (2.0 * X[:, 0] + 3.0 * sin2x)[:, None]
+
         return SmoothObjective(
             value=lambda x: float(x[0] ** 2 + 3.0 * math.sin(x[0]) ** 2),
             gradient=lambda x: np.array([2.0 * x[0] + 3.0 * math.sin(2.0 * x[0])]),
             lipschitz_L=8.0, convex=False,
-            value_batch=lambda X: X[:, 0] ** 2 + 3.0 * np.sin(X[:, 0]) ** 2)
+            value_batch=lambda X: X[:, 0] ** 2 + 3.0 * np.sin(X[:, 0]) ** 2,
+            gradient_batch=gradient_batch)
     raise ValueError(f"unknown scalar profile {profile_id!r}")
 
 
@@ -506,9 +525,7 @@ def build_problem(spec: ProblemSpec) -> Problem:
     if dim != spec.dimension:
         raise ValueError("declared dimension disagrees with f parameters")
     if "L_override" in spec.f_params and spec.f_kind != "quadratic":
-        f = SmoothObjective(value=f.value, gradient=f.gradient,
-                            lipschitz_L=float(spec.f_params["L_override"]),
-                            convex=f.convex, value_batch=f.value_batch)
+        f = replace(f, lipschitz_L=float(spec.f_params["L_override"]))
     g = build_regularizer(spec.g_kind, spec.g_params)
     level_bounded = spec.g_kind != "jump_quadratic" or spec.f_kind == "zero"
     return Problem(f=f, g=g, dim=dim, name=spec.name,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
-                   vector_norm)
-from .bregman import prox_map, subgradient_from_gradients
+                   row_norms, vector_norm)
+from .bregman import prox_map, prox_points, subgradient_from_gradients
 
 
 def _fmt(v: float) -> str:
@@ -156,6 +156,41 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
         trace.iterates.append(x.copy())
         trace.iterate_indices.append(trace.n_iters)
     return trace
+
+
+def vbpg_final_points(problem: Problem, config: SolverConfig, X0) -> Array:
+    """``vbpg_run(problem, config, x0).final_x`` for each row x0 of X0.
+
+    Under separable kernels the runs form one multi-start: each iteration
+    makes one ``grad_batch`` and one ``g.prox`` call over the rows still
+    running, and each row stops on its own rule (step 0, step_tol from its
+    own x0, or max_iters), so every row gets the bits of its own run.
+    Other kernels run ``vbpg_run`` row by row.  Raises
+    ``FloatingPointError`` when F turns non-finite on any row."""
+    X = np.array(X0, dtype=float)
+    if X.ndim != 2 or X.shape[1] != problem.dim:
+        raise ValueError(f"expected rows of dimension {problem.dim}, "
+                         f"got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("vector has non-finite entries")
+    if any(K.diag_weights(problem.dim) is None for K in config.kernels):
+        return np.array([vbpg_run(problem, config, x).final_x
+                         for x in X]).reshape(X.shape)
+    if not np.isfinite(problem.F_batch(X)).all():
+        raise FloatingPointError("F(x0) is not finite")
+    step_tols = np.array([config.resolved_step_tol(x) for x in X])
+    running = np.arange(len(X))
+    for k in range(config.max_iters):
+        if running.size == 0:
+            break
+        Xr = X[running]
+        T = prox_points(problem, config.kernel_at(k), config.eps_at(k), Xr)
+        step = row_norms(Xr - T)
+        if not np.isfinite(problem.F_batch(T)).all():
+            raise FloatingPointError(f"F became non-finite at iteration {k + 1}")
+        X[running] = T
+        running = running[~((step == 0.0) | (step <= step_tols[running]))]
+    return X
 
 
 def block_preconditioner(Q: Array, block_sizes, c) -> Array:

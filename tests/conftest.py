@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from vbpg.core import KernelSpec, SolverConfig
-from vbpg.diagnostics import (SublevelGrid, critical_points, make_slice,
-                              probe_slice)
+from vbpg.diagnostics import make_slice, probe_rig, probe_slice
 from vbpg.problems import ProblemSpec, lasso_spec, shipped_instances
 from vbpg.solver import vbpg_run
 
@@ -33,11 +32,8 @@ def build_campaign(problem, config, x0, eta, nu, n, seed, halfwidth=None,
     slice_ = make_slice(problem, c, eta, nu)
     K = config.kernel_at(0)
     eps = config.eps_at(0)
-    hw = halfwidth if halfwidth is not None else max(4.0 * eta, 1.0)
-    grid = SublevelGrid(problem, c, hw, resolution=resolution,
-                        extra_points=[c])
-    crit = critical_points(problem, K, eps, c, max(2.0 * eta, 1.0),
-                           seeds_per_axis=5)
+    grid, crit = probe_rig(problem, K, eps, slice_, halfwidth=halfwidth,
+                           resolution=resolution)
     samples = probe_slice(problem, K, eps, slice_, n, seed, grid=grid,
                           crit_points=crit)
     return {"problem": problem, "config": config, "trace": trace,

@@ -1,0 +1,363 @@
+"""The batched probe paths against their per-point references.
+
+The references below are the per-point loops the batched code replaced,
+kept here as plain reference implementations."""
+
+import math
+
+import numpy as np
+import pytest
+
+import vbpg.solver as solver_mod
+from vbpg.bregman import annotate_points, envelope_gap, prox_map
+from vbpg.core import KernelSpec, SmoothObjective, SolverConfig, sample_ball
+from vbpg.diagnostics import (certify_growth_conditions,
+                              check_luo_tseng_bound,
+                              check_semiconvex_gap_bounds, critical_points,
+                              make_slice, probe_slice)
+from vbpg.problems import (ProblemSpec, logistic_objective,
+                           quadratic_objective, scalar_profile_objective,
+                           zero_objective)
+from vbpg.solver import vbpg_final_points, vbpg_run
+
+EUC = KernelSpec.euclidean()
+DIAG = KernelSpec.diagonal([1.6, 0.7])
+Q2 = [[2.0, 0.3], [0.3, 1.0]]
+
+
+def quad_problem(g_kind, g_params, Q=Q2, b=(0.5, -0.4)):
+    return ProblemSpec("t", "quadratic", {"Q": Q, "b": list(b)}, g_kind,
+                       g_params, len(b)).build()
+
+
+# ---------------------------------------------------------------------------
+# per-point references
+# ---------------------------------------------------------------------------
+
+def reference_samples(problem, K, eps, slice_, X, crit):
+    """The per-sample annotation of ``probe_slice``, one prox per point."""
+    rows = []
+    for x in X:
+        E, G, prox = envelope_gap(problem, K, eps, x)
+        t = prox.minimizer
+        Ft = problem.F(t)
+        rows.append(dict(
+            dist_subdiff=problem.g.subdiff_dist(x, problem.f.gradient(x)),
+            dist_prox=float(np.linalg.norm(x - t)),
+            dist_crit=float(np.min(np.linalg.norm(crit - x[None, :], axis=1))),
+            property_A=bool(Ft >= slice_.F_bar
+                            - 1e-12 * (1.0 + abs(slice_.F_bar))),
+            gap_value=G, envelope_value=E, prox_F=Ft))
+    return rows
+
+
+def reference_growth_mus(problem, slice_, crit_points, seed, n=400):
+    """The scalar pair loop of ``certify_growth_conditions``."""
+    rng = np.random.default_rng(seed)
+    X = sample_ball(rng, n, slice_.center, slice_.radius_eta)
+    Y = sample_ball(rng, n, slice_.center, slice_.radius_eta)
+    f = problem.f
+
+    def proj_crit(x):
+        j = int(np.argmin(np.linalg.norm(crit_points - x[None, :], axis=1)))
+        return crit_points[j]
+
+    r = {k: [] for k in ("lsc", "lesc", "lwsc", "lqgg", "lrsi", "lpl")}
+    f_center = f.value(slice_.center)
+    for x, y in zip(X, Y):
+        dxy = float(np.linalg.norm(y - x))
+        gx = f.gradient(x)
+        quad = None
+        if dxy > 1e-10:
+            quad = 2.0 * (f.value(y) - f.value(x) - float(gx @ (y - x))) / dxy ** 2
+            r["lsc"].append(quad)
+        xp, yp = proj_crit(x), proj_crit(y)
+        if quad is not None and np.linalg.norm(xp - yp) <= 1e-8:
+            r["lesc"].append(quad)
+        dxp = float(np.linalg.norm(xp - x))
+        if dxp > 1e-8:
+            r["lwsc"].append(2.0 * (f.value(xp) - f.value(x)
+                                    - float(gx @ (xp - x))) / dxp ** 2)
+            r["lqgg"].append(float((gx - f.gradient(xp)) @ (x - xp)) / dxp ** 2)
+            if problem.g.kind == "zero":
+                r["lrsi"].append(float(gx @ (x - xp)) / dxp ** 2)
+        if problem.g.kind == "zero":
+            fgap = f.value(x) - f_center
+            if fgap > 1e-12:
+                r["lpl"].append(0.5 * float(gx @ gx) / fgap)
+    return {k: max(min(v), 0.0) if v else None for k, v in r.items()}
+
+
+def reference_semiconvex_slacks(problem, K, eps, X, eps_hi):
+    """The per-sample loop of ``check_semiconvex_gap_bounds``."""
+    rho, m = problem.g.semiconvex_rho, K.m
+    slacks = dict.fromkeys(("i", "ii", "iii", "iv"), math.inf)
+    for x in X:
+        Fx = problem.F(x)
+        if not math.isfinite(Fx):
+            continue
+        E, G, prox = envelope_gap(problem, K, eps, x)
+        r = float(np.linalg.norm(x - prox.minimizer))
+        dsub = problem.g.subdiff_dist(x, problem.f.gradient(x))
+        slacks["i"] = min(slacks["i"], Fx - 0.5 * (m / eps_hi - rho) * r * r - E)
+        slacks["ii"] = min(slacks["ii"],
+                           G - (m - eps_hi * rho) / (2 * eps_hi ** 2) * r * r)
+        if math.isfinite(dsub):
+            slacks["iii"] = min(slacks["iii"],
+                                dsub * dsub / (2 * (m - eps_hi * rho)) - G)
+            slacks["iv"] = min(slacks["iv"],
+                               eps_hi / (m - eps_hi * rho) * dsub - r)
+    return slacks
+
+
+# ---------------------------------------------------------------------------
+# SmoothObjective.gradient_batch
+# ---------------------------------------------------------------------------
+
+def _objectives():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((50, 50))
+    A_log = rng.standard_normal((12, 3))
+    y = np.where(rng.standard_normal(12) >= 0, 1.0, -1.0)
+    return {
+        "quadratic_d2": (quadratic_objective(Q2, [0.5, -0.4]), 2),
+        "quadratic_d50": (quadratic_objective(A + A.T, rng.standard_normal(50)), 50),
+        "logistic": (logistic_objective(A_log, y), 3),
+        "square": (scalar_profile_objective("square"), 1),
+        "pl_nonconvex": (scalar_profile_objective("pl_nonconvex"), 1),
+        "zero": (zero_objective(2), 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_objectives()))
+def test_grad_batch_bits_match_gradient(name):
+    f, dim = _objectives()[name]
+    assert f.gradient_batch is not None
+    X = np.random.default_rng(8).uniform(-4.0, 4.0, size=(97, dim))
+    G = f.grad_batch(X)
+    assert G.shape == X.shape
+    for x, g in zip(X, G):
+        assert np.array_equal(g, f.gradient(x))
+
+
+def test_grad_batch_falls_back_row_by_row():
+    f = quadratic_objective(Q2, [0.5, -0.4])
+    plain = SmoothObjective(value=f.value, gradient=f.gradient,
+                            lipschitz_L=f.lipschitz_L, convex=True)
+    X = np.random.default_rng(2).standard_normal((7, 2))
+    assert np.array_equal(plain.grad_batch(X), f.grad_batch(X))
+    assert plain.grad_batch(np.empty((0, 2))).shape == (0, 2)
+
+
+def test_l_override_keeps_gradient_batch():
+    p = ProblemSpec("l", "logistic", {"n_rows": 12, "L_override": 5.0},
+                    "l1", {"lam": 0.1}, 2).build()
+    assert p.f.lipschitz_L == 5.0
+    assert p.f.gradient_batch is not None
+
+
+# ---------------------------------------------------------------------------
+# vbpg_final_points
+# ---------------------------------------------------------------------------
+
+REGULARIZERS = [("l1", {"lam": 0.5}), ("mcp", {"lam": 0.6, "gamma": 4.0}),
+                ("scad", {"lam": 0.5, "a": 3.7}),
+                ("box", {"lo": -1.0, "hi": 1.0})]
+
+
+def _assert_rows_match_runs(problem, config, X0):
+    final = vbpg_final_points(problem, config, X0)
+    iters = set()
+    for x0, xf in zip(X0, final):
+        trace = vbpg_run(problem, config, x0)
+        assert np.array_equal(xf, trace.final_x)
+        iters.add(trace.n_iters)
+    return iters
+
+
+@pytest.mark.parametrize("K", [EUC, DIAG], ids=["euclidean", "diagonal"])
+@pytest.mark.parametrize("g_kind,g_params", REGULARIZERS,
+                         ids=[g for g, _ in REGULARIZERS])
+def test_final_points_match_runs(K, g_kind, g_params):
+    problem = quad_problem(g_kind, g_params)
+    X0 = np.random.default_rng(4).uniform(-0.95, 0.95, size=(40, 2))
+    config = SolverConfig.constant(0.3, K, max_iters=400)
+    iters = _assert_rows_match_runs(problem, config, X0)
+    assert len(iters) > 1  # rows stop at different iterations
+
+
+def test_final_points_match_runs_jump():
+    problem = ProblemSpec("jump", "zero", {}, "jump_quadratic",
+                          {"xbar": 0.0}, 1).build()
+    X0 = np.linspace(-2.0, 2.0, 9)[:, None]
+    config = SolverConfig.constant(0.5, EUC, max_iters=50)
+    _assert_rows_match_runs(problem, config, X0)
+
+
+def test_final_points_cycle_schedules_and_hit_max_iters():
+    problem = quad_problem("scad", {"lam": 0.5, "a": 3.7})
+    config = SolverConfig(epsilons=(0.3, 0.2), kernels=(EUC, DIAG),
+                          max_iters=7, step_tol=1e-14)
+    X0 = np.random.default_rng(5).uniform(-3.0, 3.0, size=(12, 2))
+    iters = _assert_rows_match_runs(problem, config, X0)
+    assert 7 in iters and len(iters) > 1  # max_iters and early stops
+    zero_iters = SolverConfig.constant(0.3, EUC, max_iters=0)
+    assert np.array_equal(vbpg_final_points(problem, zero_iters, X0), X0)
+
+
+def test_final_points_quadratic_kernel_runs_row_by_row(monkeypatch):
+    problem = quad_problem("l1", {"lam": 0.5})
+    Kq = KernelSpec.quadratic([[1.3, 0.2], [0.2, 1.0]])
+    config = SolverConfig.constant(0.3, Kq, max_iters=200)
+    X0 = np.random.default_rng(6).uniform(-2.0, 2.0, size=(5, 2))
+    expected = [vbpg_run(problem, config, x0).final_x for x0 in X0]
+    calls = []
+    original = solver_mod.vbpg_run
+    monkeypatch.setattr(solver_mod, "vbpg_run",
+                        lambda *a: calls.append(1) or original(*a))
+    final = vbpg_final_points(problem, config, X0)
+    assert len(calls) == len(X0)
+    assert np.array_equal(final, np.array(expected))
+
+
+def test_final_points_raise_like_runs():
+    box = quad_problem("box", {"lo": -1.0, "hi": 1.0})
+    config = SolverConfig.constant(0.3, EUC, max_iters=50)
+    outside = np.array([[0.5, 0.5], [2.0, 0.0]])
+    with pytest.raises(FloatingPointError, match="F\\(x0\\)"):
+        vbpg_final_points(box, config, outside)
+    with pytest.raises(FloatingPointError):
+        vbpg_run(box, config, outside[1])
+    indefinite = ProblemSpec("indef", "quadratic",
+                             {"Q": [[1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]},
+                             "l1", {"lam": 0.1}, 2).build()
+    config = SolverConfig.constant(0.5, EUC, max_iters=5000)
+    X0 = np.array([[1.0, 0.0], [1.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError) as batched:
+            vbpg_final_points(indefinite, config, X0)
+        with pytest.raises(FloatingPointError) as single:
+            vbpg_run(indefinite, config, X0[1])
+    assert str(batched.value) == str(single.value)
+    with pytest.raises(ValueError, match="dimension"):
+        vbpg_final_points(indefinite, config, np.zeros((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# critical_points
+# ---------------------------------------------------------------------------
+
+def test_critical_points_makes_no_runs_and_one_prox_per_iteration(monkeypatch):
+    problem = quad_problem("mcp", {"lam": 0.6, "gamma": 4.0})
+    runs, proxes = [], []
+    monkeypatch.setattr(solver_mod, "vbpg_run",
+                        lambda *a: runs.append(1))
+    prox = problem.g.prox
+    monkeypatch.setattr(problem.g, "prox",
+                        lambda *a: proxes.append(1) or prox(*a))
+    crit = critical_points(problem, EUC, 0.4, np.zeros(2), 2.0,
+                           seeds_per_axis=5, max_iters=3000)
+    assert runs == []
+    assert 1 < len(proxes) <= 3000 + 1
+    assert crit.shape[1] == 2
+
+
+def test_critical_points_match_sequential_runs():
+    problem = quad_problem("scad", {"lam": 0.5, "a": 3.7}, b=(-0.3, 0.2))
+    center, hw, eps = np.array([0.1, -0.2]), 2.0, 0.5
+    crit = critical_points(problem, EUC, eps, center, hw, seeds_per_axis=5)
+    axes = [np.linspace(c - hw, c + hw, 5) for c in center]
+    seeds = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                     axis=1)
+    config = SolverConfig.constant(eps, EUC, max_iters=3000, step_tol=1e-12)
+    found = []
+    for s in seeds:
+        xf = vbpg_run(problem, config, s).final_x
+        res = np.linalg.norm(xf - prox_map(problem, EUC, eps, xf).minimizer)
+        if res <= 1e-8 and not any(np.linalg.norm(xf - p) <= 1e-6
+                                   for p in found):
+            found.append(xf)
+    assert np.array_equal(crit, np.array(found))
+
+
+# ---------------------------------------------------------------------------
+# probe annotation and the checks built on it
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("K", [EUC, DIAG, KernelSpec.quadratic(
+    [[1.3, 0.2], [0.2, 1.0]])], ids=["euclidean", "diagonal", "quadratic"])
+@pytest.mark.parametrize("g_kind,g_params", REGULARIZERS[:3],
+                         ids=[g for g, _ in REGULARIZERS[:3]])
+def test_probe_samples_match_per_sample_reference(K, g_kind, g_params):
+    problem = quad_problem(g_kind, g_params)
+    eps = 0.3
+    slice_ = make_slice(problem, [0.2, 0.1], 0.6, 0.4)
+    samples = probe_slice(problem, K, eps, slice_, 60, 3)
+    crit = critical_points(problem, K, eps, slice_.center, 1.2,
+                           seeds_per_axis=5)
+    ref = reference_samples(problem, K, eps, slice_,
+                            [s.x for s in samples], crit)
+    for s, r in zip(samples, ref):
+        for key in ("dist_subdiff", "dist_prox", "dist_crit", "property_A"):
+            assert getattr(s, key) == r[key], key
+        for key in ("gap_value", "envelope_value", "prox_F"):
+            assert getattr(s, key) == pytest.approx(r[key], rel=1e-12,
+                                                    abs=1e-12), key
+
+
+def test_annotate_points_empty():
+    problem = quad_problem("l1", {"lam": 0.5})
+    a = annotate_points(problem, EUC, 0.5, np.empty((0, 2)))
+    assert a.envelope.shape == a.dist_prox.shape == (0,)
+
+
+@pytest.mark.parametrize("problem,center,crit", [
+    (quad_problem("l1", {"lam": 0.5}, Q=[[1.0, 0.0], [0.0, 1.0]],
+                  b=(-1.0, -0.8)), [0.5, 0.3], [[0.5, 0.3]]),
+    (quad_problem("zero", {}), [0.1, -0.2], [[0.0, 0.0], [0.1, -0.2]]),
+    (ProblemSpec("pl", "scalar_profile", {"id": "pl_nonconvex"}, "zero", {},
+                 1).build(), [0.0], [[0.0]]),
+], ids=["lasso", "quadratic_two_crit", "pl_profile"])
+def test_growth_moduli_match_scalar_loop(problem, center, crit):
+    crit = np.array(crit, dtype=float)
+    slice_ = make_slice(problem, center, 0.7, 1.0)
+    rep = certify_growth_conditions(problem, slice_, crit, seed=13)
+    ref = reference_growth_mus(problem, slice_, crit, seed=13)
+    assert rep["mu"].keys() == ref.keys()
+    for key, mu in rep["mu"].items():
+        if ref[key] is None:
+            assert mu is None, key
+        else:
+            assert mu == pytest.approx(ref[key], rel=1e-12, abs=1e-12), key
+
+
+@pytest.mark.parametrize("g_kind,g_params", REGULARIZERS[1:3],
+                         ids=["mcp", "scad"])
+def test_semiconvex_slacks_match_per_sample_loop(g_kind, g_params):
+    problem = quad_problem(g_kind, g_params)
+    X = np.random.default_rng(21).uniform(-2.0, 2.0, size=(150, 2))
+    rep = check_semiconvex_gap_bounds(problem, EUC, 0.3, X, 0.3)
+    ref = reference_semiconvex_slacks(problem, EUC, 0.3, X, 0.3)
+    for key, slack in rep["min_slack"].items():
+        assert slack == pytest.approx(ref[key], rel=1e-12, abs=1e-12), key
+
+
+def test_semiconvex_slacks_skip_points_outside_dom_g():
+    problem = quad_problem("box", {"lo": -1.0, "hi": 1.0})
+    X = np.random.default_rng(22).uniform(-1.5, 1.5, size=(100, 2))
+    rep = check_semiconvex_gap_bounds(problem, EUC, 0.3, X, 0.3)
+    ref = reference_semiconvex_slacks(problem, EUC, 0.3, X, 0.3)
+    assert rep["min_slack"] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_luo_tseng_matches_per_sample_residuals(lasso_campaign):
+    camp = lasso_campaign
+    p, samples = camp["problem"], camp["samples"]
+    rep = check_luo_tseng_bound(p, samples, 0.5, 0.12, camp["crit"])
+    r = [float(np.linalg.norm(s.x - p.g.scaled_prox(
+        s.x, p.f.gradient(s.x), 1.0, 0.5)[0])) for s in samples]
+    X = np.array([s.x for s in samples])
+    assert annotate_points(p, EUC, 0.5, X).dist_prox.tolist() == r
+    kept = [(s.dist_crit, ri) for s, ri in zip(samples, r) if 0 < ri <= 0.12]
+    assert rep["n_kept"] == len(kept)
+    assert rep["n_excluded"] == len(samples) - len(kept)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +9,8 @@ import pytest
 
 from vbpg.cli import main
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def run(args):
@@ -243,6 +247,74 @@ class TestCompare:
                         "params": {"Q": [[1.0]], "b": [0.0]}},
             "compare": {"kernels": []}})
         assert run(["compare", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def _quadratic_config(g=None, Q=((1.0, 0.0), (0.0, 1.0)), **extra):
+    params = {"Q": [list(row) for row in Q], "b": [0.0, 0.0]}
+    if g is not None:
+        params["g"] = g
+    return {"problem": {"kind": "quadratic", "params": params},
+            "x0": [1.0, -1.0], **extra}
+
+
+class TestFailureContract:
+    """Each failure ends in its documented exit code with one stderr line,
+    in a fresh interpreter so numpy warnings would show too."""
+
+    @pytest.mark.parametrize("command", ["solve", "probe"])
+    @pytest.mark.parametrize("cfg,code,message", [
+        (_quadratic_config({"kind": "l1", "lam": 0.1},
+                           Q=((1.0, 0.0), (0.0, -1.0)), x0=[1.0, 1.0],
+                           solver={"epsilon": 0.5, "max_iters": 5000}),
+         5, "numerical failure: F became non-finite at iteration 876"),
+        (_quadratic_config(x0=[1.0, 2.0, 3.0]), 1,
+         "config parse error: dimension mismatch: expected 2, got 3"),
+        (_quadratic_config(solver={"kernel": {
+            "kind": "quadratic", "A": [[1.0, 2.0], [2.0, 1.0]]}}), 1,
+         "config parse error: quadratic kernel matrix must be positive "
+         "definite"),
+        (_quadratic_config({"kind": "mcp", "lam": -1, "gamma": 3.0}), 1,
+         "config parse error: mcp requires lam > 0 and gamma > 1"),
+        (_quadratic_config(solver={"epsilon": -0.5}), 1,
+         "config parse error: step sizes must be positive"),
+    ], ids=["indefinite_l1", "x0_length", "kernel_not_pd", "mcp_lam",
+            "negative_eps"])
+    def test_one_line_exit(self, tmp_path, command, cfg, code, message):
+        path = write_config(tmp_path, "c.json", cfg)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vbpg.cli", command, "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == code
+        assert proc.stderr == message + "\n"
+        assert (tmp_path / "o" / "manifest.json").exists()
+
+    def test_prox_error_exit_5(self, tmp_path, capsys):
+        # an ill-conditioned non-diagonal kernel: the inner solve stalls
+        cfg = write_config(tmp_path, "c.json", _quadratic_config(
+            {"kind": "l1", "lam": 0.1},
+            solver={"epsilon": 0.5, "max_iters": 5, "kernel": {
+                "kind": "quadratic",
+                "A": [[500000.5, 499999.5], [499999.5, 500000.5]]}}))
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 5
+        assert capsys.readouterr().err == (
+            "numerical failure: inner prox solve did not converge in 10000 "
+            "iterations\n")
+
+    def test_check_bad_x0_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json",
+                           _quadratic_config(x0=[1.0, 2.0, 3.0]))
+        assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == (
+            "config parse error: dimension mismatch: expected 2, got 3\n")
+
+    def test_compare_bad_kernel_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", _quadratic_config(
+            compare={"kernels": [{"kind": "diagonal", "d": [1.0, -1.0]}]}))
+        assert run(["compare", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == (
+            "config parse error: diagonal kernel weights must be positive\n")
 
 
 class TestDeterminism:
