@@ -13,8 +13,7 @@ from .bregman import (DescentConstants, PointAnnotation, ProxResult,
 from .solver import (Trace, kernel_schedule_jacobi, summability_bound,
                      vbpg_final_points, vbpg_run, vbpg_step)
 from .problems import (ProblemSpec, build_problem, build_regularizer,
-                       descent_case_fixtures, lasso_spec, prox_1d,
-                       shipped_instances, subdiff_dist_1d)
+                       descent_case_fixtures, lasso_spec, shipped_instances)
 from .diagnostics import (EBFit, LevelSlice, ProbeSample, SublevelGrid,
                           critical_points, estimate_level_set_rate,
                           estimate_q_linear_rate, fit_error_bound,

@@ -135,13 +135,16 @@ def prox_points(problem: Problem, K: KernelSpec, eps: float, X: Array,
 @dataclass(frozen=True, eq=False)
 class PointAnnotation:
     """Per-row prox quantities of an (n, dim) array X: E(x), G(x),
-    F(T(x)), dist(0, subdiff F(x)) and ||x - T(x)||."""
+    F(T(x)), dist(0, subdiff F(x)), ||x - T(x)||, the prox point T(x) and
+    grad f(x)."""
 
     envelope: Array
     gap: Array
     prox_F: Array
     dist_subdiff: Array
     dist_prox: Array
+    prox_point: Array
+    grad: Array
 
 
 def annotate_points(problem: Problem, K: KernelSpec, eps: float,
@@ -163,7 +166,7 @@ def annotate_points(problem: Problem, K: KernelSpec, eps: float,
         envelope=f.batch(X) + sub,
         gap=(g.value_batch(X) - sub) / eps, prox_F=f.batch(T) + g_T,
         dist_subdiff=row_norms(g.subdiff_parts(X, grad)),
-        dist_prox=row_norms(X - T))
+        dist_prox=row_norms(X - T), prox_point=T, grad=grad)
 
 
 def envelope(problem: Problem, K: KernelSpec, eps: float, x: Array,
@@ -194,6 +197,12 @@ def subgradient_from_gradients(K: KernelSpec, eps: float, x: Array, t: Array,
     """xi = grad f(t) - grad f(x) - grad_y D(x, t) / eps from gradients the
     caller already holds."""
     return grad_t - grad_x - K.grad_y(x, t) / eps
+
+
+def subgradient_rows(K: KernelSpec, eps: float, X: Array, T: Array,
+                     grad_X: Array, grad_T: Array) -> Array:
+    """``subgradient_from_gradients`` for each row of (n, dim) arrays."""
+    return grad_T - grad_X - K.grad_y_rows(X, T) / eps
 
 
 def prox_subgradient(problem: Problem, K: KernelSpec, eps: float, x: Array,
@@ -296,11 +305,21 @@ def check_descent_inequality(problem: Problem, K: KernelSpec, eps: float,
     u = as_vector(u, dim=problem.dim)
     if prox is None:
         prox = _prox_map(problem, K, eps, x)
-    t = prox.minimizer
-    Ft, Fu = problem.F(t), problem.F(u)
-    if math.isinf(Fu):
-        return math.inf  # u outside dom F: inequality is vacuous
-    return (constants.b_frak * float((u - x) @ (u - x))
-            - float((u - t) @ (u - t))
-            - constants.c_frak * float((x - t) @ (x - t))
-            - constants.a_frak * (Ft - Fu))
+    slack = descent_slack_rows(constants, x[None], u[None],
+                               prox.minimizer[None],
+                               np.array([problem.F(prox.minimizer)]),
+                               np.array([problem.F(u)]))
+    return float(slack[0])
+
+
+def descent_slack_rows(constants: DescentConstants, X: Array, U: Array,
+                       T: Array, F_T: Array, F_U: Array) -> Array:
+    """``check_descent_inequality`` for each row (x, u) with its prox point
+    t and the values F(t), F(u): +inf where F(u) = +inf (u outside dom F
+    makes the inequality vacuous)."""
+    outside = np.isinf(F_U)
+    F_U = np.where(outside, 0.0, F_U)
+    slack = (constants.b_frak * row_dots(U - X, U - X) - row_dots(U - T, U - T)
+             - constants.c_frak * row_dots(X - T, X - T)
+             - constants.a_frak * (F_T - F_U))
+    return np.where(outside, math.inf, slack)

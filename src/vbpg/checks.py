@@ -13,10 +13,9 @@ import math
 
 import numpy as np
 
-from .bregman import (check_descent_inequality, descent_case,
-                      descent_constants, envelope_gap, prox_subgradient,
-                      residual_bound)
-from .core import sample_box, vector_norm
+from .bregman import (annotate_points, descent_case, descent_constants,
+                      descent_slack_rows, residual_bound, subgradient_rows)
+from .core import row_dots, row_norms, sample_box, vector_norm
 from .diagnostics import check_semiconvex_gap_bounds, grid_min_F
 from .problems import GridProxOracle, ShippedInstance, shipped_instances
 from .solver import vbpg_run
@@ -33,44 +32,43 @@ def _finite_samples(problem, rng, n, center, halfwidth):
     return X[keep][:n]
 
 
+def _min(a) -> float:
+    return float(np.min(a, initial=math.inf))
+
+
 def check_gradient_lipschitz(inst: ShippedInstance, rng, n=1000):
     problem = inst.problem()
     L = problem.f.lipschitz_L
     X = sample_box(rng, n, inst.box_center(), inst.sample_halfwidth)
     Y = sample_box(rng, n, inst.box_center(), inst.sample_halfwidth)
-    worst = 0.0
-    for x, y in zip(X, Y):
-        dxy = vector_norm(x - y)
-        if dxy < 1e-12:
-            continue
-        ratio = vector_norm(problem.f.gradient(x)
-                            - problem.f.gradient(y)) / dxy
-        worst = max(worst, ratio)
+    dxy = row_norms(X - Y)
+    keep = dxy >= 1e-12
+    ratio = row_norms(problem.f.grad_batch(X[keep])
+                      - problem.f.grad_batch(Y[keep])) / dxy[keep]
+    worst = float(np.max(ratio, initial=0.0))
     ok = worst <= L * (1.0 + 1e-9) + 1e-12
     return _record("gradient_lipschitz_ratio", inst.spec.name, ok, L - worst,
                    f"max ratio {worst:.6g} vs L={L:g}")
 
 
 def check_kernel_bounds(inst: ShippedInstance, rng, n=500):
-    problem = inst.problem()
     worst = math.inf
     for K in inst.config.kernels:
         X = sample_box(rng, n, inst.box_center(), inst.sample_halfwidth)
         Y = sample_box(rng, n, inst.box_center(), inst.sample_halfwidth)
-        for x, y in zip(X, Y):
-            r2 = float((x - y) @ (x - y))
-            D = K.distance(x, y)
-            worst = min(worst, D - 0.5 * K.m * r2, 0.5 * K.M * r2 - D)
-            gy = vector_norm(K.grad_y(x, y))
-            worst = min(worst, K.M * math.sqrt(r2) * (1 + 1e-9) - gy)
+        r2 = row_dots(X - Y, X - Y)
+        D = K.distance_rows(X, Y)
+        gy = row_norms(K.grad_y_rows(X, Y))
+        worst = min(worst, _min(D - 0.5 * K.m * r2), _min(0.5 * K.M * r2 - D),
+                    _min(K.M * np.sqrt(r2) * (1 + 1e-9) - gy))
     return _record("kernel_distance_bounds", inst.spec.name,
                    worst >= -1e-10, worst)
 
 
 def check_prox_invariants(inst: ShippedInstance, rng, n=300):
-    """Four records from one prox solve per sample: the gap identity, the
-    descent inequality (against a second sample set), the envelope/value
-    decrease and the prox-subgradient bound."""
+    """Four records from one array pass of prox solves: the gap identity,
+    the descent inequality (against a second sample set), the
+    envelope/value decrease and the prox-subgradient bound."""
     problem = inst.problem()
     K = inst.config.kernel_at(0)
     eps = inst.config.eps_at(0)
@@ -80,24 +78,21 @@ def check_prox_invariants(inst: ShippedInstance, rng, n=300):
     bound = residual_bound(L, K.M, eps)
     X = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
     U = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
-    gap_err, descent, decrease, resid = 0.0, math.inf, math.inf, math.inf
-    for i, x in enumerate(X):
-        E, G, prox = envelope_gap(problem, K, eps, x)
-        t = prox.minimizer
-        Fx, Ft = problem.F(x), problem.F(t)
-        gap_err = max(gap_err, abs(Fx - E - eps * G) / (1.0 + abs(Fx)))
-        if G < -1e-12 or E > Fx + 1e-10 * (1 + abs(Fx)):
-            gap_err = max(gap_err, 1.0)
-        if i < len(U):
-            slack = check_descent_inequality(problem, K, eps, x, U[i], consts,
-                                             prox)
-            if math.isfinite(slack):
-                descent = min(descent, slack)
-        r2 = float((x - t) @ (x - t))
-        decrease = min(decrease, E - a * r2 - Ft, Fx - a * r2 - Ft)
-        xi = prox_subgradient(problem, K, eps, x, t, check=False)
-        resid = min(resid, bound * vector_norm(x - t) * (1 + 1e-9)
-                    - vector_norm(xi))
+    ann = annotate_points(problem, K, eps, X)
+    T, E, G, Ft = ann.prox_point, ann.envelope, ann.gap, ann.prox_F
+    Fx = problem.F_batch(X)
+    scale = 1.0 + np.abs(Fx)
+    gap_err = np.abs(Fx - E - eps * G) / scale
+    broken = (G < -1e-12) | (E > Fx + 1e-10 * scale)
+    gap_err = float(np.max(np.where(broken, np.maximum(gap_err, 1.0), gap_err),
+                           initial=0.0))
+    k = min(len(X), len(U))
+    descent = _min(descent_slack_rows(consts, X[:k], U[:k], T[:k], Ft[:k],
+                                      problem.F_batch(U[:k])))
+    r2 = row_dots(X - T, X - T)
+    decrease = _min(np.minimum(E - a * r2 - Ft, Fx - a * r2 - Ft))
+    xi = subgradient_rows(K, eps, X, T, ann.grad, problem.f.grad_batch(T))
+    resid = _min(bound * ann.dist_prox * (1 + 1e-9) - row_norms(xi))
     name = inst.spec.name
     return [_record("gap_identity", name, gap_err <= 1e-10, 1e-10 - gap_err,
                     f"max relative identity error {gap_err:.3g}"),
@@ -116,12 +111,9 @@ def check_prox_vs_grid(inst: ShippedInstance, rng, n=60):
     V, W, EPS = rng.uniform([-6.0, 0.5, 0.2], [6.0, 2.0, 1.0], size=(n, 3)).T
     T, _ = g.prox(V, W, EPS)
     H = g.values(T) + 0.5 * (W / EPS) * (T - V) ** 2
-    worst_arg = worst_val = 0.0
-    for v, w, eps, t, hval in zip(V.tolist(), W.tolist(), EPS.tolist(),
-                                  T.tolist(), H.tolist()):
-        tg, hg = oracle.argmin(v, w, eps)
-        worst_arg = max(worst_arg, abs(t - tg))
-        worst_val = max(worst_val, hval - hg)
+    TG, HG = oracle.argmin_many(V, W, EPS)
+    worst_arg = float(np.max(np.abs(T - TG), initial=0.0))
+    worst_val = float(np.max(H - HG, initial=0.0))
     ok = worst_arg <= 2e-4 and worst_val <= 1e-8
     return _record("prox_matches_grid_oracle", inst.spec.name, ok,
                    2e-4 - worst_arg, f"value slack {worst_val:.3g}")
@@ -150,13 +142,11 @@ def check_solver_run(inst: ShippedInstance, rng):
     config = inst.config
     trace = vbpg_run(problem, config, inst.start())
     fv = np.array(trace.f_values)
-    mono_ok = True
-    for k in range(len(fv) - 1):
-        if fv[k + 1] > fv[k] + 1e-12 * (1.0 + abs(fv[k])):
-            mono_ok = False
-        if (trace.step_norms[k] >= 1e-7 * (1.0 + np.linalg.norm(trace.final_x))
-                and not fv[k + 1] < fv[k]):
-            mono_ok = False
+    rise = fv[1:] > fv[:-1] + 1e-12 * (1.0 + np.abs(fv[:-1]))
+    # a step that is not negligible must strictly decrease F
+    moved = (np.array(trace.step_norms)
+             >= 1e-7 * (1.0 + vector_norm(trace.final_x)))
+    mono_ok = not np.any(rise | (moved & ~(fv[1:] < fv[:-1])))
     a = 0.5 * (config.m / config.eps_hi - problem.f.lipschitz_L)
     ss = float(np.sum(np.square(trace.step_norms)))
     if problem.dim <= 3:

@@ -238,16 +238,55 @@ def cmd_solve(cfg, args, out: Path) -> int:
     return 0
 
 
-def _probe_params(cfg: dict) -> dict:
-    pc = dict(cfg.get("probe", {}))
-    pc.setdefault("eta", 0.5)
-    pc.setdefault("nu", None)          # default: 0.1 x local F range
-    pc.setdefault("n_samples", 200)
-    pc.setdefault("resolution", None)
-    pc.setdefault("box_halfwidth", None)
-    pc.setdefault("center", "solve")
-    pc.setdefault("sigma", 0.5)
-    return pc
+_PROBE_DEFAULTS = {
+    "center": "solve",      # or a point of the problem's dimension
+    "eta": 0.5,
+    "nu": None,             # default: 0.1 x local F range
+    "n_samples": 200,
+    "resolution": None,     # default: the sublevel grid's
+    "box_halfwidth": None,  # default: max(4 eta, 1)
+    "sigma": 0.5,
+}
+
+
+def _positive(pc: dict, key: str, optional: bool = False):
+    v = pc[key]
+    if v is None and optional:
+        return None
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not math.isfinite(v) or v <= 0):
+        raise ConfigError(f"probe.{key} must be a positive number, got {v!r}")
+    return float(v)
+
+
+@_as_config_error
+def _probe_params(cfg: dict, problem: Problem) -> dict:
+    """The probe section with its defaults filled in, every parameter
+    checked: ``center`` is "solve" or a point of the problem's dimension,
+    ``n_samples`` a positive integer, and ``eta``, ``sigma`` and (when
+    given) ``nu``, ``resolution`` and ``box_halfwidth`` positive finite
+    numbers."""
+    pc = cfg.get("probe", {})
+    if not isinstance(pc, dict):
+        raise ConfigError("probe must be a JSON object")
+    pc = {**_PROBE_DEFAULTS, **pc}
+    center = pc["center"]
+    if not (isinstance(center, str) and center == "solve"):
+        try:
+            center = as_vector(center, dim=problem.dim)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"probe.center must be \"solve\" or a point: "
+                              f"{exc}") from exc
+    n = pc["n_samples"]
+    if (isinstance(n, bool) or not isinstance(n, (int, float))
+            or not math.isfinite(n) or n != int(n) or n < 1):
+        raise ConfigError(f"probe.n_samples must be a positive integer, "
+                          f"got {n!r}")
+    return {"center": center, "eta": _positive(pc, "eta"),
+            "nu": _positive(pc, "nu", optional=True), "n_samples": int(n),
+            "resolution": _positive(pc, "resolution", optional=True),
+            "box_halfwidth": _positive(pc, "box_halfwidth", optional=True),
+            "sigma": _positive(pc, "sigma")}
 
 
 def cmd_probe(cfg, args, out: Path) -> int:
@@ -260,22 +299,17 @@ def cmd_probe(cfg, args, out: Path) -> int:
     rc = _validate_or_exit(problem, config, args.strict)
     if rc:
         return rc
-    pc = _probe_params(cfg)
+    pc = _probe_params(cfg, problem)
     rng = np.random.default_rng(args.seed)
     x0 = resolve_x0(cfg, problem, rng)
 
     trace = vbpg_run(problem, config, x0)
-    if pc["center"] == "solve":
-        center = trace.final_x
-    else:
-        center = as_vector(pc["center"], dim=problem.dim)
-    eta = float(pc["eta"])
-    if pc["nu"] is None:
+    center = trace.final_x if isinstance(pc["center"], str) else pc["center"]
+    eta, nu = pc["eta"], pc["nu"]
+    if nu is None:
         local = abs(problem.F(center + eta * np.ones(problem.dim))
                     - problem.F(center))
         nu = 0.1 * max(local, 1e-3)
-    else:
-        nu = float(pc["nu"])
     slice_ = dx.make_slice(problem, center, eta, nu)
 
     K = config.kernel_at(0)
@@ -284,7 +318,7 @@ def cmd_probe(cfg, args, out: Path) -> int:
                               halfwidth=pc["box_halfwidth"],
                               resolution=pc["resolution"])
     try:
-        samples = dx.probe_slice(problem, K, eps, slice_, int(pc["n_samples"]),
+        samples = dx.probe_slice(problem, K, eps, slice_, pc["n_samples"],
                                  args.seed, grid=grid, crit_points=crit)
     except dx.SliceEmptyError as exc:
         print(f"probe failed: {exc}", file=sys.stderr)
@@ -353,7 +387,7 @@ def cmd_probe(cfg, args, out: Path) -> int:
     checks["growth_conditions"] = dx.certify_growth_conditions(
         problem, slice_, crit, seed=args.seed, samples=samples)
     checks["luo_tseng"] = dx.check_luo_tseng_bound(
-        problem, samples, eps, float(pc["sigma"]), crit)
+        problem, samples, eps, pc["sigma"], crit)
     checks["critical_value_consistency"] = dx.check_critical_value_consistency(
         problem, center, crit, delta=2.0 * eta)
 

@@ -67,7 +67,9 @@ class SmoothObjective:
     losses).  ``value_batch`` and ``gradient_batch`` evaluate f and its
     gradient on the rows of an (n, dim) array, so grid oracles and
     multi-start runs stay vectorized; ``gradient_batch`` gives each row
-    the bits of ``gradient``.
+    the bits of ``gradient``.  ``value_and_gradient`` returns both at one
+    point, with the bits of ``value`` and ``gradient``, for objectives
+    that share work between them.
     """
 
     value: Callable[[Array], float]
@@ -76,6 +78,7 @@ class SmoothObjective:
     convex: bool
     value_batch: Optional[Callable[[Array], Array]] = None
     gradient_batch: Optional[Callable[[Array], Array]] = None
+    value_and_gradient: Optional[Callable[[Array], tuple]] = None
 
     def __post_init__(self):
         if self.lipschitz_L < 0:
@@ -90,6 +93,11 @@ class SmoothObjective:
         if self.gradient_batch is not None:
             return self.gradient_batch(X)
         return np.array([self.gradient(row) for row in X]).reshape(X.shape)
+
+    def value_grad(self, x: Array) -> tuple[float, Array]:
+        if self.value_and_gradient is not None:
+            return self.value_and_gradient(x)
+        return self.value(x), self.gradient(x)
 
 
 class Regularizer:
@@ -277,6 +285,15 @@ class KernelSpec:
         if self.kind == "diagonal":
             return self.d * r
         return self.A @ r
+
+    def grad_y_rows(self, X: Array, Y: Array) -> Array:
+        """``grad_y`` for each row pair of X and Y, bit for bit."""
+        R = Y - X
+        if self.kind == "euclidean":
+            return R
+        if self.kind == "diagonal":
+            return self.d * R
+        return np.matmul(self.A, R[:, :, None])[:, :, 0]
 
     def diag_weights(self, dim: int) -> Optional[Array]:
         """Per-coordinate weights if D is separable, else None.

@@ -314,11 +314,6 @@ def nearest_in_set(X: Array, points: Array) -> tuple[Array, Array]:
     return j, D[np.arange(len(X)), j]
 
 
-def dist_to_set(x: Array, points: Array) -> float:
-    """One-row view of ``nearest_in_set``."""
-    return float(nearest_in_set(x[None, :], points)[1][0])
-
-
 def probe_rig(problem: Problem, K: KernelSpec, eps: float, slice_: LevelSlice,
               halfwidth: Optional[float] = None,
               resolution: Optional[float] = None,

@@ -371,6 +371,11 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
     def gradient(x):
         return Q @ x + b
 
+    def value_and_gradient(x):
+        # one Q @ x for both, with the bits of ``value`` and ``gradient``
+        Qx = Q @ x
+        return 0.5 * float(x @ Qx) + float(b @ x), Qx + b
+
     def value_batch(X):
         return 0.5 * np.einsum("ij,jk,ik->i", X, Q, X) + X @ b
 
@@ -380,7 +385,8 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
 
     return SmoothObjective(value=value, gradient=gradient, lipschitz_L=L,
                            convex=convex, value_batch=value_batch,
-                           gradient_batch=gradient_batch)
+                           gradient_batch=gradient_batch,
+                           value_and_gradient=value_and_gradient)
 
 
 def zero_objective(dim: int) -> SmoothObjective:
@@ -554,30 +560,36 @@ def power_profile_spec(p: float) -> ProblemSpec:
                        g_kind="power", g_params={"p": p}, dimension=1)
 
 
-# functional wrappers matching the public per-coordinate surface ----------
-
-def prox_1d(g: Regularizer, v: float, weight: float, eps: float) -> float:
-    """Global minimizer of g(t) + (weight/(2 eps))(t - v)^2."""
-    if weight <= 0 or eps <= 0:
-        raise ValueError("weight and eps must be positive")
-    return g.prox1d(v, weight, float(eps))[0]
-
-
-def subdiff_dist_1d(g: Regularizer, t: float, grad_f_t: float) -> float:
-    return g.subdiff_dist1d(t, grad_f_t)
-
-
 # ---------------------------------------------------------------------------
 # grid oracle for scalar proxes
 # ---------------------------------------------------------------------------
 
 class GridProxOracle:
-    """Brute-force argmin of g(t) + (w/(2 eps))(t - v)^2 over a dense grid.
+    """Brute-force argmin of h(t) = g(t) + (w/(2 eps))(t - v)^2 over a
+    dense grid.
 
     Penalty values over the grid are precomputed once, so repeated queries
     with fresh (v, weight, eps) triples stay cheap.  Used as the
-    independent reference for every closed-form scalar prox.
+    independent reference for every closed-form scalar prox: it evaluates
+    g only on the grid and uses no closed form.
+
+    The search is exact but pruned.  The grid is cut into blocks of
+    ``_BLOCK`` consecutive nodes (the last block ends at the last node and
+    may overlap the one before it), and the lower bound of h over a block
+    is the block's smallest g plus c (t - v)^2 at the point of the block
+    interval nearest v (c = w/(2 eps)).  With ub the smallest h over the
+    block of least bound, only the blocks whose bound is at most ub can
+    hold a minimizer; every other node is strictly worse than ub.  The
+    bound is built from the same rounded operations as h on arguments no
+    larger than a node's, so it never exceeds the rounded h of any node
+    in its block and needs no padding.  The searched h values are the
+    full grid's values elementwise, so a query returns the same (t, h)
+    bits and, on ties, the same first node as an argmin over the whole
+    grid.
     """
+
+    _BLOCK = 256
+    _CHUNK_ELEMS = 2 ** 18  # float64 elements per block-bound array
 
     def __init__(self, g: Regularizer, lo: float = -10.0, hi: float = 10.0,
                  resolution: float = 1e-4):
@@ -585,11 +597,64 @@ class GridProxOracle:
         self.grid = np.linspace(lo, hi, n)
         self.gvals = g.value_batch(self.grid[:, None])
         self.resolution = resolution
+        # the blocks are windows of B nodes into grid and gvals, not copies
+        B = self._width = min(self._BLOCK, n)
+        self._starts = np.minimum(np.arange(0, n, B), n - B)
+        self._t = np.lib.stride_tricks.sliding_window_view(self.grid, B)
+        self._g = np.lib.stride_tricks.sliding_window_view(self.gvals, B)
+        self._lo = self.grid[self._starts]
+        self._hi = self.grid[self._starts + B - 1]
+        self._gmin = np.minimum.reduceat(self.gvals, np.arange(0, n, B))
+        self._gmin[-1] = self.gvals[self._starts[-1]:].min()
 
     def argmin(self, v: float, weight: float, eps: float) -> tuple[float, float]:
-        h = self.gvals + (weight / (2.0 * eps)) * (self.grid - v) ** 2
-        j = int(np.argmin(h))
-        return float(self.grid[j]), float(h[j])
+        """One-row view of ``argmin_many``."""
+        T, H = self.argmin_many([v], [weight], [eps])
+        return float(T[0]), float(H[0])
+
+    def argmin_many(self, V, W, EPS) -> tuple[Array, Array]:
+        """Grid minimizer t and value h for each (v, w, eps) of the
+        broadcast 1-D arrays V, W and EPS: the first node of least
+        g(t) + (w/(2 eps))(t - v)^2."""
+        V, W, EPS = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
+                                          for a in (V, W, EPS)))
+        ok = np.isfinite(V).all() and (W >= 0).all() and (EPS > 0).all()
+        C = W / (2.0 * EPS) if ok else None
+        if C is None or not np.isfinite(C).all():
+            # the block bounds hold for finite v and finite w/eps >= 0 only
+            raise ValueError("grid oracle queries need finite v, w >= 0 and "
+                             "eps > 0")
+        T, H = np.empty(V.size), np.empty(V.size)
+        rows = max(1, self._CHUNK_ELEMS // self._gmin.size)
+        for s in range(0, V.size, rows):
+            v, c = V[s:s + rows, None], C[s:s + rows, None]
+            bound = self._gmin + c * (np.clip(v, self._lo, self._hi) - v) ** 2
+            first = self._starts[bound.argmin(axis=1)]
+            ub = (self._g[first] + c * (self._t[first] - v) ** 2).min(axis=1)
+            # candidate (query, block) pairs, blocks ascending per query
+            q, b = np.nonzero(bound <= ub[:, None])
+            h_pair, j_pair = self._block_minima(v[:, 0], c[:, 0], q, b)
+            h_min = np.minimum.reduceat(
+                h_pair, np.flatnonzero(np.r_[True, q[1:] != q[:-1]]))
+            # the first block reaching the minimum holds the first node
+            hit = np.flatnonzero(h_pair == h_min[q])
+            hit = hit[np.r_[True, q[hit][1:] != q[hit][:-1]]]
+            T[s:s + rows] = self.grid[j_pair[hit]]
+            H[s:s + rows] = h_min
+        return T, H
+
+    def _block_minima(self, v: Array, c: Array, q: Array,
+                      b: Array) -> tuple[Array, Array]:
+        """Least h over block b[k] for query q[k], and its first node."""
+        h_min, j_min = np.empty(q.size), np.empty(q.size, dtype=np.intp)
+        step = self._CHUNK_ELEMS // self._width
+        for k in range(0, q.size, step):
+            qq, ss = q[k:k + step], self._starts[b[k:k + step]]
+            h = self._g[ss] + c[qq, None] * (self._t[ss] - v[qq, None]) ** 2
+            j = h.argmin(axis=1)
+            h_min[k:k + step] = h[np.arange(j.size), j]
+            j_min[k:k + step] = ss + j
+        return h_min, j_min
 
 
 # ---------------------------------------------------------------------------

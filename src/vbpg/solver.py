@@ -98,7 +98,8 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
 
     grad f, g and F at the current point are carried from one iteration
     to the next: g(x^{k+1}) comes from the prox's subproblem value, so an
-    iteration costs one gradient, one f value and one g value.
+    iteration costs one gradient, one f value and one g value (f and its
+    gradient in one ``value_grad`` call).
 
     Raises ``FloatingPointError`` when F turns non-finite along the run
     (a sign of an inadmissible problem/config pairing)."""
@@ -110,10 +111,10 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
     trace.final_x = x.copy()
 
     g_x = problem.g.value(x)
-    F_x = problem.f.value(x) + g_x
+    f_x, grad_x = problem.f.value_grad(x)
+    F_x = f_x + g_x
     if not math.isfinite(F_x):
         raise FloatingPointError("F(x0) is not finite")
-    grad_x = problem.f.gradient(x)
 
     for k in range(config.max_iters):
         K = config.kernel_at(k)
@@ -121,7 +122,7 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
         prox = prox_map(problem, K, eps, x, grad_x=grad_x)
         t = prox.minimizer
         step = vector_norm(x - t)
-        grad_t = problem.f.gradient(t)
+        f_t, grad_t = problem.f.value_grad(t)
         xi = subgradient_from_gradients(K, eps, x, t, grad_x, grad_t)
 
         trace.f_values.append(F_x)
@@ -134,7 +135,7 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
         trace.tied.append(prox.multivalued_flag)
 
         x, grad_x, g_x = t, grad_t, prox.g_value
-        F_x = problem.f.value(x) + g_x
+        F_x = f_t + g_x
         if not math.isfinite(F_x):
             raise FloatingPointError(f"F became non-finite at iteration {k + 1}")
         if (k + 1) % config.trace_every == 0:

@@ -266,9 +266,10 @@ def test_criterion_10_prox_oracle_equivalence():
                                 size=(10_000, 3)).T
         T, _ = g.prox(V, W, EPS)
         H = g.values(T) + 0.5 * (W / EPS) * (T - V) ** 2
-        for v, w, eps, t, h in zip(V.tolist(), W.tolist(), EPS.tolist(),
-                                   T.tolist(), H.tolist()):
-            tg, hg = oracle.argmin(v, w, eps)
+        TG, HG = oracle.argmin_many(V, W, EPS)
+        for v, w, eps, t, h, tg, hg in zip(V.tolist(), W.tolist(),
+                                           EPS.tolist(), T.tolist(), H.tolist(),
+                                           TG.tolist(), HG.tolist()):
             worst_arg = max(worst_arg, abs(t - tg))
             worst_val = max(worst_val, h - hg)
             assert abs(t - tg) <= 2e-4, (kind, v, w, eps)

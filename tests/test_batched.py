@@ -149,6 +149,50 @@ def test_grad_batch_falls_back_row_by_row():
     assert plain.grad_batch(np.empty((0, 2))).shape == (0, 2)
 
 
+@pytest.mark.parametrize("name", list(_objectives()))
+def test_value_grad_bits_match_value_and_gradient(name):
+    f, dim = _objectives()[name]
+    rng = np.random.default_rng(9)
+    points = [rng.uniform(-4.0, 4.0, size=dim) for _ in range(50)]
+    if name.startswith("quadratic"):
+        assert f.value_and_gradient is not None  # one Q @ x for both
+        big = quadratic_objective(np.diag(np.arange(1.0, 501.0)),
+                                  rng.standard_normal(500))
+        cases = [(f, x) for x in points] + [
+            (big, rng.standard_normal(500)) for _ in range(5)]
+    else:
+        cases = [(f, x) for x in points]
+    for obj, x in cases:
+        value, grad = obj.value_grad(x)
+        assert value == obj.value(x) and type(value) is float
+        assert np.array_equal(grad, obj.gradient(x))
+
+
+def test_solver_uses_one_value_grad_call_per_iteration():
+    f = quadratic_objective(Q2, [0.5, -0.4])
+    calls = {"fused": 0, "value": 0, "gradient": 0}
+
+    def counted(key, fn):
+        def wrapped(x):
+            calls[key] += 1
+            return fn(x)
+        return wrapped
+
+    traced = SmoothObjective(
+        value=counted("value", f.value), gradient=counted("gradient", f.gradient),
+        lipschitz_L=f.lipschitz_L, convex=f.convex,
+        value_and_gradient=counted("fused", f.value_and_gradient))
+    problem = quad_problem("l1", {"lam": 0.5})
+    plain = vbpg_run(problem, SolverConfig.constant(0.4, KernelSpec.euclidean()),
+                     np.array([1.5, -1.0]))
+    object.__setattr__(problem, "f", traced)
+    trace = vbpg_run(problem, SolverConfig.constant(0.4, KernelSpec.euclidean()),
+                     np.array([1.5, -1.0]))
+    assert calls == {"fused": trace.n_iters + 1, "value": 0, "gradient": 0}
+    assert trace.csv_lines() == plain.csv_lines()
+    assert np.array_equal(trace.final_x, plain.final_x)
+
+
 def test_l_override_keeps_gradient_batch():
     p = ProblemSpec("l", "logistic", {"n_rows": 12, "L_override": 5.0},
                     "l1", {"lam": 0.1}, 2).build()

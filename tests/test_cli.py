@@ -290,6 +290,66 @@ class TestFailureContract:
         assert proc.stderr == message + "\n"
         assert (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("center", [1, 1, 1], 'probe.center must be "solve" or a point: '
+         "dimension mismatch: expected 2, got 3"),
+        ("eta", -1, "probe.eta must be a positive number, got -1"),
+        ("resolution", 0, "probe.resolution must be a positive number, got 0"),
+    ])
+    def test_probe_parameter_exit_1(self, tmp_path, key, value, message):
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        cfg["probe"][key] = value
+        path = write_config(tmp_path, "c.json", cfg)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vbpg.cli", "probe", "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"config parse error: {message}\n"
+
+    @pytest.mark.parametrize("probe,message", [
+        ({"nu": 0.0}, "probe.nu must be a positive number, got 0.0"),
+        ({"nu": "wide"}, "probe.nu must be a positive number, got 'wide'"),
+        ({"n_samples": 2.5}, "probe.n_samples must be a positive integer, "
+         "got 2.5"),
+        ({"n_samples": True}, "probe.n_samples must be a positive integer, "
+         "got True"),
+        ({"n_samples": 0}, "probe.n_samples must be a positive integer, got 0"),
+        ({"box_halfwidth": -2}, "probe.box_halfwidth must be a positive "
+         "number, got -2"),
+        ({"sigma": [0.5]}, "probe.sigma must be a positive number, got [0.5]"),
+        ({"center": "origin"}, 'probe.center must be "solve" or a point: '
+         "could not convert string to float: 'origin'"),
+        ({"center": {"x": 1}}, 'probe.center must be "solve" or a point: '),
+        ([1, 2], "probe must be a JSON object"),
+    ], ids=["nu_zero", "nu_string", "n_fraction", "n_bool", "n_zero",
+            "halfwidth", "sigma_list", "center_string", "center_object",
+            "probe_list"])
+    def test_probe_parameters_validated(self, tmp_path, capsys, probe, message):
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        if isinstance(probe, dict):
+            cfg["probe"].update(probe)
+        else:
+            cfg["probe"] = probe
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run(["probe", "--config", path, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config parse error: {message}")
+        assert err.count("\n") == 1
+
+    def test_probe_integral_float_n_samples_accepted(self, tmp_path):
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        cfg["probe"]["n_samples"] = 240.0
+        path = write_config(tmp_path, "c.json", cfg)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        assert run(["probe", "--config", path, "--out", outs[0]]) == 0
+        assert run(["probe", "--config", CONFIGS / "lasso.json",
+                    "--out", outs[1]]) == 0
+        assert ((outs[0] / "probe.csv").read_bytes()
+                == (outs[1] / "probe.csv").read_bytes())
+
     def test_prox_error_exit_5(self, tmp_path, capsys):
         # an ill-conditioned non-diagonal kernel: the inner solve stalls
         cfg = write_config(tmp_path, "c.json", _quadratic_config(

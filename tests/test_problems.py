@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from vbpg.problems import (GridProxOracle, JumpQuadraticRegularizer,
                            McpRegularizer, ProblemSpec, build_regularizer,
-                           descent_case_fixtures, lasso_spec, prox_1d,
-                           subdiff_dist_1d)
+                           descent_case_fixtures, lasso_spec)
 
 PENALTIES = {
     "l1": {"lam": 0.8},
@@ -30,7 +29,7 @@ def test_prox_matches_grid_oracle(kind):
         v = float(rng.uniform(-6, 6))
         w = float(rng.uniform(0.5, 2.0))
         eps = float(rng.uniform(0.1, 1.0))
-        t = prox_1d(g, v, w, eps)
+        t = g.prox1d(v, w, eps)[0]
         tg, hg = oracle.argmin(v, w, eps)
         h = g.value1d(t) + 0.5 * (w / eps) * (t - v) ** 2
         assert h <= hg + 1e-8
@@ -39,23 +38,88 @@ def test_prox_matches_grid_oracle(kind):
 
 def test_soft_threshold_example():
     g = build_regularizer("l1", {"lam": 1.0})
-    assert prox_1d(g, 2.0, 1.0, 0.5) == pytest.approx(1.5)
-    assert prox_1d(g, -0.3, 1.0, 0.5) == 0.0
+    assert g.prox1d(2.0, 1.0, 0.5)[0] == pytest.approx(1.5)
+    assert g.prox1d(-0.3, 1.0, 0.5)[0] == 0.0
 
 
 def test_box_clamp_example():
     g = build_regularizer("box", {"lo": -1.0, "hi": 1.0})
-    assert prox_1d(g, 3.0, 1.0, 0.5) == 1.0
-    assert prox_1d(g, 0.2, 1.0, 0.5) == pytest.approx(0.2)
+    assert g.prox1d(3.0, 1.0, 0.5)[0] == 1.0
+    assert g.prox1d(0.2, 1.0, 0.5)[0] == pytest.approx(0.2)
 
 
 def test_scad_sweep_against_grid():
     g = build_regularizer("scad", {"lam": 1.0, "a": 3.7})
     oracle = GridProxOracle(g, -10.0, 10.0, 1e-4)
     for v in np.linspace(-6, 6, 241):
-        t = prox_1d(g, float(v), 1.0, 0.8)
+        t = g.prox1d(float(v), 1.0, 0.8)[0]
         tg, hg = oracle.argmin(float(v), 1.0, 0.8)
         assert abs(t - tg) <= 2e-4, v
+
+
+def _full_grid_argmin(oracle, v, w, eps):
+    """The oracle's plain reference: one pass over every grid node."""
+    h = oracle.gvals + (w / (2.0 * eps)) * (oracle.grid - v) ** 2
+    j = int(np.argmin(h))
+    return float(oracle.grid[j]), float(h[j])
+
+
+SHIPPED_PENALTIES = dict(PENALTIES, zero={}, power4={"p": 4.0},
+                         mcp_shipped={"lam": 0.6, "gamma": 4.0},
+                         scad_shipped={"lam": 0.5, "a": 3.7})
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_PENALTIES))
+def test_argmin_many_matches_full_grid(name):
+    kind = {"power4": "power", "mcp_shipped": "mcp",
+            "scad_shipped": "scad"}.get(name, name)
+    g = build_regularizer(kind, SHIPPED_PENALTIES[name])
+    oracle = GridProxOracle(g, -10.0, 10.0, 1e-4)
+    rng = np.random.default_rng(17)
+    # v in [-12, 12] reaches past both grid ends (and the box's +inf)
+    V, W, EPS = rng.uniform([-12.0, 0.5, 0.1], [12.0, 2.0, 1.0],
+                            size=(300, 3)).T
+    T, H = oracle.argmin_many(V, W, EPS)
+    for v, w, eps, t, h in zip(V.tolist(), W.tolist(), EPS.tolist(),
+                               T.tolist(), H.tolist()):
+        assert (t, h) == _full_grid_argmin(oracle, v, w, eps), (v, w, eps)
+    for v, w, eps in zip(V[:20].tolist(), W[:20].tolist(), EPS[:20].tolist()):
+        assert oracle.argmin(v, w, eps) == _full_grid_argmin(oracle, v, w, eps)
+
+
+@pytest.mark.parametrize("kind,params,queries", [
+    # exact halfway points between integer nodes: two nodes tie
+    ("zero", {}, [(255.5, 1.0, 1.0), (256.5, 2.0, 0.5), (0.5, 1.0, 1.0)]),
+    # a flat tail: every node past gamma lam has the same g
+    ("mcp", {"lam": 1.0, "gamma": 2.0}, [(700.5, 1.0, 1.0), (-3.5, 1.0, 1.0)]),
+    # no quadratic term: all nodes tie (first node), or all in-box nodes
+    ("zero", {}, [(500.0, 0.0, 1.0)]),
+    ("box", {"lo": 100.0, "hi": 900.0}, [(0.0, 0.0, 1.0), (950.5, 1.0, 1.0)]),
+    # every node is +inf: the first node with h = +inf
+    ("box", {"lo": 2000.0, "hi": 3000.0}, [(10.0, 1.0, 1.0)]),
+])
+def test_argmin_many_first_node_wins_ties(kind, params, queries):
+    g = build_regularizer(kind, params)
+    oracle = GridProxOracle(g, -1024.0, 1024.0, 1.0)  # integer nodes
+    V, W, EPS = (np.array(col) for col in zip(*queries))
+    T, H = oracle.argmin_many(V, W, EPS)
+    for (v, w, eps), t, h in zip(queries, T.tolist(), H.tolist()):
+        ref = _full_grid_argmin(oracle, v, w, eps)
+        assert (t, h) == ref
+        # the reference's tie is real and it keeps the first node
+        hh = oracle.gvals + (w / (2.0 * eps)) * (oracle.grid - v) ** 2
+        assert t == float(oracle.grid[np.flatnonzero(hh == h)[0]])
+    if queries[0][0] == 255.5:
+        assert T.tolist()[:2] == [255.0, 256.0]
+
+
+def test_argmin_many_refuses_unbounded_queries():
+    oracle = GridProxOracle(build_regularizer("l1", {"lam": 1.0}),
+                            -1.0, 1.0, 1e-3)
+    for V, W, EPS in [([np.nan], [1.0], [1.0]), ([0.0], [-1.0], [1.0]),
+                      ([0.0], [1.0], [0.0])]:
+        with pytest.raises(ValueError):
+            oracle.argmin_many(V, W, EPS)
 
 
 @pytest.mark.parametrize("kind", ["l1", "box", "sq_l2", "power"])
@@ -64,8 +128,8 @@ def test_convex_prox_nonexpansive_in_v(kind):
     rng = np.random.default_rng(3)
     for _ in range(300):
         v1, v2 = rng.uniform(-5, 5, size=2)
-        t1 = prox_1d(g, float(v1), 1.0, 0.7)
-        t2 = prox_1d(g, float(v2), 1.0, 0.7)
+        t1 = g.prox1d(float(v1), 1.0, 0.7)[0]
+        t2 = g.prox1d(float(v2), 1.0, 0.7)[0]
         assert abs(t1 - t2) <= abs(v1 - v2) + 1e-12
 
 
@@ -73,7 +137,7 @@ def test_convex_prox_nonexpansive_in_v(kind):
 @settings(max_examples=300, deadline=None)
 def test_l1_prox_is_global_min(v, u):
     g = build_regularizer("l1", {"lam": 0.8})
-    t = prox_1d(g, v, 1.0, 0.5)
+    t = g.prox1d(v, 1.0, 0.5)[0]
     h = lambda s: g.value1d(s) + (s - v) ** 2 / 1.0
     assert h(t) <= h(u) + 1e-12
 
@@ -90,16 +154,16 @@ def test_mcp_multivalued_tie_flag():
 
 def test_subdiff_dist_examples():
     l1 = build_regularizer("l1", {"lam": 1.0})
-    assert subdiff_dist_1d(l1, 0.0, 0.3) == 0.0
-    assert subdiff_dist_1d(l1, 0.0, 2.0) == pytest.approx(1.0)
+    assert l1.subdiff_dist1d(0.0, 0.3) == 0.0
+    assert l1.subdiff_dist1d(0.0, 2.0) == pytest.approx(1.0)
     zero = build_regularizer("zero", {})
-    assert subdiff_dist_1d(zero, 1.2, -0.7) == pytest.approx(0.7)
+    assert zero.subdiff_dist1d(1.2, -0.7) == pytest.approx(0.7)
     box = build_regularizer("box", {"lo": -1.0, "hi": 1.0})
     # at the upper bound the normal cone is [0, inf): critical iff grad <= 0
-    assert subdiff_dist_1d(box, 1.0, -0.4) == 0.0
-    assert subdiff_dist_1d(box, 1.0, 0.4) == pytest.approx(0.4)
-    assert subdiff_dist_1d(box, -1.0, 0.4) == 0.0
-    assert subdiff_dist_1d(box, 2.0, 0.0) == math.inf
+    assert box.subdiff_dist1d(1.0, -0.4) == 0.0
+    assert box.subdiff_dist1d(1.0, 0.4) == pytest.approx(0.4)
+    assert box.subdiff_dist1d(-1.0, 0.4) == 0.0
+    assert box.subdiff_dist1d(2.0, 0.0) == math.inf
 
 
 def test_subdiff_dist_matches_prox_fixed_points():
@@ -110,9 +174,9 @@ def test_subdiff_dist_matches_prox_fixed_points():
         for _ in range(200):
             v = float(rng.uniform(-4, 4))
             eps = float(rng.uniform(0.2, 0.9))
-            t = prox_1d(g, v, 1.0, eps)
+            t = g.prox1d(v, 1.0, eps)[0]
             grad_model = (t - v) / eps  # gradient of the quadratic at t
-            assert subdiff_dist_1d(g, t, grad_model) <= 1e-9
+            assert g.subdiff_dist1d(t, grad_model) <= 1e-9
 
 
 def test_semiconvex_midpoint_convexity():
@@ -141,8 +205,8 @@ def test_jump_regularizer_values():
     g = JumpQuadraticRegularizer(0.0)
     assert g.value1d(0.0) == -1.0
     assert g.value1d(0.5) == pytest.approx(0.125)
-    assert subdiff_dist_1d(g, 0.0, 123.0) == 0.0  # every slope is a minorant
-    assert subdiff_dist_1d(g, 0.5, 0.0) == pytest.approx(0.5)
+    assert g.subdiff_dist1d(0.0, 123.0) == 0.0  # every slope is a minorant
+    assert g.subdiff_dist1d(0.5, 0.0) == pytest.approx(0.5)
 
 
 def test_lasso_spec_gradient_matches_residual_form():

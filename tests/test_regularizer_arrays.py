@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from vbpg.core import KernelSpec, SmoothObjective, SolverConfig
-from vbpg.problems import ProblemSpec, build_regularizer, prox_1d
+from vbpg.problems import ProblemSpec, build_regularizer
 from vbpg.solver import vbpg_run
 
 
@@ -361,9 +361,9 @@ def test_values_and_subdiff_match_reference(kind, params, ref):
 
 def test_prox_1d_view():
     g = build_regularizer("mcp", {"lam": 1.0, "gamma": 2.0})
-    assert prox_1d(g, math.sqrt(8.0), 1.0, 4.0) == 0.0
-    with pytest.raises(ValueError):
-        prox_1d(g, 1.0, 0.0, 1.0)
+    assert g.prox1d(math.sqrt(8.0), 1.0, 4.0) == (0.0, True)
+    t, tied = g.prox(np.array([math.sqrt(8.0), 1.0]), np.array([1.0, 2.0]), 4.0)
+    assert g.prox1d(1.0, 2.0, 4.0) == (float(t[1]), bool(tied[1]))
 
 
 def _counted(problem_spec):
