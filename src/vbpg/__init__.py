@@ -14,10 +14,10 @@ from .solver import (Trace, kernel_schedule_jacobi, summability_bound,
                      vbpg_final_points, vbpg_run, vbpg_step)
 from .problems import (ProblemSpec, build_problem, build_regularizer,
                        descent_case_fixtures, lasso_spec, shipped_instances)
-from .diagnostics import (EBFit, LevelSlice, ProbeSample, SublevelGrid,
-                          critical_points, estimate_level_set_rate,
-                          estimate_q_linear_rate, fit_error_bound,
-                          kl_exponent_sweep, make_slice, probe_rig,
-                          probe_slice, sublevel_projection)
+from .diagnostics import (Campaign, EBFit, LevelSlice, ProbeSample,
+                          SublevelGrid, critical_points, eb_report,
+                          estimate_level_set_rate, estimate_q_linear_rate,
+                          fit_error_bound, kl_exponent_sweep, make_slice,
+                          probe_slice, run_campaign)
 
 __version__ = "0.1.0"

@@ -233,21 +233,6 @@ def residual_bound(L: float, M: float, eps_lo: float) -> float:
     return L + M / eps_lo
 
 
-def residual_upper_estimate(problem: Problem, K: KernelSpec, eps: float,
-                            x: Array) -> tuple[float, float]:
-    """(||xi||, ||x - T(x)||) at the prox point of x.
-
-    Fallback estimate of dist(0, subdiff F) for regularizers without an
-    analytic subdifferential: xi is a genuine subgradient at T(x), so at
-    near-fixed points (small second component) its norm upper-estimates
-    the subdifferential distance at x up to the move to T(x)."""
-    x = as_vector(x, dim=problem.dim)
-    grad_x = problem.f.gradient(x)
-    t = _prox_map(problem, K, eps, x, grad_x=grad_x).minimizer
-    xi = subgradient_from_gradients(K, eps, x, t, grad_x, problem.f.gradient(t))
-    return vector_norm(xi), vector_norm(x - t)
-
-
 @dataclass(frozen=True)
 class DescentConstants:
     """Coefficients (a, b, c) of the generalized descent inequality

@@ -21,13 +21,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics as dx
-from .bregman import ProxError, descent_case, descent_constants
+from .bregman import ProxError
 from .checks import run_invariant_suite
 from .core import KernelSpec, Problem, SolverConfig, as_vector, validate_config
 from .problems import (ProblemSpec, ShippedInstance, build_problem,
@@ -66,39 +66,45 @@ class ConfigError(ValueError):
 
 
 def _as_config_error(build):
-    """``build`` raising the ValueError of an out-of-domain parameter as a
+    """``build`` raising the ValueError of an out-of-domain parameter, or
+    the TypeError of a parameter of the wrong JSON type, as a
     ConfigError."""
     @functools.wraps(build)
     def wrapped(*args, **kwargs):
         try:
             return build(*args, **kwargs)
-        except ValueError as exc:  # ConfigError included: same message
+        except (ValueError, TypeError) as exc:  # ConfigError: same message
             raise ConfigError(str(exc)) from exc
     return wrapped
 
 
+def _object(value, name: str) -> dict:
+    """``value``, the config section ``name``, if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    return value
+
+
+@_as_config_error
 def problem_spec_from_config(cfg: dict) -> ProblemSpec:
     pc = cfg.get("problem")
     if not isinstance(pc, dict) or "kind" not in pc:
         raise ConfigError("config needs problem.kind")
     kind = pc["kind"]
-    params = dict(pc.get("params", {}))
-    g_cfg = params.pop("g", {"kind": "zero"})
+    params = dict(_object(pc.get("params", {}), "problem.params"))
+    g_cfg = _object(params.pop("g", {"kind": "zero"}), "problem.params.g")
     g_kind = g_cfg.get("kind", "zero")
     g_params = {k: v for k, v in g_cfg.items() if k != "kind"}
     if kind == "lasso":
         spec = lasso_spec("lasso", params["A"], params["b"], params["lam"])
         if "L_override" in params:
-            fp = dict(spec.f_params)
-            fp["L_override"] = params["L_override"]
-            spec = ProblemSpec(spec.name, spec.f_kind, fp, spec.g_kind,
-                               spec.g_params, spec.dimension)
+            spec = replace(spec, f_params={**spec.f_params,
+                                           "L_override": params["L_override"]})
         return spec
     if kind == "quadratic":
         dim = len(params["b"])
-        f_params = {"Q": params["Q"], "b": params["b"]}
-        if "L_override" in params:
-            f_params["L_override"] = params["L_override"]
+        f_params = {k: params[k] for k in ("Q", "b", "L_override")
+                    if k in params}
         return ProblemSpec("quadratic", "quadratic", f_params,
                            g_kind, g_params, dim)
     if kind == "logistic":
@@ -115,7 +121,7 @@ def problem_spec_from_config(cfg: dict) -> ProblemSpec:
             return ProblemSpec(f"profile_{pid}", "scalar_profile",
                                {"id": pid}, g_kind, g_params, 1)
         powers = {"abs_pow_3_2": 1.5, "pow3": 3.0, "pow4": 4.0}
-        if pid in powers:
+        if isinstance(pid, str) and pid in powers:
             return ProblemSpec(f"profile_{pid}", "zero", {}, "power",
                                {"p": powers[pid]}, 1)
         raise ConfigError(f"unknown profile id {pid!r}")
@@ -136,10 +142,14 @@ def kernel_from_config(kc, problem: Problem) -> KernelSpec:
     kind = kc["kind"]
     if kind == "euclidean":
         return KernelSpec.euclidean()
-    if kind == "diagonal":
-        return KernelSpec.diagonal(kc["d"])
-    if kind == "quadratic":
-        return KernelSpec.quadratic(kc["A"])
+    if kind in ("diagonal", "quadratic"):
+        K = (KernelSpec.diagonal(kc["d"]) if kind == "diagonal"
+             else KernelSpec.quadratic(kc["A"]))
+        size = len(K.d if kind == "diagonal" else K.A)
+        if size != problem.dim:
+            raise ConfigError(f"{kind} kernel has dimension {size}, "
+                              f"problem has {problem.dim}")
+        return K
     if kind == "jacobi":
         Q = np.asarray(kc.get("Q") if "Q" in kc else _hessian_of(problem),
                        dtype=float)
@@ -152,13 +162,8 @@ def _hessian_of(problem: Problem):
     # differences, then verify the gradient really is affine: jacobi
     # kernels are only certifiable for quadratic f
     dim = problem.dim
-    z = np.zeros(dim)
-    g0 = problem.f.gradient(z)
-    H = np.empty((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        H[:, i] = problem.f.gradient(e) - g0
+    g0 = problem.f.gradient(np.zeros(dim))
+    H = np.column_stack([problem.f.gradient(e) - g0 for e in np.eye(dim)])
     x_chk = np.linspace(0.3, 1.1, dim)
     if not np.allclose(problem.f.gradient(x_chk), H @ x_chk + g0,
                        rtol=1e-9, atol=1e-9):
@@ -169,7 +174,7 @@ def _hessian_of(problem: Problem):
 
 @_as_config_error
 def solver_config_from_config(cfg: dict, problem: Problem) -> SolverConfig:
-    sc = cfg.get("solver", {})
+    sc = _object(cfg.get("solver", {}), "solver")
     eps = sc.get("epsilon", 0.5)
     epsilons = tuple(float(e) for e in (eps if isinstance(eps, list) else [eps]))
     kc = sc.get("kernel", {"kind": "euclidean"})
@@ -177,7 +182,8 @@ def solver_config_from_config(cfg: dict, problem: Problem) -> SolverConfig:
     kernels = tuple(kernel_from_config(k, problem) for k in kcs)
     return SolverConfig(epsilons=epsilons, kernels=kernels,
                         max_iters=int(sc.get("max_iters", 500)),
-                        step_tol=sc.get("step_tol"),
+                        step_tol=(None if sc.get("step_tol") is None
+                                  else float(sc["step_tol"])),
                         trace_every=int(sc.get("trace_every", 1)))
 
 
@@ -238,17 +244,6 @@ def cmd_solve(cfg, args, out: Path) -> int:
     return 0
 
 
-_PROBE_DEFAULTS = {
-    "center": "solve",      # or a point of the problem's dimension
-    "eta": 0.5,
-    "nu": None,             # default: 0.1 x local F range
-    "n_samples": 200,
-    "resolution": None,     # default: the sublevel grid's
-    "box_halfwidth": None,  # default: max(4 eta, 1)
-    "sigma": 0.5,
-}
-
-
 def _positive(pc: dict, key: str, optional: bool = False):
     v = pc[key]
     if v is None and optional:
@@ -266,10 +261,7 @@ def _probe_params(cfg: dict, problem: Problem) -> dict:
     ``n_samples`` a positive integer, and ``eta``, ``sigma`` and (when
     given) ``nu``, ``resolution`` and ``box_halfwidth`` positive finite
     numbers."""
-    pc = cfg.get("probe", {})
-    if not isinstance(pc, dict):
-        raise ConfigError("probe must be a JSON object")
-    pc = {**_PROBE_DEFAULTS, **pc}
+    pc = {**dx.PROBE_DEFAULTS, **_object(cfg.get("probe", {}), "probe")}
     center = pc["center"]
     if not (isinstance(center, str) and center == "solve"):
         try:
@@ -300,104 +292,18 @@ def cmd_probe(cfg, args, out: Path) -> int:
     if rc:
         return rc
     pc = _probe_params(cfg, problem)
-    rng = np.random.default_rng(args.seed)
-    x0 = resolve_x0(cfg, problem, rng)
-
-    trace = vbpg_run(problem, config, x0)
-    center = trace.final_x if isinstance(pc["center"], str) else pc["center"]
-    eta, nu = pc["eta"], pc["nu"]
-    if nu is None:
-        local = abs(problem.F(center + eta * np.ones(problem.dim))
-                    - problem.F(center))
-        nu = 0.1 * max(local, 1e-3)
-    slice_ = dx.make_slice(problem, center, eta, nu)
-
-    K = config.kernel_at(0)
-    eps = config.eps_at(0)
-    grid, crit = dx.probe_rig(problem, K, eps, slice_,
-                              halfwidth=pc["box_halfwidth"],
-                              resolution=pc["resolution"])
+    x0 = resolve_x0(cfg, problem, np.random.default_rng(args.seed))
     try:
-        samples = dx.probe_slice(problem, K, eps, slice_, pc["n_samples"],
-                                 args.seed, grid=grid, crit_points=crit)
+        campaign = dx.run_campaign(problem, config, x0, pc, args.seed)
     except dx.SliceEmptyError as exc:
         print(f"probe failed: {exc}", file=sys.stderr)
         return 3
-
     _write_text(out / "probe.csv",
-                "\n".join(dx.samples_to_csv_lines(samples)) + "\n")
-
-    L, M, m = problem.f.lipschitz_L, config.M, config.m
-    rho = problem.g.semiconvex_rho
-    fits, fit_objs = {}, {}
-    for kind in ("level_subdiff", "level_bregman", "kl", "sharpness",
-                 "gap_condition", "weak_subreg", "luo_tseng"):
-        try:
-            fit_objs[kind] = dx.fit_error_bound(samples, kind)
-            fits[kind] = fit_objs[kind].to_dict()
-        except (ValueError, dx.DegenerateSampleError) as exc:
-            fits[kind] = {"bound_kind": kind, "error": str(exc)}
-    sub_fit = fit_objs.get("level_subdiff")
-
-    checks = {}
-    checks["step_containment"] = dx.check_step_containment(
-        samples, slice_, m, L, config.eps_hi)
-    if sub_fit is not None:
-        checks["subdiff_implies_prox_eb"] = dx.check_subdiff_implies_prox_eb(
-            samples, slice_, sub_fit, L, M, m, config.eps_lo, config.eps_hi)
-    checks["value_proximity"] = dx.check_value_proximity(
-        samples, slice_.F_bar, L, M, config.eps_lo)
-    if "kl" in fit_objs and sub_fit is not None:
-        checks["kl_exponent_map"] = dx.check_kl_exponent_map(
-            fit_objs["kl"], sub_fit, fit_objs.get("sharpness"))
-    if "level_bregman" in fit_objs:
-        checks["gap_condition_links"] = dx.check_gap_condition_links(
-            samples, fit_objs["level_bregman"], m, config.eps_hi, rho)
-    try:
-        checks["kl_sweep"] = dx.kl_exponent_sweep(
-            samples, [round(0.05 * k, 2) for k in range(1, 20)])
-    except dx.DegenerateSampleError as exc:
-        checks["kl_sweep"] = {"error": str(exc)}
-
-    # rate chain: observed tail ratio against the certified bound
-    rate = {}
-    try:
-        beta_hat, window = dx.estimate_q_linear_rate(trace, slice_.F_bar)
-        rate["beta_hat"] = beta_hat
-        rate["window"] = list(window)
-        rate["r_linear_envelope_C"] = dx.r_linear_envelope(trace, beta_hat)
-        if sub_fit is not None:
-            rate.update(dx.certify_rate_chain(
-                beta_hat, sub_fit, L, M, m, config.eps_lo, config.eps_hi, eta))
-    except ValueError as exc:
-        rate["error"] = str(exc)
-    checks["rate_chain"] = rate
-
-    level = dx.estimate_level_set_rate(trace, problem, slice_.F_bar, grid)
-    checks["level_set_rate"] = level
-    refit_ratios = [s.dist_level / s.dist_subdiff for s in samples
-                    if s.dist_subdiff > 0 and math.isfinite(s.dist_subdiff)]
-    if math.isfinite(level.get("beta_levelset", math.nan)) and refit_ratios:
-        cc = descent_constants(descent_case(problem), m, M, L,
-                               config.eps_lo, config.eps_hi)
-        checks["level_set_rate_certificates"] = \
-            dx.check_level_set_rate_certificates(
-                level["beta_levelset"], max(refit_ratios), cc.b_frak,
-                cc.c_frak, L, M, config.eps_lo, config.eps_hi, m, rho)
-    checks["growth_conditions"] = dx.certify_growth_conditions(
-        problem, slice_, crit, seed=args.seed, samples=samples)
-    checks["luo_tseng"] = dx.check_luo_tseng_bound(
-        problem, samples, eps, pc["sigma"], crit)
-    checks["critical_value_consistency"] = dx.check_critical_value_consistency(
-        problem, center, crit, delta=2.0 * eta)
-
-    report = {"fits": fits, "checks": checks,
-              "slice": {"center": [float(v) for v in center], "eta": eta,
-                        "nu": nu, "F_bar": slice_.F_bar},
-              "n_samples": len(samples), "seed": args.seed,
-              "kernel": K.label(), "epsilon": eps}
-    _write_json(out / "eb_report.json", report)
-    print(f"probe: {len(samples)} samples, F_bar={slice_.F_bar:.12g}")
+                "\n".join(dx.samples_to_csv_lines(campaign.samples)) + "\n")
+    _write_json(out / "eb_report.json",
+                dx.eb_report(campaign, args.seed, pc["sigma"]))
+    print(f"probe: {len(campaign.samples)} samples, "
+          f"F_bar={campaign.slice.F_bar:.12g}")
     return 0
 
 
@@ -419,7 +325,8 @@ def cmd_check(cfg, args, out: Path) -> int:
               else [0.5] * problem.dim)
         instances = {spec.name: ShippedInstance(
             spec=spec, config=config, x0=tuple(float(v) for v in x0),
-            sample_halfwidth=float(cfg.get("check", {}).get("halfwidth", 2.0)))}
+            sample_halfwidth=float(
+                _object(cfg.get("check", {}), "check").get("halfwidth", 2.0)))}
     records = run_invariant_suite(instances=instances, seed=args.seed)
     _write_json(out / "check_report.json", {"records": records})
     failures = [r for r in records if not r["passed"]]
@@ -431,11 +338,13 @@ def cmd_check(cfg, args, out: Path) -> int:
 
 def cmd_compare(cfg, args, out: Path) -> int:
     problem = problem_from_spec(problem_spec_from_config(cfg))
-    schedules = cfg.get("compare", {}).get("kernels", [])
+    schedules = _object(cfg.get("compare", {}), "compare").get("kernels", [])
     if not schedules:
         print("compare: schedule list is empty", file=sys.stderr)
         return 2
-    sc = cfg.get("solver", {})
+    if not isinstance(schedules, list):
+        raise ConfigError("compare.kernels must be a list")
+    sc = _object(cfg.get("solver", {}), "solver")
     rng = np.random.default_rng(args.seed)
     x0 = resolve_x0(cfg, problem, rng)
     lines = ["schedule,iterations,beta_hat,final_F"]
@@ -452,7 +361,7 @@ def cmd_compare(cfg, args, out: Path) -> int:
         beta = _beta_hat_or_none(trace)
         label = kc.get("label", None) if isinstance(kc, dict) else None
         label = label or (kcs[0]["kind"] if isinstance(kcs[0], dict) else f"s{idx}")
-        lines.append(",".join([label, str(trace.n_iters),
+        lines.append(",".join([str(label), str(trace.n_iters),
                                _fmt(beta) if beta is not None else "nan",
                                _fmt(trace.final_F)]))
     _write_text(out / "compare.csv", "\n".join(lines) + "\n")

@@ -35,8 +35,9 @@ import numpy as np
 
 from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
                    row_dots, row_norms, sample_ball)
-from .bregman import annotate_points, prox_points
-from .solver import Trace, vbpg_final_points
+from .bregman import (annotate_points, descent_case, descent_constants,
+                      prox_points)
+from .solver import Trace, vbpg_final_points, vbpg_run
 
 # violation margin for one-sided inequality checks: wide enough to absorb
 # solver/projection-oracle noise on exactly-tight ratios, far below any
@@ -62,12 +63,6 @@ class LevelSlice:
     radius_eta: float
     value_band_nu: float
     F_bar: float
-
-    def contains(self, problem: Problem, x: Array) -> bool:
-        if float(np.linalg.norm(x - self.center)) >= self.radius_eta:
-            return False
-        Fx = problem.F(x)
-        return self.F_bar < Fx < self.F_bar + self.value_band_nu
 
 
 def make_slice(problem: Problem, center, eta: float, nu: float) -> LevelSlice:
@@ -238,20 +233,6 @@ class SublevelGrid:
                                  boundary_check)
         return float(d[0]), P[0]
 
-    def min_value(self) -> float:
-        return float(np.min(self.values))
-
-
-def sublevel_projection(problem: Problem, F_bar: float, x,
-                        resolution: Optional[float] = None,
-                        halfwidth: float = 6.0,
-                        center=None) -> tuple[float, Array]:
-    """One-shot projection onto [F <= Fbar]; precondition F(x) > Fbar."""
-    x = as_vector(x, dim=problem.dim)
-    c = x if center is None else as_vector(center, dim=problem.dim)
-    grid = SublevelGrid(problem, c, halfwidth, resolution)
-    return grid.project(F_bar, x)
-
 
 def grid_min_F(problem: Problem, center, halfwidth: float,
                resolution: float = 0.02, zooms: int = 3) -> float:
@@ -314,25 +295,6 @@ def nearest_in_set(X: Array, points: Array) -> tuple[Array, Array]:
     return j, D[np.arange(len(X)), j]
 
 
-def probe_rig(problem: Problem, K: KernelSpec, eps: float, slice_: LevelSlice,
-              halfwidth: Optional[float] = None,
-              resolution: Optional[float] = None,
-              grid: Optional[SublevelGrid] = None,
-              crit_points: Optional[Array] = None) -> tuple:
-    """The sublevel grid and the critical set a probe of ``slice_`` uses,
-    building whichever is not given: a grid seeded with the center, of
-    halfwidth ``halfwidth`` (default max(4 eta, 1)), and the critical
-    points of 5 seeds per axis over halfwidth max(2 eta, 1)."""
-    c, eta = slice_.center, slice_.radius_eta
-    if grid is None:
-        grid = SublevelGrid(problem, c, halfwidth or max(4.0 * eta, 1.0),
-                            resolution=resolution, extra_points=[c])
-    if crit_points is None:
-        crit_points = critical_points(problem, K, eps, c, max(2.0 * eta, 1.0),
-                                      seeds_per_axis=5)
-    return grid, crit_points
-
-
 # ---------------------------------------------------------------------------
 # probing
 # ---------------------------------------------------------------------------
@@ -341,21 +303,16 @@ _DRAW_CHUNK = 1024  # fixed so the random stream is batch-layout independent
 
 
 def probe_slice(problem: Problem, K: KernelSpec, eps: float,
-                slice_: LevelSlice, n: int, seed: int,
-                grid: Optional[SublevelGrid] = None,
-                crit_points: Optional[Array] = None,
-                max_draws: int = 10 ** 6) -> list:
+                slice_: LevelSlice, n: int, seed: int, grid: SublevelGrid,
+                crit_points: Array, max_draws: int = 10 ** 6) -> list:
     """n points uniform in the slice, each fully annotated.
 
     Samples failing Property (A) (F at the prox point dropping below
     Fbar) are flagged, not discarded.  Raises SliceEmptyError when the
     draw budget is exhausted before n acceptances.  The accepted points
     are projected onto [F <= Fbar] in one batched oracle call and
-    annotated in one array pass (``annotate_points``); a missing grid or
-    critical set comes from ``probe_rig``."""
+    annotated in one array pass (``annotate_points``)."""
     rng = np.random.default_rng(seed)
-    grid, crit_points = probe_rig(problem, K, eps, slice_, grid=grid,
-                                  crit_points=crit_points)
     accepted = []
     drawn = 0
     while len(accepted) < n:
@@ -544,11 +501,18 @@ def kl_exponent_sweep(samples: Sequence[ProbeSample],
 # implication and certificate checks
 # ---------------------------------------------------------------------------
 
-def lemma_sample_count(m: float, L: float, eps_hi: float, eta: float,
-                       nu: float) -> float:
-    """Band divisor N >= (2 eps_hi nu / (m - eps_hi L)) / (eta/2)^2 that
-    keeps prox steps inside the half-radius slice."""
-    return (2.0 * eps_hi * nu / (m - eps_hi * L)) / (eta / 2.0) ** 2
+def _half_slice(samples: Sequence[ProbeSample], slice_: LevelSlice,
+                m: float, L: float, eps_hi: float) -> tuple:
+    """The band divisor N = max((2 eps_hi nu / (m - eps_hi L)) / (eta/2)^2, 1)
+    that keeps prox steps inside the half-radius slice, each sample's
+    distance to the center, and whether the sample lies in the shrunken
+    slice: within eta/2 of the center with value gap below nu/N."""
+    eta, nu = slice_.radius_eta, slice_.value_band_nu
+    N = max((2.0 * eps_hi * nu / (m - eps_hi * L)) / (eta / 2.0) ** 2, 1.0)
+    d_center = [float(np.linalg.norm(s.x - slice_.center)) for s in samples]
+    inner = [d < eta / 2 and s.value_gap < nu / N
+             for s, d in zip(samples, d_center)]
+    return N, d_center, inner
 
 
 def check_step_containment(samples: Sequence[ProbeSample], slice_: LevelSlice,
@@ -556,14 +520,10 @@ def check_step_containment(samples: Sequence[ProbeSample], slice_: LevelSlice,
     """Property-(A) samples in the shrunken slice keep their prox point
     within eta/2 of themselves and inside the eta-ball around the center
     (checked through ||x - T(x)|| + ||x - center|| <= eta)."""
-    N = max(lemma_sample_count(m, L, eps_hi, slice_.radius_eta,
-                               slice_.value_band_nu), 1.0)
+    N, d_centers, inner = _half_slice(samples, slice_, m, L, eps_hi)
     checked = violations = 0
-    for s in samples:
-        d_center = float(np.linalg.norm(s.x - slice_.center))
-        inner = (d_center < slice_.radius_eta / 2
-                 and s.value_gap < slice_.value_band_nu / N)
-        if not (inner and s.property_A):
+    for s, d_center, keep in zip(samples, d_centers, inner):
+        if not (keep and s.property_A):
             continue
         checked += 1
         if s.dist_prox > slice_.radius_eta / 2 * (1.0 + _REL_TOL):
@@ -618,15 +578,11 @@ def check_subdiff_implies_prox_eb(samples: Sequence[ProbeSample],
         return {"check": "subdiff_implies_prox_eb", "gated": True,
                 "reason": "theta not finite"}
     p = gamma if gamma > 1 else 1.0
-    eta2 = slice_.radius_eta / 2.0
     theta = theta1 if gamma <= 1 else theta2
-    N = max(lemma_sample_count(m, L, eps_hi, slice_.radius_eta,
-                               slice_.value_band_nu), 1.0)
+    _, _, inner = _half_slice(samples, slice_, m, L, eps_hi)
     checked = violations = 0
-    for s in samples:
-        inner = (np.linalg.norm(s.x - slice_.center) < eta2
-                 and s.value_gap < slice_.value_band_nu / N)
-        if not inner:
+    for s, keep in zip(samples, inner):
+        if not keep:
             continue
         checked += 1
         if s.dist_level > theta * s.dist_prox ** (1.0 / p) * (1.0 + 1e-6) + 1e-12:
@@ -758,7 +714,6 @@ def estimate_q_linear_rate(trace: Trace, F_bar: float, window: int = 10,
     scale = floor * (1.0 + abs(F_bar))
     if np.any(gaps < -1e-9 * (1.0 + abs(F_bar))):
         raise ValueError("F_bar exceeds recorded F values")
-    valid = np.where(gaps > scale)[0]
     # keep the maximal leading run of valid indices
     k_end = 0
     while k_end < len(gaps) and gaps[k_end] > scale:
@@ -821,9 +776,8 @@ def estimate_level_set_rate(trace: Trace, problem: Problem, F_bar: float,
         min_dist = 10.0 * grid.resolution
     k_end = next((k for k, x in enumerate(trace.iterates)
                   if problem.F(x) <= F_bar), len(trace.iterates))
-    d, _ = grid.project_many(F_bar, trace.iterates[:k_end],
-                             boundary_check=False)
-    dists = [float(v) for v in d]
+    dists = grid.project_many(F_bar, trace.iterates[:k_end],
+                              boundary_check=False)[0].tolist()
     if k_end < len(trace.iterates):
         dists.append(0.0)
     ratios = []
@@ -1002,3 +956,144 @@ def check_critical_value_consistency(problem: Problem, x_bar: Array,
                 fails.append([float(v) for v in y])
     return {"check": "critical_value_consistency", "ok": not fails,
             "n_failures": len(fails), "failures": fails}
+
+
+# ---------------------------------------------------------------------------
+# the probe pipeline
+# ---------------------------------------------------------------------------
+
+PROBE_DEFAULTS = {
+    "center": "solve",      # or a point of the problem's dimension
+    "eta": 0.5,
+    "nu": None,             # default: 0.1 x local F range
+    "n_samples": 200,
+    "resolution": None,     # default: the sublevel grid's
+    "box_halfwidth": None,  # default: max(4 eta, 1)
+    "sigma": 0.5,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Campaign:
+    """One probe: the solver run, the level slice, the sublevel grid and
+    critical set the probe used, and its annotated samples."""
+
+    problem: Problem
+    config: SolverConfig
+    trace: Trace
+    slice: LevelSlice
+    grid: SublevelGrid
+    crit: Array
+    samples: list
+
+
+def run_campaign(problem: Problem, config: SolverConfig, x0, params: dict,
+                 seed: int) -> Campaign:
+    """Solve from x0, slice around the solution (or ``params["center"]``)
+    and probe the slice with the first kernel and step size of ``config``.
+
+    ``params`` holds probe-section keys; missing ones take PROBE_DEFAULTS.
+    The band nu defaults to 0.1 x |F(center + eta 1) - F(center)| (at
+    least 1e-4); the sublevel grid is seeded with the center and has
+    halfwidth ``box_halfwidth`` (default max(4 eta, 1)); the critical set
+    comes from 5 seeds per axis over halfwidth max(2 eta, 1).  Raises
+    SliceEmptyError when the slice cannot be filled."""
+    p = {**PROBE_DEFAULTS, **params}
+    trace = vbpg_run(problem, config, x0)
+    center = trace.final_x if isinstance(p["center"], str) else p["center"]
+    center = as_vector(center, dim=problem.dim)
+    eta, nu = p["eta"], p["nu"]
+    if nu is None:
+        local = abs(problem.F(center + eta * np.ones(problem.dim))
+                    - problem.F(center))
+        nu = 0.1 * max(local, 1e-3)
+    slice_ = make_slice(problem, center, eta, nu)
+    K, eps = config.kernel_at(0), config.eps_at(0)
+    halfwidth = p["box_halfwidth"] or max(4.0 * eta, 1.0)
+    grid = SublevelGrid(problem, center, halfwidth, resolution=p["resolution"],
+                        extra_points=[center])
+    crit = critical_points(problem, K, eps, center, max(2.0 * eta, 1.0),
+                           seeds_per_axis=5)
+    samples = probe_slice(problem, K, eps, slice_, p["n_samples"], seed, grid,
+                          crit)
+    return Campaign(problem, config, trace, slice_, grid, crit, samples)
+
+
+def eb_report(campaign: Campaign, seed: int,
+              sigma: float = PROBE_DEFAULTS["sigma"]) -> dict:
+    """The probe report: a fit of each of the seven bounds, then the
+    implication, rate, growth and consistency checks on the samples;
+    ``seed`` seeds the growth conditions' sampling and ``sigma`` is the
+    Luo-Tseng residual threshold."""
+    problem, config, trace = campaign.problem, campaign.config, campaign.trace
+    slice_, samples, crit = campaign.slice, campaign.samples, campaign.crit
+    K, eps = config.kernel_at(0), config.eps_at(0)
+    L, M, m = problem.f.lipschitz_L, config.M, config.m
+    rho = problem.g.semiconvex_rho
+    fits, fit_objs = {}, {}
+    for kind in _BOUND_PAIRS:
+        try:
+            fit_objs[kind] = fit_error_bound(samples, kind)
+            fits[kind] = fit_objs[kind].to_dict()
+        except (ValueError, DegenerateSampleError) as exc:
+            fits[kind] = {"bound_kind": kind, "error": str(exc)}
+    sub_fit = fit_objs.get("level_subdiff")
+
+    checks = {"step_containment": check_step_containment(
+        samples, slice_, m, L, config.eps_hi)}
+    if sub_fit is not None:
+        checks["subdiff_implies_prox_eb"] = check_subdiff_implies_prox_eb(
+            samples, slice_, sub_fit, L, M, m, config.eps_lo, config.eps_hi)
+    checks["value_proximity"] = check_value_proximity(
+        samples, slice_.F_bar, L, M, config.eps_lo)
+    if "kl" in fit_objs and sub_fit is not None:
+        checks["kl_exponent_map"] = check_kl_exponent_map(
+            fit_objs["kl"], sub_fit, fit_objs.get("sharpness"))
+    if "level_bregman" in fit_objs:
+        checks["gap_condition_links"] = check_gap_condition_links(
+            samples, fit_objs["level_bregman"], m, config.eps_hi, rho)
+    try:
+        checks["kl_sweep"] = kl_exponent_sweep(
+            samples, [round(0.05 * k, 2) for k in range(1, 20)])
+    except DegenerateSampleError as exc:
+        checks["kl_sweep"] = {"error": str(exc)}
+
+    # rate chain: observed tail ratio against the certified bound
+    rate = {}
+    try:
+        beta_hat, window = estimate_q_linear_rate(trace, slice_.F_bar)
+        rate["beta_hat"] = beta_hat
+        rate["window"] = list(window)
+        rate["r_linear_envelope_C"] = r_linear_envelope(trace, beta_hat)
+        if sub_fit is not None:
+            rate.update(certify_rate_chain(
+                beta_hat, sub_fit, L, M, m, config.eps_lo, config.eps_hi,
+                slice_.radius_eta))
+    except ValueError as exc:
+        rate["error"] = str(exc)
+    checks["rate_chain"] = rate
+
+    level = estimate_level_set_rate(trace, problem, slice_.F_bar, campaign.grid)
+    checks["level_set_rate"] = level
+    refit_ratios = [s.dist_level / s.dist_subdiff for s in samples
+                    if s.dist_subdiff > 0 and math.isfinite(s.dist_subdiff)]
+    if math.isfinite(level.get("beta_levelset", math.nan)) and refit_ratios:
+        cc = descent_constants(descent_case(problem), m, M, L,
+                               config.eps_lo, config.eps_hi)
+        checks["level_set_rate_certificates"] = \
+            check_level_set_rate_certificates(
+                level["beta_levelset"], max(refit_ratios), cc.b_frak,
+                cc.c_frak, L, M, config.eps_lo, config.eps_hi, m, rho)
+    checks["growth_conditions"] = certify_growth_conditions(
+        problem, slice_, crit, seed=seed, samples=samples)
+    checks["luo_tseng"] = check_luo_tseng_bound(problem, samples, eps, sigma,
+                                                crit)
+    checks["critical_value_consistency"] = check_critical_value_consistency(
+        problem, slice_.center, crit, delta=2.0 * slice_.radius_eta)
+
+    return {"fits": fits, "checks": checks,
+            "slice": {"center": [float(v) for v in slice_.center],
+                      "eta": slice_.radius_eta, "nu": slice_.value_band_nu,
+                      "F_bar": slice_.F_bar},
+            "n_samples": len(samples), "seed": seed,
+            "kernel": K.label(), "epsilon": eps}

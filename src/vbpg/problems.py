@@ -359,6 +359,8 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
     """
     Q = np.asarray(Q, dtype=float)
     b = as_vector(b)
+    if Q.shape != (b.size, b.size) or not np.isfinite(Q).all():
+        raise ValueError(f"Q must be a finite {b.size} x {b.size} matrix")
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ValueError("Q must be symmetric")
     eigs = np.linalg.eigvalsh(Q)
@@ -542,6 +544,8 @@ def lasso_spec(name: str, A, b, lam: float) -> ProblemSpec:
     """Least squares ||Ax - b||^2 / 2 plus lam ||x||_1 as a quadratic spec."""
     A = np.asarray(A, dtype=float)
     b = as_vector(b)
+    if A.ndim != 2:
+        raise ValueError("lasso A must be a matrix")
     Q = A.T @ A
     c = -(A.T @ b)
     return ProblemSpec(name=name, f_kind="quadratic",

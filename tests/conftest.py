@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from vbpg.core import KernelSpec, SolverConfig
-from vbpg.diagnostics import make_slice, probe_rig, probe_slice
+from vbpg.diagnostics import run_campaign
 from vbpg.problems import ProblemSpec, lasso_spec, shipped_instances
-from vbpg.solver import vbpg_run
 
 EUC = KernelSpec.euclidean()
 
@@ -24,29 +23,13 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def build_campaign(problem, config, x0, eta, nu, n, seed, halfwidth=None,
-                   resolution=None, center=None):
-    """Solve, slice around the solution, probe: the shared diagnostic rig."""
-    trace = vbpg_run(problem, config, np.asarray(x0, dtype=float))
-    c = trace.final_x if center is None else np.asarray(center, dtype=float)
-    slice_ = make_slice(problem, c, eta, nu)
-    K = config.kernel_at(0)
-    eps = config.eps_at(0)
-    grid, crit = probe_rig(problem, K, eps, slice_, halfwidth=halfwidth,
-                           resolution=resolution)
-    samples = probe_slice(problem, K, eps, slice_, n, seed, grid=grid,
-                          crit_points=crit)
-    return {"problem": problem, "config": config, "trace": trace,
-            "slice": slice_, "grid": grid, "crit": crit, "samples": samples,
-            "K": K, "eps": eps}
-
-
 @pytest.fixture(scope="session")
 def lasso_campaign():
     problem = lasso_spec("lasso2", np.eye(2), [1.0, 0.8], 0.5).build()
     config = SolverConfig.constant(0.5, EUC, max_iters=400, step_tol=1e-9)
-    return build_campaign(problem, config, [3.0, -2.0], eta=0.5, nu=0.1,
-                          n=240, seed=5, halfwidth=2.0, resolution=0.005)
+    return run_campaign(problem, config, [3.0, -2.0],
+                        {"eta": 0.5, "nu": 0.1, "n_samples": 240,
+                         "box_halfwidth": 2.0, "resolution": 0.005}, seed=5)
 
 
 @pytest.fixture(scope="session")
@@ -54,8 +37,9 @@ def jump_campaign():
     problem = ProblemSpec("jump", "zero", {}, "jump_quadratic",
                           {"xbar": 0.0}, 1).build()
     config = SolverConfig.constant(0.5, EUC, max_iters=50)
-    return build_campaign(problem, config, [0.8], eta=0.5, nu=1.2, n=200,
-                          seed=7, halfwidth=2.0, center=[0.0])
+    return run_campaign(problem, config, [0.8],
+                        {"center": [0.0], "eta": 0.5, "nu": 1.2,
+                         "n_samples": 200, "box_halfwidth": 2.0}, seed=7)
 
 
 def profile_campaign(profile, n=200, seed=9, eta=0.5, nu=0.6):
@@ -70,8 +54,9 @@ def profile_campaign(profile, n=200, seed=9, eta=0.5, nu=0.6):
         eps = 0.5
     problem = spec.build()
     config = SolverConfig.constant(eps, EUC, max_iters=400, step_tol=1e-12)
-    return build_campaign(problem, config, [1.0], eta=eta, nu=nu, n=n,
-                          seed=seed, halfwidth=2.0, center=[0.0])
+    return run_campaign(problem, config, [1.0],
+                        {"center": [0.0], "eta": eta, "nu": nu, "n_samples": n,
+                         "box_halfwidth": 2.0}, seed)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,8 @@ from vbpg.bregman import (check_descent_inequality, descent_constants,
 from vbpg.core import KernelSpec, SolverConfig, sample_box
 from vbpg.diagnostics import (check_semiconvex_gap_bounds,
                               estimate_level_set_rate, estimate_q_linear_rate,
-                              fit_error_bound, grid_min_F, kl_exponent_sweep)
+                              fit_error_bound, grid_min_F, kl_exponent_sweep,
+                              run_campaign)
 from vbpg.problems import (GridProxOracle, build_regularizer,
                            descent_case_fixtures)
 from vbpg.solver import summability_bound, vbpg_run
@@ -153,13 +154,13 @@ def test_criterion_05_fixed_point_criticality(registry):
 def test_criterion_06_jump_counterexample():
     from vbpg.core import SolverConfig
     from vbpg.problems import jump_spec
-    from conftest import build_campaign
     t0 = time.monotonic()
-    campaign = build_campaign(jump_spec(0.0).build(),
-                              SolverConfig.constant(0.5, EUC, max_iters=50),
-                              [0.8], eta=0.5, nu=1.2, n=200, seed=7,
-                              halfwidth=2.0, center=[0.0])
-    samples = campaign["samples"]
+    campaign = run_campaign(jump_spec(0.0).build(),
+                            SolverConfig.constant(0.5, EUC, max_iters=50),
+                            [0.8], {"center": [0.0], "eta": 0.5, "nu": 1.2,
+                                    "n_samples": 200, "box_halfwidth": 2.0},
+                            seed=7)
+    samples = campaign.samples
     fit = fit_error_bound(samples, "level_subdiff")
     assert abs(fit.exponent - 1.0) <= 1e-6
     assert abs(fit.constant - 1.0) <= 1e-6
@@ -178,7 +179,7 @@ def test_criterion_06_jump_counterexample():
 def test_criterion_07_exponent_map(profile_campaigns):
     targets = {"square": 0.5, 1.5: 1.0 / 3.0, 4.0: 0.75}
     for key, alpha_t in targets.items():
-        samples = profile_campaigns[key]["samples"]
+        samples = profile_campaigns[key].samples
         kl = fit_error_bound(samples, "kl")
         eb = fit_error_bound(samples, "level_subdiff")
         assert abs(kl.exponent - alpha_t) <= 0.05, (key, kl.exponent)
@@ -191,20 +192,20 @@ def test_criterion_07_exponent_map(profile_campaigns):
 def test_criterion_08_rate_chain():
     from vbpg.core import SolverConfig
     from vbpg.problems import lasso_spec
-    from conftest import build_campaign
     t0 = time.monotonic()
     problem = lasso_spec("lasso2", np.eye(2), [1.0, 0.8], 0.5).build()
     config = SolverConfig.constant(0.5, EUC, max_iters=400, step_tol=1e-9)
-    lasso_campaign = build_campaign(problem, config, [3.0, -2.0], eta=0.5,
-                                    nu=0.1, n=240, seed=5, halfwidth=2.0,
-                                    resolution=0.005)
-    p = lasso_campaign["problem"]
-    trace = lasso_campaign["trace"]
-    sl = lasso_campaign["slice"]
-    eps = lasso_campaign["eps"]
+    lasso_campaign = run_campaign(problem, config, [3.0, -2.0],
+                                  {"eta": 0.5, "nu": 0.1, "n_samples": 240,
+                                   "box_halfwidth": 2.0, "resolution": 0.005},
+                                  seed=5)
+    p = lasso_campaign.problem
+    trace = lasso_campaign.trace
+    sl = lasso_campaign.slice
+    eps = lasso_campaign.config.eps_at(0)
     L, m, M = p.f.lipschitz_L, 1.0, 1.0
 
-    fit = fit_error_bound(lasso_campaign["samples"], "level_subdiff")
+    fit = fit_error_bound(lasso_campaign.samples, "level_subdiff")
     # certified gamma in (0,1]: the fitted exponent agrees with 1 within the
     # same +-0.1 fit tolerance used for the exponent-map criterion
     assert 0.0 < fit.exponent <= 1.1, fit.exponent
@@ -233,15 +234,15 @@ def test_criterion_08_rate_chain():
 
 
 def test_criterion_09_level_set_rate(lasso_campaign):
-    p = lasso_campaign["problem"]
-    rep = estimate_level_set_rate(lasso_campaign["trace"], p,
-                                  lasso_campaign["slice"].F_bar,
-                                  lasso_campaign["grid"])
+    p = lasso_campaign.problem
+    rep = estimate_level_set_rate(lasso_campaign.trace, p,
+                                  lasso_campaign.slice.F_bar,
+                                  lasso_campaign.grid)
     beta_ls = rep["beta_levelset"]
     assert beta_ls < 1.0
     refit = max(s.dist_level / s.dist_subdiff
-                for s in lasso_campaign["samples"] if s.dist_subdiff > 0)
-    eps = lasso_campaign["eps"]
+                for s in lasso_campaign.samples if s.dist_subdiff > 0)
+    eps = lasso_campaign.config.eps_at(0)
     rho = p.g.semiconvex_rho  # 0 for the convex l1 penalty
     bound = eps / ((1.0 - beta_ls) * (1.0 - eps * rho))
     assert refit <= bound * 1.05, (refit, bound)

@@ -11,7 +11,7 @@ import pytest
 import vbpg.solver as solver_mod
 from vbpg.bregman import annotate_points, envelope_gap, prox_map
 from vbpg.core import KernelSpec, SmoothObjective, SolverConfig, sample_ball
-from vbpg.diagnostics import (certify_growth_conditions,
+from vbpg.diagnostics import (SublevelGrid, certify_growth_conditions,
                               check_luo_tseng_bound,
                               check_semiconvex_gap_bounds, critical_points,
                               make_slice, probe_slice)
@@ -336,9 +336,11 @@ def test_probe_samples_match_per_sample_reference(K, g_kind, g_params):
     problem = quad_problem(g_kind, g_params)
     eps = 0.3
     slice_ = make_slice(problem, [0.2, 0.1], 0.6, 0.4)
-    samples = probe_slice(problem, K, eps, slice_, 60, 3)
+    grid = SublevelGrid(problem, slice_.center, 2.4,
+                        extra_points=[slice_.center])
     crit = critical_points(problem, K, eps, slice_.center, 1.2,
                            seeds_per_axis=5)
+    samples = probe_slice(problem, K, eps, slice_, 60, 3, grid, crit)
     ref = reference_samples(problem, K, eps, slice_,
                             [s.x for s in samples], crit)
     for s, r in zip(samples, ref):
@@ -396,8 +398,8 @@ def test_semiconvex_slacks_skip_points_outside_dom_g():
 
 def test_luo_tseng_matches_per_sample_residuals(lasso_campaign):
     camp = lasso_campaign
-    p, samples = camp["problem"], camp["samples"]
-    rep = check_luo_tseng_bound(p, samples, 0.5, 0.12, camp["crit"])
+    p, samples = camp.problem, camp.samples
+    rep = check_luo_tseng_bound(p, samples, 0.5, 0.12, camp.crit)
     r = [float(np.linalg.norm(s.x - p.g.scaled_prox(
         s.x, p.f.gradient(s.x), 1.0, 0.5)[0])) for s in samples]
     X = np.array([s.x for s in samples])

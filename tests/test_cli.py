@@ -89,6 +89,19 @@ class TestProbe:
         assert header == ("x0,dist_level,dist_subdiff,value_gap,dist_prox,"
                           "dist_crit,property_A")
 
+    def test_report_is_the_pipeline_report(self, tmp_path):
+        # vbpg probe writes exactly run_campaign + eb_report
+        from vbpg import cli, diagnostics as dx
+        assert run(["probe", "--config", CONFIGS / "quad_mcp.json",
+                    "--seed", 3, "--out", tmp_path]) == 0
+        cfg = json.loads((CONFIGS / "quad_mcp.json").read_text())
+        problem = cli.problem_from_spec(cli.problem_spec_from_config(cfg))
+        config = cli.solver_config_from_config(cfg, problem)
+        campaign = dx.run_campaign(problem, config, cfg["x0"], cfg["probe"], 3)
+        report = json.dumps(dx.eb_report(campaign, 3), indent=2,
+                            sort_keys=True) + "\n"
+        assert (tmp_path / "eb_report.json").read_text() == report
+
     def test_empty_slice_exit_3(self, tmp_path):
         cfg = json.loads((CONFIGS / "jump_probe.json").read_text())
         cfg["probe"]["nu"] = 0.5  # below the jump: band is empty
@@ -375,6 +388,58 @@ class TestFailureContract:
         assert run(["compare", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert capsys.readouterr().err == (
             "config parse error: diagonal kernel weights must be positive\n")
+
+
+def _with(path, key_path, value):
+    """A shipped config with the value at ``key_path`` replaced."""
+    cfg = json.loads((CONFIGS / path).read_text())
+    node = cfg
+    for key in key_path[:-1]:
+        node = node[key]
+    node[key_path[-1]] = value
+    return cfg
+
+
+class TestSectionTypes:
+    """Problem and solver sections of the wrong JSON type end in exit 1
+    with one ``config parse error`` line, not a traceback."""
+
+    @pytest.mark.parametrize("cfg,message", [
+        (_with("lasso.json", ("problem", "params", "A"), "x"),
+         "could not convert string to float: 'x'"),
+        (_with("lasso.json", ("problem", "params", "g"), "l1"),
+         "problem.params.g must be a JSON object"),
+        (_with("quad_mcp.json", ("problem", "params", "b"), 5),
+         "object of type 'int' has no len()"),
+        ({"problem": {"kind": "profile", "params": {"id": ["a"]}}},
+         "unknown profile id ['a']"),
+        (_with("lasso.json", ("solver",), "x"), "solver must be a JSON object"),
+    ], ids=["lasso_A_string", "g_string", "quadratic_b_int", "profile_id_list",
+            "solver_string"])
+    def test_solve_exit_1(self, tmp_path, capsys, cfg, message):
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run(["solve", "--config", path, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == f"config parse error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("kernel,message", [
+        ({"kind": "diagonal", "d": [1, 2, 3]},
+         "diagonal kernel has dimension 3, problem has 2"),
+        ({"kind": "diagonal", "d": [2]},
+         "diagonal kernel has dimension 1, problem has 2"),
+        ({"kind": "quadratic", "A": np.eye(3).tolist()},
+         "quadratic kernel has dimension 3, problem has 2"),
+    ], ids=["diagonal_3", "diagonal_1", "quadratic_3x3"])
+    def test_kernel_dimension_exit_1(self, tmp_path, capsys, command, kernel,
+                                     message):
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        if command == "solve":
+            cfg["solver"]["kernel"] = kernel
+        else:
+            cfg["compare"] = {"kernels": [kernel]}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run([command, "--config", path, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == f"config parse error: {message}\n"
 
 
 class TestDeterminism:

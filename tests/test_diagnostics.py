@@ -16,11 +16,9 @@ from vbpg.diagnostics import (DegenerateSampleError, EBFit, SliceEmptyError,
                               check_luo_tseng_bound, critical_points,
                               estimate_level_set_rate, estimate_q_linear_rate,
                               fit_error_bound, grid_min_F, kl_exponent_sweep,
-                              make_slice, probe_slice, sublevel_projection)
+                              make_slice, probe_slice, run_campaign)
 from vbpg.problems import ProblemSpec, lasso_spec
 from vbpg.solver import vbpg_run
-
-from conftest import build_campaign
 
 EUC = KernelSpec.euclidean()
 
@@ -32,18 +30,20 @@ def square_problem():
 
 class TestSublevelProjection:
     def test_parabola_right(self):
-        d, proj = sublevel_projection(square_problem(), 1.0, [2.0])
+        grid = SublevelGrid(square_problem(), [2.0], 6.0)
+        d, proj = grid.project(1.0, [2.0])
         assert d == pytest.approx(1.0, abs=1e-6)
         assert proj[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_parabola_left(self):
-        d, proj = sublevel_projection(square_problem(), 1.0, [-3.0])
+        grid = SublevelGrid(square_problem(), [-3.0], 6.0)
+        d, proj = grid.project(1.0, [-3.0])
         assert d == pytest.approx(2.0, abs=1e-6)
         assert proj[0] == pytest.approx(-1.0, abs=1e-6)
 
     def test_boundary_value_check(self):
         p = square_problem()
-        _, proj = sublevel_projection(p, 1.0, [2.5])
+        _, proj = SublevelGrid(p, [2.5], 6.0).project(1.0, [2.5])
         assert abs(p.F(proj) - 1.0) <= 1e-6
 
     def test_inside_sublevel_returns_zero(self):
@@ -55,13 +55,13 @@ class TestSublevelProjection:
         p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
         F_bar = p.F(np.array([0.6, 0.35]))
         x = np.array([1.1, 0.9])
-        d1, _ = sublevel_projection(p, F_bar, x, resolution=0.01, halfwidth=2.0)
-        d2, _ = sublevel_projection(p, F_bar, x, resolution=0.002, halfwidth=2.0)
+        d1, _ = SublevelGrid(p, x, 2.0, resolution=0.01).project(F_bar, x)
+        d2, _ = SublevelGrid(p, x, 2.0, resolution=0.002).project(F_bar, x)
         assert abs(d1 - d2) <= 2 * 0.01
 
     def test_empty_sublevel_raises(self):
         with pytest.raises(SliceEmptyError):
-            sublevel_projection(square_problem(), -1.0, [2.0], halfwidth=3.0)
+            SublevelGrid(square_problem(), [2.0], 3.0).project(-1.0, [2.0])
 
     def test_grid_min(self):
         p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
@@ -210,16 +210,16 @@ class TestBatchedProjection:
 
 class TestProbeSlice:
     def test_jump_distances_exact(self, jump_campaign):
-        for s in jump_campaign["samples"]:
+        for s in jump_campaign.samples:
             assert s.dist_level == abs(s.x[0])
             assert s.dist_subdiff == abs(s.x[0])
             assert s.property_A
 
     def test_quadratic_at_minimum_property_A(self, profile_campaigns):
         camp = profile_campaigns["square"]
-        assert all(s.property_A for s in camp["samples"])
-        for s in camp["samples"]:
-            assert 0 < s.value_gap < camp["slice"].value_band_nu
+        assert all(s.property_A for s in camp.samples)
+        for s in camp.samples:
+            assert 0 < s.value_gap < camp.slice.value_band_nu
             assert s.dist_level > 0 and s.dist_prox >= 0
 
     def test_empty_band_raises(self):
@@ -232,11 +232,16 @@ class TestProbeSlice:
                         crit_points=np.zeros((1, 1)), max_draws=20000)
 
     def test_membership_predicate(self, lasso_campaign):
-        sl = lasso_campaign["slice"]
-        p = lasso_campaign["problem"]
-        for s in lasso_campaign["samples"][:50]:
-            assert sl.contains(p, s.x)
-        assert not sl.contains(p, sl.center + 10.0)
+        sl = lasso_campaign.slice
+        p = lasso_campaign.problem
+
+        def in_slice(x):
+            return (np.linalg.norm(x - sl.center) < sl.radius_eta
+                    and sl.F_bar < p.F(x) < sl.F_bar + sl.value_band_nu)
+
+        for s in lasso_campaign.samples[:50]:
+            assert in_slice(s.x)
+        assert not in_slice(sl.center + 10.0)
 
 
 class TestCriticalPoints:
@@ -248,14 +253,14 @@ class TestCriticalPoints:
 
     def test_value_consistency_check(self, lasso_campaign):
         rep = check_critical_value_consistency(
-            lasso_campaign["problem"], lasso_campaign["slice"].center,
-            lasso_campaign["crit"], delta=1.0)
+            lasso_campaign.problem, lasso_campaign.slice.center,
+            lasso_campaign.crit, delta=1.0)
         assert rep["ok"]
 
 
 class TestFits:
     def test_square_kl_and_sharpness(self, profile_campaigns):
-        samples = profile_campaigns["square"]["samples"]
+        samples = profile_campaigns["square"].samples
         kl = fit_error_bound(samples, "kl")
         sharp = fit_error_bound(samples, "sharpness")
         assert kl.exponent == pytest.approx(0.5, abs=0.02)
@@ -268,26 +273,27 @@ class TestFits:
         # kink, so the exponent is unidentifiable and defaults to 1
         p = ProblemSpec("abs", "zero", {}, "l1", {"lam": 1.0}, 1).build()
         cfg = SolverConfig.constant(0.5, EUC, max_iters=60)
-        camp = build_campaign(p, cfg, [0.7], eta=0.5, nu=0.6, n=120, seed=3,
-                              halfwidth=2.0, center=[0.0])
-        fit = fit_error_bound(camp["samples"], "level_subdiff")
+        camp = run_campaign(p, cfg, [0.7],
+                            {"center": [0.0], "eta": 0.5, "nu": 0.6,
+                             "n_samples": 120, "box_halfwidth": 2.0}, seed=3)
+        fit = fit_error_bound(camp.samples, "level_subdiff")
         assert fit.exponent == 1.0
         assert fit.r_squared == 0.0
         assert fit.violated_fraction == 0.0
         assert fit.constant <= 0.5 + 1e-9  # envelope max |x| inside the slice
 
     def test_jump_certifies_subdiff_eb_but_fails_kl(self, jump_campaign):
-        fit = fit_error_bound(jump_campaign["samples"], "level_subdiff")
+        fit = fit_error_bound(jump_campaign.samples, "level_subdiff")
         assert fit.exponent == pytest.approx(1.0, abs=1e-6)
         assert fit.constant == pytest.approx(1.0, abs=1e-6)
         assert fit.violated_fraction == 0.0
-        sweep = kl_exponent_sweep(jump_campaign["samples"],
+        sweep = kl_exponent_sweep(jump_campaign.samples,
                                   [0.1, 0.3, 0.5, 0.7, 0.9])
         assert all(row["violated_fraction"] >= 0.99 for row in sweep)
 
     def test_kl_sweep_detects_exponent_threshold(self, profile_campaigns):
         # x^2 has KL exponent 1/2: alpha below fails, at/above holds
-        samples = profile_campaigns["square"]["samples"]
+        samples = profile_campaigns["square"].samples
         rows = {row["alpha"]: row["violated_fraction"]
                 for row in kl_exponent_sweep(samples, [0.3, 0.5, 0.7])}
         assert rows[0.3] >= 0.99
@@ -296,18 +302,18 @@ class TestFits:
 
     def test_requires_thirty_samples(self, lasso_campaign):
         with pytest.raises(ValueError):
-            fit_error_bound(lasso_campaign["samples"][:10], "kl")
+            fit_error_bound(lasso_campaign.samples[:10], "kl")
 
     def test_degenerate_sample_error(self, lasso_campaign):
         import dataclasses
         dead = [dataclasses.replace(s, dist_level=0.0)
-                for s in lasso_campaign["samples"]]
+                for s in lasso_campaign.samples]
         with pytest.raises(DegenerateSampleError):
             fit_error_bound(dead, "level_subdiff")
 
     def test_unknown_kind(self, lasso_campaign):
         with pytest.raises(ValueError):
-            fit_error_bound(lasso_campaign["samples"], "nope")
+            fit_error_bound(lasso_campaign.samples, "nope")
 
     def test_holdout_stability_gate(self, lasso_campaign, profile_campaigns,
                                     jump_campaign):
@@ -315,7 +321,7 @@ class TestFits:
         for camp in (lasso_campaign, profile_campaigns["square"],
                      jump_campaign):
             for kind in ("level_subdiff", "kl", "sharpness"):
-                fit = fit_error_bound(camp["samples"], kind)
+                fit = fit_error_bound(camp.samples, kind)
                 if fit.r_squared > 0.95:
                     assert fit.violated_fraction <= 0.02, (kind, fit)
 
@@ -340,7 +346,7 @@ class TestExponentMaps:
         targets = {"square": (0.5, 1.0), 1.5: (1.0 / 3.0, 0.5),
                    4.0: (0.75, 3.0)}
         for key, (alpha_t, gamma_t) in targets.items():
-            samples = profile_campaigns[key]["samples"]
+            samples = profile_campaigns[key].samples
             kl = fit_error_bound(samples, "kl")
             eb = fit_error_bound(samples, "level_subdiff")
             sharp = fit_error_bound(samples, "sharpness")
@@ -354,23 +360,23 @@ class TestExponentMaps:
     def test_subdiff_implies_prox_eb_map(self, profile_campaigns, key,
                                          gamma_t, p_t):
         camp = profile_campaigns.get(key) or profile_campaigns[key]
-        samples, sl = camp["samples"], camp["slice"]
-        p = camp["problem"]
+        samples, sl = camp.samples, camp.slice
+        p = camp.problem
         fit = fit_error_bound(samples, "level_subdiff")
         assert fit.exponent == pytest.approx(gamma_t, abs=0.1)
         rep = check_subdiff_implies_prox_eb(
             samples, sl, fit, p.f.lipschitz_L, 1.0, 1.0,
-            camp["eps"], camp["eps"])
+            camp.config.eps_at(0), camp.config.eps_at(0))
         assert not rep["gated"]
         assert rep["p"] == pytest.approx(p_t, abs=0.1)
         assert rep["n_checked"] > 0
         assert rep["n_violations"] == 0
 
     def test_lasso_prox_eb_zero_violations(self, lasso_campaign):
-        fit = fit_error_bound(lasso_campaign["samples"], "level_subdiff")
-        p = lasso_campaign["problem"]
+        fit = fit_error_bound(lasso_campaign.samples, "level_subdiff")
+        p = lasso_campaign.problem
         rep = check_subdiff_implies_prox_eb(
-            lasso_campaign["samples"], lasso_campaign["slice"], fit,
+            lasso_campaign.samples, lasso_campaign.slice, fit,
             p.f.lipschitz_L, 1.0, 1.0, 0.5, 0.5)
         assert rep["n_violations"] == 0
 
@@ -379,7 +385,7 @@ class TestExponentMaps:
         fit = EBFit("level_subdiff", exponent=1e-3, constant=10.0,
                     r_squared=0.0, n_samples=240, violated_fraction=0.0)
         rep = check_subdiff_implies_prox_eb(
-            lasso_campaign["samples"], lasso_campaign["slice"], fit,
+            lasso_campaign.samples, lasso_campaign.slice, fit,
             1.0, 1.0, 1.0, 0.5, 0.5)
         assert rep == {"check": "subdiff_implies_prox_eb", "gated": True,
                        "reason": "theta not finite"}
@@ -389,9 +395,9 @@ class TestExponentMaps:
 
 class TestValueProximity:
     def test_lasso_zero_violations(self, lasso_campaign):
-        p = lasso_campaign["problem"]
-        rep = check_value_proximity(lasso_campaign["samples"],
-                                    lasso_campaign["slice"].F_bar,
+        p = lasso_campaign.problem
+        rep = check_value_proximity(lasso_campaign.samples,
+                                    lasso_campaign.slice.F_bar,
                                     p.f.lipschitz_L, 1.0, 0.5)
         assert rep["min_slack_envelope_vs_proxF"] >= -1e-8
         assert rep["min_slack_c0_bound"] >= -1e-8
@@ -402,9 +408,11 @@ class TestValueProximity:
                            "mcp", {"lam": 0.6, "gamma": 4.0}, 2)
         p = spec.build()
         cfg = SolverConfig.constant(0.4, EUC, max_iters=800, step_tol=1e-11)
-        camp = build_campaign(p, cfg, [1.5, 1.0], eta=0.5, nu=0.1, n=120,
-                              seed=11, halfwidth=2.0, resolution=0.005)
-        rep = check_value_proximity(camp["samples"], camp["slice"].F_bar,
+        camp = run_campaign(p, cfg, [1.5, 1.0],
+                            {"eta": 0.5, "nu": 0.1, "n_samples": 120,
+                             "box_halfwidth": 2.0, "resolution": 0.005},
+                            seed=11)
+        rep = check_value_proximity(camp.samples, camp.slice.F_bar,
                                     p.f.lipschitz_L, 1.0, 0.4)
         assert rep["min_slack_envelope_vs_proxF"] >= -1e-8
         assert rep["min_slack_c0_bound"] >= -1e-8
@@ -421,9 +429,9 @@ class TestValueProximity:
         assert rep["min_slack_c0_bound"] >= 0.0
 
     def test_step_containment(self, lasso_campaign):
-        p = lasso_campaign["problem"]
-        rep = check_step_containment(lasso_campaign["samples"],
-                                     lasso_campaign["slice"], 1.0,
+        p = lasso_campaign.problem
+        rep = check_step_containment(lasso_campaign.samples,
+                                     lasso_campaign.slice, 1.0,
                                      p.f.lipschitz_L, 0.5)
         assert rep["n_checked"] > 0
         assert rep["n_violations"] == 0
@@ -431,8 +439,8 @@ class TestValueProximity:
 
 class TestGapConditionLinks:
     def test_lasso_both_directions(self, lasso_campaign):
-        fit = fit_error_bound(lasso_campaign["samples"], "level_bregman")
-        rep = check_gap_condition_links(lasso_campaign["samples"], fit,
+        fit = fit_error_bound(lasso_campaign.samples, "level_bregman")
+        rep = check_gap_condition_links(lasso_campaign.samples, fit,
                                         1.0, 0.5, 0.0)
         assert not rep["gated"]
         assert rep["q"] == 1.0  # p ~ 1 maps to q = 1
@@ -440,12 +448,12 @@ class TestGapConditionLinks:
         assert rep["n_violations"] == 0
         # gap-condition exponent q maps to KL exponent q/2, consistent with
         # the independent KL fit up to fit tolerance
-        kl = fit_error_bound(lasso_campaign["samples"], "kl")
+        kl = fit_error_bound(lasso_campaign.samples, "kl")
         assert abs(rep["kl_exponent"] - kl.exponent) <= 0.1
 
     def test_gated_without_semiconvexity(self, jump_campaign):
-        fit = fit_error_bound(jump_campaign["samples"], "level_bregman")
-        rep = check_gap_condition_links(jump_campaign["samples"], fit,
+        fit = fit_error_bound(jump_campaign.samples, "level_bregman")
+        rep = check_gap_condition_links(jump_campaign.samples, fit,
                                         1.0, 0.5, math.inf)
         assert rep["gated"]
 
@@ -506,9 +514,9 @@ class TestRates:
         assert rep["beta_levelset"] == pytest.approx(0.6, abs=0.01)
 
     def test_level_set_rate_converged_report(self, jump_campaign):
-        rep = estimate_level_set_rate(jump_campaign["trace"],
-                                      jump_campaign["problem"], -1.0,
-                                      jump_campaign["grid"])
+        rep = estimate_level_set_rate(jump_campaign.trace,
+                                      jump_campaign.problem, -1.0,
+                                      jump_campaign.grid)
         assert rep["converged"]
         assert math.isnan(rep["beta_levelset"])
 
@@ -538,14 +546,15 @@ class TestRateCertificates:
                         "zero", {}, 2).build()
         K = KernelSpec.diagonal([1.0, 1.001])
         cfg = SolverConfig.constant(0.05, K, max_iters=60, step_tol=0.0)
-        camp = build_campaign(p, cfg, [3.0, 2.5], eta=0.4, nu=0.5, n=100,
-                              seed=13, halfwidth=3.5, resolution=0.005,
-                              center=[1.0, 1.0])
-        rep_rate = estimate_level_set_rate(camp["trace"], p,
-                                           camp["slice"].F_bar, camp["grid"])
+        camp = run_campaign(p, cfg, [3.0, 2.5],
+                            {"center": [1.0, 1.0], "eta": 0.4, "nu": 0.5,
+                             "n_samples": 100, "box_halfwidth": 3.5,
+                             "resolution": 0.005}, seed=13)
+        rep_rate = estimate_level_set_rate(camp.trace, p,
+                                           camp.slice.F_bar, camp.grid)
         beta = rep_rate["beta_levelset"]
         assert beta < 1.0
-        refit = max(s.dist_level / s.dist_subdiff for s in camp["samples"])
+        refit = max(s.dist_level / s.dist_subdiff for s in camp.samples)
         cc = descent_constants(descent_case(p), K.m, K.M, p.f.lipschitz_L,
                                0.05, 0.05)
         rep = check_level_set_rate_certificates(
@@ -588,9 +597,9 @@ class TestGrowthConditions:
 
     def test_weak_subreg_conclusion_on_probe(self, lasso_campaign):
         rep = certify_growth_conditions(
-            lasso_campaign["problem"], lasso_campaign["slice"],
-            lasso_campaign["crit"], seed=3,
-            samples=lasso_campaign["samples"])
+            lasso_campaign.problem, lasso_campaign.slice,
+            lasso_campaign.crit, seed=3,
+            samples=lasso_campaign.samples)
         assert not rep["weak_subreg"]["gated"]
         assert rep["weak_subreg"]["n_violations"] == 0
 
@@ -607,26 +616,26 @@ class TestGrowthConditions:
 
 class TestLuoTseng:
     def test_lasso_fit_and_bound(self, lasso_campaign):
-        rep = check_luo_tseng_bound(lasso_campaign["problem"],
-                                    lasso_campaign["samples"], 0.5, 0.5,
-                                    lasso_campaign["crit"])
+        rep = check_luo_tseng_bound(lasso_campaign.problem,
+                                    lasso_campaign.samples, 0.5, 0.5,
+                                    lasso_campaign.crit)
         assert not rep["gated"]
         assert math.isfinite(rep["c6"]) and rep["c6"] > 0
         assert rep["n_violations"] == 0
 
     def test_residual_filter_semantics(self, lasso_campaign):
-        rep = check_luo_tseng_bound(lasso_campaign["problem"],
-                                    lasso_campaign["samples"], 0.5, 0.12,
-                                    lasso_campaign["crit"])
+        rep = check_luo_tseng_bound(lasso_campaign.problem,
+                                    lasso_campaign.samples, 0.5, 0.12,
+                                    lasso_campaign.crit)
         assert rep["n_excluded"] > 0
 
     def test_critical_point_both_sides_zero(self, lasso_campaign):
-        p = lasso_campaign["problem"]
-        xhat = lasso_campaign["trace"].final_x
+        p = lasso_campaign.problem
+        xhat = lasso_campaign.trace.final_x
         ones = np.ones(p.dim)
         prox_pt, _ = p.g.scaled_prox(xhat, p.f.gradient(xhat), ones, 0.5)
         assert np.linalg.norm(xhat - prox_pt) <= 1e-8
-        assert min(np.linalg.norm(lasso_campaign["crit"] - xhat, axis=1)) <= 1e-7
+        assert min(np.linalg.norm(lasso_campaign.crit - xhat, axis=1)) <= 1e-7
 
     def test_diagonal_kernel_probe_still_certifies(self):
         # the residual bound is stated through the euclidean prox-gradient
@@ -636,10 +645,12 @@ class TestLuoTseng:
                          }, "box", {"lo": -1.0, "hi": 1.0}, 2).build()
         K = KernelSpec.diagonal([1.5, 1.0])
         cfg = SolverConfig.constant(0.6, K, max_iters=600, step_tol=1e-10)
-        camp = build_campaign(p, cfg, [0.2, 0.9], eta=0.4, nu=0.2, n=120,
-                              seed=3, halfwidth=1.8, resolution=0.005)
-        rep = check_luo_tseng_bound(p, camp["samples"], 0.6, 0.5,
-                                    camp["crit"])
+        camp = run_campaign(p, cfg, [0.2, 0.9],
+                            {"eta": 0.4, "nu": 0.2, "n_samples": 120,
+                             "box_halfwidth": 1.8, "resolution": 0.005},
+                            seed=3)
+        rep = check_luo_tseng_bound(p, camp.samples, 0.6, 0.5,
+                                    camp.crit)
         assert not rep["gated"]
         assert rep["n_violations"] == 0
 
