@@ -38,10 +38,9 @@ def main(argv=None):
     print(f"level-set subdifferential EB: exponent {fit['exponent']:.6f}, "
           f"constant {fit['constant']:.6f}, "
           f"held-out violations {fit['violated_fraction']:.1%}")
-    gaps = [s.value_gap for s in campaign.samples]
-    res = [s.dist_subdiff for s in campaign.samples]
-    print(f"value gaps stay in [{min(gaps):.4f}, {max(gaps):.4f}] while "
-          f"residuals span [{min(res):.2e}, {max(res):.2e}]")
+    gaps, res = campaign.samples.value_gap, campaign.samples.dist_subdiff
+    print(f"value gaps stay in [{gaps.min():.4f}, {gaps.max():.4f}] while "
+          f"residuals span [{res.min():.2e}, {res.max():.2e}]")
 
     print("\nKL sweep (fraction of near-critical samples violating "
           "dist >= c * gap^alpha):")

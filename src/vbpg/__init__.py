@@ -14,7 +14,7 @@ from .solver import (Trace, kernel_schedule_jacobi, summability_bound,
                      vbpg_final_points, vbpg_run, vbpg_step)
 from .problems import (ProblemSpec, build_problem, build_regularizer,
                        descent_case_fixtures, lasso_spec, shipped_instances)
-from .diagnostics import (Campaign, EBFit, LevelSlice, ProbeSample,
+from .diagnostics import (Campaign, EBFit, LevelSlice, ProbeSamples,
                           SublevelGrid, critical_points, eb_report,
                           estimate_level_set_rate, estimate_q_linear_rate,
                           fit_error_bound, kl_exponent_sweep, make_slice,

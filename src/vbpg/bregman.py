@@ -233,6 +233,12 @@ def residual_bound(L: float, M: float, eps_lo: float) -> float:
     return L + M / eps_lo
 
 
+def decrease_constant(m: float, L: float, eps_hi: float) -> float:
+    """Sufficient-decrease constant a = (m/eps_hi - L)/2 of
+    F(x) - F(T(x)) >= a ||x - T(x)||^2."""
+    return 0.5 * (m / eps_hi - L)
+
+
 @dataclass(frozen=True)
 class DescentConstants:
     """Coefficients (a, b, c) of the generalized descent inequality

@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from .bregman import (annotate_points, descent_case, descent_constants,
-                      descent_slack_rows, residual_bound, subgradient_rows)
-from .core import row_dots, row_norms, sample_box, vector_norm
+from .bregman import (annotate_points, decrease_constant, descent_case,
+                      descent_constants, descent_slack_rows, residual_bound,
+                      subgradient_rows)
+from .core import min_or_inf, row_dots, row_norms, sample_box, vector_norm
 from .diagnostics import check_semiconvex_gap_bounds, grid_min_F
 from .problems import GridProxOracle, ShippedInstance, shipped_instances
 from .solver import vbpg_run
@@ -30,10 +31,6 @@ def _finite_samples(problem, rng, n, center, halfwidth):
     X = sample_box(rng, 2 * n, center, halfwidth)
     keep = np.isfinite(problem.F_batch(X))
     return X[keep][:n]
-
-
-def _min(a) -> float:
-    return float(np.min(a, initial=math.inf))
 
 
 def check_gradient_lipschitz(inst: ShippedInstance, rng, n=1000):
@@ -59,8 +56,9 @@ def check_kernel_bounds(inst: ShippedInstance, rng, n=500):
         r2 = row_dots(X - Y, X - Y)
         D = K.distance_rows(X, Y)
         gy = row_norms(K.grad_y_rows(X, Y))
-        worst = min(worst, _min(D - 0.5 * K.m * r2), _min(0.5 * K.M * r2 - D),
-                    _min(K.M * np.sqrt(r2) * (1 + 1e-9) - gy))
+        worst = min(worst, min_or_inf(D - 0.5 * K.m * r2),
+                    min_or_inf(0.5 * K.M * r2 - D),
+                    min_or_inf(K.M * np.sqrt(r2) * (1 + 1e-9) - gy))
     return _record("kernel_distance_bounds", inst.spec.name,
                    worst >= -1e-10, worst)
 
@@ -74,7 +72,7 @@ def check_prox_invariants(inst: ShippedInstance, rng, n=300):
     eps = inst.config.eps_at(0)
     L = problem.f.lipschitz_L
     consts = descent_constants(descent_case(problem), K.m, K.M, L, eps, eps)
-    a = 0.5 * (K.m / eps - L)
+    a = decrease_constant(K.m, L, eps)
     bound = residual_bound(L, K.M, eps)
     X = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
     U = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
@@ -87,12 +85,12 @@ def check_prox_invariants(inst: ShippedInstance, rng, n=300):
     gap_err = float(np.max(np.where(broken, np.maximum(gap_err, 1.0), gap_err),
                            initial=0.0))
     k = min(len(X), len(U))
-    descent = _min(descent_slack_rows(consts, X[:k], U[:k], T[:k], Ft[:k],
-                                      problem.F_batch(U[:k])))
+    descent = min_or_inf(descent_slack_rows(consts, X[:k], U[:k], T[:k],
+                                            Ft[:k], problem.F_batch(U[:k])))
     r2 = row_dots(X - T, X - T)
-    decrease = _min(np.minimum(E - a * r2 - Ft, Fx - a * r2 - Ft))
+    decrease = min_or_inf(np.minimum(E - a * r2 - Ft, Fx - a * r2 - Ft))
     xi = subgradient_rows(K, eps, X, T, ann.grad, problem.f.grad_batch(T))
-    resid = _min(bound * ann.dist_prox * (1 + 1e-9) - row_norms(xi))
+    resid = min_or_inf(bound * ann.dist_prox * (1 + 1e-9) - row_norms(xi))
     name = inst.spec.name
     return [_record("gap_identity", name, gap_err <= 1e-10, 1e-10 - gap_err,
                     f"max relative identity error {gap_err:.3g}"),
@@ -130,7 +128,7 @@ def check_semiconvex_midpoint(inst: ShippedInstance, rng, n=400):
     # extended-value convexity is vacuous where rhs is infinite
     fin = np.isfinite(rhs)
     lhs = phi(0.5 * (S[fin] + T[fin]))
-    worst = float(np.min(rhs[fin] - lhs, initial=math.inf))
+    worst = min_or_inf(rhs[fin] - lhs)
     return _record("semiconvex_midpoint", inst.spec.name, worst >= -1e-10, worst,
                    f"rho={rho:g}")
 
@@ -147,7 +145,7 @@ def check_solver_run(inst: ShippedInstance, rng):
     moved = (np.array(trace.step_norms)
              >= 1e-7 * (1.0 + vector_norm(trace.final_x)))
     mono_ok = not np.any(rise | (moved & ~(fv[1:] < fv[:-1])))
-    a = 0.5 * (config.m / config.eps_hi - problem.f.lipschitz_L)
+    a = decrease_constant(config.m, problem.f.lipschitz_L, config.eps_hi)
     ss = float(np.sum(np.square(trace.step_norms)))
     if problem.dim <= 3:
         F_star = grid_min_F(problem, inst.box_center(),

@@ -66,14 +66,14 @@ class ConfigError(ValueError):
 
 
 def _as_config_error(build):
-    """``build`` raising the ValueError of an out-of-domain parameter, or
-    the TypeError of a parameter of the wrong JSON type, as a
-    ConfigError."""
+    """``build`` raising the ValueError of an out-of-domain parameter, the
+    TypeError of a parameter of the wrong JSON type, or the OverflowError
+    of an integer too large for a float, as a ConfigError."""
     @functools.wraps(build)
     def wrapped(*args, **kwargs):
         try:
             return build(*args, **kwargs)
-        except (ValueError, TypeError) as exc:  # ConfigError: same message
+        except (ValueError, TypeError, OverflowError) as exc:  # same message
             raise ConfigError(str(exc)) from exc
     return wrapped
 
@@ -172,19 +172,41 @@ def _hessian_of(problem: Problem):
     return H
 
 
+def _number(value, name: str, integer: bool = False, zero_ok: bool = False,
+            optional: bool = False):
+    """``value``, the config entry ``name``, as a positive finite float
+    (nonnegative with ``zero_ok``; an int with ``integer``, which integral
+    floats such as 400.0 pass).  Bools fail; ``optional`` passes None."""
+    if value is None and optional:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < 0
+            or (value == 0 and not zero_ok)
+            or (integer and value != int(value))):
+        kind = ("nonnegative " if zero_ok else "positive ") + (
+            "integer" if integer else "number")
+        raise ConfigError(f"{name} must be a {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 @_as_config_error
 def solver_config_from_config(cfg: dict, problem: Problem) -> SolverConfig:
+    """The solver section, each number checked by ``_number``."""
     sc = _object(cfg.get("solver", {}), "solver")
     eps = sc.get("epsilon", 0.5)
-    epsilons = tuple(float(e) for e in (eps if isinstance(eps, list) else [eps]))
+    epsilons = tuple(_number(e, "solver.epsilon")
+                     for e in (eps if isinstance(eps, list) else [eps]))
     kc = sc.get("kernel", {"kind": "euclidean"})
     kcs = kc if isinstance(kc, list) else [kc]
     kernels = tuple(kernel_from_config(k, problem) for k in kcs)
-    return SolverConfig(epsilons=epsilons, kernels=kernels,
-                        max_iters=int(sc.get("max_iters", 500)),
-                        step_tol=(None if sc.get("step_tol") is None
-                                  else float(sc["step_tol"])),
-                        trace_every=int(sc.get("trace_every", 1)))
+    return SolverConfig(
+        epsilons=epsilons, kernels=kernels,
+        max_iters=_number(sc.get("max_iters", 500), "solver.max_iters",
+                          integer=True, zero_ok=True),
+        step_tol=_number(sc.get("step_tol"), "solver.step_tol",
+                         optional=True),
+        trace_every=_number(sc.get("trace_every", 1), "solver.trace_every",
+                            integer=True))
 
 
 @_as_config_error
@@ -244,16 +266,6 @@ def cmd_solve(cfg, args, out: Path) -> int:
     return 0
 
 
-def _positive(pc: dict, key: str, optional: bool = False):
-    v = pc[key]
-    if v is None and optional:
-        return None
-    if (isinstance(v, bool) or not isinstance(v, (int, float))
-            or not math.isfinite(v) or v <= 0):
-        raise ConfigError(f"probe.{key} must be a positive number, got {v!r}")
-    return float(v)
-
-
 @_as_config_error
 def _probe_params(cfg: dict, problem: Problem) -> dict:
     """The probe section with its defaults filled in, every parameter
@@ -269,16 +281,11 @@ def _probe_params(cfg: dict, problem: Problem) -> dict:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"probe.center must be \"solve\" or a point: "
                               f"{exc}") from exc
-    n = pc["n_samples"]
-    if (isinstance(n, bool) or not isinstance(n, (int, float))
-            or not math.isfinite(n) or n != int(n) or n < 1):
-        raise ConfigError(f"probe.n_samples must be a positive integer, "
-                          f"got {n!r}")
-    return {"center": center, "eta": _positive(pc, "eta"),
-            "nu": _positive(pc, "nu", optional=True), "n_samples": int(n),
-            "resolution": _positive(pc, "resolution", optional=True),
-            "box_halfwidth": _positive(pc, "box_halfwidth", optional=True),
-            "sigma": _positive(pc, "sigma")}
+    n = _number(pc["n_samples"], "probe.n_samples", integer=True)
+    return {"center": center, "n_samples": n, **{
+        key: _number(pc[key], f"probe.{key}",
+                     optional=key not in ("eta", "sigma"))
+        for key in ("eta", "nu", "resolution", "box_halfwidth", "sigma")}}
 
 
 def cmd_probe(cfg, args, out: Path) -> int:
@@ -307,6 +314,17 @@ def cmd_probe(cfg, args, out: Path) -> int:
     return 0
 
 
+@_as_config_error
+def check_instance_from_config(cfg: dict, spec: ProblemSpec, problem: Problem,
+                               config: SolverConfig) -> ShippedInstance:
+    """The instance ``vbpg check`` runs: x0 defaults to 0.5 per coordinate
+    and ``check.halfwidth`` to 2."""
+    x0 = resolve_x0(cfg, problem, None) if "x0" in cfg else [0.5] * problem.dim
+    hw = _object(cfg.get("check", {}), "check").get("halfwidth", 2.0)
+    return ShippedInstance(spec, config, tuple(float(v) for v in x0),
+                           _number(hw, "check.halfwidth"))
+
+
 def cmd_check(cfg, args, out: Path) -> int:
     instances = None
     if cfg and "problem" in cfg:
@@ -315,18 +333,11 @@ def cmd_check(cfg, args, out: Path) -> int:
         spec = problem_spec_from_config(cfg)
         problem = problem_from_spec(spec)
         config = solver_config_from_config(cfg, problem)
-        report = validate_config(problem, config)
-        if args.strict and not report.ok:
-            for v in report.violations:
-                print(f"validation: {v}", file=sys.stderr)
-            print("refused: validation failed in strict mode", file=sys.stderr)
-            return 2
-        x0 = (resolve_x0(cfg, problem, None) if "x0" in cfg
-              else [0.5] * problem.dim)
-        instances = {spec.name: ShippedInstance(
-            spec=spec, config=config, x0=tuple(float(v) for v in x0),
-            sample_halfwidth=float(
-                _object(cfg.get("check", {}), "check").get("halfwidth", 2.0)))}
+        rc = _validate_or_exit(problem, config, args.strict)
+        if rc:
+            return rc
+        instances = {spec.name: check_instance_from_config(cfg, spec, problem,
+                                                           config)}
     records = run_invariant_suite(instances=instances, seed=args.seed)
     _write_json(out / "check_report.json", {"records": records})
     failures = [r for r in records if not r["passed"]]

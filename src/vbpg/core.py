@@ -57,6 +57,11 @@ def row_norms(R: Array) -> Array:
     return np.sqrt(row_dots(R, R))
 
 
+def min_or_inf(a) -> float:
+    """The minimum of an array, +inf when it is empty."""
+    return float(np.min(a, initial=math.inf))
+
+
 @dataclass(frozen=True, eq=False)
 class SmoothObjective:
     """Smooth part f of a composite objective.

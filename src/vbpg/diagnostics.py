@@ -34,9 +34,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
-                   row_dots, row_norms, sample_ball)
-from .bregman import (annotate_points, descent_case, descent_constants,
-                      prox_points)
+                   min_or_inf, row_dots, row_norms, sample_ball)
+from .bregman import (annotate_points, decrease_constant, descent_case,
+                      descent_constants, prox_points, residual_bound)
 from .solver import Trace, vbpg_final_points, vbpg_run
 
 # violation margin for one-sided inequality checks: wide enough to absorb
@@ -71,25 +71,30 @@ def make_slice(problem: Problem, center, eta: float, nu: float) -> LevelSlice:
                       F_bar=problem.F(c))
 
 
-@dataclass
-class ProbeSample:
-    """One slice point with every distance a level-set bound consumes.
+@dataclass(frozen=True, eq=False)
+class ProbeSamples:
+    """Slice points as a column table: row i of ``x`` (n, dim) and entry i
+    of every other column describe one sample, with every distance a
+    level-set bound consumes.
 
     ``gap_value``, ``envelope_value`` and ``prox_F`` (G(x), E(x), F(T(x)))
     are carried along because the value-proximity and gap-condition
     checks need them; the CSV serialization keeps only the documented
-    columns."""
+    columns.  ``property_A`` is boolean."""
 
     x: Array
-    dist_level: float
-    dist_subdiff: float
-    value_gap: float
-    dist_prox: float
-    dist_crit: float
-    property_A: bool
-    gap_value: float
-    envelope_value: float
-    prox_F: float
+    dist_level: Array
+    dist_subdiff: Array
+    value_gap: Array
+    dist_prox: Array
+    dist_crit: Array
+    property_A: Array
+    gap_value: Array
+    envelope_value: Array
+    prox_F: Array
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +309,10 @@ _DRAW_CHUNK = 1024  # fixed so the random stream is batch-layout independent
 
 def probe_slice(problem: Problem, K: KernelSpec, eps: float,
                 slice_: LevelSlice, n: int, seed: int, grid: SublevelGrid,
-                crit_points: Array, max_draws: int = 10 ** 6) -> list:
-    """n points uniform in the slice, each fully annotated.
+                crit_points: Array,
+                max_draws: int = 10 ** 6) -> ProbeSamples:
+    """n points uniform in the slice, fully annotated: the first n draws
+    that land in the slice, in draw order.
 
     Samples failing Property (A) (F at the prox point dropping below
     Fbar) are flagged, not discarded.  Raises SliceEmptyError when the
@@ -313,50 +320,41 @@ def probe_slice(problem: Problem, K: KernelSpec, eps: float,
     are projected onto [F <= Fbar] in one batched oracle call and
     annotated in one array pass (``annotate_points``)."""
     rng = np.random.default_rng(seed)
-    accepted = []
-    drawn = 0
-    while len(accepted) < n:
+    X_parts, F_parts = [np.empty((0, problem.dim))], [np.empty(0)]
+    got = drawn = 0
+    while got < n:
         if drawn >= max_draws:
             raise SliceEmptyError(
-                f"slice produced {len(accepted)}/{n} samples after {drawn} draws")
+                f"slice produced {got}/{n} samples after {drawn} draws")
         m = min(_DRAW_CHUNK, max_draws - drawn)
         X = sample_ball(rng, m, slice_.center, slice_.radius_eta)
         drawn += m
         FX = problem.F_batch(X)
         ok = (FX > slice_.F_bar) & (FX < slice_.F_bar + slice_.value_band_nu)
-        for x, Fx in zip(X[ok], FX[ok]):
-            accepted.append((x, float(Fx)))
-            if len(accepted) == n:
-                break
+        X_parts.append(X[ok][:n - got])
+        F_parts.append(FX[ok][:n - got])
+        got += len(X_parts[-1])
 
-    X = np.array([x for x, _ in accepted]).reshape(-1, problem.dim)
-    d_levels, _ = grid.project_many(slice_.F_bar, X)
+    X = np.concatenate(X_parts)
+    d_level, _ = grid.project_many(slice_.F_bar, X)
     a = annotate_points(problem, K, eps, X)
     _, d_crit = nearest_in_set(X, crit_points)
-    prop_A = a.prox_F >= slice_.F_bar - 1e-12 * (1.0 + abs(slice_.F_bar))
-    return [ProbeSample(x=x, dist_level=dl, dist_subdiff=ds,
-                        value_gap=Fx - slice_.F_bar, dist_prox=dp,
-                        dist_crit=dc, property_A=pa, gap_value=G,
-                        envelope_value=E, prox_F=Ft)
-            for (x, Fx), dl, ds, dp, dc, pa, G, E, Ft in zip(
-                accepted, d_levels.tolist(), a.dist_subdiff.tolist(),
-                a.dist_prox.tolist(), d_crit.tolist(), prop_A.tolist(),
-                a.gap.tolist(), a.envelope.tolist(), a.prox_F.tolist())]
+    return ProbeSamples(
+        x=X, dist_level=d_level, dist_subdiff=a.dist_subdiff,
+        value_gap=np.concatenate(F_parts) - slice_.F_bar,
+        dist_prox=a.dist_prox, dist_crit=d_crit,
+        property_A=a.prox_F >= slice_.F_bar - 1e-12 * (1.0 + abs(slice_.F_bar)),
+        gap_value=a.gap, envelope_value=a.envelope, prox_F=a.prox_F)
 
 
-def samples_to_csv_lines(samples: Sequence[ProbeSample]) -> list:
-    dim = samples[0].x.size if samples else 0
-    header = [f"x{i}" for i in range(dim)] + [
-        "dist_level", "dist_subdiff", "value_gap", "dist_prox",
-        "dist_crit", "property_A"]
-    lines = [",".join(header)]
-    for s in samples:
-        row = [f"{v:.17g}" for v in s.x]
-        row += [f"{v:.17g}" for v in (s.dist_level, s.dist_subdiff,
-                                      s.value_gap, s.dist_prox, s.dist_crit)]
-        row.append("1" if s.property_A else "0")
-        lines.append(",".join(row))
-    return lines
+def samples_to_csv_lines(samples: ProbeSamples) -> list:
+    cols = ["dist_level", "dist_subdiff", "value_gap", "dist_prox", "dist_crit"]
+    header = [f"x{i}" for i in range(samples.x.shape[1])] + cols
+    table = np.column_stack([samples.x] + [getattr(samples, c) for c in cols])
+    flags = np.where(samples.property_A, "1", "0").tolist()
+    return [",".join(header + ["property_A"])] + [
+        ",".join([f"{v:.17g}" for v in row] + [flag])
+        for row, flag in zip(table.tolist(), flags)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +377,15 @@ class EBFit:
                 "violated_fraction": self.violated_fraction}
 
 
-# each bound reads "residual >= C * target^e": (target, residual) per sample
+# each bound reads "residual >= C * target^e": the (target, residual) columns
 _BOUND_PAIRS = {
-    "level_subdiff": lambda s: (s.dist_level, s.dist_subdiff),
-    "level_bregman": lambda s: (s.dist_level, s.dist_prox),
-    "kl": lambda s: (s.value_gap, s.dist_subdiff),
-    "sharpness": lambda s: (s.dist_level, s.value_gap),
-    "gap_condition": lambda s: (s.value_gap, s.gap_value),
-    "weak_subreg": lambda s: (s.dist_crit, s.dist_subdiff),
-    "luo_tseng": lambda s: (s.dist_crit, s.dist_prox),
+    "level_subdiff": ("dist_level", "dist_subdiff"),
+    "level_bregman": ("dist_level", "dist_prox"),
+    "kl": ("value_gap", "dist_subdiff"),
+    "sharpness": ("dist_level", "value_gap"),
+    "gap_condition": ("value_gap", "gap_value"),
+    "weak_subreg": ("dist_crit", "dist_subdiff"),
+    "luo_tseng": ("dist_crit", "dist_prox"),
 }
 
 
@@ -418,7 +416,7 @@ def _split_by_target(a: Array, validate_fraction: float = 0.5):
     return order[:len(order) - n_val], order[len(order) - n_val:]
 
 
-def fit_error_bound(samples: Sequence[ProbeSample], bound_kind: str) -> EBFit:
+def fit_error_bound(samples: ProbeSamples, bound_kind: str) -> EBFit:
     """Two-stage fit of one level-set bound.
 
     Exponent by log-log least squares over samples with both quantities
@@ -440,10 +438,9 @@ def fit_error_bound(samples: Sequence[ProbeSample], bound_kind: str) -> EBFit:
     """
     if bound_kind not in _BOUND_PAIRS:
         raise ValueError(f"unknown bound kind {bound_kind!r}")
-    pair = _BOUND_PAIRS[bound_kind]
-    pts = np.array([pair(s) for s in samples], dtype=float)
-    pos = (pts[:, 0] > 0) & (pts[:, 1] > 0) & np.isfinite(pts).all(axis=1)
-    a, b = pts[pos, 0], pts[pos, 1]
+    a, b = (getattr(samples, col) for col in _BOUND_PAIRS[bound_kind])
+    pos = (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
+    a, b = a[pos], b[pos]
     if a.size == 0:
         raise DegenerateSampleError(f"{bound_kind}: no strictly positive samples")
     if a.size < 30:
@@ -467,7 +464,7 @@ def fit_error_bound(samples: Sequence[ProbeSample], bound_kind: str) -> EBFit:
                  n_samples=int(a.size), violated_fraction=vfrac)
 
 
-def kl_exponent_sweep(samples: Sequence[ProbeSample],
+def kl_exponent_sweep(samples: ProbeSamples,
                       alphas: Sequence[float]) -> list:
     """Falsification sweep of dist(0, subdiff F) >= c (F - Fbar)^alpha.
 
@@ -480,9 +477,8 @@ def kl_exponent_sweep(samples: Sequence[ProbeSample],
     certificate is direction-uniform: at weak sharp minima, where the
     local constant varies strongly by direction, small exponents may be
     flagged conservatively even though some constant exists."""
-    pts = np.array([(s.value_gap, s.dist_subdiff) for s in samples])
-    pos = (pts[:, 0] > 0) & (pts[:, 1] > 0)
-    a, b = pts[pos, 0], pts[pos, 1]
+    pos = (samples.value_gap > 0) & (samples.dist_subdiff > 0)
+    a, b = samples.value_gap[pos], samples.dist_subdiff[pos]
     if a.size < 8:
         raise DegenerateSampleError("kl sweep needs >= 8 positive samples")
     order = np.argsort(-a, kind="stable")
@@ -501,37 +497,31 @@ def kl_exponent_sweep(samples: Sequence[ProbeSample],
 # implication and certificate checks
 # ---------------------------------------------------------------------------
 
-def _half_slice(samples: Sequence[ProbeSample], slice_: LevelSlice,
+def _half_slice(samples: ProbeSamples, slice_: LevelSlice,
                 m: float, L: float, eps_hi: float) -> tuple:
     """The band divisor N = max((2 eps_hi nu / (m - eps_hi L)) / (eta/2)^2, 1)
     that keeps prox steps inside the half-radius slice, each sample's
-    distance to the center, and whether the sample lies in the shrunken
+    distance to the center, and the mask of samples in the shrunken
     slice: within eta/2 of the center with value gap below nu/N."""
     eta, nu = slice_.radius_eta, slice_.value_band_nu
     N = max((2.0 * eps_hi * nu / (m - eps_hi * L)) / (eta / 2.0) ** 2, 1.0)
-    d_center = [float(np.linalg.norm(s.x - slice_.center)) for s in samples]
-    inner = [d < eta / 2 and s.value_gap < nu / N
-             for s, d in zip(samples, d_center)]
-    return N, d_center, inner
+    d_center = row_norms(samples.x - slice_.center)
+    return N, d_center, (d_center < eta / 2) & (samples.value_gap < nu / N)
 
 
-def check_step_containment(samples: Sequence[ProbeSample], slice_: LevelSlice,
+def check_step_containment(samples: ProbeSamples, slice_: LevelSlice,
                            m: float, L: float, eps_hi: float) -> dict:
     """Property-(A) samples in the shrunken slice keep their prox point
     within eta/2 of themselves and inside the eta-ball around the center
     (checked through ||x - T(x)|| + ||x - center|| <= eta)."""
-    N, d_centers, inner = _half_slice(samples, slice_, m, L, eps_hi)
-    checked = violations = 0
-    for s, d_center, keep in zip(samples, d_centers, inner):
-        if not (keep and s.property_A):
-            continue
-        checked += 1
-        if s.dist_prox > slice_.radius_eta / 2 * (1.0 + _REL_TOL):
-            violations += 1
-        elif s.dist_prox + d_center > slice_.radius_eta * (1.0 + _REL_TOL):
-            violations += 1
-    return {"check": "prox_step_containment", "n_checked": checked,
-            "n_violations": violations, "band_divisor": N}
+    N, d_center, inner = _half_slice(samples, slice_, m, L, eps_hi)
+    keep = inner & samples.property_A
+    r, eta = samples.dist_prox[keep], slice_.radius_eta
+    violated = ((r > eta / 2 * (1.0 + _REL_TOL))
+                | (r + d_center[keep] > eta * (1.0 + _REL_TOL)))
+    return {"check": "prox_step_containment",
+            "n_checked": int(np.count_nonzero(keep)),
+            "n_violations": int(np.count_nonzero(violated)), "band_divisor": N}
 
 
 def _pow(base: float, exp: float) -> float:
@@ -550,13 +540,13 @@ def prox_eb_thetas(gamma: float, c3: float, L: float, M: float,
     float range; they come back infinite (or nan), never as an
     OverflowError."""
     eta2 = eta / 2.0
-    core = _pow(c3 * (L + M / eps_lo), 1.0 / gamma)
+    core = _pow(c3 * residual_bound(L, M, eps_lo), 1.0 / gamma)
     theta1 = 1.0 + core * _pow(eta2, 1.0 / gamma - 1.0)
     theta2 = _pow(eta2, 1.0 - 1.0 / gamma) + core
     return theta1, theta2
 
 
-def check_subdiff_implies_prox_eb(samples: Sequence[ProbeSample],
+def check_subdiff_implies_prox_eb(samples: ProbeSamples,
                                   slice_: LevelSlice, fit: EBFit,
                                   L: float, M: float, m: float,
                                   eps_lo: float, eps_hi: float) -> dict:
@@ -580,23 +570,19 @@ def check_subdiff_implies_prox_eb(samples: Sequence[ProbeSample],
     p = gamma if gamma > 1 else 1.0
     theta = theta1 if gamma <= 1 else theta2
     _, _, inner = _half_slice(samples, slice_, m, L, eps_hi)
-    checked = violations = 0
-    for s, keep in zip(samples, inner):
-        if not keep:
-            continue
-        checked += 1
-        if s.dist_level > theta * s.dist_prox ** (1.0 / p) * (1.0 + 1e-6) + 1e-12:
-            violations += 1
+    d, r = samples.dist_level[inner], samples.dist_prox[inner]
+    violated = d > theta * r ** (1.0 / p) * (1.0 + 1e-6) + 1e-12
     return {"check": "subdiff_implies_prox_eb", "gated": False, "p": p,
             "theta": theta, "theta1": theta1, "theta2": theta2,
-            "n_checked": checked, "n_violations": violations}
+            "n_checked": int(np.count_nonzero(inner)),
+            "n_violations": int(np.count_nonzero(violated))}
 
 
 def value_proximity_c0(L: float, M: float, eps_lo: float) -> float:
     return 1.5 * L + M / (2.0 * eps_lo)
 
 
-def check_value_proximity(samples: Sequence[ProbeSample], F_bar: float,
+def check_value_proximity(samples: ProbeSamples, F_bar: float,
                           L: float, M: float, eps_lo: float) -> dict:
     """Value-proximity chain on a slice:
 
@@ -605,15 +591,11 @@ def check_value_proximity(samples: Sequence[ProbeSample], F_bar: float,
     with c0 = 3L/2 + M/(2 eps_lo).  Reports the worst violation of each
     link (negative slack means a violation)."""
     c0 = value_proximity_c0(L, M, eps_lo)
-    worst_left = math.inf   # E(x) - F(T(x)) >= 0
-    worst_right = math.inf  # c0 d^2 - (E(x) - Fbar) >= 0
-    for s in samples:
-        worst_left = min(worst_left, s.envelope_value - s.prox_F)
-        worst_right = min(worst_right,
-                          c0 * s.dist_level ** 2 - (s.envelope_value - F_bar))
+    E = samples.envelope_value
     return {"check": "value_proximity", "c0": c0,
-            "min_slack_envelope_vs_proxF": worst_left,
-            "min_slack_c0_bound": worst_right,
+            "min_slack_envelope_vs_proxF": min_or_inf(E - samples.prox_F),
+            "min_slack_c0_bound": min_or_inf(
+                c0 * samples.dist_level ** 2 - (E - F_bar)),
             "n_checked": len(samples)}
 
 
@@ -641,7 +623,7 @@ def check_kl_exponent_map(kl_fit: EBFit, eb_fit: EBFit,
     return out
 
 
-def check_gap_condition_links(samples: Sequence[ProbeSample],
+def check_gap_condition_links(samples: ProbeSamples,
                               bregman_fit: EBFit, m: float, eps_hi: float,
                               rho: float) -> dict:
     """Both directions of the gap-condition bridge for semiconvex g.
@@ -655,10 +637,9 @@ def check_gap_condition_links(samples: Sequence[ProbeSample],
                 "reason": "g is not semiconvex"}
     p = bregman_fit.exponent
     q = p if p > 1 else 1.0
-    pts = np.array([(s.value_gap, s.gap_value, s.dist_subdiff)
-                    for s in samples])
-    pos = (pts[:, 0] > 0) & (pts[:, 1] > 0)
-    gaps, Gs, subs = pts[pos, 0], pts[pos, 1], pts[pos, 2]
+    pos = (samples.value_gap > 0) & (samples.gap_value > 0)
+    gaps, Gs = samples.value_gap[pos], samples.gap_value[pos]
+    subs = samples.dist_subdiff[pos]
     mu = float(np.min(Gs / gaps ** q))
     coeff = math.sqrt(2.0 * (m - eps_hi * rho) * mu) if mu > 0 else 0.0
     viol = int(np.sum(subs < coeff * gaps ** (q / 2.0) * (1.0 - _REL_TOL)))
@@ -689,14 +670,12 @@ def check_semiconvex_gap_bounds(problem: Problem, K: KernelSpec, eps: float,
     E, G, r, dsub = a.envelope, a.gap, a.dist_prox, a.dist_subdiff
     fin = np.isfinite(dsub)
 
-    def worst(slack):
-        return float(np.min(slack, initial=math.inf))
-
     slacks = {
-        "i": worst(Fx - 0.5 * (m / eps_hi - rho) * r * r - E),
-        "ii": worst(G - (m - eps_hi * rho) / (2 * eps_hi ** 2) * r * r),
-        "iii": worst(dsub[fin] * dsub[fin] / (2 * (m - eps_hi * rho)) - G[fin]),
-        "iv": worst(eps_hi / (m - eps_hi * rho) * dsub[fin] - r[fin])}
+        "i": min_or_inf(Fx - 0.5 * (m / eps_hi - rho) * r * r - E),
+        "ii": min_or_inf(G - (m - eps_hi * rho) / (2 * eps_hi ** 2) * r * r),
+        "iii": min_or_inf(dsub[fin] * dsub[fin] / (2 * (m - eps_hi * rho))
+                          - G[fin]),
+        "iv": min_or_inf(eps_hi / (m - eps_hi * rho) * dsub[fin] - r[fin])}
     return {"check": "semiconvex_gap_bounds", "min_slack": slacks}
 
 
@@ -715,9 +694,7 @@ def estimate_q_linear_rate(trace: Trace, F_bar: float, window: int = 10,
     if np.any(gaps < -1e-9 * (1.0 + abs(F_bar))):
         raise ValueError("F_bar exceeds recorded F values")
     # keep the maximal leading run of valid indices
-    k_end = 0
-    while k_end < len(gaps) and gaps[k_end] > scale:
-        k_end += 1
+    k_end = next((k for k, g in enumerate(gaps) if not g > scale), len(gaps))
     if k_end < 2:
         raise ValueError("empty rate window: no positive value gaps")
     ratios = gaps[1:k_end] / gaps[:k_end - 1]
@@ -746,7 +723,7 @@ def certify_rate_chain(beta_hat: float, sub_fit: EBFit, L: float, M: float,
     theta1, _ = prox_eb_thetas(gamma, sub_fit.constant, L, M, eps_lo, eta)
     if not math.isfinite(theta1):
         return {"gated": True, "reason": "theta not finite"}
-    a = 0.5 * (m / eps_hi - L)
+    a = decrease_constant(m, L, eps_hi)
     beta = certified_q_rate(a, value_proximity_c0(L, M, eps_lo) * theta1 ** 2)
     return {"theta": theta1, "beta_certified": beta,
             "chain_ok": bool(beta_hat <= beta * 1.05)}
@@ -755,13 +732,10 @@ def certify_rate_chain(beta_hat: float, sub_fit: EBFit, L: float, M: float,
 def r_linear_envelope(trace: Trace, beta: float) -> float:
     """Smallest C with ||x^k - x_final|| <= C (sqrt(beta))^k along the
     stored iterates (geometric envelope of the iterate tail)."""
-    xf = trace.final_x
-    root = math.sqrt(beta)
-    C = 0.0
-    for x, k in zip(trace.iterates[:-1], trace.iterate_indices[:-1]):
-        d = float(np.linalg.norm(x - xf))
-        C = max(C, d / root ** k)
-    return C
+    d = row_norms(np.reshape(trace.iterates[:-1], (-1, trace.final_x.size))
+                  - trace.final_x)
+    k = np.array(trace.iterate_indices[:-1], dtype=float)
+    return float(np.max(d / math.sqrt(beta) ** k, initial=0.0))
 
 
 def estimate_level_set_rate(trace: Trace, problem: Problem, F_bar: float,
@@ -780,15 +754,13 @@ def estimate_level_set_rate(trace: Trace, problem: Problem, F_bar: float,
                               boundary_check=False)[0].tolist()
     if k_end < len(trace.iterates):
         dists.append(0.0)
-    ratios = []
-    for d0, d1 in zip(dists[:-1], dists[1:]):
-        if d0 >= min_dist and d1 >= min_dist:
-            ratios.append(d1 / d0)
-    converged = bool(dists and dists[-1] < min_dist)
-    out = {"check": "level_set_rate", "distances": dists,
-           "n_ratios": len(ratios), "converged": converged}
-    out["beta_levelset"] = float(np.max(ratios)) if ratios else math.nan
-    return out
+    d = np.array(dists)
+    usable = (d[:-1] >= min_dist) & (d[1:] >= min_dist)
+    ratios = d[1:][usable] / d[:-1][usable]
+    return {"check": "level_set_rate", "distances": dists,
+            "n_ratios": int(ratios.size),
+            "converged": bool(dists and dists[-1] < min_dist),
+            "beta_levelset": float(np.max(ratios)) if ratios.size else math.nan}
 
 
 def check_level_set_rate_certificates(beta_levelset: float, refit_c3: float,
@@ -807,7 +779,7 @@ def check_level_set_rate_certificates(beta_levelset: float, refit_c3: float,
     c3' <= eps_hi / ((1 - beta)(m - eps_hi rho))."""
     out = {"check": "level_set_rate_certificates",
            "beta_levelset": beta_levelset, "refit_c3prime": refit_c3}
-    theta_p = 1.0 + refit_c3 * (L + M / eps_lo)
+    theta_p = 1.0 + refit_c3 * residual_bound(L, M, eps_lo)
     out["theta_prime"] = theta_p
     if b_frak > 1.0 and c_frak > 0.0:
         lo, hi = math.sqrt(c_frak / b_frak), math.sqrt(c_frak / (b_frak - 1.0))
@@ -836,7 +808,7 @@ def check_level_set_rate_certificates(beta_levelset: float, refit_c3: float,
 def certify_growth_conditions(problem: Problem, slice_: LevelSlice,
                               crit_points: Array, seed: int = 0,
                               n: int = 400,
-                              samples: Optional[Sequence[ProbeSample]] = None
+                              samples: Optional[ProbeSamples] = None
                               ) -> dict:
     """Largest zero-violation modulus for each local growth condition.
 
@@ -901,15 +873,15 @@ def certify_growth_conditions(problem: Problem, slice_: LevelSlice,
         out["weak_subreg"] = {"gated": True, "reason": "no probe samples"}
         return out
     coeff = 0.5 * (mu_best - rho)
-    viol = sum(1 for s in samples
-               if s.dist_subdiff < coeff * s.dist_crit * (1.0 - _REL_TOL))
+    viol = int(np.count_nonzero(
+        samples.dist_subdiff < coeff * samples.dist_crit * (1.0 - _REL_TOL)))
     out["weak_subreg"] = {"gated": False, "mu": mu_best, "rho": rho,
                           "coefficient": coeff, "n_checked": len(samples),
                           "n_violations": viol}
     return out
 
 
-def check_luo_tseng_bound(problem: Problem, samples: Sequence[ProbeSample],
+def check_luo_tseng_bound(problem: Problem, samples: ProbeSamples,
                           eps: float, sigma: float,
                           crit_points: Array) -> dict:
     """Residual error bound dist(x, crit set) <= c6 ||x - p(x)|| with p(x)
@@ -923,8 +895,8 @@ def check_luo_tseng_bound(problem: Problem, samples: Sequence[ProbeSample],
     the critical set and verified on the near half."""
     if not problem.g.convex:
         return {"check": "luo_tseng", "gated": True, "reason": "g not convex"}
-    X = np.array([s.x for s in samples]).reshape(-1, problem.dim)
-    r = annotate_points(problem, KernelSpec.euclidean(), eps, X).dist_prox
+    r = annotate_points(problem, KernelSpec.euclidean(), eps,
+                        samples.x).dist_prox
     kept = (r <= sigma) & (r > 0)
     n_kept = int(np.count_nonzero(kept))
     n_excluded = len(samples) - n_kept
@@ -932,8 +904,7 @@ def check_luo_tseng_bound(problem: Problem, samples: Sequence[ProbeSample],
         return {"check": "luo_tseng", "gated": True,
                 "reason": "too few samples below the residual threshold",
                 "n_excluded": n_excluded}
-    d = np.array([s.dist_crit for s in samples])[kept]
-    r = r[kept]
+    d, r = samples.dist_crit[kept], r[kept]
     cal, val = _split_by_target(d)
     c6 = float(np.max(d[cal] / r[cal]))
     viol = int(np.sum(d[val] > c6 * r[val] * (1.0 + _REL_TOL) + 1e-12))
@@ -949,11 +920,9 @@ def check_critical_value_consistency(problem: Problem, x_bar: Array,
     x_bar; a precondition of the implication checks that use the critical
     set as the target."""
     F_bar = problem.F(x_bar)
-    fails = []
-    for y in crit_points:
-        if float(np.linalg.norm(y - x_bar)) <= delta:
-            if problem.F(y) > F_bar + tol * (1.0 + abs(F_bar)):
-                fails.append([float(v) for v in y])
+    near = crit_points[row_norms(crit_points - x_bar) <= delta]
+    fails = [y.tolist() for y in near
+             if problem.F(y) > F_bar + tol * (1.0 + abs(F_bar))]
     return {"check": "critical_value_consistency", "ok": not fails,
             "n_failures": len(fails), "failures": fails}
 
@@ -984,7 +953,7 @@ class Campaign:
     slice: LevelSlice
     grid: SublevelGrid
     crit: Array
-    samples: list
+    samples: ProbeSamples
 
 
 def run_campaign(problem: Problem, config: SolverConfig, x0, params: dict,
@@ -1075,14 +1044,15 @@ def eb_report(campaign: Campaign, seed: int,
 
     level = estimate_level_set_rate(trace, problem, slice_.F_bar, campaign.grid)
     checks["level_set_rate"] = level
-    refit_ratios = [s.dist_level / s.dist_subdiff for s in samples
-                    if s.dist_subdiff > 0 and math.isfinite(s.dist_subdiff)]
-    if math.isfinite(level.get("beta_levelset", math.nan)) and refit_ratios:
+    ds = samples.dist_subdiff
+    refit = (ds > 0) & np.isfinite(ds)
+    if math.isfinite(level.get("beta_levelset", math.nan)) and refit.any():
+        c3_refit = float(np.max(samples.dist_level[refit] / ds[refit]))
         cc = descent_constants(descent_case(problem), m, M, L,
                                config.eps_lo, config.eps_hi)
         checks["level_set_rate_certificates"] = \
             check_level_set_rate_certificates(
-                level["beta_levelset"], max(refit_ratios), cc.b_frak,
+                level["beta_levelset"], c3_refit, cc.b_frak,
                 cc.c_frak, L, M, config.eps_lo, config.eps_hi, m, rho)
     checks["growth_conditions"] = certify_growth_conditions(
         problem, slice_, crit, seed=seed, samples=samples)

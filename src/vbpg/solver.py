@@ -21,7 +21,8 @@ import numpy as np
 
 from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
                    row_norms, vector_norm)
-from .bregman import prox_map, prox_points, subgradient_from_gradients
+from .bregman import (decrease_constant, prox_map, prox_points,
+                      subgradient_from_gradients)
 
 
 def _fmt(v: float) -> str:
@@ -236,7 +237,7 @@ def summability_bound(problem: Problem, config: SolverConfig, x0: Array,
                       F_star: float) -> float:
     """(F(x0) - F*) / a with a = (m/eps_hi - L)/2: certified upper bound
     on the sum of squared step norms."""
-    a = 0.5 * (config.m / config.eps_hi - problem.f.lipschitz_L)
+    a = decrease_constant(config.m, problem.f.lipschitz_L, config.eps_hi)
     if a <= 0:
         return math.inf
     return (problem.F(as_vector(x0)) - F_star) / a

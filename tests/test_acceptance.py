@@ -240,8 +240,9 @@ def test_criterion_09_level_set_rate(lasso_campaign):
                                   lasso_campaign.grid)
     beta_ls = rep["beta_levelset"]
     assert beta_ls < 1.0
-    refit = max(s.dist_level / s.dist_subdiff
-                for s in lasso_campaign.samples if s.dist_subdiff > 0)
+    s = lasso_campaign.samples
+    pos = s.dist_subdiff > 0
+    refit = np.max(s.dist_level[pos] / s.dist_subdiff[pos])
     eps = lasso_campaign.config.eps_at(0)
     rho = p.g.semiconvex_rho  # 0 for the convex l1 penalty
     bound = eps / ((1.0 - beta_ls) * (1.0 - eps * rho))

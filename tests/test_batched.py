@@ -341,14 +341,12 @@ def test_probe_samples_match_per_sample_reference(K, g_kind, g_params):
     crit = critical_points(problem, K, eps, slice_.center, 1.2,
                            seeds_per_axis=5)
     samples = probe_slice(problem, K, eps, slice_, 60, 3, grid, crit)
-    ref = reference_samples(problem, K, eps, slice_,
-                            [s.x for s in samples], crit)
-    for s, r in zip(samples, ref):
-        for key in ("dist_subdiff", "dist_prox", "dist_crit", "property_A"):
-            assert getattr(s, key) == r[key], key
-        for key in ("gap_value", "envelope_value", "prox_F"):
-            assert getattr(s, key) == pytest.approx(r[key], rel=1e-12,
-                                                    abs=1e-12), key
+    ref = reference_samples(problem, K, eps, slice_, samples.x, crit)
+    for key in ("dist_subdiff", "dist_prox", "dist_crit", "property_A"):
+        assert getattr(samples, key).tolist() == [r[key] for r in ref], key
+    for key in ("gap_value", "envelope_value", "prox_F"):
+        assert getattr(samples, key).tolist() == pytest.approx(
+            [r[key] for r in ref], rel=1e-12, abs=1e-12), key
 
 
 def test_annotate_points_empty():
@@ -398,12 +396,11 @@ def test_semiconvex_slacks_skip_points_outside_dom_g():
 
 def test_luo_tseng_matches_per_sample_residuals(lasso_campaign):
     camp = lasso_campaign
-    p, samples = camp.problem, camp.samples
-    rep = check_luo_tseng_bound(p, samples, 0.5, 0.12, camp.crit)
-    r = [float(np.linalg.norm(s.x - p.g.scaled_prox(
-        s.x, p.f.gradient(s.x), 1.0, 0.5)[0])) for s in samples]
-    X = np.array([s.x for s in samples])
+    p, X = camp.problem, camp.samples.x
+    rep = check_luo_tseng_bound(p, camp.samples, 0.5, 0.12, camp.crit)
+    r = [float(np.linalg.norm(x - p.g.scaled_prox(
+        x, p.f.gradient(x), 1.0, 0.5)[0])) for x in X]
     assert annotate_points(p, EUC, 0.5, X).dist_prox.tolist() == r
-    kept = [(s.dist_crit, ri) for s, ri in zip(samples, r) if 0 < ri <= 0.12]
-    assert rep["n_kept"] == len(kept)
-    assert rep["n_excluded"] == len(samples) - len(kept)
+    kept = [0 < ri <= 0.12 for ri in r]
+    assert rep["n_kept"] == sum(kept)
+    assert rep["n_excluded"] == len(X) - sum(kept)

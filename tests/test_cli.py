@@ -223,6 +223,17 @@ class TestCheck:
         assert run(["check", "--config", cfg, "--out", tmp_path / "o",
                     "--strict"]) == 2
 
+    def test_lax_check_reports_validation(self, tmp_path, capsys):
+        # the same config without --strict runs the suite and, as solve,
+        # probe and compare do, names the violated clause on stderr
+        cfg = write_config(tmp_path, "c.json", {
+            "problem": {"kind": "quadratic",
+                        "params": {"Q": [[2.0]], "b": [0.0]}},
+            "solver": {"epsilon": 0.9}})
+        assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 4
+        assert capsys.readouterr().err == (
+            "validation: eps_max < m/L violated (0.9 >= 0.5)\n")
+
 
 class TestCompare:
     def test_preconditioned_kernels_win(self, tmp_path):
@@ -289,7 +300,8 @@ class TestFailureContract:
         (_quadratic_config({"kind": "mcp", "lam": -1, "gamma": 3.0}), 1,
          "config parse error: mcp requires lam > 0 and gamma > 1"),
         (_quadratic_config(solver={"epsilon": -0.5}), 1,
-         "config parse error: step sizes must be positive"),
+         "config parse error: solver.epsilon must be a positive number, "
+         "got -0.5"),
     ], ids=["indefinite_l1", "x0_length", "kernel_not_pd", "mcp_lam",
             "negative_eps"])
     def test_one_line_exit(self, tmp_path, command, cfg, code, message):
@@ -381,6 +393,47 @@ class TestFailureContract:
         assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert capsys.readouterr().err == (
             "config parse error: dimension mismatch: expected 2, got 3\n")
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_iters", 2.5, "max_iters must be a nonnegative integer, got 2.5"),
+        ("max_iters", "5", "max_iters must be a nonnegative integer, got '5'"),
+        ("trace_every", 1.5,
+         "trace_every must be a positive integer, got 1.5"),
+        ("step_tol", True, "step_tol must be a positive number, got True"),
+        ("epsilon", True, "epsilon must be a positive number, got True"),
+        ("epsilon", [0.5, False],
+         "epsilon must be a positive number, got False"),
+    ], ids=["max_iters_fraction", "max_iters_string", "trace_every_fraction",
+            "step_tol_bool", "epsilon_bool", "epsilon_list_bool"])
+    def test_solver_value_exit_1(self, tmp_path, capsys, key, value, message):
+        cfg = write_config(tmp_path, "c.json", {
+            "problem": {"kind": "quadratic",
+                        "params": {"Q": [[1.0]], "b": [0.0]}},
+            "x0": [1.0], "solver": {key: value}})
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == (
+            f"config parse error: solver.{message}\n")
+        assert not (tmp_path / "o" / "trace.csv").exists()
+
+    def test_integral_float_iteration_counts_accepted(self, tmp_path):
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        cfg["solver"].update(max_iters=400.0, trace_every=1.0)
+        path = write_config(tmp_path, "c.json", cfg)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        assert run(["solve", "--config", path, "--out", outs[0]]) == 0
+        assert run(["solve", "--config", CONFIGS / "lasso.json",
+                    "--out", outs[1]]) == 0
+        assert ((outs[0] / "trace.csv").read_bytes()
+                == (outs[1] / "trace.csv").read_bytes())
+
+    @pytest.mark.parametrize("halfwidth", ["x", -1, True])
+    def test_check_halfwidth_exit_1(self, tmp_path, capsys, halfwidth):
+        cfg = write_config(tmp_path, "c.json", _quadratic_config(
+            check={"halfwidth": halfwidth}))
+        assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == (
+            f"config parse error: check.halfwidth must be a positive number, "
+            f"got {halfwidth!r}\n")
 
     def test_compare_bad_kernel_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", _quadratic_config(

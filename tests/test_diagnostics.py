@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from vbpg.bregman import descent_case, descent_constants
-from vbpg.core import KernelSpec, Problem, SolverConfig
-from vbpg.diagnostics import (DegenerateSampleError, EBFit, SliceEmptyError,
+from vbpg.core import KernelSpec, Problem, SolverConfig, sample_ball
+from vbpg.diagnostics import (_DRAW_CHUNK, DegenerateSampleError, EBFit,
+                              ProbeSamples, SliceEmptyError,
                               SublevelGrid, certify_rate_chain,
                               check_critical_value_consistency,
                               check_gap_condition_links, check_kl_exponent_map,
@@ -21,6 +23,12 @@ from vbpg.problems import ProblemSpec, lasso_spec
 from vbpg.solver import vbpg_run
 
 EUC = KernelSpec.euclidean()
+
+
+def rows(samples, index):
+    """The table of the rows ``index`` selects from ``samples``."""
+    return ProbeSamples(**{f.name: getattr(samples, f.name)[index]
+                           for f in dataclasses.fields(samples)})
 
 
 def square_problem():
@@ -210,17 +218,48 @@ class TestBatchedProjection:
 
 class TestProbeSlice:
     def test_jump_distances_exact(self, jump_campaign):
-        for s in jump_campaign.samples:
-            assert s.dist_level == abs(s.x[0])
-            assert s.dist_subdiff == abs(s.x[0])
-            assert s.property_A
+        s = jump_campaign.samples
+        assert np.array_equal(s.dist_level, np.abs(s.x[:, 0]))
+        assert np.array_equal(s.dist_subdiff, np.abs(s.x[:, 0]))
+        assert s.property_A.all()
 
     def test_quadratic_at_minimum_property_A(self, profile_campaigns):
         camp = profile_campaigns["square"]
-        assert all(s.property_A for s in camp.samples)
-        for s in camp.samples:
-            assert 0 < s.value_gap < camp.slice.value_band_nu
-            assert s.dist_level > 0 and s.dist_prox >= 0
+        s = camp.samples
+        assert s.property_A.dtype == bool and s.property_A.all()
+        assert np.all((0 < s.value_gap)
+                      & (s.value_gap < camp.slice.value_band_nu))
+        assert np.all(s.dist_level > 0) and np.all(s.dist_prox >= 0)
+
+    def test_columns_have_one_entry_per_sample(self, lasso_campaign):
+        s = lasso_campaign.samples
+        assert len(s) == 240 and s.x.shape == (240, 2)
+        for f in dataclasses.fields(s):
+            assert len(getattr(s, f.name)) == 240, f.name
+
+    def test_first_in_band_draws_in_order(self):
+        # n = 2,500 takes at least three draw chunks, so acceptance
+        # crosses chunk boundaries; the table keeps the first n in-band
+        # rows of the same seeded stream, in order
+        p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
+        c = np.array([0.5, 0.3])
+        sl = make_slice(p, c, 0.5, 0.1)
+        grid = SublevelGrid(p, c, 2.0, resolution=0.02, extra_points=[c])
+        n, seed = 2500, 17
+        samples = probe_slice(p, EUC, 0.5, sl, n, seed, grid=grid,
+                              crit_points=c[None, :])
+        rng = np.random.default_rng(seed)
+        xs, fs = [], []
+        while sum(len(X) for X in xs) < n:
+            X = sample_ball(rng, _DRAW_CHUNK, sl.center, sl.radius_eta)
+            FX = p.F_batch(X)
+            ok = (FX > sl.F_bar) & (FX < sl.F_bar + sl.value_band_nu)
+            xs.append(X[ok])
+            fs.append(FX[ok])
+        assert len(xs) >= 3
+        assert np.array_equal(samples.x, np.concatenate(xs)[:n])
+        assert np.array_equal(samples.value_gap,
+                              np.concatenate(fs)[:n] - sl.F_bar)
 
     def test_empty_band_raises(self):
         p = ProblemSpec("jump", "zero", {}, "jump_quadratic", {"xbar": 0.0},
@@ -239,8 +278,8 @@ class TestProbeSlice:
             return (np.linalg.norm(x - sl.center) < sl.radius_eta
                     and sl.F_bar < p.F(x) < sl.F_bar + sl.value_band_nu)
 
-        for s in lasso_campaign.samples[:50]:
-            assert in_slice(s.x)
+        for x in lasso_campaign.samples.x[:50]:
+            assert in_slice(x)
         assert not in_slice(sl.center + 10.0)
 
 
@@ -302,12 +341,11 @@ class TestFits:
 
     def test_requires_thirty_samples(self, lasso_campaign):
         with pytest.raises(ValueError):
-            fit_error_bound(lasso_campaign.samples[:10], "kl")
+            fit_error_bound(rows(lasso_campaign.samples, slice(10)), "kl")
 
     def test_degenerate_sample_error(self, lasso_campaign):
-        import dataclasses
-        dead = [dataclasses.replace(s, dist_level=0.0)
-                for s in lasso_campaign.samples]
+        s = lasso_campaign.samples
+        dead = dataclasses.replace(s, dist_level=np.zeros(len(s)))
         with pytest.raises(DegenerateSampleError):
             fit_error_bound(dead, "level_subdiff")
 
@@ -419,12 +457,12 @@ class TestValueProximity:
 
     def test_boundary_point_bounds_trivially(self):
         # at dist 0 with F(x) = Fbar both sides of the chain are <= 0
-        from vbpg.diagnostics import ProbeSample
-        s = ProbeSample(x=np.zeros(1), dist_level=0.0, dist_subdiff=0.0,
-                        value_gap=0.0, dist_prox=0.0, dist_crit=0.0,
-                        property_A=True, gap_value=0.0, envelope_value=0.0,
-                        prox_F=0.0)
-        rep = check_value_proximity([s], F_bar=0.0, L=1.0, M=1.0, eps_lo=0.5)
+        zero = np.zeros(1)
+        s = ProbeSamples(x=np.zeros((1, 1)), dist_level=zero,
+                         dist_subdiff=zero, value_gap=zero, dist_prox=zero,
+                         dist_crit=zero, property_A=np.ones(1, dtype=bool),
+                         gap_value=zero, envelope_value=zero, prox_F=zero)
+        rep = check_value_proximity(s, F_bar=0.0, L=1.0, M=1.0, eps_lo=0.5)
         assert rep["min_slack_envelope_vs_proxF"] >= 0.0
         assert rep["min_slack_c0_bound"] >= 0.0
 
@@ -554,7 +592,7 @@ class TestRateCertificates:
                                            camp.slice.F_bar, camp.grid)
         beta = rep_rate["beta_levelset"]
         assert beta < 1.0
-        refit = max(s.dist_level / s.dist_subdiff for s in camp.samples)
+        refit = np.max(camp.samples.dist_level / camp.samples.dist_subdiff)
         cc = descent_constants(descent_case(p), K.m, K.M, p.f.lipschitz_L,
                                0.05, 0.05)
         rep = check_level_set_rate_certificates(
