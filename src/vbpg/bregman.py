@@ -28,6 +28,9 @@ class ProxError(RuntimeError):
     """Inner subproblem solve failed to converge."""
 
 
+_INNER_MAX = 10000  # inner iterations of a non-separable prox solve
+
+
 @dataclass(frozen=True, eq=False)
 class ProxResult:
     """One representative minimizer of the prox subproblem.
@@ -61,8 +64,7 @@ def _prox_result(problem: Problem, K: KernelSpec, eps: float, x: Array,
 
 
 def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
-             warm_start: Array | None = None, inner_tol: float | None = None,
-             inner_max: int = 10000, strict: bool = False,
+             warm_start: Array | None = None,
              grad_x: Array | None = None) -> ProxResult:
     """Solve the prox subproblem at x.
 
@@ -70,26 +72,13 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
     exact per-coordinate minimization through the regularizer's candidate
     enumeration.  General quadratic kernels: proximal-gradient iterations
     on the subproblem with step 1/(M/eps + L), run from ``warm_start``
-    (default x) until the inner step norm falls below
-    ``inner_tol`` (default 1e-10 (1 + ||x||)).  ``grad_x`` is grad f(x)
-    when the caller already has it.
+    (default x) until the inner step norm falls below 1e-10 (1 + ||x||),
+    at most 10,000 of them.  ``grad_x`` is grad f(x) when the caller
+    already has it.
     """
     x = as_vector(x, dim=problem.dim)
-    return _prox_map(problem, K, eps, x, warm_start, inner_tol, inner_max,
-                     strict, grad_x)
-
-
-def _prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
-              warm_start: Array | None = None, inner_tol: float | None = None,
-              inner_max: int = 10000, strict: bool = False,
-              grad_x: Array | None = None) -> ProxResult:
-    """``prox_map`` on an already validated x."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if strict:
-        L = problem.f.lipschitz_L
-        if L > 0 and not eps < K.m / L:
-            raise ValueError(f"eps={eps:g} outside (0, m/L)=(0, {K.m / L:g})")
     if grad_x is None:
         grad_x = problem.f.gradient(x)
 
@@ -99,10 +88,10 @@ def _prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
         return _prox_result(problem, K, eps, x, grad_x, t, 0, tied)
 
     # strongly convex inner problem: smooth part <grad_x, y> + D(x, y)/eps
-    tol = inner_tol if inner_tol is not None else 1e-10 * (1.0 + vector_norm(x))
+    tol = 1e-10 * (1.0 + vector_norm(x))
     step = 1.0 / (K.M / eps + problem.f.lipschitz_L)
     y = x.copy() if warm_start is None else as_vector(warm_start, dim=problem.dim)
-    for it in range(1, inner_max + 1):
+    for it in range(1, _INNER_MAX + 1):
         grad_smooth = grad_x + K.grad_y(x, y) / eps
         y_next, _ = problem.g.scaled_prox(y - step * grad_smooth, 0.0, 1.0,
                                           step)
@@ -110,7 +99,7 @@ def _prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
         y = y_next
         if move <= tol:
             return _prox_result(problem, K, eps, x, grad_x, y, it)
-    raise ProxError(f"inner prox solve did not converge in {inner_max} iterations")
+    raise ProxError(f"inner prox solve did not converge in {_INNER_MAX} iterations")
 
 
 def prox_points(problem: Problem, K: KernelSpec, eps: float, X: Array,
@@ -123,9 +112,9 @@ def prox_points(problem: Problem, K: KernelSpec, eps: float, X: Array,
         grad_X = problem.f.grad_batch(X)
     weights = K.diag_weights(problem.dim)
     if weights is None:
-        return np.array([_prox_map(problem, K, eps, x, grad_x=gx).minimizer
+        return np.array([prox_map(problem, K, eps, x, grad_x=gx).minimizer
                          for x, gx in zip(X, grad_X)]).reshape(X.shape)
-    # the scaled prox of ``_prox_map``, on the flattened rows
+    # the scaled prox of ``prox_map``, on the flattened rows
     V = X - eps * grad_X / weights
     T, _ = problem.g.prox(V.ravel(), np.broadcast_to(weights, V.shape).ravel(),
                           eps)
@@ -169,24 +158,21 @@ def annotate_points(problem: Problem, K: KernelSpec, eps: float,
         dist_prox=row_norms(X - T), prox_point=T, grad=grad)
 
 
-def envelope(problem: Problem, K: KernelSpec, eps: float, x: Array,
-             prox: ProxResult | None = None) -> float:
+def envelope(problem: Problem, K: KernelSpec, eps: float, x: Array) -> float:
     """E(x) = f(x) + optimal subproblem value; satisfies E(x) <= F(x)."""
-    return envelope_gap(problem, K, eps, x, prox)[0]
+    return envelope_gap(problem, K, eps, x)[0]
 
 
-def gap(problem: Problem, K: KernelSpec, eps: float, x: Array,
-        prox: ProxResult | None = None) -> float:
+def gap(problem: Problem, K: KernelSpec, eps: float, x: Array) -> float:
     """G(x) = (F(x) - E(x)) / eps = (g(x) - subproblem value) / eps >= 0."""
-    return envelope_gap(problem, K, eps, x, prox)[1]
+    return envelope_gap(problem, K, eps, x)[1]
 
 
-def envelope_gap(problem: Problem, K: KernelSpec, eps: float, x: Array,
-                 prox: ProxResult | None = None) -> tuple[float, float, ProxResult]:
+def envelope_gap(problem: Problem, K: KernelSpec, eps: float,
+                 x: Array) -> tuple[float, float, ProxResult]:
     """(E(x), G(x), prox result) from a single subproblem solve."""
     x = as_vector(x, dim=problem.dim)
-    if prox is None:
-        prox = _prox_map(problem, K, eps, x)
+    prox = prox_map(problem, K, eps, x)
     E = problem.f.value(x) + prox.subproblem_value
     G = (problem.g.value(x) - prox.subproblem_value) / eps
     return E, G, prox
@@ -284,8 +270,8 @@ def descent_constants(case_id: int, m: float, M: float, L: float,
 
 
 def check_descent_inequality(problem: Problem, K: KernelSpec, eps: float,
-                             x: Array, u: Array, constants: DescentConstants,
-                             prox: ProxResult | None = None) -> float:
+                             x: Array, u: Array,
+                             constants: DescentConstants) -> float:
     """Slack of the generalized descent inequality at (x, u).
 
     Returns b||u-x||^2 - ||u-t||^2 - c||x-t||^2 - a[F(t) - F(u)], which is
@@ -294,13 +280,10 @@ def check_descent_inequality(problem: Problem, K: KernelSpec, eps: float,
     """
     x = as_vector(x, dim=problem.dim)
     u = as_vector(u, dim=problem.dim)
-    if prox is None:
-        prox = _prox_map(problem, K, eps, x)
-    slack = descent_slack_rows(constants, x[None], u[None],
-                               prox.minimizer[None],
-                               np.array([problem.F(prox.minimizer)]),
-                               np.array([problem.F(u)]))
-    return float(slack[0])
+    t = prox_map(problem, K, eps, x).minimizer
+    return float(descent_slack_rows(constants, x[None], u[None], t[None],
+                                    np.array([problem.F(t)]),
+                                    np.array([problem.F(u)]))[0])
 
 
 def descent_slack_rows(constants: DescentConstants, X: Array, U: Array,

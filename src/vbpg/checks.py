@@ -16,7 +16,8 @@ import numpy as np
 from .bregman import (annotate_points, decrease_constant, descent_case,
                       descent_constants, descent_slack_rows, residual_bound,
                       subgradient_rows)
-from .core import min_or_inf, row_dots, row_norms, sample_box, vector_norm
+from .core import (grid_rows, min_or_inf, row_dots, row_norms, sample_box,
+                   vector_norm)
 from .diagnostics import check_semiconvex_gap_bounds, grid_min_F
 from .problems import GridProxOracle, ShippedInstance, shipped_instances
 from .solver import vbpg_run
@@ -33,11 +34,11 @@ def _finite_samples(problem, rng, n, center, halfwidth):
     return X[keep][:n]
 
 
-def check_gradient_lipschitz(inst: ShippedInstance, rng, n=1000):
+def check_gradient_lipschitz(inst: ShippedInstance, rng):
     problem = inst.problem()
     L = problem.f.lipschitz_L
-    X = sample_box(rng, n, inst.box_center(), inst.sample_halfwidth)
-    Y = sample_box(rng, n, inst.box_center(), inst.sample_halfwidth)
+    X = sample_box(rng, 1000, inst.box_center(), inst.sample_halfwidth)
+    Y = sample_box(rng, 1000, inst.box_center(), inst.sample_halfwidth)
     dxy = row_norms(X - Y)
     keep = dxy >= 1e-12
     ratio = row_norms(problem.f.grad_batch(X[keep])
@@ -48,11 +49,11 @@ def check_gradient_lipschitz(inst: ShippedInstance, rng, n=1000):
                    f"max ratio {worst:.6g} vs L={L:g}")
 
 
-def check_kernel_bounds(inst: ShippedInstance, rng, n=500):
+def check_kernel_bounds(inst: ShippedInstance, rng):
     worst = math.inf
     for K in inst.config.kernels:
-        X = sample_box(rng, n, inst.box_center(), inst.sample_halfwidth)
-        Y = sample_box(rng, n, inst.box_center(), inst.sample_halfwidth)
+        X = sample_box(rng, 500, inst.box_center(), inst.sample_halfwidth)
+        Y = sample_box(rng, 500, inst.box_center(), inst.sample_halfwidth)
         r2 = row_dots(X - Y, X - Y)
         D = K.distance_rows(X, Y)
         gy = row_norms(K.grad_y_rows(X, Y))
@@ -63,7 +64,7 @@ def check_kernel_bounds(inst: ShippedInstance, rng, n=500):
                    worst >= -1e-10, worst)
 
 
-def check_prox_invariants(inst: ShippedInstance, rng, n=300):
+def check_prox_invariants(inst: ShippedInstance, rng):
     """Four records from one array pass of prox solves: the gap identity,
     the descent inequality (against a second sample set), the
     envelope/value decrease and the prox-subgradient bound."""
@@ -74,8 +75,8 @@ def check_prox_invariants(inst: ShippedInstance, rng, n=300):
     consts = descent_constants(descent_case(problem), K.m, K.M, L, eps, eps)
     a = decrease_constant(K.m, L, eps)
     bound = residual_bound(L, K.M, eps)
-    X = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
-    U = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
+    X = _finite_samples(problem, rng, 300, inst.box_center(), inst.sample_halfwidth)
+    U = _finite_samples(problem, rng, 300, inst.box_center(), inst.sample_halfwidth)
     ann = annotate_points(problem, K, eps, X)
     T, E, G, Ft = ann.prox_point, ann.envelope, ann.gap, ann.prox_F
     Fx = problem.F_batch(X)
@@ -101,12 +102,12 @@ def check_prox_invariants(inst: ShippedInstance, rng, n=300):
             _record("prox_subgradient_bound", name, resid >= -1e-12, resid)]
 
 
-def check_prox_vs_grid(inst: ShippedInstance, rng, n=60):
+def check_prox_vs_grid(inst: ShippedInstance, rng):
     problem = inst.problem()
     g = problem.g
     oracle = GridProxOracle(g, -10.0, 10.0, 1e-4)
     # one (v, w, eps) row per draw, the same stream as three scalar draws
-    V, W, EPS = rng.uniform([-6.0, 0.5, 0.2], [6.0, 2.0, 1.0], size=(n, 3)).T
+    V, W, EPS = rng.uniform([-6.0, 0.5, 0.2], [6.0, 2.0, 1.0], size=(60, 3)).T
     T, _ = g.prox(V, W, EPS)
     H = g.values(T) + 0.5 * (W / EPS) * (T - V) ** 2
     TG, HG = oracle.argmin_many(V, W, EPS)
@@ -117,12 +118,12 @@ def check_prox_vs_grid(inst: ShippedInstance, rng, n=60):
                    2e-4 - worst_arg, f"value slack {worst_val:.3g}")
 
 
-def check_semiconvex_midpoint(inst: ShippedInstance, rng, n=400):
+def check_semiconvex_midpoint(inst: ShippedInstance, rng):
     problem = inst.problem()
     rho = problem.g.semiconvex_rho
     if not math.isfinite(rho):
         return None
-    S, T = rng.uniform(-8, 8, size=(n, 2)).T
+    S, T = rng.uniform(-8, 8, size=(400, 2)).T
     phi = lambda u: problem.g.values(u) + 0.5 * rho * u * u
     rhs = 0.5 * (phi(S) + phi(T))
     # extended-value convexity is vacuous where rhs is infinite
@@ -150,23 +151,21 @@ def check_solver_run(inst: ShippedInstance, rng):
     if problem.dim <= 3:
         F_star = grid_min_F(problem, inst.box_center(),
                             max(inst.sample_halfwidth, 2.0))
-        bound = (fv[0] - F_star) / a
-        summ_ok = ss <= bound + 1e-6
-        detail = f"sum sq steps {ss:.3g} <= {bound:.3g}"
+        caveat = ""
     else:
         # no grid oracle above dimension 3: F* is the best value over 50
         # random restarts and the bound is only as good as that estimate
-        best = math.inf
+        F_star = math.inf
         for _ in range(50):
             s = rng.uniform(inst.box_center() - inst.sample_halfwidth,
                             inst.box_center() + inst.sample_halfwidth)
             if not math.isfinite(problem.F(s)):
                 continue
-            best = min(best, vbpg_run(problem, config, s).final_F)
-        bound = (fv[0] - best) / a
-        summ_ok = ss <= bound + 1e-6
-        detail = (f"sum sq steps {ss:.3g} <= {bound:.3g} "
-                  "(conditional: restart-based F*)")
+            F_star = min(F_star, vbpg_run(problem, config, s).final_F)
+        caveat = " (conditional: restart-based F*)"
+    bound = (fv[0] - F_star) / a
+    summ_ok = ss <= bound + 1e-6
+    detail = f"sum sq steps {ss:.3g} <= {bound:.3g}{caveat}"
     res_ok = True
     if trace.terminated_reason in ("step_tol", "critical_point") and trace.residuals:
         lim = residual_bound(problem.f.lipschitz_L, config.M, config.eps_lo)
@@ -185,9 +184,7 @@ def check_level_boundedness(inst: ShippedInstance, rng):
         return None
     hw = 2.0 * inst.sample_halfwidth + 1.0
     c = inst.box_center()
-    axes = [np.linspace(c[i] - hw, c[i] + hw, 41) for i in range(problem.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid_rows([np.linspace(ci - hw, ci + hw, 41) for ci in c])
     vals = problem.F_batch(pts)
     level = problem.F(inst.start())
     inside = vals <= level
@@ -197,7 +194,7 @@ def check_level_boundedness(inst: ShippedInstance, rng):
                    -float(leak), f"level={level:.4g}, halfwidth={hw:g}")
 
 
-def check_semiconvex_suite(inst: ShippedInstance, rng, n=200):
+def check_semiconvex_suite(inst: ShippedInstance, rng):
     problem = inst.problem()
     rho = problem.g.semiconvex_rho
     if not (math.isfinite(rho) and rho > 0):
@@ -206,7 +203,7 @@ def check_semiconvex_suite(inst: ShippedInstance, rng, n=200):
     eps = inst.config.eps_at(0)
     if not eps < min(K.m / max(problem.f.lipschitz_L, 1e-300), K.m / rho):
         return None
-    X = _finite_samples(problem, rng, n, inst.box_center(), inst.sample_halfwidth)
+    X = _finite_samples(problem, rng, 200, inst.box_center(), inst.sample_halfwidth)
     rep = check_semiconvex_gap_bounds(problem, K, eps, X, eps)
     worst = min(rep["min_slack"].values())
     return _record("semiconvex_gap_bounds", inst.spec.name, worst >= -1e-8,

@@ -29,14 +29,11 @@ import numpy as np
 from . import diagnostics as dx
 from .bregman import ProxError
 from .checks import run_invariant_suite
-from .core import KernelSpec, Problem, SolverConfig, as_vector, validate_config
+from .core import (KernelSpec, Problem, SolverConfig, as_vector, fmt_float,
+                   validate_config)
 from .problems import (ProblemSpec, ShippedInstance, build_problem,
                        jump_spec, lasso_spec)
 from .solver import Trace, kernel_schedule_jacobi, vbpg_run
-
-
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -153,7 +150,7 @@ def kernel_from_config(kc, problem: Problem) -> KernelSpec:
     if kind == "jacobi":
         Q = np.asarray(kc.get("Q") if "Q" in kc else _hessian_of(problem),
                        dtype=float)
-        return kernel_schedule_jacobi(problem, kc["block_sizes"], kc["c"], Q=Q)
+        return kernel_schedule_jacobi(Q, kc["block_sizes"], kc["c"])
     raise ConfigError(f"unknown kernel kind {kind!r}")
 
 
@@ -272,7 +269,8 @@ def _probe_params(cfg: dict, problem: Problem) -> dict:
     checked: ``center`` is "solve" or a point of the problem's dimension,
     ``n_samples`` a positive integer, and ``eta``, ``sigma`` and (when
     given) ``nu``, ``resolution`` and ``box_halfwidth`` positive finite
-    numbers."""
+    numbers; the sublevel grid they ask for must fit ``dx.probe_grid``'s
+    budget."""
     pc = {**dx.PROBE_DEFAULTS, **_object(cfg.get("probe", {}), "probe")}
     center = pc["center"]
     if not (isinstance(center, str) and center == "solve"):
@@ -282,10 +280,12 @@ def _probe_params(cfg: dict, problem: Problem) -> dict:
             raise ConfigError(f"probe.center must be \"solve\" or a point: "
                               f"{exc}") from exc
     n = _number(pc["n_samples"], "probe.n_samples", integer=True)
-    return {"center": center, "n_samples": n, **{
+    params = {"center": center, "n_samples": n, **{
         key: _number(pc[key], f"probe.{key}",
                      optional=key not in ("eta", "sigma"))
         for key in ("eta", "nu", "resolution", "box_halfwidth", "sigma")}}
+    dx.probe_grid(problem.dim, params)
+    return params
 
 
 def cmd_probe(cfg, args, out: Path) -> int:
@@ -373,8 +373,8 @@ def cmd_compare(cfg, args, out: Path) -> int:
         label = kc.get("label", None) if isinstance(kc, dict) else None
         label = label or (kcs[0]["kind"] if isinstance(kcs[0], dict) else f"s{idx}")
         lines.append(",".join([str(label), str(trace.n_iters),
-                               _fmt(beta) if beta is not None else "nan",
-                               _fmt(trace.final_F)]))
+                               fmt_float(beta) if beta is not None else "nan",
+                               fmt_float(trace.final_F)]))
     _write_text(out / "compare.csv", "\n".join(lines) + "\n")
     print(f"compare: {len(schedules)} schedules written")
     return 0

@@ -62,6 +62,17 @@ def min_or_inf(a) -> float:
     return float(np.min(a, initial=math.inf))
 
 
+def grid_rows(axes) -> Array:
+    """The tensor grid over ``axes``, one node per row, last axis fastest."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
+
+
+def fmt_float(v) -> str:
+    """``v`` as the CSV artifacts write it: 17 digits round-trip a float64."""
+    return f"{float(v):.17g}"
+
+
 @dataclass(frozen=True, eq=False)
 class SmoothObjective:
     """Smooth part f of a composite objective.

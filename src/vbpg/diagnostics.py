@@ -34,7 +34,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
-                   min_or_inf, row_dots, row_norms, sample_ball)
+                   fmt_float, grid_rows, min_or_inf, row_dots, row_norms,
+                   sample_ball)
 from .bregman import (annotate_points, decrease_constant, descent_case,
                       descent_constants, prox_points, residual_bound)
 from .solver import Trace, vbpg_final_points, vbpg_run
@@ -46,7 +47,8 @@ _REL_TOL = 1e-6
 
 
 class SliceEmptyError(RuntimeError):
-    """Rejection sampling exhausted its draw budget without filling a slice."""
+    """The probe could not be built: its slice, its sublevel set in the
+    search box or its critical set came up empty."""
 
 
 class DegenerateSampleError(ValueError):
@@ -102,6 +104,10 @@ class ProbeSamples:
 # ---------------------------------------------------------------------------
 
 _DEFAULT_RESOLUTION = {1: 1e-4, 2: 5e-3, 3: 0.05}
+_DIM_ERROR = "projection oracle requires dimension <= 3"
+
+# nodes a probe's sublevel grid may hold: about 6.5x the default 2-D grid
+PROBE_GRID_BUDGET = 1 << 22
 
 # float64 elements in one block of the nearest-candidate search (queries x
 # candidates x dim); bounds its temporaries at 2 MB each, also in d = 3
@@ -132,22 +138,15 @@ class SublevelGrid:
     def __init__(self, problem: Problem, center, halfwidth: float,
                  resolution: Optional[float] = None, extra_points=()):
         if problem.dim > 3:
-            raise ValueError("projection oracle requires dimension <= 3")
+            raise ValueError(_DIM_ERROR)
         self.problem = problem
         self.resolution = resolution or _DEFAULT_RESOLUTION[problem.dim]
         c = as_vector(center, dim=problem.dim)
-        axes = []
-        for i in range(problem.dim):
-            lo, hi = c[i] - halfwidth, c[i] + halfwidth
-            n = int(round((hi - lo) / self.resolution)) + 1
-            axes.append(np.linspace(lo, hi, n))
-        self.axes = axes
-        self.shape = tuple(len(a) for a in axes)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        seeds = [np.atleast_2d(as_vector(p, dim=problem.dim))
-                 for p in ([c] + list(extra_points))]
-        self.points = np.vstack([pts] + seeds)
+        n = grid_axis_nodes(halfwidth, self.resolution)
+        self.axes = [np.linspace(ci - halfwidth, ci + halfwidth, n) for ci in c]
+        self.shape = (n,) * problem.dim
+        self.points = np.vstack([grid_rows(self.axes), c] + [
+            as_vector(p, dim=problem.dim) for p in extra_points])
         self.values = problem.F_batch(self.points)
         self._level = None  # (F_bar, in-set mask, candidate indices)
 
@@ -239,25 +238,24 @@ class SublevelGrid:
         return float(d[0]), P[0]
 
 
-def grid_min_F(problem: Problem, center, halfwidth: float,
-               resolution: float = 0.02, zooms: int = 3) -> float:
-    """Desk-scale global-minimum estimate by nested grid scans."""
+def grid_axis_nodes(halfwidth: float, resolution: float) -> int:
+    """Nodes per axis of a grid over [c - halfwidth, c + halfwidth]."""
+    return int(round(2 * halfwidth / resolution)) + 1
+
+
+def grid_min_F(problem: Problem, center, halfwidth: float) -> float:
+    """Desk-scale global-minimum estimate by three nested grid scans, at
+    spacing 0.02 and then 50 times finer per zoom."""
     c = as_vector(center, dim=problem.dim)
-    hw, res = halfwidth, resolution
-    best_val, best_pt = math.inf, c
-    for _ in range(zooms):
-        axes = [np.linspace(c[i] - hw, c[i] + hw,
-                            int(round(2 * hw / res)) + 1)
-                for i in range(problem.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+    hw, res, best_val = halfwidth, 0.02, math.inf
+    for _ in range(3):
+        n = grid_axis_nodes(hw, res)
+        pts = grid_rows([np.linspace(ci - hw, ci + hw, n) for ci in c])
         vals = problem.F_batch(pts)
         j = int(np.argmin(vals))
         if vals[j] < best_val:
-            best_val, best_pt = float(vals[j]), pts[j]
-        c = best_pt
-        hw = 2.0 * res
-        res = res / 50.0
+            best_val, c = float(vals[j]), pts[j]
+        hw, res = 2.0 * res, res / 50.0
     return best_val
 
 
@@ -266,29 +264,26 @@ def grid_min_F(problem: Problem, center, halfwidth: float,
 # ---------------------------------------------------------------------------
 
 def critical_points(problem: Problem, K: KernelSpec, eps: float, center,
-                    halfwidth: float, seeds_per_axis: int = 7,
-                    max_iters: int = 3000, tol: float = 1e-8) -> Array:
+                    halfwidth: float) -> Array:
     """Prox fixed points found by grid-seeded runs, dimension <= 3.
 
-    The seeds with finite F run as one multi-start
-    (``vbpg_final_points``); each final point is validated by
-    ||x - T(x)|| <= tol and the list, in seed order, is deduplicated at
-    1e-6."""
+    The seeds, 5 per axis, with finite F run as one multi-start
+    (``vbpg_final_points``, at most 3,000 iterations); each final point
+    is validated by ||x - T(x)|| <= 1e-8 and the list, in seed order, is
+    deduplicated at 1e-6.  Raises SliceEmptyError when no point passes."""
     c = as_vector(center, dim=problem.dim)
-    axes = [np.linspace(c[i] - halfwidth, c[i] + halfwidth, seeds_per_axis)
-            for i in range(problem.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    seeds = np.stack([m.ravel() for m in mesh], axis=1)
+    seeds = grid_rows([np.linspace(ci - halfwidth, ci + halfwidth, 5)
+                       for ci in c])
     seeds = seeds[np.isfinite(problem.F_batch(seeds))]
-    config = SolverConfig.constant(eps, K, max_iters=max_iters, step_tol=1e-12)
+    config = SolverConfig.constant(eps, K, max_iters=3000, step_tol=1e-12)
     final = vbpg_final_points(problem, config, seeds)
     res = row_norms(final - prox_points(problem, K, eps, final))
     found = []
-    for xf in final[res <= tol]:
+    for xf in final[res <= 1e-8]:
         if not any(np.linalg.norm(xf - p) <= 1e-6 for p in found):
             found.append(xf)
     if not found:
-        raise RuntimeError("critical set approximation came up empty")
+        raise SliceEmptyError("critical set approximation came up empty")
     return np.array(found)
 
 
@@ -305,28 +300,28 @@ def nearest_in_set(X: Array, points: Array) -> tuple[Array, Array]:
 # ---------------------------------------------------------------------------
 
 _DRAW_CHUNK = 1024  # fixed so the random stream is batch-layout independent
+_MAX_DRAWS = 10 ** 6
 
 
 def probe_slice(problem: Problem, K: KernelSpec, eps: float,
                 slice_: LevelSlice, n: int, seed: int, grid: SublevelGrid,
-                crit_points: Array,
-                max_draws: int = 10 ** 6) -> ProbeSamples:
+                crit_points: Array) -> ProbeSamples:
     """n points uniform in the slice, fully annotated: the first n draws
     that land in the slice, in draw order.
 
     Samples failing Property (A) (F at the prox point dropping below
     Fbar) are flagged, not discarded.  Raises SliceEmptyError when the
-    draw budget is exhausted before n acceptances.  The accepted points
-    are projected onto [F <= Fbar] in one batched oracle call and
+    budget of 10^6 draws is exhausted before n acceptances.  The accepted
+    points are projected onto [F <= Fbar] in one batched oracle call and
     annotated in one array pass (``annotate_points``)."""
     rng = np.random.default_rng(seed)
     X_parts, F_parts = [np.empty((0, problem.dim))], [np.empty(0)]
     got = drawn = 0
     while got < n:
-        if drawn >= max_draws:
+        if drawn >= _MAX_DRAWS:
             raise SliceEmptyError(
                 f"slice produced {got}/{n} samples after {drawn} draws")
-        m = min(_DRAW_CHUNK, max_draws - drawn)
+        m = min(_DRAW_CHUNK, _MAX_DRAWS - drawn)
         X = sample_ball(rng, m, slice_.center, slice_.radius_eta)
         drawn += m
         FX = problem.F_batch(X)
@@ -353,7 +348,7 @@ def samples_to_csv_lines(samples: ProbeSamples) -> list:
     table = np.column_stack([samples.x] + [getattr(samples, c) for c in cols])
     flags = np.where(samples.property_A, "1", "0").tolist()
     return [",".join(header + ["property_A"])] + [
-        ",".join([f"{v:.17g}" for v in row] + [flag])
+        ",".join([fmt_float(v) for v in row] + [flag])
         for row, flag in zip(table.tolist(), flags)]
 
 
@@ -408,11 +403,11 @@ def _ols_loglog(a: Array, b: Array) -> tuple[float, float]:
     return slope, r2
 
 
-def _split_by_target(a: Array, validate_fraction: float = 0.5):
-    """Calibration indices (far from the target set) and validation
-    indices (near it), ordered by the target quantity a."""
+def _split_by_target(a: Array):
+    """Calibration indices (the far half from the target set) and
+    validation indices (the near half), ordered by the target quantity a."""
     order = np.argsort(-a, kind="stable")
-    n_val = max(1, int(len(order) * validate_fraction))
+    n_val = max(1, len(order) // 2)
     return order[:len(order) - n_val], order[len(order) - n_val:]
 
 
@@ -600,13 +595,14 @@ def check_value_proximity(samples: ProbeSamples, F_bar: float,
 
 
 def check_kl_exponent_map(kl_fit: EBFit, eb_fit: EBFit,
-                          sharp_fit: Optional[EBFit] = None,
-                          tol: float = 0.1) -> dict:
-    """gamma ~= alpha/(1 - alpha) and (optionally) sharpness ~= 1 - alpha.
+                          sharp_fit: Optional[EBFit] = None) -> dict:
+    """gamma ~= alpha/(1 - alpha) and (optionally) sharpness ~= 1 - alpha,
+    within a tolerance of 0.1.
 
     The gamma comparison scales the tolerance by the map's local
     derivative 1/(1-alpha)^2, since fit noise in alpha is amplified by
     exactly that factor."""
+    tol = 0.1
     alpha = kl_fit.exponent
     gamma_target = alpha / (1.0 - alpha) if alpha < 1 else math.inf
     gamma_tol = tol * max(1.0, (1.0 - alpha) ** -2 if alpha < 1 else math.inf)
@@ -683,14 +679,14 @@ def check_semiconvex_gap_bounds(problem: Problem, K: KernelSpec, eps: float,
 # rate estimation
 # ---------------------------------------------------------------------------
 
-def estimate_q_linear_rate(trace: Trace, F_bar: float, window: int = 10,
-                           floor: float = 1e-14) -> tuple[float, tuple]:
-    """Largest successive value-gap ratio over the stable tail.
+def estimate_q_linear_rate(trace: Trace, F_bar: float) -> tuple[float, tuple]:
+    """Largest successive value-gap ratio over the last (at most) 10 of
+    the stable tail.
 
-    Gaps below floor*(1+|Fbar|) are float-exhausted and truncate the
+    Gaps below 1e-14 (1+|Fbar|) are float-exhausted and truncate the
     window.  Raises ValueError when no ratio survives."""
     gaps = np.array(trace.f_values, dtype=float) - F_bar
-    scale = floor * (1.0 + abs(F_bar))
+    scale = 1e-14 * (1.0 + abs(F_bar))
     if np.any(gaps < -1e-9 * (1.0 + abs(F_bar))):
         raise ValueError("F_bar exceeds recorded F values")
     # keep the maximal leading run of valid indices
@@ -698,9 +694,8 @@ def estimate_q_linear_rate(trace: Trace, F_bar: float, window: int = 10,
     if k_end < 2:
         raise ValueError("empty rate window: no positive value gaps")
     ratios = gaps[1:k_end] / gaps[:k_end - 1]
-    w = min(window, len(ratios))
-    tail = ratios[-w:]
-    return float(np.max(tail)), (int(k_end - w), int(k_end - 1))
+    w = min(10, len(ratios))
+    return float(np.max(ratios[-w:])), (int(k_end - w), int(k_end - 1))
 
 
 def certified_q_rate(a: float, kappa_prime: float) -> float:
@@ -739,15 +734,13 @@ def r_linear_envelope(trace: Trace, beta: float) -> float:
 
 
 def estimate_level_set_rate(trace: Trace, problem: Problem, F_bar: float,
-                            grid: SublevelGrid,
-                            min_dist: Optional[float] = None) -> dict:
+                            grid: SublevelGrid) -> dict:
     """Max successive ratio of sublevel-set distances along the iterates.
 
-    Distances below ``min_dist`` (default 10x the grid resolution) are
-    dominated by oracle error and are excluded; an iterate already inside
-    [F <= Fbar] ends the usable window (reported as converged)."""
-    if min_dist is None:
-        min_dist = 10.0 * grid.resolution
+    Distances below 10x the grid resolution are dominated by oracle error
+    and are excluded; an iterate already inside [F <= Fbar] ends the
+    usable window (reported as converged)."""
+    min_dist = 10.0 * grid.resolution
     k_end = next((k for k, x in enumerate(trace.iterates)
                   if problem.F(x) <= F_bar), len(trace.iterates))
     dists = grid.project_many(F_bar, trace.iterates[:k_end],
@@ -807,10 +800,10 @@ def check_level_set_rate_certificates(beta_levelset: float, refit_c3: float,
 
 def certify_growth_conditions(problem: Problem, slice_: LevelSlice,
                               crit_points: Array, seed: int = 0,
-                              n: int = 400,
                               samples: Optional[ProbeSamples] = None
                               ) -> dict:
-    """Largest zero-violation modulus for each local growth condition.
+    """Largest zero-violation modulus for each local growth condition,
+    over 400 sampled pairs.
 
     Conditions on the eta-ball around the slice center (f only):
       lsc   f(y) >= f(x) + <grad f(x), y-x> + (mu/2)||y-x||^2, all pairs
@@ -828,8 +821,8 @@ def certify_growth_conditions(problem: Problem, slice_: LevelSlice,
     ((mu - rho)/2) dist(x, crit set) is checked on the probe samples."""
     rng = np.random.default_rng(seed)
     eta = slice_.radius_eta
-    X = sample_ball(rng, n, slice_.center, eta)
-    Y = sample_ball(rng, n, slice_.center, eta)
+    X = sample_ball(rng, 400, slice_.center, eta)
+    Y = sample_ball(rng, 400, slice_.center, eta)
     f = problem.f
     FX, GX = f.batch(X), f.grad_batch(X)
     # projections onto the critical set, and f and grad f there
@@ -882,11 +875,12 @@ def certify_growth_conditions(problem: Problem, slice_: LevelSlice,
 
 
 def check_luo_tseng_bound(problem: Problem, samples: ProbeSamples,
-                          eps: float, sigma: float,
+                          K: KernelSpec, eps: float, sigma: float,
                           crit_points: Array) -> dict:
     """Residual error bound dist(x, crit set) <= c6 ||x - p(x)|| with p(x)
     the euclidean prox-gradient update, over samples whose residual stays
-    below sigma (the definition's domain).
+    below sigma (the definition's domain).  Under a euclidean probe kernel
+    K (at the samples' eps) that residual is the ``dist_prox`` column.
 
     The implication being certified is that the residual bound transfers
     to a prox-map error bound with the same constant for the euclidean
@@ -895,8 +889,8 @@ def check_luo_tseng_bound(problem: Problem, samples: ProbeSamples,
     the critical set and verified on the near half."""
     if not problem.g.convex:
         return {"check": "luo_tseng", "gated": True, "reason": "g not convex"}
-    r = annotate_points(problem, KernelSpec.euclidean(), eps,
-                        samples.x).dist_prox
+    r = samples.dist_prox if K.kind == "euclidean" else annotate_points(
+        problem, KernelSpec.euclidean(), eps, samples.x).dist_prox
     kept = (r <= sigma) & (r > 0)
     n_kept = int(np.count_nonzero(kept))
     n_excluded = len(samples) - n_kept
@@ -914,15 +908,14 @@ def check_luo_tseng_bound(problem: Problem, samples: ProbeSamples,
 
 
 def check_critical_value_consistency(problem: Problem, x_bar: Array,
-                                     crit_points: Array, delta: float,
-                                     tol: float = 1e-8) -> dict:
-    """F(y) <= F(x_bar) for approximate critical points y within delta of
-    x_bar; a precondition of the implication checks that use the critical
-    set as the target."""
+                                     crit_points: Array, delta: float) -> dict:
+    """F(y) <= F(x_bar) (within 1e-8 relative) for approximate critical
+    points y within delta of x_bar; a precondition of the implication
+    checks that use the critical set as the target."""
     F_bar = problem.F(x_bar)
     near = crit_points[row_norms(crit_points - x_bar) <= delta]
     fails = [y.tolist() for y in near
-             if problem.F(y) > F_bar + tol * (1.0 + abs(F_bar))]
+             if problem.F(y) > F_bar + 1e-8 * (1.0 + abs(F_bar))]
     return {"check": "critical_value_consistency", "ok": not fails,
             "n_failures": len(fails), "failures": fails}
 
@@ -940,6 +933,21 @@ PROBE_DEFAULTS = {
     "box_halfwidth": None,  # default: max(4 eta, 1)
     "sigma": 0.5,
 }
+
+
+def probe_grid(dim: int, params: dict) -> tuple[float, float]:
+    """(halfwidth, resolution) of a probe's sublevel grid: ``box_halfwidth``
+    defaults to max(4 eta, 1).  Raises ValueError above dimension 3 or
+    PROBE_GRID_BUDGET nodes, before any grid is built."""
+    if dim > 3:
+        raise ValueError(_DIM_ERROR)
+    halfwidth = params["box_halfwidth"] or max(4.0 * params["eta"], 1.0)
+    resolution = params["resolution"] or _DEFAULT_RESOLUTION[dim]
+    nodes = grid_axis_nodes(halfwidth, resolution) ** dim
+    if nodes > PROBE_GRID_BUDGET:
+        raise ValueError(f"probe grid of {nodes} nodes exceeds the budget "
+                         f"of {PROBE_GRID_BUDGET}")
+    return halfwidth, resolution
 
 
 @dataclass(frozen=True, eq=False)
@@ -963,11 +971,12 @@ def run_campaign(problem: Problem, config: SolverConfig, x0, params: dict,
 
     ``params`` holds probe-section keys; missing ones take PROBE_DEFAULTS.
     The band nu defaults to 0.1 x |F(center + eta 1) - F(center)| (at
-    least 1e-4); the sublevel grid is seeded with the center and has
-    halfwidth ``box_halfwidth`` (default max(4 eta, 1)); the critical set
-    comes from 5 seeds per axis over halfwidth max(2 eta, 1).  Raises
-    SliceEmptyError when the slice cannot be filled."""
+    least 1e-4); the sublevel grid (``probe_grid``) is seeded with the
+    center; the critical set comes from 5 seeds per axis over halfwidth
+    max(2 eta, 1).  Raises ValueError for a grid over budget before the
+    solve, and SliceEmptyError when the probe cannot be built."""
     p = {**PROBE_DEFAULTS, **params}
+    grid_args = probe_grid(problem.dim, p)
     trace = vbpg_run(problem, config, x0)
     center = trace.final_x if isinstance(p["center"], str) else p["center"]
     center = as_vector(center, dim=problem.dim)
@@ -978,11 +987,8 @@ def run_campaign(problem: Problem, config: SolverConfig, x0, params: dict,
         nu = 0.1 * max(local, 1e-3)
     slice_ = make_slice(problem, center, eta, nu)
     K, eps = config.kernel_at(0), config.eps_at(0)
-    halfwidth = p["box_halfwidth"] or max(4.0 * eta, 1.0)
-    grid = SublevelGrid(problem, center, halfwidth, resolution=p["resolution"],
-                        extra_points=[center])
-    crit = critical_points(problem, K, eps, center, max(2.0 * eta, 1.0),
-                           seeds_per_axis=5)
+    grid = SublevelGrid(problem, center, *grid_args)
+    crit = critical_points(problem, K, eps, center, max(2.0 * eta, 1.0))
     samples = probe_slice(problem, K, eps, slice_, p["n_samples"], seed, grid,
                           crit)
     return Campaign(problem, config, trace, slice_, grid, crit, samples)
@@ -1056,8 +1062,8 @@ def eb_report(campaign: Campaign, seed: int,
                 cc.c_frak, L, M, config.eps_lo, config.eps_hi, m, rho)
     checks["growth_conditions"] = certify_growth_conditions(
         problem, slice_, crit, seed=seed, samples=samples)
-    checks["luo_tseng"] = check_luo_tseng_bound(problem, samples, eps, sigma,
-                                                crit)
+    checks["luo_tseng"] = check_luo_tseng_bound(problem, samples, K, eps,
+                                                sigma, crit)
     checks["critical_value_consistency"] = check_critical_value_consistency(
         problem, slice_.center, crit, delta=2.0 * slice_.radius_eta)
 

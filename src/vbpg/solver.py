@@ -20,13 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
-                   row_norms, vector_norm)
+                   fmt_float, row_norms, vector_norm)
 from .bregman import (decrease_constant, prox_map, prox_points,
                       subgradient_from_gradients)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 @dataclass
@@ -69,17 +65,13 @@ class Trace:
         return self.residuals[-1] if self.residuals else math.nan
 
     def csv_lines(self) -> list:
-        lines = ["iter,F,step_norm,gap,residual,eps,kernel,inner_iters,tied"]
-        for k in range(self.n_iters):
-            lines.append(",".join([str(k), _fmt(self.f_values[k]),
-                                   _fmt(self.step_norms[k]),
-                                   _fmt(self.gaps[k]),
-                                   _fmt(self.residuals[k]),
-                                   _fmt(self.eps_used[k]),
-                                   str(self.kernel_indices[k]),
-                                   str(self.inner_iterations[k]),
-                                   str(int(self.tied[k]))]))
-        return lines
+        rows = zip(self.f_values, self.step_norms, self.gaps, self.residuals,
+                   self.eps_used, self.kernel_indices, self.inner_iterations,
+                   self.tied)  # f_values' trailing entry has no row
+        return ["iter,F,step_norm,gap,residual,eps,kernel,inner_iters,tied"] + [
+            ",".join([str(k)] + [fmt_float(v) for v in row[:5]]
+                     + [str(row[5]), str(row[6]), str(int(row[7]))])
+            for k, row in enumerate(rows)]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -213,20 +205,17 @@ def block_preconditioner(Q: Array, block_sizes, c) -> Array:
     return A + np.diag(c)
 
 
-def kernel_schedule_jacobi(problem: Problem, block_sizes, c,
-                           Q: Array | None = None) -> KernelSpec:
-    """Kernel realizing a regularized block-Jacobi update.
+def kernel_schedule_jacobi(Q: Array, block_sizes, c) -> KernelSpec:
+    """Kernel realizing a regularized block-Jacobi update of a quadratic f
+    with Hessian Q.
 
     The decoupled model sum_i f(x_1^k, ..., x_i, ..., x_N^k)
     + (c_i/2)||x_i - x_i^k||^2 is quadratic in x when f is quadratic, and
     a quadratic kernel's induced distance depends only on its Hessian:
     blockdiag(Q) + diag(c), a constant matrix.  The resulting schedule is
     therefore a single certified kernel.  For non-quadratic f the moduli
-    (m, M) cannot be certified this way and the construction refuses.
+    (m, M) cannot be certified this way.
     """
-    if Q is None:
-        raise ValueError("jacobi kernel certification requires the quadratic "
-                         "Hessian Q; non-quadratic objectives are not supported")
     A = block_preconditioner(Q, block_sizes, c)
     if np.count_nonzero(A - np.diag(np.diagonal(A))) == 0:
         return KernelSpec.diagonal(np.diagonal(A))

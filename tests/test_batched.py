@@ -4,10 +4,12 @@ The references below are the per-point loops the batched code replaced,
 kept here as plain reference implementations."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import vbpg.diagnostics as diagnostics
 import vbpg.solver as solver_mod
 from vbpg.bregman import annotate_points, envelope_gap, prox_map
 from vbpg.core import KernelSpec, SmoothObjective, SolverConfig, sample_ball
@@ -299,8 +301,7 @@ def test_critical_points_makes_no_runs_and_one_prox_per_iteration(monkeypatch):
     prox = problem.g.prox
     monkeypatch.setattr(problem.g, "prox",
                         lambda *a: proxes.append(1) or prox(*a))
-    crit = critical_points(problem, EUC, 0.4, np.zeros(2), 2.0,
-                           seeds_per_axis=5, max_iters=3000)
+    crit = critical_points(problem, EUC, 0.4, np.zeros(2), 2.0)
     assert runs == []
     assert 1 < len(proxes) <= 3000 + 1
     assert crit.shape[1] == 2
@@ -309,7 +310,7 @@ def test_critical_points_makes_no_runs_and_one_prox_per_iteration(monkeypatch):
 def test_critical_points_match_sequential_runs():
     problem = quad_problem("scad", {"lam": 0.5, "a": 3.7}, b=(-0.3, 0.2))
     center, hw, eps = np.array([0.1, -0.2]), 2.0, 0.5
-    crit = critical_points(problem, EUC, eps, center, hw, seeds_per_axis=5)
+    crit = critical_points(problem, EUC, eps, center, hw)
     axes = [np.linspace(c - hw, c + hw, 5) for c in center]
     seeds = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
                      axis=1)
@@ -338,8 +339,7 @@ def test_probe_samples_match_per_sample_reference(K, g_kind, g_params):
     slice_ = make_slice(problem, [0.2, 0.1], 0.6, 0.4)
     grid = SublevelGrid(problem, slice_.center, 2.4,
                         extra_points=[slice_.center])
-    crit = critical_points(problem, K, eps, slice_.center, 1.2,
-                           seeds_per_axis=5)
+    crit = critical_points(problem, K, eps, slice_.center, 1.2)
     samples = probe_slice(problem, K, eps, slice_, 60, 3, grid, crit)
     ref = reference_samples(problem, K, eps, slice_, samples.x, crit)
     for key in ("dist_subdiff", "dist_prox", "dist_crit", "property_A"):
@@ -397,10 +397,33 @@ def test_semiconvex_slacks_skip_points_outside_dom_g():
 def test_luo_tseng_matches_per_sample_residuals(lasso_campaign):
     camp = lasso_campaign
     p, X = camp.problem, camp.samples.x
-    rep = check_luo_tseng_bound(p, camp.samples, 0.5, 0.12, camp.crit)
+    rep = check_luo_tseng_bound(p, camp.samples, EUC, 0.5, 0.12, camp.crit)
     r = [float(np.linalg.norm(x - p.g.scaled_prox(
         x, p.f.gradient(x), 1.0, 0.5)[0])) for x in X]
     assert annotate_points(p, EUC, 0.5, X).dist_prox.tolist() == r
     kept = [0 < ri <= 0.12 for ri in r]
     assert rep["n_kept"] == sum(kept)
     assert rep["n_excluded"] == len(X) - sum(kept)
+
+
+@pytest.mark.parametrize("K", [EUC, DIAG], ids=["euclidean", "diagonal"])
+def test_luo_tseng_uses_euclidean_residuals(K, monkeypatch):
+    # the report equals the one read off a fresh euclidean annotation; a
+    # euclidean probe already holds it in dist_prox and annotates nothing
+    problem = quad_problem("l1", {"lam": 0.5})
+    eps, sigma = 0.3, 0.5
+    slice_ = make_slice(problem, [0.2, 0.1], 0.6, 0.4)
+    grid = SublevelGrid(problem, slice_.center, 2.4)
+    crit = critical_points(problem, K, eps, slice_.center, 1.2)
+    samples = probe_slice(problem, K, eps, slice_, 60, 3, grid, crit)
+    r = annotate_points(problem, KernelSpec.euclidean(), eps,
+                        samples.x).dist_prox
+    assert np.array_equal(samples.dist_prox, r) == (K is EUC)
+    ref = check_luo_tseng_bound(problem, replace(samples, dist_prox=r), EUC,
+                                eps, sigma, crit)
+    calls = []
+    monkeypatch.setattr(diagnostics, "annotate_points",
+                        lambda *a: calls.append(a) or annotate_points(*a))
+    rep = check_luo_tseng_bound(problem, samples, K, eps, sigma, crit)
+    assert rep == ref and not rep["gated"]
+    assert len(calls) == (0 if K is EUC else 1)

@@ -84,11 +84,6 @@ class TestProxMap:
                       + EUC.distance(x, t) / 0.5)
             assert abs(direct - r.subproblem_value) <= 1e-10 * (1 + abs(direct))
 
-    def test_strict_mode_rejects_bad_eps(self):
-        p = build(np.eye(2) * 2.0, [0.0, 0.0])
-        with pytest.raises(ValueError):
-            prox_map(p, EUC, 0.6, np.zeros(2), strict=True)
-
     def test_quadratic_kernel_matches_direct_solve(self):
         p = build([[3.0, 0.7], [0.7, 2.0]], [0.5, -1.0])
         A = np.array([[2.0, 0.4], [0.4, 1.5]])

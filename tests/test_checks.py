@@ -76,8 +76,7 @@ def _ref_prox_invariants(inst, rng, n=300):
         if G < -1e-12 or E > Fx + 1e-10 * (1 + abs(Fx)):
             gap_err = max(gap_err, 1.0)
         if i < len(U):
-            slack = check_descent_inequality(problem, K, eps, x, U[i], consts,
-                                             prox)
+            slack = check_descent_inequality(problem, K, eps, x, U[i], consts)
             if math.isfinite(slack):
                 descent = min(descent, slack)
         r2 = float((x - t) @ (x - t))
@@ -214,8 +213,6 @@ def test_suite_call_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(bregman, "_prox_map",
-                        counting("prox", bregman._prox_map))
     monkeypatch.setattr(bregman, "prox_map",
                         counting("prox", bregman.prox_map))
     monkeypatch.setattr(GridProxOracle, "argmin_many",

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vbpg import diagnostics as dx
 from vbpg.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -434,6 +435,46 @@ class TestFailureContract:
         assert capsys.readouterr().err == (
             f"config parse error: check.halfwidth must be a positive number, "
             f"got {halfwidth!r}\n")
+
+    def test_empty_critical_set_exit_3(self, tmp_path, capsys):
+        # Q[0][0] = 0 leaves f unbounded below along x0: no seed settles
+        cfg = write_config(tmp_path, "c.json", _with(
+            "compare_kernels.json", ("problem", "params", "Q"),
+            [[0.0, 0.0], [0.0, 1.0]]))
+        assert run(["probe", "--config", cfg, "--out", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err == (
+            "probe failed: critical set approximation came up empty\n")
+        assert not (tmp_path / "o" / "probe.csv").exists()
+
+    @pytest.mark.parametrize("probe,nodes", [
+        ({"resolution": 1e-4}, 40001 ** 2),
+        ({"eta": 20.0, "box_halfwidth": None}, 32001 ** 2),
+        ({"box_halfwidth": 50.0}, 20001 ** 2),
+    ], ids=["resolution", "eta", "box_halfwidth"])
+    def test_probe_grid_over_budget_exit_1(self, tmp_path, capsys,
+                                           monkeypatch, probe, nodes):
+        # refused while parsing: no solve runs and no grid is built
+        monkeypatch.setattr(dx, "run_campaign",
+                            lambda *a: pytest.fail("probe ran"))
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        cfg["probe"].update(probe)
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run(["probe", "--config", path, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == (
+            f"config parse error: probe grid of {nodes} nodes exceeds the "
+            f"budget of {dx.PROBE_GRID_BUDGET}\n")
+
+    def test_jacobi_kernel_needs_quadratic_f_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "problem": {"kind": "logistic",
+                        "params": {"dim": 2, "n_rows": 12, "data_seed": 7}},
+            "solver": {"kernel": {"kind": "jacobi", "block_sizes": [1, 1],
+                                  "c": [0.1, 0.1]}},
+            "x0": [0.1, 0.2]})
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == (
+            "config parse error: jacobi kernel requires a quadratic objective "
+            "(gradient is not affine)\n")
 
     def test_compare_bad_kernel_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", _quadratic_config(

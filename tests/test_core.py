@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbpg.core import (KernelSpec, SolverConfig, as_vector,
-                       finite_diff_grad_check, power_iteration_norm,
-                       sample_box, validate_config)
+                       finite_diff_grad_check, fmt_float, grid_rows,
+                       power_iteration_norm, sample_box, validate_config)
 from vbpg.problems import ProblemSpec, quadratic_objective
 
 vec2 = st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False),
@@ -180,3 +180,16 @@ def test_as_vector_rejects_nonfinite():
         as_vector([1.0, math.nan])
     with pytest.raises(ValueError):
         as_vector([1.0, 2.0], dim=3)
+
+
+def test_grid_rows_last_axis_fastest():
+    axes = [np.array([0.0, 1.0]), np.array([-1.0, 0.5, 2.0])]
+    assert grid_rows(axes).tolist() == [[a, b] for a in axes[0]
+                                        for b in axes[1]]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=100, derandomize=True)
+def test_fmt_float_round_trips(v):
+    assert float(fmt_float(v)) == v
+    assert fmt_float(np.float64(v)) == fmt_float(v) == f"{v:.17g}"

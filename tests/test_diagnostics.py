@@ -268,7 +268,7 @@ class TestProbeSlice:
         grid = SublevelGrid(p, np.zeros(1), 2.0)
         with pytest.raises(SliceEmptyError):
             probe_slice(p, EUC, 0.5, sl, 50, 0, grid=grid,
-                        crit_points=np.zeros((1, 1)), max_draws=20000)
+                        crit_points=np.zeros((1, 1)))
 
     def test_membership_predicate(self, lasso_campaign):
         sl = lasso_campaign.slice
@@ -286,7 +286,7 @@ class TestProbeSlice:
 class TestCriticalPoints:
     def test_finds_unique_minimizer(self):
         p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
-        crit = critical_points(p, EUC, 0.5, np.zeros(2), 2.0, seeds_per_axis=5)
+        crit = critical_points(p, EUC, 0.5, np.zeros(2), 2.0)
         assert crit.shape[0] == 1
         assert np.allclose(crit[0], [0.5, 0.3], atol=1e-7)
 
@@ -629,7 +629,7 @@ class TestGrowthConditions:
                         "zero", {}, 1).build()
         sl = make_slice(p, [0.0], 2.5, 100.0)
         crit = np.zeros((1, 1))
-        rep = certify_growth_conditions(p, sl, crit, seed=2, n=800)
+        rep = certify_growth_conditions(p, sl, crit, seed=2)
         assert rep["mu"]["lpl"] > 0.0
         assert rep["mu"]["lsc"] == 0.0  # concave stretch defeats convexity
 
@@ -646,7 +646,7 @@ class TestGrowthConditions:
                            "mcp", {"lam": 0.3, "gamma": 2.0}, 1)
         p = spec.build()
         sl = make_slice(p, [0.0], 0.5, 1.0)
-        crit = critical_points(p, EUC, 0.5, np.zeros(1), 1.0, seeds_per_axis=5)
+        crit = critical_points(p, EUC, 0.5, np.zeros(1), 1.0)
         rep = certify_growth_conditions(p, sl, crit, seed=4)
         assert rep["weak_subreg"]["gated"]
         assert "rho" in rep["weak_subreg"]["reason"]
@@ -655,7 +655,7 @@ class TestGrowthConditions:
 class TestLuoTseng:
     def test_lasso_fit_and_bound(self, lasso_campaign):
         rep = check_luo_tseng_bound(lasso_campaign.problem,
-                                    lasso_campaign.samples, 0.5, 0.5,
+                                    lasso_campaign.samples, EUC, 0.5, 0.5,
                                     lasso_campaign.crit)
         assert not rep["gated"]
         assert math.isfinite(rep["c6"]) and rep["c6"] > 0
@@ -663,7 +663,7 @@ class TestLuoTseng:
 
     def test_residual_filter_semantics(self, lasso_campaign):
         rep = check_luo_tseng_bound(lasso_campaign.problem,
-                                    lasso_campaign.samples, 0.5, 0.12,
+                                    lasso_campaign.samples, EUC, 0.5, 0.12,
                                     lasso_campaign.crit)
         assert rep["n_excluded"] > 0
 
@@ -687,8 +687,7 @@ class TestLuoTseng:
                             {"eta": 0.4, "nu": 0.2, "n_samples": 120,
                              "box_halfwidth": 1.8, "resolution": 0.005},
                             seed=3)
-        rep = check_luo_tseng_bound(p, camp.samples, 0.6, 0.5,
-                                    camp.crit)
+        rep = check_luo_tseng_bound(p, camp.samples, K, 0.6, 0.5, camp.crit)
         assert not rep["gated"]
         assert rep["n_violations"] == 0
 
@@ -697,5 +696,5 @@ class TestLuoTseng:
                            {"Q": [[1.0]], "b": [0.0]},
                            "mcp", {"lam": 0.5, "gamma": 3.0}, 1)
         p = spec.build()
-        rep = check_luo_tseng_bound(p, [], 0.3, 0.5, np.zeros((1, 1)))
+        rep = check_luo_tseng_bound(p, [], EUC, 0.3, 0.5, np.zeros((1, 1)))
         assert rep["gated"]

@@ -187,7 +187,7 @@ class TestJacobi:
     def test_matches_hand_rolled_block_jacobi(self):
         c = (0.5, 0.8)
         blocks = (2, 2)
-        K = kernel_schedule_jacobi(self.p, blocks, c, Q=self.Q)
+        K = kernel_schedule_jacobi(self.Q, blocks, c)
         eps = 0.8 * K.m / self.p.f.lipschitz_L
         x = np.array([1.0, -1.0, 0.5, 2.0])
         y = x.copy()
@@ -206,7 +206,7 @@ class TestJacobi:
             assert np.linalg.norm(x - y) <= 1e-7
 
     def test_single_block_is_full_quadratic_kernel(self):
-        K = kernel_schedule_jacobi(self.p, (4,), (0.3,), Q=self.Q)
+        K = kernel_schedule_jacobi(self.Q, (4,), (0.3,))
         assert K.kind == "quadratic"
         assert np.allclose(K.A, self.Q + 0.3 * np.eye(4))
 
@@ -214,7 +214,7 @@ class TestJacobi:
         x = np.array([1.0, -1.0, 0.5, 2.0])
         steps = []
         for ci in (0.1, 1.0, 10.0, 100.0):
-            K = kernel_schedule_jacobi(self.p, (2, 2), (ci, ci), Q=self.Q)
+            K = kernel_schedule_jacobi(self.Q, (2, 2), (ci, ci))
             out = vbpg_step(self.p, K, 0.1, x)
             steps.append(np.linalg.norm(out - x))
         assert all(s0 > s1 for s0, s1 in zip(steps, steps[1:]))
@@ -222,7 +222,7 @@ class TestJacobi:
     def test_separable_problem_matches_diagonal_kernel(self):
         Qd = np.diag([2.0, 0.5])
         p = quad(Qd.tolist(), [1.0, -0.5], "l1", {"lam": 0.2})
-        Kj = kernel_schedule_jacobi(p, (1, 1), (0.3, 0.3), Q=Qd)
+        Kj = kernel_schedule_jacobi(Qd, (1, 1), (0.3, 0.3))
         assert Kj.kind == "diagonal"
         Kd = KernelSpec.diagonal([2.3, 0.8])
         cfg_j = SolverConfig.constant(0.5, Kj, max_iters=50, step_tol=1e-12)
@@ -233,10 +233,6 @@ class TestJacobi:
         assert tj.n_iters == td.n_iters
         assert np.array_equal(tj.final_x, td.final_x)
         assert tj.f_values == td.f_values
-
-    def test_refuses_without_hessian(self):
-        with pytest.raises(ValueError):
-            kernel_schedule_jacobi(self.p, (2, 2), (0.5, 0.5))
 
     def test_block_preconditioner_shape_checks(self):
         with pytest.raises(ValueError):
