@@ -133,6 +133,11 @@ class SublevelGrid:
     in the set, x lies within h/2 of p on every axis (a neighbour would be
     nearer otherwise), so p is x's own nearest node.  The threshold and
     the candidates are computed once per Fbar and cached.
+
+    ``values`` holds F at every row of ``points`` with the bits of
+    ``F_batch(points)``: f runs once over all rows, as in ``F_batch``,
+    and g once per axis on the nodes (``Regularizer.value_grid``) and row
+    by row on the seeds.
     """
 
     def __init__(self, problem: Problem, center, halfwidth: float,
@@ -147,7 +152,9 @@ class SublevelGrid:
         self.shape = (n,) * problem.dim
         self.points = np.vstack([grid_rows(self.axes), c] + [
             as_vector(p, dim=problem.dim) for p in extra_points])
-        self.values = problem.F_batch(self.points)
+        g, seeds = problem.g, self.points[n ** problem.dim:]
+        self.values = problem.f.batch(self.points) + np.concatenate(
+            [g.value_grid(self.axes), g.value_batch(seeds)])
         self._level = None  # (F_bar, in-set mask, candidate indices)
 
     def _level_set(self, F_bar: float) -> tuple[Array, Array]:
@@ -250,11 +257,13 @@ def grid_min_F(problem: Problem, center, halfwidth: float) -> float:
     hw, res, best_val = halfwidth, 0.02, math.inf
     for _ in range(3):
         n = grid_axis_nodes(hw, res)
-        pts = grid_rows([np.linspace(ci - hw, ci + hw, n) for ci in c])
-        vals = problem.F_batch(pts)
+        axes = [np.linspace(ci - hw, ci + hw, n) for ci in c]
+        vals = problem.F_grid(axes)
         j = int(np.argmin(vals))
         if vals[j] < best_val:
-            best_val, c = float(vals[j]), pts[j]
+            node = np.unravel_index(j, (n,) * problem.dim)
+            best_val, c = float(vals[j]), np.array(
+                [ax[i] for ax, i in zip(axes, node)])
         hw, res = 2.0 * res, res / 50.0
     return best_val
 
@@ -938,12 +947,14 @@ PROBE_DEFAULTS = {
 def probe_grid(dim: int, params: dict) -> tuple[float, float]:
     """(halfwidth, resolution) of a probe's sublevel grid: ``box_halfwidth``
     defaults to max(4 eta, 1).  Raises ValueError above dimension 3 or
-    PROBE_GRID_BUDGET nodes, before any grid is built."""
+    PROBE_GRID_BUDGET nodes (also when 2 halfwidth / resolution overflows),
+    before any grid is built."""
     if dim > 3:
         raise ValueError(_DIM_ERROR)
     halfwidth = params["box_halfwidth"] or max(4.0 * params["eta"], 1.0)
     resolution = params["resolution"] or _DEFAULT_RESOLUTION[dim]
-    nodes = grid_axis_nodes(halfwidth, resolution) ** dim
+    finite = math.isfinite(2 * halfwidth / resolution)
+    nodes = grid_axis_nodes(halfwidth, resolution) ** dim if finite else math.inf
     if nodes > PROBE_GRID_BUDGET:
         raise ValueError(f"probe grid of {nodes} nodes exceeds the budget "
                          f"of {PROBE_GRID_BUDGET}")

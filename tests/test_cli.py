@@ -450,7 +450,10 @@ class TestFailureContract:
         ({"resolution": 1e-4}, 40001 ** 2),
         ({"eta": 20.0, "box_halfwidth": None}, 32001 ** 2),
         ({"box_halfwidth": 50.0}, 20001 ** 2),
-    ], ids=["resolution", "eta", "box_halfwidth"])
+        ({"resolution": 1e-320}, "inf"),
+        ({"box_halfwidth": 1e308}, "inf"),
+    ], ids=["resolution", "eta", "box_halfwidth", "resolution_overflow",
+            "box_halfwidth_overflow"])
     def test_probe_grid_over_budget_exit_1(self, tmp_path, capsys,
                                            monkeypatch, probe, nodes):
         # refused while parsing: no solve runs and no grid is built

@@ -1,7 +1,8 @@
-"""Mutation fuzzing of the shipped configs through ``vbpg solve`` and
-``vbpg compare``: whatever single value a document holds, the command ends
-in a documented exit code with no traceback, and the manifest is written;
-a solver value of the wrong type ends in one config parse error."""
+"""Mutation fuzzing of the shipped configs through ``vbpg solve``,
+``vbpg compare``, ``vbpg probe`` and ``vbpg check --config``: whatever
+single value a document holds, the command ends in a documented exit code
+with no traceback, and the manifest is written; a solver value of the
+wrong type ends in one config parse error."""
 
 import contextlib
 import copy
@@ -10,6 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from vbpg.cli import main
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DOCS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
 MAX_ITERS = 20
+MAX_SAMPLES = 60
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers()
@@ -46,13 +49,16 @@ def replaced(doc, path, value):
 
 
 def capped(doc):
-    """``doc`` with at most MAX_ITERS solver iterations, so that a mutated
-    value costs the same time as a shipped one."""
-    solver = doc.get("solver")
-    if isinstance(solver, dict):
-        n = solver.get("max_iters", MAX_ITERS)
-        if isinstance(n, (int, float)) and not isinstance(n, bool):
-            solver["max_iters"] = min(n, MAX_ITERS)
+    """``doc`` with at most MAX_ITERS solver iterations and MAX_SAMPLES
+    probe samples, so that a mutated value costs the same time as a
+    shipped one."""
+    for section, key, cap in (("solver", "max_iters", MAX_ITERS),
+                              ("probe", "n_samples", MAX_SAMPLES)):
+        part = doc.get(section)
+        if isinstance(part, dict):
+            n = part.get(key, cap)
+            if isinstance(n, (int, float)) and not isinstance(n, bool):
+                part[key] = min(n, cap)
     return doc
 
 
@@ -69,18 +75,31 @@ def run_in_process(command, cfg):
         return code, err.getvalue(), (out / "manifest.json").exists()
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(data=st.data())
-def test_mutated_config_ends_in_documented_exit(data):
+def mutated_run(data, commands):
+    """Run one of ``commands`` on a shipped config with one value replaced
+    and check that it ends cleanly."""
     name = data.draw(st.sampled_from(sorted(DOCS)))
     doc = DOCS[name]
     path = data.draw(st.sampled_from(list(value_paths(doc))))
     cfg = capped(replaced(doc, path, data.draw(JSON_VALUES)))
-    command = data.draw(st.sampled_from(["solve", "compare"]))
+    command = data.draw(st.sampled_from(commands))
     code, err, manifest = run_in_process(command, cfg)
     assert code in range(6), (code, err)
     assert "Traceback" not in err
     assert manifest
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_config_ends_in_documented_exit(data):
+    mutated_run(data, ["solve", "compare"])
+
+
+@pytest.mark.parametrize("command", ["probe", "check"])
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_probe_and_check_end_in_documented_exit(command, data):
+    mutated_run(data, [command])
 
 
 WRONG_TYPE = (st.booleans() | st.text(max_size=6)

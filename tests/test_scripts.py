@@ -1,7 +1,9 @@
 """The study scripts at their default arguments: they print the shipped
 figures from the probe pipeline and write nothing to the working
-directory."""
+directory.  The artifact diff's comparison runs on two small run
+directories."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -39,3 +41,59 @@ def test_counterexample_probe_figures(monkeypatch, tmp_path, capsys):
     sweep = [line for line in out.splitlines() if "alpha =" in line]
     assert len(sweep) == 19
     assert all(line.endswith("violated 100.0%") for line in sweep)
+
+
+def test_artifact_diff_compare_dirs(tmp_path):
+    compare_dirs = runpy.run_path(
+        str(SCRIPTS / "artifact_diff.py"))["compare_dirs"]
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+        (d / "trace.csv").write_text("k,F\n0,1.5\n1,0.25\n")
+        (d / "manifest.json").write_text(json.dumps({"dir": str(d)}))
+    (old / "probe.csv").write_text(
+        "x0,dist_level,property_A\n0.5,0.1,1\n0.6,0.2,1\n0.7,0.3,0\n")
+    (new / "probe.csv").write_text(
+        "x0,dist_level,property_A\n0.5,0.101,1\n0.6,0.198,0\n0.7,0.3,0\n")
+    report = {"ok": True, "records": [{"name": "a", "worst": 1.0},
+                                      {"name": "b", "worst": 2.0}]}
+    (old / "eb_report.json").write_text(json.dumps(report))
+    report["records"][1]["worst"] = 2.5
+    report["ok"] = False
+    (new / "eb_report.json").write_text(json.dumps(report))
+    (new / "summary.json").write_text("{}")
+    assert compare_dirs(old, new) == [
+        "eb_report.json: field ok moved, largest change 1",
+        "eb_report.json: field records[].worst moved, largest change 0.5",
+        "probe.csv: column dist_level moved, largest change 0.002",
+        "probe.csv: column property_A moved, largest change 1",
+        "summary.json: only in change",
+        "trace.csv: identical",
+    ]
+
+
+def test_artifact_diff_compare_runs(tmp_path):
+    compare_runs = runpy.run_path(
+        str(SCRIPTS / "artifact_diff.py"))["compare_runs"]
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+        (d / "stdout.txt").write_text("")
+        (d / "stderr.txt").write_text("Traceback\nImportError: vbpg\n")
+    # the same failure on both sides, with nothing but the streams
+    assert compare_runs(old, new, (1, 1)) == [
+        "stderr.txt: identical", "stdout.txt: identical",
+        "failed on both sides: exit 1, expected 0"]
+    assert compare_runs(old, new, (0, 0))[-1] == "no artifacts on either side"
+    # a documented failure writes no artifact
+    assert compare_runs(old, new, (5, 5), expected=5) == [
+        "stderr.txt: identical", "stdout.txt: identical"]
+    for d in (old, new):
+        (d / "trace.csv").write_text("k,F\n0,1.5\n")
+    (new / "stdout.txt").write_text("solve: 3 iterations\n")
+    assert compare_runs(old, new, (0, 2)) == [
+        "stderr.txt: identical", "stdout.txt: differs from line 1",
+        "trace.csv: identical", "exit codes differ: 0 / 2"]
+    (new / "stdout.txt").write_text("")
+    assert all(line.endswith(": identical")
+               for line in compare_runs(old, new, (0, 0)))
