@@ -10,7 +10,8 @@ central objects are
 
 G vanishes exactly at proximal critical points when g is semiconvex and
 the step size is admissible, which makes it the merit function used by
-the diagnostics layer.
+the diagnostics layer.  ``prox_map`` solves the subproblem at one point
+(the solver's path); ``annotate_points`` gives T, E and G for rows.
 """
 
 from __future__ import annotations
@@ -49,32 +50,24 @@ class ProxResult:
     g_value: float
 
 
-def distance(K: KernelSpec, x: Array, y: Array) -> float:
-    """Kernel distance D(x, y) = K(y) - K(x) - <grad K(x), y - x>."""
-    x = as_vector(x)
-    return K.distance(x, as_vector(y, dim=x.size))
-
-
 def _prox_result(problem: Problem, K: KernelSpec, eps: float, x: Array,
                  grad_x: Array, t: Array, inner_iterations: int = 0,
                  tied: bool = False) -> ProxResult:
     g_t = problem.g.value(t)
-    val = float(grad_x @ (t - x)) + g_t + K.distance(x, t) / eps
+    val = float(grad_x @ (t - x)) + g_t + float(K.distance(x, t)) / eps
     return ProxResult(t, val, inner_iterations, tied, g_t)
 
 
 def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
-             warm_start: Array | None = None,
              grad_x: Array | None = None) -> ProxResult:
     """Solve the prox subproblem at x.
 
     Separable fast path (euclidean/diagonal kernels, coordinatewise g):
     exact per-coordinate minimization through the regularizer's candidate
     enumeration.  General quadratic kernels: proximal-gradient iterations
-    on the subproblem with step 1/(M/eps + L), run from ``warm_start``
-    (default x) until the inner step norm falls below 1e-10 (1 + ||x||),
-    at most 10,000 of them.  ``grad_x`` is grad f(x) when the caller
-    already has it.
+    on the subproblem with step 1/(M/eps + L), run from x until the inner
+    step norm falls below 1e-10 (1 + ||x||), at most 10,000 of them.
+    ``grad_x`` is grad f(x) when the caller already has it.
     """
     x = as_vector(x, dim=problem.dim)
     if eps <= 0:
@@ -90,7 +83,7 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
     # strongly convex inner problem: smooth part <grad_x, y> + D(x, y)/eps
     tol = 1e-10 * (1.0 + vector_norm(x))
     step = 1.0 / (K.M / eps + problem.f.lipschitz_L)
-    y = x.copy() if warm_start is None else as_vector(warm_start, dim=problem.dim)
+    y = x.copy()
     for it in range(1, _INNER_MAX + 1):
         grad_smooth = grad_x + K.grad_y(x, y) / eps
         y_next, _ = problem.g.scaled_prox(y - step * grad_smooth, 0.0, 1.0,
@@ -109,7 +102,7 @@ def prox_points(problem: Problem, K: KernelSpec, eps: float, X: Array,
     the rows when the caller already has it.  Separable kernels make one
     regularizer call over all entries; other kernels solve row by row."""
     if grad_X is None:
-        grad_X = problem.f.grad_batch(X)
+        grad_X = problem.f.gradient_batch(X)
     weights = K.diag_weights(problem.dim)
     if weights is None:
         return np.array([prox_map(problem, K, eps, x, grad_x=gx).minimizer
@@ -138,80 +131,36 @@ class PointAnnotation:
 
 def annotate_points(problem: Problem, K: KernelSpec, eps: float,
                     X: Array) -> PointAnnotation:
-    """``envelope_gap``, F at the prox point, the subdifferential distance
-    and the prox residual for every row of an (n, dim) array X in one
-    array pass.
+    """E(x), G(x), F at the prox point, the subdifferential distance and
+    the prox residual for every row of an (n, dim) array X in one array
+    pass.
 
-    dist_subdiff and dist_prox carry the bits of the per-point functions;
-    E, G and F(T x) sum f and g over the rows with ``batch`` and
-    ``value_batch``, so they agree with ``envelope_gap`` and ``F`` up to
-    summation roundoff."""
+    The prox points carry the bits of ``prox_map``; E, G and F(T x) sum f
+    and g over the rows with ``value_batch``, so they agree with the
+    per-point f(x) + ``subproblem_value`` and ``F`` up to summation
+    roundoff."""
     f, g = problem.f, problem.g
-    grad = f.grad_batch(X)
+    grad = f.gradient_batch(X)
     T = prox_points(problem, K, eps, X, grad)
     g_T = g.value_batch(T)
-    sub = row_dots(grad, T - X) + g_T + K.distance_rows(X, T) / eps
+    sub = row_dots(grad, T - X) + g_T + K.distance(X, T) / eps
     return PointAnnotation(
-        envelope=f.batch(X) + sub,
-        gap=(g.value_batch(X) - sub) / eps, prox_F=f.batch(T) + g_T,
+        envelope=f.value_batch(X) + sub,
+        gap=(g.value_batch(X) - sub) / eps, prox_F=f.value_batch(T) + g_T,
         dist_subdiff=row_norms(g.subdiff_parts(X, grad)),
         dist_prox=row_norms(X - T), prox_point=T, grad=grad)
 
 
-def envelope(problem: Problem, K: KernelSpec, eps: float, x: Array) -> float:
-    """E(x) = f(x) + optimal subproblem value; satisfies E(x) <= F(x)."""
-    return envelope_gap(problem, K, eps, x)[0]
-
-
-def gap(problem: Problem, K: KernelSpec, eps: float, x: Array) -> float:
-    """G(x) = (F(x) - E(x)) / eps = (g(x) - subproblem value) / eps >= 0."""
-    return envelope_gap(problem, K, eps, x)[1]
-
-
-def envelope_gap(problem: Problem, K: KernelSpec, eps: float,
-                 x: Array) -> tuple[float, float, ProxResult]:
-    """(E(x), G(x), prox result) from a single subproblem solve."""
-    x = as_vector(x, dim=problem.dim)
-    prox = prox_map(problem, K, eps, x)
-    E = problem.f.value(x) + prox.subproblem_value
-    G = (problem.g.value(x) - prox.subproblem_value) / eps
-    return E, G, prox
-
-
-def subgradient_from_gradients(K: KernelSpec, eps: float, x: Array, t: Array,
-                               grad_x: Array, grad_t: Array) -> Array:
-    """xi = grad f(t) - grad f(x) - grad_y D(x, t) / eps from gradients the
-    caller already holds."""
-    return grad_t - grad_x - K.grad_y(x, t) / eps
-
-
 def subgradient_rows(K: KernelSpec, eps: float, X: Array, T: Array,
                      grad_X: Array, grad_T: Array) -> Array:
-    """``subgradient_from_gradients`` for each row of (n, dim) arrays."""
-    return grad_T - grad_X - K.grad_y_rows(X, T) / eps
-
-
-def prox_subgradient(problem: Problem, K: KernelSpec, eps: float, x: Array,
-                     t: Array, check: bool = True) -> Array:
-    """Subgradient certificate at a prox output t of x:
+    """Subgradient certificate at prox outputs T of X:
 
         xi = grad f(t) - grad f(x) - grad_y D(x, t) / eps
 
-    xi lies in the proximal subdifferential of F at t, with
-    ||xi|| <= (L + M/eps_lo) ||x - t||.
-    """
-    x = as_vector(x, dim=problem.dim)
-    t = as_vector(t, dim=problem.dim)
-    grad_x = problem.f.gradient(x)
-    if check:
-        # t must do at least as well as the feasible candidate y = x
-        val_t = _prox_result(problem, K, eps, x, grad_x, t).subproblem_value
-        val_x = problem.g.value(x)
-        if val_t > val_x + 1e-8 * (1.0 + abs(val_x)):
-            raise ValueError("t is not a prox output for x "
-                             "(subproblem optimality violated)")
-    return subgradient_from_gradients(K, eps, x, t, grad_x,
-                                      problem.f.gradient(t))
+    over the last axis (one point, or each row of (n, dim) arrays), from
+    gradients the caller already holds.  xi lies in the proximal
+    subdifferential of F at t, with ||xi|| <= (L + M/eps_lo) ||x - t||."""
+    return grad_T - grad_X - K.grad_y(X, T) / eps
 
 
 def residual_bound(L: float, M: float, eps_lo: float) -> float:
@@ -269,28 +218,14 @@ def descent_constants(case_id: int, m: float, M: float, L: float,
     return DescentConstants(a_frak=a, b_frak=b, c_frak=c, case_id=case_id)
 
 
-def check_descent_inequality(problem: Problem, K: KernelSpec, eps: float,
-                             x: Array, u: Array,
-                             constants: DescentConstants) -> float:
-    """Slack of the generalized descent inequality at (x, u).
-
-    Returns b||u-x||^2 - ||u-t||^2 - c||x-t||^2 - a[F(t) - F(u)], which is
-    nonnegative (up to roundoff) whenever the constants match the
-    problem's convexity pattern and eps lies within the schedule bounds.
-    """
-    x = as_vector(x, dim=problem.dim)
-    u = as_vector(u, dim=problem.dim)
-    t = prox_map(problem, K, eps, x).minimizer
-    return float(descent_slack_rows(constants, x[None], u[None], t[None],
-                                    np.array([problem.F(t)]),
-                                    np.array([problem.F(u)]))[0])
-
-
 def descent_slack_rows(constants: DescentConstants, X: Array, U: Array,
                        T: Array, F_T: Array, F_U: Array) -> Array:
-    """``check_descent_inequality`` for each row (x, u) with its prox point
-    t and the values F(t), F(u): +inf where F(u) = +inf (u outside dom F
-    makes the inequality vacuous)."""
+    """Slack b||u-x||^2 - ||u-t||^2 - c||x-t||^2 - a[F(t) - F(u)] of the
+    generalized descent inequality for each row (x, u), with its prox
+    point t and the values F(t), F(u): nonnegative up to roundoff when the
+    constants match the problem's convexity pattern and eps lies within
+    the schedule bounds, +inf where F(u) = +inf (u outside dom F makes
+    the inequality vacuous)."""
     outside = np.isinf(F_U)
     F_U = np.where(outside, 0.0, F_U)
     slack = (constants.b_frak * row_dots(U - X, U - X) - row_dots(U - T, U - T)

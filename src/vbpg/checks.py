@@ -20,7 +20,7 @@ from .core import (grid_rows, min_or_inf, row_dots, row_norms, sample_box,
                    vector_norm)
 from .diagnostics import check_semiconvex_gap_bounds, grid_min_F
 from .problems import GridProxOracle, ShippedInstance, shipped_instances
-from .solver import vbpg_run
+from .solver import summability_bound, vbpg_run
 
 
 def _record(name, instance, passed, worst, detail=""):
@@ -41,8 +41,8 @@ def check_gradient_lipschitz(inst: ShippedInstance, rng):
     Y = sample_box(rng, 1000, inst.box_center(), inst.sample_halfwidth)
     dxy = row_norms(X - Y)
     keep = dxy >= 1e-12
-    ratio = row_norms(problem.f.grad_batch(X[keep])
-                      - problem.f.grad_batch(Y[keep])) / dxy[keep]
+    ratio = row_norms(problem.f.gradient_batch(X[keep])
+                      - problem.f.gradient_batch(Y[keep])) / dxy[keep]
     worst = float(np.max(ratio, initial=0.0))
     ok = worst <= L * (1.0 + 1e-9) + 1e-12
     return _record("gradient_lipschitz_ratio", inst.spec.name, ok, L - worst,
@@ -55,8 +55,8 @@ def check_kernel_bounds(inst: ShippedInstance, rng):
         X = sample_box(rng, 500, inst.box_center(), inst.sample_halfwidth)
         Y = sample_box(rng, 500, inst.box_center(), inst.sample_halfwidth)
         r2 = row_dots(X - Y, X - Y)
-        D = K.distance_rows(X, Y)
-        gy = row_norms(K.grad_y_rows(X, Y))
+        D = K.distance(X, Y)
+        gy = row_norms(K.grad_y(X, Y))
         worst = min(worst, min_or_inf(D - 0.5 * K.m * r2),
                     min_or_inf(0.5 * K.M * r2 - D),
                     min_or_inf(K.M * np.sqrt(r2) * (1 + 1e-9) - gy))
@@ -90,7 +90,7 @@ def check_prox_invariants(inst: ShippedInstance, rng):
                                             Ft[:k], problem.F_batch(U[:k])))
     r2 = row_dots(X - T, X - T)
     decrease = min_or_inf(np.minimum(E - a * r2 - Ft, Fx - a * r2 - Ft))
-    xi = subgradient_rows(K, eps, X, T, ann.grad, problem.f.grad_batch(T))
+    xi = subgradient_rows(K, eps, X, T, ann.grad, problem.f.gradient_batch(T))
     resid = min_or_inf(bound * ann.dist_prox * (1 + 1e-9) - row_norms(xi))
     name = inst.spec.name
     return [_record("gap_identity", name, gap_err <= 1e-10, 1e-10 - gap_err,
@@ -146,7 +146,6 @@ def check_solver_run(inst: ShippedInstance, rng):
     moved = (np.array(trace.step_norms)
              >= 1e-7 * (1.0 + vector_norm(trace.final_x)))
     mono_ok = not np.any(rise | (moved & ~(fv[1:] < fv[:-1])))
-    a = decrease_constant(config.m, problem.f.lipschitz_L, config.eps_hi)
     ss = float(np.sum(np.square(trace.step_norms)))
     if problem.dim <= 3:
         F_star = grid_min_F(problem, inst.box_center(),
@@ -163,9 +162,13 @@ def check_solver_run(inst: ShippedInstance, rng):
                 continue
             F_star = min(F_star, vbpg_run(problem, config, s).final_F)
         caveat = " (conditional: restart-based F*)"
-    bound = (fv[0] - F_star) / a
-    summ_ok = ss <= bound + 1e-6
-    detail = f"sum sq steps {ss:.3g} <= {bound:.3g}{caveat}"
+    bound = summability_bound(problem, config, inst.start(), F_star)
+    if bound == math.inf:
+        summ_ok = False
+        detail = f"sum sq steps {ss:.3g}; bound not certified (m/eps_hi <= L)"
+    else:
+        summ_ok = ss <= bound + 1e-6
+        detail = f"sum sq steps {ss:.3g} <= {bound:.3g}{caveat}"
     res_ok = True
     if trace.terminated_reason in ("step_tol", "critical_point") and trace.residuals:
         lim = residual_bound(problem.f.lipschitz_L, config.M, config.eps_lo)

@@ -47,13 +47,16 @@ def vector_norm(v: Array) -> float:
 
 
 def row_dots(U: Array, V: Array) -> Array:
-    """<u, v> for each row pair of two (n, dim) arrays, with the bits of
-    ``u.dot(v)``: a stacked matmul makes the same BLAS dot call per row."""
-    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
+    """<u, v> over the last axis (one pair of vectors, or each row pair of
+    two (n, dim) arrays) with the bits of ``u.dot(v)``: a stacked matmul
+    makes the same BLAS dot call per row."""
+    if U.ndim == 1:
+        return U.dot(V)
+    return np.matmul(U[..., None, :], V[..., :, None])[..., 0, 0]
 
 
 def row_norms(R: Array) -> Array:
-    """``vector_norm`` of each row of an (n, dim) array, bit for bit."""
+    """``vector_norm`` over the last axis, bit for bit."""
     return np.sqrt(row_dots(R, R))
 
 
@@ -95,23 +98,13 @@ class SmoothObjective:
     gradient: Callable[[Array], Array]
     lipschitz_L: float
     convex: bool
-    value_batch: Optional[Callable[[Array], Array]] = None
-    gradient_batch: Optional[Callable[[Array], Array]] = None
+    value_batch: Callable[[Array], Array]
+    gradient_batch: Callable[[Array], Array]
     value_and_gradient: Optional[Callable[[Array], tuple]] = None
 
     def __post_init__(self):
         if self.lipschitz_L < 0:
             raise ValueError("lipschitz_L must be nonnegative")
-
-    def batch(self, X: Array) -> Array:
-        if self.value_batch is not None:
-            return self.value_batch(X)
-        return np.array([self.value(row) for row in X])
-
-    def grad_batch(self, X: Array) -> Array:
-        if self.gradient_batch is not None:
-            return self.gradient_batch(X)
-        return np.array([self.gradient(row) for row in X]).reshape(X.shape)
 
     def value_grad(self, x: Array) -> tuple[float, Array]:
         if self.value_and_gradient is not None:
@@ -183,22 +176,6 @@ class Regularizer:
         t, tied = self.prox(anchor - eps * linear / weights, weights, eps)
         return t, bool(np.count_nonzero(tied))
 
-    def subdiff_dist(self, x: Array, grad_f: Array) -> float:
-        """dist(0, grad f(x) + subdiff g(x)) for separable g."""
-        return vector_norm(self.subdiff_parts(x, grad_f))
-
-    def value1d(self, t: float) -> float:
-        return float(self.values(np.array([t], dtype=float))[0])
-
-    def prox1d(self, v: float, weight: float, eps: float) -> tuple[float, bool]:
-        t, tied = self.prox(np.array([v], dtype=float),
-                            np.array([weight], dtype=float), eps)
-        return float(t[0]), bool(tied[0])
-
-    def subdiff_dist1d(self, t: float, grad_f_t: float) -> float:
-        return float(self.subdiff_parts(np.array([t], dtype=float),
-                                        np.array([grad_f_t], dtype=float))[0])
-
 
 @dataclass(frozen=True, eq=False)
 class Problem:
@@ -208,23 +185,18 @@ class Problem:
     g: Regularizer
     dim: int
     name: str = "problem"
-    optimal_value_hint: Optional[float] = None
     level_bounded: bool = True
 
     def F(self, x: Array) -> float:
         return self.f.value(x) + self.g.value(x)
 
     def F_batch(self, X: Array) -> Array:
-        return self.f.batch(X) + self.g.value_batch(X)
+        return self.f.value_batch(X) + self.g.value_batch(X)
 
     def F_grid(self, axes) -> Array:
         """``F_batch(grid_rows(axes))`` bit for bit, with g evaluated once
         per axis (``Regularizer.value_grid``) instead of once per node."""
-        return self.f.batch(grid_rows(axes)) + self.g.value_grid(axes)
-
-    @property
-    def F_is_continuous(self) -> bool:
-        return self.g.continuous
+        return self.f.value_batch(grid_rows(axes)) + self.g.value_grid(axes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,42 +260,27 @@ class KernelSpec:
     def quadratic(A) -> "KernelSpec":
         return KernelSpec(kind="quadratic", A=np.asarray(A, dtype=float))
 
-    def distance(self, x: Array, y: Array) -> float:
-        if x.shape != y.shape:
-            raise ValueError("dimension mismatch in kernel distance")
-        r = y - x
-        if self.kind == "euclidean":
-            return 0.5 * float(r @ r)
-        if self.kind == "diagonal":
-            return 0.5 * float((self.d * r) @ r)
-        return 0.5 * float(r @ (self.A @ r))
-
-    def distance_rows(self, X: Array, Y: Array) -> Array:
-        """``distance`` for each row pair of X and Y, bit for bit."""
-        R = Y - X
-        if self.kind == "euclidean":
-            return 0.5 * row_dots(R, R)
-        if self.kind == "diagonal":
-            return 0.5 * row_dots(self.d * R, R)
-        return 0.5 * row_dots(R, np.matmul(self.A, R[:, :, None])[:, :, 0])
-
-    def grad_y(self, x: Array, y: Array) -> Array:
-        """Gradient of D(x, .) at y, i.e. grad K(y) - grad K(x)."""
-        r = y - x
+    def _hessian_times(self, r: Array) -> Array:
+        """The kernel's (constant) Hessian applied to r over the last axis."""
         if self.kind == "euclidean":
             return r
         if self.kind == "diagonal":
             return self.d * r
-        return self.A @ r
+        if r.ndim == 1:
+            return self.A @ r
+        # a stacked matmul gives each row the bits of A @ r; R @ A.T does not
+        return np.matmul(self.A, r[..., None])[..., 0]
 
-    def grad_y_rows(self, X: Array, Y: Array) -> Array:
-        """``grad_y`` for each row pair of X and Y, bit for bit."""
-        R = Y - X
-        if self.kind == "euclidean":
-            return R
-        if self.kind == "diagonal":
-            return self.d * R
-        return np.matmul(self.A, R[:, :, None])[:, :, 0]
+    def grad_y(self, x: Array, y: Array) -> Array:
+        """Gradient of D(x, .) at y, i.e. grad K(y) - grad K(x), over the
+        last axis: for one pair of vectors, or for each row pair of
+        (n, dim) arrays with the bits of the one-pair call."""
+        return self._hessian_times(y - x)
+
+    def distance(self, x: Array, y: Array) -> Array:
+        """D(x, y) over the last axis, as ``grad_y``."""
+        r = y - x
+        return 0.5 * row_dots(self._hessian_times(r), r)
 
     def diag_weights(self, dim: int) -> Optional[Array]:
         """Per-coordinate weights if D is separable, else None.
@@ -439,45 +396,6 @@ def validate_config(problem: Problem, config: SolverConfig) -> ValidationReport:
 
     return ValidationReport(ok=not violations, violations=tuple(violations),
                             checked=tuple(checked))
-
-
-def finite_diff_grad_check(f: SmoothObjective, x: Array, h: float = 1e-5) -> float:
-    """Max relative error of central differences against f's gradient.
-
-    Returns max_i |cd_i - grad_i| / (1 + |grad_i|); +inf when f evaluates
-    non-finite at any probe point (reported as a failed check, not raised).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = as_vector(x)
-    g = f.gradient(x)
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fp, fm = f.value(x + e), f.value(x - e)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            return math.inf
-        cd = (fp - fm) / (2 * h)
-        worst = max(worst, abs(cd - g[i]) / (1.0 + abs(g[i])))
-    return worst
-
-
-def power_iteration_norm(A: Array, iters: int = 200, seed: int = 0) -> float:
-    """Spectral-norm estimate of a symmetric matrix by power iteration."""
-    A = np.asarray(A, dtype=float)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        lam = nw
-        v = w / nw
-    return float(lam)
 
 
 def sample_ball(rng: np.random.Generator, n: int, center: Array,

@@ -118,30 +118,30 @@ class SublevelGrid:
     """Dense-grid projection oracle onto sublevel sets, dimension <= 3.
 
     Projection of x onto [F <= Fbar]: the nearest point of the set among
-    the grid nodes and the seeded ``extra_points`` (the slice center is
-    always seeded, so singleton sublevel sets at a minimizer are handled
-    exactly), refined by a 60-step bisection along the segment from x,
-    which pins the point where F crosses Fbar.  The result lies in the
-    set, so the distance never undershoots the true one; it bisects toward
-    the nearest in-set node, not the nearest boundary point, so it can
-    exceed the true distance by up to one cell diagonal sqrt(d) h.
+    the grid nodes and the seeded center (so a singleton sublevel set at
+    a minimizer center is handled exactly), refined by a 60-step
+    bisection along the segment from x, which pins the point where F
+    crosses Fbar.  The result lies in the set, so the distance never
+    undershoots the true one; it bisects toward the nearest in-set node,
+    not the nearest boundary point, so it can exceed the true distance by
+    up to one cell diagonal sqrt(d) h.
 
     The nearest in-set point is searched among few candidates: the in-set
-    nodes with an axis neighbour outside the set or off the box, the
-    in-set seeds, and each query's own nearest node when it is in the set.
+    nodes with an axis neighbour outside the set or off the box, and the
+    center and each query's own nearest node, each when it is in the set.
     That is exact: if the nearest in-set node p has every axis neighbour
     in the set, x lies within h/2 of p on every axis (a neighbour would be
     nearer otherwise), so p is x's own nearest node.  The threshold and
     the candidates are computed once per Fbar and cached.
 
-    ``values`` holds F at every row of ``points`` with the bits of
-    ``F_batch(points)``: f runs once over all rows, as in ``F_batch``,
-    and g once per axis on the nodes (``Regularizer.value_grid``) and row
-    by row on the seeds.
+    ``values`` holds F at every row of ``points`` (the nodes, then the
+    center) with the bits of ``F_batch(points)``: f runs once over all
+    rows, as in ``F_batch``, and g once per axis on the nodes
+    (``Regularizer.value_grid``) and once on the center.
     """
 
     def __init__(self, problem: Problem, center, halfwidth: float,
-                 resolution: Optional[float] = None, extra_points=()):
+                 resolution: Optional[float] = None):
         if problem.dim > 3:
             raise ValueError(_DIM_ERROR)
         self.problem = problem
@@ -150,16 +150,15 @@ class SublevelGrid:
         n = grid_axis_nodes(halfwidth, self.resolution)
         self.axes = [np.linspace(ci - halfwidth, ci + halfwidth, n) for ci in c]
         self.shape = (n,) * problem.dim
-        self.points = np.vstack([grid_rows(self.axes), c] + [
-            as_vector(p, dim=problem.dim) for p in extra_points])
-        g, seeds = problem.g, self.points[n ** problem.dim:]
-        self.values = problem.f.batch(self.points) + np.concatenate(
-            [g.value_grid(self.axes), g.value_batch(seeds)])
+        self.points = np.vstack([grid_rows(self.axes), c])
+        g = problem.g
+        self.values = problem.f.value_batch(self.points) + np.concatenate(
+            [g.value_grid(self.axes), g.value_batch(c[None])])
         self._level = None  # (F_bar, in-set mask, candidate indices)
 
     def _level_set(self, F_bar: float) -> tuple[Array, Array]:
         """In-set mask over ``points`` and the shared search candidates
-        (boundary nodes and in-set seeds, in point order) at F_bar."""
+        (boundary nodes and the in-set center, in point order) at F_bar."""
         if self._level is None or self._level[0] != F_bar:
             inside = self.values <= F_bar
             n_grid = math.prod(self.shape)
@@ -228,7 +227,7 @@ class SublevelGrid:
             hi_t = np.where(ok, mid, hi_t)
             lo_t = np.where(ok, lo_t, mid)
         proj = Xo + hi_t[:, None] * direction
-        if boundary_check and self.problem.F_is_continuous:
+        if boundary_check and self.problem.g.continuous:
             miss = np.abs(self.problem.F_batch(proj) - F_bar)
             if np.any(miss > 1e-6 * (1.0 + abs(F_bar))):
                 raise RuntimeError("projection boundary check failed: "
@@ -833,18 +832,19 @@ def certify_growth_conditions(problem: Problem, slice_: LevelSlice,
     X = sample_ball(rng, 400, slice_.center, eta)
     Y = sample_ball(rng, 400, slice_.center, eta)
     f = problem.f
-    FX, GX = f.batch(X), f.grad_batch(X)
+    FX, GX = f.value_batch(X), f.gradient_batch(X)
     # projections onto the critical set, and f and grad f there
     jx, _ = nearest_in_set(X, crit_points)
     jy, _ = nearest_in_set(Y, crit_points)
     XP, YP = crit_points[jx], crit_points[jy]
-    FXP, GXP = f.batch(crit_points)[jx], f.grad_batch(crit_points)[jx]
+    FXP = f.value_batch(crit_points)[jx]
+    GXP = f.gradient_batch(crit_points)[jx]
 
     dxy, dxp = row_norms(Y - X), row_norms(XP - X)
     moved, off = dxy > 1e-10, dxp > 1e-8
     fgap = FX - f.value(slice_.center)
     with np.errstate(divide="ignore", invalid="ignore"):  # masked rows
-        quad = 2.0 * (f.batch(Y) - FX - row_dots(GX, Y - X)) / dxy ** 2
+        quad = 2.0 * (f.value_batch(Y) - FX - row_dots(GX, Y - X)) / dxy ** 2
         ratios = {
             "lsc": quad[moved],
             "lesc": quad[moved & (row_norms(XP - YP) <= 1e-8)],

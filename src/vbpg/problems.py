@@ -784,26 +784,3 @@ def shipped_instances() -> dict[str, ShippedInstance]:
         x0=(1.0,), sample_halfwidth=1.5)
 
     return reg
-
-
-def descent_case_fixtures() -> dict[int, ProblemSpec]:
-    """One instance per convexity pattern of the descent-constant table.
-
-    The indefinite instances are not level bounded (an indefinite
-    quadratic dominates any bounded or 1-homogeneous penalty at infinity),
-    so they are used only for per-point inequality checks, never for
-    solver runs.
-    """
-    q_indef = {"Q": [[2.0, 1.5], [1.5, 1.0]], "b": [0.2, -0.1]}
-    q_conv = {"Q": [[2.0, 0.3], [0.3, 1.0]], "b": [0.5, -0.4]}
-    return {
-        1: ProblemSpec("case1_indef_mcp", "quadratic", q_indef,
-                       "mcp", {"lam": 0.8, "gamma": 2.5}, 2),
-        2: ProblemSpec("case2_conv_mcp", "quadratic", q_conv,
-                       "mcp", {"lam": 0.6, "gamma": 4.0}, 2),
-        3: ProblemSpec("case3_indef_l1", "quadratic", q_indef,
-                       "l1", {"lam": 0.7}, 2),
-        4: ProblemSpec("case4_lasso", "quadratic",
-                       {"Q": np.eye(2), "b": [-1.0, -0.8]},
-                       "l1", {"lam": 0.5}, 2),
-    }

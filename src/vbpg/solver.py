@@ -22,7 +22,7 @@ import numpy as np
 from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
                    fmt_float, row_norms, vector_norm)
 from .bregman import (decrease_constant, prox_map, prox_points,
-                      subgradient_from_gradients)
+                      subgradient_rows)
 
 
 @dataclass
@@ -78,14 +78,6 @@ class Trace:
             fh.write("\n".join(self.csv_lines()) + "\n")
 
 
-def vbpg_step(problem: Problem, K: KernelSpec, eps: float, x: Array) -> Array:
-    """One update: a representative minimizer of the prox subproblem at x.
-
-    With g = 0 and the euclidean kernel this is the plain gradient step
-    x - eps grad f(x)."""
-    return prox_map(problem, K, eps, x).minimizer
-
-
 def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
     """Iterate until the step norm falls below step_tol or max_iters.
 
@@ -116,7 +108,7 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
         t = prox.minimizer
         step = vector_norm(x - t)
         f_t, grad_t = problem.f.value_grad(t)
-        xi = subgradient_from_gradients(K, eps, x, t, grad_x, grad_t)
+        xi = subgradient_rows(K, eps, x, t, grad_x, grad_t)
 
         trace.f_values.append(F_x)
         trace.step_norms.append(step)
@@ -156,7 +148,7 @@ def vbpg_final_points(problem: Problem, config: SolverConfig, X0) -> Array:
     """``vbpg_run(problem, config, x0).final_x`` for each row x0 of X0.
 
     Under separable kernels the runs form one multi-start: each iteration
-    makes one ``grad_batch`` and one ``g.prox`` call over the rows still
+    makes one ``gradient_batch`` and one ``g.prox`` call over the rows still
     running, and each row stops on its own rule (step 0, step_tol from its
     own x0, or max_iters), so every row gets the bits of its own run.
     Other kernels run ``vbpg_run`` row by row.  Raises
@@ -225,7 +217,8 @@ def kernel_schedule_jacobi(Q: Array, block_sizes, c) -> KernelSpec:
 def summability_bound(problem: Problem, config: SolverConfig, x0: Array,
                       F_star: float) -> float:
     """(F(x0) - F*) / a with a = (m/eps_hi - L)/2: certified upper bound
-    on the sum of squared step norms."""
+    on the sum of squared step norms; +inf when a <= 0, where the
+    decrease inequality certifies no bound."""
     a = decrease_constant(config.m, problem.f.lipschitz_L, config.eps_hi)
     if a <= 0:
         return math.inf

@@ -11,7 +11,7 @@ import pytest
 
 import vbpg.diagnostics as diagnostics
 import vbpg.solver as solver_mod
-from vbpg.bregman import annotate_points, envelope_gap, prox_map
+from vbpg.bregman import annotate_points, prox_map
 from vbpg.core import KernelSpec, SmoothObjective, SolverConfig, sample_ball
 from vbpg.diagnostics import (SublevelGrid, certify_growth_conditions,
                               check_luo_tseng_bound,
@@ -21,6 +21,8 @@ from vbpg.problems import (ProblemSpec, logistic_objective,
                            quadratic_objective, scalar_profile_objective,
                            zero_objective)
 from vbpg.solver import vbpg_final_points, vbpg_run
+
+from reference import envelope_and_gap, subdiff_distance
 
 EUC = KernelSpec.euclidean()
 DIAG = KernelSpec.diagonal([1.6, 0.7])
@@ -40,11 +42,11 @@ def reference_samples(problem, K, eps, slice_, X, crit):
     """The per-sample annotation of ``probe_slice``, one prox per point."""
     rows = []
     for x in X:
-        E, G, prox = envelope_gap(problem, K, eps, x)
+        E, G, prox = envelope_and_gap(problem, K, eps, x)
         t = prox.minimizer
         Ft = problem.F(t)
         rows.append(dict(
-            dist_subdiff=problem.g.subdiff_dist(x, problem.f.gradient(x)),
+            dist_subdiff=subdiff_distance(problem.g, x, problem.f.gradient(x)),
             dist_prox=float(np.linalg.norm(x - t)),
             dist_crit=float(np.min(np.linalg.norm(crit - x[None, :], axis=1))),
             property_A=bool(Ft >= slice_.F_bar
@@ -98,9 +100,9 @@ def reference_semiconvex_slacks(problem, K, eps, X, eps_hi):
         Fx = problem.F(x)
         if not math.isfinite(Fx):
             continue
-        E, G, prox = envelope_gap(problem, K, eps, x)
+        E, G, prox = envelope_and_gap(problem, K, eps, x)
         r = float(np.linalg.norm(x - prox.minimizer))
-        dsub = problem.g.subdiff_dist(x, problem.f.gradient(x))
+        dsub = subdiff_distance(problem.g, x, problem.f.gradient(x))
         slacks["i"] = min(slacks["i"], Fx - 0.5 * (m / eps_hi - rho) * r * r - E)
         slacks["ii"] = min(slacks["ii"],
                            G - (m - eps_hi * rho) / (2 * eps_hi ** 2) * r * r)
@@ -134,21 +136,11 @@ def _objectives():
 @pytest.mark.parametrize("name", list(_objectives()))
 def test_grad_batch_bits_match_gradient(name):
     f, dim = _objectives()[name]
-    assert f.gradient_batch is not None
     X = np.random.default_rng(8).uniform(-4.0, 4.0, size=(97, dim))
-    G = f.grad_batch(X)
+    G = f.gradient_batch(X)
     assert G.shape == X.shape
     for x, g in zip(X, G):
         assert np.array_equal(g, f.gradient(x))
-
-
-def test_grad_batch_falls_back_row_by_row():
-    f = quadratic_objective(Q2, [0.5, -0.4])
-    plain = SmoothObjective(value=f.value, gradient=f.gradient,
-                            lipschitz_L=f.lipschitz_L, convex=True)
-    X = np.random.default_rng(2).standard_normal((7, 2))
-    assert np.array_equal(plain.grad_batch(X), f.grad_batch(X))
-    assert plain.grad_batch(np.empty((0, 2))).shape == (0, 2)
 
 
 @pytest.mark.parametrize("name", list(_objectives()))
@@ -183,6 +175,7 @@ def test_solver_uses_one_value_grad_call_per_iteration():
     traced = SmoothObjective(
         value=counted("value", f.value), gradient=counted("gradient", f.gradient),
         lipschitz_L=f.lipschitz_L, convex=f.convex,
+        value_batch=f.value_batch, gradient_batch=f.gradient_batch,
         value_and_gradient=counted("fused", f.value_and_gradient))
     problem = quad_problem("l1", {"lam": 0.5})
     plain = vbpg_run(problem, SolverConfig.constant(0.4, KernelSpec.euclidean()),
@@ -199,7 +192,9 @@ def test_l_override_keeps_gradient_batch():
     p = ProblemSpec("l", "logistic", {"n_rows": 12, "L_override": 5.0},
                     "l1", {"lam": 0.1}, 2).build()
     assert p.f.lipschitz_L == 5.0
-    assert p.f.gradient_batch is not None
+    X = np.random.default_rng(5).standard_normal((6, 2))
+    assert np.array_equal(p.f.gradient_batch(X),
+                          np.array([p.f.gradient(x) for x in X]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +332,7 @@ def test_probe_samples_match_per_sample_reference(K, g_kind, g_params):
     problem = quad_problem(g_kind, g_params)
     eps = 0.3
     slice_ = make_slice(problem, [0.2, 0.1], 0.6, 0.4)
-    grid = SublevelGrid(problem, slice_.center, 2.4,
-                        extra_points=[slice_.center])
+    grid = SublevelGrid(problem, slice_.center, 2.4)
     crit = critical_points(problem, K, eps, slice_.center, 1.2)
     samples = probe_slice(problem, K, eps, slice_, 60, 3, grid, crit)
     ref = reference_samples(problem, K, eps, slice_, samples.x, crit)

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from vbpg import bregman, checks
-from vbpg.bregman import (check_descent_inequality, descent_case,
-                          descent_constants, envelope_gap, prox_subgradient,
-                          residual_bound)
+from vbpg.bregman import descent_case, descent_constants, residual_bound
 from vbpg.core import KernelSpec, SolverConfig, sample_box, vector_norm
 from vbpg.problems import (GridProxOracle, ProblemSpec, ShippedInstance,
                            shipped_instances)
 from vbpg.solver import vbpg_run
+
+from reference import certificate, descent_slack, envelope_and_gap
 
 
 def _ref_gradient_lipschitz(inst, rng, n=1000):
@@ -69,19 +69,19 @@ def _ref_prox_invariants(inst, rng, n=300):
                                inst.sample_halfwidth)
     gap_err, descent, decrease, resid = 0.0, math.inf, math.inf, math.inf
     for i, x in enumerate(X):
-        E, G, prox = envelope_gap(problem, K, eps, x)
+        E, G, prox = envelope_and_gap(problem, K, eps, x)
         t = prox.minimizer
         Fx, Ft = problem.F(x), problem.F(t)
         gap_err = max(gap_err, abs(Fx - E - eps * G) / (1.0 + abs(Fx)))
         if G < -1e-12 or E > Fx + 1e-10 * (1 + abs(Fx)):
             gap_err = max(gap_err, 1.0)
         if i < len(U):
-            slack = check_descent_inequality(problem, K, eps, x, U[i], consts)
+            slack = descent_slack(problem, K, eps, x, U[i], consts)
             if math.isfinite(slack):
                 descent = min(descent, slack)
         r2 = float((x - t) @ (x - t))
         decrease = min(decrease, E - a * r2 - Ft, Fx - a * r2 - Ft)
-        xi = prox_subgradient(problem, K, eps, x, t, check=False)
+        xi = certificate(problem, K, eps, x, t)
         resid = min(resid, bound * vector_norm(x - t) * (1 + 1e-9)
                     - vector_norm(xi))
     name = inst.spec.name

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,26 @@ class TestCheck:
         assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 4
         assert capsys.readouterr().err == (
             "validation: eps_max < m/L violated (0.9 >= 0.5)\n")
+
+    def test_check_at_zero_decrease_constant_is_not_certified(self, tmp_path,
+                                                               capsys):
+        # eps = m/L makes a = (m/eps - L)/2 = 0: no summability bound is
+        # certified, so the solver record fails, without a numpy warning
+        cfg = write_config(tmp_path, "c.json", {
+            "problem": {"kind": "quadratic",
+                        "params": {"Q": [[2.0]], "b": [0.0]}},
+            "solver": {"epsilon": 0.5}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run(["check", "--config", cfg, "--out", tmp_path / "o"])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "validation: eps_max < m/L violated (0.5 >= 0.5)\n")
+        records = json.loads((tmp_path / "o" / "check_report.json")
+                             .read_text())["records"]
+        failed = [r for r in records if not r["passed"]]
+        assert [r["name"] for r in failed] == ["solver_monotone_summable"]
+        assert "bound not certified" in failed[0]["detail"]
 
 
 class TestCompare:

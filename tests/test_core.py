@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbpg.core import (KernelSpec, SolverConfig, as_vector,
-                       finite_diff_grad_check, fmt_float, grid_rows,
-                       power_iteration_norm, sample_box, validate_config)
+from vbpg.bregman import subgradient_rows
+from vbpg.core import (KernelSpec, SolverConfig, as_vector, fmt_float,
+                       grid_rows, sample_box, validate_config)
 from vbpg.problems import ProblemSpec, quadratic_objective
+
+from reference import central_difference_error
 
 vec2 = st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False),
                 min_size=2, max_size=2).map(np.array)
@@ -56,27 +58,25 @@ class TestValidateConfig:
 class TestFiniteDiff:
     def test_quadratic(self):
         f = quadratic_objective(np.eye(2), np.zeros(2))
-        assert finite_diff_grad_check(f, np.array([1.0, 2.0]), 1e-5) <= 1e-7
+        assert central_difference_error(f.value, f.gradient,
+                                        np.array([1.0, 2.0]), 1e-5) <= 1e-7
 
     def test_softplus_at_zero(self):
-        from vbpg.core import SmoothObjective
-        f = SmoothObjective(value=lambda x: float(np.logaddexp(0.0, x[0])),
-                            gradient=lambda x: np.array([1 / (1 + math.exp(-x[0]))]),
-                            lipschitz_L=0.25, convex=True)
-        assert abs(f.gradient(np.zeros(1))[0] - 0.5) < 1e-15
-        assert finite_diff_grad_check(f, np.zeros(1), 1e-5) <= 1e-8
+        value = lambda x: float(np.logaddexp(0.0, x[0]))
+        gradient = lambda x: np.array([1 / (1 + math.exp(-x[0]))])
+        assert abs(gradient(np.zeros(1))[0] - 0.5) < 1e-15
+        assert central_difference_error(value, gradient, np.zeros(1),
+                                        1e-5) <= 1e-8
 
     def test_linear(self):
         f = quadratic_objective(np.zeros((2, 2)), np.array([3.0, -1.0]))
-        assert finite_diff_grad_check(f, np.array([0.3, 0.4]), 1e-5) <= 1e-12
+        assert central_difference_error(f.value, f.gradient,
+                                        np.array([0.3, 0.4]), 1e-5) <= 1e-12
 
     def test_nonfinite_reported(self):
-        from vbpg.core import SmoothObjective
-        f = SmoothObjective(value=lambda x: (math.log(x[0]) if x[0] > 0
-                                             else math.nan),
-                            gradient=lambda x: 1.0 / x, lipschitz_L=1.0,
-                            convex=False)
-        assert finite_diff_grad_check(f, np.array([1e-6]), 1e-5) == math.inf
+        value = lambda x: math.log(x[0]) if x[0] > 0 else math.nan
+        assert central_difference_error(value, lambda x: 1.0 / x,
+                                        np.array([1e-6]), 1e-5) == math.inf
 
 
 class TestKernelSpec:
@@ -163,16 +163,37 @@ class TestShippedObjectives:
     def test_finite_diff_on_shipped(self, registry):
         for name, inst in registry.items():
             p = inst.problem()
-            err = finite_diff_grad_check(p.f, inst.box_center() + 0.17, 1e-5)
+            err = central_difference_error(p.f.value, p.f.gradient,
+                                           inst.box_center() + 0.17, 1e-5)
             assert err <= 1e-5, name
 
 
-def test_power_iteration_matches_eigh():
-    rng = np.random.default_rng(0)
-    B = rng.standard_normal((4, 4))
-    Q = B + B.T
-    lam = power_iteration_norm(Q, iters=500)
-    assert lam == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(Q))), rel=1e-6)
+def _kernels(dim, rng):
+    B = rng.standard_normal((dim, dim))
+    return {"euclidean": KernelSpec.euclidean(),
+            "diagonal": KernelSpec.diagonal(rng.uniform(0.5, 2.0, dim)),
+            "quadratic": KernelSpec.quadratic(B @ B.T + np.eye(dim)),
+            "quadratic_diag": KernelSpec.quadratic(
+                np.diag(rng.uniform(0.5, 2.0, dim)))}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 50, 500])
+@pytest.mark.parametrize("kind", ["euclidean", "diagonal", "quadratic",
+                                  "quadratic_diag"])
+def test_kernel_formulas_one_pair_is_a_row_of_the_stack(kind, dim):
+    # the formulas run over the last axis: one pair gets the bits of its
+    # row in a stack, for D, grad_y D and the subgradient certificate
+    rng = np.random.default_rng(dim)
+    K = _kernels(dim, rng)[kind]
+    X, Y, GX, GY = rng.standard_normal((4, 9, dim))
+    D, GyD = K.distance(X, Y), K.grad_y(X, Y)
+    Xi = subgradient_rows(K, 0.3, X, Y, GX, GY)
+    assert D.shape == (9,) and GyD.shape == Xi.shape == (9, dim)
+    for i in range(9):
+        x, y, gx, gy = X[i].copy(), Y[i].copy(), GX[i].copy(), GY[i].copy()
+        assert K.distance(x, y) == D[i]
+        assert np.array_equal(K.grad_y(x, y), GyD[i])
+        assert np.array_equal(subgradient_rows(K, 0.3, x, y, gx, gy), Xi[i])
 
 
 def test_as_vector_rejects_nonfinite():

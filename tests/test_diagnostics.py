@@ -117,7 +117,7 @@ class TestBatchedProjection:
     def test_singleton_at_minimizer(self, dim):
         p = lasso_nd(dim)
         x_star = np.array([0.5, 0.3, -0.4][:dim])
-        grid = SublevelGrid(p, x_star + 0.013, 1.0, extra_points=[x_star])
+        grid = SublevelGrid(p, x_star, 1.0)
         X = x_star + np.random.default_rng(dim).uniform(-0.4, 0.4, (25, dim))
         d = assert_matches_brute(grid, p.F(x_star), X, atol=1e-7)
         assert np.allclose(d, np.linalg.norm(X - x_star, axis=1), atol=1e-7)
@@ -126,7 +126,7 @@ class TestBatchedProjection:
     def test_off_minimizer_region(self, dim):
         p = lasso_nd(dim)
         c = np.ones(dim)
-        grid = SublevelGrid(p, c, 1.5, extra_points=[c])
+        grid = SublevelGrid(p, c, 1.5)
         X = c + np.random.default_rng(10 + dim).uniform(-0.5, 0.5, (30, dim))
         d = assert_matches_brute(grid, p.F(c), X, atol=1e-10)
         assert np.sum(d > 0) > 5 and np.sum(d == 0) > 5
@@ -136,7 +136,7 @@ class TestBatchedProjection:
                         {"Q": [[2.0, 0.3], [0.3, 1.0]], "b": [0.5, -0.4]},
                         "mcp", {"lam": 0.6, "gamma": 4.0}, 2).build()
         c = np.array([0.6, 1.2])
-        grid = SublevelGrid(p, c, 2.0, resolution=0.01, extra_points=[c])
+        grid = SublevelGrid(p, c, 2.0, resolution=0.01)
         X = c + np.random.default_rng(3).uniform(-0.6, 0.6, (40, 2))
         assert_matches_brute(grid, p.F(c), X, atol=1e-10)
 
@@ -190,7 +190,7 @@ class TestBatchedProjection:
         p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
         c = np.ones(2)
         sl = make_slice(p, c, 0.5, 0.4)
-        grid = SublevelGrid(p, c, 1.5, extra_points=[c])
+        grid = SublevelGrid(p, c, 1.5)
         calls = {"F": 0, "F_batch": 0}
 
         def counted(name):
@@ -244,7 +244,7 @@ class TestProbeSlice:
         p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
         c = np.array([0.5, 0.3])
         sl = make_slice(p, c, 0.5, 0.1)
-        grid = SublevelGrid(p, c, 2.0, resolution=0.02, extra_points=[c])
+        grid = SublevelGrid(p, c, 2.0, resolution=0.02)
         n, seed = 2500, 17
         samples = probe_slice(p, EUC, 0.5, sl, n, seed, grid=grid,
                               crit_points=c[None, :])
@@ -546,8 +546,7 @@ class TestRates:
                         "zero", {}, 2).build()
         cfg = SolverConfig.constant(0.4, EUC, max_iters=40, step_tol=0.0)
         trace = vbpg_run(p, cfg, np.array([3.0, 2.0]))
-        grid = SublevelGrid(p, np.ones(2), 3.0, resolution=0.005,
-                            extra_points=[np.ones(2)])
+        grid = SublevelGrid(p, np.ones(2), 3.0, resolution=0.005)
         rep = estimate_level_set_rate(trace, p, p.F(np.ones(2)), grid)
         assert rep["beta_levelset"] == pytest.approx(0.6, abs=0.01)
 

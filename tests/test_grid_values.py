@@ -133,18 +133,16 @@ def test_scalar_profile_objective(profile):
     assert_grid_bits(problem, AXES[:1])
 
 
-@pytest.mark.parametrize("dim,extra", [(1, 0), (2, 0), (2, 1), (2, 2), (3, 0),
-                                       (3, 2)])
-def test_sublevel_grid_values_are_F_batch(dim, extra):
-    # f runs over nodes and seeds in one batch: one or two seeds alone
-    # would round differently in F_batch on about a quarter of centers
-    rng = np.random.default_rng(dim + extra)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sublevel_grid_values_are_F_batch(dim):
+    # f runs over the nodes and the seeded center in one batch: the center
+    # alone would round differently in F_batch on about a quarter of centers
+    rng = np.random.default_rng(dim)
     for seed in range(20):
         problem = quad_problem(dim, "scad", definite=False, seed=seed)
         center = rng.standard_normal(dim)
-        seeds = list(rng.standard_normal((extra, dim)))
         grid = SublevelGrid(problem, center, 0.8,
-                            {1: 0.01, 2: 0.05, 3: 0.2}[dim], extra_points=seeds)
+                            {1: 0.01, 2: 0.05, 3: 0.2}[dim])
         assert len(grid.points) == len(grid.values)
         assert np.array_equal(grid.values, problem.F_batch(grid.points))
 

@@ -17,6 +17,8 @@ from vbpg.core import KernelSpec, SmoothObjective, SolverConfig
 from vbpg.problems import ProblemSpec, build_regularizer
 from vbpg.solver import vbpg_run
 
+from reference import prox_at, subdiff_at, subdiff_distance, value_at
+
 
 def _pick_candidate(values, cands):
     best = min(values)
@@ -27,13 +29,13 @@ def _pick_candidate(values, cands):
 
 
 class _RefZero:
-    def value1d(self, t):
+    def value(self, t):
         return 0.0
 
-    def prox1d(self, v, weight, eps):
+    def prox(self, v, weight, eps):
         return v, False
 
-    def subdiff_dist1d(self, t, c):
+    def subdiff(self, t, c):
         return abs(c)
 
 
@@ -41,14 +43,14 @@ class _RefL1:
     def __init__(self, lam):
         self.lam = lam
 
-    def value1d(self, t):
+    def value(self, t):
         return self.lam * abs(t)
 
-    def prox1d(self, v, weight, eps):
+    def prox(self, v, weight, eps):
         thr = self.lam * eps / weight
         return math.copysign(max(abs(v) - thr, 0.0), v), False
 
-    def subdiff_dist1d(self, t, c):
+    def subdiff(self, t, c):
         if t == 0.0:
             return max(abs(c) - self.lam, 0.0)
         return abs(c + self.lam * math.copysign(1.0, t))
@@ -58,14 +60,14 @@ class _RefSqL2:
     def __init__(self, lam):
         self.lam = lam
 
-    def value1d(self, t):
+    def value(self, t):
         return 0.5 * self.lam * t * t
 
-    def prox1d(self, v, weight, eps):
+    def prox(self, v, weight, eps):
         kappa = weight / eps
         return kappa * v / (self.lam + kappa), False
 
-    def subdiff_dist1d(self, t, c):
+    def subdiff(self, t, c):
         return abs(c + self.lam * t)
 
 
@@ -73,13 +75,13 @@ class _RefBox:
     def __init__(self, lo, hi):
         self.lo, self.hi = lo, hi
 
-    def value1d(self, t):
+    def value(self, t):
         return 0.0 if self.lo <= t <= self.hi else math.inf
 
-    def prox1d(self, v, weight, eps):
+    def prox(self, v, weight, eps):
         return min(max(v, self.lo), self.hi), False
 
-    def subdiff_dist1d(self, t, c):
+    def subdiff(self, t, c):
         if t < self.lo or t > self.hi:
             return math.inf
         if t == self.lo:
@@ -93,7 +95,7 @@ class _RefScad:
     def __init__(self, lam, a):
         self.lam, self.a = lam, a
 
-    def value1d(self, t):
+    def value(self, t):
         lam, a = self.lam, self.a
         u = abs(t)
         if u <= lam:
@@ -102,7 +104,7 @@ class _RefScad:
             return (2 * a * lam * u - u * u - lam * lam) / (2 * (a - 1))
         return 0.5 * lam * lam * (a + 1)
 
-    def prox1d(self, v, weight, eps):
+    def prox(self, v, weight, eps):
         lam, a = self.lam, self.a
         kappa = weight / eps
         cands = [0.0, lam, -lam, a * lam, -a * lam]
@@ -118,10 +120,10 @@ class _RefScad:
             cands.append(v)
         if v <= -a * lam:
             cands.append(v)
-        vals = [self.value1d(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
+        vals = [self.value(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
         return _pick_candidate(vals, cands)
 
-    def subdiff_dist1d(self, t, c):
+    def subdiff(self, t, c):
         if t == 0.0:
             return max(abs(c) - self.lam, 0.0)
         lam, a = self.lam, self.a
@@ -139,14 +141,14 @@ class _RefMcp:
     def __init__(self, lam, gamma):
         self.lam, self.gamma = lam, gamma
 
-    def value1d(self, t):
+    def value(self, t):
         lam, gamma = self.lam, self.gamma
         u = abs(t)
         if u <= gamma * lam:
             return lam * u - u * u / (2 * gamma)
         return 0.5 * gamma * lam * lam
 
-    def prox1d(self, v, weight, eps):
+    def prox(self, v, weight, eps):
         lam, gamma = self.lam, self.gamma
         kappa = weight / eps
         cands = [0.0, gamma * lam, -gamma * lam]
@@ -156,10 +158,10 @@ class _RefMcp:
             cands.append(min(max((kappa * v + lam) / den, -gamma * lam), 0.0))
         if abs(v) >= gamma * lam:
             cands.append(v)
-        vals = [self.value1d(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
+        vals = [self.value(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
         return _pick_candidate(vals, cands)
 
-    def subdiff_dist1d(self, t, c):
+    def subdiff(self, t, c):
         if t == 0.0:
             return max(abs(c) - self.lam, 0.0)
         d = math.copysign(max(self.lam - abs(t) / self.gamma, 0.0), t)
@@ -170,10 +172,10 @@ class _RefPower:
     def __init__(self, p):
         self.p = p
 
-    def value1d(self, t):
+    def value(self, t):
         return abs(t) ** self.p
 
-    def prox1d(self, v, weight, eps):
+    def prox(self, v, weight, eps):
         kappa = weight / eps
         p = self.p
         s = math.copysign(1.0, v)
@@ -194,7 +196,7 @@ class _RefPower:
             t = np.cbrt(-qc / 2.0 + disc) + np.cbrt(-qc / 2.0 - disc)
         return s * max(t, 0.0), False
 
-    def subdiff_dist1d(self, t, c):
+    def subdiff(self, t, c):
         d = self.p * math.copysign(abs(t) ** (self.p - 1.0), t) if t != 0.0 else 0.0
         return abs(c + d)
 
@@ -203,18 +205,18 @@ class _RefJump:
     def __init__(self, xbar):
         self.xbar = xbar
 
-    def value1d(self, t):
+    def value(self, t):
         if t == self.xbar:
             return -1.0
         return 0.5 * (t - self.xbar) ** 2
 
-    def prox1d(self, v, weight, eps):
+    def prox(self, v, weight, eps):
         kappa = weight / eps
         cands = [self.xbar, (self.xbar + kappa * v) / (1.0 + kappa)]
-        vals = [self.value1d(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
+        vals = [self.value(t) + 0.5 * kappa * (t - v) ** 2 for t in cands]
         return _pick_candidate(vals, cands)
 
-    def subdiff_dist1d(self, t, c):
+    def subdiff(self, t, c):
         if t == self.xbar:
             return 0.0
         return abs(c + (t - self.xbar))
@@ -285,11 +287,11 @@ def _check_prox(g, ref, triples):
     v, w, eps = triples.T
     t, tied = g.prox(v, w, eps)
     for i, (vi, wi, ei) in enumerate(triples.tolist()):
-        t_ref, tie_ref = ref.prox1d(vi, wi, ei)
+        t_ref, tie_ref = ref.prox(vi, wi, ei)
         assert t[i] == t_ref, (vi, wi, ei, t[i], t_ref)
         assert bool(tied[i]) == tie_ref, (vi, wi, ei)
         if i < 250:  # the one-element view
-            assert g.prox1d(vi, wi, ei) == (t_ref, tie_ref)
+            assert prox_at(g, vi, wi, ei) == (t_ref, tie_ref)
 
 
 @pytest.mark.parametrize("kind,params,ref", CASES, ids=IDS)
@@ -315,7 +317,8 @@ def test_scaled_prox_with_one_eps(kind, params, ref):
     eps = 0.37
     t, tied = g.scaled_prox(anchor, linear, weights, eps)
     v = anchor - eps * linear / weights
-    ref_out = [ref.prox1d(float(vi), float(wi), eps) for vi, wi in zip(v, weights)]
+    ref_out = [ref.prox(float(vi), float(wi), eps)
+               for vi, wi in zip(v, weights)]
     assert t.tolist() == [r[0] for r in ref_out]
     assert tied == any(r[1] for r in ref_out)
 
@@ -329,7 +332,7 @@ def test_scaled_prox_with_the_euclidean_scalar_weight(kind, params, ref):
     rho = g.semiconvex_rho
     for eps in [0.3, 1.0] + ([1.0 / rho] if 0 < rho < math.inf else []):
         t, tied = g.scaled_prox(v, np.zeros(v.size), 1.0, eps)
-        ref_out = [ref.prox1d(vi, 1.0, eps) for vi in v.tolist()]
+        ref_out = [ref.prox(vi, 1.0, eps) for vi in v.tolist()]
         assert t.tolist() == [r[0] for r in ref_out]
         assert tied == any(r[1] for r in ref_out)
 
@@ -345,25 +348,26 @@ def test_values_and_subdiff_match_reference(kind, params, ref):
     vals = g.values(T)
     parts = g.subdiff_parts(T, C)
     for i, (ti, ci) in enumerate(zip(T, C)):
-        assert vals[i] == ref.value1d(float(ti)), ti
-        assert g.value1d(float(ti)) == ref.value1d(float(ti))
-        assert parts[i] == ref.subdiff_dist1d(float(ti), float(ci)), (ti, ci)
-        assert g.subdiff_dist1d(float(ti), float(ci)) == parts[i]
+        assert vals[i] == ref.value(float(ti)), ti
+        assert value_at(g, float(ti)) == ref.value(float(ti))
+        assert parts[i] == ref.subdiff(float(ti), float(ci)), (ti, ci)
+        assert subdiff_at(g, float(ti), float(ci)) == parts[i]
     # vectors of length 2: the same sum as the per-coordinate reference
     for x in T[:200].reshape(-1, 2):
-        assert g.value(x) == sum(ref.value1d(float(t)) for t in x)
+        assert g.value(x) == sum(ref.value(float(t)) for t in x)
     X = T[:500].reshape(-1, 5)
     assert np.array_equal(g.value_batch(X), vals[:500].reshape(-1, 5).sum(axis=1))
-    assert g.subdiff_dist(T[:4], C[:4]) == pytest.approx(
-        math.sqrt(sum(ref.subdiff_dist1d(float(t), float(c)) ** 2
+    assert subdiff_distance(g, T[:4], C[:4]) == pytest.approx(
+        math.sqrt(sum(ref.subdiff(float(t), float(c)) ** 2
                       for t, c in zip(T[:4], C[:4]))), rel=1e-15)
 
 
 def test_prox_1d_view():
+    # a one-entry call gives the entry of a longer call, tie flag included
     g = build_regularizer("mcp", {"lam": 1.0, "gamma": 2.0})
-    assert g.prox1d(math.sqrt(8.0), 1.0, 4.0) == (0.0, True)
+    assert prox_at(g, math.sqrt(8.0), 1.0, 4.0) == (0.0, True)
     t, tied = g.prox(np.array([math.sqrt(8.0), 1.0]), np.array([1.0, 2.0]), 4.0)
-    assert g.prox1d(1.0, 2.0, 4.0) == (float(t[1]), bool(tied[1]))
+    assert prox_at(g, 1.0, 2.0, 4.0) == (float(t[1]), bool(tied[1]))
 
 
 def _counted(problem_spec):
@@ -380,7 +384,8 @@ def _counted(problem_spec):
     f = SmoothObjective(value=counter("f", p.f.value),
                         gradient=counter("grad", p.f.gradient),
                         lipschitz_L=p.f.lipschitz_L, convex=p.f.convex,
-                        value_batch=p.f.value_batch)
+                        value_batch=p.f.value_batch,
+                        gradient_batch=p.f.gradient_batch)
     p.g.value = counter("g", p.g.value)
     object.__setattr__(p, "f", f)
     return p, counts

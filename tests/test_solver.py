@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from vbpg.bregman import residual_bound
+from vbpg.bregman import prox_map, residual_bound
 from vbpg.core import KernelSpec, SolverConfig
 from vbpg.diagnostics import grid_min_F
 from vbpg.problems import ProblemSpec, lasso_spec
 from vbpg.solver import (block_preconditioner, kernel_schedule_jacobi,
-                         summability_bound, vbpg_run, vbpg_step)
+                         summability_bound, vbpg_run)
 
 EUC = KernelSpec.euclidean()
 
@@ -16,6 +16,11 @@ EUC = KernelSpec.euclidean()
 def quad(Q, b, g_kind="zero", g_params=None):
     return ProblemSpec("t", "quadratic", {"Q": Q, "b": b}, g_kind,
                        g_params or {}, len(b)).build()
+
+
+def prox_step(problem, K, eps, x):
+    """One solver update: the prox minimizer at x."""
+    return prox_map(problem, K, eps, x).minimizer
 
 
 def ista_step(A, b, lam, eps, x):
@@ -29,7 +34,7 @@ class TestStep:
         p = quad([[3.0, 0.7], [0.7, 2.0]], [0.5, -1.0])
         for _ in range(50):
             x = rng.uniform(-3, 3, 2)
-            out = vbpg_step(p, EUC, 0.2, x)
+            out = prox_step(p, EUC, 0.2, x)
             assert np.allclose(out, x - 0.2 * p.f.gradient(x), atol=1e-14)
 
     def test_fixed_point_at_critical(self):
@@ -37,7 +42,7 @@ class TestStep:
                  "mcp", {"lam": 0.6, "gamma": 4.0})
         cfg = SolverConfig.constant(0.4, EUC, max_iters=3000, step_tol=1e-14)
         xhat = vbpg_run(p, cfg, np.array([1.5, 1.0])).final_x
-        again = vbpg_step(p, EUC, 0.4, xhat)
+        again = prox_step(p, EUC, 0.4, xhat)
         assert np.linalg.norm(again - xhat) <= 1e-12
 
     def test_matches_independent_ista(self, rng):
@@ -48,7 +53,7 @@ class TestStep:
         eps = 0.9 / p.f.lipschitz_L
         for _ in range(50):
             x = rng.uniform(-2, 2, 3)
-            assert np.allclose(vbpg_step(p, EUC, eps, x),
+            assert np.allclose(prox_step(p, EUC, eps, x),
                                ista_step(A, b, lam, eps, x), atol=1e-10)
 
 
@@ -192,7 +197,7 @@ class TestJacobi:
         x = np.array([1.0, -1.0, 0.5, 2.0])
         y = x.copy()
         for _ in range(10):
-            x = vbpg_step(self.p, K, eps, x)
+            x = prox_step(self.p, K, eps, x)
             # block-decoupled oracle: damped Newton on each diagonal block
             g = self.p.f.gradient(y)
             nxt = y.copy()
@@ -215,7 +220,7 @@ class TestJacobi:
         steps = []
         for ci in (0.1, 1.0, 10.0, 100.0):
             K = kernel_schedule_jacobi(self.Q, (2, 2), (ci, ci))
-            out = vbpg_step(self.p, K, 0.1, x)
+            out = prox_step(self.p, K, 0.1, x)
             steps.append(np.linalg.norm(out - x))
         assert all(s0 > s1 for s0, s1 in zip(steps, steps[1:]))
 
