@@ -11,7 +11,7 @@ and ``quadratic_probe`` at [0.9, -0.2]), ``check`` and ``compare``.
 
 Each artifact prints "identical", or each moved CSV column or JSON field
 with its largest absolute change (inf when a value is not a finite
-number on both sides; list indices in JSON paths are folded into "[]"),
+number on both sides, unless it is NaN on both; list indices in JSON paths are folded into "[]"),
 or the first line where another file differs.  A run's stdout and stderr
 are compared as two more artifacts, ``stdout.txt`` and ``stderr.txt``.
 ``manifest.json`` holds a timestamp and is skipped.  A run that writes
@@ -87,9 +87,18 @@ def run(src: str, args: list[str], seed: int, out: Path) -> int:
     return proc.returncode
 
 
+def _same(a, b) -> bool:
+    """Equal values of one type; NaN equals NaN, as JSON writes it twice."""
+    if type(a) is not type(b):
+        return False
+    return a == b or (isinstance(a, float) and math.isnan(a)
+                      and math.isnan(b))
+
+
 def _change(a, b) -> float:
-    """|a - b| for two finite numbers, else inf (0 when they are equal)."""
-    if a == b:
+    """|a - b| for two finite numbers, else inf (0 when they are equal or
+    both NaN)."""
+    if a == b or _same(a, b):
         return 0.0
     try:
         a, b = float(a), float(b)
@@ -122,8 +131,7 @@ def _moved(old: dict, new: dict) -> dict[str, float]:
             moved[key] = math.inf
             continue
         worst = max((_change(x, y) for x, y in zip(a, b)), default=0.0)
-        if worst or any(type(x) is not type(y) or x != y
-                        for x, y in zip(a, b)):
+        if worst or not all(_same(x, y) for x, y in zip(a, b)):
             moved[key] = worst
     return moved
 

@@ -91,7 +91,10 @@ class SmoothObjective:
     multi-start runs stay vectorized; ``gradient_batch`` gives each row
     the bits of ``gradient``.  ``value_and_gradient`` returns both at one
     point, with the bits of ``value`` and ``gradient``, for objectives
-    that share work between them.
+    that share work between them.  ``value_columns``, when set, is f as
+    one formula of the coordinate columns (Python floats, batch columns
+    or broadcast grid axes) that ``value`` and ``value_batch`` are views
+    of, so f takes a grid's values from its axes (``value_grid``).
     """
 
     value: Callable[[Array], float]
@@ -101,6 +104,7 @@ class SmoothObjective:
     value_batch: Callable[[Array], Array]
     gradient_batch: Callable[[Array], Array]
     value_and_gradient: Optional[Callable[[Array], tuple]] = None
+    value_columns: Optional[Callable] = None
 
     def __post_init__(self):
         if self.lipschitz_L < 0:
@@ -110,6 +114,13 @@ class SmoothObjective:
         if self.value_and_gradient is not None:
             return self.value_and_gradient(x)
         return self.value(x), self.gradient(x)
+
+    def value_grid(self, axes) -> Array:
+        """``value_batch(grid_rows(axes))`` bit for bit; from the broadcast
+        axes, without the rows, when f has ``value_columns``."""
+        if self.value_columns is None:
+            return self.value_batch(grid_rows(axes))
+        return self.value_columns(np.ix_(*axes)).ravel()
 
 
 class Regularizer:
@@ -188,6 +199,8 @@ class Problem:
     level_bounded: bool = True
 
     def F(self, x: Array) -> float:
+        """F at one point; where f has ``value_columns`` (a quadratic at
+        dimension <= 3), the bits of ``F_batch(x[None])[0]``."""
         return self.f.value(x) + self.g.value(x)
 
     def F_batch(self, X: Array) -> Array:
@@ -195,8 +208,10 @@ class Problem:
 
     def F_grid(self, axes) -> Array:
         """``F_batch(grid_rows(axes))`` bit for bit, with g evaluated once
-        per axis (``Regularizer.value_grid``) instead of once per node."""
-        return self.f.value_batch(grid_rows(axes)) + self.g.value_grid(axes)
+        per axis (``Regularizer.value_grid``) instead of once per node, and
+        f from the axes where it has a column formula
+        (``SmoothObjective.value_grid``)."""
+        return self.f.value_grid(axes) + self.g.value_grid(axes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,7 @@ merely has direction-dependent constants does not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -109,9 +110,38 @@ _DIM_ERROR = "projection oracle requires dimension <= 3"
 # nodes a probe's sublevel grid may hold: about 6.5x the default 2-D grid
 PROBE_GRID_BUDGET = 1 << 22
 
-# float64 elements in one block of the nearest-candidate search (queries x
-# candidates x dim); bounds its temporaries at 2 MB each, also in d = 3
+# queries x candidates in one block of the nearest-candidate search; bounds
+# its temporaries at 2 MB each
 _PROJECT_CHUNK_ELEMS = 1 << 18
+
+# nodes per slab of the first axis when F is evaluated over a grid: keeps
+# the temporaries in cache and memory bounded by the slab, not the grid
+_SLAB_NODES = 1 << 16
+
+
+def _grid_slabs(axes):
+    """(start, slab axes) over slabs of the first axis of the tensor grid
+    over ``axes``: the slabs' nodes, in order, are the grid's nodes, and
+    ``start`` is the flat index of a slab's first node."""
+    inner = math.prod(len(ax) for ax in axes[1:])
+    step = max(1, _SLAB_NODES // inner)
+    for lo in range(0, len(axes[0]), step):
+        yield lo * inner, [axes[0][lo:lo + step], *axes[1:]]
+
+
+def _sq_dists(P, X) -> Array:
+    """sum_j (P_j - X_j)^2 from coordinate columns that broadcast together,
+    added left to right: the bits of ``np.sum((P - X) ** 2, axis=-1)``
+    over a last axis of length <= 3."""
+    total = None
+    for p, x in zip(P, X):
+        sq = p - x
+        sq *= sq
+        if total is None:
+            total = sq
+        else:
+            total += sq
+    return total
 
 
 class SublevelGrid:
@@ -132,12 +162,17 @@ class SublevelGrid:
     That is exact: if the nearest in-set node p has every axis neighbour
     in the set, x lies within h/2 of p on every axis (a neighbour would be
     nearer otherwise), so p is x's own nearest node.  The threshold and
-    the candidates are computed once per Fbar and cached.
+    the candidates are computed once per Fbar and cached.  Squared
+    distances add their coordinate columns left to right.
 
-    ``values`` holds F at every row of ``points`` (the nodes, then the
-    center) with the bits of ``F_batch(points)``: f runs once over all
-    rows, as in ``F_batch``, and g once per axis on the nodes
-    (``Regularizer.value_grid``) and once on the center.
+    ``values`` holds F at the nodes (last axis fastest), then at the
+    center.  The nodes' values are ``F_grid`` over slabs of the first
+    axis, with the bits of ``F_batch`` on the nodes' rows; a quadratic f
+    (one formula at d <= 3) and g both take them from the axes, so no
+    node array is built.  The center's value is ``F(center)``, the F_bar
+    of a slice centered there, so the seed is in the set at that level.
+    Node coordinates come from the axes when needed; ``points``, all of
+    them as rows, is built on first use only.
     """
 
     def __init__(self, problem: Problem, center, halfwidth: float,
@@ -146,18 +181,33 @@ class SublevelGrid:
             raise ValueError(_DIM_ERROR)
         self.problem = problem
         self.resolution = resolution or _DEFAULT_RESOLUTION[problem.dim]
-        c = as_vector(center, dim=problem.dim)
+        self.center = as_vector(center, dim=problem.dim)
         n = grid_axis_nodes(halfwidth, self.resolution)
-        self.axes = [np.linspace(ci - halfwidth, ci + halfwidth, n) for ci in c]
+        self.axes = [np.linspace(ci - halfwidth, ci + halfwidth, n)
+                     for ci in self.center]
         self.shape = (n,) * problem.dim
-        self.points = np.vstack([grid_rows(self.axes), c])
-        g = problem.g
-        self.values = problem.f.value_batch(self.points) + np.concatenate(
-            [g.value_grid(self.axes), g.value_batch(c[None])])
+        self.values = np.empty(n ** problem.dim + 1)
+        for start, slab in _grid_slabs(self.axes):
+            vals = problem.F_grid(slab)
+            self.values[start:start + len(vals)] = vals
+        self.values[-1] = problem.F(self.center)
         self._level = None  # (F_bar, in-set mask, candidate indices)
 
+    @functools.cached_property
+    def points(self) -> Array:
+        """Every point as a row: the nodes, then the center."""
+        return np.vstack([grid_rows(self.axes), self.center])
+
+    def _columns(self, idx: Array) -> list:
+        """Coordinate columns of the points at flat indices ``idx``."""
+        n_grid = len(self.values) - 1
+        node = np.unravel_index(np.minimum(idx, n_grid - 1), self.shape)
+        at_center = idx == n_grid
+        return [np.where(at_center, c, ax[i])
+                for ax, i, c in zip(self.axes, node, self.center)]
+
     def _level_set(self, F_bar: float) -> tuple[Array, Array]:
-        """In-set mask over ``points`` and the shared search candidates
+        """In-set mask over the points and the shared search candidates
         (boundary nodes and the in-set center, in point order) at F_bar."""
         if self._level is None or self._level[0] != F_bar:
             inside = self.values <= F_bar
@@ -185,17 +235,17 @@ class SublevelGrid:
         return np.ravel_multi_index(tuple(idx), self.shape)
 
     def _nearest_in_set(self, X: Array, inside: Array, cand: Array) -> Array:
-        """Index into ``points`` of the nearest in-set point to each row of
-        X; ties go to the lower index, as one argmin over all points."""
-        C = self.points[cand]
-        rows = max(1, _PROJECT_CHUNK_ELEMS // C.size)
+        """Index of the nearest in-set point to each row of X; ties go to
+        the lower index, as one argmin over all points."""
+        C = [col[None, :] for col in self._columns(cand)]
+        rows = max(1, _PROJECT_CHUNK_ELEMS // cand.size)
         best = np.empty(len(X), dtype=np.intp)
         for s in range(0, len(X), rows):
-            sq = np.sum((C[None, :, :] - X[s:s + rows, None, :]) ** 2, axis=2)
+            sq = _sq_dists(C, [col[:, None] for col in X[s:s + rows].T])
             best[s:s + rows] = cand[np.argmin(sq, axis=1)]
         own = self._own_nodes(X)
-        own_sq = np.sum((self.points[own] - X) ** 2, axis=1)
-        best_sq = np.sum((self.points[best] - X) ** 2, axis=1)
+        own_sq = _sq_dists(self._columns(own), X.T)
+        best_sq = _sq_dists(self._columns(best), X.T)
         take = inside[own] & ((own_sq < best_sq)
                               | ((own_sq == best_sq) & (own < best)))
         return np.where(take, own, best)
@@ -218,7 +268,8 @@ class SublevelGrid:
         if cand.size == 0:
             raise SliceEmptyError("sublevel set empty in the search box")
         Xo = X[out]
-        direction = self.points[self._nearest_in_set(Xo, inside, cand)] - Xo
+        nearest = self._nearest_in_set(Xo, inside, cand)
+        direction = np.column_stack(self._columns(nearest)) - Xo
         # bisection on the predicate F <= Fbar along [x, target], all rows
         lo_t, hi_t = np.zeros(len(Xo)), np.ones(len(Xo))
         for _ in range(60):
@@ -251,18 +302,23 @@ def grid_axis_nodes(halfwidth: float, resolution: float) -> int:
 
 def grid_min_F(problem: Problem, center, halfwidth: float) -> float:
     """Desk-scale global-minimum estimate by three nested grid scans, at
-    spacing 0.02 and then 50 times finer per zoom."""
+    spacing 0.02 and then 50 times finer per zoom.  Each scan runs over
+    slabs of the first axis (``_grid_slabs``), so memory stays bounded by
+    a slab, and keeps the first node of least F, as one argmin would."""
     c = as_vector(center, dim=problem.dim)
     hw, res, best_val = halfwidth, 0.02, math.inf
     for _ in range(3):
         n = grid_axis_nodes(hw, res)
         axes = [np.linspace(ci - hw, ci + hw, n) for ci in c]
-        vals = problem.F_grid(axes)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            node = np.unravel_index(j, (n,) * problem.dim)
-            best_val, c = float(vals[j]), np.array(
-                [ax[i] for ax, i in zip(axes, node)])
+        best = None
+        for start, slab in _grid_slabs(axes):
+            vals = problem.F_grid(slab)
+            j = int(np.argmin(vals))
+            if vals[j] < best_val:
+                best_val, best = float(vals[j]), start + j
+        if best is not None:
+            node = np.unravel_index(best, (n,) * problem.dim)
+            c = np.array([ax[i] for ax, i in zip(axes, node)])
         hw, res = 2.0 * res, res / 50.0
     return best_val
 

@@ -24,12 +24,6 @@ from .core import (Array, KernelSpec, Problem, Regularizer, SmoothObjective,
 _TIE_TOL = 1e-10
 _TIE_SEP = 1e-9
 
-# rows from which a quadratic's value_batch sums its terms column by column
-# instead of in numpy's 3-operand einsum (same bits from 3 rows on), and
-# the rows it sums at a time, so that its temporaries stay in cache
-_QUAD_LOOP_ROWS = 1024
-_QUAD_LOOP_BLOCK = 1 << 14
-
 
 def _clip(x: Array, lo: float, hi: float) -> Array:
     """min(max(x, lo), hi) entrywise, in place on the temporary x."""
@@ -357,6 +351,35 @@ class JumpQuadraticRegularizer(Regularizer):
 # smooth objectives
 # ---------------------------------------------------------------------------
 
+def _quadratic_columns(Q: Array, b: Array):
+    """x'Qx/2 + b'x at dimension <= 3 from the columns of x, in one fixed
+    order: the per-coordinate terms ((Q_jj/2) x_j + b_j) x_j, then the
+    cross terms (Q_jk x_j) x_k for j < k, added left to right.
+
+    The columns may be Python floats (one point), the columns of a batch
+    or broadcast grid axes (``np.ix_``): each form rounds every entry
+    through the same operations, so a point's bits depend neither on the
+    batch nor on the grid it sits in.
+    """
+    half = [0.5 * q for q in np.diagonal(Q).tolist()]
+    lin = b.tolist()
+    cross = [(j, k, 0.5 * float(Q[j, k] + Q[k, j]))
+             for j in range(len(lin)) for k in range(j + 1, len(lin))]
+
+    def value_columns(cols):
+        total = None
+        for x, h, c in zip(cols, half, lin):
+            term = (h * x + c) * x
+            total = term if total is None else total + term
+        # the per-coordinate sum has broadcast to the full shape, and it is
+        # a fresh array, so the cross terms add in place
+        for j, k, q in cross:
+            total += (q * cols[j]) * cols[k]
+        return total
+
+    return value_columns
+
+
 def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjective:
     """f(x) = x'Qx/2 + b'x with L equal to the spectral norm of Q.
 
@@ -373,35 +396,34 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
     L = float(np.max(np.abs(eigs))) if L_override is None else float(L_override)
     convex = bool(eigs[0] >= -1e-12)
 
-    def value(x):
-        return 0.5 * float(x @ (Q @ x)) + float(b @ x)
+    if b.size > 3:
+        # BLAS above dimension 3, where no grid oracle compares values
+        def value(x):
+            return 0.5 * float(x @ (Q @ x)) + float(b @ x)
+
+        def value_and_gradient(x):
+            # one Q @ x for both, with the bits of ``value`` and ``gradient``
+            Qx = Q @ x
+            return 0.5 * float(x @ Qx) + float(b @ x), Qx + b
+
+        def value_batch(X):
+            return 0.5 * np.einsum("ij,jk,ik->i", X, Q, X) + X @ b
+
+        value_columns = None
+    else:
+        value_columns = _quadratic_columns(Q, b)
+
+        def value(x):
+            return value_columns(x.tolist())
+
+        def value_and_gradient(x):
+            return value_columns(x.tolist()), Q @ x + b
+
+        def value_batch(X):
+            return value_columns(X.T)
 
     def gradient(x):
         return Q @ x + b
-
-    def value_and_gradient(x):
-        # one Q @ x for both, with the bits of ``value`` and ``gradient``
-        Qx = Q @ x
-        return 0.5 * float(x @ Qx) + float(b @ x), Qx + b
-
-    def value_batch(X):
-        # from 3 rows on, the 3-operand einsum adds (x_j Q_jk) x_k with j
-        # outer and k inner, and this loop over the columns keeps its bits
-        # in under half its time on long batches; its 3 d^2 array passes
-        # do not pay on short batches or above dimension 3
-        if len(X) < _QUAD_LOOP_ROWS or X.shape[1] > 3:
-            return 0.5 * np.einsum("ij,jk,ik->i", X, Q, X) + X @ b
-        quad = np.zeros(len(X))
-        for lo in range(0, len(X), _QUAD_LOOP_BLOCK):
-            block = slice(lo, lo + _QUAD_LOOP_BLOCK)
-            Xs, qs = X[block], quad[block]
-            for j in range(X.shape[1]):
-                for k in range(X.shape[1]):
-                    qs += (Xs[:, j] * Q[j, k]) * Xs[:, k]
-        # 0.5 * quad + X @ b in place: the same roundings, two fewer arrays
-        quad *= 0.5
-        quad += X @ b
-        return quad
 
     def gradient_batch(X):
         # Q @ x per row (one BLAS gemv each): X @ Q rounds differently
@@ -410,7 +432,8 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
     return SmoothObjective(value=value, gradient=gradient, lipschitz_L=L,
                            convex=convex, value_batch=value_batch,
                            gradient_batch=gradient_batch,
-                           value_and_gradient=value_and_gradient)
+                           value_and_gradient=value_and_gradient,
+                           value_columns=value_columns)
 
 
 def zero_objective(dim: int) -> SmoothObjective:

@@ -110,6 +110,15 @@ class TestProbe:
         path = write_config(tmp_path, "c.json", cfg)
         assert run(["probe", "--config", path, "--out", tmp_path / "o"]) == 3
 
+    def test_center_near_minimizer_is_in_its_sublevel_set(self, tmp_path):
+        # 20 iterations stop within 3e-6 of the minimizer; F_bar = F(center)
+        # and the grid's seeded center must agree bit for bit, or the
+        # sublevel set reads as empty (exit 3)
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        cfg["solver"]["max_iters"] = 20
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run(["probe", "--config", path, "--out", tmp_path / "o"]) == 0
+
     def test_dimension_cap_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "problem": {"kind": "quadratic",
@@ -236,6 +245,27 @@ class TestCheck:
         assert capsys.readouterr().err == (
             "validation: eps_max < m/L violated (0.9 >= 0.5)\n")
 
+    def test_grid_min_F_memory_does_not_grow_with_halfwidth(self, tmp_path):
+        # check.halfwidth 20 scans a 2,001 x 2,001 grid (4M nodes, 32 MB per
+        # float array); in slabs its peak stays at the default halfwidth's
+        code = ("import resource, sys; from vbpg.cli import main; "
+                "rc = main(sys.argv[1:]); "
+                "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        peak_kb = {}
+        for halfwidth in (2.0, 20.0):
+            cfg = json.loads((CONFIGS / "quadratic_probe.json").read_text())
+            cfg["check"] = {"halfwidth": halfwidth}
+            path = write_config(tmp_path, f"hw{halfwidth:g}.json", cfg)
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "check", "--config", str(path),
+                 "--out", str(tmp_path / f"o{halfwidth:g}")],
+                capture_output=True, text=True, env=env)
+            rc, peak = proc.stdout.splitlines()[-1].split()
+            assert rc == "0"
+            peak_kb[halfwidth] = int(peak)
+        assert peak_kb[20.0] < peak_kb[2.0] + 16 * 1024
+
     def test_check_at_zero_decrease_constant_is_not_certified(self, tmp_path,
                                                                capsys):
         # eps = m/L makes a = (m/eps - L)/2 = 0: no summability bound is
@@ -312,7 +342,9 @@ class TestFailureContract:
         (_quadratic_config({"kind": "l1", "lam": 0.1},
                            Q=((1.0, 0.0), (0.0, -1.0)), x0=[1.0, 1.0],
                            solver={"epsilon": 0.5, "max_iters": 5000}),
-         5, "numerical failure: F became non-finite at iteration 876"),
+         # F = -x_2^2/2 + ... is finite at iteration 876 although x_2^2
+         # overflows; (Q_22/2 x_2) x_2 holds it, so F first overflows at 877
+         5, "numerical failure: F became non-finite at iteration 877"),
         (_quadratic_config(x0=[1.0, 2.0, 3.0]), 1,
          "config parse error: dimension mismatch: expected 2, got 3"),
         (_quadratic_config(solver={"kernel": {

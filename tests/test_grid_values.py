@@ -1,20 +1,23 @@
 """F on a tensor grid from its axes against F_batch on the grid's rows.
 
 ``Problem.F_grid(axes)`` must return the bits of
-``F_batch(grid_rows(axes))``, and a quadratic's ``value_batch`` the bits of
-the 3-operand einsum it replaces on long batches: the sublevel grid's
-in-set masks, and through them every ``dist_level`` a probe writes, are
-thresholds of these values."""
+``F_batch(grid_rows(axes))``, and at dimension <= 3 a quadratic gives a
+point the same bits alone (``F``), in a batch of any size and on a grid:
+the sublevel grid's in-set masks, and through them every ``dist_level``
+a probe writes, are thresholds of these values, compared with F_bar from
+``F``."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vbpg import diagnostics as dx
 from vbpg.core import Problem, grid_rows
 from vbpg.diagnostics import SublevelGrid, grid_min_F
-from vbpg.problems import (_QUAD_LOOP_BLOCK, _QUAD_LOOP_ROWS,
-                           build_regularizer, generate_logistic_data,
+from vbpg.problems import (build_regularizer, generate_logistic_data,
                            logistic_objective, quadratic_objective,
-                           scalar_profile_objective)
+                           scalar_profile_objective, zero_objective)
 
 # unequal lengths, off-center spans, spacings that are not powers of two
 AXES = [np.linspace(-1.3, 2.1, 37), np.linspace(0.4, 5.9, 23),
@@ -80,34 +83,45 @@ def test_quadratic_random_Q(dim, definite, seed):
     assert_grid_bits(problem, [1e3 * ax + 0.1 for ax in AXES[:dim]])
 
 
-def einsum_value(Q, b, X):
-    return 0.5 * np.einsum("ij,jk,ik->i", X, Q, X) + X @ b
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("definite", [True, False],
+                         ids=["definite", "indefinite"])
+def test_quadratic_row_bits_do_not_depend_on_the_batch(dim, definite):
+    problem = quad_problem(dim, "scad", definite, seed=dim)
+    rng = np.random.default_rng(100 + dim)
+    for scale in (1e-3, 1.0, 1e3):
+        X = scale * rng.standard_normal((5000, dim))
+        alone = np.array([problem.f.value(x) for x in X])
+        for n in (1, 2, 3, 1023, 1024, 5000):
+            # the first rows and the last rows of X as batches of n
+            assert np.array_equal(problem.f.value_batch(X[:n]), alone[:n])
+            assert np.array_equal(problem.f.value_batch(X[-n:]), alone[-n:])
+        assert np.array_equal(problem.F_batch(X),
+                              [problem.F(x) for x in X])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("definite", [True, False],
                          ids=["definite", "indefinite"])
-def test_quadratic_value_batch_keeps_the_einsum_bits(dim, definite):
-    Q = random_Q(dim, definite, seed=dim)
-    Q = 0.5 * (Q + Q.T)
-    b = np.random.default_rng(dim).standard_normal(dim)
-    f = quadratic_objective(Q, b)
-    rng = np.random.default_rng(100 + dim)
-    for n in (1, 2, 3, _QUAD_LOOP_ROWS - 1, _QUAD_LOOP_ROWS, 5000,
-              2 * _QUAD_LOOP_BLOCK + 7):
-        for scale in (1e-3, 1.0, 1e3):
-            X = scale * rng.standard_normal((n, dim))
-            assert np.array_equal(f.value_batch(X), einsum_value(Q, b, X))
+def test_F_is_the_one_row_F_batch(dim, definite):
+    problem = quad_problem(dim, "mcp", definite, seed=7 * dim)
+    rng = np.random.default_rng(dim)
+    for x in rng.uniform(-3.0, 3.0, size=(200, dim)):
+        value = problem.F(x)
+        assert type(value) is float
+        assert value == problem.F_batch(x[None])[0]
 
 
-def test_quadratic_value_batch_on_a_full_default_grid():
+def test_F_grid_on_a_full_default_grid():
     # the default 2-D probe grid: 801 x 801 nodes, halfwidth 2, h = 5e-3
     Q = np.array([[1.7, -0.6], [-0.6, -0.9]])
     b = np.array([0.3, -1.1])
-    X = grid_rows([np.linspace(c - 2.0, c + 2.0, 801) for c in (0.9, -0.2)])
+    problem = Problem(f=quadratic_objective(Q, b),
+                      g=build_regularizer("l1", {"lam": 0.4}), dim=2)
+    axes = [np.linspace(c - 2.0, c + 2.0, 801) for c in (0.9, -0.2)]
+    X = grid_rows(axes)
     assert len(X) == 641_601
-    assert np.array_equal(quadratic_objective(Q, b).value_batch(X),
-                          einsum_value(Q, b, X))
+    assert np.array_equal(problem.F_grid(axes), problem.F_batch(X))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -135,8 +149,8 @@ def test_scalar_profile_objective(profile):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_sublevel_grid_values_are_F_batch(dim):
-    # f runs over the nodes and the seeded center in one batch: the center
-    # alone would round differently in F_batch on about a quarter of centers
+    # the nodes' values come from the axes and the center's from F(center);
+    # both keep the bits F_batch gives the same points as rows
     rng = np.random.default_rng(dim)
     for seed in range(20):
         problem = quad_problem(dim, "scad", definite=False, seed=seed)
@@ -147,16 +161,67 @@ def test_sublevel_grid_values_are_F_batch(dim):
         assert np.array_equal(grid.values, problem.F_batch(grid.points))
 
 
-def test_grid_min_F_matches_the_row_scan():
-    problem = quad_problem(2, "mcp", definite=True, seed=5)
-    c, hw, res = np.array([0.3, -0.2]), 2.0, 0.02
-    want = None
+def reference_grid_min_F(problem, center, hw):
+    """``grid_min_F``'s three zooms as one argmin over the rows each."""
+    c, res, best = np.asarray(center, dtype=float), 0.02, np.inf
     for _ in range(3):
         n = int(round(2 * hw / res)) + 1
         pts = grid_rows([np.linspace(ci - hw, ci + hw, n) for ci in c])
         vals = problem.F_batch(pts)
         j = int(np.argmin(vals))
-        if want is None or vals[j] < want:
-            want, c = float(vals[j]), pts[j]
+        if vals[j] < best:
+            best, c = float(vals[j]), pts[j]
         hw, res = 2.0 * res, res / 50.0
-    assert grid_min_F(problem, [0.3, -0.2], 2.0) == want
+    return best
+
+
+def test_grid_min_F_matches_the_row_scan():
+    problem = quad_problem(2, "mcp", definite=True, seed=5)
+    assert (grid_min_F(problem, [0.3, -0.2], 2.0)
+            == reference_grid_min_F(problem, [0.3, -0.2], 2.0))
+
+
+@pytest.mark.parametrize("slab_nodes", [1, 1000, 1 << 16])
+def test_grid_min_F_independent_of_the_slab(monkeypatch, slab_nodes):
+    # slabs of one row of the first axis, of several rows and one slab;
+    # the box indicator puts F = +inf off the box and ties at 0 on it
+    monkeypatch.setattr(dx, "_SLAB_NODES", slab_nodes)
+    flat = Problem(f=zero_objective(2),
+                   g=build_regularizer("box", {"lo": -0.5, "hi": 0.7}), dim=2)
+    for problem, center in (
+            (quad_problem(2, "mcp", definite=False, seed=5), [0.3, -0.2]),
+            (flat, [0.0, 0.0])):
+        assert (grid_min_F(problem, center, 1.0)
+                == reference_grid_min_F(problem, center, 1.0))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_column_sq_dists_keep_the_axis_sum_bits(dim):
+    rng = np.random.default_rng(dim)
+    P = rng.uniform(-2.0, 2.0, size=(300, dim))
+    X = rng.uniform(-2.0, 2.0, size=(40, dim))
+    # all pairs, as the nearest-candidate search lays them out
+    pairs = dx._sq_dists([p[None, :] for p in P.T], [x[:, None] for x in X.T])
+    assert np.array_equal(
+        pairs, np.sum((P[None, :, :] - X[:, None, :]) ** 2, axis=2))
+    # one pair per row
+    assert np.array_equal(dx._sq_dists(P[:40].T, X.T),
+                          np.sum((P[:40] - X) ** 2, axis=1))
+
+
+def test_sublevel_grid_builds_no_node_array():
+    # the default 2-D probe grid: 801^2 nodes; the rows alone would take
+    # N d 8 bytes, the values N 8 bytes
+    problem = quad_problem(2, "scad", definite=False, seed=4)
+    tracemalloc.start()
+    try:
+        grid = SublevelGrid(problem, [0.2, -0.1], 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_nodes = 801 ** 2
+    assert grid.shape == (801, 801)
+    assert peak < n_nodes * 2 * 8
+    assert "points" not in vars(grid)  # built on first use only
+    assert np.array_equal(grid.points[-1], grid.center)
+    assert len(grid.points) == n_nodes + 1

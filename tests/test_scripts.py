@@ -56,7 +56,8 @@ def test_artifact_diff_compare_dirs(tmp_path):
     (new / "probe.csv").write_text(
         "x0,dist_level,property_A\n0.5,0.101,1\n0.6,0.198,0\n0.7,0.3,0\n")
     report = {"ok": True, "records": [{"name": "a", "worst": 1.0},
-                                      {"name": "b", "worst": 2.0}]}
+                                      {"name": "b", "worst": 2.0}],
+              "beta": float("nan")}
     (old / "eb_report.json").write_text(json.dumps(report))
     report["records"][1]["worst"] = 2.5
     report["ok"] = False
@@ -70,6 +71,15 @@ def test_artifact_diff_compare_dirs(tmp_path):
         "summary.json: only in change",
         "trace.csv: identical",
     ]
+    # a field that is NaN on both sides has not moved
+    (new / "eb_report.json").write_text(
+        (old / "eb_report.json").read_text().replace("2.0", "2.25"))
+    assert compare_dirs(old, new)[0] == (
+        "eb_report.json: field records[].worst moved, largest change 0.25")
+    report["beta"] = 0.5
+    (new / "eb_report.json").write_text(json.dumps(report))
+    assert compare_dirs(old, new)[0] == (
+        "eb_report.json: field beta moved, largest change inf")
 
 
 def test_artifact_diff_compare_runs(tmp_path):
