@@ -7,7 +7,10 @@ PARENT_SRC and CHANGE_SRC are checkouts (or their ``src`` directories).
 For each seed, both trees run the same commands in fresh processes:
 ``solve`` on every config in ``configs/``, ``probe`` on the four shipped
 probe configs plus two off-minimizer slices (``lasso`` at center [1, 1]
-and ``quadratic_probe`` at [0.9, -0.2]), ``check`` and ``compare``.
+and ``quadratic_probe`` at [0.9, -0.2]), ``solve`` and ``probe`` on
+``quad_mcp`` under the non-diagonal kernel [[1.3, 0.2], [0.2, 1.0]] (the
+iterative prox path, which no shipped config takes), ``check`` and
+``compare``.
 
 Each artifact prints "identical", or each moved CSV column or JSON field
 with its largest absolute change (inf when a value is not a finite
@@ -38,6 +41,10 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PROBE_CONFIGS = ("lasso", "quad_mcp", "quadratic_probe", "jump_probe")
 OFF_MINIMIZER = {"lasso_offmin": ("lasso", [1.0, 1.0]),
                  "quadratic_offmin": ("quadratic_probe", [0.9, -0.2])}
+# a shipped problem under a non-separable kernel: its prox is solved
+# iteratively, so these runs show what moves with the inner solver
+NON_SEPARABLE = ("quad_mcp", {"kind": "quadratic",
+                              "A": [[1.3, 0.2], [0.2, 1.0]]})
 SKIPPED = {"manifest.json"}
 STREAMS = ("stdout.txt", "stderr.txt")
 # exit codes other than 0 that a run is documented to end in: solve on the
@@ -59,6 +66,13 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
         path = config_dir / f"{label}.json"
         path.write_text(json.dumps(cfg))
         cmds[f"probe-{label}"] = ["probe", "--config", str(path)]
+    name, kernel = NON_SEPARABLE
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg["solver"]["kernel"] = kernel
+    path = config_dir / f"{name}_nonseparable.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("solve", "probe"):
+        cmds[f"{command}-{path.stem}"] = [command, "--config", str(path)]
     cmds["check"] = ["check"]
     cmds["compare"] = ["compare", "--config",
                        str(CONFIGS / "compare_kernels.json")]

@@ -12,6 +12,14 @@ G vanishes exactly at proximal critical points when g is semiconvex and
 the step size is admissible, which makes it the merit function used by
 the diagnostics layer.  ``prox_map`` solves the subproblem at one point
 (the solver's path); ``annotate_points`` gives T, E and G for rows.
+
+Under a separable kernel the subproblem splits into exact 1-D problems.
+Under a general quadratic kernel it is solved iteratively, by
+accelerated proximal gradient with constant momentum (Beck & Teboulle,
+SIAM J. Imaging Sci. 2009; Nesterov): when the inner problem is
+mu-strongly convex, mu = m/eps - rho, the loop stops on a certificate
+that its output lies within 1e-10 (1 + ||x||) of the unique minimizer;
+when mu <= 0 nothing certifies the output and the result says so.
 """
 
 from __future__ import annotations
@@ -40,7 +48,12 @@ class ProxResult:
     returned t (it excludes f(x)), and ``g_value`` is its g(t) term.
     ``multivalued_flag`` is set when the coordinatewise candidate
     enumeration found two global minimizers tying within 1e-10; ties are
-    resolved toward smaller |t|.
+    resolved toward smaller |t|.  ``inner_iterations`` counts the steps of
+    an iterative (non-separable) solve, 0 on the exact coordinatewise
+    path.  ``certified`` is False only for an iterative solve whose inner
+    problem is not known to be strongly convex (eps >= m/rho): its
+    minimizer is then a fixed point of the inner steps, not a certified
+    global minimizer.
     """
 
     minimizer: Array
@@ -48,14 +61,15 @@ class ProxResult:
     inner_iterations: int
     multivalued_flag: bool
     g_value: float
+    certified: bool
 
 
 def _prox_result(problem: Problem, K: KernelSpec, eps: float, x: Array,
                  grad_x: Array, t: Array, inner_iterations: int = 0,
-                 tied: bool = False) -> ProxResult:
+                 tied: bool = False, certified: bool = True) -> ProxResult:
     g_t = problem.g.value(t)
     val = float(grad_x @ (t - x)) + g_t + float(K.distance(x, t)) / eps
-    return ProxResult(t, val, inner_iterations, tied, g_t)
+    return ProxResult(t, val, inner_iterations, tied, g_t, certified)
 
 
 def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
@@ -64,9 +78,16 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
 
     Separable fast path (euclidean/diagonal kernels, coordinatewise g):
     exact per-coordinate minimization through the regularizer's candidate
-    enumeration.  General quadratic kernels: proximal-gradient iterations
-    on the subproblem with step 1/(M/eps + L), run from x until the inner
-    step norm falls below 1e-10 (1 + ||x||), at most 10,000 of them.
+    enumeration.  General quadratic kernels: the subproblem is
+    phi(y) = <c, y> + y'Ay/(2 eps) + g(y) with c = grad f(x) - A x/eps,
+    solved from x by accelerated proximal gradient with step s = eps/M
+    and momentum (sqrt(kappa) - 1)/(sqrt(kappa) + 1), kappa = (M/eps)/mu,
+    mu = m/eps - rho.  The residual r = (M/eps)(v - u+) of a step lies in
+    the subdifferential of phi at its output y+, so ||y+ - y*|| <=
+    ||r||/mu, and the loop stops once that bound is at most
+    1e-10 (1 + ||x||).  When mu <= 0 it runs without momentum, stops
+    once a step is at most that tolerance and returns an uncertified
+    result.  At most 10,000 inner iterations; ``ProxError`` beyond.
     ``grad_x`` is grad f(x) when the caller already has it.
     """
     x = as_vector(x, dim=problem.dim)
@@ -80,18 +101,30 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
         t, tied = problem.g.scaled_prox(x, grad_x, weights, eps)
         return _prox_result(problem, K, eps, x, grad_x, t, 0, tied)
 
-    # strongly convex inner problem: smooth part <grad_x, y> + D(x, y)/eps
+    # v = B z - s c is the gradient step from the extrapolated point z and
+    # u = B y - s c the one from the iterate y; v - u+ = s r
+    B, prox, s = K.step_matrix, problem.g.prox, eps / K.M
+    mu = K.m / eps - problem.g.semiconvex_rho
+    certified = mu > 0
+    beta = 0.0
+    if certified:
+        root = math.sqrt(K.M / eps / mu)
+        beta = (root - 1.0) / (root + 1.0)
     tol = 1e-10 * (1.0 + vector_norm(x))
-    step = 1.0 / (K.M / eps + problem.f.lipschitz_L)
-    y = x.copy()
+    # squared stop on ||v - u+|| = s ||r|| <= s mu tol, or on the step
+    stop = (s * mu * tol if certified else tol) ** 2
+    s_c = s * grad_x - (K.A @ x) / K.M
+    y = x
+    u = v = x - s * grad_x  # B x - s c
     for it in range(1, _INNER_MAX + 1):
-        grad_smooth = grad_x + K.grad_y(x, y) / eps
-        y_next, _ = problem.g.scaled_prox(y - step * grad_smooth, 0.0, 1.0,
-                                          step)
-        move = vector_norm(y_next - y)
-        y = y_next
-        if move <= tol:
-            return _prox_result(problem, K, eps, x, grad_x, y, it)
+        y_next, _ = prox(v, 1.0, s)
+        u_next = B @ y_next - s_c
+        r = v - u_next if certified else y_next - y
+        if r.dot(r) <= stop:
+            return _prox_result(problem, K, eps, x, grad_x, y_next, it,
+                                certified=certified)
+        v = u_next + beta * (u_next - u)
+        y, u = y_next, u_next
     raise ProxError(f"inner prox solve did not converge in {_INNER_MAX} iterations")
 
 

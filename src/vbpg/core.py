@@ -223,6 +223,11 @@ class KernelSpec:
     a symmetric positive-definite matrix A (D = (x-y)' A (x-y) / 2).
     The certified moduli satisfy m <= M and
     (m/2)||x-y||^2 <= D(x, y) <= (M/2)||x-y||^2.
+
+    ``step_matrix`` is B = I - A/M for a quadratic kernel whose matrix is
+    not diagonal, else None: a gradient step of length eps/M on the
+    non-separable prox subproblem maps y to B y - (eps/M) c, so the inner
+    solve makes one matvec per step.
     """
 
     kind: str
@@ -230,10 +235,11 @@ class KernelSpec:
     A: Optional[Array] = None
     m: float = field(init=False, default=1.0)
     M: float = field(init=False, default=1.0)
+    step_matrix: Optional[Array] = field(init=False, default=None, repr=False)
     _weights: object = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        weights = None
+        weights = step_matrix = None
         if self.kind == "euclidean":
             m = M = weights = 1.0
         elif self.kind == "diagonal":
@@ -257,10 +263,14 @@ class KernelSpec:
             m, M = float(eigs[0]), float(eigs[-1])
             if np.count_nonzero(A - np.diag(np.diagonal(A))) == 0:
                 weights = np.diagonal(A)  # a read-only view
+            else:
+                step_matrix = np.eye(len(A)) - A / M
+                step_matrix.flags.writeable = False
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "M", M)
+        object.__setattr__(self, "step_matrix", step_matrix)
         object.__setattr__(self, "_weights", weights)
 
     @staticmethod

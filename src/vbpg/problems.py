@@ -451,6 +451,7 @@ def logistic_objective(A, labels) -> SmoothObjective:
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ValueError("labels must be +-1")
     Ay = A * y[:, None]
+    neg_Ay = -Ay
     L = float(np.linalg.eigvalsh(A.T @ A)[-1]) / 4.0
 
     def value(x):
@@ -463,8 +464,10 @@ def logistic_objective(A, labels) -> SmoothObjective:
         return -(Ay.T @ sig)
 
     def value_batch(X):
-        Z = X @ Ay.T
-        return np.sum(np.logaddexp(0.0, -Z), axis=1)
+        # the gemv of ``value``, once per row (X @ Ay.T rounds differently),
+        # on -Ay: negating every term negates the rounded sum exactly
+        negZ = np.matmul(neg_Ay, X[:, :, None])[:, :, 0]
+        return np.sum(np.logaddexp(0.0, negZ), axis=1)
 
     def gradient_batch(X):
         # the two gemv products of ``gradient``, once per row

@@ -32,11 +32,12 @@ class Trace:
     Row k holds F(x^k), the step norm ||x^k - x^{k+1}||, the gap G(x^k),
     the residual ||xi^k|| certified at x^{k+1}, and what the iteration
     used: the step size eps^k, the index of its kernel in the schedule,
-    the prox's inner iterations (0 on the coordinatewise path) and its
-    tie flag.  ``f_values`` has one extra trailing entry, F at the final
-    accepted iterate.  ``iterates`` is thinned by ``trace_every`` but
-    always includes x^0 and the final point; ``iterate_indices`` maps
-    entries back to iteration numbers.
+    the prox's inner iterations (0 on the coordinatewise path), its tie
+    flag and whether its minimizer is certified (``ProxResult.certified``;
+    not written to ``trace.csv``).  ``f_values`` has one extra trailing
+    entry, F at the final accepted iterate.  ``iterates`` is thinned by
+    ``trace_every`` but always includes x^0 and the final point;
+    ``iterate_indices`` maps entries back to iteration numbers.
     """
 
     f_values: list = field(default_factory=list)
@@ -49,6 +50,7 @@ class Trace:
     kernel_indices: list = field(default_factory=list)
     inner_iterations: list = field(default_factory=list)
     tied: list = field(default_factory=list)
+    inner_certified: list = field(default_factory=list)
     terminated_reason: str = "max_iters"
     final_x: Array | None = None
 
@@ -118,6 +120,7 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
         trace.kernel_indices.append(k % len(config.kernels))
         trace.inner_iterations.append(prox.inner_iterations)
         trace.tied.append(prox.multivalued_flag)
+        trace.inner_certified.append(prox.certified)
 
         x, grad_x, g_x = t, grad_t, prox.g_value
         F_x = f_t + g_x

@@ -61,17 +61,18 @@ def subdiff_at(g, t, grad_f_t):
 
 
 def inner_solve_from(problem, K, eps, x, y):
-    """The quadratic-kernel prox subproblem at x solved by proximal
-    gradient steps from y (``prox_map`` starts at x), with ``prox_map``'s
-    step and stopping rule."""
+    """The quadratic-kernel prox subproblem at x solved from y by plain
+    proximal gradient: step 1/(M/eps + L), no momentum, stopping once a
+    step is at most 1e-10 (1 + ||x||).  Returns the last iterate and the
+    number of steps taken."""
     grad_x = problem.f.gradient(x)
     step = 1.0 / (K.M / eps + problem.f.lipschitz_L)
     tol = 1e-10 * (1.0 + np.linalg.norm(x))
-    for _ in range(10000):
+    for it in range(1, 10001):
         y_next, _ = problem.g.scaled_prox(
             y - step * (grad_x + K.grad_y(x, y) / eps), 0.0, 1.0, step)
         if np.linalg.norm(y_next - y) <= tol:
-            return y_next
+            return y_next, it
         y = y_next
     raise AssertionError("inner solve did not converge")
 

@@ -302,7 +302,7 @@ def test_criterion_11_semiconvex_suite():
         for _ in range(100):
             x = rng.uniform(-2, 2, 2)
             r1 = prox_map(p, Kq, eps_q, x)
-            y = inner_solve_from(p, Kq, eps_q, x, rng.uniform(-3, 3, 2))
+            y, _ = inner_solve_from(p, Kq, eps_q, x, rng.uniform(-3, 3, 2))
             assert np.linalg.norm(r1.minimizer - y) <= 1e-8
     print("\nPASS criterion 11: semiconvex envelope/gap/residual bounds and "
           "start-independent prox")

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbpg.bregman import descent_constants, prox_map, residual_bound
-from vbpg.core import KernelSpec, sample_box
+from vbpg.core import (KernelSpec, SolverConfig, sample_box,
+                       validate_config, vector_norm)
 from vbpg.problems import ProblemSpec, lasso_spec
 
 from reference import (certificate, descent_case_specs, descent_slack,
@@ -106,8 +107,64 @@ class TestProxMap:
         for _ in range(25):
             x = rng.uniform(-2, 2, 2)
             r1 = prox_map(p, K, eps, x)
-            y = inner_solve_from(p, K, eps, x, rng.uniform(-3, 3, 2))
+            y, _ = inner_solve_from(p, K, eps, x, rng.uniform(-3, 3, 2))
             assert np.linalg.norm(r1.minimizer - y) <= 1e-8
+
+
+def spd_kernel(dim, seed):
+    """A non-diagonal SPD kernel matrix: the 2-D one of the shipped
+    examples, or R R'/dim + I/2 (condition number about 10)."""
+    if dim == 2:
+        return np.array([[1.3, 0.2], [0.2, 1.0]])
+    R = np.random.default_rng(seed).standard_normal((dim, dim))
+    return R @ R.T / dim + 0.5 * np.eye(dim)
+
+
+class TestInnerCertificate:
+    @pytest.mark.parametrize("dim", [2, 50, 200])
+    def test_minimizer_within_the_certified_distance(self, dim):
+        # g = 0: the prox is x - eps A^{-1} grad f(x); the certificate
+        # bounds the distance to it by 1e-10 (1 + ||x||), and the closed
+        # form itself is only good to its solve's roundoff
+        rng = np.random.default_rng(dim)
+        A = spd_kernel(dim, dim + 1)
+        K = KernelSpec.quadratic(A)
+        S = rng.standard_normal((dim, dim))
+        p = build(S @ S.T / dim + 0.1 * np.eye(dim), rng.standard_normal(dim))
+        eps = admissible_eps(p, K)
+        roundoff = np.finfo(float).eps * np.linalg.cond(A)
+        for _ in range(20):
+            x = rng.uniform(-3, 3, dim)
+            r = prox_map(p, K, eps, x)
+            step = eps * np.linalg.solve(A, p.f.gradient(x))
+            err = vector_norm(r.minimizer - (x - step))
+            assert r.certified and r.inner_iterations > 0
+            assert err <= 1e-10 * (1 + vector_norm(x)) + roundoff * vector_norm(step)
+
+    @pytest.mark.parametrize("share", [1.25, 2.0, 4.0])
+    def test_uncertified_at_eps_beyond_m_over_rho(self, rng, share):
+        p = build([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4],
+                  "mcp", {"lam": 0.6, "gamma": 4.0})
+        K = KernelSpec.quadratic(spd_kernel(2, 0))
+        eps = share * K.m / p.g.semiconvex_rho
+        for _ in range(25):
+            r = prox_map(p, K, eps, rng.uniform(-2, 2, 2))
+            assert not r.certified and r.inner_iterations > 0
+        report = validate_config(p, SolverConfig.constant(eps, K))
+        assert any(v.startswith("eps_max < m/rho violated")
+                   for v in report.violations)
+
+    @pytest.mark.parametrize("K", [EUC, KernelSpec.diagonal([1.5, 0.5]),
+                                   KernelSpec.quadratic([[1.5, 0.0],
+                                                         [0.0, 0.5]])],
+                             ids=["euclidean", "diagonal", "diagonal_quadratic"])
+    def test_separable_prox_is_certified(self, rng, K):
+        # exact candidate enumeration, at any eps, even beyond m/rho
+        p = build([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4],
+                  "mcp", {"lam": 0.6, "gamma": 4.0})
+        for eps in (0.1, 2.0 * K.m / p.g.semiconvex_rho):
+            r = prox_map(p, K, eps, rng.uniform(-2, 2, 2))
+            assert r.certified and r.inner_iterations == 0
 
 
 class TestEnvelopeGap:

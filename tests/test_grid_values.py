@@ -140,6 +140,16 @@ def test_logistic_objective(dim):
     assert_grid_bits(problem, AXES[:dim])
 
 
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 300])
+def test_logistic_row_bits_do_not_depend_on_the_batch(n_rows):
+    # value_batch makes value's gemv once per row, so a row's f is the
+    # one-row value in a batch of any size
+    A, y = generate_logistic_data(15, 2, 4)
+    f = logistic_objective(A, y)
+    X = np.random.default_rng(n_rows).uniform(-3.0, 3.0, size=(n_rows, 2))
+    assert np.array_equal(f.value_batch(X), [f.value(x) for x in X])
+
+
 @pytest.mark.parametrize("profile", ["square", "pl_nonconvex"])
 def test_scalar_profile_objective(profile):
     f = scalar_profile_objective(profile)

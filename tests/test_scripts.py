@@ -107,3 +107,25 @@ def test_artifact_diff_compare_runs(tmp_path):
     (new / "stdout.txt").write_text("")
     assert all(line.endswith(": identical")
                for line in compare_runs(old, new, (0, 0)))
+
+
+def test_artifact_diff_runs_a_non_separable_kernel(tmp_path):
+    from vbpg.core import KernelSpec
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    configs = sorted(script["CONFIGS"].iterdir())
+    cmds = script["commands"](tmp_path)
+    # generated into the work directory, next to the off-minimizer slices
+    assert sorted(script["CONFIGS"].iterdir()) == configs
+    path = tmp_path / "quad_mcp_nonseparable.json"
+    for command in ("solve", "probe"):
+        assert cmds[f"{command}-quad_mcp_nonseparable"] == [
+            command, "--config", str(path)]
+    cfg = json.loads(path.read_text())
+    shipped = json.loads((script["CONFIGS"] / "quad_mcp.json").read_text())
+    assert cfg["problem"] == shipped["problem"]
+    kernel = cfg["solver"].pop("kernel")
+    shipped["solver"].pop("kernel")
+    assert cfg["solver"] == shipped["solver"]
+    assert kernel["kind"] == "quadratic"
+    assert KernelSpec.quadratic(kernel["A"]).diag_weights(2) is None
