@@ -9,8 +9,9 @@ For each seed, both trees run the same commands in fresh processes:
 probe configs plus two off-minimizer slices (``lasso`` at center [1, 1]
 and ``quadratic_probe`` at [0.9, -0.2]), ``solve`` and ``probe`` on
 ``quad_mcp`` under the non-diagonal kernel [[1.3, 0.2], [0.2, 1.0]] (the
-iterative prox path, which no shipped config takes), ``check`` and
-``compare``.
+iterative prox path, which no shipped config takes), ``solve`` on a
+generated sparse lasso at d = 500 (above dimension 3, where f multiplies
+by Q over the iterate's support), ``check`` and ``compare``.
 
 Each artifact prints "identical", or each moved CSV column or JSON field
 with its largest absolute change (inf when a value is not a finite
@@ -37,6 +38,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PROBE_CONFIGS = ("lasso", "quad_mcp", "quadratic_probe", "jump_probe")
 OFF_MINIMIZER = {"lasso_offmin": ("lasso", [1.0, 1.0]),
@@ -45,12 +48,35 @@ OFF_MINIMIZER = {"lasso_offmin": ("lasso", [1.0, 1.0]),
 # iteratively, so these runs show what moves with the inner solver
 NON_SEPARABLE = ("quad_mcp", {"kind": "quadratic",
                               "A": [[1.3, 0.2], [0.2, 1.0]]})
+# a seeded 5-sparse lasso with 100 rows at d = 500, solved from x0 = 0:
+# 363 of its 427 iterates have at most 32 nonzeros, so its run shows what
+# moves with the product by Q over the support above dimension 3
+SPARSE_LASSO = {"rows": 100, "dim": 500, "support": 5, "data_seed": 2024}
 SKIPPED = {"manifest.json"}
 STREAMS = ("stdout.txt", "stderr.txt")
 # exit codes other than 0 that a run is documented to end in: solve on the
 # kernel-comparison config runs eps = 0.9 > m/L under the default kernel,
 # and F diverges (exit 5, numerical failure)
 EXPECTED_EXIT = {"solve-compare_kernels": 5}
+
+
+def sparse_lasso_config() -> dict:
+    """The ``SPARSE_LASSO`` run: A with entries +-1/sqrt(rows), b = A x +
+    noise for a planted sparse x, lam = 0.1 max|A'b| and eps = 0.9/L."""
+    n, d, k = (SPARSE_LASSO[key] for key in ("rows", "dim", "support"))
+    rng = np.random.default_rng(SPARSE_LASSO["data_seed"])
+    A = rng.choice([-1.0, 1.0], (n, d)) / math.sqrt(n)
+    x = np.zeros(d)
+    x[rng.choice(d, k, replace=False)] = (rng.choice([-1.0, 1.0], k)
+                                          * rng.uniform(1.0, 2.0, k))
+    b = A @ x + 0.05 * rng.standard_normal(n)
+    L = float(np.linalg.eigvalsh(A.T @ A)[-1])
+    return {"problem": {"kind": "lasso", "params": {
+                "A": A.tolist(), "b": b.tolist(),
+                "lam": 0.1 * float(np.max(np.abs(A.T @ b)))}},
+            "solver": {"epsilon": 0.9 / L, "kernel": {"kind": "euclidean"},
+                       "max_iters": 2000, "step_tol": 1e-9},
+            "x0": [0.0] * d}
 
 
 def commands(config_dir: Path) -> dict[str, list[str]]:
@@ -73,6 +99,9 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
     path.write_text(json.dumps(cfg))
     for command in ("solve", "probe"):
         cmds[f"{command}-{path.stem}"] = [command, "--config", str(path)]
+    path = config_dir / f"sparse_lasso_d{SPARSE_LASSO['dim']}.json"
+    path.write_text(json.dumps(sparse_lasso_config()))
+    cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
     cmds["check"] = ["check"]
     cmds["compare"] = ["compare", "--config",
                        str(CONFIGS / "compare_kernels.json")]

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Array, KernelSpec, Problem, as_vector, row_dots,
-                   row_norms, vector_norm)
+from .core import (Array, KernelSpec, Problem, row_dots, row_norms,
+                   vector_norm)
 
 
 class ProxError(RuntimeError):
@@ -46,6 +46,8 @@ class ProxResult:
 
     ``subproblem_value`` is <grad f(x), t - x> + g(t) + D(x, t)/eps at the
     returned t (it excludes f(x)), and ``g_value`` is its g(t) term.
+    ``step`` is t - x and ``kernel_step`` the kernel's Hessian applied to
+    it, grad_y D(x, t), so D(x, t) = <kernel_step, step>/2.
     ``multivalued_flag`` is set when the coordinatewise candidate
     enumeration found two global minimizers tying within 1e-10; ties are
     resolved toward smaller |t|.  ``inner_iterations`` counts the steps of
@@ -62,14 +64,19 @@ class ProxResult:
     multivalued_flag: bool
     g_value: float
     certified: bool
+    step: Array
+    kernel_step: Array
 
 
 def _prox_result(problem: Problem, K: KernelSpec, eps: float, x: Array,
                  grad_x: Array, t: Array, inner_iterations: int = 0,
                  tied: bool = False, certified: bool = True) -> ProxResult:
     g_t = problem.g.value(t)
-    val = float(grad_x @ (t - x)) + g_t + float(K.distance(x, t)) / eps
-    return ProxResult(t, val, inner_iterations, tied, g_t, certified)
+    r = t - x
+    Hr = K.hessian_times(r)
+    # the terms of <grad f(x), r> + g(t) + ``K.distance(x, t)``/eps
+    val = float(grad_x @ r) + g_t + float(0.5 * Hr.dot(r)) / eps
+    return ProxResult(t, val, inner_iterations, tied, g_t, certified, r, Hr)
 
 
 def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
@@ -88,9 +95,10 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
     1e-10 (1 + ||x||).  When mu <= 0 it runs without momentum, stops
     once a step is at most that tolerance and returns an uncertified
     result.  At most 10,000 inner iterations; ``ProxError`` beyond.
-    ``grad_x`` is grad f(x) when the caller already has it.
+    ``grad_x`` is grad f(x) when the caller already has it.  x must be a
+    finite float vector of dimension ``problem.dim``: it is not validated
+    again here (``vbpg_run`` validates its x0 once).
     """
-    x = as_vector(x, dim=problem.dim)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if grad_x is None:
@@ -184,16 +192,17 @@ def annotate_points(problem: Problem, K: KernelSpec, eps: float,
         dist_prox=row_norms(X - T), prox_point=T, grad=grad)
 
 
-def subgradient_rows(K: KernelSpec, eps: float, X: Array, T: Array,
-                     grad_X: Array, grad_T: Array) -> Array:
+def subgradient_rows(eps: float, grad_X: Array, grad_T: Array,
+                     grad_y_D: Array) -> Array:
     """Subgradient certificate at prox outputs T of X:
 
         xi = grad f(t) - grad f(x) - grad_y D(x, t) / eps
 
     over the last axis (one point, or each row of (n, dim) arrays), from
-    gradients the caller already holds.  xi lies in the proximal
-    subdifferential of F at t, with ||xi|| <= (L + M/eps_lo) ||x - t||."""
-    return grad_T - grad_X - K.grad_y(X, T) / eps
+    gradients the caller already holds (``K.grad_y(X, T)``, or a prox's
+    ``kernel_step``).  xi lies in the proximal subdifferential of F at t,
+    with ||xi|| <= (L + M/eps_lo) ||x - t||."""
+    return grad_T - grad_X - grad_y_D / eps
 
 
 def residual_bound(L: float, M: float, eps_lo: float) -> float:

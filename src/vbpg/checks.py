@@ -90,7 +90,8 @@ def check_prox_invariants(inst: ShippedInstance, rng):
                                             Ft[:k], problem.F_batch(U[:k])))
     r2 = row_dots(X - T, X - T)
     decrease = min_or_inf(np.minimum(E - a * r2 - Ft, Fx - a * r2 - Ft))
-    xi = subgradient_rows(K, eps, X, T, ann.grad, problem.f.gradient_batch(T))
+    xi = subgradient_rows(eps, ann.grad, problem.f.gradient_batch(T),
+                          K.grad_y(X, T))
     resid = min_or_inf(bound * ann.dist_prox * (1 + 1e-9) - row_norms(xi))
     name = inst.spec.name
     return [_record("gap_identity", name, gap_err <= 1e-10, 1e-10 - gap_err,

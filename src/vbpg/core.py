@@ -285,7 +285,7 @@ class KernelSpec:
     def quadratic(A) -> "KernelSpec":
         return KernelSpec(kind="quadratic", A=np.asarray(A, dtype=float))
 
-    def _hessian_times(self, r: Array) -> Array:
+    def hessian_times(self, r: Array) -> Array:
         """The kernel's (constant) Hessian applied to r over the last axis."""
         if self.kind == "euclidean":
             return r
@@ -300,12 +300,12 @@ class KernelSpec:
         """Gradient of D(x, .) at y, i.e. grad K(y) - grad K(x), over the
         last axis: for one pair of vectors, or for each row pair of
         (n, dim) arrays with the bits of the one-pair call."""
-        return self._hessian_times(y - x)
+        return self.hessian_times(y - x)
 
     def distance(self, x: Array, y: Array) -> Array:
         """D(x, y) over the last axis, as ``grad_y``."""
         r = y - x
-        return 0.5 * row_dots(self._hessian_times(r), r)
+        return 0.5 * row_dots(self.hessian_times(r), r)
 
     def diag_weights(self, dim: int) -> Optional[Array]:
         """Per-coordinate weights if D is separable, else None.

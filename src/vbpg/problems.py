@@ -62,10 +62,16 @@ def _no_ties(t: Array) -> tuple[Array, Array]:
     return t, np.zeros(t.shape, dtype=bool)
 
 
-def _quadratic_pick(g: "Regularizer", C: Array, v: Array,
-                    kappa: Array) -> tuple[Array, Array]:
-    """Pick among candidates C of min_t g(t) + (kappa/2)(t - v)^2."""
-    return _pick_candidate(C, g.values(C) + 0.5 * kappa * (C - v) ** 2)
+def _quadratic_pick(g: "Regularizer", C: Array, v: Array, kappa: Array,
+                    g_const: Array) -> tuple[Array, Array]:
+    """Pick among candidates C of min_t g(t) + (kappa/2)(t - v)^2.  The
+    first len(g_const) rows of C are constants whose g values, one per
+    row, are g_const; g is evaluated on the other rows only."""
+    H = 0.5 * kappa * (C - v) ** 2
+    k = len(g_const)
+    H[:k] += g_const
+    H[k:] += g.values(C[k:])
+    return _pick_candidate(C, H)
 
 
 def _kink_parts(t: Array, grad_f: Array, lam: float, slope: Array) -> Array:
@@ -184,6 +190,9 @@ class ScadRegularizer(Regularizer):
             raise ValueError("scad requires lam > 0 and a > 2")
         self.lam, self.a = float(lam), float(a)
         self.semiconvex_rho = 1.0 / (a - 1.0)
+        lam, a = self.lam, self.a
+        self._const = np.array([[0.0], [lam], [-lam], [a * lam], [-a * lam]])
+        self._g_const = self.values(self._const)
 
     def values(self, T):
         lam, a = self.lam, self.a
@@ -196,7 +205,7 @@ class ScadRegularizer(Regularizer):
         lam, a = self.lam, self.a
         kappa = weights / eps
         C = np.empty((10, v.size))
-        C[:5] = np.array([[0.0], [lam], [-lam], [a * lam], [-a * lam]])
+        C[:5] = self._const
         # piece |t| <= lam: kink at 0 handled by the 0 candidate
         C[5] = _clip(v - lam / kappa, 0.0, lam)
         C[6] = _clip(v + lam / kappa, -lam, 0.0)
@@ -210,7 +219,7 @@ class ScadRegularizer(Regularizer):
             C[7, dead], C[8, dead] = lam, -lam
         # flat tails (0 duplicates the first candidate when v is inside)
         C[9] = np.where(np.abs(v) >= a * lam, v, 0.0)
-        return _quadratic_pick(self, C, v, kappa)
+        return _quadratic_pick(self, C, v, kappa, self._g_const)
 
     def subdiff_parts(self, t, grad_f):
         lam, a = self.lam, self.a
@@ -233,6 +242,9 @@ class McpRegularizer(Regularizer):
             raise ValueError("mcp requires lam > 0 and gamma > 1")
         self.lam, self.gamma = float(lam), float(gamma)
         self.semiconvex_rho = 1.0 / gamma
+        gl = self.gamma * self.lam
+        self._const = np.array([[0.0], [gl], [-gl]])
+        self._g_const = self.values(self._const)
 
     def values(self, T):
         lam, gamma = self.lam, self.gamma
@@ -244,7 +256,7 @@ class McpRegularizer(Regularizer):
         lam, gl = self.lam, self.gamma * self.lam
         kappa = weights / eps
         C = np.empty((6, v.size))
-        C[:3] = np.array([[0.0], [gl], [-gl]])
+        C[:3] = self._const
         # firm-threshold points; where den = 0 they fall back to 0
         den, dead = _nonzero_den(kappa - 1.0 / self.gamma)
         kv = kappa * v
@@ -253,7 +265,7 @@ class McpRegularizer(Regularizer):
         if dead is not None:
             C[3:5, dead] = 0.0
         C[5] = np.where(np.abs(v) >= gl, v, 0.0)
-        return _quadratic_pick(self, C, v, kappa)
+        return _quadratic_pick(self, C, v, kappa, self._g_const)
 
     def subdiff_parts(self, t, grad_f):
         slope = np.maximum(self.lam - np.abs(t) / self.gamma, 0.0)
@@ -298,10 +310,14 @@ class PowerRegularizer(Regularizer):
             # 3 t^2 + kappa t - kappa u = 0
             t = (-kappa + np.sqrt(kappa * kappa + 12 * kappa * u)) / 6.0
         else:  # p == 4: 4 t^3 + kappa t - kappa u = 0, unique real root
-            pc = kappa / 4.0
-            qc = -kappa * u / 4.0
-            disc = np.sqrt(qc * qc / 4.0 + np.float_power(pc, 3) / 27.0)
-            t = np.cbrt(-qc / 2.0 + disc) + np.cbrt(-qc / 2.0 - disc)
+            # Cardano with p = kappa/4 and q = -w, w = kappa u/4: negation
+            # is exact, so w stands for -q in every term.  np.cbrt, not
+            # math.cbrt, whose bits differ on about half of all inputs
+            w = kappa * u / 4.0
+            disc = np.sqrt(w * w / 4.0 + np.float_power(kappa / 4.0, 3) / 27.0)
+            h = w / 2.0
+            t = np.cbrt(h + disc)
+            t += np.cbrt(h - disc)
         t = np.copysign(1.0, v) * np.maximum(t, 0.0)
         return _no_ties(np.where(u == 0.0, 0.0, t))
 
@@ -331,6 +347,7 @@ class JumpQuadraticRegularizer(Regularizer):
 
     def __init__(self, xbar: float = 0.0):
         self.xbar = float(xbar)
+        self._g_const = self.values(np.array([[self.xbar]]))
 
     def values(self, T):
         R = T - self.xbar  # float_power(R, 2) rounds like (t - xbar) ** 2
@@ -341,7 +358,7 @@ class JumpQuadraticRegularizer(Regularizer):
         C = np.empty((2, v.size))
         C[0] = self.xbar
         C[1] = (self.xbar + kappa * v) / (1.0 + kappa)
-        return _quadratic_pick(self, C, v, kappa)
+        return _quadratic_pick(self, C, v, kappa, self._g_const)
 
     def subdiff_parts(self, t, grad_f):
         return np.where(t == self.xbar, 0.0, np.abs(grad_f + (t - self.xbar)))
@@ -380,11 +397,64 @@ def _quadratic_columns(Q: Array, b: Array):
     return value_columns
 
 
+# Q x over the support S of x gathers d |S| entries of Q, after a fixed
+# overhead of a few microseconds; the dense Q @ x streams all d^2.
+# Measured with one BLAS thread, the gather halves the time at d = 500,
+# |S| <= 33, breaks even near |S| = 32-40 at d = 300-400 and loses below
+# d = 200: it is taken from d = 400 up while |S| <= 32
+_SUPPORT_MIN_DIM = 400
+_SUPPORT_MAX_NNZ = 32
+
+
+def _hessian_product(Q: Array):
+    """x -> Q x, as ``Q[:, S] @ x[S]`` over the support S of x when
+    d >= 400 and |S| <= 32, else as the dense product.  Columns of Q, not
+    rows: Q is symmetric only within ``np.allclose``, and ``x[S] @ Q[S]``
+    would be Q'x.
+
+    The last gathered columns are kept and reused while the support stays
+    the same, as a solver's iterates keep theirs for many iterations; they
+    hold the same values as a fresh gather, so the bits do not depend on
+    the calls before.  The pair (S, Q[:, S]) is replaced as one tuple, so
+    threads sharing the function read a matching pair."""
+    last = [(np.empty(0, dtype=np.intp), Q[:, :0])]
+
+    def product(x: Array) -> Array:
+        if len(x) >= _SUPPORT_MIN_DIM:
+            S = x.nonzero()[0]
+            if S.size <= _SUPPORT_MAX_NNZ:
+                S_last, Q_S = last[0]
+                if S.size != S_last.size or not (S == S_last).all():
+                    Q_S = Q[:, S]
+                    last[0] = (S, Q_S)
+                return Q_S @ x[S]
+        return Q @ x
+
+    return product
+
+
+def _hessian_rows(Q: Array, product, X: Array) -> Array:
+    """``product`` (a ``_hessian_product`` of Q) of each row of X, bit for
+    bit: the dense rows make one BLAS gemv each as a stacked matmul
+    (X @ Q.T rounds differently), the sparse ones go through ``product``."""
+    if X.shape[1] < _SUPPORT_MIN_DIM:
+        return np.matmul(Q, X[:, :, None])[:, :, 0]
+    sparse = np.count_nonzero(X, axis=1) <= _SUPPORT_MAX_NNZ
+    QX = np.empty(X.shape)
+    QX[~sparse] = np.matmul(Q, X[~sparse, :, None])[:, :, 0]
+    for i in np.flatnonzero(sparse):
+        QX[i] = product(X[i])
+    return QX
+
+
 def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjective:
     """f(x) = x'Qx/2 + b'x with L equal to the spectral norm of Q.
 
     For indefinite Q the gradient-Lipschitz constant is the largest
-    eigenvalue magnitude, not the largest signed eigenvalue.
+    eigenvalue magnitude, not the largest signed eigenvalue.  Every Q x
+    of ``value``, ``gradient``, ``value_and_gradient`` and the rows of
+    ``gradient_batch`` comes from one ``_hessian_product``, so from
+    dimension 400 up a sparse x is multiplied over its support.
     """
     Q = np.asarray(Q, dtype=float)
     b = as_vector(b)
@@ -395,15 +465,16 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
     eigs = np.linalg.eigvalsh(Q)
     L = float(np.max(np.abs(eigs))) if L_override is None else float(L_override)
     convex = bool(eigs[0] >= -1e-12)
+    product = _hessian_product(Q)
 
     if b.size > 3:
         # BLAS above dimension 3, where no grid oracle compares values
         def value(x):
-            return 0.5 * float(x @ (Q @ x)) + float(b @ x)
+            return 0.5 * float(x @ product(x)) + float(b @ x)
 
         def value_and_gradient(x):
-            # one Q @ x for both, with the bits of ``value`` and ``gradient``
-            Qx = Q @ x
+            # one Q x for both, with the bits of ``value`` and ``gradient``
+            Qx = product(x)
             return 0.5 * float(x @ Qx) + float(b @ x), Qx + b
 
         def value_batch(X):
@@ -423,11 +494,10 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
             return value_columns(X.T)
 
     def gradient(x):
-        return Q @ x + b
+        return product(x) + b
 
     def gradient_batch(X):
-        # Q @ x per row (one BLAS gemv each): X @ Q rounds differently
-        return np.matmul(Q, X[:, :, None])[:, :, 0] + b
+        return _hessian_rows(Q, product, X) + b
 
     return SmoothObjective(value=value, gradient=gradient, lipschitz_L=L,
                            convex=convex, value_batch=value_batch,

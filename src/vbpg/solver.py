@@ -86,7 +86,9 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
     grad f, g and F at the current point are carried from one iteration
     to the next: g(x^{k+1}) comes from the prox's subproblem value, so an
     iteration costs one gradient, one f value and one g value (f and its
-    gradient in one ``value_grad`` call).
+    gradient in one ``value_grad`` call).  x0 is validated once; the step
+    t - x and its kernel product come from the prox result, which used
+    them for the subproblem value.
 
     Raises ``FloatingPointError`` when F turns non-finite along the run
     (a sign of an inadmissible problem/config pairing)."""
@@ -108,9 +110,9 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
         eps = config.eps_at(k)
         prox = prox_map(problem, K, eps, x, grad_x=grad_x)
         t = prox.minimizer
-        step = vector_norm(x - t)
+        step = vector_norm(prox.step)
         f_t, grad_t = problem.f.value_grad(t)
-        xi = subgradient_rows(K, eps, x, t, grad_x, grad_t)
+        xi = subgradient_rows(eps, grad_x, grad_t, prox.kernel_step)
 
         trace.f_values.append(F_x)
         trace.step_norms.append(step)

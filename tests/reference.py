@@ -25,8 +25,8 @@ def envelope_and_gap(problem, K, eps, x):
 
 def certificate(problem, K, eps, x, t):
     """xi = grad f(t) - grad f(x) - grad_y D(x, t) / eps at one point."""
-    return subgradient_rows(K, eps, x, t, problem.f.gradient(x),
-                            problem.f.gradient(t))
+    return subgradient_rows(eps, problem.f.gradient(x), problem.f.gradient(t),
+                            K.grad_y(x, t))
 
 
 def descent_slack(problem, K, eps, x, u, constants):

@@ -17,9 +17,9 @@ from vbpg.diagnostics import (SublevelGrid, certify_growth_conditions,
                               check_luo_tseng_bound,
                               check_semiconvex_gap_bounds, critical_points,
                               make_slice, probe_slice)
-from vbpg.problems import (ProblemSpec, logistic_objective,
-                           quadratic_objective, scalar_profile_objective,
-                           zero_objective)
+from vbpg.problems import (_SUPPORT_MAX_NNZ, _SUPPORT_MIN_DIM, ProblemSpec,
+                           logistic_objective, quadratic_objective,
+                           scalar_profile_objective, zero_objective)
 from vbpg.solver import vbpg_final_points, vbpg_run
 
 from reference import envelope_and_gap, subdiff_distance
@@ -123,9 +123,14 @@ def _objectives():
     A = rng.standard_normal((50, 50))
     A_log = rng.standard_normal((12, 3))
     y = np.where(rng.standard_normal(12) >= 0, 1.0, -1.0)
+    # above the support product's dimension threshold
+    A_big = rng.standard_normal((500, 500))
+    assert 500 >= _SUPPORT_MIN_DIM
     return {
         "quadratic_d2": (quadratic_objective(Q2, [0.5, -0.4]), 2),
         "quadratic_d50": (quadratic_objective(A + A.T, rng.standard_normal(50)), 50),
+        "quadratic_d500": (quadratic_objective(A_big + A_big.T,
+                                               rng.standard_normal(500)), 500),
         "logistic": (logistic_objective(A_log, y), 3),
         "square": (scalar_profile_objective("square"), 1),
         "pl_nonconvex": (scalar_profile_objective("pl_nonconvex"), 1),
@@ -133,10 +138,21 @@ def _objectives():
     }
 
 
+def _test_points(seed, n, dim):
+    """n points in [-4, 4]^dim.  The first four keep 0, 1, 32 and 33
+    entries: an empty support, and sparse supports at and just past the
+    support product's threshold (at d = 500); the others are dense."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-4.0, 4.0, size=(n, dim))
+    for i, k in enumerate((0, 1, _SUPPORT_MAX_NNZ, _SUPPORT_MAX_NNZ + 1)):
+        X[i, rng.permutation(dim)[k:]] = 0.0
+    return X
+
+
 @pytest.mark.parametrize("name", list(_objectives()))
 def test_grad_batch_bits_match_gradient(name):
     f, dim = _objectives()[name]
-    X = np.random.default_rng(8).uniform(-4.0, 4.0, size=(97, dim))
+    X = _test_points(8, 97, dim)
     G = f.gradient_batch(X)
     assert G.shape == X.shape
     for x, g in zip(X, G):
@@ -146,20 +162,49 @@ def test_grad_batch_bits_match_gradient(name):
 @pytest.mark.parametrize("name", list(_objectives()))
 def test_value_grad_bits_match_value_and_gradient(name):
     f, dim = _objectives()[name]
-    rng = np.random.default_rng(9)
-    points = [rng.uniform(-4.0, 4.0, size=dim) for _ in range(50)]
     if name.startswith("quadratic"):
-        assert f.value_and_gradient is not None  # one Q @ x for both
-        big = quadratic_objective(np.diag(np.arange(1.0, 501.0)),
-                                  rng.standard_normal(500))
-        cases = [(f, x) for x in points] + [
-            (big, rng.standard_normal(500)) for _ in range(5)]
-    else:
-        cases = [(f, x) for x in points]
-    for obj, x in cases:
-        value, grad = obj.value_grad(x)
-        assert value == obj.value(x) and type(value) is float
-        assert np.array_equal(grad, obj.gradient(x))
+        assert f.value_and_gradient is not None  # one Q x for both
+    for x in _test_points(9, 50, dim):
+        value, grad = f.value_grad(x)
+        assert value == f.value(x) and type(value) is float
+        assert np.array_equal(grad, f.gradient(x))
+
+
+def test_support_product_multiplies_by_columns():
+    # Q - Q' is 8e-13 off the diagonal, within the symmetry check's 1e-12
+    # and far above the products' roundoff: gathering rows of Q at the
+    # support would give Q'x
+    rng = np.random.default_rng(12)
+    A, U = rng.standard_normal((500, 500)), rng.choice([-1.0, 1.0], (500, 500))
+    Q = A + A.T + 2e-13 * (U - U.T)
+    b = rng.standard_normal(500)
+    f = quadratic_objective(Q, b)
+    X = np.zeros((3, 500))
+    for row, k in zip(X, (5, 20, _SUPPORT_MAX_NNZ)):
+        row[rng.permutation(500)[:k]] = rng.standard_normal(k)
+    for x, g_row in zip(X, f.gradient_batch(X)):
+        _, grad = f.value_grad(x)
+        for Qx in (grad - b, g_row - b, f.gradient(x) - b):
+            assert np.abs(Qx - Q @ x).max() <= 1e-13
+            assert np.abs(Qx - Q.T @ x).max() > 1e-12
+
+
+def test_support_product_bits_do_not_depend_on_earlier_calls():
+    # the gathered columns are reused while the support repeats: a point
+    # gets the bits of a fresh objective whatever was evaluated before it
+    f, _ = _objectives()["quadratic_d500"]
+    rng = np.random.default_rng(13)
+    S1, S2, S3 = (rng.permutation(500)[:k] for k in (20, _SUPPORT_MAX_NNZ, 20))
+    points = []
+    for S in (S1, S1, S2, S1, S3, S2, S2, [], S1):
+        x = np.zeros(500)
+        x[S] = rng.standard_normal(len(S))
+        points.append(x)
+    grads = [f.gradient(x) for x in points]
+    for x, g in zip(points, grads):
+        fresh, _ = _objectives()["quadratic_d500"]
+        assert np.array_equal(fresh.gradient(x), g)
+        assert fresh.value(x) == f.value(x)
 
 
 def test_solver_uses_one_value_grad_call_per_iteration():

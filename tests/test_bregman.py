@@ -78,14 +78,20 @@ class TestProxMap:
         assert r.minimizer[0] == pytest.approx(3.0 / 14.0, abs=1e-12)
 
     def test_subproblem_value_consistent(self, rng):
+        # the step, its kernel product and the value carry the bits of the
+        # formulas the solver used to evaluate apart
         p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
-        for _ in range(100):
+        kernels = [EUC, KernelSpec.diagonal([1.4, 0.8]),
+                   KernelSpec.quadratic([[1.4, 0.3], [0.3, 0.8]])]
+        for K in kernels * 40:
             x = rng.uniform(-3, 3, 2)
-            r = prox_map(p, EUC, 0.5, x)
+            r = prox_map(p, K, 0.3, x)
             t = r.minimizer
             direct = (float(p.f.gradient(x) @ (t - x)) + p.g.value(t)
-                      + EUC.distance(x, t) / 0.5)
-            assert abs(direct - r.subproblem_value) <= 1e-10 * (1 + abs(direct))
+                      + float(K.distance(x, t)) / 0.3)
+            assert r.subproblem_value == direct
+            assert vector_norm(r.step) == vector_norm(x - t)
+            assert np.array_equal(r.kernel_step, K.grad_y(x, t))
 
     def test_quadratic_kernel_matches_direct_solve(self):
         p = build([[3.0, 0.7], [0.7, 2.0]], [0.5, -1.0])

@@ -187,13 +187,14 @@ def test_kernel_formulas_one_pair_is_a_row_of_the_stack(kind, dim):
     K = _kernels(dim, rng)[kind]
     X, Y, GX, GY = rng.standard_normal((4, 9, dim))
     D, GyD = K.distance(X, Y), K.grad_y(X, Y)
-    Xi = subgradient_rows(K, 0.3, X, Y, GX, GY)
+    Xi = subgradient_rows(0.3, GX, GY, GyD)
     assert D.shape == (9,) and GyD.shape == Xi.shape == (9, dim)
     for i in range(9):
         x, y, gx, gy = X[i].copy(), Y[i].copy(), GX[i].copy(), GY[i].copy()
         assert K.distance(x, y) == D[i]
         assert np.array_equal(K.grad_y(x, y), GyD[i])
-        assert np.array_equal(subgradient_rows(K, 0.3, x, y, gx, gy), Xi[i])
+        assert np.array_equal(
+            subgradient_rows(0.3, gx, gy, K.grad_y(x, y)), Xi[i])
 
 
 def test_as_vector_rejects_nonfinite():

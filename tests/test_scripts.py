@@ -129,3 +129,24 @@ def test_artifact_diff_runs_a_non_separable_kernel(tmp_path):
     assert cfg["solver"] == shipped["solver"]
     assert kernel["kind"] == "quadratic"
     assert KernelSpec.quadratic(kernel["A"]).diag_weights(2) is None
+
+
+def test_artifact_diff_runs_a_sparse_solve_above_dimension_3(tmp_path):
+    from vbpg.cli import main
+    from vbpg.problems import _SUPPORT_MAX_NNZ, _SUPPORT_MIN_DIM
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    path = tmp_path / "sparse_lasso_d500.json"
+    assert cmds["solve-sparse_lasso_d500"] == ["solve", "--config", str(path)]
+    cfg = json.loads(path.read_text())
+    assert cfg == script["sparse_lasso_config"]()  # seeded
+    assert len(cfg["x0"]) >= _SUPPORT_MIN_DIM
+    out = tmp_path / "out"
+    assert main(cmds["solve-sparse_lasso_d500"]
+                + ["--seed", "7", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # the run ends on step_tol with its iterates' support below the
+    # threshold, so f takes the support product
+    assert summary["terminated_reason"] == "step_tol"
+    assert 0 < sum(v != 0.0 for v in summary["final_x"]) <= _SUPPORT_MAX_NNZ
