@@ -11,15 +11,12 @@ central objects are
 G vanishes exactly at proximal critical points when g is semiconvex and
 the step size is admissible, which makes it the merit function used by
 the diagnostics layer.  ``prox_map`` solves the subproblem at one point
-(the solver's path); ``annotate_points`` gives T, E and G for rows.
+(the solver's path); ``prox_points`` and ``annotate_points`` give T, E
+and G for the rows of an array in one pass, under every kernel.
 
 Under a separable kernel the subproblem splits into exact 1-D problems.
-Under a general quadratic kernel it is solved iteratively, by
-accelerated proximal gradient with constant momentum (Beck & Teboulle,
-SIAM J. Imaging Sci. 2009; Nesterov): when the inner problem is
-mu-strongly convex, mu = m/eps - rho, the loop stops on a certificate
-that its output lies within 1e-10 (1 + ||x||) of the unique minimizer;
-when mu <= 0 nothing certifies the output and the result says so.
+Under a general quadratic kernel one certified accelerated loop
+(``_accelerated_prox``) solves it, for a point or a stack of rows.
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Array, KernelSpec, Problem, row_dots, row_norms,
-                   vector_norm)
+from .core import Array, KernelSpec, Problem, matvec_rows, row_dots, row_norms
 
 
 class ProxError(RuntimeError):
@@ -68,33 +64,13 @@ class ProxResult:
     kernel_step: Array
 
 
-def _prox_result(problem: Problem, K: KernelSpec, eps: float, x: Array,
-                 grad_x: Array, t: Array, inner_iterations: int = 0,
-                 tied: bool = False, certified: bool = True) -> ProxResult:
-    g_t = problem.g.value(t)
-    r = t - x
-    Hr = K.hessian_times(r)
-    # the terms of <grad f(x), r> + g(t) + ``K.distance(x, t)``/eps
-    val = float(grad_x @ r) + g_t + float(0.5 * Hr.dot(r)) / eps
-    return ProxResult(t, val, inner_iterations, tied, g_t, certified, r, Hr)
-
-
 def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
              grad_x: Array | None = None) -> ProxResult:
     """Solve the prox subproblem at x.
 
     Separable fast path (euclidean/diagonal kernels, coordinatewise g):
     exact per-coordinate minimization through the regularizer's candidate
-    enumeration.  General quadratic kernels: the subproblem is
-    phi(y) = <c, y> + y'Ay/(2 eps) + g(y) with c = grad f(x) - A x/eps,
-    solved from x by accelerated proximal gradient with step s = eps/M
-    and momentum (sqrt(kappa) - 1)/(sqrt(kappa) + 1), kappa = (M/eps)/mu,
-    mu = m/eps - rho.  The residual r = (M/eps)(v - u+) of a step lies in
-    the subdifferential of phi at its output y+, so ||y+ - y*|| <=
-    ||r||/mu, and the loop stops once that bound is at most
-    1e-10 (1 + ||x||).  When mu <= 0 it runs without momentum, stops
-    once a step is at most that tolerance and returns an uncertified
-    result.  At most 10,000 inner iterations; ``ProxError`` beyond.
+    enumeration.  General quadratic kernels: ``_accelerated_prox``.
     ``grad_x`` is grad f(x) when the caller already has it.  x must be a
     finite float vector of dimension ``problem.dim``: it is not validated
     again here (``vbpg_run`` validates its x0 once).
@@ -107,8 +83,38 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
     weights = K.diag_weights(problem.dim)
     if weights is not None:
         t, tied = problem.g.scaled_prox(x, grad_x, weights, eps)
-        return _prox_result(problem, K, eps, x, grad_x, t, 0, tied)
+        steps, certified = 0, True
+    else:
+        t, steps, certified = _accelerated_prox(problem, K, eps, x, grad_x)
+        tied = False
+    g_t = problem.g.value(t)
+    r = t - x
+    Hr = K.hessian_times(r)
+    # the terms of <grad f(x), r> + g(t) + ``K.distance(x, t)``/eps
+    val = float(grad_x @ r) + g_t + float(0.5 * Hr.dot(r)) / eps
+    return ProxResult(t, val, steps, tied, g_t, certified, r, Hr)
 
+
+def _accelerated_prox(problem: Problem, K: KernelSpec, eps: float, X: Array,
+                      grad_X: Array) -> tuple[Array, int, bool]:
+    """Prox minimizers under a non-separable kernel over the last axis
+    (one point, or each row of an (n, dim) stack), the steps taken until
+    the last row stopped, and whether they are certified.
+
+    The subproblem at x is phi(y) = <c, y> + y'Ay/(2 eps) + g(y) with
+    c = grad f(x) - A x/eps, solved from x by accelerated proximal
+    gradient (Beck & Teboulle, SIAM J. Imaging Sci. 2009) with step
+    s = eps/M and momentum (sqrt(kappa) - 1)/(sqrt(kappa) + 1),
+    kappa = (M/eps)/mu, mu = m/eps - rho.  The residual r = (M/eps)(v - u+)
+    of a step lies in the subdifferential of phi at its output y+, so
+    ||y+ - y*|| <= ||r||/mu, and a row stops once that bound is at most
+    1e-10 (1 + ||x||).  When mu <= 0 the loop runs without momentum, a
+    row stops once its step is at most that tolerance, and nothing
+    certifies the result.  At most 10,000 steps; ``ProxError`` beyond.
+    The rows share eps and K, hence the step and the momentum: each step
+    makes one ``g.prox`` call on the running rows' entries and one gemv
+    per row, and a row leaves the stack when it stops, so it keeps the
+    bits of its one-point solve."""
     # v = B z - s c is the gradient step from the extrapolated point z and
     # u = B y - s c the one from the iterate y; v - u+ = s r
     B, prox, s = K.step_matrix, problem.g.prox, eps / K.M
@@ -118,21 +124,38 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
     if certified:
         root = math.sqrt(K.M / eps / mu)
         beta = (root - 1.0) / (root + 1.0)
-    tol = 1e-10 * (1.0 + vector_norm(x))
+    tol = 1e-10 * (1.0 + row_norms(X))
     # squared stop on ||v - u+|| = s ||r|| <= s mu tol, or on the step
     stop = (s * mu * tol if certified else tol) ** 2
-    s_c = s * grad_x - (K.A @ x) / K.M
-    y = x
-    u = v = x - s * grad_x  # B x - s c
+    S_c = s * grad_X - matvec_rows(K.A, X) / K.M
+    Y = X
+    U = V = X - s * grad_X  # B x - s c
+    point = X.ndim == 1
+    if not point:
+        T, rows = np.empty_like(X), np.arange(len(X))
+        if not len(X):  # no row would ever stop
+            return T, 0, certified
     for it in range(1, _INNER_MAX + 1):
-        y_next, _ = prox(v, 1.0, s)
-        u_next = B @ y_next - s_c
-        r = v - u_next if certified else y_next - y
-        if r.dot(r) <= stop:
-            return _prox_result(problem, K, eps, x, grad_x, y_next, it,
-                                certified=certified)
-        v = u_next + beta * (u_next - u)
-        y, u = y_next, u_next
+        if point:
+            Y_next = prox(V, 1.0, s)[0]
+            U_next = B @ Y_next - S_c
+        else:
+            Y_next = prox(V.ravel(), 1.0, s)[0].reshape(V.shape)
+            U_next = matvec_rows(B, Y_next) - S_c
+        R = V - U_next if certified else Y_next - Y
+        if point:
+            if R.dot(R) <= stop:
+                return Y_next, it, certified
+        elif (done := row_dots(R, R) <= stop).any():
+            T[rows[done]] = Y_next[done]
+            running = ~done
+            rows = rows[running]
+            if not rows.size:
+                return T, it, certified
+            Y_next, U_next, U, S_c, stop = (
+                a[running] for a in (Y_next, U_next, U, S_c, stop))
+        V = U_next + beta * (U_next - U)
+        Y, U = Y_next, U_next
     raise ProxError(f"inner prox solve did not converge in {_INNER_MAX} iterations")
 
 
@@ -141,13 +164,13 @@ def prox_points(problem: Problem, K: KernelSpec, eps: float, X: Array,
     """Prox minimizers of the rows of X, each with the bits of
     ``prox_map(problem, K, eps, x).minimizer``.  ``grad_X`` is grad f at
     the rows when the caller already has it.  Separable kernels make one
-    regularizer call over all entries; other kernels solve row by row."""
+    regularizer call over all entries; other kernels step every row
+    through the inner loop at once, one regularizer call per step."""
     if grad_X is None:
         grad_X = problem.f.gradient_batch(X)
     weights = K.diag_weights(problem.dim)
     if weights is None:
-        return np.array([prox_map(problem, K, eps, x, grad_x=gx).minimizer
-                         for x, gx in zip(X, grad_X)]).reshape(X.shape)
+        return _accelerated_prox(problem, K, eps, X, grad_X)[0]
     # the scaled prox of ``prox_map``, on the flattened rows
     V = X - eps * grad_X / weights
     T, _ = problem.g.prox(V.ravel(), np.broadcast_to(weights, V.shape).ravel(),

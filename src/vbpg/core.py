@@ -55,6 +55,15 @@ def row_dots(U: Array, V: Array) -> Array:
     return np.matmul(U[..., None, :], V[..., :, None])[..., 0, 0]
 
 
+def matvec_rows(M: Array, X: Array) -> Array:
+    """M @ x over the last axis (one vector, or each row of an (n, dim)
+    array) with the bits of ``M @ x``: a stacked matmul makes the same
+    BLAS gemv per row, where X @ M.T rounds differently."""
+    if X.ndim == 1:
+        return M @ X
+    return np.matmul(M, X[..., None])[..., 0]
+
+
 def row_norms(R: Array) -> Array:
     """``vector_norm`` over the last axis, bit for bit."""
     return np.sqrt(row_dots(R, R))
@@ -291,10 +300,7 @@ class KernelSpec:
             return r
         if self.kind == "diagonal":
             return self.d * r
-        if r.ndim == 1:
-            return self.A @ r
-        # a stacked matmul gives each row the bits of A @ r; R @ A.T does not
-        return np.matmul(self.A, r[..., None])[..., 0]
+        return matvec_rows(self.A, r)
 
     def grad_y(self, x: Array, y: Array) -> Array:
         """Gradient of D(x, .) at y, i.e. grad K(y) - grad K(x), over the

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Array, KernelSpec, Problem, Regularizer, SmoothObjective,
-                   SolverConfig, as_vector)
+                   SolverConfig, as_vector, matvec_rows)
 
 _TIE_TOL = 1e-10
 _TIE_SEP = 1e-9
@@ -435,13 +435,13 @@ def _hessian_product(Q: Array):
 
 def _hessian_rows(Q: Array, product, X: Array) -> Array:
     """``product`` (a ``_hessian_product`` of Q) of each row of X, bit for
-    bit: the dense rows make one BLAS gemv each as a stacked matmul
-    (X @ Q.T rounds differently), the sparse ones go through ``product``."""
+    bit: the dense rows go through ``matvec_rows``, the sparse ones
+    through ``product``."""
     if X.shape[1] < _SUPPORT_MIN_DIM:
-        return np.matmul(Q, X[:, :, None])[:, :, 0]
+        return matvec_rows(Q, X)
     sparse = np.count_nonzero(X, axis=1) <= _SUPPORT_MAX_NNZ
     QX = np.empty(X.shape)
-    QX[~sparse] = np.matmul(Q, X[~sparse, :, None])[:, :, 0]
+    QX[~sparse] = matvec_rows(Q, X[~sparse])
     for i in np.flatnonzero(sparse):
         QX[i] = product(X[i])
     return QX
@@ -534,15 +534,15 @@ def logistic_objective(A, labels) -> SmoothObjective:
         return -(Ay.T @ sig)
 
     def value_batch(X):
-        # the gemv of ``value``, once per row (X @ Ay.T rounds differently),
-        # on -Ay: negating every term negates the rounded sum exactly
-        negZ = np.matmul(neg_Ay, X[:, :, None])[:, :, 0]
+        # the gemv of ``value`` on -Ay: negating every term negates the
+        # rounded sum exactly
+        negZ = matvec_rows(neg_Ay, X)
         return np.sum(np.logaddexp(0.0, negZ), axis=1)
 
     def gradient_batch(X):
-        # the two gemv products of ``gradient``, once per row
-        sig = 1.0 / (1.0 + np.exp(np.matmul(Ay, X[:, :, None])))
-        return -np.matmul(Ay.T, sig)[:, :, 0]
+        # the two gemv products of ``gradient``
+        sig = 1.0 / (1.0 + np.exp(matvec_rows(Ay, X)))
+        return -matvec_rows(Ay.T, sig)
 
     return SmoothObjective(value=value, gradient=gradient, lipschitz_L=L,
                            convex=True, value_batch=value_batch,

@@ -152,21 +152,18 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
 def vbpg_final_points(problem: Problem, config: SolverConfig, X0) -> Array:
     """``vbpg_run(problem, config, x0).final_x`` for each row x0 of X0.
 
-    Under separable kernels the runs form one multi-start: each iteration
-    makes one ``gradient_batch`` and one ``g.prox`` call over the rows still
-    running, and each row stops on its own rule (step 0, step_tol from its
-    own x0, or max_iters), so every row gets the bits of its own run.
-    Other kernels run ``vbpg_run`` row by row.  Raises
-    ``FloatingPointError`` when F turns non-finite on any row."""
+    The runs form one multi-start under every kernel: each iteration makes
+    one ``prox_points`` call over the rows still running, and each row
+    stops on its own rule (step 0, step_tol from its own x0, or
+    max_iters), so every row gets the bits of its own run.  Raises
+    ``FloatingPointError`` when F turns non-finite on any row, and
+    ``ProxError`` as ``vbpg_run`` does."""
     X = np.array(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != problem.dim:
         raise ValueError(f"expected rows of dimension {problem.dim}, "
                          f"got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("vector has non-finite entries")
-    if any(K.diag_weights(problem.dim) is None for K in config.kernels):
-        return np.array([vbpg_run(problem, config, x).final_x
-                         for x in X]).reshape(X.shape)
     if not np.isfinite(problem.F_batch(X)).all():
         raise FloatingPointError("F(x0) is not finite")
     step_tols = np.array([config.resolved_step_tol(x) for x in X])

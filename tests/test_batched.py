@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import vbpg.bregman as bregman
 import vbpg.diagnostics as diagnostics
 import vbpg.solver as solver_mod
 from vbpg.bregman import annotate_points, prox_map
@@ -26,6 +27,7 @@ from reference import envelope_and_gap, subdiff_distance
 
 EUC = KernelSpec.euclidean()
 DIAG = KernelSpec.diagonal([1.6, 0.7])
+KQ = KernelSpec.quadratic([[1.3, 0.2], [0.2, 1.0]])
 Q2 = [[2.0, 0.3], [0.3, 1.0]]
 
 
@@ -251,8 +253,14 @@ REGULARIZERS = [("l1", {"lam": 0.5}), ("mcp", {"lam": 0.6, "gamma": 4.0}),
                 ("box", {"lo": -1.0, "hi": 1.0})]
 
 
+def _no_run(*args):
+    raise AssertionError("vbpg_final_points called vbpg_run")
+
+
 def _assert_rows_match_runs(problem, config, X0):
-    final = vbpg_final_points(problem, config, X0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "vbpg_run", _no_run)
+        final = vbpg_final_points(problem, config, X0)
     iters = set()
     for x0, xf in zip(X0, final):
         trace = vbpg_run(problem, config, x0)
@@ -261,13 +269,15 @@ def _assert_rows_match_runs(problem, config, X0):
     return iters
 
 
-@pytest.mark.parametrize("K", [EUC, DIAG], ids=["euclidean", "diagonal"])
+@pytest.mark.parametrize("kernels", [(EUC,), (DIAG,), (KQ,), (KQ, EUC)],
+                         ids=["euclidean", "diagonal", "quadratic",
+                              "quadratic_euclidean"])
 @pytest.mark.parametrize("g_kind,g_params", REGULARIZERS,
                          ids=[g for g, _ in REGULARIZERS])
-def test_final_points_match_runs(K, g_kind, g_params):
+def test_final_points_match_runs(kernels, g_kind, g_params):
     problem = quad_problem(g_kind, g_params)
     X0 = np.random.default_rng(4).uniform(-0.95, 0.95, size=(40, 2))
-    config = SolverConfig.constant(0.3, K, max_iters=400)
+    config = SolverConfig(epsilons=(0.3,), kernels=kernels, max_iters=400)
     iters = _assert_rows_match_runs(problem, config, X0)
     assert len(iters) > 1  # rows stop at different iterations
 
@@ -289,21 +299,6 @@ def test_final_points_cycle_schedules_and_hit_max_iters():
     assert 7 in iters and len(iters) > 1  # max_iters and early stops
     zero_iters = SolverConfig.constant(0.3, EUC, max_iters=0)
     assert np.array_equal(vbpg_final_points(problem, zero_iters, X0), X0)
-
-
-def test_final_points_quadratic_kernel_runs_row_by_row(monkeypatch):
-    problem = quad_problem("l1", {"lam": 0.5})
-    Kq = KernelSpec.quadratic([[1.3, 0.2], [0.2, 1.0]])
-    config = SolverConfig.constant(0.3, Kq, max_iters=200)
-    X0 = np.random.default_rng(6).uniform(-2.0, 2.0, size=(5, 2))
-    expected = [vbpg_run(problem, config, x0).final_x for x0 in X0]
-    calls = []
-    original = solver_mod.vbpg_run
-    monkeypatch.setattr(solver_mod, "vbpg_run",
-                        lambda *a: calls.append(1) or original(*a))
-    final = vbpg_final_points(problem, config, X0)
-    assert len(calls) == len(X0)
-    assert np.array_equal(final, np.array(expected))
 
 
 def test_final_points_raise_like_runs():
@@ -334,17 +329,26 @@ def test_final_points_raise_like_runs():
 # ---------------------------------------------------------------------------
 
 def test_critical_points_makes_no_runs_and_one_prox_per_iteration(monkeypatch):
+    # one g.prox call per outer iteration under the euclidean kernel, and
+    # one per inner step over every running row under the quadratic one
     problem = quad_problem("mcp", {"lam": 0.6, "gamma": 4.0})
-    runs, proxes = [], []
-    monkeypatch.setattr(solver_mod, "vbpg_run",
-                        lambda *a: runs.append(1))
+    runs = []
+    monkeypatch.setattr(solver_mod, "vbpg_run", lambda *a: runs.append(1))
+    monkeypatch.setattr(bregman, "prox_map", lambda *a: runs.append(1))
     prox = problem.g.prox
+    sizes = []
     monkeypatch.setattr(problem.g, "prox",
-                        lambda *a: proxes.append(1) or prox(*a))
+                        lambda v, *a: sizes.append(v.size) or prox(v, *a))
     crit = critical_points(problem, EUC, 0.4, np.zeros(2), 2.0)
-    assert runs == []
-    assert 1 < len(proxes) <= 3000 + 1
+    assert runs == [] and 1 < len(sizes) <= 3000 + 1
     assert crit.shape[1] == 2
+    sizes.clear()
+    crit_q = critical_points(problem, KQ, 0.4, np.zeros(2), 2.0)
+    assert runs == [] and crit_q.shape[1] == 2
+    # the first inner step takes all 25 seeds at once, later ones the rows
+    # still running
+    assert sizes[0] == 25 * 2 and all(n % 2 == 0 for n in sizes)
+    assert len(sizes) < sum(sizes) // 2
 
 
 def test_critical_points_match_sequential_runs():
@@ -392,6 +396,19 @@ def test_annotate_points_empty():
     problem = quad_problem("l1", {"lam": 0.5})
     a = annotate_points(problem, EUC, 0.5, np.empty((0, 2)))
     assert a.envelope.shape == a.dist_prox.shape == (0,)
+
+
+def test_annotate_points_empty_quadratic_kernel():
+    # an empty stack stops at once, where a loop waiting for its rows to
+    # stop would raise ProxError after the inner budget
+    problem = quad_problem("l1", {"lam": 0.5})
+    a = annotate_points(problem, KQ, 0.5, np.empty((0, 2)))
+    assert a.prox_point.shape == (0, 2)
+    assert a.envelope.shape == a.dist_prox.shape == (0,)
+    box = quad_problem("box", {"lo": 5.0, "hi": 6.0})
+    with pytest.raises(diagnostics.SliceEmptyError):
+        # every seed lies outside the box, so the multi-start is empty
+        critical_points(box, KQ, 0.3, np.zeros(2), 1.0)
 
 
 @pytest.mark.parametrize("problem,center,crit", [

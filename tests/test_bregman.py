@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbpg.bregman import descent_constants, prox_map, residual_bound
+from vbpg.bregman import (ProxError, descent_constants, prox_map, prox_points,
+                          residual_bound)
 from vbpg.core import (KernelSpec, SolverConfig, sample_box,
                        validate_config, vector_norm)
 from vbpg.problems import ProblemSpec, lasso_spec
@@ -171,6 +172,57 @@ class TestInnerCertificate:
         for eps in (0.1, 2.0 * K.m / p.g.semiconvex_rho):
             r = prox_map(p, K, eps, rng.uniform(-2, 2, 2))
             assert r.certified and r.inner_iterations == 0
+
+
+class TestProxPoints:
+    """A stack of rows under a non-separable kernel against one
+    ``prox_map`` per row, bit for bit."""
+
+    @staticmethod
+    def prox_rows(p, K, eps, X):
+        T = prox_points(p, K, eps, X)
+        results = [prox_map(p, K, eps, x) for x in X]
+        assert np.array_equal(T, np.array([r.minimizer for r in results]))
+        return results
+
+    @pytest.mark.parametrize("dim", [2, 50])
+    def test_certified_rows_match_prox_map(self, dim):
+        rng = np.random.default_rng(dim)
+        K = KernelSpec.quadratic(spd_kernel(dim, dim + 1))
+        S = rng.standard_normal((dim, dim))
+        p = build(S @ S.T / dim + 0.1 * np.eye(dim), rng.standard_normal(dim),
+                  "mcp", {"lam": 0.6, "gamma": 4.0})
+        eps = admissible_eps(p, K)
+        # rows of norms 1e-3 to 1e2 stop at different inner iterations
+        X = rng.uniform(-1, 1, (40, dim)) * 10.0 ** rng.uniform(-3, 2, (40, 1))
+        results = self.prox_rows(p, K, eps, X)
+        assert all(r.certified for r in results)
+        assert len({r.inner_iterations for r in results}) > 1
+
+    def test_uncertified_rows_match_prox_map(self, rng):
+        p = build([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4],
+                  "mcp", {"lam": 0.6, "gamma": 4.0})
+        K = KernelSpec.quadratic(spd_kernel(2, 0))
+        eps = 2.0 * K.m / p.g.semiconvex_rho  # mu = m/eps - rho < 0
+        results = self.prox_rows(p, K, eps, rng.uniform(-2, 2, (40, 2)))
+        assert not any(r.certified for r in results)
+        assert len({r.inner_iterations for r in results}) > 1
+
+    def test_row_that_cannot_converge_raises_like_prox_map(self):
+        # g = 0 under a kernel of condition 1e6: the row at the minimizer
+        # stops at its first step, the other one runs out of steps
+        R, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
+        A = R @ np.diag(np.logspace(0, 6, 5)) @ R.T
+        K = KernelSpec.quadratic((A + A.T) / 2)
+        p = build(np.eye(5), np.zeros(5))
+        eps = K.m / 2
+        X = np.array([np.zeros(5), np.ones(5)])
+        assert prox_map(p, K, eps, X[0]).inner_iterations == 1
+        with pytest.raises(ProxError) as single:
+            prox_map(p, K, eps, X[1])
+        with pytest.raises(ProxError) as stacked:
+            prox_points(p, K, eps, X)
+        assert str(stacked.value) == str(single.value)
 
 
 class TestEnvelopeGap:
