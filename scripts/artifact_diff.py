@@ -9,9 +9,10 @@ For each seed, both trees run the same commands in fresh processes:
 probe configs plus two off-minimizer slices (``lasso`` at center [1, 1]
 and ``quadratic_probe`` at [0.9, -0.2]), ``solve`` and ``probe`` on
 ``quad_mcp`` under the non-diagonal kernel [[1.3, 0.2], [0.2, 1.0]] (the
-iterative prox path, which no shipped config takes), ``solve`` on a
-generated sparse lasso at d = 500 (above dimension 3, where f multiplies
-by Q over the iterate's support), ``check`` and ``compare``.
+iterative prox path, which no shipped config takes), ``solve`` and
+``check`` on a generated sparse lasso at d = 500 (above dimension 3,
+where f multiplies by Q over the iterate's support and the check
+estimates F* from restarts), ``check`` and ``compare``.
 
 Each artifact prints "identical", or each moved CSV column or JSON field
 with its largest absolute change (inf when a value is not a finite
@@ -101,7 +102,8 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
         cmds[f"{command}-{path.stem}"] = [command, "--config", str(path)]
     path = config_dir / f"sparse_lasso_d{SPARSE_LASSO['dim']}.json"
     path.write_text(json.dumps(sparse_lasso_config()))
-    cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
+    for command in ("solve", "check"):
+        cmds[f"{command}-{path.stem}"] = [command, "--config", str(path)]
     cmds["check"] = ["check"]
     cmds["compare"] = ["compare", "--config",
                        str(CONFIGS / "compare_kernels.json")]

@@ -1,11 +1,11 @@
 """Variable-kernel proximal gradient solver with a level-set error-bound
 diagnostics layer."""
 
-from .core import (KernelSpec, Problem, Regularizer, SmoothObjective,
-                   SolverConfig, ValidationReport, as_vector, validate_config)
-from .bregman import (DescentConstants, PointAnnotation, ProxResult,
-                      annotate_points, descent_case, descent_constants,
-                      prox_map, prox_points, residual_bound)
+from .core import (Constants, KernelSpec, Problem, Regularizer,
+                   SmoothObjective, SolverConfig, ValidationReport, as_vector,
+                   validate_config)
+from .bregman import (PointAnnotation, ProxResult, annotate_points, prox_map,
+                      prox_points)
 from .solver import (Trace, kernel_schedule_jacobi, summability_bound,
                      vbpg_final_points, vbpg_run)
 from .problems import (ProblemSpec, build_problem, build_regularizer,

@@ -17,6 +17,9 @@ and G for the rows of an array in one pass, under every kernel.
 Under a separable kernel the subproblem splits into exact 1-D problems.
 Under a general quadratic kernel one certified accelerated loop
 (``_accelerated_prox``) solves it, for a point or a stack of rows.
+``subgradient_rows`` and ``descent_slack_rows`` give the residual
+certificate and the descent inequality; the constants they are bounded
+by come from ``core.Constants``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, KernelSpec, Problem, matvec_rows, row_dots, row_norms
+from .core import (Array, Constants, KernelSpec, Problem, matvec_rows,
+                   row_dots, row_norms)
 
 
 class ProxError(RuntimeError):
@@ -224,76 +228,21 @@ def subgradient_rows(eps: float, grad_X: Array, grad_T: Array,
     over the last axis (one point, or each row of (n, dim) arrays), from
     gradients the caller already holds (``K.grad_y(X, T)``, or a prox's
     ``kernel_step``).  xi lies in the proximal subdifferential of F at t,
-    with ||xi|| <= (L + M/eps_lo) ||x - t||."""
+    with ||xi|| <= ``Constants.residual`` ||x - t||."""
     return grad_T - grad_X - grad_y_D / eps
 
 
-def residual_bound(L: float, M: float, eps_lo: float) -> float:
-    """Certified ratio bound ||xi|| / ||x - t|| = L + M / eps_lo."""
-    return L + M / eps_lo
-
-
-def decrease_constant(m: float, L: float, eps_hi: float) -> float:
-    """Sufficient-decrease constant a = (m/eps_hi - L)/2 of
-    F(x) - F(T(x)) >= a ||x - T(x)||^2."""
-    return 0.5 * (m / eps_hi - L)
-
-
-@dataclass(frozen=True)
-class DescentConstants:
-    """Coefficients (a, b, c) of the generalized descent inequality
-
-        a [F(t) - F(u)] <= b ||u - x||^2 - ||u - t||^2 - c ||x - t||^2
-
-    valid for every prox output t of x and every u.  The row depends on
-    which of f, g are convex (case 1: neither, 2: f only, 3: g only,
-    4: both).
-    """
-
-    a_frak: float
-    b_frak: float
-    c_frak: float
-    case_id: int
-
-
-def descent_case(problem: Problem) -> int:
-    if problem.f.convex and problem.g.convex:
-        return 4
-    if problem.g.convex:
-        return 3
-    if problem.f.convex:
-        return 2
-    return 1
-
-
-def descent_constants(case_id: int, m: float, M: float, L: float,
-                      eps_lo: float, eps_hi: float) -> DescentConstants:
-    if case_id == 1:
-        a, b, c = 2.0, M / eps_lo + 2.0 + 3.0 * L, m / eps_hi - (L + 2.0)
-    elif case_id == 2:
-        a, b, c = 2.0, M / eps_lo + 2.0, m / eps_hi - (L + 2.0)
-    elif case_id == 3:
-        a = 2.0 * eps_hi / m
-        b = M / m + 3.0 * L * eps_hi / m
-        c = 1.0 - L * eps_hi / m
-    elif case_id == 4:
-        a, b, c = 2.0 * eps_hi / m, M / m, 1.0 - L * eps_hi / m
-    else:
-        raise ValueError("case_id must be 1..4")
-    return DescentConstants(a_frak=a, b_frak=b, c_frak=c, case_id=case_id)
-
-
-def descent_slack_rows(constants: DescentConstants, X: Array, U: Array,
-                       T: Array, F_T: Array, F_U: Array) -> Array:
+def descent_slack_rows(C: Constants, X: Array, U: Array, T: Array,
+                       F_T: Array, F_U: Array) -> Array:
     """Slack b||u-x||^2 - ||u-t||^2 - c||x-t||^2 - a[F(t) - F(u)] of the
-    generalized descent inequality for each row (x, u), with its prox
-    point t and the values F(t), F(u): nonnegative up to roundoff when the
-    constants match the problem's convexity pattern and eps lies within
-    the schedule bounds, +inf where F(u) = +inf (u outside dom F makes
-    the inequality vacuous)."""
+    generalized descent inequality, (a, b, c) = ``C.descent``, for each
+    row (x, u), with its prox point t and the values F(t), F(u):
+    nonnegative up to roundoff when ``C.case_id`` matches the problem's
+    convexity pattern and eps lies within [C.eps_lo, C.eps_hi], +inf where
+    F(u) = +inf (u outside dom F makes the inequality vacuous)."""
+    a, b, c = C.descent
     outside = np.isinf(F_U)
     F_U = np.where(outside, 0.0, F_U)
-    slack = (constants.b_frak * row_dots(U - X, U - X) - row_dots(U - T, U - T)
-             - constants.c_frak * row_dots(X - T, X - T)
-             - constants.a_frak * (F_T - F_U))
+    slack = (b * row_dots(U - X, U - X) - row_dots(U - T, U - T)
+             - c * row_dots(X - T, X - T) - a * (F_T - F_U))
     return np.where(outside, math.inf, slack)

@@ -13,14 +13,12 @@ import math
 
 import numpy as np
 
-from .bregman import (annotate_points, decrease_constant, descent_case,
-                      descent_constants, descent_slack_rows, residual_bound,
-                      subgradient_rows)
-from .core import (grid_rows, min_or_inf, row_dots, row_norms, sample_box,
-                   vector_norm)
+from .bregman import annotate_points, descent_slack_rows, subgradient_rows
+from .core import (Constants, SolverConfig, grid_rows, min_or_inf, row_dots,
+                   row_norms, sample_box, validate_config, vector_norm)
 from .diagnostics import check_semiconvex_gap_bounds, grid_min_F
 from .problems import GridProxOracle, ShippedInstance, shipped_instances
-from .solver import summability_bound, vbpg_run
+from .solver import summability_bound, vbpg_final_points, vbpg_run
 
 
 def _record(name, instance, passed, worst, detail=""):
@@ -71,10 +69,7 @@ def check_prox_invariants(inst: ShippedInstance, rng):
     problem = inst.problem()
     K = inst.config.kernel_at(0)
     eps = inst.config.eps_at(0)
-    L = problem.f.lipschitz_L
-    consts = descent_constants(descent_case(problem), K.m, K.M, L, eps, eps)
-    a = decrease_constant(K.m, L, eps)
-    bound = residual_bound(L, K.M, eps)
+    C = Constants.of(problem, SolverConfig.constant(eps, K))
     X = _finite_samples(problem, rng, 300, inst.box_center(), inst.sample_halfwidth)
     U = _finite_samples(problem, rng, 300, inst.box_center(), inst.sample_halfwidth)
     ann = annotate_points(problem, K, eps, X)
@@ -86,18 +81,19 @@ def check_prox_invariants(inst: ShippedInstance, rng):
     gap_err = float(np.max(np.where(broken, np.maximum(gap_err, 1.0), gap_err),
                            initial=0.0))
     k = min(len(X), len(U))
-    descent = min_or_inf(descent_slack_rows(consts, X[:k], U[:k], T[:k],
-                                            Ft[:k], problem.F_batch(U[:k])))
+    descent = min_or_inf(descent_slack_rows(C, X[:k], U[:k], T[:k], Ft[:k],
+                                            problem.F_batch(U[:k])))
     r2 = row_dots(X - T, X - T)
-    decrease = min_or_inf(np.minimum(E - a * r2 - Ft, Fx - a * r2 - Ft))
+    decrease = min_or_inf(np.minimum(E - C.a * r2 - Ft, Fx - C.a * r2 - Ft))
     xi = subgradient_rows(eps, ann.grad, problem.f.gradient_batch(T),
                           K.grad_y(X, T))
-    resid = min_or_inf(bound * ann.dist_prox * (1 + 1e-9) - row_norms(xi))
+    resid = min_or_inf(C.residual * ann.dist_prox * (1 + 1e-9)
+                       - row_norms(xi))
     name = inst.spec.name
     return [_record("gap_identity", name, gap_err <= 1e-10, 1e-10 - gap_err,
                     f"max relative identity error {gap_err:.3g}"),
             _record("descent_inequality", name, descent >= -1e-8, descent,
-                    f"case {consts.case_id}"),
+                    f"case {C.case_id}"),
             _record("envelope_value_decrease", name, decrease >= -1e-8,
                     decrease),
             _record("prox_subgradient_bound", name, resid >= -1e-12, resid)]
@@ -153,15 +149,14 @@ def check_solver_run(inst: ShippedInstance, rng):
                             max(inst.sample_halfwidth, 2.0))
         caveat = ""
     else:
-        # no grid oracle above dimension 3: F* is the best value over 50
-        # random restarts and the bound is only as good as that estimate
-        F_star = math.inf
-        for _ in range(50):
-            s = rng.uniform(inst.box_center() - inst.sample_halfwidth,
-                            inst.box_center() + inst.sample_halfwidth)
-            if not math.isfinite(problem.F(s)):
-                continue
-            F_star = min(F_star, vbpg_run(problem, config, s).final_F)
+        # no grid oracle above dimension 3: F* is the best final F of 50
+        # random restarts (one multi-start); the bound is as good as that
+        c, hw = inst.box_center(), inst.sample_halfwidth
+        starts = rng.uniform(c - hw, c + hw, size=(50, problem.dim))
+        starts = starts[np.isfinite(problem.F_batch(starts))]
+        F_star = min((problem.F(x) for x in
+                      vbpg_final_points(problem, config, starts)),
+                     default=math.inf)
         caveat = " (conditional: restart-based F*)"
     bound = summability_bound(problem, config, inst.start(), F_star)
     if bound == math.inf:
@@ -172,7 +167,7 @@ def check_solver_run(inst: ShippedInstance, rng):
         detail = f"sum sq steps {ss:.3g} <= {bound:.3g}{caveat}"
     res_ok = True
     if trace.terminated_reason in ("step_tol", "critical_point") and trace.residuals:
-        lim = residual_bound(problem.f.lipschitz_L, config.M, config.eps_lo)
+        lim = Constants.of(problem, config).residual
         res_ok = trace.final_residual <= lim * trace.step_norms[-1] * (1 + 1e-9) + 1e-15
     ok = mono_ok and summ_ok and res_ok
     return _record("solver_monotone_summable", inst.spec.name, ok,
@@ -205,10 +200,10 @@ def check_semiconvex_suite(inst: ShippedInstance, rng):
         return None
     K = inst.config.kernel_at(0)
     eps = inst.config.eps_at(0)
-    if not eps < min(K.m / max(problem.f.lipschitz_L, 1e-300), K.m / rho):
+    if not validate_config(problem, SolverConfig.constant(eps, K)).ok:
         return None
     X = _finite_samples(problem, rng, 200, inst.box_center(), inst.sample_halfwidth)
-    rep = check_semiconvex_gap_bounds(problem, K, eps, X, eps)
+    rep = check_semiconvex_gap_bounds(problem, K, eps, X)
     worst = min(rep["min_slack"].values())
     return _record("semiconvex_gap_bounds", inst.spec.name, worst >= -1e-8,
                    worst)

@@ -98,7 +98,9 @@ class SmoothObjective:
     losses).  ``value_batch`` and ``gradient_batch`` evaluate f and its
     gradient on the rows of an (n, dim) array, so grid oracles and
     multi-start runs stay vectorized; ``gradient_batch`` gives each row
-    the bits of ``gradient``.  ``value_and_gradient`` returns both at one
+    the bits of ``gradient``, and a quadratic's ``value_batch`` (``value``'s
+    two dots per row above dimension 3) the bits of ``value``.
+    ``value_and_gradient`` returns both at one
     point, with the bits of ``value`` and ``gradient``, for objectives
     that share work between them.  ``value_columns``, when set, is f as
     one formula of the coordinate columns (Python floats, batch columns
@@ -323,17 +325,15 @@ class KernelSpec:
         """
         return self._weights
 
-    def label(self) -> str:
-        return self.kind
-
 
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Step-size and kernel schedules plus stopping parameters.
 
     Schedules are given as tuples and repeat cyclically over iterations,
-    so a single entry means a constant schedule.  Bounds
-    0 < eps_lo <= eps^k <= eps_hi are taken over the whole cycle.
+    so a single entry means a constant schedule.  The bounds
+    0 < eps_lo <= eps^k <= eps_hi and the moduli m, M are taken over the
+    whole cycle (``Constants.of``).
     """
 
     epsilons: tuple
@@ -362,26 +362,78 @@ class SolverConfig:
     def kernel_at(self, k: int) -> KernelSpec:
         return self.kernels[k % len(self.kernels)]
 
-    @property
-    def eps_lo(self) -> float:
-        return min(self.epsilons)
-
-    @property
-    def eps_hi(self) -> float:
-        return max(self.epsilons)
-
-    @property
-    def m(self) -> float:
-        return min(K.m for K in self.kernels)
-
-    @property
-    def M(self) -> float:
-        return max(K.M for K in self.kernels)
-
     def resolved_step_tol(self, x0: Array) -> float:
         if self.step_tol is not None:
             return self.step_tol
         return 1e-10 * (1.0 + vector_norm(x0))
+
+
+@dataclass(frozen=True)
+class Constants:
+    """The constants a (problem, config) pairing certifies its bounds in.
+
+    L is f's gradient-Lipschitz constant, rho g's semiconvexity modulus,
+    m <= M the kernel moduli and eps_lo <= eps_hi the step bounds, all
+    over the whole schedule; ``case_id`` is the row of the descent table
+    (1: neither f nor g convex, 2: f only, 3: g only, 4: both).  Every
+    formula in these constants lives here:
+
+        a         (m/eps_hi - L)/2     F(x) - F(T x) >= a ||x - T x||^2
+        residual  L + M/eps_lo         ||xi|| <= residual ||x - T x||
+        c0        3L/2 + M/(2 eps_lo)  E(x) - Fbar <= c0 dist^2(x, [F <= Fbar])
+        margin    m - eps_hi rho       the semiconvex gap bounds' divisor
+        descent   (a, b, c) of  a [F(t) - F(u)] <= b ||u-x||^2 - ||u-t||^2
+                  - c ||x-t||^2  for every prox output t of x and every u
+    """
+
+    L: float
+    rho: float
+    m: float
+    M: float
+    eps_lo: float
+    eps_hi: float
+    case_id: int
+
+    @staticmethod
+    def of(problem: Problem, config: SolverConfig) -> "Constants":
+        f, g = problem.f, problem.g
+        case_id = (4 if f.convex and g.convex else 3 if g.convex
+                   else 2 if f.convex else 1)
+        return Constants(
+            L=f.lipschitz_L, rho=g.semiconvex_rho,
+            m=min(K.m for K in config.kernels),
+            M=max(K.M for K in config.kernels),
+            eps_lo=min(config.epsilons), eps_hi=max(config.epsilons),
+            case_id=case_id)
+
+    @property
+    def a(self) -> float:
+        return 0.5 * (self.m / self.eps_hi - self.L)
+
+    @property
+    def residual(self) -> float:
+        return self.L + self.M / self.eps_lo
+
+    @property
+    def c0(self) -> float:
+        return 1.5 * self.L + self.M / (2.0 * self.eps_lo)
+
+    @property
+    def margin(self) -> float:
+        return self.m - self.eps_hi * self.rho
+
+    @property
+    def descent(self) -> tuple[float, float, float]:
+        m, M, L = self.m, self.M, self.L
+        eps_lo, eps_hi = self.eps_lo, self.eps_hi
+        if self.case_id == 1:
+            return 2.0, M / eps_lo + 2.0 + 3.0 * L, m / eps_hi - (L + 2.0)
+        if self.case_id == 2:
+            return 2.0, M / eps_lo + 2.0, m / eps_hi - (L + 2.0)
+        if self.case_id == 3:
+            return (2.0 * eps_hi / m, M / m + 3.0 * L * eps_hi / m,
+                    1.0 - L * eps_hi / m)
+        return 2.0 * eps_hi / m, M / m, 1.0 - L * eps_hi / m
 
 
 @dataclass(frozen=True)
@@ -404,12 +456,11 @@ def validate_config(problem: Problem, config: SolverConfig) -> ValidationReport:
     """
     violations = []
     checked = []
-    m, M = config.m, config.M
-    L = problem.f.lipschitz_L
-    eps_hi = config.eps_hi
+    C = Constants.of(problem, config)
+    m, L, rho, eps_hi = C.m, C.L, C.rho, C.eps_hi
 
     checked.append("m <= M")
-    if m > M:
+    if m > C.M:
         violations.append("m <= M violated")
 
     lim = m / L if L > 0 else math.inf
@@ -417,7 +468,6 @@ def validate_config(problem: Problem, config: SolverConfig) -> ValidationReport:
     if not eps_hi < lim:
         violations.append(f"eps_max < m/L violated ({eps_hi:g} >= {lim:g})")
 
-    rho = problem.g.semiconvex_rho
     if math.isfinite(rho) and rho > 0:
         lim_rho = m / rho
         checked.append("eps_max < m/rho (single-valued prox for semiconvex g)")

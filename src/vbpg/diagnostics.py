@@ -34,11 +34,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
-                   fmt_float, grid_rows, min_or_inf, row_dots, row_norms,
-                   sample_ball)
-from .bregman import (annotate_points, decrease_constant, descent_case,
-                      descent_constants, prox_points, residual_bound)
+from .core import (Array, Constants, KernelSpec, Problem, SolverConfig,
+                   as_vector, fmt_float, grid_rows, min_or_inf, row_dots,
+                   row_norms, sample_ball)
+from .bregman import annotate_points, prox_points
 from .solver import Trace, vbpg_final_points, vbpg_run
 
 # violation margin for one-sided inequality checks: wide enough to absorb
@@ -557,23 +556,24 @@ def kl_exponent_sweep(samples: ProbeSamples,
 # ---------------------------------------------------------------------------
 
 def _half_slice(samples: ProbeSamples, slice_: LevelSlice,
-                m: float, L: float, eps_hi: float) -> tuple:
+                C: Constants) -> tuple:
     """The band divisor N = max((2 eps_hi nu / (m - eps_hi L)) / (eta/2)^2, 1)
     that keeps prox steps inside the half-radius slice, each sample's
     distance to the center, and the mask of samples in the shrunken
     slice: within eta/2 of the center with value gap below nu/N."""
     eta, nu = slice_.radius_eta, slice_.value_band_nu
-    N = max((2.0 * eps_hi * nu / (m - eps_hi * L)) / (eta / 2.0) ** 2, 1.0)
+    N = max((2.0 * C.eps_hi * nu / (C.m - C.eps_hi * C.L)) / (eta / 2.0) ** 2,
+            1.0)
     d_center = row_norms(samples.x - slice_.center)
     return N, d_center, (d_center < eta / 2) & (samples.value_gap < nu / N)
 
 
 def check_step_containment(samples: ProbeSamples, slice_: LevelSlice,
-                           m: float, L: float, eps_hi: float) -> dict:
+                           C: Constants) -> dict:
     """Property-(A) samples in the shrunken slice keep their prox point
     within eta/2 of themselves and inside the eta-ball around the center
     (checked through ||x - T(x)|| + ||x - center|| <= eta)."""
-    N, d_center, inner = _half_slice(samples, slice_, m, L, eps_hi)
+    N, d_center, inner = _half_slice(samples, slice_, C)
     keep = inner & samples.property_A
     r, eta = samples.dist_prox[keep], slice_.radius_eta
     violated = ((r > eta / 2 * (1.0 + _REL_TOL))
@@ -590,8 +590,8 @@ def _pow(base: float, exp: float) -> float:
         return math.inf
 
 
-def prox_eb_thetas(gamma: float, c3: float, L: float, M: float,
-                   eps_lo: float, eta: float) -> tuple[float, float]:
+def prox_eb_thetas(gamma: float, c3: float, C: Constants,
+                   eta: float) -> tuple[float, float]:
     """theta1 and theta2 of the implication from a level-set
     subdifferential EB (exponent gamma > 0, constant c3) to the
     prox-residual EB on the half-radius slice (see
@@ -599,7 +599,7 @@ def prox_eb_thetas(gamma: float, c3: float, L: float, M: float,
     float range; they come back infinite (or nan), never as an
     OverflowError."""
     eta2 = eta / 2.0
-    core = _pow(c3 * residual_bound(L, M, eps_lo), 1.0 / gamma)
+    core = _pow(c3 * C.residual, 1.0 / gamma)
     theta1 = 1.0 + core * _pow(eta2, 1.0 / gamma - 1.0)
     theta2 = _pow(eta2, 1.0 - 1.0 / gamma) + core
     return theta1, theta2
@@ -607,8 +607,7 @@ def prox_eb_thetas(gamma: float, c3: float, L: float, M: float,
 
 def check_subdiff_implies_prox_eb(samples: ProbeSamples,
                                   slice_: LevelSlice, fit: EBFit,
-                                  L: float, M: float, m: float,
-                                  eps_lo: float, eps_hi: float) -> dict:
+                                  C: Constants) -> dict:
     """Level-set subdifferential EB (exponent gamma, constant c3) implies
     the prox-residual EB dist^p(x, [F<=Fbar]) <= theta dist(x, T(x)) on
     the half-radius slice, with
@@ -622,13 +621,13 @@ def check_subdiff_implies_prox_eb(samples: ProbeSamples,
     if not (gamma > 0 and math.isfinite(gamma)):
         return {"check": "subdiff_implies_prox_eb", "gated": True,
                 "reason": "gamma fit not in (0, inf)"}
-    theta1, theta2 = prox_eb_thetas(gamma, c3, L, M, eps_lo, slice_.radius_eta)
+    theta1, theta2 = prox_eb_thetas(gamma, c3, C, slice_.radius_eta)
     if not (math.isfinite(theta1) and math.isfinite(theta2)):
         return {"check": "subdiff_implies_prox_eb", "gated": True,
                 "reason": "theta not finite"}
     p = gamma if gamma > 1 else 1.0
     theta = theta1 if gamma <= 1 else theta2
-    _, _, inner = _half_slice(samples, slice_, m, L, eps_hi)
+    _, _, inner = _half_slice(samples, slice_, C)
     d, r = samples.dist_level[inner], samples.dist_prox[inner]
     violated = d > theta * r ** (1.0 / p) * (1.0 + 1e-6) + 1e-12
     return {"check": "subdiff_implies_prox_eb", "gated": False, "p": p,
@@ -637,19 +636,15 @@ def check_subdiff_implies_prox_eb(samples: ProbeSamples,
             "n_violations": int(np.count_nonzero(violated))}
 
 
-def value_proximity_c0(L: float, M: float, eps_lo: float) -> float:
-    return 1.5 * L + M / (2.0 * eps_lo)
-
-
 def check_value_proximity(samples: ProbeSamples, F_bar: float,
-                          L: float, M: float, eps_lo: float) -> dict:
+                          C: Constants) -> dict:
     """Value-proximity chain on a slice:
 
         F(T(x)) - Fbar  <=  E(x) - Fbar  <=  c0 dist^2(x, [F <= Fbar])
 
-    with c0 = 3L/2 + M/(2 eps_lo).  Reports the worst violation of each
-    link (negative slack means a violation)."""
-    c0 = value_proximity_c0(L, M, eps_lo)
+    with c0 = ``C.c0``.  Reports the worst violation of each link
+    (negative slack means a violation)."""
+    c0 = C.c0
     E = samples.envelope_value
     return {"check": "value_proximity", "c0": c0,
             "min_slack_envelope_vs_proxF": min_or_inf(E - samples.prox_F),
@@ -683,16 +678,15 @@ def check_kl_exponent_map(kl_fit: EBFit, eb_fit: EBFit,
     return out
 
 
-def check_gap_condition_links(samples: ProbeSamples,
-                              bregman_fit: EBFit, m: float, eps_hi: float,
-                              rho: float) -> dict:
+def check_gap_condition_links(samples: ProbeSamples, bregman_fit: EBFit,
+                              C: Constants) -> dict:
     """Both directions of the gap-condition bridge for semiconvex g.
 
     (i) a prox-residual EB with exponent p yields G >= mu (F - Fbar)^q
     with q = 1/min(1/p, 1) and mu the sampled envelope; (ii) a gap
     condition with (q, mu) forces the subdifferential lower bound
     dist(0, subdiff F) >= sqrt(2 (m - eps_hi rho) mu) (F - Fbar)^(q/2)."""
-    if not math.isfinite(rho):
+    if not math.isfinite(C.rho):
         return {"check": "gap_condition_links", "gated": True,
                 "reason": "g is not semiconvex"}
     p = bregman_fit.exponent
@@ -701,7 +695,7 @@ def check_gap_condition_links(samples: ProbeSamples,
     gaps, Gs = samples.value_gap[pos], samples.gap_value[pos]
     subs = samples.dist_subdiff[pos]
     mu = float(np.min(Gs / gaps ** q))
-    coeff = math.sqrt(2.0 * (m - eps_hi * rho) * mu) if mu > 0 else 0.0
+    coeff = math.sqrt(2.0 * C.margin * mu) if mu > 0 else 0.0
     viol = int(np.sum(subs < coeff * gaps ** (q / 2.0) * (1.0 - _REL_TOL)))
     return {"check": "gap_condition_links", "gated": False, "p": p, "q": q,
             "mu_envelope": mu, "kl_coeff": coeff,
@@ -710,18 +704,19 @@ def check_gap_condition_links(samples: ProbeSamples,
 
 
 def check_semiconvex_gap_bounds(problem: Problem, K: KernelSpec, eps: float,
-                                X: Array, eps_hi: float) -> dict:
+                                X: Array) -> dict:
     """Sampled envelope/gap/residual inequalities for semiconvex g under
     an admissible step size; returns the most negative slack per bound.
 
-    With rho the semiconvexity modulus and eps_hi < min(m/L, m/rho):
-      (i)   E(x) <= F(x) - (m/eps_hi - rho)/2 ||x - T(x)||^2
-      (ii)  (m - eps_hi rho)/(2 eps_hi^2) ||x - T(x)||^2 <= G(x)
-      (iii) G(x) <= dist^2(0, subdiff F(x)) / (2 (m - eps_hi rho))
-      (iv)  ||x - T(x)|| <= eps_hi/(m - eps_hi rho) dist(0, subdiff F(x))
+    With rho the semiconvexity modulus, m = K.m, eps < min(m/L, m/rho)
+    and margin = m - eps rho (``Constants.margin``):
+      (i)   E(x) <= F(x) - (m/eps - rho)/2 ||x - T(x)||^2
+      (ii)  margin/(2 eps^2) ||x - T(x)||^2 <= G(x)
+      (iii) G(x) <= dist^2(0, subdiff F(x)) / (2 margin)
+      (iv)  ||x - T(x)|| <= eps/margin dist(0, subdiff F(x))
     """
-    rho = problem.g.semiconvex_rho
-    m = K.m
+    C = Constants.of(problem, SolverConfig.constant(eps, K))
+    m, rho, eps_hi, margin = C.m, C.rho, C.eps_hi, C.margin
     X = np.asarray(X, dtype=float).reshape(-1, problem.dim)
     FX = problem.F_batch(X)
     keep = np.isfinite(FX)
@@ -732,10 +727,9 @@ def check_semiconvex_gap_bounds(problem: Problem, K: KernelSpec, eps: float,
 
     slacks = {
         "i": min_or_inf(Fx - 0.5 * (m / eps_hi - rho) * r * r - E),
-        "ii": min_or_inf(G - (m - eps_hi * rho) / (2 * eps_hi ** 2) * r * r),
-        "iii": min_or_inf(dsub[fin] * dsub[fin] / (2 * (m - eps_hi * rho))
-                          - G[fin]),
-        "iv": min_or_inf(eps_hi / (m - eps_hi * rho) * dsub[fin] - r[fin])}
+        "ii": min_or_inf(G - margin / (2 * eps_hi ** 2) * r * r),
+        "iii": min_or_inf(dsub[fin] * dsub[fin] / (2 * margin) - G[fin]),
+        "iv": min_or_inf(eps_hi / margin * dsub[fin] - r[fin])}
     return {"check": "semiconvex_gap_bounds", "min_slack": slacks}
 
 
@@ -762,28 +756,20 @@ def estimate_q_linear_rate(trace: Trace, F_bar: float) -> tuple[float, tuple]:
     return float(np.max(ratios[-w:])), (int(k_end - w), int(k_end - 1))
 
 
-def certified_q_rate(a: float, kappa_prime: float) -> float:
-    """Certified ratio 1 / (1 + a/kappa') from the decrease constant a and
-    the value-proximity constant kappa' = c0 theta^2."""
-    return 1.0 / (1.0 + a / kappa_prime)
-
-
-def certify_rate_chain(beta_hat: float, sub_fit: EBFit, L: float, M: float,
-                       m: float, eps_lo: float, eps_hi: float,
+def certify_rate_chain(beta_hat: float, sub_fit: EBFit, C: Constants,
                        eta: float) -> dict:
     """Certified Q-linear ratio 1/(1 + a/(c0 theta1^2)) from a level-set
-    subdifferential fit, with a = (m/eps_hi - L)/2, gamma capped at 1 and
-    theta1 from ``prox_eb_thetas``; chain_ok when the observed ratio stays
-    within 5% of it.  Empty when the fitted gamma is not positive, gated
-    when theta1 is not finite."""
+    subdifferential fit, with a = ``C.a``, c0 = ``C.c0``, gamma capped at
+    1 and theta1 from ``prox_eb_thetas``; chain_ok when the observed ratio
+    stays within 5% of it.  Empty when the fitted gamma is not positive,
+    gated when theta1 is not finite."""
     gamma = min(sub_fit.exponent, 1.0)
     if not gamma > 0:
         return {}
-    theta1, _ = prox_eb_thetas(gamma, sub_fit.constant, L, M, eps_lo, eta)
+    theta1, _ = prox_eb_thetas(gamma, sub_fit.constant, C, eta)
     if not math.isfinite(theta1):
         return {"gated": True, "reason": "theta not finite"}
-    a = decrease_constant(m, L, eps_hi)
-    beta = certified_q_rate(a, value_proximity_c0(L, M, eps_lo) * theta1 ** 2)
+    beta = 1.0 / (1.0 + C.a / (C.c0 * theta1 ** 2))
     return {"theta": theta1, "beta_certified": beta,
             "chain_ok": bool(beta_hat <= beta * 1.05)}
 
@@ -821,22 +807,20 @@ def estimate_level_set_rate(trace: Trace, problem: Problem, F_bar: float,
 
 
 def check_level_set_rate_certificates(beta_levelset: float, refit_c3: float,
-                                      b_frak: float, c_frak: float,
-                                      L: float, M: float, eps_lo: float,
-                                      eps_hi: float, m: float,
-                                      rho: float) -> dict:
+                                      C: Constants) -> dict:
     """Both directions of the linear-convergence certificate relative to a
-    sublevel set.
+    sublevel set, with (b, c) of the descent row ``C.descent``.
 
     Forward: a strong subdifferential EB with constant c3' gives the
-    kernel-EB constant theta' = 1 + c3'(L + M/eps_lo) and, when theta'
+    kernel-EB constant theta' = 1 + c3' ``C.residual`` and, when theta'
     falls in (sqrt(c/b), sqrt(c/(b-1))) (undefined unless b > 1), the
     contraction bound beta <= sqrt(b - c/theta'^2).  Reverse: observed
     contraction beta < 1 with semiconvex g bounds the refit constant by
-    c3' <= eps_hi / ((1 - beta)(m - eps_hi rho))."""
+    c3' <= eps_hi / ((1 - beta) ``C.margin``)."""
     out = {"check": "level_set_rate_certificates",
            "beta_levelset": beta_levelset, "refit_c3prime": refit_c3}
-    theta_p = 1.0 + refit_c3 * residual_bound(L, M, eps_lo)
+    _, b_frak, c_frak = C.descent
+    theta_p = 1.0 + refit_c3 * C.residual
     out["theta_prime"] = theta_p
     if b_frak > 1.0 and c_frak > 0.0:
         lo, hi = math.sqrt(c_frak / b_frak), math.sqrt(c_frak / (b_frak - 1.0))
@@ -849,8 +833,8 @@ def check_level_set_rate_certificates(beta_levelset: float, refit_c3: float,
             out["forward_gated"] = "theta_prime outside admissible window"
     else:
         out["forward_gated"] = "requires b > 1 and c > 0"
-    if math.isfinite(rho) and beta_levelset < 1.0:
-        c3_bound = eps_hi / ((1.0 - beta_levelset) * (m - eps_hi * rho))
+    if math.isfinite(C.rho) and beta_levelset < 1.0:
+        c3_bound = C.eps_hi / ((1.0 - beta_levelset) * C.margin)
         out["reverse_c3_bound"] = c3_bound
         out["reverse_ok"] = bool(refit_c3 <= c3_bound * 1.05)
     else:
@@ -1070,8 +1054,7 @@ def eb_report(campaign: Campaign, seed: int,
     problem, config, trace = campaign.problem, campaign.config, campaign.trace
     slice_, samples, crit = campaign.slice, campaign.samples, campaign.crit
     K, eps = config.kernel_at(0), config.eps_at(0)
-    L, M, m = problem.f.lipschitz_L, config.M, config.m
-    rho = problem.g.semiconvex_rho
+    C = Constants.of(problem, config)
     fits, fit_objs = {}, {}
     for kind in _BOUND_PAIRS:
         try:
@@ -1081,19 +1064,17 @@ def eb_report(campaign: Campaign, seed: int,
             fits[kind] = {"bound_kind": kind, "error": str(exc)}
     sub_fit = fit_objs.get("level_subdiff")
 
-    checks = {"step_containment": check_step_containment(
-        samples, slice_, m, L, config.eps_hi)}
+    checks = {"step_containment": check_step_containment(samples, slice_, C)}
     if sub_fit is not None:
         checks["subdiff_implies_prox_eb"] = check_subdiff_implies_prox_eb(
-            samples, slice_, sub_fit, L, M, m, config.eps_lo, config.eps_hi)
-    checks["value_proximity"] = check_value_proximity(
-        samples, slice_.F_bar, L, M, config.eps_lo)
+            samples, slice_, sub_fit, C)
+    checks["value_proximity"] = check_value_proximity(samples, slice_.F_bar, C)
     if "kl" in fit_objs and sub_fit is not None:
         checks["kl_exponent_map"] = check_kl_exponent_map(
             fit_objs["kl"], sub_fit, fit_objs.get("sharpness"))
     if "level_bregman" in fit_objs:
         checks["gap_condition_links"] = check_gap_condition_links(
-            samples, fit_objs["level_bregman"], m, config.eps_hi, rho)
+            samples, fit_objs["level_bregman"], C)
     try:
         checks["kl_sweep"] = kl_exponent_sweep(
             samples, [round(0.05 * k, 2) for k in range(1, 20)])
@@ -1108,9 +1089,8 @@ def eb_report(campaign: Campaign, seed: int,
         rate["window"] = list(window)
         rate["r_linear_envelope_C"] = r_linear_envelope(trace, beta_hat)
         if sub_fit is not None:
-            rate.update(certify_rate_chain(
-                beta_hat, sub_fit, L, M, m, config.eps_lo, config.eps_hi,
-                slice_.radius_eta))
+            rate.update(certify_rate_chain(beta_hat, sub_fit, C,
+                                           slice_.radius_eta))
     except ValueError as exc:
         rate["error"] = str(exc)
     checks["rate_chain"] = rate
@@ -1121,12 +1101,9 @@ def eb_report(campaign: Campaign, seed: int,
     refit = (ds > 0) & np.isfinite(ds)
     if math.isfinite(level.get("beta_levelset", math.nan)) and refit.any():
         c3_refit = float(np.max(samples.dist_level[refit] / ds[refit]))
-        cc = descent_constants(descent_case(problem), m, M, L,
-                               config.eps_lo, config.eps_hi)
         checks["level_set_rate_certificates"] = \
-            check_level_set_rate_certificates(
-                level["beta_levelset"], c3_refit, cc.b_frak,
-                cc.c_frak, L, M, config.eps_lo, config.eps_hi, m, rho)
+            check_level_set_rate_certificates(level["beta_levelset"],
+                                              c3_refit, C)
     checks["growth_conditions"] = certify_growth_conditions(
         problem, slice_, crit, seed=seed, samples=samples)
     checks["luo_tseng"] = check_luo_tseng_bound(problem, samples, K, eps,
@@ -1139,4 +1116,4 @@ def eb_report(campaign: Campaign, seed: int,
                       "eta": slice_.radius_eta, "nu": slice_.value_band_nu,
                       "F_bar": slice_.F_bar},
             "n_samples": len(samples), "seed": seed,
-            "kernel": K.label(), "epsilon": eps}
+            "kernel": K.kind, "epsilon": eps}

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Array, KernelSpec, Problem, Regularizer, SmoothObjective,
-                   SolverConfig, as_vector, matvec_rows)
+                   SolverConfig, as_vector, matvec_rows, row_dots)
 
 _TIE_TOL = 1e-10
 _TIE_SEP = 1e-9
@@ -478,7 +478,8 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
             return 0.5 * float(x @ Qx) + float(b @ x), Qx + b
 
         def value_batch(X):
-            return 0.5 * np.einsum("ij,jk,ik->i", X, Q, X) + X @ b
+            return (0.5 * row_dots(X, _hessian_rows(Q, product, X))
+                    + row_dots(np.broadcast_to(b, X.shape), X))
 
         value_columns = None
     else:
@@ -791,7 +792,6 @@ class ShippedInstance:
     config: SolverConfig
     x0: tuple
     sample_halfwidth: float
-    sample_center: tuple = ()
 
     def problem(self) -> Problem:
         return self.spec.build()
@@ -800,8 +800,6 @@ class ShippedInstance:
         return np.array(self.x0, dtype=float)
 
     def box_center(self) -> Array:
-        if self.sample_center:
-            return np.array(self.sample_center, dtype=float)
         return np.zeros(self.spec.dimension)
 
 

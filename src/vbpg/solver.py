@@ -5,11 +5,11 @@ Each iteration solves the prox subproblem at the current point and steps
 to its minimizer.  One run is strictly sequential; separate runs share no
 mutable state.  The per-iteration decrease
 
-    F(x^k) - F(x^{k+1}) >= a ||x^k - x^{k+1}||^2,   a = (m/eps_hi - L)/2
+    F(x^k) - F(x^{k+1}) >= a ||x^k - x^{k+1}||^2,   a = ``Constants.a``
 
 is the workhorse invariant: it forces monotone values, square-summable
 steps, and converts the final step norm into a subgradient residual
-certificate via ||xi|| <= (L + M/eps_lo) ||x^k - x^{k+1}||.
+certificate via ||xi|| <= ``Constants.residual`` ||x^k - x^{k+1}||.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Array, KernelSpec, Problem, SolverConfig, as_vector,
-                   fmt_float, row_norms, vector_norm)
-from .bregman import (decrease_constant, prox_map, prox_points,
-                      subgradient_rows)
+from .core import (Array, Constants, KernelSpec, Problem, SolverConfig,
+                   as_vector, fmt_float, row_norms, vector_norm)
+from .bregman import prox_map, prox_points, subgradient_rows
 
 
 @dataclass
@@ -218,10 +217,10 @@ def kernel_schedule_jacobi(Q: Array, block_sizes, c) -> KernelSpec:
 
 def summability_bound(problem: Problem, config: SolverConfig, x0: Array,
                       F_star: float) -> float:
-    """(F(x0) - F*) / a with a = (m/eps_hi - L)/2: certified upper bound
+    """(F(x0) - F*) / a with a = ``Constants.a``: certified upper bound
     on the sum of squared step norms; +inf when a <= 0, where the
     decrease inequality certifies no bound."""
-    a = decrease_constant(config.m, problem.f.lipschitz_L, config.eps_hi)
+    a = Constants.of(problem, config).a
     if a <= 0:
         return math.inf
     return (problem.F(as_vector(x0)) - F_star) / a

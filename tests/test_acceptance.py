@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from vbpg.bregman import descent_constants, prox_map, residual_bound
-from vbpg.core import KernelSpec, SolverConfig, sample_box
+from vbpg.bregman import prox_map
+from vbpg.core import Constants, KernelSpec, SolverConfig, sample_box
 from vbpg.diagnostics import (check_semiconvex_gap_bounds,
                               estimate_level_set_rate, estimate_q_linear_rate,
                               fit_error_bound, grid_min_F, kl_exponent_sweep,
@@ -50,7 +50,8 @@ def test_criterion_01_descent_inequality_suite():
     for cid, spec in descent_case_specs().items():
         p = spec.build()
         eps = admissible_eps(p)
-        consts = descent_constants(cid, 1.0, 1.0, p.f.lipschitz_L, eps, eps)
+        consts = Constants(p.f.lipschitz_L, p.g.semiconvex_rho, 1.0, 1.0,
+                           eps, eps, cid)
         worst = math.inf
         for _ in range(1000):
             x = rng.uniform(-2, 2, 2)
@@ -88,7 +89,7 @@ def test_criterion_03_residual_bound(registry):
         p = inst.problem()
         K = inst.config.kernel_at(0)
         eps = inst.config.eps_at(0)
-        lim = residual_bound(p.f.lipschitz_L, K.M, eps)
+        lim = Constants.of(p, SolverConfig.constant(eps, K)).residual
         for x in finite_samples(p, rng, 1000, inst.box_center(),
                                 inst.sample_halfwidth):
             r = prox_map(p, K, eps, x)
@@ -141,8 +142,7 @@ def test_criterion_05_fixed_point_criticality(registry):
         trace = vbpg_run(p, inst.config, inst.start())
         assert trace.terminated_reason in ("step_tol", "critical_point"), name
         step_tol = inst.config.resolved_step_tol(inst.start())
-        lim = residual_bound(p.f.lipschitz_L, inst.config.M,
-                             inst.config.eps_lo)
+        lim = Constants.of(p, inst.config).residual
         xf = trace.final_x
         dist = subdiff_distance(p.g, xf, p.f.gradient(xf))
         assert dist <= lim * step_tol * 10.0, (name, dist, lim * step_tol)
@@ -293,7 +293,7 @@ def test_criterion_11_semiconvex_suite():
         p = spec.build()
         eps = admissible_eps(p)
         X = sample_box(rng, 1000, np.zeros(2), 2.0)
-        rep = check_semiconvex_gap_bounds(p, EUC, eps, X, eps)
+        rep = check_semiconvex_gap_bounds(p, EUC, eps, X)
         for key, slack in rep["min_slack"].items():
             assert slack >= -1e-8, (g_kind, key, slack)
         # single-valuedness: an inner solve from another start agrees

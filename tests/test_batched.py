@@ -436,7 +436,7 @@ def test_growth_moduli_match_scalar_loop(problem, center, crit):
 def test_semiconvex_slacks_match_per_sample_loop(g_kind, g_params):
     problem = quad_problem(g_kind, g_params)
     X = np.random.default_rng(21).uniform(-2.0, 2.0, size=(150, 2))
-    rep = check_semiconvex_gap_bounds(problem, EUC, 0.3, X, 0.3)
+    rep = check_semiconvex_gap_bounds(problem, EUC, 0.3, X)
     ref = reference_semiconvex_slacks(problem, EUC, 0.3, X, 0.3)
     for key, slack in rep["min_slack"].items():
         assert slack == pytest.approx(ref[key], rel=1e-12, abs=1e-12), key
@@ -445,7 +445,7 @@ def test_semiconvex_slacks_match_per_sample_loop(g_kind, g_params):
 def test_semiconvex_slacks_skip_points_outside_dom_g():
     problem = quad_problem("box", {"lo": -1.0, "hi": 1.0})
     X = np.random.default_rng(22).uniform(-1.5, 1.5, size=(100, 2))
-    rep = check_semiconvex_gap_bounds(problem, EUC, 0.3, X, 0.3)
+    rep = check_semiconvex_gap_bounds(problem, EUC, 0.3, X)
     ref = reference_semiconvex_slacks(problem, EUC, 0.3, X, 0.3)
     assert rep["min_slack"] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 

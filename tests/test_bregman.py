@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbpg.bregman import (ProxError, descent_constants, prox_map, prox_points,
-                          residual_bound)
-from vbpg.core import (KernelSpec, SolverConfig, sample_box,
+from vbpg.bregman import ProxError, prox_map, prox_points
+from vbpg.core import (Constants, KernelSpec, SolverConfig, sample_box,
                        validate_config, vector_norm)
 from vbpg.problems import ProblemSpec, lasso_spec
 
@@ -34,6 +33,13 @@ def admissible_eps(problem, K, margin=0.8):
         caps.append(K.m / rho)
     cap = min(caps)
     return margin * cap if math.isfinite(cap) else 0.5
+
+
+def table_row(problem, case_id, eps_lo, eps_hi, K=EUC):
+    """The constants of descent-table row ``case_id`` for ``problem``
+    under K over the steps [eps_lo, eps_hi]."""
+    return Constants(problem.f.lipschitz_L, problem.g.semiconvex_rho, K.m,
+                     K.M, eps_lo, eps_hi, case_id)
 
 
 class TestDistance:
@@ -296,7 +302,7 @@ class TestProxSubgradient:
     def test_euclidean_formula_and_bound(self, rng):
         p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
         eps = 0.5
-        lim = residual_bound(p.f.lipschitz_L, 1.0, eps)
+        lim = Constants.of(p, SolverConfig.constant(eps, EUC)).residual
         for _ in range(200):
             x = rng.uniform(-3, 3, 2)
             t = prox_map(p, EUC, eps, x).minimizer
@@ -310,7 +316,7 @@ class TestProxSubgradient:
         for K in (KernelSpec.diagonal([1.5, 0.8]),
                   KernelSpec.quadratic([[2.0, 0.4], [0.4, 1.5]])):
             eps = admissible_eps(p, K)
-            lim = residual_bound(p.f.lipschitz_L, K.M, eps)
+            lim = Constants.of(p, SolverConfig.constant(eps, K)).residual
             for _ in range(100):
                 x = rng.uniform(-3, 3, 2)
                 t = prox_map(p, K, eps, x).minimizer
@@ -351,27 +357,24 @@ class TestProxSubgradient:
 
 
 class TestDescentConstants:
+    # Constants(L, rho, m, M, eps_lo, eps_hi, case_id); rho is not in the table
     def test_case4_example(self):
-        c = descent_constants(4, 1.0, 1.0, 1.0, 0.5, 0.5)
-        assert (c.a_frak, c.b_frak, c.c_frak) == (1.0, 1.0, 0.5)
+        c = Constants(1.0, 0.0, 1.0, 1.0, 0.5, 0.5, 4)
+        assert c.descent == (1.0, 1.0, 0.5)
 
     def test_case1_example(self):
-        c = descent_constants(1, 1.0, 1.0, 0.0, 0.25, 0.25)
-        assert (c.a_frak, c.b_frak, c.c_frak) == (2.0, 6.0, 2.0)
+        c = Constants(0.0, 0.0, 1.0, 1.0, 0.25, 0.25, 1)
+        assert c.descent == (2.0, 6.0, 2.0)
 
     def test_case3_example(self):
-        c = descent_constants(3, 1.0, 2.0, 1.0, 0.5, 0.5)
-        assert (c.a_frak, c.b_frak, c.c_frak) == (1.0, 3.5, 0.5)
+        c = Constants(1.0, 0.0, 1.0, 2.0, 0.5, 0.5, 3)
+        assert c.descent == (1.0, 3.5, 0.5)
 
     def test_case2_formula(self):
-        c = descent_constants(2, 1.5, 2.5, 0.7, 0.2, 0.4)
-        assert c.a_frak == 2.0
-        assert c.b_frak == pytest.approx(2.5 / 0.2 + 2.0)
-        assert c.c_frak == pytest.approx(1.5 / 0.4 - 2.7)
-
-    def test_bad_case_rejected(self):
-        with pytest.raises(ValueError):
-            descent_constants(5, 1, 1, 1, 0.1, 0.1)
+        a, b, c = Constants(0.7, 0.0, 1.5, 2.5, 0.2, 0.4, 2).descent
+        assert a == 2.0
+        assert b == pytest.approx(2.5 / 0.2 + 2.0)
+        assert c == pytest.approx(1.5 / 0.4 - 2.7)
 
 
 class TestDescentInequality:
@@ -379,7 +382,7 @@ class TestDescentInequality:
     def test_sampled_slack_nonnegative(self, cid, rng):
         p = descent_case_specs()[cid].build()
         eps = admissible_eps(p, EUC)
-        consts = descent_constants(cid, 1.0, 1.0, p.f.lipschitz_L, eps, eps)
+        consts = table_row(p, cid, eps, eps)
         worst = math.inf
         for _ in range(400):
             x = rng.uniform(-2, 2, 2)
@@ -390,7 +393,7 @@ class TestDescentInequality:
     def test_critical_point_trivial_case(self):
         p = build(np.eye(2), [-1.0, -2.0])
         x = np.array([1.0, 2.0])
-        c = descent_constants(4, 1.0, 1.0, 1.0, 0.4, 0.4)
+        c = table_row(p, 4, 0.4, 0.4)
         assert descent_slack(p, EUC, 0.4, x, x, c) >= -1e-12
 
     @pytest.mark.parametrize("cid", [1, 2])
@@ -400,7 +403,7 @@ class TestDescentInequality:
         p = descent_case_specs()[cid].build()
         hi = admissible_eps(p, EUC)
         lo = 0.5 * hi
-        consts = descent_constants(cid, 1.0, 1.0, p.f.lipschitz_L, lo, hi)
+        consts = table_row(p, cid, lo, hi)
         for _ in range(300):
             eps = float(rng.uniform(lo, hi))
             x, u = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
@@ -411,7 +414,7 @@ class TestDescentInequality:
         p = build([[2.0, 1.5], [1.5, 1.0]], [0.2, -0.1],
                   "scad", {"lam": 0.8, "a": 3.7})
         eps = admissible_eps(p, EUC)
-        consts = descent_constants(1, 1.0, 1.0, p.f.lipschitz_L, eps, eps)
+        consts = table_row(p, 1, eps, eps)
         worst = math.inf
         for _ in range(400):
             x, u = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
@@ -422,7 +425,7 @@ class TestDescentInequality:
         p = descent_case_specs()[4].build()
         K = KernelSpec.diagonal([1.2, 0.9])
         eps = admissible_eps(p, K)
-        consts = descent_constants(4, K.m, K.M, p.f.lipschitz_L, eps, eps)
+        consts = table_row(p, 4, eps, eps, K)
         for _ in range(300):
             x, u = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
             assert descent_slack(p, K, eps, x, u, consts) >= -1e-8
@@ -460,7 +463,7 @@ class TestSemiconvexBounds:
         p = build([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4], g_kind, g_params)
         eps = admissible_eps(p, EUC, margin=0.8)
         X = sample_box(rng, 400, np.zeros(2), 2.0)
-        rep = check_semiconvex_gap_bounds(p, EUC, eps, X, eps)
+        rep = check_semiconvex_gap_bounds(p, EUC, eps, X)
         for key, slack in rep["min_slack"].items():
             assert slack >= -1e-8, (g_kind, key, slack)
 

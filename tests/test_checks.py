@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from vbpg import bregman, checks
-from vbpg.bregman import descent_case, descent_constants, residual_bound
-from vbpg.core import KernelSpec, SolverConfig, sample_box, vector_norm
+from vbpg.core import (Constants, KernelSpec, SolverConfig, sample_box,
+                       validate_config, vector_norm)
 from vbpg.problems import (GridProxOracle, ProblemSpec, ShippedInstance,
                            shipped_instances)
-from vbpg.solver import vbpg_run
+from vbpg.solver import summability_bound, vbpg_run
 
-from reference import certificate, descent_slack, envelope_and_gap
+from reference import (certificate, descent_slack, envelope_and_gap,
+                       restart_F_star)
 
 
 def _ref_gradient_lipschitz(inst, rng, n=1000):
@@ -60,9 +61,9 @@ def _ref_prox_invariants(inst, rng, n=300):
     K = inst.config.kernel_at(0)
     eps = inst.config.eps_at(0)
     L = problem.f.lipschitz_L
-    consts = descent_constants(descent_case(problem), K.m, K.M, L, eps, eps)
+    consts = Constants.of(problem, SolverConfig.constant(eps, K))
     a = 0.5 * (K.m / eps - L)
-    bound = residual_bound(L, K.M, eps)
+    bound = L + K.M / eps
     X = checks._finite_samples(problem, rng, n, inst.box_center(),
                                inst.sample_halfwidth)
     U = checks._finite_samples(problem, rng, n, inst.box_center(),
@@ -183,6 +184,65 @@ def test_solver_run_passes_with_monotone_trace(name):
         return
     trace = vbpg_run(inst.problem(), inst.config, inst.start())
     assert _ref_monotone(trace) and rec["passed"]
+
+
+@pytest.mark.parametrize("dim,g_kind,g_params", [
+    (5, "mcp", {"lam": 0.6, "gamma": 4.0}), (12, "l1", {"lam": 0.3})],
+    ids=["mcp5", "l1_12"])
+def test_solver_run_above_dimension_3_matches_restart_loop(
+        monkeypatch, dim, g_kind, g_params):
+    # no grid oracle above dimension 3: F* comes from one multi-start of
+    # 50 restarts, with the bits of the one-run-at-a-time loop
+    rng = np.random.default_rng(dim)
+    A = rng.standard_normal((dim, dim))
+    spec = ProblemSpec("big", "quadratic",
+                       {"Q": A @ A.T / dim + 0.1 * np.eye(dim),
+                        "b": rng.standard_normal(dim)}, g_kind, g_params, dim)
+    problem = spec.build()
+    eps = 0.9 / problem.f.lipschitz_L
+    config = SolverConfig.constant(eps, KernelSpec.euclidean())
+    inst = ShippedInstance(spec, config, (0.5,) * dim, 2.0)
+    assert validate_config(problem, inst.config).ok
+    runs, F_stars = [], []
+    monkeypatch.setattr(checks, "vbpg_run",
+                        lambda *a: runs.append(a) or vbpg_run(*a))
+    monkeypatch.setattr(checks, "summability_bound",
+                        lambda *a: F_stars.append(a[3])
+                        or summability_bound(*a))
+    rec = checks.check_solver_run(inst, np.random.default_rng(3))
+    assert rec["passed"] and "restart-based F*" in rec["detail"]
+    assert len(runs) == 1  # the checked run; the restarts are one multi-start
+    assert F_stars == [restart_F_star(problem, inst.config, inst.box_center(),
+                                      2.0, np.random.default_rng(3))]
+
+
+@pytest.mark.parametrize("g_kind,g_params", [
+    ("mcp", {"lam": 0.6, "gamma": 4.0}), ("scad", {"lam": 0.5, "a": 3.7})],
+    ids=["mcp", "scad"])
+@pytest.mark.parametrize("Q", [[[2.0, 0.3], [0.3, 1.0]],
+                               [[0.1, 0.0], [0.0, 0.1]], None],
+                         ids=["m_over_L_first", "m_over_rho_first", "L0"])
+def test_semiconvex_suite_runs_exactly_when_config_validates(Q, g_kind,
+                                                             g_params):
+    if Q is None:
+        spec = ProblemSpec("t", "zero", {}, g_kind, g_params, 2)
+    else:
+        spec = ProblemSpec("t", "quadratic", {"Q": Q, "b": [0.5, -0.4]},
+                           g_kind, g_params, 2)
+    problem = spec.build()
+    L, rho = problem.f.lipschitz_L, problem.g.semiconvex_rho
+    caps = [1.0 / rho] + ([1.0 / L] if L > 0 else [])
+    ran = []
+    for cap in caps:
+        for eps in (cap * (1 - 1e-9), cap * (1 + 1e-9)):
+            config = SolverConfig.constant(eps, KernelSpec.euclidean())
+            inst = ShippedInstance(spec, config, (0.5, 0.5), 2.0)
+            rec = checks.check_semiconvex_suite(inst, np.random.default_rng(0))
+            ok = validate_config(problem, config).ok
+            assert (rec is not None) == ok, eps
+            ran.append(ok)
+    # below the smaller cap it runs, above either cap it does not
+    assert ran.count(True) == 1 and len(ran) == 2 * len(caps)
 
 
 def test_monotone_scan_flags_rise_and_stall(monkeypatch):

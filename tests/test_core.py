@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbpg.bregman import subgradient_rows
-from vbpg.core import (KernelSpec, SolverConfig, as_vector, fmt_float,
-                       grid_rows, sample_box, validate_config)
+from vbpg.core import (Constants, KernelSpec, SolverConfig, as_vector,
+                       fmt_float, grid_rows, sample_box, validate_config)
 from vbpg.problems import ProblemSpec, quadratic_objective
 
 from reference import central_difference_error
@@ -53,6 +53,18 @@ class TestValidateConfig:
         assert validate_config(p, cfg).ok
         cfg2 = SolverConfig(epsilons=(0.1, 0.55), kernels=(KernelSpec.euclidean(),))
         assert not validate_config(p, cfg2).ok
+
+
+def test_constants_take_the_bounds_over_the_schedule():
+    p = make_problem([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4], "mcp",
+                     {"lam": 0.6, "gamma": 4.0})
+    cfg = SolverConfig(epsilons=(0.5, 0.4),
+                       kernels=(KernelSpec.euclidean(),
+                                KernelSpec.diagonal([1.25, 0.8])))
+    C = Constants.of(p, cfg)
+    assert (C.m, C.M, C.eps_lo, C.eps_hi) == (0.8, 1.25, 0.4, 0.5)
+    assert (C.L, C.rho) == (p.f.lipschitz_L, 0.25)
+    assert C.case_id == 2  # f convex, MCP not
 
 
 class TestFiniteDiff:

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vbpg.bregman import descent_case, descent_constants
-from vbpg.core import KernelSpec, Problem, SolverConfig, sample_ball
+from vbpg.core import Constants, KernelSpec, Problem, SolverConfig, sample_ball
 from vbpg.diagnostics import (_DRAW_CHUNK, DegenerateSampleError, EBFit,
                               ProbeSamples, SliceEmptyError,
                               SublevelGrid, certify_rate_chain,
@@ -403,8 +402,7 @@ class TestExponentMaps:
         fit = fit_error_bound(samples, "level_subdiff")
         assert fit.exponent == pytest.approx(gamma_t, abs=0.1)
         rep = check_subdiff_implies_prox_eb(
-            samples, sl, fit, p.f.lipschitz_L, 1.0, 1.0,
-            camp.config.eps_at(0), camp.config.eps_at(0))
+            samples, sl, fit, Constants.of(p, camp.config))
         assert not rep["gated"]
         assert rep["p"] == pytest.approx(p_t, abs=0.1)
         assert rep["n_checked"] > 0
@@ -415,28 +413,28 @@ class TestExponentMaps:
         p = lasso_campaign.problem
         rep = check_subdiff_implies_prox_eb(
             lasso_campaign.samples, lasso_campaign.slice, fit,
-            p.f.lipschitz_L, 1.0, 1.0, 0.5, 0.5)
+            Constants.of(p, SolverConfig.constant(0.5, EUC)))
         assert rep["n_violations"] == 0
 
     def test_tiny_gamma_gated_not_overflow(self, lasso_campaign):
         # (c3 (L + M/eps_lo))^(1/gamma) = 30^1000 leaves the float range
         fit = EBFit("level_subdiff", exponent=1e-3, constant=10.0,
                     r_squared=0.0, n_samples=240, violated_fraction=0.0)
+        C = Constants(1.0, 0.0, 1.0, 1.0, 0.5, 0.5, 4)
         rep = check_subdiff_implies_prox_eb(
-            lasso_campaign.samples, lasso_campaign.slice, fit,
-            1.0, 1.0, 1.0, 0.5, 0.5)
+            lasso_campaign.samples, lasso_campaign.slice, fit, C)
         assert rep == {"check": "subdiff_implies_prox_eb", "gated": True,
                        "reason": "theta not finite"}
-        assert certify_rate_chain(0.5, fit, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5) \
+        assert certify_rate_chain(0.5, fit, C, 0.5) \
             == {"gated": True, "reason": "theta not finite"}
 
 
 class TestValueProximity:
     def test_lasso_zero_violations(self, lasso_campaign):
         p = lasso_campaign.problem
-        rep = check_value_proximity(lasso_campaign.samples,
-                                    lasso_campaign.slice.F_bar,
-                                    p.f.lipschitz_L, 1.0, 0.5)
+        rep = check_value_proximity(
+            lasso_campaign.samples, lasso_campaign.slice.F_bar,
+            Constants.of(p, SolverConfig.constant(0.5, EUC)))
         assert rep["min_slack_envelope_vs_proxF"] >= -1e-8
         assert rep["min_slack_c0_bound"] >= -1e-8
 
@@ -451,7 +449,7 @@ class TestValueProximity:
                              "box_halfwidth": 2.0, "resolution": 0.005},
                             seed=11)
         rep = check_value_proximity(camp.samples, camp.slice.F_bar,
-                                    p.f.lipschitz_L, 1.0, 0.4)
+                                    Constants.of(p, cfg))
         assert rep["min_slack_envelope_vs_proxF"] >= -1e-8
         assert rep["min_slack_c0_bound"] >= -1e-8
 
@@ -462,15 +460,16 @@ class TestValueProximity:
                          dist_subdiff=zero, value_gap=zero, dist_prox=zero,
                          dist_crit=zero, property_A=np.ones(1, dtype=bool),
                          gap_value=zero, envelope_value=zero, prox_F=zero)
-        rep = check_value_proximity(s, F_bar=0.0, L=1.0, M=1.0, eps_lo=0.5)
+        rep = check_value_proximity(
+            s, 0.0, Constants(1.0, 0.0, 1.0, 1.0, 0.5, 0.5, 4))
         assert rep["min_slack_envelope_vs_proxF"] >= 0.0
         assert rep["min_slack_c0_bound"] >= 0.0
 
     def test_step_containment(self, lasso_campaign):
         p = lasso_campaign.problem
-        rep = check_step_containment(lasso_campaign.samples,
-                                     lasso_campaign.slice, 1.0,
-                                     p.f.lipschitz_L, 0.5)
+        rep = check_step_containment(
+            lasso_campaign.samples, lasso_campaign.slice,
+            Constants.of(p, SolverConfig.constant(0.5, EUC)))
         assert rep["n_checked"] > 0
         assert rep["n_violations"] == 0
 
@@ -478,8 +477,9 @@ class TestValueProximity:
 class TestGapConditionLinks:
     def test_lasso_both_directions(self, lasso_campaign):
         fit = fit_error_bound(lasso_campaign.samples, "level_bregman")
-        rep = check_gap_condition_links(lasso_campaign.samples, fit,
-                                        1.0, 0.5, 0.0)
+        rep = check_gap_condition_links(
+            lasso_campaign.samples, fit,
+            Constants.of(lasso_campaign.problem, lasso_campaign.config))
         assert not rep["gated"]
         assert rep["q"] == 1.0  # p ~ 1 maps to q = 1
         assert rep["mu_envelope"] > 0
@@ -491,8 +491,9 @@ class TestGapConditionLinks:
 
     def test_gated_without_semiconvexity(self, jump_campaign):
         fit = fit_error_bound(jump_campaign.samples, "level_bregman")
-        rep = check_gap_condition_links(jump_campaign.samples, fit,
-                                        1.0, 0.5, math.inf)
+        rep = check_gap_condition_links(
+            jump_campaign.samples, fit,
+            Constants.of(jump_campaign.problem, jump_campaign.config))
         assert rep["gated"]
 
 
@@ -563,7 +564,8 @@ class TestRateChain:
         # gamma = 1: theta1 = 1 + c3 (L + M/eps_lo), c0 = 3L/2 + M/(2 eps_lo)
         fit = EBFit("level_subdiff", exponent=1.0, constant=1.0,
                     r_squared=1.0, n_samples=100, violated_fraction=0.0)
-        rep = certify_rate_chain(0.9, fit, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5)
+        rep = certify_rate_chain(
+            0.9, fit, Constants(1.0, 0.0, 1.0, 1.0, 0.5, 0.5, 4), 0.5)
         assert rep["theta"] == 4.0
         assert rep["beta_certified"] == pytest.approx(1 / (1 + 0.5 / 40.0))
         assert rep["chain_ok"]
@@ -571,7 +573,8 @@ class TestRateChain:
     def test_nonpositive_exponent_empty(self):
         fit = EBFit("level_subdiff", exponent=-0.2, constant=1.0,
                     r_squared=0.1, n_samples=100, violated_fraction=0.0)
-        assert certify_rate_chain(0.9, fit, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5) == {}
+        C = Constants(1.0, 0.0, 1.0, 1.0, 0.5, 0.5, 4)
+        assert certify_rate_chain(0.9, fit, C, 0.5) == {}
 
 
 class TestRateCertificates:
@@ -592,19 +595,17 @@ class TestRateCertificates:
         beta = rep_rate["beta_levelset"]
         assert beta < 1.0
         refit = np.max(camp.samples.dist_level / camp.samples.dist_subdiff)
-        cc = descent_constants(descent_case(p), K.m, K.M, p.f.lipschitz_L,
-                               0.05, 0.05)
-        rep = check_level_set_rate_certificates(
-            beta, refit, cc.b_frak, cc.c_frak, p.f.lipschitz_L, K.M,
-            0.05, 0.05, K.m, p.g.semiconvex_rho)
+        rep = check_level_set_rate_certificates(beta, refit,
+                                                Constants.of(p, cfg))
         assert "forward_beta_bound" in rep
         assert rep["forward_ok"]
         assert rep["reverse_ok"]
 
     def test_forward_gated_when_b_at_most_one(self):
-        rep = check_level_set_rate_certificates(
-            0.5, 1.0, b_frak=1.0, c_frak=0.5, L=1.0, M=1.0,
-            eps_lo=0.5, eps_hi=0.5, m=1.0, rho=0.0)
+        # case 4 at m = M: b = M/m = 1 and c = 1 - L eps_hi/m = 0.5
+        C = Constants(1.0, 0.0, 1.0, 1.0, 0.5, 0.5, 4)
+        assert C.descent[1:] == (1.0, 0.5)
+        rep = check_level_set_rate_certificates(0.5, 1.0, C)
         assert "forward_gated" in rep
         assert rep["reverse_ok"]  # reverse direction still evaluated
 

@@ -100,6 +100,23 @@ def test_quadratic_row_bits_do_not_depend_on_the_batch(dim, definite):
                               [problem.F(x) for x in X])
 
 
+@pytest.mark.parametrize("dim,sparse", [(5, False), (12, False),
+                                        (500, False), (500, True)])
+def test_quadratic_rows_above_dimension_3_have_the_bits_of_value(dim, sparse):
+    # value_batch makes value's two dots per row, with Q x from the
+    # product gradient_batch uses (over the support of a sparse row)
+    Q = random_Q(dim, definite=False, seed=dim)
+    f = quadratic_objective(0.5 * (Q + Q.T),
+                            np.random.default_rng(dim).standard_normal(dim))
+    rng = np.random.default_rng(dim + 1)
+    X = rng.standard_normal((50, dim))
+    if sparse:
+        X[:, 20:] = 0.0
+    for n in (1, 2, 7, 50):
+        assert np.array_equal(f.value_batch(X[:n]),
+                              [f.value(x) for x in X[:n]])
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("definite", [True, False],
                          ids=["definite", "indefinite"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbpg.core import Constants, KernelSpec, SolverConfig
 from vbpg.problems import (GridProxOracle, JumpQuadraticRegularizer,
                            McpRegularizer, ProblemSpec, build_regularizer,
                            lasso_spec)
@@ -242,10 +243,10 @@ def test_parameter_domain_errors():
 
 
 def test_descent_fixture_cases():
-    from vbpg.bregman import descent_case
     fixtures = descent_case_specs()
     for cid, spec in fixtures.items():
-        assert descent_case(spec.build()) == cid
+        config = SolverConfig.constant(0.1, KernelSpec.euclidean())
+        assert Constants.of(spec.build(), config).case_id == cid
 
 
 def test_certified_L_power_iteration_verified():

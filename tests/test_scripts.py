@@ -150,3 +150,20 @@ def test_artifact_diff_runs_a_sparse_solve_above_dimension_3(tmp_path):
     # threshold, so f takes the support product
     assert summary["terminated_reason"] == "step_tol"
     assert 0 < sum(v != 0.0 for v in summary["final_x"]) <= _SUPPORT_MAX_NNZ
+
+
+def test_artifact_diff_checks_the_sparse_lasso_above_dimension_3(tmp_path):
+    from vbpg.cli import main
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    path = tmp_path / "sparse_lasso_d500.json"
+    assert cmds["check-sparse_lasso_d500"] == ["check", "--config", str(path)]
+    out = tmp_path / "out"
+    assert main(cmds["check-sparse_lasso_d500"]
+                + ["--seed", "7", "--out", str(out)]) == 0
+    records = json.loads((out / "check_report.json").read_text())["records"]
+    solver = [r for r in records if r["name"] == "solver_monotone_summable"]
+    # F* from the restarts: the solver check's path above dimension 3
+    assert solver and "restart-based F*" in solver[0]["detail"]
+    assert all(r["passed"] for r in records)

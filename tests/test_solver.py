@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vbpg.bregman import prox_map, residual_bound
-from vbpg.core import KernelSpec, SolverConfig
+from vbpg.bregman import prox_map
+from vbpg.core import Constants, KernelSpec, SolverConfig
 from vbpg.diagnostics import grid_min_F
 from vbpg.problems import ProblemSpec, lasso_spec
 from vbpg.solver import (block_preconditioner, kernel_schedule_jacobi,
@@ -119,7 +119,8 @@ class TestRun:
             if not p.level_bounded:
                 continue
             cfg = inst.config
-            a = 0.5 * (cfg.m / cfg.eps_hi - p.f.lipschitz_L)
+            C = Constants.of(p, cfg)
+            a = 0.5 * (C.m / C.eps_hi - p.f.lipschitz_L)
             trace = vbpg_run(p, cfg, inst.start())
             fv = trace.f_values
             for k, step in enumerate(trace.step_norms):
@@ -134,8 +135,7 @@ class TestRun:
             trace = vbpg_run(p, inst.config, inst.start())
             if trace.terminated_reason == "max_iters" or not trace.residuals:
                 continue
-            lim = residual_bound(p.f.lipschitz_L, inst.config.M,
-                                 inst.config.eps_lo)
+            lim = Constants.of(p, inst.config).residual
             assert trace.final_residual <= lim * trace.step_norms[-1] * (1 + 1e-9) + 1e-15, name
             step_tol = inst.config.resolved_step_tol(inst.start())
             assert trace.final_residual <= lim * step_tol * (1 + 1e-9) + 1e-15, name
