@@ -12,7 +12,8 @@ and ``quadratic_probe`` at [0.9, -0.2]), ``solve`` and ``probe`` on
 iterative prox path, which no shipped config takes), ``solve`` and
 ``check`` on a generated sparse lasso at d = 500 (above dimension 3,
 where f multiplies by Q over the iterate's support and the check
-estimates F* from restarts), ``check`` and ``compare``.
+estimates F* from restarts), ``solve`` on the same data under MCP
+(gamma = 3) and SCAD (a = 3.7), ``check`` and ``compare``.
 
 Each artifact prints "identical", or each moved CSV column or JSON field
 with its largest absolute change (inf when a value is not a finite
@@ -53,6 +54,10 @@ NON_SEPARABLE = ("quad_mcp", {"kind": "quadratic",
 # 363 of its 427 iterates have at most 32 nonzeros, so its run shows what
 # moves with the product by Q over the support above dimension 3
 SPARSE_LASSO = {"rows": 100, "dim": 500, "support": 5, "data_seed": 2024}
+# the same data under the folded-concave penalties, with their moduli rho:
+# these runs show what moves with the MCP and SCAD proxes at d = 500
+SPARSE_PENALTIES = {"mcp": ({"kind": "mcp", "gamma": 3.0}, 1.0 / 3.0),
+                    "scad": ({"kind": "scad", "a": 3.7}, 1.0 / 2.7)}
 SKIPPED = {"manifest.json"}
 STREAMS = ("stdout.txt", "stderr.txt")
 # exit codes other than 0 that a run is documented to end in: solve on the
@@ -61,9 +66,9 @@ STREAMS = ("stdout.txt", "stderr.txt")
 EXPECTED_EXIT = {"solve-compare_kernels": 5}
 
 
-def sparse_lasso_config() -> dict:
-    """The ``SPARSE_LASSO`` run: A with entries +-1/sqrt(rows), b = A x +
-    noise for a planted sparse x, lam = 0.1 max|A'b| and eps = 0.9/L."""
+def _sparse_data():
+    """The ``SPARSE_LASSO`` data: A with entries +-1/sqrt(rows), b = A x +
+    noise for a planted sparse x, lam = 0.1 max|A'b| and L = ||A'A||."""
     n, d, k = (SPARSE_LASSO[key] for key in ("rows", "dim", "support"))
     rng = np.random.default_rng(SPARSE_LASSO["data_seed"])
     A = rng.choice([-1.0, 1.0], (n, d)) / math.sqrt(n)
@@ -72,12 +77,32 @@ def sparse_lasso_config() -> dict:
                                           * rng.uniform(1.0, 2.0, k))
     b = A @ x + 0.05 * rng.standard_normal(n)
     L = float(np.linalg.eigvalsh(A.T @ A)[-1])
+    return A, b, 0.1 * float(np.max(np.abs(A.T @ b))), L
+
+
+def _sparse_solver(eps: float) -> dict:
+    return {"epsilon": eps, "kernel": {"kind": "euclidean"},
+            "max_iters": 2000, "step_tol": 1e-9}
+
+
+def sparse_lasso_config() -> dict:
+    """The ``SPARSE_LASSO`` run: l1 at eps = 0.9/L."""
+    A, b, lam, L = _sparse_data()
     return {"problem": {"kind": "lasso", "params": {
-                "A": A.tolist(), "b": b.tolist(),
-                "lam": 0.1 * float(np.max(np.abs(A.T @ b)))}},
-            "solver": {"epsilon": 0.9 / L, "kernel": {"kind": "euclidean"},
-                       "max_iters": 2000, "step_tol": 1e-9},
-            "x0": [0.0] * d}
+                "A": A.tolist(), "b": b.tolist(), "lam": lam}},
+            "solver": _sparse_solver(0.9 / L), "x0": [0.0] * A.shape[1]}
+
+
+def sparse_penalty_config(g: dict, rho: float) -> dict:
+    """f(x) = ||Ax - b||^2/2 of the ``SPARSE_LASSO`` data, as the quadratic
+    x'(A'A)x/2 - (A'b)'x, plus the penalty ``g`` (weight lam) of
+    semiconvexity modulus rho, at eps = 0.9 min(1/L, 1/rho)."""
+    A, b, lam, L = _sparse_data()
+    return {"problem": {"kind": "quadratic", "params": {
+                "Q": (A.T @ A).tolist(), "b": (-(A.T @ b)).tolist(),
+                "g": {**g, "lam": lam}}},
+            "solver": _sparse_solver(0.9 * min(1.0 / L, 1.0 / rho)),
+            "x0": [0.0] * A.shape[1]}
 
 
 def commands(config_dir: Path) -> dict[str, list[str]]:
@@ -104,6 +129,10 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
     path.write_text(json.dumps(sparse_lasso_config()))
     for command in ("solve", "check"):
         cmds[f"{command}-{path.stem}"] = [command, "--config", str(path)]
+    for name, (g, rho) in SPARSE_PENALTIES.items():
+        path = config_dir / f"sparse_{name}_d{SPARSE_LASSO['dim']}.json"
+        path.write_text(json.dumps(sparse_penalty_config(g, rho)))
+        cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
     cmds["check"] = ["check"]
     cmds["compare"] = ["compare", "--config",
                        str(CONFIGS / "compare_kernels.json")]

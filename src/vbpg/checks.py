@@ -1,7 +1,8 @@
 """Machine-checkable invariant suite over the shipped instances.
 
-Each check returns a record {name, instance, passed, worst, detail}; the
-suite is what the ``check`` CLI subcommand runs.  ``worst`` is oriented so
+Each check takes an instance, its built problem and a generator, and
+returns a record {name, instance, passed, worst, detail}; the suite is
+what the ``check`` CLI subcommand runs.  ``worst`` is oriented so
 negative means a violation (slack-style) or is the worst observed error
 for approximation checks; tolerances mirror the contracts asserted in the
 test suite.
@@ -14,8 +15,9 @@ import math
 import numpy as np
 
 from .bregman import annotate_points, descent_slack_rows, subgradient_rows
-from .core import (Constants, SolverConfig, grid_rows, min_or_inf, row_dots,
-                   row_norms, sample_box, validate_config, vector_norm)
+from .core import (Constants, Problem, SolverConfig, grid_rows, min_or_inf,
+                   row_dots, row_norms, sample_box, validate_config,
+                   vector_norm)
 from .diagnostics import check_semiconvex_gap_bounds, grid_min_F
 from .problems import GridProxOracle, ShippedInstance, shipped_instances
 from .solver import summability_bound, vbpg_final_points, vbpg_run
@@ -32,8 +34,7 @@ def _finite_samples(problem, rng, n, center, halfwidth):
     return X[keep][:n]
 
 
-def check_gradient_lipschitz(inst: ShippedInstance, rng):
-    problem = inst.problem()
+def check_gradient_lipschitz(inst: ShippedInstance, problem: Problem, rng):
     L = problem.f.lipschitz_L
     X = sample_box(rng, 1000, inst.box_center(), inst.sample_halfwidth)
     Y = sample_box(rng, 1000, inst.box_center(), inst.sample_halfwidth)
@@ -47,7 +48,7 @@ def check_gradient_lipschitz(inst: ShippedInstance, rng):
                    f"max ratio {worst:.6g} vs L={L:g}")
 
 
-def check_kernel_bounds(inst: ShippedInstance, rng):
+def check_kernel_bounds(inst: ShippedInstance, problem: Problem, rng):
     worst = math.inf
     for K in inst.config.kernels:
         X = sample_box(rng, 500, inst.box_center(), inst.sample_halfwidth)
@@ -62,11 +63,10 @@ def check_kernel_bounds(inst: ShippedInstance, rng):
                    worst >= -1e-10, worst)
 
 
-def check_prox_invariants(inst: ShippedInstance, rng):
+def check_prox_invariants(inst: ShippedInstance, problem: Problem, rng):
     """Four records from one array pass of prox solves: the gap identity,
     the descent inequality (against a second sample set), the
     envelope/value decrease and the prox-subgradient bound."""
-    problem = inst.problem()
     K = inst.config.kernel_at(0)
     eps = inst.config.eps_at(0)
     C = Constants.of(problem, SolverConfig.constant(eps, K))
@@ -99,8 +99,7 @@ def check_prox_invariants(inst: ShippedInstance, rng):
             _record("prox_subgradient_bound", name, resid >= -1e-12, resid)]
 
 
-def check_prox_vs_grid(inst: ShippedInstance, rng):
-    problem = inst.problem()
+def check_prox_vs_grid(inst: ShippedInstance, problem: Problem, rng):
     g = problem.g
     oracle = GridProxOracle(g, -10.0, 10.0, 1e-4)
     # one (v, w, eps) row per draw, the same stream as three scalar draws
@@ -115,8 +114,7 @@ def check_prox_vs_grid(inst: ShippedInstance, rng):
                    2e-4 - worst_arg, f"value slack {worst_val:.3g}")
 
 
-def check_semiconvex_midpoint(inst: ShippedInstance, rng):
-    problem = inst.problem()
+def check_semiconvex_midpoint(inst: ShippedInstance, problem: Problem, rng):
     rho = problem.g.semiconvex_rho
     if not math.isfinite(rho):
         return None
@@ -131,8 +129,7 @@ def check_semiconvex_midpoint(inst: ShippedInstance, rng):
                    f"rho={rho:g}")
 
 
-def check_solver_run(inst: ShippedInstance, rng):
-    problem = inst.problem()
+def check_solver_run(inst: ShippedInstance, problem: Problem, rng):
     if not problem.level_bounded:
         return None
     config = inst.config
@@ -175,10 +172,9 @@ def check_solver_run(inst: ShippedInstance, rng):
                    detail + f"; reason={trace.terminated_reason}")
 
 
-def check_level_boundedness(inst: ShippedInstance, rng):
+def check_level_boundedness(inst: ShippedInstance, problem: Problem, rng):
     """Desk-scale scan: the sublevel set {F <= F(x0)} inside a doubled
     sampling box must stay clear of the box boundary."""
-    problem = inst.problem()
     if not problem.level_bounded or problem.dim > 3:
         return None
     hw = 2.0 * inst.sample_halfwidth + 1.0
@@ -193,8 +189,7 @@ def check_level_boundedness(inst: ShippedInstance, rng):
                    -float(leak), f"level={level:.4g}, halfwidth={hw:g}")
 
 
-def check_semiconvex_suite(inst: ShippedInstance, rng):
-    problem = inst.problem()
+def check_semiconvex_suite(inst: ShippedInstance, problem: Problem, rng):
     rho = problem.g.semiconvex_rho
     if not (math.isfinite(rho) and rho > 0):
         return None
@@ -215,13 +210,15 @@ _CHECKS = [check_gradient_lipschitz, check_kernel_bounds, check_prox_invariants,
 
 
 def run_invariant_suite(instances=None, seed: int = 0) -> list:
-    """All invariant checks over the given (default: shipped) instances."""
+    """All invariant checks over the given (default: shipped) instances;
+    each instance's problem is built once and shared by its checks."""
     if instances is None:
         instances = shipped_instances()
     records = []
     for name, inst in instances.items():
+        problem = inst.problem()
         for check in _CHECKS:
-            rec = check(inst, np.random.default_rng(seed))
+            rec = check(inst, problem, np.random.default_rng(seed))
             if isinstance(rec, list):
                 records.extend(rec)
             elif rec is not None:

@@ -442,10 +442,6 @@ class ValidationReport:
     violations: tuple
     checked: tuple
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "violations": list(self.violations),
-                "checked": list(self.checked)}
-
 
 def validate_config(problem: Problem, config: SolverConfig) -> ValidationReport:
     """Report-only admissibility check of a (problem, config) pairing.
@@ -458,10 +454,6 @@ def validate_config(problem: Problem, config: SolverConfig) -> ValidationReport:
     checked = []
     C = Constants.of(problem, config)
     m, L, rho, eps_hi = C.m, C.L, C.rho, C.eps_hi
-
-    checked.append("m <= M")
-    if m > C.M:
-        violations.append("m <= M violated")
 
     lim = m / L if L > 0 else math.inf
     checked.append("eps_max < m/L (prox nonemptiness)")

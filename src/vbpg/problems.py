@@ -2,12 +2,20 @@
 closed-form scaled proxes and certified semiconvexity moduli, and the
 jump counterexample used by the level-set diagnostics.
 
-Scaled proxes for the folded-concave penalties (SCAD, MCP) enumerate the
-stationary point of every quadratic piece clipped to its piece, plus the
-piece boundaries, and pick the global minimum by direct evaluation; ties
-within 1e-10 are broken toward the candidate of smaller |t| and flagged.
-This avoids the sign errors that plague published closed forms and is
-verified against a dense grid oracle in the test suite.
+Scaled proxes for the folded-concave penalties (SCAD, MCP) are defined
+by an enumeration: the stationary point of every quadratic piece clipped
+to its piece, plus the piece boundaries, evaluated directly for the
+global minimum; ties within 1e-10 (1 + |min|) are broken toward the
+candidate of smaller |t| and flagged.  This avoids the sign errors that
+plague published closed forms and is verified against a dense grid
+oracle in the test suite.
+
+Where the subproblem is strongly convex (mu = kappa - rho > 0, as under
+every admissible step eps < m/rho) the prox takes the minimizer of the
+one piece that holds it, and enumerates only the entries in the band
+where another candidate could come within the tie tolerance (see
+``_direct_prox``).  Outside the band the enumeration would return that
+same candidate, so the tie rule and every bit it picks are unchanged.
 """
 
 from __future__ import annotations
@@ -34,19 +42,23 @@ def _pick_candidate(C: Array, H: Array) -> tuple[Array, Array]:
     """Columnwise global minimum over stacked candidates C with values H,
     both (k, n).  Candidates within 1e-10 (1 + |min|) of the minimum tie;
     the smallest |t| wins, then the smallest t.  ``tied`` flags columns
-    whose tied candidates lie more than 1e-9 apart."""
-    cols = np.arange(C.shape[1])
-    j = H.argmin(axis=0)
-    best, t = H[j, cols], C[j, cols]
+    whose tied candidates lie more than 1e-9 apart.  A column whose tied
+    candidates are all equal, or that has none (a NaN value), returns its
+    first minimizer."""
+    best = H.min(axis=0)
     tied = H <= best + _TIE_TOL * (1.0 + np.abs(best))
-    if not np.count_nonzero(tied & (C != t)):
-        # every tie is a copy of the argmin: the usual case
-        return t, np.zeros(t.shape, dtype=bool)
+    lo = np.where(tied, C, np.inf).min(axis=0)
+    hi = np.where(tied, C, -np.inf).max(axis=0)
+    if (lo == hi).all():
+        # every tie is a copy of one candidate: the usual case.  Equal
+        # candidates have equal values, so where C[0] equals lo it is the
+        # first minimizer, and its sign of zero is the one to return
+        return np.where(lo == C[0], C[0], lo), np.zeros(lo.shape, dtype=bool)
+    t = C[H.argmin(axis=0), np.arange(C.shape[1])]
     a = np.where(tied, np.abs(C), np.inf).min(axis=0)
-    t = np.where((tied & (C == -a)).any(axis=0) & (a > 0.0), -a, a)
-    spread = (np.where(tied, C, -np.inf).max(axis=0)
-              - np.where(tied, C, np.inf).min(axis=0))
-    return t, spread > _TIE_SEP
+    rule = np.where((tied & (C == -a)).any(axis=0) & (a > 0.0), -a, a)
+    spread = hi - lo
+    return np.where(spread > 0.0, rule, t), spread > _TIE_SEP
 
 
 def _nonzero_den(den: Array) -> tuple[Array, Optional[Array]]:
@@ -72,6 +84,32 @@ def _quadratic_pick(g: "Regularizer", C: Array, v: Array, kappa: Array,
     H[:k] += g_const
     H[k:] += g.values(C[k:])
     return _pick_candidate(C, H)
+
+
+def _direct_prox(enumerate_, v: Array, kappa, mu, r: Array, d: Array,
+                 kv2: Array) -> tuple[Array, Array]:
+    """Scaled prox entries from the direct minimizer r >= 0 of
+    h(t) = g(t) + (kappa/2)(t - |v|)^2, where d is the distance from r to
+    the nearest other candidate of the enumeration ``enumerate_(v, kappa)``
+    and kv2 = kappa v^2.
+
+    Where mu = kappa - rho > 0, h is mu-strongly convex, so every candidate
+    c has h(c) - min h >= (mu/2)(c - r)^2 up to roundoff, and min h is at
+    most h(0) = kv2/2.  So where mu d^2 > 4e-10 (1 + kv2) no other
+    candidate comes within the 1e-10 tie tolerance, and the enumeration
+    would pick r's own candidate: copysign(r, v), whose bits negation
+    keeps.  The other entries (the tie band, mu <= 0, a non-finite v) are
+    enumerated."""
+    fast = mu * (d * d) > 4.0 * _TIE_TOL * (1.0 + kv2)
+    t = np.copysign(r, v)
+    t += 0.0  # the enumeration's zero candidate is +0.0
+    tied = np.zeros(t.shape, dtype=bool)
+    if not fast.all():
+        slow = np.flatnonzero(~fast)
+        if np.ndim(kappa):
+            kappa = np.broadcast_to(kappa, v.shape)[slow]
+        t[slow], tied[slow] = enumerate_(v[slow], kappa)
+    return t, tied
 
 
 def _kink_parts(t: Array, grad_f: Array, lam: float, slope: Array) -> Array:
@@ -203,7 +241,23 @@ class ScadRegularizer(Regularizer):
 
     def prox(self, v, weights, eps):
         lam, a = self.lam, self.a
+        al, s = a * lam, a * lam / (a - 1.0)
         kappa = weights / eps
+        mu = kappa - 1.0 / (a - 1.0)
+        u = np.abs(v)
+        ku = kappa * u
+        # the flat tail, else the l1 piece, else the blended middle piece
+        l1 = u - lam / kappa
+        in_l1 = l1 <= lam
+        mid = _clip((ku - s) / _nonzero_den(mu)[0], lam, al)
+        r = np.where(u >= al, u, np.where(in_l1, _clip(l1, 0.0, lam), mid))
+        # the other candidates nearest r: lam, a lam and, unless r is 0, 0
+        d = np.minimum(np.minimum(np.abs(r - lam), np.abs(r - al)),
+                       r + lam * (r == 0.0))
+        return _direct_prox(self._enumerate, v, kappa, mu, r, d, ku * u)
+
+    def _enumerate(self, v, kappa):
+        lam, a = self.lam, self.a
         C = np.empty((10, v.size))
         C[:5] = self._const
         # piece |t| <= lam: kink at 0 handled by the 0 candidate
@@ -255,6 +309,20 @@ class McpRegularizer(Regularizer):
     def prox(self, v, weights, eps):
         lam, gl = self.lam, self.gamma * self.lam
         kappa = weights / eps
+        mu = kappa - 1.0 / self.gamma
+        u = np.abs(v)
+        ku = kappa * u
+        # the flat tail, else the firm-threshold point
+        firm = _clip((ku - lam) / _nonzero_den(mu)[0], 0.0, gl)
+        r = np.where(u >= gl, u, firm)
+        # the other candidates nearest r: gl, even where r equals it (at
+        # v = gl the firm-threshold point can round one ulp below gl and
+        # tie with v), and 0 unless r is 0
+        d = np.minimum(np.abs(r - gl), r + gl * (r == 0.0))
+        return _direct_prox(self._enumerate, v, kappa, mu, r, d, ku * u)
+
+    def _enumerate(self, v, kappa):
+        lam, gl = self.lam, self.gamma * self.lam
         C = np.empty((6, v.size))
         C[:3] = self._const
         # firm-threshold points; where den = 0 they fall back to 0

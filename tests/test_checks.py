@@ -172,14 +172,16 @@ CASES = [(name, seed) for name in sorted(INSTANCES) for seed in (0, 12345)
         "prox_invariants"])
 def test_array_check_matches_per_sample_loop(check, ref, exact, name, seed):
     inst = INSTANCES[name]
-    _assert_same_records(check(inst, np.random.default_rng(seed)),
-                         ref(inst, np.random.default_rng(seed)), exact)
+    _assert_same_records(
+        check(inst, inst.problem(), np.random.default_rng(seed)),
+        ref(inst, np.random.default_rng(seed)), exact)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_solver_run_passes_with_monotone_trace(name):
     inst = INSTANCES[name]
-    rec = checks.check_solver_run(inst, np.random.default_rng(0))
+    rec = checks.check_solver_run(inst, inst.problem(),
+                                  np.random.default_rng(0))
     if rec is None:
         return
     trace = vbpg_run(inst.problem(), inst.config, inst.start())
@@ -209,7 +211,7 @@ def test_solver_run_above_dimension_3_matches_restart_loop(
     monkeypatch.setattr(checks, "summability_bound",
                         lambda *a: F_stars.append(a[3])
                         or summability_bound(*a))
-    rec = checks.check_solver_run(inst, np.random.default_rng(3))
+    rec = checks.check_solver_run(inst, problem, np.random.default_rng(3))
     assert rec["passed"] and "restart-based F*" in rec["detail"]
     assert len(runs) == 1  # the checked run; the restarts are one multi-start
     assert F_stars == [restart_F_star(problem, inst.config, inst.box_center(),
@@ -237,7 +239,8 @@ def test_semiconvex_suite_runs_exactly_when_config_validates(Q, g_kind,
         for eps in (cap * (1 - 1e-9), cap * (1 + 1e-9)):
             config = SolverConfig.constant(eps, KernelSpec.euclidean())
             inst = ShippedInstance(spec, config, (0.5, 0.5), 2.0)
-            rec = checks.check_semiconvex_suite(inst, np.random.default_rng(0))
+            rec = checks.check_semiconvex_suite(inst, problem,
+                                                np.random.default_rng(0))
             ok = validate_config(problem, config).ok
             assert (rec is not None) == ok, eps
             ran.append(ok)
@@ -256,10 +259,12 @@ def test_monotone_scan_flags_rise_and_stall(monkeypatch):
             bad.f_values[2] = bad.f_values[1]  # equal F after a real step
         assert not _ref_monotone(bad)
         monkeypatch.setattr(checks, "vbpg_run", lambda *a, _t=bad: _t)
-        rec = checks.check_solver_run(inst, np.random.default_rng(0))
+        rec = checks.check_solver_run(inst, inst.problem(),
+                                      np.random.default_rng(0))
         assert not rec["passed"] and rec["worst"] == -1.0
     monkeypatch.setattr(checks, "vbpg_run", lambda *a: trace)
-    assert checks.check_solver_run(inst, np.random.default_rng(0))["passed"]
+    assert checks.check_solver_run(inst, inst.problem(),
+                                   np.random.default_rng(0))["passed"]
 
 
 def test_suite_call_counts(monkeypatch):
@@ -281,10 +286,12 @@ def test_suite_call_counts(monkeypatch):
     assert all(K.diag_weights(inst.spec.dimension) is not None
                for inst in insts.values() for K in inst.config.kernels)
     for inst in insts.values():
-        checks.check_prox_invariants(inst, np.random.default_rng(0))
+        checks.check_prox_invariants(inst, inst.problem(),
+                                     np.random.default_rng(0))
     assert calls["prox"] == 0
     for inst in insts.values():
-        checks.check_prox_vs_grid(inst, np.random.default_rng(0))
+        checks.check_prox_vs_grid(inst, inst.problem(),
+                                  np.random.default_rng(0))
     assert calls["argmin_many"] == len(insts)
 
 

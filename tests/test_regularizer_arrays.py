@@ -370,6 +370,95 @@ def test_prox_1d_view():
     assert prox_at(g, 1.0, 2.0, 4.0) == (float(t[1]), bool(tied[1]))
 
 
+# ---------------------------------------------------------------------------
+# MCP and SCAD: the direct minimizer against the kept enumeration
+# ---------------------------------------------------------------------------
+
+FOLDED = [("mcp", {"lam": 1.0, "gamma": 2.5}, _RefMcp(1.0, 2.5)),
+          ("mcp", {"lam": 0.6, "gamma": 4.0}, _RefMcp(0.6, 4.0)),
+          ("scad", {"lam": 1.0, "a": 3.7}, _RefScad(1.0, 3.7)),
+          ("scad", {"lam": 0.5, "a": 3.0}, _RefScad(0.5, 3.0))]
+FOLDED_IDS = [f"{k}-{'-'.join(f'{v:g}' for v in p.values())}"
+              for k, p, _ in FOLDED]
+# eps rho on both sides of 1 (the subproblem is strongly convex below it),
+# and exactly 1, where the middle candidates drop out
+EPS_RHO = (0.05, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 4.0)
+OFFSETS = np.concatenate([[0.0], np.logspace(-16, -3, 40)])
+OFFSETS = np.concatenate([OFFSETS, -OFFSETS[1:]])
+
+
+def _thresholds(kind, params, kappa):
+    """The v where the enumeration's winner changes piece, per entry of
+    kappa: lam/kappa and gamma lam for MCP; lam/kappa, lam (1 + 1/kappa)
+    and a lam for SCAD."""
+    lam = params["lam"]
+    if kind == "mcp":
+        return [lam / kappa, np.full_like(kappa, params["gamma"] * lam)]
+    return [lam / kappa, lam * (1.0 + 1.0 / kappa),
+            np.full_like(kappa, params["a"] * lam)]
+
+
+def _prox_inputs(kind, params, rng):
+    """(v, weights, eps) calls: per eps, one with the scalar weight 1.0 and
+    one with a weight vector, each on uniform draws and on every threshold
+    moved by 0 and +-1e-16 .. 1e-3, both signs, plus +-0.0."""
+    rho = build_regularizer(kind, params).semiconvex_rho
+    calls = []
+    for er in EPS_RHO:
+        eps = er / rho
+        for weights in (1.0, rng.uniform(0.5, 2.0, 24)):
+            kappa = np.atleast_1d(weights / eps)
+            near = np.concatenate([(th[:, None] + OFFSETS).ravel()
+                                   for th in _thresholds(kind, params, kappa)])
+            v = np.concatenate([near, -near, [0.0, -0.0],
+                                rng.uniform(-8.0, 8.0, 6000) * params["lam"]])
+            if np.ndim(weights):
+                weights = np.resize(weights, v.size)
+            calls.append((v, weights, eps))
+    return calls
+
+
+@pytest.mark.parametrize("kind,params,ref", FOLDED, ids=FOLDED_IDS)
+def test_direct_prox_matches_the_enumeration_bit_for_bit(kind, params, ref):
+    g = build_regularizer(kind, params)
+    rng = np.random.default_rng(18)
+    calls = _prox_inputs(kind, params, rng)
+    assert sum(v.size for v, _, _ in calls) >= 100_000
+    sample = []
+    for v, weights, eps in calls:
+        t, tied = g.prox(v, weights, eps)
+        t_enum, tied_enum = g._enumerate(v, weights / eps)
+        # signed zeros count: compare the bits
+        assert np.array_equal(t.view(np.int64), t_enum.view(np.int64))
+        assert np.array_equal(tied, tied_enum)
+        w = np.broadcast_to(weights, v.shape)
+        pick = rng.choice(v.size, 320, replace=False)
+        sample += [(v[i], w[i], eps, t[i], tied[i]) for i in pick]
+    # and a subsample against the per-coordinate reference
+    assert len(sample) >= 5000
+    for vi, wi, ei, ti, tie in sample:
+        assert ref.prox(float(vi), float(wi), ei) == (ti, tie), (vi, wi, ei)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("mcp", {"lam": 0.3, "gamma": 3.0}), ("scad", {"lam": 0.3, "a": 3.7})],
+    ids=["mcp", "scad"])
+def test_direct_prox_enumerates_no_entry_of_a_generic_input(kind, params):
+    # a d = 500 prox at eps = 0.9 m/rho, as the solver takes it: no entry
+    # lands in the tie band, so none goes through the enumeration
+    g = build_regularizer(kind, params)
+    enumerated = []
+    g._enumerate = lambda v, kappa, _e=g._enumerate: (
+        enumerated.append(v.size) or _e(v, kappa))
+    rng = np.random.default_rng(500)
+    v = rng.normal(0.0, 0.5, 500)
+    for weights in (1.0, rng.uniform(0.5, 2.0, 500)):
+        eps = 0.9 * np.min(weights) / g.semiconvex_rho
+        t, tied = g.prox(v, weights, eps)
+        assert not tied.any()
+    assert enumerated == []
+
+
 def _counted(problem_spec):
     """The spec's problem with counters on grad f, f and g."""
     p = problem_spec.build()

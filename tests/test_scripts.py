@@ -167,3 +167,29 @@ def test_artifact_diff_checks_the_sparse_lasso_above_dimension_3(tmp_path):
     # F* from the restarts: the solver check's path above dimension 3
     assert solver and "restart-based F*" in solver[0]["detail"]
     assert all(r["passed"] for r in records)
+
+
+def test_artifact_diff_solves_the_sparse_data_under_mcp_and_scad(tmp_path):
+    from vbpg.cli import main
+    from vbpg.problems import _SUPPORT_MAX_NNZ
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    lasso = script["sparse_lasso_config"]()
+    _, _, lam, L = script["_sparse_data"]()
+    for name, rho in (("mcp", 1.0 / 3.0), ("scad", 1.0 / 2.7)):
+        path = tmp_path / f"sparse_{name}_d500.json"
+        assert cmds[f"solve-sparse_{name}_d500"] == ["solve", "--config",
+                                                     str(path)]
+        cfg = json.loads(path.read_text())
+        assert cfg["problem"]["params"]["g"]["kind"] == name
+        assert cfg["problem"]["params"]["g"]["lam"] == lam
+        assert lasso["problem"]["params"]["lam"] == lam
+        assert cfg["solver"]["epsilon"] == 0.9 * min(1.0 / L, 1.0 / rho)
+        out = tmp_path / name
+        assert main(cmds[f"solve-sparse_{name}_d500"]
+                    + ["--seed", "7", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["terminated_reason"] == "step_tol"
+        # a sparse end point, as under l1
+        assert 0 < sum(v != 0.0 for v in summary["final_x"]) <= _SUPPORT_MAX_NNZ
