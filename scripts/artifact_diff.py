@@ -13,7 +13,9 @@ iterative prox path, which no shipped config takes), ``solve`` and
 ``check`` on a generated sparse lasso at d = 500 (above dimension 3,
 where f multiplies by Q over the iterate's support and the check
 estimates F* from restarts), ``solve`` on the same data under MCP
-(gamma = 3) and SCAD (a = 3.7), ``check`` and ``compare``.
+(gamma = 3) and SCAD (a = 3.7), ``solve`` and ``probe`` on the
+nonconvex scalar profile ``pl_nonconvex`` (probed off its minimizer, at
+0.7), ``check`` and ``compare``.
 
 Each artifact prints "identical", or each moved CSV column or JSON field
 with its largest absolute change (inf when a value is not a finite
@@ -58,6 +60,12 @@ SPARSE_LASSO = {"rows": 100, "dim": 500, "support": 5, "data_seed": 2024}
 # these runs show what moves with the MCP and SCAD proxes at d = 500
 SPARSE_PENALTIES = {"mcp": ({"kind": "mcp", "gamma": 3.0}, 1.0 / 3.0),
                     "scad": ({"kind": "scad", "a": 3.7}, 1.0 / 2.7)}
+# f(x) = x^2 + 3 sin(x)^2 from x0 = 2.5, as the invariant suite's
+# pl_profile, probed at 0.7 rather than at its minimizer: these runs show
+# what moves with the scalar profiles' formula, which no shipped config uses
+PL_PROFILE = {"problem": {"kind": "profile", "params": {"id": "pl_nonconvex"}},
+              "solver": {"epsilon": 0.1, "kernel": {"kind": "euclidean"}},
+              "x0": [2.5], "probe": {"center": [0.7]}}
 SKIPPED = {"manifest.json"}
 STREAMS = ("stdout.txt", "stderr.txt")
 # exit codes other than 0 that a run is documented to end in: solve on the
@@ -133,6 +141,10 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
         path = config_dir / f"sparse_{name}_d{SPARSE_LASSO['dim']}.json"
         path.write_text(json.dumps(sparse_penalty_config(g, rho)))
         cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
+    path = config_dir / "pl_profile.json"
+    path.write_text(json.dumps(PL_PROFILE))
+    for command in ("solve", "probe"):
+        cmds[f"{command}-{path.stem}"] = [command, "--config", str(path)]
     cmds["check"] = ["check"]
     cmds["compare"] = ["compare", "--config",
                        str(CONFIGS / "compare_kernels.json")]

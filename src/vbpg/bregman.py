@@ -171,7 +171,7 @@ def prox_points(problem: Problem, K: KernelSpec, eps: float, X: Array,
     regularizer call over all entries; other kernels step every row
     through the inner loop at once, one regularizer call per step."""
     if grad_X is None:
-        grad_X = problem.f.gradient_batch(X)
+        grad_X = problem.f.gradient(X)
     weights = K.diag_weights(problem.dim)
     if weights is None:
         return _accelerated_prox(problem, K, eps, X, grad_X)[0]
@@ -204,17 +204,17 @@ def annotate_points(problem: Problem, K: KernelSpec, eps: float,
     pass.
 
     The prox points carry the bits of ``prox_map``; E, G and F(T x) sum f
-    and g over the rows with ``value_batch``, so they agree with the
-    per-point f(x) + ``subproblem_value`` and ``F`` up to summation
-    roundoff."""
+    over the rows (with the bits of ``f.value``) and g with ``value_batch``,
+    so they agree with the per-point f(x) + ``subproblem_value`` and ``F``
+    up to summation roundoff."""
     f, g = problem.f, problem.g
-    grad = f.gradient_batch(X)
+    f_X, grad = f.value_grad(X)
     T = prox_points(problem, K, eps, X, grad)
     g_T = g.value_batch(T)
     sub = row_dots(grad, T - X) + g_T + K.distance(X, T) / eps
     return PointAnnotation(
-        envelope=f.value_batch(X) + sub,
-        gap=(g.value_batch(X) - sub) / eps, prox_F=f.value_batch(T) + g_T,
+        envelope=f_X + sub,
+        gap=(g.value_batch(X) - sub) / eps, prox_F=f.value(T) + g_T,
         dist_subdiff=row_norms(g.subdiff_parts(X, grad)),
         dist_prox=row_norms(X - T), prox_point=T, grad=grad)
 

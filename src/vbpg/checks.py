@@ -40,8 +40,8 @@ def check_gradient_lipschitz(inst: ShippedInstance, problem: Problem, rng):
     Y = sample_box(rng, 1000, inst.box_center(), inst.sample_halfwidth)
     dxy = row_norms(X - Y)
     keep = dxy >= 1e-12
-    ratio = row_norms(problem.f.gradient_batch(X[keep])
-                      - problem.f.gradient_batch(Y[keep])) / dxy[keep]
+    ratio = row_norms(problem.f.gradient(X[keep])
+                      - problem.f.gradient(Y[keep])) / dxy[keep]
     worst = float(np.max(ratio, initial=0.0))
     ok = worst <= L * (1.0 + 1e-9) + 1e-12
     return _record("gradient_lipschitz_ratio", inst.spec.name, ok, L - worst,
@@ -85,7 +85,7 @@ def check_prox_invariants(inst: ShippedInstance, problem: Problem, rng):
                                             problem.F_batch(U[:k])))
     r2 = row_dots(X - T, X - T)
     decrease = min_or_inf(np.minimum(E - C.a * r2 - Ft, Fx - C.a * r2 - Ft))
-    xi = subgradient_rows(eps, ann.grad, problem.f.gradient_batch(T),
+    xi = subgradient_rows(eps, ann.grad, problem.f.gradient(T),
                           K.grad_y(X, T))
     resid = min_or_inf(C.residual * ann.dist_prox * (1 + 1e-9)
                        - row_norms(xi))

@@ -156,11 +156,12 @@ def kernel_from_config(kc, problem: Problem) -> KernelSpec:
 
 def _hessian_of(problem: Problem):
     # recover the Hessian of a quadratic objective from gradient
-    # differences, then verify the gradient really is affine: jacobi
+    # differences (column j is grad f(e_j) - grad f(0), from the rows of I
+    # in one call), then verify the gradient really is affine: jacobi
     # kernels are only certifiable for quadratic f
     dim = problem.dim
     g0 = problem.f.gradient(np.zeros(dim))
-    H = np.column_stack([problem.f.gradient(e) - g0 for e in np.eye(dim)])
+    H = (problem.f.gradient(np.eye(dim)) - g0).T.copy()
     x_chk = np.linspace(0.3, 1.1, dim)
     if not np.allclose(problem.f.gradient(x_chk), H @ x_chk + g0,
                        rtol=1e-9, atol=1e-9):

@@ -95,25 +95,22 @@ class SmoothObjective:
     ``lipschitz_L`` certifies ||grad f(x) - grad f(y)|| <= L ||x - y||;
     it is supplied analytically by the problem builders (largest singular
     value of the Hessian for quadratics, spectral bound for logistic
-    losses).  ``value_batch`` and ``gradient_batch`` evaluate f and its
-    gradient on the rows of an (n, dim) array, so grid oracles and
-    multi-start runs stay vectorized; ``gradient_batch`` gives each row
-    the bits of ``gradient``, and a quadratic's ``value_batch`` (``value``'s
-    two dots per row above dimension 3) the bits of ``value``.
-    ``value_and_gradient`` returns both at one
-    point, with the bits of ``value`` and ``gradient``, for objectives
-    that share work between them.  ``value_columns``, when set, is f as
-    one formula of the coordinate columns (Python floats, batch columns
-    or broadcast grid axes) that ``value`` and ``value_batch`` are views
-    of, so f takes a grid's values from its axes (``value_grid``).
+    losses).  ``value``, ``gradient`` and ``value_and_gradient`` work over
+    the last axis: one point gives a Python float and a vector, and the
+    rows of an (n, dim) array give n values and n gradients, each row with
+    the bits of its one-point call, so grid oracles and multi-start runs
+    stay vectorized.  ``value_and_gradient``, when set, returns both with
+    the bits of ``value`` and ``gradient``, for objectives that share work
+    between them.  ``value_columns``, when set, is f as one formula of the
+    coordinate columns (Python floats, batch columns or broadcast grid
+    axes) that ``value`` is a view of, so f takes a grid's values from its
+    axes (``value_grid``).
     """
 
     value: Callable[[Array], float]
     gradient: Callable[[Array], Array]
     lipschitz_L: float
     convex: bool
-    value_batch: Callable[[Array], Array]
-    gradient_batch: Callable[[Array], Array]
     value_and_gradient: Optional[Callable[[Array], tuple]] = None
     value_columns: Optional[Callable] = None
 
@@ -121,16 +118,16 @@ class SmoothObjective:
         if self.lipschitz_L < 0:
             raise ValueError("lipschitz_L must be nonnegative")
 
-    def value_grad(self, x: Array) -> tuple[float, Array]:
+    def value_grad(self, x: Array) -> tuple:
         if self.value_and_gradient is not None:
             return self.value_and_gradient(x)
         return self.value(x), self.gradient(x)
 
     def value_grid(self, axes) -> Array:
-        """``value_batch(grid_rows(axes))`` bit for bit; from the broadcast
-        axes, without the rows, when f has ``value_columns``."""
+        """``value(grid_rows(axes))`` bit for bit; from the broadcast axes,
+        without the rows, when f has ``value_columns``."""
         if self.value_columns is None:
-            return self.value_batch(grid_rows(axes))
+            return self.value(grid_rows(axes))
         return self.value_columns(np.ix_(*axes)).ravel()
 
 
@@ -210,12 +207,12 @@ class Problem:
     level_bounded: bool = True
 
     def F(self, x: Array) -> float:
-        """F at one point; where f has ``value_columns`` (a quadratic at
-        dimension <= 3), the bits of ``F_batch(x[None])[0]``."""
+        """F at one point, with the bits of ``F_batch(x[None])[0]`` at
+        dimension <= 3 (above it, g's one-point sum may round otherwise)."""
         return self.f.value(x) + self.g.value(x)
 
     def F_batch(self, X: Array) -> Array:
-        return self.f.value_batch(X) + self.g.value_batch(X)
+        return self.f.value(X) + self.g.value_batch(X)
 
     def F_grid(self, axes) -> Array:
         """``F_batch(grid_rows(axes))`` bit for bit, with g evaluated once

@@ -872,19 +872,18 @@ def certify_growth_conditions(problem: Problem, slice_: LevelSlice,
     X = sample_ball(rng, 400, slice_.center, eta)
     Y = sample_ball(rng, 400, slice_.center, eta)
     f = problem.f
-    FX, GX = f.value_batch(X), f.gradient_batch(X)
+    FX, GX = f.value_grad(X)
     # projections onto the critical set, and f and grad f there
     jx, _ = nearest_in_set(X, crit_points)
     jy, _ = nearest_in_set(Y, crit_points)
     XP, YP = crit_points[jx], crit_points[jy]
-    FXP = f.value_batch(crit_points)[jx]
-    GXP = f.gradient_batch(crit_points)[jx]
+    FXP, GXP = (a[jx] for a in f.value_grad(crit_points))
 
     dxy, dxp = row_norms(Y - X), row_norms(XP - X)
     moved, off = dxy > 1e-10, dxp > 1e-8
     fgap = FX - f.value(slice_.center)
     with np.errstate(divide="ignore", invalid="ignore"):  # masked rows
-        quad = 2.0 * (f.value_batch(Y) - FX - row_dots(GX, Y - X)) / dxy ** 2
+        quad = 2.0 * (f.value(Y) - FX - row_dots(GX, Y - X)) / dxy ** 2
         ratios = {
             "lsc": quad[moved],
             "lesc": quad[moved & (row_norms(XP - YP) <= 1e-8)],

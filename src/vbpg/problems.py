@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -474,45 +475,48 @@ _SUPPORT_MIN_DIM = 400
 _SUPPORT_MAX_NNZ = 32
 
 
+def _point_or_rows(x: Array, values):
+    """f's values over the last axis of x: a Python float for one point."""
+    return float(values) if x.ndim == 1 else values
+
+
 def _hessian_product(Q: Array):
-    """x -> Q x, as ``Q[:, S] @ x[S]`` over the support S of x when
-    d >= 400 and |S| <= 32, else as the dense product.  Columns of Q, not
-    rows: Q is symmetric only within ``np.allclose``, and ``x[S] @ Q[S]``
-    would be Q'x.
+    """x -> Q x over the last axis, each row with the bits of its one-point
+    product: ``Q[:, S] @ x[S]`` over the support S of x when d >= 400 and
+    |S| <= 32, else the dense ``matvec_rows``.  Columns of Q, not rows: Q
+    is symmetric only within ``np.allclose``, and ``x[S] @ Q[S]`` would be
+    Q'x.
 
     The last gathered columns are kept and reused while the support stays
     the same, as a solver's iterates keep theirs for many iterations; they
     hold the same values as a fresh gather, so the bits do not depend on
     the calls before.  The pair (S, Q[:, S]) is replaced as one tuple, so
     threads sharing the function read a matching pair."""
+    if len(Q) < _SUPPORT_MIN_DIM:
+        return partial(matvec_rows, Q)
     last = [(np.empty(0, dtype=np.intp), Q[:, :0])]
 
-    def product(x: Array) -> Array:
-        if len(x) >= _SUPPORT_MIN_DIM:
-            S = x.nonzero()[0]
-            if S.size <= _SUPPORT_MAX_NNZ:
-                S_last, Q_S = last[0]
-                if S.size != S_last.size or not (S == S_last).all():
-                    Q_S = Q[:, S]
-                    last[0] = (S, Q_S)
-                return Q_S @ x[S]
-        return Q @ x
+    def support_product(x: Array) -> Array:
+        S = x.nonzero()[0]
+        if S.size > _SUPPORT_MAX_NNZ:
+            return Q @ x
+        S_last, Q_S = last[0]
+        if S.size != S_last.size or not (S == S_last).all():
+            Q_S = Q[:, S]
+            last[0] = (S, Q_S)
+        return Q_S @ x[S]
+
+    def product(X: Array) -> Array:
+        if X.ndim == 1:
+            return support_product(X)
+        sparse = np.count_nonzero(X, axis=1) <= _SUPPORT_MAX_NNZ
+        QX = np.empty(X.shape)
+        QX[~sparse] = matvec_rows(Q, X[~sparse])
+        for i in np.flatnonzero(sparse):
+            QX[i] = support_product(X[i])
+        return QX
 
     return product
-
-
-def _hessian_rows(Q: Array, product, X: Array) -> Array:
-    """``product`` (a ``_hessian_product`` of Q) of each row of X, bit for
-    bit: the dense rows go through ``matvec_rows``, the sparse ones
-    through ``product``."""
-    if X.shape[1] < _SUPPORT_MIN_DIM:
-        return matvec_rows(Q, X)
-    sparse = np.count_nonzero(X, axis=1) <= _SUPPORT_MAX_NNZ
-    QX = np.empty(X.shape)
-    QX[~sparse] = matvec_rows(Q, X[~sparse])
-    for i in np.flatnonzero(sparse):
-        QX[i] = product(X[i])
-    return QX
 
 
 def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjective:
@@ -520,9 +524,10 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
 
     For indefinite Q the gradient-Lipschitz constant is the largest
     eigenvalue magnitude, not the largest signed eigenvalue.  Every Q x
-    of ``value``, ``gradient``, ``value_and_gradient`` and the rows of
-    ``gradient_batch`` comes from one ``_hessian_product``, so from
-    dimension 400 up a sparse x is multiplied over its support.
+    comes from one ``_hessian_product``, so from dimension 400 up a sparse
+    x is multiplied over its support.  At dimension <= 3, f is the column
+    formula ``_quadratic_columns``, of Python floats for one point; above
+    it, f is x'(Q x)/2 + b'x in two dots per row.
     """
     Q = np.asarray(Q, dtype=float)
     b = as_vector(b)
@@ -535,52 +540,41 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
     convex = bool(eigs[0] >= -1e-12)
     product = _hessian_product(Q)
 
+    def gradient(x):
+        return product(x) + b
+
     if b.size > 3:
         # BLAS above dimension 3, where no grid oracle compares values
+        def value_of(x, Qx):
+            return _point_or_rows(x, 0.5 * row_dots(x, Qx) + row_dots(x, b))
+
         def value(x):
-            return 0.5 * float(x @ product(x)) + float(b @ x)
+            return value_of(x, product(x))
 
         def value_and_gradient(x):
             # one Q x for both, with the bits of ``value`` and ``gradient``
             Qx = product(x)
-            return 0.5 * float(x @ Qx) + float(b @ x), Qx + b
-
-        def value_batch(X):
-            return (0.5 * row_dots(X, _hessian_rows(Q, product, X))
-                    + row_dots(np.broadcast_to(b, X.shape), X))
+            return value_of(x, Qx), Qx + b
 
         value_columns = None
     else:
         value_columns = _quadratic_columns(Q, b)
 
         def value(x):
-            return value_columns(x.tolist())
+            return value_columns(x.tolist() if x.ndim == 1 else x.T)
 
         def value_and_gradient(x):
-            return value_columns(x.tolist()), Q @ x + b
-
-        def value_batch(X):
-            return value_columns(X.T)
-
-    def gradient(x):
-        return product(x) + b
-
-    def gradient_batch(X):
-        return _hessian_rows(Q, product, X) + b
+            return value(x), product(x) + b
 
     return SmoothObjective(value=value, gradient=gradient, lipschitz_L=L,
-                           convex=convex, value_batch=value_batch,
-                           gradient_batch=gradient_batch,
-                           value_and_gradient=value_and_gradient,
+                           convex=convex, value_and_gradient=value_and_gradient,
                            value_columns=value_columns)
 
 
 def zero_objective(dim: int) -> SmoothObjective:
-    return SmoothObjective(value=lambda x: 0.0,
-                           gradient=lambda x: np.zeros(dim),
-                           lipschitz_L=0.0, convex=True,
-                           value_batch=lambda X: np.zeros(X.shape[0]),
-                           gradient_batch=lambda X: np.zeros(X.shape))
+    return SmoothObjective(
+        value=lambda x: 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1]),
+        gradient=lambda x: np.zeros(x.shape), lipschitz_L=0.0, convex=True)
 
 
 def logistic_objective(A, labels) -> SmoothObjective:
@@ -594,32 +588,22 @@ def logistic_objective(A, labels) -> SmoothObjective:
     L = float(np.linalg.eigvalsh(A.T @ A)[-1]) / 4.0
 
     def value(x):
-        z = Ay @ x
-        return float(np.sum(np.logaddexp(0.0, -z)))
+        # -z = -(Ay x) from one gemv on -Ay: negating every term negates
+        # the rounded sum exactly
+        negZ = matvec_rows(neg_Ay, x)
+        return _point_or_rows(x, np.sum(np.logaddexp(0.0, negZ), axis=-1))
 
     def gradient(x):
-        z = Ay @ x
-        sig = 1.0 / (1.0 + np.exp(z))  # = exp(-z) / (1 + exp(-z))
-        return -(Ay.T @ sig)
-
-    def value_batch(X):
-        # the gemv of ``value`` on -Ay: negating every term negates the
-        # rounded sum exactly
-        negZ = matvec_rows(neg_Ay, X)
-        return np.sum(np.logaddexp(0.0, negZ), axis=1)
-
-    def gradient_batch(X):
-        # the two gemv products of ``gradient``
-        sig = 1.0 / (1.0 + np.exp(matvec_rows(Ay, X)))
+        sig = 1.0 / (1.0 + np.exp(matvec_rows(Ay, x)))  # = exp(-z)/(1 + exp(-z))
         return -matvec_rows(Ay.T, sig)
 
     return SmoothObjective(value=value, gradient=gradient, lipschitz_L=L,
-                           convex=True, value_batch=value_batch,
-                           gradient_batch=gradient_batch)
+                           convex=True)
 
 
 def scalar_profile_objective(profile_id: str) -> SmoothObjective:
-    """1-D smooth profiles with certified global L.
+    """1-D smooth profiles with certified global L, each one array formula
+    over the last axis (x of shape (1,) or (n, 1)).
 
     "square":        f(x) = x^2                 (convex, L = 2)
     "pl_nonconvex":  f(x) = x^2 + 3 sin(x)^2    (gradient-dominated but
@@ -627,23 +611,14 @@ def scalar_profile_objective(profile_id: str) -> SmoothObjective:
     """
     if profile_id == "square":
         return SmoothObjective(
-            value=lambda x: float(x[0] ** 2),
-            gradient=lambda x: np.array([2.0 * x[0]]),
-            lipschitz_L=2.0, convex=True,
-            value_batch=lambda X: X[:, 0] ** 2,
-            gradient_batch=lambda X: 2.0 * X)
+            value=lambda x: _point_or_rows(x, (x * x)[..., 0]),
+            gradient=lambda x: 2.0 * x, lipschitz_L=2.0, convex=True)
     if profile_id == "pl_nonconvex":
-        def gradient_batch(X):
-            # math.sin, as in ``gradient``: np.sin may round differently
-            sin2x = np.array([math.sin(2.0 * v) for v in X[:, 0].tolist()])
-            return (2.0 * X[:, 0] + 3.0 * sin2x)[:, None]
-
         return SmoothObjective(
-            value=lambda x: float(x[0] ** 2 + 3.0 * math.sin(x[0]) ** 2),
-            gradient=lambda x: np.array([2.0 * x[0] + 3.0 * math.sin(2.0 * x[0])]),
-            lipschitz_L=8.0, convex=False,
-            value_batch=lambda X: X[:, 0] ** 2 + 3.0 * np.sin(X[:, 0]) ** 2,
-            gradient_batch=gradient_batch)
+            value=lambda x: _point_or_rows(
+                x, (x * x + 3.0 * np.sin(x) ** 2)[..., 0]),
+            gradient=lambda x: 2.0 * x + 3.0 * np.sin(2.0 * x),
+            lipschitz_L=8.0, convex=False)
     raise ValueError(f"unknown scalar profile {profile_id!r}")
 
 

@@ -152,8 +152,10 @@ def vbpg_final_points(problem: Problem, config: SolverConfig, X0) -> Array:
     """``vbpg_run(problem, config, x0).final_x`` for each row x0 of X0.
 
     The runs form one multi-start under every kernel: each iteration makes
-    one ``prox_points`` call over the rows still running, and each row
-    stops on its own rule (step 0, step_tol from its own x0, or
+    one ``prox_points`` call over the rows still running and one
+    ``f.value_grad`` call at their prox points, whose gradients feed the
+    next prox and whose values, plus g, guard against a non-finite F.
+    Each row stops on its own rule (step 0, step_tol from its own x0, or
     max_iters), so every row gets the bits of its own run.  Raises
     ``FloatingPointError`` when F turns non-finite on any row, and
     ``ProxError`` as ``vbpg_run`` does."""
@@ -163,7 +165,8 @@ def vbpg_final_points(problem: Problem, config: SolverConfig, X0) -> Array:
                          f"got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("vector has non-finite entries")
-    if not np.isfinite(problem.F_batch(X)).all():
+    f_X, grad_X = problem.f.value_grad(X)
+    if not np.isfinite(f_X + problem.g.value_batch(X)).all():
         raise FloatingPointError("F(x0) is not finite")
     step_tols = np.array([config.resolved_step_tol(x) for x in X])
     running = np.arange(len(X))
@@ -171,12 +174,15 @@ def vbpg_final_points(problem: Problem, config: SolverConfig, X0) -> Array:
         if running.size == 0:
             break
         Xr = X[running]
-        T = prox_points(problem, config.kernel_at(k), config.eps_at(k), Xr)
+        T = prox_points(problem, config.kernel_at(k), config.eps_at(k), Xr,
+                        grad_X)
         step = row_norms(Xr - T)
-        if not np.isfinite(problem.F_batch(T)).all():
+        f_T, grad_T = problem.f.value_grad(T)
+        if not np.isfinite(f_T + problem.g.value_batch(T)).all():
             raise FloatingPointError(f"F became non-finite at iteration {k + 1}")
         X[running] = T
-        running = running[~((step == 0.0) | (step <= step_tols[running]))]
+        going = ~((step == 0.0) | (step <= step_tols[running]))
+        running, grad_X = running[going], grad_T[going]
     return X
 
 

@@ -117,7 +117,7 @@ def reference_semiconvex_slacks(problem, K, eps, X, eps_hi):
 
 
 # ---------------------------------------------------------------------------
-# SmoothObjective.gradient_batch
+# SmoothObjective.value and gradient over the last axis
 # ---------------------------------------------------------------------------
 
 def _objectives():
@@ -155,10 +155,11 @@ def _test_points(seed, n, dim):
 def test_grad_batch_bits_match_gradient(name):
     f, dim = _objectives()[name]
     X = _test_points(8, 97, dim)
-    G = f.gradient_batch(X)
+    G = f.gradient(X)
     assert G.shape == X.shape
     for x, g in zip(X, G):
         assert np.array_equal(g, f.gradient(x))
+    assert f.gradient(X[:0]).shape == (0, dim)
 
 
 @pytest.mark.parametrize("name", list(_objectives()))
@@ -184,7 +185,7 @@ def test_support_product_multiplies_by_columns():
     X = np.zeros((3, 500))
     for row, k in zip(X, (5, 20, _SUPPORT_MAX_NNZ)):
         row[rng.permutation(500)[:k]] = rng.standard_normal(k)
-    for x, g_row in zip(X, f.gradient_batch(X)):
+    for x, g_row in zip(X, f.gradient(X)):
         _, grad = f.value_grad(x)
         for Qx in (grad - b, g_row - b, f.gradient(x) - b):
             assert np.abs(Qx - Q @ x).max() <= 1e-13
@@ -209,8 +210,8 @@ def test_support_product_bits_do_not_depend_on_earlier_calls():
         assert fresh.value(x) == f.value(x)
 
 
-def test_solver_uses_one_value_grad_call_per_iteration():
-    f = quadratic_objective(Q2, [0.5, -0.4])
+def _counted_objective(f):
+    """f with a counter on each of its three entry points."""
     calls = {"fused": 0, "value": 0, "gradient": 0}
 
     def counted(key, fn):
@@ -219,11 +220,14 @@ def test_solver_uses_one_value_grad_call_per_iteration():
             return fn(x)
         return wrapped
 
-    traced = SmoothObjective(
+    return SmoothObjective(
         value=counted("value", f.value), gradient=counted("gradient", f.gradient),
         lipschitz_L=f.lipschitz_L, convex=f.convex,
-        value_batch=f.value_batch, gradient_batch=f.gradient_batch,
-        value_and_gradient=counted("fused", f.value_and_gradient))
+        value_and_gradient=counted("fused", f.value_and_gradient)), calls
+
+
+def test_solver_uses_one_value_grad_call_per_iteration():
+    traced, calls = _counted_objective(quadratic_objective(Q2, [0.5, -0.4]))
     problem = quad_problem("l1", {"lam": 0.5})
     plain = vbpg_run(problem, SolverConfig.constant(0.4, KernelSpec.euclidean()),
                      np.array([1.5, -1.0]))
@@ -235,12 +239,27 @@ def test_solver_uses_one_value_grad_call_per_iteration():
     assert np.array_equal(trace.final_x, plain.final_x)
 
 
+@pytest.mark.parametrize("kernel", [EUC, KQ], ids=["euclidean", "quadratic"])
+def test_final_points_use_one_value_grad_call_per_iteration(kernel):
+    # f and grad f at the prox points come from one fused call over the
+    # running rows: its values guard F, its gradients feed the next prox
+    problem = quad_problem("mcp", {"lam": 0.6, "gamma": 4.0})
+    config = SolverConfig.constant(0.3, kernel, max_iters=400)
+    X0 = np.random.default_rng(6).uniform(-0.95, 0.95, size=(20, 2))
+    plain = vbpg_final_points(problem, config, X0)
+    iters = max(vbpg_run(problem, config, x0).n_iters for x0 in X0)
+    traced, calls = _counted_objective(problem.f)
+    object.__setattr__(problem, "f", traced)
+    assert np.array_equal(vbpg_final_points(problem, config, X0), plain)
+    assert calls == {"fused": iters + 1, "value": 0, "gradient": 0}
+
+
 def test_l_override_keeps_gradient_batch():
     p = ProblemSpec("l", "logistic", {"n_rows": 12, "L_override": 5.0},
                     "l1", {"lam": 0.1}, 2).build()
     assert p.f.lipschitz_L == 5.0
     X = np.random.default_rng(5).standard_normal((6, 2))
-    assert np.array_equal(p.f.gradient_batch(X),
+    assert np.array_equal(p.f.gradient(X),
                           np.array([p.f.gradient(x) for x in X]))
 
 

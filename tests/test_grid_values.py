@@ -1,11 +1,11 @@
 """F on a tensor grid from its axes against F_batch on the grid's rows.
 
 ``Problem.F_grid(axes)`` must return the bits of
-``F_batch(grid_rows(axes))``, and at dimension <= 3 a quadratic gives a
-point the same bits alone (``F``), in a batch of any size and on a grid:
-the sublevel grid's in-set masks, and through them every ``dist_level``
-a probe writes, are thresholds of these values, compared with F_bar from
-``F``."""
+``F_batch(grid_rows(axes))``, and at dimension <= 3 every smooth kind
+gives a point the same bits alone (``F``), in a batch of any size and on
+a grid: the sublevel grid's in-set masks, and through them every
+``dist_level`` a probe writes, are thresholds of these values, compared
+with F_bar from ``F``."""
 
 import tracemalloc
 
@@ -51,6 +51,26 @@ def quad_problem(dim, g_kind, definite=True, seed=0):
                    g=build_regularizer(g_kind, G_KINDS[g_kind]), dim=dim)
 
 
+def assert_rows_are_points(f, X):
+    """f's value, gradient and value_grad over the rows of X give each row
+    the bits of its one-point call, and a (0, d) array empty results."""
+    values, grads = f.value(X), f.gradient(X)
+    assert values.shape == X.shape[:1] and grads.shape == X.shape
+    fused_values, fused_grads = f.value_grad(X)
+    assert np.array_equal(fused_values, values)
+    assert np.array_equal(fused_grads, grads)
+    for x, value, grad in zip(X, values, grads):
+        assert type(f.value(x)) is float and f.value(x) == value
+        assert np.array_equal(f.gradient(x), grad)
+        fused_value, fused_grad = f.value_grad(x)
+        assert type(fused_value) is float and fused_value == value
+        assert np.array_equal(fused_grad, grad)
+    empty = X[:0]
+    assert f.value(empty).shape == (0,)
+    assert f.gradient(empty).shape == empty.shape
+    assert [a.shape for a in f.value_grad(empty)] == [(0,), empty.shape]
+
+
 def assert_grid_bits(problem, axes):
     got = problem.F_grid(axes)
     want = problem.F_batch(grid_rows(axes))
@@ -94,8 +114,8 @@ def test_quadratic_row_bits_do_not_depend_on_the_batch(dim, definite):
         alone = np.array([problem.f.value(x) for x in X])
         for n in (1, 2, 3, 1023, 1024, 5000):
             # the first rows and the last rows of X as batches of n
-            assert np.array_equal(problem.f.value_batch(X[:n]), alone[:n])
-            assert np.array_equal(problem.f.value_batch(X[-n:]), alone[-n:])
+            assert np.array_equal(problem.f.value(X[:n]), alone[:n])
+            assert np.array_equal(problem.f.value(X[-n:]), alone[-n:])
         assert np.array_equal(problem.F_batch(X),
                               [problem.F(x) for x in X])
 
@@ -103,8 +123,8 @@ def test_quadratic_row_bits_do_not_depend_on_the_batch(dim, definite):
 @pytest.mark.parametrize("dim,sparse", [(5, False), (12, False),
                                         (500, False), (500, True)])
 def test_quadratic_rows_above_dimension_3_have_the_bits_of_value(dim, sparse):
-    # value_batch makes value's two dots per row, with Q x from the
-    # product gradient_batch uses (over the support of a sparse row)
+    # f makes its two dots per row, with Q x from the product the gradient
+    # uses (over the support of a sparse row)
     Q = random_Q(dim, definite=False, seed=dim)
     f = quadratic_objective(0.5 * (Q + Q.T),
                             np.random.default_rng(dim).standard_normal(dim))
@@ -113,20 +133,42 @@ def test_quadratic_rows_above_dimension_3_have_the_bits_of_value(dim, sparse):
     if sparse:
         X[:, 20:] = 0.0
     for n in (1, 2, 7, 50):
-        assert np.array_equal(f.value_batch(X[:n]),
-                              [f.value(x) for x in X[:n]])
+        assert np.array_equal(f.value(X[:n]), [f.value(x) for x in X[:n]])
+    assert_rows_are_points(f, X)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("definite", [True, False],
-                         ids=["definite", "indefinite"])
-def test_F_is_the_one_row_F_batch(dim, definite):
-    problem = quad_problem(dim, "mcp", definite, seed=7 * dim)
-    rng = np.random.default_rng(dim)
-    for x in rng.uniform(-3.0, 3.0, size=(200, dim)):
+def smooth_objective(kind, dim):
+    """f of each smooth kind at dimension dim <= 3."""
+    if kind in ("definite", "indefinite"):
+        Q = random_Q(dim, kind == "definite", 7 * dim)
+        b = np.random.default_rng(7 * dim + 1).standard_normal(dim)
+        return quadratic_objective(0.5 * (Q + Q.T), b)
+    if kind == "logistic":
+        return logistic_objective(*generate_logistic_data(15, dim, 4))
+    if kind == "zero":
+        return zero_objective(dim)
+    return scalar_profile_objective(kind)
+
+
+SMOOTH_KINDS = ([(kind, dim) for kind in ("definite", "indefinite",
+                                          "logistic", "zero")
+                 for dim in (1, 2, 3)]
+                + [("square", 1), ("pl_nonconvex", 1)])
+
+
+@pytest.mark.parametrize("kind,dim", SMOOTH_KINDS,
+                         ids=[f"{kind}-{dim}" for kind, dim in SMOOTH_KINDS])
+def test_F_is_the_one_row_F_batch(kind, dim):
+    # about 0.1% of points took other bits alone on the scalar profiles
+    # when their one-point formulas were written apart from the rows'
+    problem = Problem(f=smooth_objective(kind, dim),
+                      g=build_regularizer("mcp", G_KINDS["mcp"]), dim=dim)
+    X = np.random.default_rng(dim).uniform(-3.0, 3.0, size=(5000, dim))
+    for x, row in zip(X, problem.F_batch(X)):
         value = problem.F(x)
         assert type(value) is float
-        assert value == problem.F_batch(x[None])[0]
+        assert value == row == problem.F_batch(x[None])[0]
+    assert_rows_are_points(problem.f, X)
 
 
 def test_F_grid_on_a_full_default_grid():
@@ -159,12 +201,17 @@ def test_logistic_objective(dim):
 
 @pytest.mark.parametrize("n_rows", [1, 2, 3, 300])
 def test_logistic_row_bits_do_not_depend_on_the_batch(n_rows):
-    # value_batch makes value's gemv once per row, so a row's f is the
-    # one-row value in a batch of any size
+    # f makes its gemv once per row, so a row's f is the one-row value in
+    # a batch of any size
     A, y = generate_logistic_data(15, 2, 4)
     f = logistic_objective(A, y)
     X = np.random.default_rng(n_rows).uniform(-3.0, 3.0, size=(n_rows, 2))
-    assert np.array_equal(f.value_batch(X), [f.value(x) for x in X])
+    assert np.array_equal(f.value(X), [f.value(x) for x in X])
+
+
+def test_logistic_rows_at_dimension_50_have_the_bits_of_one_point():
+    f = logistic_objective(*generate_logistic_data(80, 50, 5))
+    assert_rows_are_points(f, np.random.default_rng(50).standard_normal((60, 50)))
 
 
 @pytest.mark.parametrize("profile", ["square", "pl_nonconvex"])

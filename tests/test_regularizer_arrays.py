@@ -472,9 +472,7 @@ def _counted(problem_spec):
 
     f = SmoothObjective(value=counter("f", p.f.value),
                         gradient=counter("grad", p.f.gradient),
-                        lipschitz_L=p.f.lipschitz_L, convex=p.f.convex,
-                        value_batch=p.f.value_batch,
-                        gradient_batch=p.f.gradient_batch)
+                        lipschitz_L=p.f.lipschitz_L, convex=p.f.convex)
     p.g.value = counter("g", p.g.value)
     object.__setattr__(p, "f", f)
     return p, counts

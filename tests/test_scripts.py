@@ -193,3 +193,23 @@ def test_artifact_diff_solves_the_sparse_data_under_mcp_and_scad(tmp_path):
         assert summary["terminated_reason"] == "step_tol"
         # a sparse end point, as under l1
         assert 0 < sum(v != 0.0 for v in summary["final_x"]) <= _SUPPORT_MAX_NNZ
+
+
+def test_artifact_diff_runs_the_nonconvex_scalar_profile(tmp_path):
+    from vbpg.cli import main
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    path = tmp_path / "pl_profile.json"
+    cfg = json.loads(path.read_text())
+    assert cfg["problem"] == {"kind": "profile",
+                              "params": {"id": "pl_nonconvex"}}
+    assert cfg["solver"]["epsilon"] == 0.1 and cfg["x0"] == [2.5]
+    assert cfg["probe"]["center"] == [0.7]  # off the minimizer at 0
+    for command in ("solve", "probe"):
+        assert cmds[f"{command}-pl_profile"] == [command, "--config", str(path)]
+        assert main(cmds[f"{command}-pl_profile"]
+                    + ["--seed", "7", "--out", str(tmp_path / command)]) == 0
+    summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+    assert summary["terminated_reason"] == "step_tol"
+    assert (tmp_path / "probe" / "probe.csv").exists()
