@@ -102,13 +102,12 @@ def sparse_lasso_config() -> dict:
 
 
 def sparse_penalty_config(g: dict, rho: float) -> dict:
-    """f(x) = ||Ax - b||^2/2 of the ``SPARSE_LASSO`` data, as the quadratic
-    x'(A'A)x/2 - (A'b)'x, plus the penalty ``g`` (weight lam) of
-    semiconvexity modulus rho, at eps = 0.9 min(1/L, 1/rho)."""
+    """The ``SPARSE_LASSO`` least squares with the penalty ``g`` (weight
+    lam) of semiconvexity modulus rho in place of l1, at eps = 0.9
+    min(1/L, 1/rho)."""
     A, b, lam, L = _sparse_data()
-    return {"problem": {"kind": "quadratic", "params": {
-                "Q": (A.T @ A).tolist(), "b": (-(A.T @ b)).tolist(),
-                "g": {**g, "lam": lam}}},
+    return {"problem": {"kind": "lasso", "params": {
+                "A": A.tolist(), "b": b.tolist(), "g": {**g, "lam": lam}}},
             "solver": _sparse_solver(0.9 * min(1.0 / L, 1.0 / rho)),
             "x0": [0.0] * A.shape[1]}
 

@@ -4,8 +4,7 @@ diagnostics layer."""
 from .core import (Constants, KernelSpec, Problem, Regularizer,
                    SmoothObjective, SolverConfig, ValidationReport, as_vector,
                    validate_config)
-from .bregman import (PointAnnotation, ProxResult, annotate_points, prox_map,
-                      prox_points)
+from .bregman import PointAnnotation, ProxResult, annotate_points, prox_map
 from .solver import (Trace, kernel_schedule_jacobi, summability_bound,
                      vbpg_final_points, vbpg_run)
 from .problems import (ProblemSpec, build_problem, build_regularizer,

@@ -11,8 +11,8 @@ central objects are
 G vanishes exactly at proximal critical points when g is semiconvex and
 the step size is admissible, which makes it the merit function used by
 the diagnostics layer.  ``prox_map`` solves the subproblem at one point
-(the solver's path); ``prox_points`` and ``annotate_points`` give T, E
-and G for the rows of an array in one pass, under every kernel.
+(the solver's path) or at each row of an (n, dim) stack, with the bits
+of the row's own solve; ``annotate_points`` reads T, E and G from it.
 
 Under a separable kernel the subproblem splits into exact 1-D problems.
 Under a general quadratic kernel one certified accelerated loop
@@ -42,7 +42,8 @@ _INNER_MAX = 10000  # inner iterations of a non-separable prox solve
 
 @dataclass(frozen=True, eq=False)
 class ProxResult:
-    """One representative minimizer of the prox subproblem.
+    """One representative minimizer of the prox subproblem; at a stack,
+    one per row in every field but ``inner_iterations`` and ``certified``.
 
     ``subproblem_value`` is <grad f(x), t - x> + g(t) + D(x, t)/eps at the
     returned t (it excludes f(x)), and ``g_value`` is its g(t) term.
@@ -51,18 +52,18 @@ class ProxResult:
     ``multivalued_flag`` is set when the coordinatewise candidate
     enumeration found two global minimizers tying within 1e-10; ties are
     resolved toward smaller |t|.  ``inner_iterations`` counts the steps of
-    an iterative (non-separable) solve, 0 on the exact coordinatewise
-    path.  ``certified`` is False only for an iterative solve whose inner
-    problem is not known to be strongly convex (eps >= m/rho): its
-    minimizer is then a fixed point of the inner steps, not a certified
-    global minimizer.
+    an iterative (non-separable) solve until its last row stopped, 0 on
+    the exact coordinatewise path.  ``certified`` is False only for an
+    iterative solve whose inner problem is not known to be strongly
+    convex (eps >= m/rho): its minimizer is then a fixed point of the
+    inner steps, not a certified global minimizer.
     """
 
     minimizer: Array
-    subproblem_value: float
+    subproblem_value: float | Array
     inner_iterations: int
-    multivalued_flag: bool
-    g_value: float
+    multivalued_flag: bool | Array
+    g_value: float | Array
     certified: bool
     step: Array
     kernel_step: Array
@@ -70,33 +71,35 @@ class ProxResult:
 
 def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
              grad_x: Array | None = None) -> ProxResult:
-    """Solve the prox subproblem at x.
+    """Solve the prox subproblem at x, one point or each row of an
+    (n, dim) stack with the bits of the row's one-point solve.
 
-    Separable fast path (euclidean/diagonal kernels, coordinatewise g):
-    exact per-coordinate minimization through the regularizer's candidate
-    enumeration.  General quadratic kernels: ``_accelerated_prox``.
-    ``grad_x`` is grad f(x) when the caller already has it.  x must be a
-    finite float vector of dimension ``problem.dim``: it is not validated
-    again here (``vbpg_run`` validates its x0 once).
+    Separable kernels: exact per-coordinate minimization by the
+    regularizer's candidate enumeration (``Regularizer.scaled_prox``).
+    General quadratic kernels: ``_accelerated_prox``.  ``grad_x`` is
+    grad f(x) when the caller already has it.  x is not validated again
+    here (``vbpg_run`` validates its x0 once).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if grad_x is None:
         grad_x = problem.f.gradient(x)
 
+    point = x.ndim == 1
     weights = K.diag_weights(problem.dim)
     if weights is not None:
         t, tied = problem.g.scaled_prox(x, grad_x, weights, eps)
         steps, certified = 0, True
     else:
         t, steps, certified = _accelerated_prox(problem, K, eps, x, grad_x)
-        tied = False
+        tied = False if point else np.zeros(len(x), dtype=bool)
     g_t = problem.g.value(t)
     r = t - x
     Hr = K.hessian_times(r)
     # the terms of <grad f(x), r> + g(t) + ``K.distance(x, t)``/eps
-    val = float(grad_x @ r) + g_t + float(0.5 * Hr.dot(r)) / eps
-    return ProxResult(t, val, steps, tied, g_t, certified, r, Hr)
+    val = row_dots(grad_x, r) + g_t + 0.5 * row_dots(Hr, r) / eps
+    return ProxResult(t, float(val) if point else val, steps, tied, g_t,
+                      certified, r, Hr)
 
 
 def _accelerated_prox(problem: Problem, K: KernelSpec, eps: float, X: Array,
@@ -163,25 +166,6 @@ def _accelerated_prox(problem: Problem, K: KernelSpec, eps: float, X: Array,
     raise ProxError(f"inner prox solve did not converge in {_INNER_MAX} iterations")
 
 
-def prox_points(problem: Problem, K: KernelSpec, eps: float, X: Array,
-                grad_X: Array | None = None) -> Array:
-    """Prox minimizers of the rows of X, each with the bits of
-    ``prox_map(problem, K, eps, x).minimizer``.  ``grad_X`` is grad f at
-    the rows when the caller already has it.  Separable kernels make one
-    regularizer call over all entries; other kernels step every row
-    through the inner loop at once, one regularizer call per step."""
-    if grad_X is None:
-        grad_X = problem.f.gradient(X)
-    weights = K.diag_weights(problem.dim)
-    if weights is None:
-        return _accelerated_prox(problem, K, eps, X, grad_X)[0]
-    # the scaled prox of ``prox_map``, on the flattened rows
-    V = X - eps * grad_X / weights
-    T, _ = problem.g.prox(V.ravel(), np.broadcast_to(weights, V.shape).ravel(),
-                          eps)
-    return T.reshape(X.shape)
-
-
 @dataclass(frozen=True, eq=False)
 class PointAnnotation:
     """Per-row prox quantities of an (n, dim) array X: E(x), G(x),
@@ -201,22 +185,18 @@ def annotate_points(problem: Problem, K: KernelSpec, eps: float,
                     X: Array) -> PointAnnotation:
     """E(x), G(x), F at the prox point, the subdifferential distance and
     the prox residual for every row of an (n, dim) array X in one array
-    pass.
-
-    The prox points carry the bits of ``prox_map``; E, G and F(T x) sum f
-    over the rows (with the bits of ``f.value``) and g with ``value_batch``,
-    so they agree with the per-point f(x) + ``subproblem_value`` and ``F``
-    up to summation roundoff."""
+    pass, from one stacked ``prox_map``: E = f(x) + ``subproblem_value``,
+    G = (g(x) - ``subproblem_value``)/eps and F(T x) = f(T x) +
+    ``g_value``, each row with the bits of its one-point formula."""
     f, g = problem.f, problem.g
     f_X, grad = f.value_grad(X)
-    T = prox_points(problem, K, eps, X, grad)
-    g_T = g.value_batch(T)
-    sub = row_dots(grad, T - X) + g_T + K.distance(X, T) / eps
+    prox = prox_map(problem, K, eps, X, grad)
+    T, sub = prox.minimizer, prox.subproblem_value
     return PointAnnotation(
-        envelope=f_X + sub,
-        gap=(g.value_batch(X) - sub) / eps, prox_F=f.value(T) + g_T,
+        envelope=f_X + sub, gap=(g.value(X) - sub) / eps,
+        prox_F=f.value(T) + prox.g_value,
         dist_subdiff=row_norms(g.subdiff_parts(X, grad)),
-        dist_prox=row_norms(X - T), prox_point=T, grad=grad)
+        dist_prox=row_norms(prox.step), prox_point=T, grad=grad)
 
 
 def subgradient_rows(eps: float, grad_X: Array, grad_T: Array,

@@ -151,9 +151,8 @@ def check_solver_run(inst: ShippedInstance, problem: Problem, rng):
         c, hw = inst.box_center(), inst.sample_halfwidth
         starts = rng.uniform(c - hw, c + hw, size=(50, problem.dim))
         starts = starts[np.isfinite(problem.F_batch(starts))]
-        F_star = min((problem.F(x) for x in
-                      vbpg_final_points(problem, config, starts)),
-                     default=math.inf)
+        F_star = min_or_inf(problem.F_batch(
+            vbpg_final_points(problem, config, starts)))
         caveat = " (conditional: restart-based F*)"
     bound = summability_bound(problem, config, inst.start(), F_star)
     if bound == math.inf:

@@ -32,7 +32,7 @@ from .checks import run_invariant_suite
 from .core import (KernelSpec, Problem, SolverConfig, as_vector, fmt_float,
                    validate_config)
 from .problems import (ProblemSpec, ShippedInstance, build_problem,
-                       jump_spec, lasso_spec)
+                       jump_spec, least_squares_spec)
 from .solver import Trace, kernel_schedule_jacobi, vbpg_run
 
 
@@ -89,11 +89,17 @@ def problem_spec_from_config(cfg: dict) -> ProblemSpec:
         raise ConfigError("config needs problem.kind")
     kind = pc["kind"]
     params = dict(_object(pc.get("params", {}), "problem.params"))
+    has_g = "g" in params
     g_cfg = _object(params.pop("g", {"kind": "zero"}), "problem.params.g")
     g_kind = g_cfg.get("kind", "zero")
     g_params = {k: v for k, v in g_cfg.items() if k != "kind"}
     if kind == "lasso":
-        spec = lasso_spec("lasso", params["A"], params["b"], params["lam"])
+        if not has_g:  # l1 at lam is the default g
+            g_kind, g_params = "l1", {"lam": params["lam"]}
+        elif "lam" in params:
+            raise ConfigError("lasso takes lam or g, not both")
+        spec = least_squares_spec("lasso", params["A"], params["b"], g_kind,
+                                  g_params)
         if "L_override" in params:
             spec = replace(spec, f_params={**spec.f_params,
                                            "L_override": params["L_override"]})

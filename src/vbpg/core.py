@@ -175,25 +175,34 @@ class Regularizer:
         """Entrywise dist(0, grad_f + subdiff g(t)); +inf outside dom g."""
         raise NotImplementedError
 
-    def value(self, x: Array) -> float:
-        # a Python sum: left to right, and cheaper than np.sum on short x
-        return float(sum(self.values(x).tolist()))
-
-    def value_batch(self, X: Array) -> Array:
-        return self.values(X).sum(axis=1)
+    def value(self, x: Array):
+        """g over the last axis, each point's entries added left to right:
+        at one point by ``sum`` (cheaper than np.sum on short x), on the
+        rows of an (n, dim) array by ``cumsum`` (numpy's row sum is
+        pairwise), so each row has the bits of its point."""
+        v = self.values(x)
+        if v.ndim == 1:
+            return float(sum(v.tolist()))
+        return v.cumsum(axis=-1)[..., -1]
 
     def value_grid(self, axes) -> Array:
-        """``value_batch(grid_rows(axes))`` bit for bit from one ``values``
-        call per axis: the broadcast axes add left to right from 0, as
-        numpy's row sum of at most 3 entries does."""
+        """``value(grid_rows(axes))`` bit for bit from one ``values`` call
+        per axis: the broadcast axes add left to right from 0."""
         return sum(np.ix_(*[self.values(ax) for ax in axes])).ravel()
 
     def scaled_prox(self, anchor: Array, linear: Array, weights: Array,
-                    eps: float) -> tuple[Array, bool]:
+                    eps: float):
         """Coordinatewise minimizer of <linear, y-anchor> + g(y) + sum_i
-        weights_i (y_i - anchor_i)^2 / (2 eps)."""
-        t, tied = self.prox(anchor - eps * linear / weights, weights, eps)
-        return t, bool(np.count_nonzero(tied))
+        weights_i (y_i - anchor_i)^2 / (2 eps) over the last axis, and its
+        tie flag: one bool, or one per row of a stack (one ``prox`` call)."""
+        v = anchor - eps * linear / weights
+        if v.ndim == 1:
+            t, tied = self.prox(v, weights, eps)
+            return t, bool(np.count_nonzero(tied))
+        if isinstance(weights, np.ndarray):  # one per coordinate
+            weights = np.broadcast_to(weights, v.shape).ravel()
+        t, tied = self.prox(v.ravel(), weights, eps)
+        return t.reshape(v.shape), tied.reshape(v.shape).any(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,16 +215,16 @@ class Problem:
     name: str = "problem"
     level_bounded: bool = True
 
-    def F(self, x: Array) -> float:
-        """F at one point, with the bits of ``F_batch(x[None])[0]`` at
-        dimension <= 3 (above it, g's one-point sum may round otherwise)."""
+    def F(self, x: Array):
+        """F over the last axis: a Python float at one point, and one value
+        per row of an (n, dim) array with the bits of its point.
+        ``F_batch`` is a second name for it."""
         return self.f.value(x) + self.g.value(x)
 
-    def F_batch(self, X: Array) -> Array:
-        return self.f.value(X) + self.g.value_batch(X)
+    F_batch = F
 
     def F_grid(self, axes) -> Array:
-        """``F_batch(grid_rows(axes))`` bit for bit, with g evaluated once
+        """``F(grid_rows(axes))`` bit for bit, with g evaluated once
         per axis (``Regularizer.value_grid``) instead of once per node, and
         f from the axes where it has a column formula
         (``SmoothObjective.value_grid``)."""

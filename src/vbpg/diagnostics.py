@@ -37,7 +37,7 @@ import numpy as np
 from .core import (Array, Constants, KernelSpec, Problem, SolverConfig,
                    as_vector, fmt_float, grid_rows, min_or_inf, row_dots,
                    row_norms, sample_ball)
-from .bregman import annotate_points, prox_points
+from .bregman import annotate_points, prox_map
 from .solver import Trace, vbpg_final_points, vbpg_run
 
 # violation margin for one-sided inequality checks: wide enough to absorb
@@ -340,7 +340,7 @@ def critical_points(problem: Problem, K: KernelSpec, eps: float, center,
     seeds = seeds[np.isfinite(problem.F_batch(seeds))]
     config = SolverConfig.constant(eps, K, max_iters=3000, step_tol=1e-12)
     final = vbpg_final_points(problem, config, seeds)
-    res = row_norms(final - prox_points(problem, K, eps, final))
+    res = row_norms(prox_map(problem, K, eps, final).step)
     found = []
     for xf in final[res <= 1e-8]:
         if not any(np.linalg.norm(xf - p) <= 1e-6 for p in found):
@@ -791,8 +791,8 @@ def estimate_level_set_rate(trace: Trace, problem: Problem, F_bar: float,
     and are excluded; an iterate already inside [F <= Fbar] ends the
     usable window (reported as converged)."""
     min_dist = 10.0 * grid.resolution
-    k_end = next((k for k, x in enumerate(trace.iterates)
-                  if problem.F(x) <= F_bar), len(trace.iterates))
+    inside = np.flatnonzero(problem.F_batch(np.array(trace.iterates)) <= F_bar)
+    k_end = int(inside[0]) if inside.size else len(trace.iterates)
     dists = grid.project_many(F_bar, trace.iterates[:k_end],
                               boundary_check=False)[0].tolist()
     if k_end < len(trace.iterates):
@@ -962,8 +962,8 @@ def check_critical_value_consistency(problem: Problem, x_bar: Array,
     checks that use the critical set as the target."""
     F_bar = problem.F(x_bar)
     near = crit_points[row_norms(crit_points - x_bar) <= delta]
-    fails = [y.tolist() for y in near
-             if problem.F(y) > F_bar + 1e-8 * (1.0 + abs(F_bar))]
+    fails = near[problem.F_batch(near)
+                 > F_bar + 1e-8 * (1.0 + abs(F_bar))].tolist()
     return {"check": "critical_value_consistency", "ok": not fails,
             "n_failures": len(fails), "failures": fails}
 

@@ -702,8 +702,9 @@ def build_problem(spec: ProblemSpec) -> Problem:
                    level_bounded=level_bounded)
 
 
-def lasso_spec(name: str, A, b, lam: float) -> ProblemSpec:
-    """Least squares ||Ax - b||^2 / 2 plus lam ||x||_1 as a quadratic spec."""
+def least_squares_spec(name: str, A, b, g_kind: str,
+                       g_params: dict) -> ProblemSpec:
+    """Least squares ||Ax - b||^2 / 2 plus g as a quadratic spec."""
     A = np.asarray(A, dtype=float)
     b = as_vector(b)
     if A.ndim != 2:
@@ -711,8 +712,13 @@ def lasso_spec(name: str, A, b, lam: float) -> ProblemSpec:
     Q = A.T @ A
     c = -(A.T @ b)
     return ProblemSpec(name=name, f_kind="quadratic",
-                       f_params={"Q": Q, "b": c}, g_kind="l1",
-                       g_params={"lam": lam}, dimension=A.shape[1])
+                       f_params={"Q": Q, "b": c}, g_kind=g_kind,
+                       g_params=g_params, dimension=A.shape[1])
+
+
+def lasso_spec(name: str, A, b, lam: float) -> ProblemSpec:
+    """Least squares plus lam ||x||_1 (``least_squares_spec``)."""
+    return least_squares_spec(name, A, b, "l1", {"lam": lam})
 
 
 def jump_spec(xbar: float = 0.0) -> ProblemSpec:
@@ -761,7 +767,7 @@ class GridProxOracle:
                  resolution: float = 1e-4):
         n = int(round((hi - lo) / resolution)) + 1
         self.grid = np.linspace(lo, hi, n)
-        self.gvals = g.value_batch(self.grid[:, None])
+        self.gvals = g.values(self.grid)
         self.resolution = resolution
         # the blocks are windows of B nodes into grid and gvals, not copies
         B = self._width = min(self._BLOCK, n)

@@ -2,8 +2,9 @@
 schedules, plus trace recording.
 
 Each iteration solves the prox subproblem at the current point and steps
-to its minimizer.  One run is strictly sequential; separate runs share no
-mutable state.  The per-iteration decrease
+to its minimizer.  One run is strictly sequential; ``vbpg_final_points``
+steps many runs as one stack, each row with the bits of its own run.
+The per-iteration decrease
 
     F(x^k) - F(x^{k+1}) >= a ||x^k - x^{k+1}||^2,   a = ``Constants.a``
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import (Array, Constants, KernelSpec, Problem, SolverConfig,
                    as_vector, fmt_float, row_norms, vector_norm)
-from .bregman import prox_map, prox_points, subgradient_rows
+from .bregman import prox_map, subgradient_rows
 
 
 @dataclass
@@ -152,12 +153,12 @@ def vbpg_final_points(problem: Problem, config: SolverConfig, X0) -> Array:
     """``vbpg_run(problem, config, x0).final_x`` for each row x0 of X0.
 
     The runs form one multi-start under every kernel: each iteration makes
-    one ``prox_points`` call over the rows still running and one
+    one ``prox_map`` call on the stack of rows still running and one
     ``f.value_grad`` call at their prox points, whose gradients feed the
-    next prox and whose values, plus g, guard against a non-finite F.
-    Each row stops on its own rule (step 0, step_tol from its own x0, or
-    max_iters), so every row gets the bits of its own run.  Raises
-    ``FloatingPointError`` when F turns non-finite on any row, and
+    next prox and whose values, plus the prox's g values, guard against a
+    non-finite F.  Each row stops on its own rule (step 0, step_tol from
+    its own x0, or max_iters), so every row gets the bits of its own run.
+    Raises ``FloatingPointError`` when F turns non-finite on any row, and
     ``ProxError`` as ``vbpg_run`` does."""
     X = np.array(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != problem.dim:
@@ -166,21 +167,20 @@ def vbpg_final_points(problem: Problem, config: SolverConfig, X0) -> Array:
     if not np.isfinite(X).all():
         raise ValueError("vector has non-finite entries")
     f_X, grad_X = problem.f.value_grad(X)
-    if not np.isfinite(f_X + problem.g.value_batch(X)).all():
+    if not np.isfinite(f_X + problem.g.value(X)).all():
         raise FloatingPointError("F(x0) is not finite")
     step_tols = np.array([config.resolved_step_tol(x) for x in X])
     running = np.arange(len(X))
     for k in range(config.max_iters):
         if running.size == 0:
             break
-        Xr = X[running]
-        T = prox_points(problem, config.kernel_at(k), config.eps_at(k), Xr,
-                        grad_X)
-        step = row_norms(Xr - T)
-        f_T, grad_T = problem.f.value_grad(T)
-        if not np.isfinite(f_T + problem.g.value_batch(T)).all():
+        prox = prox_map(problem, config.kernel_at(k), config.eps_at(k),
+                        X[running], grad_X)
+        step = row_norms(prox.step)
+        f_T, grad_T = problem.f.value_grad(prox.minimizer)
+        if not np.isfinite(f_T + prox.g_value).all():
             raise FloatingPointError(f"F became non-finite at iteration {k + 1}")
-        X[running] = T
+        X[running] = prox.minimizer
         going = ~((step == 0.0) | (step <= step_tols[running]))
         running, grad_X = running[going], grad_T[going]
     return X

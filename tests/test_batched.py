@@ -270,6 +270,9 @@ def test_l_override_keeps_gradient_batch():
 REGULARIZERS = [("l1", {"lam": 0.5}), ("mcp", {"lam": 0.6, "gamma": 4.0}),
                 ("scad", {"lam": 0.5, "a": 3.7}),
                 ("box", {"lo": -1.0, "hi": 1.0})]
+EVERY_REGULARIZER = REGULARIZERS + [
+    ("zero", {}), ("sq_l2", {"lam": 0.3}), ("power", {"p": 1.5}),
+    ("jump_quadratic", {"xbar": 0.1})]
 
 
 def _no_run(*args):
@@ -348,22 +351,32 @@ def test_final_points_raise_like_runs():
 # ---------------------------------------------------------------------------
 
 def test_critical_points_makes_no_runs_and_one_prox_per_iteration(monkeypatch):
-    # one g.prox call per outer iteration under the euclidean kernel, and
-    # one per inner step over every running row under the quadratic one
+    # the multi-start makes one prox_map call on the stack of running rows
+    # per outer iteration, and critical_points one more on the final
+    # points; under the euclidean kernel each makes one g.prox call, under
+    # the quadratic one a g.prox call per inner step over the running rows
     problem = quad_problem("mcp", {"lam": 0.6, "gamma": 4.0})
-    runs = []
+    runs, stacks = [], []
     monkeypatch.setattr(solver_mod, "vbpg_run", lambda *a: runs.append(1))
-    monkeypatch.setattr(bregman, "prox_map", lambda *a: runs.append(1))
+    for module in (solver_mod, diagnostics):  # the names the callers use
+        monkeypatch.setattr(module, "prox_map", lambda p, K, eps, X, *rest:
+                            stacks.append(X.shape)
+                            or prox_map(p, K, eps, X, *rest))
     prox = problem.g.prox
     sizes = []
     monkeypatch.setattr(problem.g, "prox",
                         lambda v, *a: sizes.append(v.size) or prox(v, *a))
     crit = critical_points(problem, EUC, 0.4, np.zeros(2), 2.0)
-    assert runs == [] and 1 < len(sizes) <= 3000 + 1
-    assert crit.shape[1] == 2
+    assert runs == [] and 2 < len(stacks) <= 3000 + 1
+    assert stacks[0] == stacks[-1] == (25, 2)
+    assert all(len(shape) == 2 for shape in stacks)
+    assert len(sizes) == len(stacks) and crit.shape[1] == 2
     sizes.clear()
+    stacks.clear()
     crit_q = critical_points(problem, KQ, 0.4, np.zeros(2), 2.0)
     assert runs == [] and crit_q.shape[1] == 2
+    assert stacks[0] == stacks[-1] == (25, 2)
+    assert all(len(shape) == 2 for shape in stacks)
     # the first inner step takes all 25 seeds at once, later ones the rows
     # still running
     assert sizes[0] == 25 * 2 and all(n % 2 == 0 for n in sizes)
@@ -404,11 +417,40 @@ def test_probe_samples_match_per_sample_reference(K, g_kind, g_params):
     crit = critical_points(problem, K, eps, slice_.center, 1.2)
     samples = probe_slice(problem, K, eps, slice_, 60, 3, grid, crit)
     ref = reference_samples(problem, K, eps, slice_, samples.x, crit)
-    for key in ("dist_subdiff", "dist_prox", "dist_crit", "property_A"):
+    for key in ("dist_subdiff", "dist_prox", "dist_crit", "property_A",
+                "gap_value", "envelope_value", "prox_F"):
         assert getattr(samples, key).tolist() == [r[key] for r in ref], key
-    for key in ("gap_value", "envelope_value", "prox_F"):
-        assert getattr(samples, key).tolist() == pytest.approx(
-            [r[key] for r in ref], rel=1e-12, abs=1e-12), key
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "diagonal", "quadratic"])
+@pytest.mark.parametrize("dim", [2, 5, 12])
+@pytest.mark.parametrize("g_kind,g_params", EVERY_REGULARIZER,
+                         ids=[g for g, _ in EVERY_REGULARIZER])
+def test_annotation_has_the_bits_of_envelope_and_gap(kind, dim, g_kind,
+                                                     g_params):
+    # E, G and F(T x) of a row from its stacked prox result, each with the
+    # bits of the one-point formulas
+    rng = np.random.default_rng(dim)
+    S = rng.standard_normal((dim, dim))
+    Q = S @ S.T / dim + 0.1 * np.eye(dim)
+    problem = quad_problem(g_kind, g_params, Q, rng.standard_normal(dim))
+    if kind == "euclidean":
+        K = EUC
+    elif kind == "diagonal":
+        K = KernelSpec.diagonal(rng.uniform(0.5, 2.0, dim))
+    else:
+        R = rng.standard_normal((dim, dim))
+        K = KernelSpec.quadratic(R @ R.T / dim + np.eye(dim))
+    rho = problem.g.semiconvex_rho
+    eps = 0.5 * K.m / max(problem.f.lipschitz_L,
+                          rho if math.isfinite(rho) else 0.0)
+    X = rng.uniform(-2.0, 2.0, (30, dim))
+    a = annotate_points(problem, K, eps, X)
+    ref = [envelope_and_gap(problem, K, eps, x) for x in X]
+    for got, want in ((a.envelope, [E for E, _, _ in ref]),
+                      (a.gap, [G for _, G, _ in ref]),
+                      (a.prox_F, [problem.F(p.minimizer) for _, _, p in ref])):
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_annotate_points_empty():

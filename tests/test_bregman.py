@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbpg.bregman import ProxError, prox_map, prox_points
+from vbpg.bregman import ProxError, ProxResult, prox_map
 from vbpg.core import (Constants, KernelSpec, SolverConfig, sample_box,
                        validate_config, vector_norm)
 from vbpg.problems import ProblemSpec, lasso_spec
@@ -181,15 +181,46 @@ class TestInnerCertificate:
 
 
 class TestProxPoints:
-    """A stack of rows under a non-separable kernel against one
-    ``prox_map`` per row, bit for bit."""
+    """``prox_map`` on a stack of rows against one ``prox_map`` per row:
+    every field, each row bit for bit."""
 
     @staticmethod
     def prox_rows(p, K, eps, X):
-        T = prox_points(p, K, eps, X)
+        stacked = prox_map(p, K, eps, X)
         results = [prox_map(p, K, eps, x) for x in X]
-        assert np.array_equal(T, np.array([r.minimizer for r in results]))
+        per_row = set(ProxResult.__dataclass_fields__) - {"inner_iterations",
+                                                          "certified"}
+        for name in sorted(per_row):
+            rows = np.array([getattr(r, name) for r in results])
+            got = getattr(stacked, name)
+            assert got.dtype == rows.dtype and got.shape == rows.shape, name
+            assert got.tobytes() == rows.tobytes(), name
+        assert stacked.inner_iterations == max(r.inner_iterations
+                                               for r in results)
+        assert all(r.certified == stacked.certified for r in results)
         return results
+
+    @pytest.mark.parametrize("dim", [2, 12])
+    @pytest.mark.parametrize("kind", ["euclidean", "diagonal"])
+    def test_separable_rows_match_prox_map(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        K = (EUC if kind == "euclidean"
+             else KernelSpec.diagonal(rng.uniform(0.5, 2.0, dim)))
+        S = rng.standard_normal((dim, dim))
+        p = build(S @ S.T / dim + 0.1 * np.eye(dim), rng.standard_normal(dim),
+                  "mcp", {"lam": 0.6, "gamma": 4.0})
+        results = self.prox_rows(p, K, admissible_eps(p, K),
+                                 rng.uniform(-3, 3, (40, dim)))
+        assert all(r.inner_iterations == 0 for r in results)
+        # f = 0 and MCP(1, 2) at eps = 4: the subproblem at x ties between
+        # 0 and the flat tail where x = sqrt(2 eps / weight)
+        tie = np.sqrt(8.0 / np.broadcast_to(K.diag_weights(dim), dim))
+        X = rng.uniform(-3, 3, (40, dim))
+        X[::3, 0] = tie[0]
+        results = self.prox_rows(zero_with("mcp", {"lam": 1.0, "gamma": 2.0},
+                                           dim), K, 4.0, X)
+        flags = [r.multivalued_flag for r in results]
+        assert flags[::3] == [True] * 14 and not all(flags)
 
     @pytest.mark.parametrize("dim", [2, 50])
     def test_certified_rows_match_prox_map(self, dim):
@@ -227,7 +258,7 @@ class TestProxPoints:
         with pytest.raises(ProxError) as single:
             prox_map(p, K, eps, X[1])
         with pytest.raises(ProxError) as stacked:
-            prox_points(p, K, eps, X)
+            prox_map(p, K, eps, X)
         assert str(stacked.value) == str(single.value)
 
 

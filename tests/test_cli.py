@@ -38,6 +38,38 @@ class TestSolve:
         assert len(lines) == summary["iterations"] + 1
         assert (out / "manifest.json").exists()
 
+    def test_lasso_g_defaults_to_l1_at_lam(self, tmp_path):
+        # the same runs written as lasso with lam, as lasso with g, and as
+        # the quadratic A'A, -A'b: byte-identical artifacts, but for the
+        # problem's name in the summary
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        params = cfg["problem"]["params"]
+        lam = params.pop("lam")
+        A, b = np.array(params["A"]), np.array(params["b"])
+        mcp = {"kind": "mcp", "lam": 0.6, "gamma": 4.0}
+        forms = {
+            "l1_lam": {**params, "lam": lam},
+            "l1_g": {**params, "g": {"kind": "l1", "lam": lam}},
+            "mcp_g": {**params, "g": mcp},
+        }
+        configs = {name: {**cfg, "problem": {"kind": "lasso", "params": p}}
+                   for name, p in forms.items()}
+        configs["mcp_quadratic"] = {**cfg, "problem": {
+            "kind": "quadratic", "params": {
+                "Q": (A.T @ A).tolist(), "b": (-(A.T @ b)).tolist(),
+                "g": mcp}}}
+        runs = {}
+        for name, c in configs.items():
+            out = tmp_path / name
+            path = write_config(tmp_path, f"{name}.json", c)
+            assert run(["solve", "--config", path, "--seed", 3,
+                        "--out", out]) == 0
+            summary = (out / "summary.json").read_bytes()
+            runs[name] = [summary.replace(b'"quadratic"', b'"lasso"'),
+                          (out / "trace.csv").read_bytes()]
+        assert runs["l1_lam"] == runs["l1_g"]
+        assert runs["mcp_g"] == runs["mcp_quadratic"] != runs["l1_lam"]
+
     def test_zero_iterations(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "problem": {"kind": "quadratic",
@@ -356,8 +388,12 @@ class TestFailureContract:
         (_quadratic_config(solver={"epsilon": -0.5}), 1,
          "config parse error: solver.epsilon must be a positive number, "
          "got -0.5"),
+        ({"problem": {"kind": "lasso", "params": {
+            "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.8], "lam": 0.5,
+            "g": {"kind": "l1", "lam": 0.5}}}}, 1,
+         "config parse error: lasso takes lam or g, not both"),
     ], ids=["indefinite_l1", "x0_length", "kernel_not_pd", "mcp_lam",
-            "negative_eps"])
+            "negative_eps", "lasso_lam_and_g"])
     def test_one_line_exit(self, tmp_path, command, cfg, code, message):
         path = write_config(tmp_path, "c.json", cfg)
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -1,11 +1,11 @@
-"""F on a tensor grid from its axes against F_batch on the grid's rows.
+"""F on a tensor grid from its axes against F on the grid's rows.
 
-``Problem.F_grid(axes)`` must return the bits of
-``F_batch(grid_rows(axes))``, and at dimension <= 3 every smooth kind
-gives a point the same bits alone (``F``), in a batch of any size and on
-a grid: the sublevel grid's in-set masks, and through them every
-``dist_level`` a probe writes, are thresholds of these values, compared
-with F_bar from ``F``."""
+``Problem.F_grid(axes)`` must return the bits of ``F(grid_rows(axes))``,
+and every smooth kind and every regularizer gives a point the same bits
+alone, in a batch of any size and on a grid: the sublevel grid's in-set
+masks, and through them every ``dist_level`` a probe writes, are
+thresholds of these values, compared with F_bar from ``F`` at one
+point."""
 
 import tracemalloc
 
@@ -51,9 +51,10 @@ def quad_problem(dim, g_kind, definite=True, seed=0):
                    g=build_regularizer(g_kind, G_KINDS[g_kind]), dim=dim)
 
 
-def assert_rows_are_points(f, X):
+def assert_rows_are_points(f, X, g=None):
     """f's value, gradient and value_grad over the rows of X give each row
-    the bits of its one-point call, and a (0, d) array empty results."""
+    the bits of its one-point call, and a (0, d) array empty results; so
+    do g's value and F = f + g when a regularizer g is given."""
     values, grads = f.value(X), f.gradient(X)
     assert values.shape == X.shape[:1] and grads.shape == X.shape
     fused_values, fused_grads = f.value_grad(X)
@@ -69,6 +70,14 @@ def assert_rows_are_points(f, X):
     assert f.value(empty).shape == (0,)
     assert f.gradient(empty).shape == empty.shape
     assert [a.shape for a in f.value_grad(empty)] == [(0,), empty.shape]
+    if g is None:
+        return
+    F = Problem(f=f, g=g, dim=X.shape[1]).F
+    for value in (g.value, F):
+        points = [value(x) for x in X]
+        assert all(type(v) is float for v in points)
+        assert value(X).tobytes() == np.array(points).tobytes()
+        assert value(empty).shape == (0,)
 
 
 def assert_grid_bits(problem, axes):
@@ -83,12 +92,24 @@ def assert_grid_bits(problem, axes):
 def test_every_regularizer_kind(dim, g_kind):
     problem = quad_problem(dim, g_kind, seed=dim)
     values = problem.g.value_grid(AXES[:dim])
-    assert np.array_equal(values, problem.g.value_batch(grid_rows(AXES[:dim])))
+    assert np.array_equal(values, problem.g.value(grid_rows(AXES[:dim])))
     assert_grid_bits(problem, AXES[:dim])
     if g_kind == "box":
         assert np.isinf(values).any() and np.isfinite(values).any()
     if g_kind == "jump_quadratic":
         assert (problem.g.values(AXES[0]) == -1.0).any()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 12, 500])
+@pytest.mark.parametrize("g_kind", sorted(G_KINDS))
+def test_g_and_F_rows_have_the_bits_of_their_points(dim, g_kind):
+    # a row adds its g entries left to right as a point does; numpy's
+    # pairwise row sum rounds otherwise from 8 entries on
+    problem = quad_problem(dim, g_kind, seed=dim)
+    rng = np.random.default_rng(dim)
+    X = rng.uniform(-5.5, 2.0, (40, dim)) * 10.0 ** rng.uniform(-2, 0, (40, 1))
+    X[:2, 0] = [0.0, -0.0]
+    assert_rows_are_points(problem.f, X, problem.g)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
