@@ -7,7 +7,9 @@ PARENT_SRC and CHANGE_SRC are checkouts (or their ``src`` directories).
 For each seed, both trees run the same commands in fresh processes:
 ``solve`` on every config in ``configs/``, ``probe`` on the four shipped
 probe configs plus two off-minimizer slices (``lasso`` at center [1, 1]
-and ``quadratic_probe`` at [0.9, -0.2]), ``solve`` and ``probe`` on
+and ``quadratic_probe`` at [0.9, -0.2]), ``probe`` on ``lasso`` with
+``solver.trace_every = 3`` (the level-set rate then reads thinned
+iterates), ``solve`` and ``probe`` on
 ``quad_mcp`` under the non-diagonal kernel [[1.3, 0.2], [0.2, 1.0]] (the
 iterative prox path, which no shipped config takes), ``solve`` and
 ``check`` on a generated sparse lasso at d = 500 (above dimension 3,
@@ -48,6 +50,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PROBE_CONFIGS = ("lasso", "quad_mcp", "quadratic_probe", "jump_probe")
 OFF_MINIMIZER = {"lasso_offmin": ("lasso", [1.0, 1.0]),
                  "quadratic_offmin": ("quadratic_probe", [0.9, -0.2])}
+# the lasso probe keeping every third iterate: these runs show what moves
+# with the trace's thinning, which every other run leaves at 1
+THINNED = ("lasso", 3)
 # a shipped problem under a non-separable kernel: its prox is solved
 # iteratively, so these runs show what moves with the inner solver
 NON_SEPARABLE = ("quad_mcp", {"kind": "quadratic",
@@ -125,6 +130,12 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
         path = config_dir / f"{label}.json"
         path.write_text(json.dumps(cfg))
         cmds[f"probe-{label}"] = ["probe", "--config", str(path)]
+    name, every = THINNED
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg["solver"]["trace_every"] = every
+    path = config_dir / f"{name}_trace_every{every}.json"
+    path.write_text(json.dumps(cfg))
+    cmds[f"probe-{path.stem}"] = ["probe", "--config", str(path)]
     name, kernel = NON_SEPARABLE
     cfg = json.loads((CONFIGS / f"{name}.json").read_text())
     cfg["solver"]["kernel"] = kernel

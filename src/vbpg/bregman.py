@@ -43,12 +43,13 @@ _INNER_MAX = 10000  # inner iterations of a non-separable prox solve
 @dataclass(frozen=True, eq=False)
 class ProxResult:
     """One representative minimizer of the prox subproblem; at a stack,
-    one per row in every field but ``inner_iterations`` and ``certified``.
+    one per row in every field but ``inner_iterations``, ``certified`` and
+    ``eps``.
 
-    ``subproblem_value`` is <grad f(x), t - x> + g(t) + D(x, t)/eps at the
-    returned t (it excludes f(x)), and ``g_value`` is its g(t) term.
-    ``step`` is t - x and ``kernel_step`` the kernel's Hessian applied to
-    it, grad_y D(x, t), so D(x, t) = <kernel_step, step>/2.
+    ``g_value`` is g(t), ``step`` is t - x and ``kernel_step`` the
+    kernel's Hessian applied to it, grad_y D(x, t).  With grad f(x)
+    (``grad_x``) and ``eps`` they give ``subproblem_value`` on each read,
+    so only a caller that reads it (not the solver's multi-start) pays.
     ``multivalued_flag`` is set when the coordinatewise candidate
     enumeration found two global minimizers tying within 1e-10; ties are
     resolved toward smaller |t|.  ``inner_iterations`` counts the steps of
@@ -60,13 +61,24 @@ class ProxResult:
     """
 
     minimizer: Array
-    subproblem_value: float | Array
     inner_iterations: int
     multivalued_flag: bool | Array
     g_value: float | Array
     certified: bool
     step: Array
     kernel_step: Array
+    grad_x: Array
+    eps: float
+
+    @property
+    def subproblem_value(self) -> float | Array:
+        """<grad f(x), t - x> + g(t) + D(x, t)/eps at the returned t (it
+        excludes f(x)), with D(x, t) = <kernel_step, step>/2: a Python
+        float at one point, one value per row."""
+        r = self.step
+        val = (row_dots(self.grad_x, r) + self.g_value
+               + 0.5 * row_dots(self.kernel_step, r) / self.eps)
+        return float(val) if r.ndim == 1 else val
 
 
 def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
@@ -85,21 +97,16 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
     if grad_x is None:
         grad_x = problem.f.gradient(x)
 
-    point = x.ndim == 1
     weights = K.diag_weights(problem.dim)
     if weights is not None:
         t, tied = problem.g.scaled_prox(x, grad_x, weights, eps)
         steps, certified = 0, True
     else:
         t, steps, certified = _accelerated_prox(problem, K, eps, x, grad_x)
-        tied = False if point else np.zeros(len(x), dtype=bool)
-    g_t = problem.g.value(t)
+        tied = False if x.ndim == 1 else np.zeros(len(x), dtype=bool)
     r = t - x
-    Hr = K.hessian_times(r)
-    # the terms of <grad f(x), r> + g(t) + ``K.distance(x, t)``/eps
-    val = row_dots(grad_x, r) + g_t + 0.5 * row_dots(Hr, r) / eps
-    return ProxResult(t, float(val) if point else val, steps, tied, g_t,
-                      certified, r, Hr)
+    return ProxResult(t, steps, tied, problem.g.value(t), certified, r,
+                      K.hessian_times(r), grad_x, eps)
 
 
 def _accelerated_prox(problem: Problem, K: KernelSpec, eps: float, X: Array,

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,7 +67,10 @@ def matvec_rows(M: Array, X: Array) -> Array:
 
 
 def row_norms(R: Array) -> Array:
-    """``vector_norm`` over the last axis, bit for bit."""
+    """``vector_norm`` over the last axis, bit for bit: a Python float at
+    one point, one norm per row of an (n, dim) array."""
+    if R.ndim == 1:
+        return vector_norm(R)
     return np.sqrt(row_dots(R, R))
 
 
@@ -176,14 +181,16 @@ class Regularizer:
         raise NotImplementedError
 
     def value(self, x: Array):
-        """g over the last axis, each point's entries added left to right:
-        at one point by ``sum`` (cheaper than np.sum on short x), on the
-        rows of an (n, dim) array by ``cumsum`` (numpy's row sum is
-        pairwise), so each row has the bits of its point."""
+        """g over the last axis, each point's entries added left to right
+        on every interpreter (from 3.12, ``sum`` of floats is compensated):
+        at a point of at most 16 entries by a fold from 0.0, elsewhere by
+        ``cumsum`` (numpy's row sum is pairwise), so each row of an (n, dim)
+        array has the bits of its point.  A Python float at one point."""
         v = self.values(x)
-        if v.ndim == 1:
-            return float(sum(v.tolist()))
-        return v.cumsum(axis=-1)[..., -1]
+        if v.ndim == 1 and v.size <= 16:  # cumsum is faster above
+            return reduce(add, v.tolist(), 0.0)
+        total = v.cumsum(axis=-1)[..., -1]
+        return total if total.ndim else float(total)
 
     def value_grid(self, axes) -> Array:
         """``value(grid_rows(axes))`` bit for bit from one ``values`` call

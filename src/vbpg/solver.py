@@ -2,9 +2,10 @@
 schedules, plus trace recording.
 
 Each iteration solves the prox subproblem at the current point and steps
-to its minimizer.  One run is strictly sequential; ``vbpg_final_points``
-steps many runs as one stack, each row with the bits of its own run.
-The per-iteration decrease
+to its minimizer.  The loop is written once, over the last axis
+(``_iterate``): ``vbpg_run`` steps one point and records a ``Trace``,
+and ``vbpg_final_points`` steps a multi-start as one stack with no
+trace, each row with the bits of its own run.  The per-iteration decrease
 
     F(x^k) - F(x^{k+1}) >= a ||x^k - x^{k+1}||^2,   a = ``Constants.a``
 
@@ -17,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import cycle
 
 import numpy as np
 
 from .core import (Array, Constants, KernelSpec, Problem, SolverConfig,
-                   as_vector, fmt_float, row_norms, vector_norm)
+                   as_vector, fmt_float, row_norms)
 from .bregman import prox_map, subgradient_rows
 
 
@@ -81,109 +83,90 @@ class Trace:
 
 
 def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
-    """Iterate until the step norm falls below step_tol or max_iters.
-
-    grad f, g and F at the current point are carried from one iteration
-    to the next: g(x^{k+1}) comes from the prox's subproblem value, so an
-    iteration costs one gradient, one f value and one g value (f and its
-    gradient in one ``value_grad`` call).  x0 is validated once; the step
-    t - x and its kernel product come from the prox result, which used
-    them for the subproblem value.
-
-    Raises ``FloatingPointError`` when F turns non-finite along the run
-    (a sign of an inadmissible problem/config pairing)."""
+    """Iterate from x0 until the step norm falls below step_tol or
+    max_iters, recording every iteration in a ``Trace``: ``_iterate`` on
+    x0 as one 1-D point, validated once.  Raises ``FloatingPointError``
+    when F turns non-finite (a sign of an inadmissible pairing)."""
     x = as_vector(x0, dim=problem.dim)
-    step_tol = config.resolved_step_tol(x)
-    trace = Trace()
-    trace.iterates.append(x.copy())
-    trace.iterate_indices.append(0)
-    trace.final_x = x.copy()
-
-    g_x = problem.g.value(x)
-    f_x, grad_x = problem.f.value_grad(x)
-    F_x = f_x + g_x
-    if not math.isfinite(F_x):
-        raise FloatingPointError("F(x0) is not finite")
-
-    for k in range(config.max_iters):
-        K = config.kernel_at(k)
-        eps = config.eps_at(k)
-        prox = prox_map(problem, K, eps, x, grad_x=grad_x)
-        t = prox.minimizer
-        step = vector_norm(prox.step)
-        f_t, grad_t = problem.f.value_grad(t)
-        xi = subgradient_rows(eps, grad_x, grad_t, prox.kernel_step)
-
-        trace.f_values.append(F_x)
-        trace.step_norms.append(step)
-        trace.gaps.append((g_x - prox.subproblem_value) / eps)
-        trace.residuals.append(vector_norm(xi))
-        trace.eps_used.append(eps)
-        trace.kernel_indices.append(k % len(config.kernels))
-        trace.inner_iterations.append(prox.inner_iterations)
-        trace.tied.append(prox.multivalued_flag)
-        trace.inner_certified.append(prox.certified)
-
-        x, grad_x, g_x = t, grad_t, prox.g_value
-        F_x = f_t + g_x
-        if not math.isfinite(F_x):
-            raise FloatingPointError(f"F became non-finite at iteration {k + 1}")
-        if (k + 1) % config.trace_every == 0:
-            trace.iterates.append(x.copy())
-            trace.iterate_indices.append(k + 1)
-
-        if step == 0.0:
-            trace.terminated_reason = "critical_point"
-            break
-        if step <= step_tol:
-            trace.terminated_reason = "step_tol"
-            break
-    else:
-        trace.terminated_reason = "max_iters"
-
-    trace.f_values.append(F_x)
-    trace.final_x = x.copy()
-    if trace.iterate_indices[-1] != trace.n_iters:
-        trace.iterates.append(x.copy())
-        trace.iterate_indices.append(trace.n_iters)
+    trace = Trace(iterates=[x.copy()], iterate_indices=[0])
+    trace.final_x = _iterate(problem, config, x, trace).copy()
     return trace
 
 
 def vbpg_final_points(problem: Problem, config: SolverConfig, X0) -> Array:
-    """``vbpg_run(problem, config, x0).final_x`` for each row x0 of X0.
-
-    The runs form one multi-start under every kernel: each iteration makes
-    one ``prox_map`` call on the stack of rows still running and one
-    ``f.value_grad`` call at their prox points, whose gradients feed the
-    next prox and whose values, plus the prox's g values, guard against a
-    non-finite F.  Each row stops on its own rule (step 0, step_tol from
-    its own x0, or max_iters), so every row gets the bits of its own run.
-    Raises ``FloatingPointError`` when F turns non-finite on any row, and
-    ``ProxError`` as ``vbpg_run`` does."""
+    """``vbpg_run(problem, config, x0).final_x`` for each row x0 of X0:
+    ``_iterate`` on the rows as one multi-start, with no trace, so no
+    subproblem value is computed.  Raises as ``vbpg_run`` does."""
     X = np.array(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != problem.dim:
         raise ValueError(f"expected rows of dimension {problem.dim}, "
                          f"got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("vector has non-finite entries")
+    return _iterate(problem, config, X)
+
+
+def _iterate(problem: Problem, config: SolverConfig, X: Array,
+             trace: Trace | None = None) -> Array:
+    """The VBPG loop over the last axis, from one point X into ``trace``
+    or from each row of an (n, dim) stack X; returns the final point, or
+    X holding each row's final point.
+
+    Iteration k steps x to its prox point t under the k-th entries of the
+    cyclic schedules.  A run stops once ||x - t|| is 0 or at most its own
+    step_tol, or after max_iters; a row leaves the stack when it stops,
+    so it keeps the bits of its own run.  grad f(t) and g(t) are carried
+    to the next iteration, so each costs one prox and one ``value_grad``
+    call.  F must be finite at x0 and at each t, else
+    ``FloatingPointError``.  Only the trace reads the subproblem value."""
     f_X, grad_X = problem.f.value_grad(X)
-    if not np.isfinite(f_X + problem.g.value(X)).all():
+    g_X = problem.g.value(X)
+    F_X = f_X + g_X
+    if trace is None:
+        finite = lambda F: np.isfinite(F).all()
+        tol = np.array([config.resolved_step_tol(x) for x in X])
+        final, rows = X, np.arange(len(X))
+    else:
+        finite, tol = math.isfinite, config.resolved_step_tol(X)
+        trace.f_values.append(F_X)
+    if not finite(F_X):
         raise FloatingPointError("F(x0) is not finite")
-    step_tols = np.array([config.resolved_step_tol(x) for x in X])
-    running = np.arange(len(X))
-    for k in range(config.max_iters):
-        if running.size == 0:
+    for k, eps, (j, K) in zip(range(config.max_iters), cycle(config.epsilons),
+                              cycle(enumerate(config.kernels))):
+        if not X.size:  # every row of the stack has stopped
             break
-        prox = prox_map(problem, config.kernel_at(k), config.eps_at(k),
-                        X[running], grad_X)
-        step = row_norms(prox.step)
-        f_T, grad_T = problem.f.value_grad(prox.minimizer)
-        if not np.isfinite(f_T + prox.g_value).all():
+        prox = prox_map(problem, K, eps, X, grad_X)
+        T, step = prox.minimizer, row_norms(prox.step)
+        f_T, grad_T = problem.f.value_grad(T)
+        F_T = f_T + prox.g_value
+        if not finite(F_T):
             raise FloatingPointError(f"F became non-finite at iteration {k + 1}")
-        X[running] = prox.minimizer
-        going = ~((step == 0.0) | (step <= step_tols[running]))
-        running, grad_X = running[going], grad_T[going]
-    return X
+        stop = (step == 0.0) | (step <= tol)
+        if trace is None:
+            final[rows] = T
+            going = ~stop
+            rows, tol, X, grad_X = (a[going] for a in (rows, tol, T, grad_T))
+            continue
+        xi = subgradient_rows(eps, grad_X, grad_T, prox.kernel_step)
+        trace.f_values.append(F_T)
+        trace.step_norms.append(step)
+        trace.gaps.append((g_X - prox.subproblem_value) / eps)
+        trace.residuals.append(row_norms(xi))
+        trace.eps_used.append(eps)
+        trace.kernel_indices.append(j)
+        trace.inner_iterations.append(prox.inner_iterations)
+        trace.tied.append(prox.multivalued_flag)
+        trace.inner_certified.append(prox.certified)
+        X, grad_X, g_X = T, grad_T, prox.g_value
+        last = stop or k + 1 == config.max_iters
+        if last or (k + 1) % config.trace_every == 0:
+            trace.iterates.append(X.copy())
+            trace.iterate_indices.append(k + 1)
+        if stop:
+            trace.terminated_reason = ("critical_point" if step == 0.0
+                                       else "step_tol")
+            break
+    return final if trace is None else X
 
 
 def block_preconditioner(Q: Array, block_sizes, c) -> Array:

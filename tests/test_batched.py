@@ -304,6 +304,25 @@ def test_final_points_match_runs(kernels, g_kind, g_params):
     assert len(iters) > 1  # rows stop at different iterations
 
 
+def _no_subproblem_value(self):
+    raise AssertionError("subproblem value computed")
+
+
+@pytest.mark.parametrize("kernel", [EUC, DIAG, KQ],
+                         ids=["euclidean", "diagonal", "quadratic"])
+def test_final_points_never_compute_a_subproblem_value(monkeypatch, kernel):
+    problem = quad_problem("mcp", {"lam": 0.6, "gamma": 4.0})
+    config = SolverConfig.constant(0.3, kernel, max_iters=400)
+    X0 = np.random.default_rng(6).uniform(-0.95, 0.95, size=(20, 2))
+    plain = vbpg_final_points(problem, config, X0)
+    monkeypatch.setattr(bregman.ProxResult, "subproblem_value",
+                        property(_no_subproblem_value))
+    assert np.array_equal(vbpg_final_points(problem, config, X0), plain)
+    critical_points(problem, kernel, 0.3, np.zeros(2), 2.0)
+    with pytest.raises(AssertionError, match="subproblem value"):
+        vbpg_run(problem, config, X0[0])  # the trace reads it for the gap
+
+
 def test_final_points_match_runs_jump():
     problem = ProblemSpec("jump", "zero", {}, "jump_quadratic",
                           {"xbar": 0.0}, 1).build()

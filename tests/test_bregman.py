@@ -188,8 +188,12 @@ class TestProxPoints:
     def prox_rows(p, K, eps, X):
         stacked = prox_map(p, K, eps, X)
         results = [prox_map(p, K, eps, x) for x in X]
-        per_row = set(ProxResult.__dataclass_fields__) - {"inner_iterations",
-                                                          "certified"}
+        # every per-row field, plus the subproblem value computed from them;
+        # eps is one float shared by the stack
+        per_row = (set(ProxResult.__dataclass_fields__) | {"subproblem_value"}
+                   ) - {"inner_iterations", "certified", "eps"}
+        assert {"subproblem_value", "kernel_step", "grad_x"} <= per_row
+        assert all(r.eps == stacked.eps == eps for r in results)
         for name in sorted(per_row):
             rows = np.array([getattr(r, name) for r in results])
             got = getattr(stacked, name)

@@ -7,11 +7,14 @@ masks, and through them every ``dist_level`` a probe writes, are
 thresholds of these values, compared with F_bar from ``F`` at one
 point."""
 
+import builtins
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from vbpg import core
 from vbpg import diagnostics as dx
 from vbpg.core import Problem, grid_rows
 from vbpg.diagnostics import SublevelGrid, grid_min_F
@@ -109,6 +112,29 @@ def test_g_and_F_rows_have_the_bits_of_their_points(dim, g_kind):
     rng = np.random.default_rng(dim)
     X = rng.uniform(-5.5, 2.0, (40, dim)) * 10.0 ** rng.uniform(-2, 0, (40, 1))
     X[:2, 0] = [0.0, -0.0]
+    assert_rows_are_points(problem.f, X, problem.g)
+
+
+def compensated_sum(items, start=0):
+    """Python 3.12's ``sum``: compensated over floats (here correctly
+    rounded), the plain left fold over anything else."""
+    items = list(items)
+    if all(type(v) is float for v in items):
+        return math.fsum([start, *items])
+    return builtins.sum(items, start)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 12, 500])
+@pytest.mark.parametrize("g_kind", ["l1", "scad", "sq_l2"])
+def test_g_adds_left_to_right_under_a_compensated_sum(monkeypatch, dim,
+                                                       g_kind):
+    # from Python 3.12 ``sum`` of floats is compensated; a point must still
+    # add its g entries left to right, as the rows of an array do
+    assert compensated_sum([0.1] * 10 + [1e16, 1.0, -1e16]) == 2.0
+    monkeypatch.setattr(core, "sum", compensated_sum, raising=False)
+    problem = quad_problem(dim, g_kind, seed=dim)
+    rng = np.random.default_rng(dim)
+    X = rng.uniform(-5.5, 2.0, (40, dim)) * 10.0 ** rng.uniform(-2, 0, (40, 1))
     assert_rows_are_points(problem.f, X, problem.g)
 
 

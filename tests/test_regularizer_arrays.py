@@ -9,6 +9,8 @@ same values and subdifferential distances.
 """
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -355,8 +357,9 @@ def test_values_and_subdiff_match_reference(kind, params, ref):
     # vectors of length 2: the same sum as the per-coordinate reference
     for x in T[:200].reshape(-1, 2):
         assert g.value(x) == sum(ref.value(float(t)) for t in x)
+    # rows of 5: a left fold, which Python's ``sum`` is only before 3.12
     X = T[:500].reshape(-1, 5)
-    assert g.value(X).tolist() == [sum(row) for row in
+    assert g.value(X).tolist() == [reduce(add, row, 0.0) for row in
                                    vals[:500].reshape(-1, 5).tolist()]
     assert subdiff_distance(g, T[:4], C[:4]) == pytest.approx(
         math.sqrt(sum(ref.subdiff(float(t), float(c)) ** 2

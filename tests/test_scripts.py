@@ -131,6 +131,17 @@ def test_artifact_diff_runs_a_non_separable_kernel(tmp_path):
     assert KernelSpec.quadratic(kernel["A"]).diag_weights(2) is None
 
 
+def test_artifact_diff_probes_thinned_iterates(tmp_path):
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    path = tmp_path / "lasso_trace_every3.json"
+    assert cmds["probe-lasso_trace_every3"] == ["probe", "--config", str(path)]
+    cfg = json.loads(path.read_text())
+    shipped = json.loads((script["CONFIGS"] / "lasso.json").read_text())
+    assert cfg["solver"].pop("trace_every") == 3
+    assert cfg == shipped  # the lasso probe, every third iterate kept
+
+
 def test_artifact_diff_runs_a_sparse_solve_above_dimension_3(tmp_path):
     from vbpg.cli import main
     from vbpg.problems import _SUPPORT_MAX_NNZ, _SUPPORT_MIN_DIM

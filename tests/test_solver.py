@@ -1,14 +1,16 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vbpg.bregman import prox_map
-from vbpg.core import Constants, KernelSpec, SolverConfig
+from vbpg.core import Constants, KernelSpec, SolverConfig, grid_rows
 from vbpg.diagnostics import grid_min_F
 from vbpg.problems import ProblemSpec, lasso_spec
 from vbpg.solver import (block_preconditioner, kernel_schedule_jacobi,
-                         summability_bound, vbpg_run)
+                         summability_bound, vbpg_final_points, vbpg_run)
 
 from reference import inner_solve_from
 
@@ -210,6 +212,91 @@ class TestInnerSolve:
         plain = sum(inner_solve_from(p, K, eps, x, x)[1]
                     for x in trace.iterates[:-1])
         assert sum(trace.inner_iterations) <= 0.85 * plain
+
+
+class TestTraceEvery:
+    """``trace_every = 3`` keeps x^0, x^3, x^6, ... and the final point
+    once, each entry the bytes of that iterate in the unthinned run."""
+
+    @staticmethod
+    def thinned_and_full(max_iters, step_tol):
+        p = quad([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4], "l1", {"lam": 0.1})
+        thin, full = [vbpg_run(p, SolverConfig.constant(
+                          0.4, EUC, max_iters=max_iters, step_tol=step_tol,
+                          trace_every=every), np.array([1.5, 1.0]))
+                      for every in (3, 1)]
+        n = full.n_iters
+        indices = list(range(0, n + 1, 3)) + ([n] if n % 3 else [])
+        assert thin.iterate_indices == indices
+        assert full.iterate_indices == list(range(n + 1))
+        assert len(thin.iterates) == len(indices)
+        for k, x in zip(thin.iterate_indices, thin.iterates):
+            assert x.tobytes() == full.iterates[k].tobytes()
+        assert thin.iterates[-1].tobytes() == thin.final_x.tobytes()
+        assert thin.csv_lines() == full.csv_lines()
+        assert thin.f_values == full.f_values
+        assert thin.terminated_reason == full.terminated_reason
+        return thin
+
+    def test_step_tol_stop_off_the_stride(self):
+        thin = self.thinned_and_full(400, 1e-9)
+        assert thin.terminated_reason == "step_tol"
+        assert thin.n_iters % 3 and thin.n_iters > 6
+
+    def test_max_iters_on_the_stride(self):
+        thin = self.thinned_and_full(9, 0.0)
+        assert thin.terminated_reason == "max_iters"
+        assert thin.iterate_indices == [0, 3, 6, 9]
+
+
+def c_calls(fn) -> int:
+    """C functions and methods called from Python while fn runs (the
+    ``c_call`` events of ``sys.setprofile``; numpy ufunc calls make none)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call"
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestCallBudget:
+    """C calls per outer iteration, the difference between runs of n + 1
+    and n iterations, stay within the one loop's counts: a point run must
+    not drift onto a stack of one row, whose reshapes and reductions
+    would add calls, nor the multi-start gain per-iteration work."""
+
+    @pytest.mark.parametrize("name,ceiling", [("pow4", 24), ("lasso2", 24)])
+    def test_vbpg_run(self, registry, name, ceiling):
+        inst = registry[name]
+        p = inst.problem()
+
+        def calls(n):
+            config = replace(inst.config, max_iters=n, step_tol=0.0)
+            trace = vbpg_run(p, config, inst.start())  # warm, and no stop
+            assert trace.n_iters == n
+            return c_calls(lambda: vbpg_run(p, config, inst.start()))
+
+        assert calls(4) - calls(3) <= ceiling
+
+    def test_multi_start_of_critical_points(self, registry):
+        # critical_points' seeds and config on lasso2, d = 2
+        inst = registry["lasso2"]
+        p, hw = inst.problem(), inst.sample_halfwidth
+        seeds = grid_rows([np.linspace(-hw, hw, 5)] * 2)
+        K, eps = inst.config.kernel_at(0), inst.config.eps_at(0)
+
+        def calls(n):
+            config = SolverConfig.constant(eps, K, max_iters=n, step_tol=1e-12)
+            return c_calls(lambda: vbpg_final_points(p, config, seeds))
+
+        assert calls(2) - calls(1) <= 10
 
 
 class TestTraceCsv:
