@@ -17,7 +17,9 @@ where f multiplies by Q over the iterate's support and the check
 estimates F* from restarts), ``solve`` on the same data under MCP
 (gamma = 3) and SCAD (a = 3.7), ``solve`` and ``probe`` on the
 nonconvex scalar profile ``pl_nonconvex`` (probed off its minimizer, at
-0.7), ``check`` and ``compare``.
+0.7), ``solve`` on the power profiles ``pow4`` and ``abs_pow_3_2`` (d = 1
+runs whose prox works on the point's coordinate, a numpy scalar),
+``check`` and ``compare``.
 
 Each artifact prints "identical", or each moved CSV column or JSON field
 with its largest absolute change (inf when a value is not a finite
@@ -71,6 +73,12 @@ SPARSE_PENALTIES = {"mcp": ({"kind": "mcp", "gamma": 3.0}, 1.0 / 3.0),
 PL_PROFILE = {"problem": {"kind": "profile", "params": {"id": "pl_nonconvex"}},
               "solver": {"epsilon": 0.1, "kernel": {"kind": "euclidean"}},
               "x0": [2.5], "probe": {"center": [0.7]}}
+# the power profiles |x|^p from x0 = 1, as the invariant suite's pow4 and
+# pow15: their trace.csv shows what moves with the one-entry prox, which
+# solves on the point's coordinate as a numpy scalar
+POWER_PROFILES = {
+    "pow4": {"epsilon": 0.5, "step_tol": 1e-6, "max_iters": 6000},
+    "abs_pow_3_2": {"epsilon": 0.5, "max_iters": 400}}
 SKIPPED = {"manifest.json"}
 STREAMS = ("stdout.txt", "stderr.txt")
 # exit codes other than 0 that a run is documented to end in: solve on the
@@ -155,6 +163,13 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
     path.write_text(json.dumps(PL_PROFILE))
     for command in ("solve", "probe"):
         cmds[f"{command}-{path.stem}"] = [command, "--config", str(path)]
+    for pid, solver in POWER_PROFILES.items():
+        path = config_dir / f"profile_{pid}.json"
+        path.write_text(json.dumps({
+            "problem": {"kind": "profile", "params": {"id": pid}},
+            "solver": {**solver, "kernel": {"kind": "euclidean"}},
+            "x0": [1.0]}))
+        cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
     cmds["check"] = ["check"]
     cmds["compare"] = ["compare", "--config",
                        str(CONFIGS / "compare_kernels.json")]

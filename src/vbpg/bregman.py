@@ -40,16 +40,22 @@ class ProxError(RuntimeError):
 _INNER_MAX = 10000  # inner iterations of a non-separable prox solve
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class ProxResult:
     """One representative minimizer of the prox subproblem; at a stack,
     one per row in every field but ``inner_iterations``, ``certified`` and
-    ``eps``.
+    ``eps``.  Slotted and not frozen: a frozen dataclass's ``__init__``
+    makes one ``object.__setattr__`` call per field, and the solver builds
+    one record per iteration.
 
     ``g_value`` is g(t), ``step`` is t - x and ``kernel_step`` the
     kernel's Hessian applied to it, grad_y D(x, t).  With grad f(x)
     (``grad_x``) and ``eps`` they give ``subproblem_value`` on each read,
     so only a caller that reads it (not the solver's multi-start) pays.
+    At a one-entry point under a scalar kernel weight (the euclidean
+    kernel) ``step``, ``kernel_step`` and ``grad_x`` are numpy scalars,
+    the coordinates of their one-entry vectors with the same bits, and
+    ``minimizer`` is the (1,) array.
     ``multivalued_flag`` is set when the coordinatewise candidate
     enumeration found two global minimizers tying within 1e-10; ties are
     resolved toward smaller |t|.  ``inner_iterations`` counts the steps of
@@ -78,7 +84,7 @@ class ProxResult:
         r = self.step
         val = (row_dots(self.grad_x, r) + self.g_value
                + 0.5 * row_dots(self.kernel_step, r) / self.eps)
-        return float(val) if r.ndim == 1 else val
+        return float(val) if r.ndim < 2 else val
 
 
 def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
@@ -88,9 +94,12 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
 
     Separable kernels: exact per-coordinate minimization by the
     regularizer's candidate enumeration (``Regularizer.scaled_prox``).
-    General quadratic kernels: ``_accelerated_prox``.  ``grad_x`` is
-    grad f(x) when the caller already has it.  x is not validated again
-    here (``vbpg_run`` validates its x0 once).
+    A one-entry point under a scalar kernel weight is solved on its
+    coordinate, a numpy scalar: a ufunc on a scalar costs about half of
+    one on a (1,) array, and rounds the same.  General quadratic kernels:
+    ``_accelerated_prox``.  ``grad_x`` is grad f(x) when the caller
+    already has it.  x is not validated again here (``vbpg_run``
+    validates its x0 once).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -98,15 +107,21 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
         grad_x = problem.f.gradient(x)
 
     weights = K.diag_weights(problem.dim)
-    if weights is not None:
+    point = x
+    if weights is None:
+        t, steps, certified = _accelerated_prox(problem, K, eps, x, grad_x)
+        tied = False if x.ndim == 1 else None
+    else:
+        if x.shape == (1,) and not isinstance(weights, np.ndarray):
+            x, grad_x = x[0], grad_x[0]  # the coordinate; t stays a scalar
         t, tied = problem.g.scaled_prox(x, grad_x, weights, eps)
         steps, certified = 0, True
-    else:
-        t, steps, certified = _accelerated_prox(problem, K, eps, x, grad_x)
-        tied = False if x.ndim == 1 else np.zeros(len(x), dtype=bool)
+    if tied is None:  # no row can tie
+        tied = np.zeros(x.shape[:-1], dtype=bool)
     r = t - x
-    return ProxResult(t, steps, tied, problem.g.value(t), certified, r,
-                      K.hessian_times(r), grad_x, eps)
+    return ProxResult(t if x is point else t.reshape(1), steps, tied,
+                      problem.g.value(t), certified, r, K.hessian_times(r),
+                      grad_x, eps)
 
 
 def _accelerated_prox(problem: Problem, K: KernelSpec, eps: float, X: Array,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Callable, Optional
 
@@ -51,9 +51,12 @@ def vector_norm(v: Array) -> float:
 def row_dots(U: Array, V: Array) -> Array:
     """<u, v> over the last axis (one pair of vectors, or each row pair of
     two (n, dim) arrays) with the bits of ``u.dot(v)``: a stacked matmul
-    makes the same BLAS dot call per row."""
+    makes the same BLAS dot call per row.  Two numpy scalars stand for the
+    coordinates of one-entry vectors, whose dot is their product."""
     if U.ndim == 1:
         return U.dot(V)
+    if not U.ndim:
+        return U * V
     return np.matmul(U[..., None, :], V[..., :, None])[..., 0, 0]
 
 
@@ -68,10 +71,12 @@ def matvec_rows(M: Array, X: Array) -> Array:
 
 def row_norms(R: Array) -> Array:
     """``vector_norm`` over the last axis, bit for bit: a Python float at
-    one point, one norm per row of an (n, dim) array."""
+    one point and at the numpy-scalar coordinate of a one-entry point
+    (``row_dots``), one norm per row of an (n, dim) array."""
     if R.ndim == 1:
         return vector_norm(R)
-    return np.sqrt(row_dots(R, R))
+    norms = np.sqrt(row_dots(R, R))
+    return norms if norms.ndim else float(norms)
 
 
 def min_or_inf(a) -> float:
@@ -164,15 +169,17 @@ class Regularizer:
     continuous: bool = True
 
     def values(self, T: Array) -> Array:
-        """g applied to every entry of T."""
+        """g applied to every entry of T, an array or a scalar."""
         raise NotImplementedError
 
-    def prox(self, v: Array, weights: Array, eps: float) -> tuple[Array, Array]:
+    def prox(self, v: Array, weights: Array, eps: float) -> tuple:
         """Entrywise global minimizer of g(t) + (weights/(2 eps)) (t - v)^2
-        for a 1-D ``v``; ``weights`` and ``eps`` broadcast against it.
+        for a 1-D ``v`` or a scalar; ``weights`` and ``eps`` broadcast
+        against it.
 
         Returns ``(t, tied)``; ``tied`` flags the entries with a near-tie
-        between distinct global minimizers (resolved toward smaller |t|).
+        between distinct global minimizers (resolved toward smaller |t|),
+        and is None from a g whose prox cannot tie.
         """
         raise NotImplementedError
 
@@ -180,12 +187,23 @@ class Regularizer:
         """Entrywise dist(0, grad_f + subdiff g(t)); +inf outside dom g."""
         raise NotImplementedError
 
+    @cached_property
+    def _zero_at_zero(self) -> bool:
+        """g(0) = 0, read once from ``values``."""
+        return bool(self.values(0.0) == 0.0)
+
     def value(self, x: Array):
         """g over the last axis, each point's entries added left to right
         on every interpreter (from 3.12, ``sum`` of floats is compensated):
         at a point of at most 16 entries by a fold from 0.0, elsewhere by
         ``cumsum`` (numpy's row sum is pairwise), so each row of an (n, dim)
-        array has the bits of its point.  A Python float at one point."""
+        array has the bits of its point.  A Python float at one point and
+        at a scalar, the coordinate of a one-entry point.  Where g(0) = 0 a
+        longer point adds only its nonzero entries: adding +0.0 is exact."""
+        if not isinstance(x, np.ndarray) or not x.ndim:
+            return float(0.0 + self.values(x))
+        if x.ndim == 1 and x.size > 16 and self._zero_at_zero:
+            x = x[x != 0.0]
         v = self.values(x)
         if v.ndim == 1 and v.size <= 16:  # cumsum is faster above
             return reduce(add, v.tolist(), 0.0)
@@ -201,15 +219,19 @@ class Regularizer:
                     eps: float):
         """Coordinatewise minimizer of <linear, y-anchor> + g(y) + sum_i
         weights_i (y_i - anchor_i)^2 / (2 eps) over the last axis, and its
-        tie flag: one bool, or one per row of a stack (one ``prox`` call)."""
+        tie flag (one ``prox`` call): one bool at a point or at the scalar
+        coordinate of a one-entry point, one per row of a stack, or None
+        for a stack whose ``prox`` flags no entry."""
         v = anchor - eps * linear / weights
-        if v.ndim == 1:
+        if v.ndim < 2:
             t, tied = self.prox(v, weights, eps)
-            return t, bool(np.count_nonzero(tied))
+            return t, tied is not None and bool(np.count_nonzero(tied))
         if isinstance(weights, np.ndarray):  # one per coordinate
             weights = np.broadcast_to(weights, v.shape).ravel()
         t, tied = self.prox(v.ravel(), weights, eps)
-        return t.reshape(v.shape), tied.reshape(v.shape).any(axis=-1)
+        if tied is not None:
+            tied = tied.reshape(v.shape).any(axis=-1)
+        return t.reshape(v.shape), tied
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,8 +35,16 @@ _TIE_SEP = 1e-9
 
 
 def _clip(x: Array, lo: float, hi: float) -> Array:
-    """min(max(x, lo), hi) entrywise, in place on the temporary x."""
-    return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+    """min(max(x, lo), hi) entrywise, in place on x when it is an array
+    temporary rather than a scalar."""
+    out = x if x.ndim else None
+    return np.minimum(np.maximum(x, lo, out=out), hi, out=out)
+
+
+def _where(cond, a, b):
+    """``np.where`` with a scalar's 0-d result unwrapped to a numpy scalar,
+    whose arithmetic costs a tenth of a 0-d array's; an array is kept."""
+    return np.where(cond, a, b)[()]
 
 
 def _pick_candidate(C: Array, H: Array) -> tuple[Array, Array]:
@@ -71,20 +79,18 @@ def _nonzero_den(den: Array) -> tuple[Array, Optional[Array]]:
     return np.where(dead, 1.0, den), dead
 
 
-def _no_ties(t: Array) -> tuple[Array, Array]:
-    return t, np.zeros(t.shape, dtype=bool)
-
-
 def _quadratic_pick(g: "Regularizer", C: Array, v: Array, kappa: Array,
                     g_const: Array) -> tuple[Array, Array]:
-    """Pick among candidates C of min_t g(t) + (kappa/2)(t - v)^2.  The
-    first len(g_const) rows of C are constants whose g values, one per
-    row, are g_const; g is evaluated on the other rows only."""
+    """Pick among candidates C of min_t g(t) + (kappa/2)(t - v)^2, one
+    column per entry of v (an array or a scalar), shaped as v.  The first
+    len(g_const) rows of C are constants whose g values, one per row, are
+    g_const; g is evaluated on the other rows only."""
     H = 0.5 * kappa * (C - v) ** 2
     k = len(g_const)
     H[:k] += g_const
     H[k:] += g.values(C[k:])
-    return _pick_candidate(C, H)
+    t, tied = _pick_candidate(C, H)
+    return t.reshape(np.shape(v)), tied.reshape(np.shape(v))
 
 
 def _direct_prox(enumerate_, v: Array, kappa, mu, r: Array, d: Array,
@@ -100,13 +106,14 @@ def _direct_prox(enumerate_, v: Array, kappa, mu, r: Array, d: Array,
     candidate comes within the 1e-10 tie tolerance, and the enumeration
     would pick r's own candidate: copysign(r, v), whose bits negation
     keeps.  The other entries (the tie band, mu <= 0, a non-finite v) are
-    enumerated."""
+    enumerated.  v may be a scalar: the mask of the slow entries indexes
+    its 0-d array too."""
     fast = mu * (d * d) > 4.0 * _TIE_TOL * (1.0 + kv2)
     t = np.copysign(r, v)
     t += 0.0  # the enumeration's zero candidate is +0.0
     tied = np.zeros(t.shape, dtype=bool)
     if not fast.all():
-        slow = np.flatnonzero(~fast)
+        slow, t, v = ~fast, np.asarray(t), np.asarray(v)
         if np.ndim(kappa):
             kappa = np.broadcast_to(kappa, v.shape)[slow]
         t[slow], tied[slow] = enumerate_(v[slow], kappa)
@@ -133,7 +140,7 @@ class ZeroRegularizer(Regularizer):
         return np.zeros(np.shape(T))
 
     def prox(self, v, weights, eps):
-        return _no_ties(v)
+        return v, None
 
     def subdiff_parts(self, t, grad_f):
         return np.abs(grad_f)
@@ -156,7 +163,7 @@ class L1Regularizer(Regularizer):
 
     def prox(self, v, weights, eps):
         thr = self.lam * eps / weights
-        return _no_ties(np.copysign(np.maximum(np.abs(v) - thr, 0.0), v))
+        return np.copysign(np.maximum(np.abs(v) - thr, 0.0), v), None
 
     def subdiff_parts(self, t, grad_f):
         return _kink_parts(t, grad_f, self.lam, np.copysign(self.lam, t))
@@ -179,7 +186,7 @@ class SquaredL2Regularizer(Regularizer):
 
     def prox(self, v, weights, eps):
         kappa = weights / eps
-        return _no_ties(kappa * v / (self.lam + kappa))
+        return kappa * v / (self.lam + kappa), None
 
     def subdiff_parts(self, t, grad_f):
         return np.abs(grad_f + self.lam * t)
@@ -202,7 +209,7 @@ class BoxRegularizer(Regularizer):
         return np.where((T >= self.lo) & (T <= self.hi), 0.0, math.inf)
 
     def prox(self, v, weights, eps):
-        return _no_ties(np.minimum(np.maximum(v, self.lo), self.hi))
+        return np.minimum(np.maximum(v, self.lo), self.hi), None
 
     def subdiff_parts(self, t, grad_f):
         # normal cone at lo is (-inf, 0]: criticality needs grad_f >= 0
@@ -251,7 +258,7 @@ class ScadRegularizer(Regularizer):
         l1 = u - lam / kappa
         in_l1 = l1 <= lam
         mid = _clip((ku - s) / _nonzero_den(mu)[0], lam, al)
-        r = np.where(u >= al, u, np.where(in_l1, _clip(l1, 0.0, lam), mid))
+        r = _where(u >= al, u, np.where(in_l1, _clip(l1, 0.0, lam), mid))
         # the other candidates nearest r: lam, a lam and, unless r is 0, 0
         d = np.minimum(np.minimum(np.abs(r - lam), np.abs(r - al)),
                        r + lam * (r == 0.0))
@@ -315,7 +322,7 @@ class McpRegularizer(Regularizer):
         ku = kappa * u
         # the flat tail, else the firm-threshold point
         firm = _clip((ku - lam) / _nonzero_den(mu)[0], 0.0, gl)
-        r = np.where(u >= gl, u, firm)
+        r = _where(u >= gl, u, firm)
         # the other candidates nearest r: gl, even where r equals it (at
         # v = gl the firm-threshold point can round one ulp below gl and
         # tie with v), and 0 unless r is 0
@@ -380,15 +387,16 @@ class PowerRegularizer(Regularizer):
             t = (-kappa + np.sqrt(kappa * kappa + 12 * kappa * u)) / 6.0
         else:  # p == 4: 4 t^3 + kappa t - kappa u = 0, unique real root
             # Cardano with p = kappa/4 and q = -w, w = kappa u/4: negation
-            # is exact, so w stands for -q in every term.  np.cbrt, not
-            # math.cbrt, whose bits differ on about half of all inputs
+            # is exact, so w stands for -q in every term.  np.cbrt keeps
+            # numpy's bits on a scalar too; math.cbrt differs on about half
+            # of all inputs
             w = kappa * u / 4.0
             disc = np.sqrt(w * w / 4.0 + np.float_power(kappa / 4.0, 3) / 27.0)
             h = w / 2.0
             t = np.cbrt(h + disc)
             t += np.cbrt(h - disc)
         t = np.copysign(1.0, v) * np.maximum(t, 0.0)
-        return _no_ties(np.where(u == 0.0, 0.0, t))
+        return _where(u == 0.0, 0.0, t), None
 
     def subdiff_parts(self, t, grad_f):
         d = self.p * np.copysign(np.float_power(np.abs(t), self.p - 1.0), t)
@@ -424,7 +432,7 @@ class JumpQuadraticRegularizer(Regularizer):
 
     def prox(self, v, weights, eps):
         kappa = weights / eps
-        C = np.empty((2, v.size))
+        C = np.empty((2, np.size(v)))
         C[0] = self.xbar
         C[1] = (self.xbar + kappa * v) / (1.0 + kappa)
         return _quadratic_pick(self, C, v, kappa, self._g_const)

@@ -147,7 +147,9 @@ def _iterate(problem: Problem, config: SolverConfig, X: Array,
             going = ~stop
             rows, tol, X, grad_X = (a[going] for a in (rows, tol, T, grad_T))
             continue
-        xi = subgradient_rows(eps, grad_X, grad_T, prox.kernel_step)
+        # a one-entry point's prox ran on its coordinate: so does xi
+        grad_t = grad_T if prox.step.ndim else grad_T[0]
+        xi = subgradient_rows(eps, prox.grad_x, grad_t, prox.kernel_step)
         trace.f_values.append(F_T)
         trace.step_norms.append(step)
         trace.gaps.append((g_X - prox.subproblem_value) / eps)

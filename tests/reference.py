@@ -49,10 +49,11 @@ def value_at(g, t):
 
 
 def prox_at(g, v, weight, eps):
-    """(minimizer, tie flag) of g's scaled prox at one scalar v."""
+    """(minimizer, tie flag) of g's scaled prox at one scalar v; a g that
+    cannot tie flags no entry (``tied`` is None)."""
     t, tied = g.prox(np.array([v], dtype=float),
                      np.array([weight], dtype=float), eps)
-    return float(t[0]), bool(tied[0])
+    return float(t[0]), tied is not None and bool(tied[0])
 
 
 def subdiff_at(g, t, grad_f_t):

@@ -9,6 +9,7 @@ from vbpg.bregman import ProxError, ProxResult, prox_map
 from vbpg.core import (Constants, KernelSpec, SolverConfig, sample_box,
                        validate_config, vector_norm)
 from vbpg.problems import ProblemSpec, lasso_spec
+from vbpg.solver import vbpg_run
 
 from reference import (certificate, descent_case_specs, descent_slack,
                        envelope_and_gap, inner_solve_from, subdiff_at,
@@ -264,6 +265,50 @@ class TestProxPoints:
         with pytest.raises(ProxError) as stacked:
             prox_map(p, K, eps, X)
         assert str(stacked.value) == str(single.value)
+
+
+# every kind of g on a d = 1 quadratic: the euclidean kernel solves a
+# one-entry point on its coordinate, diag([1.0]) on the (1,) array
+ONE_ENTRY = [("zero", {}), ("l1", {"lam": 0.3}), ("sq_l2", {"lam": 0.7}),
+             ("box", {"lo": -0.5, "hi": 1.0}),
+             ("scad", {"lam": 0.5, "a": 3.7}),
+             ("mcp", {"lam": 0.6, "gamma": 4.0}), ("power", {"p": 4.0}),
+             ("jump_quadratic", {"xbar": 0.3})]
+UNIT_DIAGONAL = KernelSpec.diagonal([1.0])
+
+
+class TestOneEntryPoint:
+    @pytest.mark.parametrize("g_kind,g_params", ONE_ENTRY,
+                             ids=[k for k, _ in ONE_ENTRY])
+    def test_coordinate_has_the_bits_of_the_array(self, rng, g_kind,
+                                                  g_params):
+        p = build([[1.5]], [-0.4], g_kind, g_params)
+        for eps in (0.2, 0.9, 3.0):
+            for x in rng.uniform(-3, 3, (60, 1)):
+                point = prox_map(p, EUC, eps, x)
+                array = prox_map(p, UNIT_DIAGONAL, eps, x)
+                assert point.step.ndim == 0 and array.step.shape == (1,)
+                for name in ("minimizer", "step", "kernel_step", "grad_x"):
+                    got, want = getattr(point, name), getattr(array, name)
+                    assert np.asarray(got).tobytes() == want[...].tobytes()
+                for name in ("g_value", "subproblem_value"):
+                    got, want = getattr(point, name), getattr(array, name)
+                    assert type(got) is type(want) is float
+                    assert np.float64(got).tobytes() == np.float64(
+                        want).tobytes()
+                assert point.multivalued_flag == array.multivalued_flag
+
+    @pytest.mark.parametrize("g_kind,g_params", ONE_ENTRY,
+                             ids=[k for k, _ in ONE_ENTRY])
+    def test_trace_has_the_bits_of_the_array(self, g_kind, g_params):
+        p = build([[1.5]], [-0.4], g_kind, g_params)
+        eps = admissible_eps(p, EUC)
+        traces = [vbpg_run(p, SolverConfig.constant(eps, K, max_iters=300),
+                           np.array([0.8])) for K in (EUC, UNIT_DIAGONAL)]
+        assert traces[0].csv_lines() == traces[1].csv_lines()
+        assert traces[0].final_x.tobytes() == traces[1].final_x.tobytes()
+        for rows in ("f_values", "step_norms", "gaps", "residuals"):
+            assert all(type(v) is float for v in getattr(traces[0], rows))
 
 
 class TestEnvelopeGap:

@@ -288,6 +288,8 @@ def _random_inputs(seed, n=4000):
 def _check_prox(g, ref, triples):
     v, w, eps = triples.T
     t, tied = g.prox(v, w, eps)
+    if tied is None:  # a g that cannot tie flags no entry
+        tied = np.zeros(v.size, dtype=bool)
     for i, (vi, wi, ei) in enumerate(triples.tolist()):
         t_ref, tie_ref = ref.prox(vi, wi, ei)
         assert t[i] == t_ref, (vi, wi, ei, t[i], t_ref)
@@ -501,3 +503,97 @@ def test_solver_makes_one_gradient_f_and_g_call_per_iteration(
     n = trace.n_iters
     assert n == max_iters or trace.terminated_reason != "max_iters"
     assert counts == {"grad": n + 1, "f": n + 1, "g": n + 1}
+
+
+# ---------------------------------------------------------------------------
+# a Python-float entry against the same call on a one-entry array
+# ---------------------------------------------------------------------------
+
+KINDS = sorted({kind for kind, _, _ in CASES})
+# +-0.0, subnormals, the smallest normal and +-1e300
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+         2.2250738585072014e-308, 1e300, -1e300]
+
+
+def _entries(kind, params, weights, eps, n, rng):
+    """n values of v for one call: ``EDGES``, for MCP and SCAD each
+    threshold of every entry's kappa moved by -1, 0 and +1 ulp with both
+    signs, then seeded draws, uniform near the penalty's scale and
+    log-uniform over 1e-300 .. 1e100 with a random sign."""
+    kappa = np.broadcast_to(weights / eps, n)
+    v = np.concatenate([EDGES, rng.uniform(-8.0, 8.0, n // 2),
+                        rng.choice([-1.0, 1.0], n)
+                        * 10.0 ** rng.uniform(-300.0, 100.0, n)])[:n]
+    if kind in ("mcp", "scad"):
+        # entry j takes a threshold of its own kappa[j]
+        j = np.arange(len(EDGES), len(EDGES) + n // 6)
+        th = np.stack(_thresholds(kind, params, kappa))
+        th = th[rng.integers(len(th), size=j.size), j]
+        ulps = rng.integers(-1, 2, j.size)
+        th = np.where(ulps < 0, np.nextafter(th, -np.inf),
+                      np.where(ulps > 0, np.nextafter(th, np.inf), th))
+        v[j] = rng.choice([-1.0, 1.0], j.size) * th
+    return v
+
+
+def _bits(values) -> np.ndarray:
+    """Scalars (Python floats, numpy scalars or 0-d arrays) or an array as
+    the int64 bit patterns of their float64 values."""
+    return np.array(values, dtype=float).reshape(-1).view(np.int64)
+
+
+def _one_entry_calls(kind, n):
+    """(g, v, weights, eps) calls of the kind's parameter sets, with n
+    entries in all: per set and per eps, one call with the scalar weight
+    and one with a weight per entry."""
+    rng = np.random.default_rng(2026)
+    calls = []
+    sets = [params for k, params, _ in CASES if k == kind]
+    for params in sets:
+        g = build_regularizer(kind, params)
+        rho = g.semiconvex_rho
+        # (eps, entries per 4 of a call): at eps = 1/rho, kappa = rho for
+        # the scalar weight, and MCP and SCAD enumerate every entry (the
+        # array path's code, on one entry), so those calls are smaller
+        epss = [(0.3, 4), (1.0, 4)] + (
+            [(1.0 / rho, 1)] if 0 < rho < math.inf else [(2.5, 4)])
+        m = -(-n // (2 * len(sets) * sum(k for _, k in epss))) * 4
+        for eps, k in epss:
+            size = m * k // 4
+            for weights in (1.0, rng.uniform(0.5, 2.0, size)):
+                v = _entries(kind, params, weights, eps, size, rng)
+                calls.append((g, v, weights, eps))
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@np.errstate(over="ignore", invalid="ignore")  # +-1e300 overflows in g
+def test_python_float_entry_has_the_bits_of_a_one_entry_array(kind):
+    calls = _one_entry_calls(kind, 100_000)
+    assert sum(v.size for _, v, _, _ in calls) >= 100_000
+    for g, v, weights, eps in calls:
+        V = v.tolist()
+        W = np.broadcast_to(weights, v.shape).tolist()
+        per_entry = np.ndim(weights) > 0
+        out = [g.prox(vi, wi, eps) for vi, wi in zip(V, W)]
+        # the array call's entries are its one-entry calls' (below, and
+        # test_prox_1d_view), so one call stands for all of them
+        t, tied = g.prox(v, weights, eps)
+        assert np.array_equal(_bits([o[0] for o in out]), _bits(t))
+        if tied is None:
+            assert all(o[1] is None for o in out)
+        else:
+            assert [bool(o[1]) for o in out] == tied.tolist()
+        assert np.array_equal(_bits([g.values(vi) for vi in V]),
+                              _bits(g.values(v)))
+        # each row of the (m, 1) stack has the bits of its one-entry point
+        value = [g.value(vi) for vi in V]
+        assert all(type(x) is float for x in value)
+        assert np.array_equal(_bits(value), _bits(g.value(v[:, None])))
+        for vi, wi, (ti, tie), xi in list(zip(V, W, out, value))[:100]:
+            assert _bits(xi) == _bits(g.value(np.array([vi])))
+            t1, tied1 = g.prox(np.array([vi]), np.array([wi]) if per_entry
+                               else wi, eps)
+            assert _bits(ti) == _bits(t1)
+            assert (tie is None) == (tied1 is None)
+            assert tie is None or bool(tie) == bool(tied1[0])

@@ -224,3 +224,26 @@ def test_artifact_diff_runs_the_nonconvex_scalar_profile(tmp_path):
     summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
     assert summary["terminated_reason"] == "step_tol"
     assert (tmp_path / "probe" / "probe.csv").exists()
+
+
+def test_artifact_diff_solves_the_power_profiles(tmp_path):
+    from vbpg.cli import main
+    from vbpg.problems import shipped_instances
+    from vbpg.solver import vbpg_run
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    shipped = shipped_instances()
+    # the d = 1 runs whose prox works on the point's coordinate
+    for pid, name in (("pow4", "pow4"), ("abs_pow_3_2", "pow15")):
+        path = tmp_path / f"profile_{pid}.json"
+        assert cmds[f"solve-profile_{pid}"] == ["solve", "--config", str(path)]
+        out = tmp_path / pid
+        assert main(cmds[f"solve-profile_{pid}"]
+                    + ["--seed", "7", "--out", str(out)]) == 0
+        # the invariant suite's instance of the same profile and schedule
+        inst = shipped[name]
+        assert json.loads(path.read_text())["x0"] == list(inst.x0)
+        trace = vbpg_run(inst.problem(), inst.config, inst.start())
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines == trace.csv_lines()

@@ -272,7 +272,7 @@ class TestCallBudget:
     not drift onto a stack of one row, whose reshapes and reductions
     would add calls, nor the multi-start gain per-iteration work."""
 
-    @pytest.mark.parametrize("name,ceiling", [("pow4", 24), ("lasso2", 24)])
+    @pytest.mark.parametrize("name,ceiling", [("pow4", 17), ("lasso2", 23)])
     def test_vbpg_run(self, registry, name, ceiling):
         inst = registry[name]
         p = inst.problem()
@@ -285,6 +285,31 @@ class TestCallBudget:
 
         assert calls(4) - calls(3) <= ceiling
 
+    @pytest.mark.parametrize("g,ceiling", [("l1", 24), ("mcp", 32)])
+    def test_vbpg_run_at_d500(self, g, ceiling):
+        # a seeded 10-sparse least squares at d = 500, as the benchmark's
+        # solve_large runs it: x0 = 0, eps = 0.9 min(1/L, 1/rho); its
+        # iterates are sparse, so f multiplies by Q over their support
+        rng = np.random.default_rng(500)
+        A = rng.standard_normal((200, 500)) / math.sqrt(200)
+        x = np.zeros(500)
+        x[rng.choice(500, 10, replace=False)] = rng.choice([-1.0, 1.0], 10)
+        b = A @ x + 0.05 * rng.standard_normal(200)
+        Q, c = A.T @ A, -(A.T @ b)
+        lam = 0.1 * float(np.max(np.abs(c)))
+        gp, rho = {"l1": ({"lam": lam}, 0.0),
+                   "mcp": ({"lam": lam, "gamma": 3.0}, 1.0 / 3.0)}[g]
+        p = quad(Q, c, g, gp)
+        eps = 0.9 / max(p.f.lipschitz_L, rho)
+
+        def calls(n):
+            config = SolverConfig.constant(eps, EUC, max_iters=n, step_tol=0.0)
+            trace = vbpg_run(p, config, np.zeros(500))
+            assert trace.n_iters == n
+            return c_calls(lambda: vbpg_run(p, config, np.zeros(500)))
+
+        assert max(calls(n + 1) - calls(n) for n in (5, 30, 60)) <= ceiling
+
     def test_multi_start_of_critical_points(self, registry):
         # critical_points' seeds and config on lasso2, d = 2
         inst = registry["lasso2"]
@@ -296,7 +321,7 @@ class TestCallBudget:
             config = SolverConfig.constant(eps, K, max_iters=n, step_tol=1e-12)
             return c_calls(lambda: vbpg_final_points(p, config, seeds))
 
-        assert calls(2) - calls(1) <= 10
+        assert calls(2) - calls(1) <= 8
 
 
 class TestTraceCsv:
