@@ -13,8 +13,8 @@ iterates), ``solve`` and ``probe`` on
 ``quad_mcp`` under the non-diagonal kernel [[1.3, 0.2], [0.2, 1.0]] (the
 iterative prox path, which no shipped config takes), ``solve`` and
 ``check`` on a generated sparse lasso at d = 500 (above dimension 3,
-where f multiplies by Q over the iterate's support and the check
-estimates F* from restarts), ``solve`` on the same data under MCP
+where f multiplies by Q over the iterate's support and the solver
+check prices its bound with the run's own final F), ``solve`` on the same data under MCP
 (gamma = 3) and SCAD (a = 3.7), ``solve`` and ``probe`` on the
 nonconvex scalar profile ``pl_nonconvex`` (probed off its minimizer, at
 0.7), ``solve`` on the power profiles ``pow4`` and ``abs_pow_3_2`` (d = 1

@@ -299,29 +299,6 @@ def grid_axis_nodes(halfwidth: float, resolution: float) -> int:
     return int(round(2 * halfwidth / resolution)) + 1
 
 
-def grid_min_F(problem: Problem, center, halfwidth: float) -> float:
-    """Desk-scale global-minimum estimate by three nested grid scans, at
-    spacing 0.02 and then 50 times finer per zoom.  Each scan runs over
-    slabs of the first axis (``_grid_slabs``), so memory stays bounded by
-    a slab, and keeps the first node of least F, as one argmin would."""
-    c = as_vector(center, dim=problem.dim)
-    hw, res, best_val = halfwidth, 0.02, math.inf
-    for _ in range(3):
-        n = grid_axis_nodes(hw, res)
-        axes = [np.linspace(ci - hw, ci + hw, n) for ci in c]
-        best = None
-        for start, slab in _grid_slabs(axes):
-            vals = problem.F_grid(slab)
-            j = int(np.argmin(vals))
-            if vals[j] < best_val:
-                best_val, best = float(vals[j]), start + j
-        if best is not None:
-            node = np.unravel_index(best, (n,) * problem.dim)
-            c = np.array([ax[i] for ax, i in zip(axes, node)])
-        hw, res = 2.0 * res, res / 50.0
-    return best_val
-
-
 # ---------------------------------------------------------------------------
 # critical-set approximation
 # ---------------------------------------------------------------------------

@@ -209,8 +209,10 @@ def kernel_schedule_jacobi(Q: Array, block_sizes, c) -> KernelSpec:
 def summability_bound(problem: Problem, config: SolverConfig, x0: Array,
                       F_star: float) -> float:
     """(F(x0) - F*) / a with a = ``Constants.a``: certified upper bound
-    on the sum of squared step norms; +inf when a <= 0, where the
-    decrease inequality certifies no bound."""
+    on the sum of squared step norms of a run from x0 that ends at or
+    above F*, such as its own final value F(x^N), where the decrease
+    telescopes, so no estimate of inf F is needed; +inf when a <= 0,
+    where the decrease inequality certifies no bound."""
     a = Constants.of(problem, config).a
     if a <= 0:
         return math.inf

@@ -12,7 +12,6 @@ import numpy as np
 from vbpg.bregman import descent_slack_rows, prox_map, subgradient_rows
 from vbpg.core import vector_norm
 from vbpg.problems import ProblemSpec
-from vbpg.solver import vbpg_run
 
 
 def envelope_and_gap(problem, K, eps, x):
@@ -77,19 +76,6 @@ def inner_solve_from(problem, K, eps, x, y):
             return y_next, it
         y = y_next
     raise AssertionError("inner solve did not converge")
-
-
-def restart_F_star(problem, config, center, halfwidth, rng):
-    """F* as the solver check estimates it above dimension 3, one run at a
-    time: the least final F of ``vbpg_run`` from 50 uniform starts in the
-    box around ``center``, skipping starts where F is not finite."""
-    F_star = math.inf
-    for _ in range(50):
-        s = rng.uniform(center - halfwidth, center + halfwidth)
-        if not math.isfinite(problem.F(s)):
-            continue
-        F_star = min(F_star, vbpg_run(problem, config, s).final_F)
-    return F_star
 
 
 def central_difference_error(value, gradient, x, h=1e-5):

@@ -11,15 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from vbpg import bregman, checks
+from vbpg import bregman, checks, diagnostics, solver
 from vbpg.core import (Constants, KernelSpec, SolverConfig, sample_box,
                        validate_config, vector_norm)
 from vbpg.problems import (GridProxOracle, ProblemSpec, ShippedInstance,
                            shipped_instances)
 from vbpg.solver import summability_bound, vbpg_run
 
-from reference import (certificate, descent_slack, envelope_and_gap,
-                       restart_F_star)
+from reference import certificate, descent_slack, envelope_and_gap
 
 
 def _ref_gradient_lipschitz(inst, rng, n=1000):
@@ -181,12 +180,14 @@ def test_solver_run_passes_with_monotone_trace(name):
 
 
 @pytest.mark.parametrize("dim,g_kind,g_params", [
-    (5, "mcp", {"lam": 0.6, "gamma": 4.0}), (12, "l1", {"lam": 0.3})],
-    ids=["mcp5", "l1_12"])
-def test_solver_run_above_dimension_3_matches_restart_loop(
+    (1, "l1", {"lam": 0.3}), (2, "mcp", {"lam": 0.6, "gamma": 4.0}),
+    (5, "mcp", {"lam": 0.6, "gamma": 4.0}), (12, "l1", {"lam": 0.3}),
+    (500, "l1", {"lam": 0.3})],
+    ids=["l1_1", "mcp2", "mcp5", "l1_12", "l1_500"])
+def test_solver_run_prices_its_bound_with_the_final_F(
         monkeypatch, dim, g_kind, g_params):
-    # no grid oracle above dimension 3: F* comes from one multi-start of
-    # 50 restarts, with the bits of the one-run-at-a-time loop
+    # the decrease telescopes to (F(x0) - F(x^N))/a at every dimension:
+    # one run, no multi-start and no estimate of F*
     rng = np.random.default_rng(dim)
     A = rng.standard_normal((dim, dim))
     spec = ProblemSpec("big", "quadratic",
@@ -199,15 +200,20 @@ def test_solver_run_above_dimension_3_matches_restart_loop(
     assert validate_config(problem, inst.config).ok
     runs, F_stars = [], []
     monkeypatch.setattr(checks, "vbpg_run",
-                        lambda *a: runs.append(a) or vbpg_run(*a))
+                        lambda *a: runs.append(vbpg_run(*a)) or runs[-1])
+
+    def multi_start(*a):
+        raise AssertionError("the solver record ran a multi-start")
+
+    for module in (solver, diagnostics, checks):
+        monkeypatch.setattr(module, "vbpg_final_points", multi_start,
+                            raising=False)
     monkeypatch.setattr(checks, "summability_bound",
                         lambda *a: F_stars.append(a[3])
                         or summability_bound(*a))
     rec = checks.check_solver_run(inst, problem, np.random.default_rng(3))
-    assert rec["passed"] and "restart-based F*" in rec["detail"]
-    assert len(runs) == 1  # the checked run; the restarts are one multi-start
-    assert F_stars == [restart_F_star(problem, inst.config, inst.box_center(),
-                                      2.0, np.random.default_rng(3))]
+    assert rec["passed"] and "conditional" not in rec["detail"]
+    assert len(runs) == 1 and F_stars == [runs[0].final_F]
 
 
 @pytest.mark.parametrize("g_kind,g_params", [

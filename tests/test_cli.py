@@ -277,9 +277,28 @@ class TestCheck:
         assert capsys.readouterr().err == (
             "validation: eps_max < m/L violated (0.9 >= 0.5)\n")
 
+    def test_box_above_dimension_3_certifies_its_bound(self, tmp_path):
+        # F = +inf off the box, where random starts land at d = 12; the
+        # bound needs only the run's own final F
+        d = 12
+        cfg = write_config(tmp_path, "c.json", {
+            "problem": {"kind": "quadratic",
+                        "params": {"Q": np.eye(d).tolist(),
+                                   "b": [(-1.0) ** i for i in range(d)],
+                                   "g": {"kind": "box", "lo": -1.0,
+                                         "hi": 1.0}}},
+            "solver": {"epsilon": 0.5}})
+        out = tmp_path / "o"
+        assert run(["check", "--config", cfg, "--seed", 1, "--out", out]) == 0
+        rep = json.loads((out / "check_report.json").read_text())
+        solver = [r for r in rep["records"]
+                  if r["name"] == "solver_monotone_summable"]
+        assert solver and solver[0]["passed"]
+
     def test_grid_min_F_memory_does_not_grow_with_halfwidth(self, tmp_path):
-        # check.halfwidth 20 scans a 2,001 x 2,001 grid (4M nodes, 32 MB per
-        # float array); in slabs its peak stays at the default halfwidth's
+        # check.halfwidth widens the sampling box and the 41-node-per-axis
+        # level-boundedness scan, and no check builds a grid that grows
+        # with it, so the peak stays at the default halfwidth's
         code = ("import resource, sys; from vbpg.cli import main; "
                 "rc = main(sys.argv[1:]); "
                 "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")

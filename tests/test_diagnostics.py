@@ -16,7 +16,7 @@ from vbpg.diagnostics import (_DRAW_CHUNK, DegenerateSampleError, EBFit,
                               check_value_proximity, certify_growth_conditions,
                               check_luo_tseng_bound, critical_points,
                               estimate_level_set_rate, estimate_q_linear_rate,
-                              fit_error_bound, grid_min_F, kl_exponent_sweep,
+                              fit_error_bound, kl_exponent_sweep,
                               make_slice, probe_slice, run_campaign)
 from vbpg.problems import ProblemSpec, lasso_spec
 from vbpg.solver import vbpg_run
@@ -69,11 +69,6 @@ class TestSublevelProjection:
     def test_empty_sublevel_raises(self):
         with pytest.raises(SliceEmptyError):
             SublevelGrid(square_problem(), [2.0], 3.0).project(-1.0, [2.0])
-
-    def test_grid_min(self):
-        p = lasso_spec("l", np.eye(2), [1.0, 0.8], 0.5).build()
-        F_star = grid_min_F(p, np.zeros(2), 2.0)
-        assert F_star == pytest.approx(p.F(np.array([0.5, 0.3])), abs=1e-9)
 
 
 def brute_project(grid, F_bar, x):

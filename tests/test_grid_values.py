@@ -17,7 +17,7 @@ import pytest
 from vbpg import core
 from vbpg import diagnostics as dx
 from vbpg.core import Problem, grid_rows
-from vbpg.diagnostics import SublevelGrid, grid_min_F
+from vbpg.diagnostics import SublevelGrid
 from vbpg.problems import (build_regularizer, generate_logistic_data,
                            logistic_objective, quadratic_objective,
                            scalar_profile_objective, zero_objective)
@@ -282,38 +282,18 @@ def test_sublevel_grid_values_are_F_batch(dim):
         assert np.array_equal(grid.values, problem.F_batch(grid.points))
 
 
-def reference_grid_min_F(problem, center, hw):
-    """``grid_min_F``'s three zooms as one argmin over the rows each."""
-    c, res, best = np.asarray(center, dtype=float), 0.02, np.inf
-    for _ in range(3):
-        n = int(round(2 * hw / res)) + 1
-        pts = grid_rows([np.linspace(ci - hw, ci + hw, n) for ci in c])
-        vals = problem.F_batch(pts)
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best, c = float(vals[j]), pts[j]
-        hw, res = 2.0 * res, res / 50.0
-    return best
-
-
-def test_grid_min_F_matches_the_row_scan():
-    problem = quad_problem(2, "mcp", definite=True, seed=5)
-    assert (grid_min_F(problem, [0.3, -0.2], 2.0)
-            == reference_grid_min_F(problem, [0.3, -0.2], 2.0))
-
-
 @pytest.mark.parametrize("slab_nodes", [1, 1000, 1 << 16])
-def test_grid_min_F_independent_of_the_slab(monkeypatch, slab_nodes):
+def test_sublevel_grid_independent_of_the_slab(monkeypatch, slab_nodes):
     # slabs of one row of the first axis, of several rows and one slab;
-    # the box indicator puts F = +inf off the box and ties at 0 on it
+    # the box indicator puts F = +inf off the box
     monkeypatch.setattr(dx, "_SLAB_NODES", slab_nodes)
     flat = Problem(f=zero_objective(2),
                    g=build_regularizer("box", {"lo": -0.5, "hi": 0.7}), dim=2)
     for problem, center in (
             (quad_problem(2, "mcp", definite=False, seed=5), [0.3, -0.2]),
             (flat, [0.0, 0.0])):
-        assert (grid_min_F(problem, center, 1.0)
-                == reference_grid_min_F(problem, center, 1.0))
+        grid = SublevelGrid(problem, center, 1.0, 0.05)
+        assert np.array_equal(grid.values, problem.F_batch(grid.points))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
