@@ -18,7 +18,10 @@ check prices its bound with the run's own final F), ``solve`` on the same data u
 (gamma = 3) and SCAD (a = 3.7), ``solve`` and ``probe`` on the
 nonconvex scalar profile ``pl_nonconvex`` (probed off its minimizer, at
 0.7), ``solve`` on the power profiles ``pow4`` and ``abs_pow_3_2`` (d = 1
-runs whose prox works on the point's coordinate, a numpy scalar),
+runs whose prox works on the point's coordinate, a numpy scalar), and
+on ``pow4`` under the one-entry kernels ``{"kind": "diagonal", "d":
+[1.0]}`` and ``{"kind": "quadratic", "A": [[1.0]]}`` (the same scalar
+path under a separable kernel other than the euclidean one),
 ``check`` and ``compare``.
 
 Each artifact prints "identical", or each moved CSV column or JSON field
@@ -79,6 +82,11 @@ PL_PROFILE = {"problem": {"kind": "profile", "params": {"id": "pl_nonconvex"}},
 POWER_PROFILES = {
     "pow4": {"epsilon": 0.5, "step_tol": 1e-6, "max_iters": 6000},
     "abs_pow_3_2": {"epsilon": 0.5, "max_iters": 400}}
+# pow4 again under the one-entry kernels of weight 1, whose trace.csv is
+# the euclidean run's: these runs show what moves with the scalar path
+# under a separable kernel other than the euclidean one
+ONE_ENTRY_KERNELS = {"diagonal": {"kind": "diagonal", "d": [1.0]},
+                     "quadratic": {"kind": "quadratic", "A": [[1.0]]}}
 SKIPPED = {"manifest.json"}
 STREAMS = ("stdout.txt", "stderr.txt")
 # exit codes other than 0 that a run is documented to end in: solve on the
@@ -163,13 +171,17 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
     path.write_text(json.dumps(PL_PROFILE))
     for command in ("solve", "probe"):
         cmds[f"{command}-{path.stem}"] = [command, "--config", str(path)]
-    for pid, solver in POWER_PROFILES.items():
-        path = config_dir / f"profile_{pid}.json"
+    profiles = {f"profile_{pid}": (pid, {"kind": "euclidean"})
+                for pid in POWER_PROFILES}
+    profiles.update({f"profile_pow4_{name}": ("pow4", kernel)
+                     for name, kernel in ONE_ENTRY_KERNELS.items()})
+    for stem, (pid, kernel) in profiles.items():
+        path = config_dir / f"{stem}.json"
         path.write_text(json.dumps({
             "problem": {"kind": "profile", "params": {"id": pid}},
-            "solver": {**solver, "kernel": {"kind": "euclidean"}},
+            "solver": {**POWER_PROFILES[pid], "kernel": kernel},
             "x0": [1.0]}))
-        cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
+        cmds[f"solve-{stem}"] = ["solve", "--config", str(path)]
     cmds["check"] = ["check"]
     cmds["compare"] = ["compare", "--config",
                        str(CONFIGS / "compare_kernels.json")]

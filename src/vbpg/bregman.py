@@ -52,10 +52,10 @@ class ProxResult:
     kernel's Hessian applied to it, grad_y D(x, t).  With grad f(x)
     (``grad_x``) and ``eps`` they give ``subproblem_value`` on each read,
     so only a caller that reads it (not the solver's multi-start) pays.
-    At a one-entry point under a scalar kernel weight (the euclidean
-    kernel) ``step``, ``kernel_step`` and ``grad_x`` are numpy scalars,
-    the coordinates of their one-entry vectors with the same bits, and
-    ``minimizer`` is the (1,) array.
+    At a one-entry point under a separable kernel ``step``,
+    ``kernel_step`` and ``grad_x`` are numpy scalars, the coordinates of
+    their one-entry vectors with the same bits, and ``minimizer`` is the
+    (1,) array.
     ``multivalued_flag`` is set when the coordinatewise candidate
     enumeration found two global minimizers tying within 1e-10; ties are
     resolved toward smaller |t|.  ``inner_iterations`` counts the steps of
@@ -94,9 +94,10 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
 
     Separable kernels: exact per-coordinate minimization by the
     regularizer's candidate enumeration (``Regularizer.scaled_prox``).
-    A one-entry point under a scalar kernel weight is solved on its
-    coordinate, a numpy scalar: a ufunc on a scalar costs about half of
-    one on a (1,) array, and rounds the same.  General quadratic kernels:
+    A one-entry point is solved on its coordinate, a numpy scalar, under
+    every separable kernel, whose one weight ``KernelSpec.diag_weights``
+    holds as a float: a ufunc on a scalar costs about half of one on a
+    (1,) array, and rounds the same.  General quadratic kernels:
     ``_accelerated_prox``.  ``grad_x`` is grad f(x) when the caller
     already has it.  x is not validated again here (``vbpg_run``
     validates its x0 once).
@@ -141,9 +142,9 @@ def _accelerated_prox(problem: Problem, K: KernelSpec, eps: float, X: Array,
     row stops once its step is at most that tolerance, and nothing
     certifies the result.  At most 10,000 steps; ``ProxError`` beyond.
     The rows share eps and K, hence the step and the momentum: each step
-    makes one ``g.prox`` call on the running rows' entries and one gemv
-    per row, and a row leaves the stack when it stops, so it keeps the
-    bits of its one-point solve."""
+    makes one ``g.prox`` call on the running rows and one gemv per row,
+    and a row leaves the stack when it stops, so it keeps the bits of its
+    one-point solve."""
     # v = B z - s c is the gradient step from the extrapolated point z and
     # u = B y - s c the one from the iterate y; v - u+ = s r
     B, prox, s = K.step_matrix, problem.g.prox, eps / K.M
@@ -165,12 +166,8 @@ def _accelerated_prox(problem: Problem, K: KernelSpec, eps: float, X: Array,
         if not len(X):  # no row would ever stop
             return T, 0, certified
     for it in range(1, _INNER_MAX + 1):
-        if point:
-            Y_next = prox(V, 1.0, s)[0]
-            U_next = B @ Y_next - S_c
-        else:
-            Y_next = prox(V.ravel(), 1.0, s)[0].reshape(V.shape)
-            U_next = matvec_rows(B, Y_next) - S_c
+        Y_next = prox(V, 1.0, s)[0]
+        U_next = (B @ Y_next if point else matvec_rows(B, Y_next)) - S_c
         R = V - U_next if certified else Y_next - Y
         if point:
             if R.dot(R) <= stop:

@@ -174,8 +174,8 @@ class Regularizer:
 
     def prox(self, v: Array, weights: Array, eps: float) -> tuple:
         """Entrywise global minimizer of g(t) + (weights/(2 eps)) (t - v)^2
-        for a 1-D ``v`` or a scalar; ``weights`` and ``eps`` broadcast
-        against it.
+        for ``v`` of any shape (a scalar, a point or a stack of rows);
+        ``weights`` and ``eps`` broadcast against it.
 
         Returns ``(t, tied)``; ``tied`` flags the entries with a near-tie
         between distinct global minimizers (resolved toward smaller |t|),
@@ -223,15 +223,10 @@ class Regularizer:
         coordinate of a one-entry point, one per row of a stack, or None
         for a stack whose ``prox`` flags no entry."""
         v = anchor - eps * linear / weights
+        t, tied = self.prox(v, weights, eps)
         if v.ndim < 2:
-            t, tied = self.prox(v, weights, eps)
             return t, tied is not None and bool(np.count_nonzero(tied))
-        if isinstance(weights, np.ndarray):  # one per coordinate
-            weights = np.broadcast_to(weights, v.shape).ravel()
-        t, tied = self.prox(v.ravel(), weights, eps)
-        if tied is not None:
-            tied = tied.reshape(v.shape).any(axis=-1)
-        return t.reshape(v.shape), tied
+        return t, None if tied is None else tied.any(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,10 +265,12 @@ class KernelSpec:
     The certified moduli satisfy m <= M and
     (m/2)||x-y||^2 <= D(x, y) <= (M/2)||x-y||^2.
 
-    ``step_matrix`` is B = I - A/M for a quadratic kernel whose matrix is
-    not diagonal, else None: a gradient step of length eps/M on the
-    non-separable prox subproblem maps y to B y - (eps/M) c, so the inner
-    solve makes one matvec per step.
+    Whether D is separable is decided once, at construction, and read
+    from ``diag_weights``: its Hessian is then the weights, else the
+    matrix A.  ``step_matrix`` is B = I - A/M for a quadratic kernel whose
+    matrix is not diagonal, else None: a gradient step of length eps/M on
+    the non-separable prox subproblem maps y to B y - (eps/M) c, so the
+    inner solve makes one matvec per step.
     """
 
     kind: str
@@ -295,7 +292,6 @@ class KernelSpec:
             object.__setattr__(self, "d", d)
             m, M = float(d.min()), float(d.max())
             weights = d.copy()
-            weights.flags.writeable = False
         elif self.kind == "quadratic":
             A = np.asarray(self.A, dtype=float)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -314,6 +310,11 @@ class KernelSpec:
                 step_matrix.flags.writeable = False
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if isinstance(weights, np.ndarray):
+            if weights.size == 1:  # a scalar, as the euclidean 1.0
+                weights = float(weights[0])
+            else:
+                weights.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "step_matrix", step_matrix)
@@ -332,12 +333,13 @@ class KernelSpec:
         return KernelSpec(kind="quadratic", A=np.asarray(A, dtype=float))
 
     def hessian_times(self, r: Array) -> Array:
-        """The kernel's (constant) Hessian applied to r over the last axis."""
-        if self.kind == "euclidean":
-            return r
-        if self.kind == "diagonal":
-            return self.d * r
-        return matvec_rows(self.A, r)
+        """The kernel's (constant) Hessian applied to r over the last axis:
+        r itself under the euclidean kernel, the weights times r under any
+        other separable kernel, else A r."""
+        w = self._weights
+        if w is None:
+            return matvec_rows(self.A, r)
+        return r if self.kind == "euclidean" else w * r
 
     def grad_y(self, x: Array, y: Array) -> Array:
         """Gradient of D(x, .) at y, i.e. grad K(y) - grad K(x), over the
@@ -355,8 +357,11 @@ class KernelSpec:
 
         A quadratic kernel whose matrix is exactly diagonal is separable
         and qualifies for the coordinatewise prox fast path.  The answer is
-        fixed at construction and read-only; for the euclidean kernel it is
-        the scalar 1.0, which broadcasts over any dimension ``dim``.
+        fixed at construction: a read-only vector, or a Python float for
+        the euclidean kernel (1.0) and for a one-entry kernel (``diagonal
+        ([w])``, ``quadratic([[w]])``), which broadcasts over any dimension
+        ``dim`` and lets ``prox_map`` solve a one-entry point on its
+        coordinate.
         """
         return self._weights
 

@@ -48,8 +48,9 @@ def _where(cond, a, b):
 
 
 def _pick_candidate(C: Array, H: Array) -> tuple[Array, Array]:
-    """Columnwise global minimum over stacked candidates C with values H,
-    both (k, n).  Candidates within 1e-10 (1 + |min|) of the minimum tie;
+    """Global minimum over candidates C with values H, both stacked along
+    the first axis, per column C[:, i, ...] (C of shape (k,) + v.shape).
+    Candidates within 1e-10 (1 + |min|) of the minimum tie;
     the smallest |t| wins, then the smallest t.  ``tied`` flags columns
     whose tied candidates lie more than 1e-9 apart.  A column whose tied
     candidates are all equal, or that has none (a NaN value), returns its
@@ -63,7 +64,7 @@ def _pick_candidate(C: Array, H: Array) -> tuple[Array, Array]:
         # candidates have equal values, so where C[0] equals lo it is the
         # first minimizer, and its sign of zero is the one to return
         return np.where(lo == C[0], C[0], lo), np.zeros(lo.shape, dtype=bool)
-    t = C[H.argmin(axis=0), np.arange(C.shape[1])]
+    t = np.take_along_axis(C, H.argmin(axis=0)[None], axis=0)[0]
     a = np.where(tied, np.abs(C), np.inf).min(axis=0)
     rule = np.where((tied & (C == -a)).any(axis=0) & (a > 0.0), -a, a)
     spread = hi - lo
@@ -81,20 +82,20 @@ def _nonzero_den(den: Array) -> tuple[Array, Optional[Array]]:
 
 def _quadratic_pick(g: "Regularizer", C: Array, v: Array, kappa: Array,
                     g_const: Array) -> tuple[Array, Array]:
-    """Pick among candidates C of min_t g(t) + (kappa/2)(t - v)^2, one
-    column per entry of v (an array or a scalar), shaped as v.  The first
-    len(g_const) rows of C are constants whose g values, one per row, are
-    g_const; g is evaluated on the other rows only."""
+    """Pick among candidates C of min_t g(t) + (kappa/2)(t - v)^2, stacked
+    along the first axis over the shape of v (an array of any shape or a
+    scalar).  The first len(g_const) rows of C are constants whose g
+    values, one per row, are g_const; g is evaluated on the other rows
+    only."""
     H = 0.5 * kappa * (C - v) ** 2
     k = len(g_const)
-    H[:k] += g_const
+    H[:k] += g_const.reshape((k,) + (1,) * np.ndim(v))
     H[k:] += g.values(C[k:])
-    t, tied = _pick_candidate(C, H)
-    return t.reshape(np.shape(v)), tied.reshape(np.shape(v))
+    return _pick_candidate(C, H)
 
 
 def _direct_prox(enumerate_, v: Array, kappa, mu, r: Array, d: Array,
-                 kv2: Array) -> tuple[Array, Array]:
+                 kv2: Array) -> tuple[Array, Optional[Array]]:
     """Scaled prox entries from the direct minimizer r >= 0 of
     h(t) = g(t) + (kappa/2)(t - |v|)^2, where d is the distance from r to
     the nearest other candidate of the enumeration ``enumerate_(v, kappa)``
@@ -106,17 +107,19 @@ def _direct_prox(enumerate_, v: Array, kappa, mu, r: Array, d: Array,
     candidate comes within the 1e-10 tie tolerance, and the enumeration
     would pick r's own candidate: copysign(r, v), whose bits negation
     keeps.  The other entries (the tie band, mu <= 0, a non-finite v) are
-    enumerated.  v may be a scalar: the mask of the slow entries indexes
-    its 0-d array too."""
+    enumerated, and only then is there a tie array: it is None when no
+    entry is.  v may have any shape or be a scalar: the mask of the slow
+    entries indexes its 0-d array too."""
     fast = mu * (d * d) > 4.0 * _TIE_TOL * (1.0 + kv2)
     t = np.copysign(r, v)
     t += 0.0  # the enumeration's zero candidate is +0.0
+    if fast.all():
+        return t, None
+    slow, t, v = ~fast, np.asarray(t), np.asarray(v)
     tied = np.zeros(t.shape, dtype=bool)
-    if not fast.all():
-        slow, t, v = ~fast, np.asarray(t), np.asarray(v)
-        if np.ndim(kappa):
-            kappa = np.broadcast_to(kappa, v.shape)[slow]
-        t[slow], tied[slow] = enumerate_(v[slow], kappa)
+    if np.ndim(kappa):
+        kappa = np.broadcast_to(kappa, v.shape)[slow]
+    t[slow], tied[slow] = enumerate_(v[slow], kappa)
     return t, tied
 
 
@@ -432,7 +435,7 @@ class JumpQuadraticRegularizer(Regularizer):
 
     def prox(self, v, weights, eps):
         kappa = weights / eps
-        C = np.empty((2, np.size(v)))
+        C = np.empty((2,) + np.shape(v))
         C[0] = self.xbar
         C[1] = (self.xbar + kappa * v) / (1.0 + kappa)
         return _quadratic_pick(self, C, v, kappa, self._g_const)
@@ -527,7 +530,7 @@ def _hessian_product(Q: Array):
     return product
 
 
-def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjective:
+def quadratic_objective(Q, b) -> SmoothObjective:
     """f(x) = x'Qx/2 + b'x with L equal to the spectral norm of Q.
 
     For indefinite Q the gradient-Lipschitz constant is the largest
@@ -544,7 +547,7 @@ def quadratic_objective(Q, b, L_override: Optional[float] = None) -> SmoothObjec
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ValueError("Q must be symmetric")
     eigs = np.linalg.eigvalsh(Q)
-    L = float(np.max(np.abs(eigs))) if L_override is None else float(L_override)
+    L = float(np.max(np.abs(eigs)))
     convex = bool(eigs[0] >= -1e-12)
     product = _hessian_product(Q)
 
@@ -680,8 +683,7 @@ class ProblemSpec:
 
 def build_problem(spec: ProblemSpec) -> Problem:
     if spec.f_kind == "quadratic":
-        f = quadratic_objective(spec.f_params["Q"], spec.f_params["b"],
-                                L_override=spec.f_params.get("L_override"))
+        f = quadratic_objective(spec.f_params["Q"], spec.f_params["b"])
         dim = len(spec.f_params["b"])
     elif spec.f_kind == "logistic":
         p = spec.f_params
@@ -702,7 +704,7 @@ def build_problem(spec: ProblemSpec) -> Problem:
         raise ValueError(f"unknown smooth kind {spec.f_kind!r}")
     if dim != spec.dimension:
         raise ValueError("declared dimension disagrees with f parameters")
-    if "L_override" in spec.f_params and spec.f_kind != "quadratic":
+    if "L_override" in spec.f_params:
         f = replace(f, lipschitz_L=float(spec.f_params["L_override"]))
     g = build_regularizer(spec.g_kind, spec.g_params)
     level_bounded = spec.g_kind != "jump_quadratic" or spec.f_kind == "zero"
@@ -786,11 +788,6 @@ class GridProxOracle:
         self._hi = self.grid[self._starts + B - 1]
         self._gmin = np.minimum.reduceat(self.gvals, np.arange(0, n, B))
         self._gmin[-1] = self.gvals[self._starts[-1]:].min()
-
-    def argmin(self, v: float, weight: float, eps: float) -> tuple[float, float]:
-        """One-row view of ``argmin_many``."""
-        T, H = self.argmin_many([v], [weight], [eps])
-        return float(T[0]), float(H[0])
 
     def argmin_many(self, V, W, EPS) -> tuple[Array, Array]:
         """Grid minimizer t and value h for each (v, w, eps) of the

@@ -197,13 +197,11 @@ def kernel_schedule_jacobi(Q: Array, block_sizes, c) -> KernelSpec:
     + (c_i/2)||x_i - x_i^k||^2 is quadratic in x when f is quadratic, and
     a quadratic kernel's induced distance depends only on its Hessian:
     blockdiag(Q) + diag(c), a constant matrix.  The resulting schedule is
-    therefore a single certified kernel.  For non-quadratic f the moduli
-    (m, M) cannot be certified this way.
+    therefore a single certified kernel; with blocks of size 1 its matrix
+    is diagonal, which ``KernelSpec`` finds separable.  For non-quadratic
+    f the moduli (m, M) cannot be certified this way.
     """
-    A = block_preconditioner(Q, block_sizes, c)
-    if np.count_nonzero(A - np.diag(np.diagonal(A))) == 0:
-        return KernelSpec.diagonal(np.diagonal(A))
-    return KernelSpec.quadratic(A)
+    return KernelSpec.quadratic(block_preconditioner(Q, block_sizes, c))
 
 
 def summability_bound(problem: Problem, config: SolverConfig, x0: Array,

@@ -9,7 +9,7 @@ from vbpg.bregman import ProxError, ProxResult, prox_map
 from vbpg.core import (Constants, KernelSpec, SolverConfig, sample_box,
                        validate_config, vector_norm)
 from vbpg.problems import ProblemSpec, lasso_spec
-from vbpg.solver import vbpg_run
+from vbpg.solver import vbpg_final_points, vbpg_run
 
 from reference import (certificate, descent_case_specs, descent_slack,
                        envelope_and_gap, inner_solve_from, subdiff_at,
@@ -81,7 +81,7 @@ class TestProxMap:
         r = prox_map(p, EUC, 0.2, np.array([0.5]))
         oracle = GridProxOracle(p.g, -5.0, 5.0, 1e-4)
         # fast path solves g(t) + (t - v)^2/(2 eps) at v = x - eps grad f(x)
-        tg, _ = oracle.argmin(0.5 - 0.2 * 0.5, 1.0, 0.2)
+        (tg,), _ = oracle.argmin_many(0.5 - 0.2 * 0.5, 1.0, 0.2)
         assert abs(r.minimizer[0] - tg) <= 1e-4
         assert r.minimizer[0] == pytest.approx(3.0 / 14.0, abs=1e-12)
 
@@ -267,14 +267,15 @@ class TestProxPoints:
         assert str(stacked.value) == str(single.value)
 
 
-# every kind of g on a d = 1 quadratic: the euclidean kernel solves a
-# one-entry point on its coordinate, diag([1.0]) on the (1,) array
+# every kind of g on a d = 1 quadratic, under every separable kernel: a
+# one-entry point is solved on its coordinate, a one-row stack on arrays
 ONE_ENTRY = [("zero", {}), ("l1", {"lam": 0.3}), ("sq_l2", {"lam": 0.7}),
              ("box", {"lo": -0.5, "hi": 1.0}),
              ("scad", {"lam": 0.5, "a": 3.7}),
              ("mcp", {"lam": 0.6, "gamma": 4.0}), ("power", {"p": 4.0}),
              ("jump_quadratic", {"xbar": 0.3})]
-UNIT_DIAGONAL = KernelSpec.diagonal([1.0])
+UNIT_KERNELS = (EUC, KernelSpec.diagonal([1.0]), KernelSpec.quadratic([[1.0]]))
+WEIGHTED_KERNELS = (KernelSpec.diagonal([2.5]), KernelSpec.quadratic([[2.5]]))
 
 
 class TestOneEntryPoint:
@@ -283,32 +284,42 @@ class TestOneEntryPoint:
     def test_coordinate_has_the_bits_of_the_array(self, rng, g_kind,
                                                   g_params):
         p = build([[1.5]], [-0.4], g_kind, g_params)
-        for eps in (0.2, 0.9, 3.0):
-            for x in rng.uniform(-3, 3, (60, 1)):
-                point = prox_map(p, EUC, eps, x)
-                array = prox_map(p, UNIT_DIAGONAL, eps, x)
-                assert point.step.ndim == 0 and array.step.shape == (1,)
-                for name in ("minimizer", "step", "kernel_step", "grad_x"):
-                    got, want = getattr(point, name), getattr(array, name)
-                    assert np.asarray(got).tobytes() == want[...].tobytes()
-                for name in ("g_value", "subproblem_value"):
-                    got, want = getattr(point, name), getattr(array, name)
-                    assert type(got) is type(want) is float
-                    assert np.float64(got).tobytes() == np.float64(
-                        want).tobytes()
-                assert point.multivalued_flag == array.multivalued_flag
+        for K in UNIT_KERNELS + WEIGHTED_KERNELS:
+            for eps in (0.2, 0.9, 3.0):
+                for x in rng.uniform(-3, 3, (20, 1)):
+                    point = prox_map(p, K, eps, x)
+                    stack = prox_map(p, K, eps, x[None])
+                    assert type(point.step) is type(point.kernel_step) \
+                        is np.float64
+                    assert point.minimizer.shape == (1,)
+                    for name in ("minimizer", "step", "kernel_step",
+                                 "grad_x"):
+                        got, want = getattr(point, name), getattr(stack, name)
+                        assert np.asarray(got).tobytes() == want[0].tobytes()
+                    for name in ("g_value", "subproblem_value"):
+                        got, want = getattr(point, name), getattr(stack, name)
+                        assert type(got) is float
+                        assert np.float64(got).tobytes() == want[0].tobytes()
+                    assert point.multivalued_flag == stack.multivalued_flag[0]
 
     @pytest.mark.parametrize("g_kind,g_params", ONE_ENTRY,
                              ids=[k for k, _ in ONE_ENTRY])
     def test_trace_has_the_bits_of_the_array(self, g_kind, g_params):
+        # kernels of one weight give one trace; each run ends on the bits
+        # of the same start run as a one-row multi-start
         p = build([[1.5]], [-0.4], g_kind, g_params)
-        eps = admissible_eps(p, EUC)
-        traces = [vbpg_run(p, SolverConfig.constant(eps, K, max_iters=300),
-                           np.array([0.8])) for K in (EUC, UNIT_DIAGONAL)]
-        assert traces[0].csv_lines() == traces[1].csv_lines()
-        assert traces[0].final_x.tobytes() == traces[1].final_x.tobytes()
-        for rows in ("f_values", "step_norms", "gaps", "residuals"):
-            assert all(type(v) is float for v in getattr(traces[0], rows))
+        for kernels in (UNIT_KERNELS, WEIGHTED_KERNELS):
+            eps = admissible_eps(p, kernels[0])
+            lines = set()
+            for K in kernels:
+                config = SolverConfig.constant(eps, K, max_iters=300)
+                trace = vbpg_run(p, config, np.array([0.8]))
+                stack = vbpg_final_points(p, config, [[0.8]])
+                assert trace.final_x.tobytes() == stack[0].tobytes()
+                for rows in ("f_values", "step_norms", "gaps", "residuals"):
+                    assert all(type(v) is float for v in getattr(trace, rows))
+                lines.add(tuple(trace.csv_lines()))
+            assert len(lines) == 1
 
 
 class TestEnvelopeGap:

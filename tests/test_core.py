@@ -136,6 +136,12 @@ class TestKernelSpec:
         assert w is K.diag_weights(2) and not w.flags.writeable
         d[0] = 9.0  # the caller's array stays the caller's
         assert w.tolist() == [1.5, 2.0]
+        # a one-entry kernel's weight is a float, as the euclidean 1.0
+        for K in (KernelSpec.diagonal([2.5]), KernelSpec.quadratic([[2.5]])):
+            assert type(K.diag_weights(1)) is float
+            assert K.diag_weights(1) == 2.5
+        Kq = KernelSpec.quadratic([[3.0, 0.0], [0.0, 2.0]])
+        assert not Kq.diag_weights(2).flags.writeable
 
 
 class TestShippedObjectives:

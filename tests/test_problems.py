@@ -33,7 +33,7 @@ def test_prox_matches_grid_oracle(kind):
         w = float(rng.uniform(0.5, 2.0))
         eps = float(rng.uniform(0.1, 1.0))
         t = prox_at(g, v, w, eps)[0]
-        tg, hg = oracle.argmin(v, w, eps)
+        (tg,), (hg,) = oracle.argmin_many(v, w, eps)
         h = value_at(g, t) + 0.5 * (w / eps) * (t - v) ** 2
         assert h <= hg + 1e-8
         assert abs(t - tg) <= 2e-4
@@ -54,9 +54,9 @@ def test_box_clamp_example():
 def test_scad_sweep_against_grid():
     g = build_regularizer("scad", {"lam": 1.0, "a": 3.7})
     oracle = GridProxOracle(g, -10.0, 10.0, 1e-4)
-    for v in np.linspace(-6, 6, 241):
-        t = prox_at(g, float(v), 1.0, 0.8)[0]
-        tg, hg = oracle.argmin(float(v), 1.0, 0.8)
+    V = np.linspace(-6, 6, 241)
+    for v, tg in zip(V.tolist(), oracle.argmin_many(V, 1.0, 0.8)[0]):
+        t = prox_at(g, v, 1.0, 0.8)[0]
         assert abs(t - tg) <= 2e-4, v
 
 
@@ -86,8 +86,10 @@ def test_argmin_many_matches_full_grid(name):
     for v, w, eps, t, h in zip(V.tolist(), W.tolist(), EPS.tolist(),
                                T.tolist(), H.tolist()):
         assert (t, h) == _full_grid_argmin(oracle, v, w, eps), (v, w, eps)
-    for v, w, eps in zip(V[:20].tolist(), W[:20].tolist(), EPS[:20].tolist()):
-        assert oracle.argmin(v, w, eps) == _full_grid_argmin(oracle, v, w, eps)
+    # one query alone has the bits of the same query in the batch
+    for v, w, eps, t, h in zip(V[:20], W[:20], EPS[:20], T, H):
+        (t1,), (h1,) = oracle.argmin_many(v, w, eps)
+        assert (t1, h1) == (t, h)
 
 
 @pytest.mark.parametrize("kind,params,queries", [

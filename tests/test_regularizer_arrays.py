@@ -288,6 +288,11 @@ def _random_inputs(seed, n=4000):
 def _check_prox(g, ref, triples):
     v, w, eps = triples.T
     t, tied = g.prox(v, w, eps)
+    # any shape: the same entries as a stack of rows of two
+    t2, tied2 = g.prox(*(a.reshape(-1, 2) for a in (v, w, eps)))
+    assert t2.shape == (v.size // 2, 2) and t2.tobytes() == t.tobytes()
+    assert (tied2 is None and tied is None
+            or tied2.ravel().tolist() == tied.tolist())
     if tied is None:  # a g that cannot tie flags no entry
         tied = np.zeros(v.size, dtype=bool)
     for i, (vi, wi, ei) in enumerate(triples.tolist()):
@@ -461,7 +466,7 @@ def test_direct_prox_enumerates_no_entry_of_a_generic_input(kind, params):
     for weights in (1.0, rng.uniform(0.5, 2.0, 500)):
         eps = 0.9 * np.min(weights) / g.semiconvex_rho
         t, tied = g.prox(v, weights, eps)
-        assert not tied.any()
+        assert tied is None  # no tie array without an enumerated entry
     assert enumerated == []
 
 

@@ -249,3 +249,28 @@ def test_artifact_diff_solves_the_power_profiles(tmp_path):
         trace = vbpg_run(inst.problem(), inst.config, inst.start())
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines == trace.csv_lines()
+
+
+def test_artifact_diff_solves_pow4_under_the_one_entry_kernels(tmp_path):
+    from vbpg.cli import main
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    euclidean = json.loads((tmp_path / "profile_pow4.json").read_text())
+    assert main(cmds["solve-profile_pow4"]
+                + ["--seed", "7", "--out", str(tmp_path / "euclidean")]) == 0
+    want = (tmp_path / "euclidean" / "trace.csv").read_bytes()
+    for name, kernel in (("diagonal", {"kind": "diagonal", "d": [1.0]}),
+                         ("quadratic", {"kind": "quadratic", "A": [[1.0]]})):
+        path = tmp_path / f"profile_pow4_{name}.json"
+        assert cmds[f"solve-profile_pow4_{name}"] == ["solve", "--config",
+                                                      str(path)]
+        cfg = json.loads(path.read_text())
+        assert cfg["solver"].pop("kernel") == kernel
+        euclidean["solver"].pop("kernel", None)
+        assert cfg == euclidean  # pow4's run, only the kernel differs
+        out = tmp_path / name
+        assert main(cmds[f"solve-profile_pow4_{name}"]
+                    + ["--seed", "7", "--out", str(out)]) == 0
+        # a kernel of weight 1 gives the euclidean run's trace
+        assert (out / "trace.csv").read_bytes() == want

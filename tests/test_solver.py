@@ -270,20 +270,31 @@ class TestCallBudget:
     not drift onto a stack of one row, whose reshapes and reductions
     would add calls, nor the multi-start gain per-iteration work."""
 
-    @pytest.mark.parametrize("name,ceiling", [("pow4", 17), ("lasso2", 23)])
-    def test_vbpg_run(self, registry, name, ceiling):
+    @pytest.mark.parametrize("name,ceiling,K", [
+        pytest.param("pow4", 17, None, id="pow4-17"),
+        pytest.param("lasso2", 23, None, id="lasso2-23"),
+        # a one-entry point is solved on its coordinate under every
+        # separable kernel, so within the euclidean kernel's ceiling
+        pytest.param("pow4", 17, KernelSpec.diagonal([1.0]),
+                     id="pow4-diagonal-17"),
+        pytest.param("pow4", 17, KernelSpec.quadratic([[1.0]]),
+                     id="pow4-quadratic-17")])
+    def test_vbpg_run(self, registry, name, ceiling, K):
         inst = registry[name]
         p = inst.problem()
+        kernels = inst.config.kernels if K is None else (K,)
 
         def calls(n):
-            config = replace(inst.config, max_iters=n, step_tol=0.0)
+            config = replace(inst.config, kernels=kernels, max_iters=n,
+                             step_tol=0.0)
             trace = vbpg_run(p, config, inst.start())  # warm, and no stop
             assert trace.n_iters == n
             return c_calls(lambda: vbpg_run(p, config, inst.start()))
 
         assert calls(4) - calls(3) <= ceiling
 
-    @pytest.mark.parametrize("g,ceiling", [("l1", 24), ("mcp", 32)])
+    @pytest.mark.parametrize("g,ceiling", [("l1", 24), ("mcp", 30),
+                                           ("scad", 30)])
     def test_vbpg_run_at_d500(self, g, ceiling):
         # a seeded 10-sparse least squares at d = 500, as the benchmark's
         # solve_large runs it: x0 = 0, eps = 0.9 min(1/L, 1/rho); its
@@ -296,7 +307,8 @@ class TestCallBudget:
         Q, c = A.T @ A, -(A.T @ b)
         lam = 0.1 * float(np.max(np.abs(c)))
         gp, rho = {"l1": ({"lam": lam}, 0.0),
-                   "mcp": ({"lam": lam, "gamma": 3.0}, 1.0 / 3.0)}[g]
+                   "mcp": ({"lam": lam, "gamma": 3.0}, 1.0 / 3.0),
+                   "scad": ({"lam": lam, "a": 3.7}, 1.0 / 2.7)}[g]
         p = quad(Q, c, g, gp)
         eps = 0.9 / max(p.f.lipschitz_L, rho)
 
@@ -386,7 +398,7 @@ class TestJacobi:
         Qd = np.diag([2.0, 0.5])
         p = quad(Qd.tolist(), [1.0, -0.5], "l1", {"lam": 0.2})
         Kj = kernel_schedule_jacobi(Qd, (1, 1), (0.3, 0.3))
-        assert Kj.kind == "diagonal"
+        assert np.array_equal(Kj.diag_weights(2), [2.3, 0.8])
         Kd = KernelSpec.diagonal([2.3, 0.8])
         cfg_j = SolverConfig.constant(0.5, Kj, max_iters=50, step_tol=1e-12)
         cfg_d = SolverConfig.constant(0.5, Kd, max_iters=50, step_tol=1e-12)
