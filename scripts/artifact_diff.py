@@ -26,8 +26,12 @@ path under a separable kernel other than the euclidean one),
 
 Each artifact prints "identical", or each moved CSV column or JSON field
 with its largest absolute change (inf when a value is not a finite
-number on both sides, unless it is NaN on both; list indices in JSON paths are folded into "[]"),
-or the first line where another file differs.  A run's stdout and stderr
+number on both sides, unless it is NaN on both), or the first line where
+another file differs.  In JSON paths, a list of records that carry
+``name`` and ``instance`` is keyed by that pair, as in
+"records[gap_identity/lasso2].worst", and a change in the order of its
+records prints a line of its own; the indices of any other list are
+folded into "[]".  A run's stdout and stderr
 are compared as two more artifacts, ``stdout.txt`` and ``stderr.txt``.
 ``manifest.json`` holds a timestamp and is skipped.  A run that writes
 no artifact, exits nonzero on either side or exits differently on the two
@@ -231,18 +235,43 @@ def _change(a, b) -> float:
     return d if math.isfinite(d) else math.inf
 
 
-def _flatten(node, path: str, out: dict) -> dict:
-    """JSON leaves by path, list indices folded into "[]"; one list of
-    values per folded path."""
+def _record_keys(node: list):
+    """The key "name/instance" of each entry of a list of records that all
+    carry both, else None."""
+    if node and all(isinstance(r, dict) and "name" in r and "instance" in r
+                    for r in node):
+        return [f"{r['name']}/{r['instance']}" for r in node]
+    return None
+
+
+def _flatten(node, path: str, out: dict, orders: dict) -> dict:
+    """JSON leaves by path, one list of values per path.  A list of
+    records that carry ``name`` and ``instance`` is keyed by that pair
+    ("records[gap_identity/lasso2].worst"), its key order kept in
+    ``orders``; the indices of any other list are folded into "[]"."""
     if isinstance(node, dict):
         for key, value in node.items():
-            _flatten(value, f"{path}.{key}" if path else str(key), out)
+            _flatten(value, f"{path}.{key}" if path else str(key), out, orders)
     elif isinstance(node, list):
-        for value in node:
-            _flatten(value, f"{path}[]", out)
+        keys = _record_keys(node)
+        if keys is not None:
+            orders[path] = keys
+        for i, value in enumerate(node):
+            _flatten(value, f"{path}[{keys[i] if keys else ''}]", out, orders)
     else:
         out.setdefault(path, []).append(node)
     return out
+
+
+def _reordered(old: dict, new: dict) -> list[str]:
+    """Paths of the record lists whose shared records changed order."""
+    paths = []
+    for path in sorted(old.keys() & new.keys()):
+        shared = set(old[path]) & set(new[path])
+        if ([k for k in old[path] if k in shared]
+                != [k for k in new[path] if k in shared]):
+            paths.append(path)
+    return paths
 
 
 def _moved(old: dict, new: dict) -> dict[str, float]:
@@ -282,12 +311,16 @@ def compare_dirs(old: Path, new: Path) -> list[str]:
         if a.read_bytes() == b.read_bytes():
             lines.append(f"{name}: identical")
             continue
+        reordered = []
         if name.endswith(".csv"):
             moved = _moved(_csv_columns(a), _csv_columns(b))
             kind = "column"
         elif name.endswith(".json"):
-            moved = _moved(_flatten(json.loads(a.read_text()), "", {}),
-                           _flatten(json.loads(b.read_text()), "", {}))
+            orders = ({}, {})
+            moved = _moved(*(_flatten(json.loads(p.read_text()), "", {}, o)
+                             for p, o in zip((a, b), orders)))
+            reordered = [f"{name}: {path}[] reordered"
+                         for path in _reordered(*orders)]
             kind = "field"
         else:
             old_lines = a.read_text().splitlines()
@@ -297,8 +330,9 @@ def compare_dirs(old: Path, new: Path) -> list[str]:
                           if x != y), min(len(old_lines), len(new_lines)))
             lines.append(f"{name}: differs from line {first + 1}")
             continue
-        if not moved:
+        if not (moved or reordered):
             lines.append(f"{name}: bytes differ")
+        lines.extend(reordered)
         for key, worst in moved.items():
             lines.append(f"{name}: {kind} {key} moved, largest change "
                          f"{worst:.3g}")

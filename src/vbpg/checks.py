@@ -18,7 +18,6 @@ from .bregman import annotate_points, descent_slack_rows, subgradient_rows
 from .core import (Constants, Problem, SolverConfig, grid_rows, min_or_inf,
                    row_dots, row_norms, sample_box, validate_config,
                    vector_norm)
-from .diagnostics import check_semiconvex_gap_bounds
 from .problems import GridProxOracle, ShippedInstance, shipped_instances
 from .solver import summability_bound, vbpg_run
 
@@ -29,9 +28,30 @@ def _record(name, instance, passed, worst, detail=""):
 
 
 def _finite_samples(problem, rng, n, center, halfwidth):
+    """The first n of 2n box rows where F is finite, and F at them."""
     X = sample_box(rng, 2 * n, center, halfwidth)
-    keep = np.isfinite(problem.F_batch(X))
-    return X[keep][:n]
+    F_X = problem.F_batch(X)
+    keep = np.isfinite(F_X)
+    return X[keep][:n], F_X[keep][:n]
+
+
+def semiconvex_gap_slacks(C: Constants, F_X, ann) -> dict:
+    """Least slack of each sandwich bound of a semiconvex g at an
+    admissible step, over the rows of an annotation ``ann`` with finite
+    F values F_X; margin = m - eps_hi rho (``Constants.margin``):
+      (i)   E(x) <= F(x) - (m/eps_hi - rho)/2 ||x - T(x)||^2
+      (ii)  margin/(2 eps_hi^2) ||x - T(x)||^2 <= G(x)
+      (iii) G(x) <= dist^2(0, subdiff F(x)) / (2 margin)
+      (iv)  ||x - T(x)|| <= eps_hi/margin dist(0, subdiff F(x)),
+    (iii) and (iv) where subdiff F(x) is nonempty."""
+    m, rho, eps_hi, margin = C.m, C.rho, C.eps_hi, C.margin
+    E, G, r, dsub = ann.envelope, ann.gap, ann.dist_prox, ann.dist_subdiff
+    fin = np.isfinite(dsub)
+    return {
+        "i": min_or_inf(F_X - 0.5 * (m / eps_hi - rho) * r * r - E),
+        "ii": min_or_inf(G - margin / (2 * eps_hi ** 2) * r * r),
+        "iii": min_or_inf(dsub[fin] * dsub[fin] / (2 * margin) - G[fin]),
+        "iv": min_or_inf(eps_hi / margin * dsub[fin] - r[fin])}
 
 
 def check_gradient_lipschitz(inst: ShippedInstance, problem: Problem, rng):
@@ -66,15 +86,17 @@ def check_kernel_bounds(inst: ShippedInstance, problem: Problem, rng):
 def check_prox_invariants(inst: ShippedInstance, problem: Problem, rng):
     """Four records from one array pass of prox solves: the gap identity,
     the descent inequality (against a second sample set), the
-    envelope/value decrease and the prox-subgradient bound."""
+    envelope/value decrease and the prox-subgradient bound; a fifth, the
+    semiconvex gap bounds, when g is semiconvex with 0 < rho < inf and
+    the step size validates."""
     K = inst.config.kernel_at(0)
     eps = inst.config.eps_at(0)
-    C = Constants.of(problem, SolverConfig.constant(eps, K))
-    X = _finite_samples(problem, rng, 300, inst.box_center(), inst.sample_halfwidth)
-    U = _finite_samples(problem, rng, 300, inst.box_center(), inst.sample_halfwidth)
+    config = SolverConfig.constant(eps, K)
+    C = Constants.of(problem, config)
+    X, Fx = _finite_samples(problem, rng, 300, inst.box_center(), inst.sample_halfwidth)
+    U, Fu = _finite_samples(problem, rng, 300, inst.box_center(), inst.sample_halfwidth)
     ann = annotate_points(problem, K, eps, X)
     T, E, G, Ft = ann.prox_point, ann.envelope, ann.gap, ann.prox_F
-    Fx = problem.F_batch(X)
     scale = 1.0 + np.abs(Fx)
     gap_err = np.abs(Fx - E - eps * G) / scale
     broken = (G < -1e-12) | (E > Fx + 1e-10 * scale)
@@ -82,7 +104,7 @@ def check_prox_invariants(inst: ShippedInstance, problem: Problem, rng):
                            initial=0.0))
     k = min(len(X), len(U))
     descent = min_or_inf(descent_slack_rows(C, X[:k], U[:k], T[:k], Ft[:k],
-                                            problem.F_batch(U[:k])))
+                                            Fu[:k]))
     r2 = row_dots(X - T, X - T)
     decrease = min_or_inf(np.minimum(E - C.a * r2 - Ft, Fx - C.a * r2 - Ft))
     xi = subgradient_rows(eps, ann.grad, problem.f.gradient(T),
@@ -90,13 +112,18 @@ def check_prox_invariants(inst: ShippedInstance, problem: Problem, rng):
     resid = min_or_inf(C.residual * ann.dist_prox * (1 + 1e-9)
                        - row_norms(xi))
     name = inst.spec.name
-    return [_record("gap_identity", name, gap_err <= 1e-10, 1e-10 - gap_err,
-                    f"max relative identity error {gap_err:.3g}"),
-            _record("descent_inequality", name, descent >= -1e-8, descent,
-                    f"case {C.case_id}"),
-            _record("envelope_value_decrease", name, decrease >= -1e-8,
-                    decrease),
-            _record("prox_subgradient_bound", name, resid >= -1e-12, resid)]
+    records = [
+        _record("gap_identity", name, gap_err <= 1e-10, 1e-10 - gap_err,
+                f"max relative identity error {gap_err:.3g}"),
+        _record("descent_inequality", name, descent >= -1e-8, descent,
+                f"case {C.case_id}"),
+        _record("envelope_value_decrease", name, decrease >= -1e-8, decrease),
+        _record("prox_subgradient_bound", name, resid >= -1e-12, resid)]
+    if 0 < C.rho < math.inf and validate_config(problem, config).ok:
+        worst = min(semiconvex_gap_slacks(C, Fx, ann).values())
+        records.append(_record("semiconvex_gap_bounds", name, worst >= -1e-8,
+                               worst))
+    return records
 
 
 def check_prox_vs_grid(inst: ShippedInstance, problem: Problem, rng):
@@ -176,24 +203,9 @@ def check_level_boundedness(inst: ShippedInstance, problem: Problem, rng):
                    -float(leak), f"level={level:.4g}, halfwidth={hw:g}")
 
 
-def check_semiconvex_suite(inst: ShippedInstance, problem: Problem, rng):
-    rho = problem.g.semiconvex_rho
-    if not (math.isfinite(rho) and rho > 0):
-        return None
-    K = inst.config.kernel_at(0)
-    eps = inst.config.eps_at(0)
-    if not validate_config(problem, SolverConfig.constant(eps, K)).ok:
-        return None
-    X = _finite_samples(problem, rng, 200, inst.box_center(), inst.sample_halfwidth)
-    rep = check_semiconvex_gap_bounds(problem, K, eps, X)
-    worst = min(rep["min_slack"].values())
-    return _record("semiconvex_gap_bounds", inst.spec.name, worst >= -1e-8,
-                   worst)
-
-
 _CHECKS = [check_gradient_lipschitz, check_kernel_bounds, check_prox_invariants,
            check_prox_vs_grid, check_semiconvex_midpoint,
-           check_level_boundedness, check_solver_run, check_semiconvex_suite]
+           check_level_boundedness, check_solver_run]
 
 
 def run_invariant_suite(instances=None, seed: int = 0) -> list:

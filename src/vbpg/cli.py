@@ -2,10 +2,11 @@
 suites, and kernel-schedule comparisons, producing CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 config parse error (including out-of-domain
-problem, kernel, solver or x0 parameters), 2 validation failure (or
-refused precondition), 3 empty probe slice, 4 invariant failure, 5
-numerical failure (F turned non-finite, or an inner prox solve did not
-converge).  Each failure prints one line on stderr.
+problem, kernel, solver or x0 parameters), a negative --seed or a failed
+write under --out, 2 validation failure (or refused precondition), 3
+empty probe slice, 4 invariant failure, 5 numerical failure (F turned
+non-finite, or an inner prox solve did not converge).  Each failure
+prints one line on stderr.
 
 All randomness flows from the single seeded generator recorded in the
 run manifest, so identical (config, seed, command) invocations reproduce
@@ -21,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +44,6 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-@dataclass
-class RunManifest:
-    config_path: str
-    command: str
-    seed: int
-    output_dir: str
-    timestamp: str
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +317,15 @@ def cmd_probe(cfg, args, out: Path) -> int:
 def check_instance_from_config(cfg: dict, spec: ProblemSpec, problem: Problem,
                                config: SolverConfig) -> ShippedInstance:
     """The instance ``vbpg check`` runs: x0 defaults to 0.5 per coordinate
-    and ``check.halfwidth`` to 2."""
+    and ``check.halfwidth`` to 2.  A halfwidth hw whose sampling box or
+    level scan box (of halfwidth 2 hw + 1) overflows a float is refused."""
     x0 = resolve_x0(cfg, problem, None) if "x0" in cfg else [0.5] * problem.dim
-    hw = _object(cfg.get("check", {}), "check").get("halfwidth", 2.0)
-    return ShippedInstance(spec, config, tuple(float(v) for v in x0),
-                           _number(hw, "check.halfwidth"))
+    hw = _number(_object(cfg.get("check", {}), "check").get("halfwidth", 2.0),
+                 "check.halfwidth")
+    if not math.isfinite(2.0 * (2.0 * hw + 1.0)):
+        raise ConfigError(f"check.halfwidth {hw!r} is too wide: its level "
+                          f"scan box, 2 halfwidth + 1, overflows")
+    return ShippedInstance(spec, config, tuple(float(v) for v in x0), hw)
 
 
 def cmd_check(cfg, args, out: Path) -> int:
@@ -409,25 +405,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed < 0:
+        print(f"argument error: --seed must be a nonnegative integer, got "
+              f"{args.seed}", file=sys.stderr)
+        return 1
     cfg = {}
     if args.config is not None:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config parse error: {exc}", file=sys.stderr)
+        except (OSError, ValueError, RecursionError) as exc:
+            # not JSON or not UTF-8 (ValueError), or nested too deep
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            print(f"config parse error: {args.config}: {reason}",
+                  file=sys.stderr)
             return 1
         if not isinstance(cfg, dict):
             print("config parse error: top level must be a JSON object",
                   file=sys.stderr)
             return 1
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_path=str(args.config), command=args.command,
-                           seed=args.seed, output_dir=str(out),
-                           timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
-    _write_json(out / "manifest.json", asdict(manifest))
+    manifest = {"config_path": str(args.config), "command": args.command,
+                "seed": args.seed, "output_dir": str(out),
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "manifest.json", manifest)
         handler = {"solve": cmd_solve, "probe": cmd_probe,
                    "check": cmd_check, "compare": cmd_compare}[args.command]
         # a diverging run overflows before F turns non-finite; the failure
@@ -439,6 +442,10 @@ def main(argv=None) -> int:
         return 1
     except KeyError as exc:
         print(f"config parse error: missing key {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # --out is not a directory, or a write failed
+        print(f"output error: {exc.filename or args.out}: {exc.strerror}",
+              file=sys.stderr)
         return 1
     except (FloatingPointError, ProxError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -680,36 +680,6 @@ def check_gap_condition_links(samples: ProbeSamples, bregman_fit: EBFit,
             "n_violations": viol}
 
 
-def check_semiconvex_gap_bounds(problem: Problem, K: KernelSpec, eps: float,
-                                X: Array) -> dict:
-    """Sampled envelope/gap/residual inequalities for semiconvex g under
-    an admissible step size; returns the most negative slack per bound.
-
-    With rho the semiconvexity modulus, m = K.m, eps < min(m/L, m/rho)
-    and margin = m - eps rho (``Constants.margin``):
-      (i)   E(x) <= F(x) - (m/eps - rho)/2 ||x - T(x)||^2
-      (ii)  margin/(2 eps^2) ||x - T(x)||^2 <= G(x)
-      (iii) G(x) <= dist^2(0, subdiff F(x)) / (2 margin)
-      (iv)  ||x - T(x)|| <= eps/margin dist(0, subdiff F(x))
-    """
-    C = Constants.of(problem, SolverConfig.constant(eps, K))
-    m, rho, eps_hi, margin = C.m, C.rho, C.eps_hi, C.margin
-    X = np.asarray(X, dtype=float).reshape(-1, problem.dim)
-    FX = problem.F_batch(X)
-    keep = np.isfinite(FX)
-    X, Fx = X[keep], FX[keep]
-    a = annotate_points(problem, K, eps, X)
-    E, G, r, dsub = a.envelope, a.gap, a.dist_prox, a.dist_subdiff
-    fin = np.isfinite(dsub)
-
-    slacks = {
-        "i": min_or_inf(Fx - 0.5 * (m / eps_hi - rho) * r * r - E),
-        "ii": min_or_inf(G - margin / (2 * eps_hi ** 2) * r * r),
-        "iii": min_or_inf(dsub[fin] * dsub[fin] / (2 * margin) - G[fin]),
-        "iv": min_or_inf(eps_hi / margin * dsub[fin] - r[fin])}
-    return {"check": "semiconvex_gap_bounds", "min_slack": slacks}
-
-
 # ---------------------------------------------------------------------------
 # rate estimation
 # ---------------------------------------------------------------------------

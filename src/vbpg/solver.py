@@ -38,7 +38,7 @@ class Trace:
     flag and whether its minimizer is certified (``ProxResult.certified``;
     not written to ``trace.csv``).  ``f_values`` has one extra trailing
     entry, F at the final accepted iterate.  ``iterates`` is thinned by
-    ``trace_every`` but always includes x^0 and the final point;
+    ``trace_every`` but always includes x^0 and the final point, ``final_x``;
     ``iterate_indices`` maps entries back to iteration numbers.
     """
 
@@ -54,11 +54,14 @@ class Trace:
     tied: list = field(default_factory=list)
     inner_certified: list = field(default_factory=list)
     terminated_reason: str = "max_iters"
-    final_x: Array | None = None
 
     @property
     def n_iters(self) -> int:
         return len(self.step_norms)
+
+    @property
+    def final_x(self) -> Array:
+        return self.iterates[-1]
 
     @property
     def final_F(self) -> float:
@@ -89,7 +92,7 @@ def vbpg_run(problem: Problem, config: SolverConfig, x0: Array) -> Trace:
     when F turns non-finite (a sign of an inadmissible pairing)."""
     x = as_vector(x0, dim=problem.dim)
     trace = Trace(iterates=[x.copy()], iterate_indices=[0])
-    trace.final_x = _iterate(problem, config, x, trace).copy()
+    _iterate(problem, config, x, trace)
     return trace
 
 

@@ -42,6 +42,30 @@ def subdiff_distance(g, x, grad_f):
     return vector_norm(g.subdiff_parts(x, grad_f))
 
 
+def reference_semiconvex_slacks(problem, K, eps, X, eps_hi):
+    """The per-sample loop of ``checks.semiconvex_gap_slacks``: the most
+    negative slack of bounds (i)-(iv) over the rows of X where F is
+    finite, one prox per point."""
+    rho, m = problem.g.semiconvex_rho, K.m
+    slacks = dict.fromkeys(("i", "ii", "iii", "iv"), math.inf)
+    for x in X:
+        Fx = problem.F(x)
+        if not math.isfinite(Fx):
+            continue
+        E, G, prox = envelope_and_gap(problem, K, eps, x)
+        r = vector_norm(x - prox.minimizer)
+        dsub = subdiff_distance(problem.g, x, problem.f.gradient(x))
+        slacks["i"] = min(slacks["i"], Fx - 0.5 * (m / eps_hi - rho) * r * r - E)
+        slacks["ii"] = min(slacks["ii"],
+                           G - (m - eps_hi * rho) / (2 * eps_hi ** 2) * r * r)
+        if math.isfinite(dsub):
+            slacks["iii"] = min(slacks["iii"],
+                                dsub * dsub / (2 * (m - eps_hi * rho)) - G)
+            slacks["iv"] = min(slacks["iv"],
+                               eps_hi / (m - eps_hi * rho) * dsub - r)
+    return slacks
+
+
 def value_at(g, t):
     """g at one scalar t."""
     return float(g.values(np.array([t], dtype=float))[0])

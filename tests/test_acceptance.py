@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from vbpg.bregman import prox_map
+from vbpg.bregman import annotate_points, prox_map
+from vbpg.checks import semiconvex_gap_slacks
 from vbpg.core import Constants, KernelSpec, SolverConfig, sample_box
-from vbpg.diagnostics import (check_semiconvex_gap_bounds,
-                              estimate_level_set_rate, estimate_q_linear_rate,
+from vbpg.diagnostics import (estimate_level_set_rate, estimate_q_linear_rate,
                               fit_error_bound, kl_exponent_sweep,
                               run_campaign)
 from vbpg.problems import GridProxOracle, build_regularizer
@@ -292,8 +292,10 @@ def test_criterion_11_semiconvex_suite():
         p = spec.build()
         eps = admissible_eps(p)
         X = sample_box(rng, 1000, np.zeros(2), 2.0)
-        rep = check_semiconvex_gap_bounds(p, EUC, eps, X)
-        for key, slack in rep["min_slack"].items():
+        C = Constants.of(p, SolverConfig.constant(eps, EUC))
+        slacks = semiconvex_gap_slacks(C, p.F_batch(X),
+                                       annotate_points(p, EUC, eps, X))
+        for key, slack in slacks.items():
             assert slack >= -1e-8, (g_kind, key, slack)
         # single-valuedness: an inner solve from another start agrees
         Kq = KernelSpec.quadratic([[1.3, 0.2], [0.2, 1.0]])

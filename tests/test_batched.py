@@ -13,17 +13,19 @@ import vbpg.bregman as bregman
 import vbpg.diagnostics as diagnostics
 import vbpg.solver as solver_mod
 from vbpg.bregman import annotate_points, prox_map
-from vbpg.core import KernelSpec, SmoothObjective, SolverConfig, sample_ball
+from vbpg.checks import _finite_samples, semiconvex_gap_slacks
+from vbpg.core import (Constants, KernelSpec, SmoothObjective, SolverConfig,
+                       sample_ball, sample_box)
 from vbpg.diagnostics import (SublevelGrid, certify_growth_conditions,
-                              check_luo_tseng_bound,
-                              check_semiconvex_gap_bounds, critical_points,
+                              check_luo_tseng_bound, critical_points,
                               make_slice, probe_slice)
 from vbpg.problems import (_SUPPORT_MAX_NNZ, _SUPPORT_MIN_DIM, ProblemSpec,
                            logistic_objective, quadratic_objective,
                            scalar_profile_objective, zero_objective)
 from vbpg.solver import vbpg_final_points, vbpg_run
 
-from reference import envelope_and_gap, subdiff_distance
+from reference import (envelope_and_gap, reference_semiconvex_slacks,
+                       subdiff_distance)
 
 EUC = KernelSpec.euclidean()
 DIAG = KernelSpec.diagonal([1.6, 0.7])
@@ -92,28 +94,6 @@ def reference_growth_mus(problem, slice_, crit_points, seed, n=400):
             if fgap > 1e-12:
                 r["lpl"].append(0.5 * float(gx @ gx) / fgap)
     return {k: max(min(v), 0.0) if v else None for k, v in r.items()}
-
-
-def reference_semiconvex_slacks(problem, K, eps, X, eps_hi):
-    """The per-sample loop of ``check_semiconvex_gap_bounds``."""
-    rho, m = problem.g.semiconvex_rho, K.m
-    slacks = dict.fromkeys(("i", "ii", "iii", "iv"), math.inf)
-    for x in X:
-        Fx = problem.F(x)
-        if not math.isfinite(Fx):
-            continue
-        E, G, prox = envelope_and_gap(problem, K, eps, x)
-        r = float(np.linalg.norm(x - prox.minimizer))
-        dsub = subdiff_distance(problem.g, x, problem.f.gradient(x))
-        slacks["i"] = min(slacks["i"], Fx - 0.5 * (m / eps_hi - rho) * r * r - E)
-        slacks["ii"] = min(slacks["ii"],
-                           G - (m - eps_hi * rho) / (2 * eps_hi ** 2) * r * r)
-        if math.isfinite(dsub):
-            slacks["iii"] = min(slacks["iii"],
-                                dsub * dsub / (2 * (m - eps_hi * rho)) - G)
-            slacks["iv"] = min(slacks["iv"],
-                               eps_hi / (m - eps_hi * rho) * dsub - r)
-    return slacks
 
 
 # ---------------------------------------------------------------------------
@@ -511,23 +491,36 @@ def test_growth_moduli_match_scalar_loop(problem, center, crit):
             assert mu == pytest.approx(ref[key], rel=1e-12, abs=1e-12), key
 
 
+def _semiconvex_slacks(problem, K, eps, X, F_X):
+    C = Constants.of(problem, SolverConfig.constant(eps, K))
+    return semiconvex_gap_slacks(C, F_X, annotate_points(problem, K, eps, X))
+
+
 @pytest.mark.parametrize("g_kind,g_params", REGULARIZERS[1:3],
                          ids=["mcp", "scad"])
 def test_semiconvex_slacks_match_per_sample_loop(g_kind, g_params):
     problem = quad_problem(g_kind, g_params)
     X = np.random.default_rng(21).uniform(-2.0, 2.0, size=(150, 2))
-    rep = check_semiconvex_gap_bounds(problem, EUC, 0.3, X)
+    slacks = _semiconvex_slacks(problem, EUC, 0.3, X, problem.F_batch(X))
     ref = reference_semiconvex_slacks(problem, EUC, 0.3, X, 0.3)
-    for key, slack in rep["min_slack"].items():
+    for key, slack in slacks.items():
         assert slack == pytest.approx(ref[key], rel=1e-12, abs=1e-12), key
 
 
-def test_semiconvex_slacks_skip_points_outside_dom_g():
+def test_finite_samples_skip_points_outside_dom_g():
+    # the first n of 2n box rows inside dom g, with F at them: the slacks
+    # over them are the per-sample loop's, which skips the rows outside
     problem = quad_problem("box", {"lo": -1.0, "hi": 1.0})
-    X = np.random.default_rng(22).uniform(-1.5, 1.5, size=(100, 2))
-    rep = check_semiconvex_gap_bounds(problem, EUC, 0.3, X)
-    ref = reference_semiconvex_slacks(problem, EUC, 0.3, X, 0.3)
-    assert rep["min_slack"] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    X, F_X = _finite_samples(problem, np.random.default_rng(22), 100,
+                             np.zeros(2), 1.5)
+    draw = sample_box(np.random.default_rng(22), 200, np.zeros(2), 1.5)
+    inside = draw[np.all(np.abs(draw) <= 1.0, axis=1)]
+    assert 0 < len(inside) < 100
+    assert np.array_equal(X, inside)
+    assert F_X.tobytes() == problem.F_batch(X).tobytes()
+    slacks = _semiconvex_slacks(problem, EUC, 0.3, X, F_X)
+    ref = reference_semiconvex_slacks(problem, EUC, 0.3, draw, 0.3)
+    assert slacks == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_luo_tseng_matches_per_sample_residuals(lasso_campaign):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbpg.bregman import ProxError, ProxResult, prox_map
+from vbpg.bregman import ProxError, ProxResult, annotate_points, prox_map
+from vbpg.checks import semiconvex_gap_slacks
 from vbpg.core import (Constants, KernelSpec, SolverConfig, sample_box,
                        validate_config, vector_norm)
 from vbpg.problems import ProblemSpec, lasso_spec
@@ -550,12 +551,13 @@ class TestSemiconvexBounds:
         ("scad", {"lam": 0.5, "a": 3.7}),
     ])
     def test_gap_bound_suite(self, g_kind, g_params, rng):
-        from vbpg.diagnostics import check_semiconvex_gap_bounds
         p = build([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4], g_kind, g_params)
         eps = admissible_eps(p, EUC, margin=0.8)
         X = sample_box(rng, 400, np.zeros(2), 2.0)
-        rep = check_semiconvex_gap_bounds(p, EUC, eps, X)
-        for key, slack in rep["min_slack"].items():
+        C = Constants.of(p, SolverConfig.constant(eps, EUC))
+        slacks = semiconvex_gap_slacks(C, p.F_batch(X),
+                                       annotate_points(p, EUC, eps, X))
+        for key, slack in slacks.items():
             assert slack >= -1e-8, (g_kind, key, slack)
 
 

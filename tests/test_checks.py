@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from vbpg import bregman, checks, diagnostics, solver
-from vbpg.core import (Constants, KernelSpec, SolverConfig, sample_box,
-                       validate_config, vector_norm)
+from vbpg.core import (Constants, KernelSpec, Problem, SolverConfig,
+                       sample_box, validate_config, vector_norm)
 from vbpg.problems import (GridProxOracle, ProblemSpec, ShippedInstance,
                            shipped_instances)
 from vbpg.solver import summability_bound, vbpg_run
 
-from reference import certificate, descent_slack, envelope_and_gap
+from reference import (certificate, descent_slack, envelope_and_gap,
+                       reference_semiconvex_slacks)
 
 
 def _ref_gradient_lipschitz(inst, rng, n=1000):
@@ -59,13 +60,14 @@ def _ref_prox_invariants(inst, rng, n=300):
     K = inst.config.kernel_at(0)
     eps = inst.config.eps_at(0)
     L = problem.f.lipschitz_L
-    consts = Constants.of(problem, SolverConfig.constant(eps, K))
+    config = SolverConfig.constant(eps, K)
+    consts = Constants.of(problem, config)
     a = 0.5 * (K.m / eps - L)
     bound = L + K.M / eps
-    X = checks._finite_samples(problem, rng, n, inst.box_center(),
-                               inst.sample_halfwidth)
-    U = checks._finite_samples(problem, rng, n, inst.box_center(),
-                               inst.sample_halfwidth)
+    X, _ = checks._finite_samples(problem, rng, n, inst.box_center(),
+                                  inst.sample_halfwidth)
+    U, _ = checks._finite_samples(problem, rng, n, inst.box_center(),
+                                  inst.sample_halfwidth)
     gap_err, descent, decrease, resid = 0.0, math.inf, math.inf, math.inf
     for i, x in enumerate(X):
         E, G, prox = envelope_and_gap(problem, K, eps, x)
@@ -84,15 +86,23 @@ def _ref_prox_invariants(inst, rng, n=300):
         resid = min(resid, bound * vector_norm(x - t) * (1 + 1e-9)
                     - vector_norm(xi))
     name = inst.spec.name
-    return [checks._record("gap_identity", name, gap_err <= 1e-10,
-                           1e-10 - gap_err,
-                           f"max relative identity error {gap_err:.3g}"),
-            checks._record("descent_inequality", name, descent >= -1e-8,
-                           descent, f"case {consts.case_id}"),
-            checks._record("envelope_value_decrease", name, decrease >= -1e-8,
-                           decrease),
-            checks._record("prox_subgradient_bound", name, resid >= -1e-12,
-                           resid)]
+    records = [
+        checks._record("gap_identity", name, gap_err <= 1e-10,
+                       1e-10 - gap_err,
+                       f"max relative identity error {gap_err:.3g}"),
+        checks._record("descent_inequality", name, descent >= -1e-8,
+                       descent, f"case {consts.case_id}"),
+        checks._record("envelope_value_decrease", name, decrease >= -1e-8,
+                       decrease),
+        checks._record("prox_subgradient_bound", name, resid >= -1e-12,
+                       resid)]
+    rho = problem.g.semiconvex_rho
+    if 0 < rho < math.inf and validate_config(problem, config).ok:
+        worst = min(reference_semiconvex_slacks(problem, K, eps, X,
+                                                eps).values())
+        records.append(checks._record("semiconvex_gap_bounds", name,
+                                      worst >= -1e-8, worst))
+    return records
 
 
 def _ref_prox_vs_grid(inst, rng, n=60):
@@ -224,6 +234,8 @@ def test_solver_run_prices_its_bound_with_the_final_F(
                          ids=["m_over_L_first", "m_over_rho_first", "L0"])
 def test_semiconvex_suite_runs_exactly_when_config_validates(Q, g_kind,
                                                              g_params):
+    # the prox invariants add the semiconvex gap bounds record exactly
+    # when the pairing validates
     if Q is None:
         spec = ProblemSpec("t", "zero", {}, g_kind, g_params, 2)
     else:
@@ -237,10 +249,12 @@ def test_semiconvex_suite_runs_exactly_when_config_validates(Q, g_kind,
         for eps in (cap * (1 - 1e-9), cap * (1 + 1e-9)):
             config = SolverConfig.constant(eps, KernelSpec.euclidean())
             inst = ShippedInstance(spec, config, (0.5, 0.5), 2.0)
-            rec = checks.check_semiconvex_suite(inst, problem,
-                                                np.random.default_rng(0))
+            records = checks.check_prox_invariants(inst, problem,
+                                                   np.random.default_rng(0))
+            names = [rec["name"] for rec in records]
             ok = validate_config(problem, config).ok
-            assert (rec is not None) == ok, eps
+            assert ("semiconvex_gap_bounds" in names) == ok, eps
+            assert len(names) == 4 + ok, eps
             ran.append(ok)
     # below the smaller cap it runs, above either cap it does not
     assert ran.count(True) == 1 and len(ran) == 2 * len(caps)
@@ -288,9 +302,9 @@ def test_suite_call_counts(monkeypatch):
     insts = shipped_instances()
     want = []
     for inst in insts.values():
-        X = checks._finite_samples(inst.problem(), np.random.default_rng(0),
-                                   300, inst.box_center(),
-                                   inst.sample_halfwidth)
+        X, _ = checks._finite_samples(inst.problem(),
+                                      np.random.default_rng(0), 300,
+                                      inst.box_center(), inst.sample_halfwidth)
         want.append(X.shape)
         checks.check_prox_invariants(inst, inst.problem(),
                                      np.random.default_rng(0))
@@ -299,6 +313,35 @@ def test_suite_call_counts(monkeypatch):
         checks.check_prox_vs_grid(inst, inst.problem(),
                                   np.random.default_rng(0))
     assert calls["argmin_many"] == len(insts)
+
+
+def test_one_prox_pass_per_semiconvex_instance(monkeypatch):
+    """The semiconvex gap bounds read the prox invariants' annotation and
+    F values: one ``annotate_points`` call per instance in the suite, and
+    one F evaluation per sample set."""
+    insts = {name: INSTANCES[name]
+             for name in ("quad_conv_mcp", "quad_conv_scad")}
+    annotated, evaluated = [], []
+    annotate = bregman.annotate_points
+    for module in (bregman, checks, diagnostics):
+        monkeypatch.setattr(module, "annotate_points",
+                            lambda p, *a: annotated.append(p.name)
+                            or annotate(p, *a))
+    records = checks.run_invariant_suite(insts, seed=7)
+    assert [r["instance"] for r in records
+            if r["name"] == "semiconvex_gap_bounds"] == list(insts)
+    assert annotated == list(insts)
+    F_batch = Problem.F_batch
+    monkeypatch.setattr(Problem, "F_batch",
+                        lambda self, X: evaluated.append(len(X))
+                        or F_batch(self, X))
+    for inst in insts.values():
+        evaluated.clear()
+        records = checks.check_prox_invariants(inst, inst.problem(),
+                                               np.random.default_rng(7))
+        assert records[-1]["name"] == "semiconvex_gap_bounds"
+        # the two draws of 2 x 300 box rows, each filtered on its F
+        assert evaluated == [600, 600]
 
 
 def test_suite_records_unchanged_in_name_and_flag():

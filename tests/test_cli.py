@@ -384,6 +384,16 @@ def _quadratic_config(g=None, Q=((1.0, 0.0), (0.0, 1.0)), **extra):
             "x0": [1.0, -1.0], **extra}
 
 
+def _cli(tmp_path, command, *args, out=None):
+    """``vbpg command args --out out`` (default tmp_path/o) in a fresh
+    interpreter, so a traceback or a numpy warning would show on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "vbpg.cli", command, *map(str, args),
+         "--out", str(out or tmp_path / "o")],
+        capture_output=True, text=True, env=env)
+
+
 class TestFailureContract:
     """Each failure ends in its documented exit code with one stderr line,
     in a fresh interpreter so numpy warnings would show too."""
@@ -415,11 +425,7 @@ class TestFailureContract:
             "negative_eps", "lasso_lam_and_g"])
     def test_one_line_exit(self, tmp_path, command, cfg, code, message):
         path = write_config(tmp_path, "c.json", cfg)
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "vbpg.cli", command, "--config", str(path),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env)
+        proc = _cli(tmp_path, command, "--config", path)
         assert proc.returncode == code
         assert proc.stderr == message + "\n"
         assert (tmp_path / "o" / "manifest.json").exists()
@@ -434,11 +440,7 @@ class TestFailureContract:
         cfg = json.loads((CONFIGS / "lasso.json").read_text())
         cfg["probe"][key] = value
         path = write_config(tmp_path, "c.json", cfg)
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "vbpg.cli", "probe", "--config", str(path),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env)
+        proc = _cli(tmp_path, "probe", "--config", path)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"config parse error: {message}\n"
@@ -535,14 +537,57 @@ class TestFailureContract:
         assert ((outs[0] / "trace.csv").read_bytes()
                 == (outs[1] / "trace.csv").read_bytes())
 
-    @pytest.mark.parametrize("halfwidth", ["x", -1, True])
+    @pytest.mark.parametrize("halfwidth", ["x", -1, True, 1e308])
     def test_check_halfwidth_exit_1(self, tmp_path, capsys, halfwidth):
         cfg = write_config(tmp_path, "c.json", _quadratic_config(
             check={"halfwidth": halfwidth}))
         assert run(["check", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        # 1e308 passes as a number, but its scan box 2 hw + 1 overflows
+        message = ("1e+308 is too wide: its level scan box, 2 halfwidth + 1, "
+                   "overflows" if halfwidth == 1e308 else
+                   f"must be a positive number, got {halfwidth!r}")
         assert capsys.readouterr().err == (
-            f"config parse error: check.halfwidth must be a positive number, "
-            f"got {halfwidth!r}\n")
+            f"config parse error: check.halfwidth {message}\n")
+
+    @pytest.mark.parametrize("command", ["solve", "probe", "check",
+                                         "compare"])
+    def test_negative_seed_exit_1(self, tmp_path, command):
+        proc = _cli(tmp_path, command, "--config",
+                    CONFIGS / "compare_kernels.json", "--seed", "-1")
+        assert proc.returncode == 1
+        assert proc.stderr == ("argument error: --seed must be a nonnegative "
+                               "integer, got -1\n")
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_not_a_directory_exit_1(self, tmp_path, below):
+        path = tmp_path / "taken"
+        path.write_text("")
+        out = path / "o" if below else path
+        proc = _cli(tmp_path, "solve", "--config", CONFIGS / "lasso.json",
+                    out=out)
+        assert proc.returncode == 1
+        reason = "Not a directory" if below else "File exists"
+        assert proc.stderr == f"output error: {out}: {reason}\n"
+
+    def test_failed_artifact_write_exit_1(self, tmp_path):
+        (tmp_path / "o" / "trace.csv").mkdir(parents=True)
+        proc = _cli(tmp_path, "solve", "--config", CONFIGS / "lasso.json")
+        assert proc.returncode == 1
+        assert proc.stderr == (f"output error: {tmp_path / 'o' / 'trace.csv'}: "
+                               f"Is a directory\n")
+
+    @pytest.mark.parametrize("content,reason", [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+        (b"[" * 100000, "maximum recursion depth exceeded while decoding a "
+         "JSON array from a unicode string"),
+    ], ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_config_exit_1(self, tmp_path, content, reason):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        proc = _cli(tmp_path, "solve", "--config", path)
+        assert proc.returncode == 1
+        assert proc.stderr == f"config parse error: {path}: {reason}\n"
 
     def test_empty_critical_set_exit_3(self, tmp_path, capsys):
         # Q[0][0] = 0 leaves f unbounded below along x0: no seed settles

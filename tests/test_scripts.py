@@ -82,6 +82,38 @@ def test_artifact_diff_compare_dirs(tmp_path):
         "eb_report.json: field beta moved, largest change inf")
 
 
+def test_artifact_diff_matches_records_by_name(tmp_path):
+    compare_dirs = runpy.run_path(
+        str(SCRIPTS / "artifact_diff.py"))["compare_dirs"]
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    records = [{"name": n, "instance": i, "passed": True, "worst": w,
+                "detail": d}
+               for n, i, w, d in (("gap_identity", "lasso2", 1e-10, "a"),
+                                  ("descent", "lasso2", 0.5, "case 4"),
+                                  ("bounds", "mcp", 4.2e-4, ""))]
+    (old / "check_report.json").write_text(json.dumps({"records": records}))
+    # a record that only moved position: its values read unchanged
+    moved = [records[0], records[2], records[1]]
+    (new / "check_report.json").write_text(json.dumps({"records": moved}))
+    assert compare_dirs(old, new) == [
+        "check_report.json: records[] reordered"]
+    # one changed worst, reported on its own record
+    moved[1] = {**records[2], "worst": 4.0e-5}
+    (new / "check_report.json").write_text(json.dumps({"records": moved}))
+    assert compare_dirs(old, new) == [
+        "check_report.json: records[] reordered",
+        "check_report.json: field records[bounds/mcp].worst moved, largest "
+        "change 0.00038"]
+    # in place, a changed detail shows on its record alone
+    records[1] = {**records[1], "detail": "case 3"}
+    (new / "check_report.json").write_text(json.dumps({"records": records}))
+    assert compare_dirs(old, new) == [
+        "check_report.json: field records[descent/lasso2].detail moved, "
+        "largest change inf"]
+
+
 def test_artifact_diff_compare_runs(tmp_path):
     compare_runs = runpy.run_path(
         str(SCRIPTS / "artifact_diff.py"))["compare_runs"]
