@@ -15,7 +15,10 @@ iterative prox path, which no shipped config takes), ``solve`` and
 ``check`` on a generated sparse lasso at d = 500 (above dimension 3,
 where f multiplies by Q over the iterate's support and the solver
 check prices its bound with the run's own final F), ``solve`` on the same data under MCP
-(gamma = 3) and SCAD (a = 3.7), ``solve`` and ``probe`` on the
+(gamma = 3) and SCAD (a = 3.7), ``solve`` on a generated sparse lasso
+at d = 50 under the kernel A'A + 0.1 I (the iterative prox path over
+many outer iterations, where each inner solve starts from the
+extrapolated iterate), ``solve`` and ``probe`` on the
 nonconvex scalar profile ``pl_nonconvex`` (probed off its minimizer, at
 0.7), ``solve`` on the power profiles ``pow4`` and ``abs_pow_3_2`` (d = 1
 runs whose prox works on the point's coordinate, a numpy scalar), and
@@ -74,6 +77,12 @@ SPARSE_LASSO = {"rows": 100, "dim": 500, "support": 5, "data_seed": 2024}
 # these runs show what moves with the MCP and SCAD proxes at d = 500
 SPARSE_PENALTIES = {"mcp": ({"kind": "mcp", "gamma": 3.0}, 1.0 / 3.0),
                     "scad": ({"kind": "scad", "a": 3.7}, 1.0 / 2.7)}
+# a seeded 2-sparse lasso with 200 rows at d = 50 under the kernel
+# A'A + 0.1 I at eps = 0.9 m/L, from x0 = 0, as the benchmark's
+# quadratic-kernel runs: each of its inner solves starts from the
+# extrapolated iterate, so this run shows what moves with that start
+QUAD_KERNEL_LASSO = {"rows": 200, "dim": 50, "support": 2, "data_seed": 2025,
+                     "shift": 0.1}
 # f(x) = x^2 + 3 sin(x)^2 from x0 = 2.5, as the invariant suite's
 # pl_profile, probed at 0.7 rather than at its minimizer: these runs show
 # what moves with the scalar profiles' formula, which no shipped config uses
@@ -99,11 +108,12 @@ STREAMS = ("stdout.txt", "stderr.txt")
 EXPECTED_EXIT = {"solve-compare_kernels": 5}
 
 
-def _sparse_data():
-    """The ``SPARSE_LASSO`` data: A with entries +-1/sqrt(rows), b = A x +
-    noise for a planted sparse x, lam = 0.1 max|A'b| and L = ||A'A||."""
-    n, d, k = (SPARSE_LASSO[key] for key in ("rows", "dim", "support"))
-    rng = np.random.default_rng(SPARSE_LASSO["data_seed"])
+def _sparse_data(spec: dict = SPARSE_LASSO):
+    """The data of ``spec`` (``SPARSE_LASSO`` by default): A with entries
+    +-1/sqrt(rows), b = A x + noise for a planted sparse x, lam = 0.1
+    max|A'b| and L = ||A'A||."""
+    n, d, k = (spec[key] for key in ("rows", "dim", "support"))
+    rng = np.random.default_rng(spec["data_seed"])
     A = rng.choice([-1.0, 1.0], (n, d)) / math.sqrt(n)
     x = np.zeros(d)
     x[rng.choice(d, k, replace=False)] = (rng.choice([-1.0, 1.0], k)
@@ -135,6 +145,19 @@ def sparse_penalty_config(g: dict, rho: float) -> dict:
                 "A": A.tolist(), "b": b.tolist(), "g": {**g, "lam": lam}}},
             "solver": _sparse_solver(0.9 * min(1.0 / L, 1.0 / rho)),
             "x0": [0.0] * A.shape[1]}
+
+
+def quad_kernel_lasso_config() -> dict:
+    """The ``QUAD_KERNEL_LASSO`` run: l1 under the kernel A'A + shift I at
+    eps = 0.9 m/L, m the kernel's smallest eigenvalue."""
+    A, b, lam, L = _sparse_data(QUAD_KERNEL_LASSO)
+    K = A.T @ A + QUAD_KERNEL_LASSO["shift"] * np.eye(A.shape[1])
+    m = float(np.linalg.eigvalsh(K)[0])
+    solver = {**_sparse_solver(0.9 * m / L),
+              "kernel": {"kind": "quadratic", "A": K.tolist()}}
+    return {"problem": {"kind": "lasso", "params": {
+                "A": A.tolist(), "b": b.tolist(), "lam": lam}},
+            "solver": solver, "x0": [0.0] * A.shape[1]}
 
 
 def commands(config_dir: Path) -> dict[str, list[str]]:
@@ -171,6 +194,9 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
         path = config_dir / f"sparse_{name}_d{SPARSE_LASSO['dim']}.json"
         path.write_text(json.dumps(sparse_penalty_config(g, rho)))
         cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
+    path = config_dir / f"quad_kernel_lasso_d{QUAD_KERNEL_LASSO['dim']}.json"
+    path.write_text(json.dumps(quad_kernel_lasso_config()))
+    cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
     path = config_dir / "pl_profile.json"
     path.write_text(json.dumps(PL_PROFILE))
     for command in ("solve", "probe"):

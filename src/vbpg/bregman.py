@@ -88,7 +88,8 @@ class ProxResult:
 
 
 def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
-             grad_x: Array | None = None) -> ProxResult:
+             grad_x: Array | None = None,
+             start: Array | None = None) -> ProxResult:
     """Solve the prox subproblem at x, one point or each row of an
     (n, dim) stack with the bits of the row's one-point solve.
 
@@ -98,9 +99,11 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
     every separable kernel, whose one weight ``KernelSpec.diag_weights``
     holds as a float: a ufunc on a scalar costs about half of one on a
     (1,) array, and rounds the same.  General quadratic kernels:
-    ``_accelerated_prox``.  ``grad_x`` is grad f(x) when the caller
-    already has it.  x is not validated again here (``vbpg_run``
-    validates its x0 once).
+    ``_accelerated_prox``, from ``start`` (shaped as x) in place of x
+    where the inner problem is strongly convex, mu = m/eps - rho > 0:
+    the solver passes its extrapolated iterate.  Separable kernels ignore
+    it.  ``grad_x`` is grad f(x) when the caller already has it.  x is
+    not validated again here (``vbpg_run`` validates its x0 once).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -110,7 +113,8 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
     weights = K.diag_weights(problem.dim)
     point = x
     if weights is None:
-        t, steps, certified = _accelerated_prox(problem, K, eps, x, grad_x)
+        t, steps, certified = _accelerated_prox(problem, K, eps, x, grad_x,
+                                                start)
         tied = False if x.ndim == 1 else None
     else:
         if x.shape == (1,) and not isinstance(weights, np.ndarray):
@@ -126,21 +130,26 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
 
 
 def _accelerated_prox(problem: Problem, K: KernelSpec, eps: float, X: Array,
-                      grad_X: Array) -> tuple[Array, int, bool]:
+                      grad_X: Array, start: Array | None = None
+                      ) -> tuple[Array, int, bool]:
     """Prox minimizers under a non-separable kernel over the last axis
     (one point, or each row of an (n, dim) stack), the steps taken until
     the last row stopped, and whether they are certified.
 
     The subproblem at x is phi(y) = <c, y> + y'Ay/(2 eps) + g(y) with
-    c = grad f(x) - A x/eps, solved from x by accelerated proximal
-    gradient (Beck & Teboulle, SIAM J. Imaging Sci. 2009) with step
-    s = eps/M and momentum (sqrt(kappa) - 1)/(sqrt(kappa) + 1),
-    kappa = (M/eps)/mu, mu = m/eps - rho.  The residual r = (M/eps)(v - u+)
+    c = grad f(x) - A x/eps, solved from x (or from ``start``, below) by
+    accelerated proximal gradient (Beck & Teboulle, SIAM J. Imaging Sci.
+    2009) with step s = eps/M and momentum (sqrt(kappa) - 1)/(sqrt(kappa)
+    + 1), kappa = (M/eps)/mu, mu = m/eps - rho.  The residual r = (M/eps)(v - u+)
     of a step lies in the subdifferential of phi at its output y+, so
     ||y+ - y*|| <= ||r||/mu, and a row stops once that bound is at most
-    1e-10 (1 + ||x||).  When mu <= 0 the loop runs without momentum, a
-    row stops once its step is at most that tolerance, and nothing
-    certifies the result.  At most 10,000 steps; ``ProxError`` beyond.
+    1e-10 (1 + ||x||).  That stop holds from any start, so where mu > 0
+    the loop starts from ``start`` when given (one gemv more), and a start
+    nearer y* takes fewer steps to the same certified bound.  When
+    mu <= 0 the loop runs without momentum and ignores ``start``, since
+    the fixed point it reaches depends on where it starts; a row stops
+    once its step is at most that tolerance, and nothing certifies the
+    result.  At most 10,000 steps; ``ProxError`` beyond.
     The rows share eps and K, hence the step and the momentum: each step
     makes one ``g.prox`` call on the running rows and one gemv per row,
     and a row leaves the stack when it stops, so it keeps the bits of its
@@ -159,7 +168,10 @@ def _accelerated_prox(problem: Problem, K: KernelSpec, eps: float, X: Array,
     stop = (s * mu * tol if certified else tol) ** 2
     S_c = s * grad_X - matvec_rows(K.A, X) / K.M
     Y = X
-    U = V = X - s * grad_X  # B x - s c
+    if certified and start is not None:
+        U = V = matvec_rows(B, start) - S_c
+    else:
+        U = V = X - s * grad_X  # B x - s c
     point = X.ndim == 1
     if not point:
         T, rows = np.empty_like(X), np.arange(len(X))

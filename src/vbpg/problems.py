@@ -257,10 +257,12 @@ class ScadRegularizer(Regularizer):
         mu = kappa - 1.0 / (a - 1.0)
         u = np.abs(v)
         ku = kappa * u
-        # the flat tail, else the l1 piece, else the blended middle piece
+        # the flat tail, else the l1 piece, else the blended middle piece;
+        # entries with mu = 0 are enumerated, so their division by 1 only
+        # keeps numpy from warning
         l1 = u - lam / kappa
         in_l1 = l1 <= lam
-        mid = _clip((ku - s) / _nonzero_den(mu)[0], lam, al)
+        mid = _clip((ku - s) / (mu + (mu == 0.0)), lam, al)
         r = _where(u >= al, u, np.where(in_l1, _clip(l1, 0.0, lam), mid))
         # the other candidates nearest r: lam, a lam and, unless r is 0, 0
         d = np.minimum(np.minimum(np.abs(r - lam), np.abs(r - al)),
@@ -323,8 +325,9 @@ class McpRegularizer(Regularizer):
         mu = kappa - 1.0 / self.gamma
         u = np.abs(v)
         ku = kappa * u
-        # the flat tail, else the firm-threshold point
-        firm = _clip((ku - lam) / _nonzero_den(mu)[0], 0.0, gl)
+        # the flat tail, else the firm-threshold point (divided by 1 where
+        # mu = 0: those entries are enumerated)
+        firm = _clip((ku - lam) / (mu + (mu == 0.0)), 0.0, gl)
         r = _where(u >= gl, u, firm)
         # the other candidates nearest r: gl, even where r equals it (at
         # v = gl the firm-threshold point can round one ulp below gl and

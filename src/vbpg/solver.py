@@ -121,7 +121,18 @@ def _iterate(problem: Problem, config: SolverConfig, X: Array,
     so it keeps the bits of its own run.  grad f(t) and g(t) are carried
     to the next iteration, so each costs one prox and one ``value_grad``
     call.  F must be finite at x0 and at each t, else
-    ``FloatingPointError``.  Only the trace reads the subproblem value."""
+    ``FloatingPointError``.  Only the trace reads the subproblem value.
+
+    When the schedule has a non-separable kernel (decided once per run),
+    iteration k >= 1 hands ``prox_map`` the start x^k + theta_k (x^k -
+    x^{k-1}), theta_k = min(s_{k-1}/s_{k-2}, 1) with s_j = ||x^j -
+    x^{j+1}|| the step norms already at hand (theta_1 = 0).  Its inner
+    loop uses the start only where mu = m/eps - rho > 0, and its
+    certified bound on the distance to the minimizer holds from any
+    start, so only the inner step count depends on it.  A stack keeps
+    one theta per row and filters it with the rows."""
+    warm = any(K.diag_weights(problem.dim) is None for K in config.kernels)
+    start, s_prev = None, math.inf  # the next prox's start, s_{k-1}
     f_X, grad_X = problem.f.value_grad(X)
     g_X = problem.g.value(X)
     F_X = f_X + g_X
@@ -138,17 +149,22 @@ def _iterate(problem: Problem, config: SolverConfig, X: Array,
                               cycle(enumerate(config.kernels))):
         if not X.size:  # every row of the stack has stopped
             break
-        prox = prox_map(problem, K, eps, X, grad_X)
+        prox = prox_map(problem, K, eps, X, grad_X, start)
         T, step = prox.minimizer, row_norms(prox.step)
         f_T, grad_T = problem.f.value_grad(T)
         F_T = f_T + prox.g_value
         if not finite(F_T):
             raise FloatingPointError(f"F became non-finite at iteration {k + 1}")
         stop = (step == 0.0) | (step <= tol)
+        if warm:  # t + theta (t - x), theta = min(s_k/s_{k-1}, 1)
+            theta = np.minimum(step / s_prev, 1.0)
+            start, s_prev = T + theta[..., None] * prox.step, step
         if trace is None:
             final[rows] = T
             going = ~stop
             rows, tol, X, grad_X = (a[going] for a in (rows, tol, T, grad_T))
+            if warm:
+                start, s_prev = start[going], s_prev[going]
             continue
         # a one-entry point's prox ran on its coordinate: so does xi
         grad_t = grad_T if prox.step.ndim else grad_T[0]

@@ -156,6 +156,49 @@ class TestInnerCertificate:
             assert r.certified and r.inner_iterations > 0
             assert err <= 1e-10 * (1 + vector_norm(x)) + roundoff * vector_norm(step)
 
+    @pytest.mark.parametrize("dim", [2, 50, 200])
+    def test_started_solve_within_the_certified_distance(self, dim):
+        # the certificate holds from any start: far from the minimizer, at
+        # x and at the closed-form answer itself, where the first step
+        # certifies
+        rng = np.random.default_rng(dim + 1)
+        A = spd_kernel(dim, dim + 2)
+        K = KernelSpec.quadratic(A)
+        S = rng.standard_normal((dim, dim))
+        p = build(S @ S.T / dim + 0.1 * np.eye(dim), rng.standard_normal(dim))
+        eps = admissible_eps(p, K)
+        roundoff = np.finfo(float).eps * np.linalg.cond(A)
+        for _ in range(5):
+            x = rng.uniform(-3, 3, dim)
+            step = eps * np.linalg.solve(A, p.f.gradient(x))
+            bound = 1e-10 * (1 + vector_norm(x)) + roundoff * vector_norm(step)
+            for start in (x + 10 * rng.standard_normal(dim), x, x - step):
+                r = prox_map(p, K, eps, x, start=start)
+                assert r.certified
+                assert vector_norm(r.minimizer - (x - step)) <= bound
+            assert r.inner_iterations == 1
+
+    @pytest.mark.parametrize("share", [1.25, 2.0])
+    def test_start_ignored_beyond_m_over_rho(self, rng, share):
+        # an uncertified inner loop's fixed point depends on where it
+        # starts, so it always starts at x: the bits of a call without one
+        p = build([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4],
+                  "mcp", {"lam": 0.6, "gamma": 4.0})
+        K = KernelSpec.quadratic(spd_kernel(2, 0))
+        eps = share * K.m / p.g.semiconvex_rho
+        X = rng.uniform(-2, 2, (10, 2))
+        starts = X + rng.standard_normal(X.shape)
+        pairs = [(prox_map(p, K, eps, X), prox_map(p, K, eps, X, start=starts))]
+        pairs += [(prox_map(p, K, eps, x), prox_map(p, K, eps, x, start=z))
+                  for x, z in zip(X, starts)]
+        for cold, started in pairs:
+            assert not started.certified
+            assert started.inner_iterations == cold.inner_iterations
+            for name in ("minimizer", "multivalued_flag", "g_value", "step",
+                         "kernel_step"):
+                assert (np.asarray(getattr(started, name)).tobytes()
+                        == np.asarray(getattr(cold, name)).tobytes()), name
+
     @pytest.mark.parametrize("share", [1.25, 2.0, 4.0])
     def test_uncertified_at_eps_beyond_m_over_rho(self, rng, share):
         p = build([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4],

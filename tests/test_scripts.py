@@ -163,6 +163,40 @@ def test_artifact_diff_runs_a_non_separable_kernel(tmp_path):
     assert KernelSpec.quadratic(kernel["A"]).diag_weights(2) is None
 
 
+def test_artifact_diff_runs_a_lasso_under_a_quadratic_kernel(tmp_path):
+    import numpy as np
+    from vbpg.cli import main
+    from vbpg.core import KernelSpec
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    path = tmp_path / "quad_kernel_lasso_d50.json"
+    assert cmds["solve-quad_kernel_lasso_d50"] == ["solve", "--config",
+                                                  str(path)]
+    cfg = json.loads(path.read_text())
+    assert cfg == script["quad_kernel_lasso_config"]()  # seeded
+    A = np.array(cfg["problem"]["params"]["A"])
+    assert A.shape == (200, 50)
+    # the kernel A'A + 0.1 I, non-separable, at eps = 0.9 m/L
+    kernel = cfg["solver"]["kernel"]
+    K = KernelSpec.quadratic(kernel["A"])
+    assert K.diag_weights(50) is None
+    assert np.array_equal(K.A, A.T @ A + 0.1 * np.eye(50))
+    L = float(np.linalg.eigvalsh(A.T @ A)[-1])
+    assert cfg["solver"]["epsilon"] == 0.9 * K.m / L
+    out = tmp_path / "out"
+    assert main(cmds["solve-quad_kernel_lasso_d50"]
+                + ["--seed", "7", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["terminated_reason"] == "step_tol"
+    # every prox took the iterative path, which the start shortens after
+    # the first two iterations
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    inner = [int(row.split(",")[7]) for row in rows]
+    assert len(inner) > 100 and min(inner) > 0
+    assert max(inner[2:]) < inner[0]
+
+
 def test_artifact_diff_probes_thinned_iterates(tmp_path):
     script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
     cmds = script["commands"](tmp_path)

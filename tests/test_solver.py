@@ -8,6 +8,7 @@ import pytest
 from vbpg.bregman import prox_map
 from vbpg.core import Constants, KernelSpec, SolverConfig, grid_rows
 from vbpg.problems import ProblemSpec, lasso_spec
+import vbpg.solver as solver_mod
 from vbpg.solver import (block_preconditioner, kernel_schedule_jacobi,
                          summability_bound, vbpg_final_points, vbpg_run)
 
@@ -211,6 +212,54 @@ class TestInnerSolve:
                     for x in trace.iterates[:-1])
         assert sum(trace.inner_iterations) <= 0.85 * plain
 
+    @pytest.mark.parametrize("dim", [50, 200])
+    def test_started_prox_within_certificate_of_cold_prox(self, dim):
+        # each prox starts from the extrapolated iterate: the run takes at
+        # most 0.6x the inner steps of cold solves at its own outer
+        # iterates, and each step lands within the certified distance of
+        # the cold solve's minimizer
+        p, K, eps = sparse_l1_under_quadratic_kernel(5101, dim)
+        cfg = SolverConfig.constant(eps, K, max_iters=20000, step_tol=1e-8)
+        trace = vbpg_run(p, cfg, np.zeros(dim))
+        assert trace.terminated_reason == "step_tol"
+        cold_steps = 0
+        for x, x_next in zip(trace.iterates[:-1], trace.iterates[1:]):
+            cold = prox_map(p, K, eps, x)
+            cold_steps += cold.inner_iterations
+            assert (np.linalg.norm(x_next - cold.minimizer)
+                    <= 2e-10 * (1 + np.linalg.norm(x)))
+        assert sum(trace.inner_iterations) <= 0.6 * cold_steps
+
+    @pytest.mark.parametrize("kernels,started", [
+        ((EUC, KernelSpec.diagonal([1.25, 0.8])), False),
+        ((KernelSpec.quadratic([[1.3, 0.2], [0.2, 1.0]]), EUC), True)],
+        ids=["separable", "non_separable"])
+    def test_start_only_under_a_non_separable_schedule(self, monkeypatch,
+                                                       kernels, started):
+        # the first prox starts cold; from the second on, a schedule with a
+        # non-separable kernel passes x^k + theta (x^k - x^{k-1}) to every
+        # prox, and a separable one passes nothing
+        starts = []
+
+        def recording(problem, K, eps, x, grad_x=None, start=None):
+            starts.append(start)
+            return prox_map(problem, K, eps, x, grad_x, start)
+
+        monkeypatch.setattr(solver_mod, "prox_map", recording)
+        p = quad([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4], "l1", {"lam": 0.1})
+        cfg = SolverConfig(epsilons=(0.3,), kernels=kernels, max_iters=6,
+                           step_tol=0.0)
+        trace = vbpg_run(p, cfg, np.array([1.5, 1.0]))
+        X, steps = trace.iterates, trace.step_norms
+        assert starts[0] is None
+        if not started:
+            assert len(starts) == 6 and all(z is None for z in starts)
+            return
+        assert np.array_equal(starts[1], X[1])  # theta_1 = 0
+        for k in range(2, 6):
+            theta = min(steps[k - 1] / steps[k - 2], 1.0)
+            assert np.array_equal(starts[k], X[k] + theta * (X[k] - X[k - 1]))
+
 
 class TestTraceEvery:
     """``trace_every = 3`` keeps x^0, x^3, x^6, ... and the final point
@@ -293,8 +342,8 @@ class TestCallBudget:
 
         assert calls(4) - calls(3) <= ceiling
 
-    @pytest.mark.parametrize("g,ceiling", [("l1", 24), ("mcp", 30),
-                                           ("scad", 30)])
+    @pytest.mark.parametrize("g,ceiling", [("l1", 24), ("mcp", 29),
+                                           ("scad", 29)])
     def test_vbpg_run_at_d500(self, g, ceiling):
         # a seeded 10-sparse least squares at d = 500, as the benchmark's
         # solve_large runs it: x0 = 0, eps = 0.9 min(1/L, 1/rho); its
