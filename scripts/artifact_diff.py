@@ -9,7 +9,9 @@ For each seed, both trees run the same commands in fresh processes:
 probe configs plus two off-minimizer slices (``lasso`` at center [1, 1]
 and ``quadratic_probe`` at [0.9, -0.2]), ``probe`` on ``lasso`` with
 ``solver.trace_every = 3`` (the level-set rate then reads thinned
-iterates), ``solve`` and ``probe`` on
+iterates), ``probe`` on ``quad_mcp`` at ``solver.epsilon = 0.6``,
+beyond its m/L = 0.480 (the records gated on a step-size clause),
+``solve`` and ``probe`` on
 ``quad_mcp`` under the non-diagonal kernel [[1.3, 0.2], [0.2, 1.0]] (the
 iterative prox path, which no shipped config takes), ``solve`` and
 ``check`` on a generated sparse lasso at d = 500 (above dimension 3,
@@ -65,6 +67,10 @@ OFF_MINIMIZER = {"lasso_offmin": ("lasso", [1.0, 1.0]),
 # the lasso probe keeping every third iterate: these runs show what moves
 # with the trace's thinning, which every other run leaves at 1
 THINNED = ("lasso", 3)
+# the quad_mcp probe at a step beyond its m/L = 0.480: these runs show
+# what moves with the records gated on the m/L clause, which every other
+# probe meets
+BEYOND_M_OVER_L = ("quad_mcp", 0.6)
 # a shipped problem under a non-separable kernel: its prox is solved
 # iteratively, so these runs show what moves with the inner solver
 NON_SEPARABLE = ("quad_mcp", {"kind": "quadratic",
@@ -177,6 +183,12 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
     cfg = json.loads((CONFIGS / f"{name}.json").read_text())
     cfg["solver"]["trace_every"] = every
     path = config_dir / f"{name}_trace_every{every}.json"
+    path.write_text(json.dumps(cfg))
+    cmds[f"probe-{path.stem}"] = ["probe", "--config", str(path)]
+    name, eps = BEYOND_M_OVER_L
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg["solver"]["epsilon"] = eps
+    path = config_dir / f"{name}_eps{eps:g}.json"
     path.write_text(json.dumps(cfg))
     cmds[f"probe-{path.stem}"] = ["probe", "--config", str(path)]
     name, kernel = NON_SEPARABLE

@@ -2,8 +2,7 @@
 diagnostics layer."""
 
 from .core import (Constants, KernelSpec, Problem, Regularizer,
-                   SmoothObjective, SolverConfig, ValidationReport, as_vector,
-                   validate_config)
+                   SmoothObjective, SolverConfig, as_vector)
 from .bregman import PointAnnotation, ProxResult, annotate_points, prox_map
 from .solver import (Trace, kernel_schedule_jacobi, summability_bound,
                      vbpg_final_points, vbpg_run)

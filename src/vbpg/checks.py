@@ -15,9 +15,8 @@ import math
 import numpy as np
 
 from .bregman import annotate_points, descent_slack_rows, subgradient_rows
-from .core import (Constants, Problem, SolverConfig, grid_rows, min_or_inf,
-                   row_dots, row_norms, sample_box, validate_config,
-                   vector_norm)
+from .core import (Constants, Problem, SolverConfig, min_or_inf, row_dots,
+                   row_norms, sample_box, vector_norm)
 from .problems import GridProxOracle, ShippedInstance, shipped_instances
 from .solver import summability_bound, vbpg_run
 
@@ -87,12 +86,11 @@ def check_prox_invariants(inst: ShippedInstance, problem: Problem, rng):
     """Four records from one array pass of prox solves: the gap identity,
     the descent inequality (against a second sample set), the
     envelope/value decrease and the prox-subgradient bound; a fifth, the
-    semiconvex gap bounds, when g is semiconvex with 0 < rho < inf and
-    the step size validates."""
+    semiconvex gap bounds, when g is semiconvex with rho > 0 and the step
+    size meets both clauses (``Constants.l_clause``, ``rho_clause``)."""
     K = inst.config.kernel_at(0)
     eps = inst.config.eps_at(0)
-    config = SolverConfig.constant(eps, K)
-    C = Constants.of(problem, config)
+    C = Constants.of(problem, SolverConfig.constant(eps, K))
     X, Fx = _finite_samples(problem, rng, 300, inst.box_center(), inst.sample_halfwidth)
     U, Fu = _finite_samples(problem, rng, 300, inst.box_center(), inst.sample_halfwidth)
     ann = annotate_points(problem, K, eps, X)
@@ -119,7 +117,7 @@ def check_prox_invariants(inst: ShippedInstance, problem: Problem, rng):
                 f"case {C.case_id}"),
         _record("envelope_value_decrease", name, decrease >= -1e-8, decrease),
         _record("prox_subgradient_bound", name, resid >= -1e-12, resid)]
-    if 0 < C.rho < math.inf and validate_config(problem, config).ok:
+    if C.rho > 0 and C.l_clause and C.rho_clause:
         worst = min(semiconvex_gap_slacks(C, Fx, ann).values())
         records.append(_record("semiconvex_gap_bounds", name, worst >= -1e-8,
                                worst))
@@ -188,17 +186,15 @@ def check_solver_run(inst: ShippedInstance, problem: Problem, rng):
 
 def check_level_boundedness(inst: ShippedInstance, problem: Problem, rng):
     """Desk-scale scan: the sublevel set {F <= F(x0)} inside a doubled
-    sampling box must stay clear of the box boundary."""
+    sampling box must hold no boundary node of the box's 41^d grid."""
     if not problem.level_bounded or problem.dim > 3:
         return None
     hw = 2.0 * inst.sample_halfwidth + 1.0
-    c = inst.box_center()
-    pts = grid_rows([np.linspace(ci - hw, ci + hw, 41) for ci in c])
-    vals = problem.F_batch(pts)
+    axes = [np.linspace(ci - hw, ci + hw, 41) for ci in inst.box_center()]
     level = problem.F(inst.start())
-    inside = vals <= level
-    on_boundary = np.any(np.abs(pts - c[None, :]) >= hw - 1e-9, axis=1)
-    leak = int(np.sum(inside & on_boundary))
+    inside = (problem.F_grid(axes) <= level).reshape((41,) * problem.dim)
+    leak = int(np.count_nonzero(inside)
+               - np.count_nonzero(inside[(slice(1, -1),) * problem.dim]))
     return _record("level_boundedness_scan", inst.spec.name, leak == 0,
                    -float(leak), f"level={level:.4g}, halfwidth={hw:g}")
 

@@ -30,8 +30,8 @@ import numpy as np
 from . import diagnostics as dx
 from .bregman import ProxError
 from .checks import run_invariant_suite
-from .core import (KernelSpec, Problem, SolverConfig, as_vector, fmt_float,
-                   validate_config)
+from .core import (Constants, KernelSpec, Problem, SolverConfig, as_vector,
+                   fmt_float)
 from .problems import (ProblemSpec, ShippedInstance, build_problem,
                        jump_spec, least_squares_spec)
 from .solver import Trace, kernel_schedule_jacobi, vbpg_run
@@ -217,13 +217,12 @@ def resolve_x0(cfg: dict, problem: Problem, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _validate_or_exit(problem, config, strict: bool) -> int:
-    report = validate_config(problem, config)
-    if not report.ok:
-        for v in report.violations:
-            print(f"validation: {v}", file=sys.stderr)
-        if strict:
-            print("refused: validation failed in strict mode", file=sys.stderr)
-            return 2
+    violations = Constants.of(problem, config).violations
+    for v in violations:
+        print(f"validation: {v}", file=sys.stderr)
+    if violations and strict:
+        print("refused: validation failed in strict mode", file=sys.stderr)
+        return 2
     return 0
 
 

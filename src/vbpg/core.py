@@ -424,6 +424,16 @@ class Constants:
         margin    m - eps_hi rho       the semiconvex gap bounds' divisor
         descent   (a, b, c) of  a [F(t) - F(u)] <= b ||u-x||^2 - ||u-t||^2
                   - c ||x-t||^2  for every prox output t of x and every u
+
+    The step-size clauses are decided here too, each read from the
+    divisors it makes positive; ``violations`` words the failed ones
+    (the rho clause only for semiconvex g, as no step helps another g):
+
+        l_clause    eps_hi < m/L (a, m - eps_hi L > 0): summability bound,
+                    step_containment, subdiff_implies_prox_eb, rate chain
+        rho_clause  eps_hi < m/rho (margin > 0, so g semiconvex):
+                    gap_condition_links, reverse level-set certificate,
+                    and with l_clause the semiconvex gap bounds
     """
 
     L: float
@@ -463,6 +473,27 @@ class Constants:
         return self.m - self.eps_hi * self.rho
 
     @property
+    def semiconvex(self) -> bool:
+        return math.isfinite(self.rho)
+
+    @property
+    def l_clause(self) -> bool:
+        return self.a > 0 and self.m - self.eps_hi * self.L > 0
+
+    @property
+    def rho_clause(self) -> bool:
+        return self.margin > 0
+
+    @property
+    def violations(self) -> tuple:
+        failed = [("L", self.L)] if not self.l_clause else []
+        if self.semiconvex and not self.rho_clause:
+            failed.append(("rho", self.rho))
+        return tuple(f"eps_max < m/{name} violated ({self.eps_hi:g} >= "
+                     f"{self.m / v if v > 0 else math.inf:g})"
+                     for name, v in failed)
+
+    @property
     def descent(self) -> tuple[float, float, float]:
         m, M, L = self.m, self.M, self.L
         eps_lo, eps_hi = self.eps_lo, self.eps_hi
@@ -474,41 +505,6 @@ class Constants:
             return (2.0 * eps_hi / m, M / m + 3.0 * L * eps_hi / m,
                     1.0 - L * eps_hi / m)
         return 2.0 * eps_hi / m, M / m, 1.0 - L * eps_hi / m
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
-    checked: tuple
-
-
-def validate_config(problem: Problem, config: SolverConfig) -> ValidationReport:
-    """Report-only admissibility check of a (problem, config) pairing.
-
-    Each clause is evaluated independently: the step-size cap against
-    m/L (prox nonemptiness) and, when g carries a finite semiconvexity
-    modulus rho > 0, the cap against m/rho (single-valued prox).
-    """
-    violations = []
-    checked = []
-    C = Constants.of(problem, config)
-    m, L, rho, eps_hi = C.m, C.L, C.rho, C.eps_hi
-
-    lim = m / L if L > 0 else math.inf
-    checked.append("eps_max < m/L (prox nonemptiness)")
-    if not eps_hi < lim:
-        violations.append(f"eps_max < m/L violated ({eps_hi:g} >= {lim:g})")
-
-    if math.isfinite(rho) and rho > 0:
-        lim_rho = m / rho
-        checked.append("eps_max < m/rho (single-valued prox for semiconvex g)")
-        if not eps_hi < lim_rho:
-            violations.append(
-                f"eps_max < m/rho violated ({eps_hi:g} >= {lim_rho:g})")
-
-    return ValidationReport(ok=not violations, violations=tuple(violations),
-                            checked=tuple(checked))
 
 
 def sample_ball(rng: np.random.Generator, n: int, center: Array,

@@ -45,6 +45,9 @@ from .solver import Trace, vbpg_final_points, vbpg_run
 # genuine failure (those are off by orders of magnitude)
 _REL_TOL = 1e-6
 
+# the reasons of the records gated on a step-size clause of ``Constants``
+_NEEDS_L, _NEEDS_RHO = "needs eps_max < m/L", "needs eps_max < m/rho"
+
 
 class SliceEmptyError(RuntimeError):
     """The probe could not be built: its slice, its sublevel set in the
@@ -537,7 +540,8 @@ def _half_slice(samples: ProbeSamples, slice_: LevelSlice,
     """The band divisor N = max((2 eps_hi nu / (m - eps_hi L)) / (eta/2)^2, 1)
     that keeps prox steps inside the half-radius slice, each sample's
     distance to the center, and the mask of samples in the shrunken
-    slice: within eta/2 of the center with value gap below nu/N."""
+    slice: within eta/2 of the center with value gap below nu/N.  Needs
+    ``C.l_clause``: m - eps_hi L > 0."""
     eta, nu = slice_.radius_eta, slice_.value_band_nu
     N = max((2.0 * C.eps_hi * nu / (C.m - C.eps_hi * C.L)) / (eta / 2.0) ** 2,
             1.0)
@@ -549,7 +553,11 @@ def check_step_containment(samples: ProbeSamples, slice_: LevelSlice,
                            C: Constants) -> dict:
     """Property-(A) samples in the shrunken slice keep their prox point
     within eta/2 of themselves and inside the eta-ball around the center
-    (checked through ||x - T(x)|| + ||x - center|| <= eta)."""
+    (checked through ||x - T(x)|| + ||x - center|| <= eta); gated without
+    ``C.l_clause``."""
+    if not C.l_clause:
+        return {"check": "prox_step_containment", "gated": True,
+                "reason": _NEEDS_L}
     N, d_center, inner = _half_slice(samples, slice_, C)
     keep = inner & samples.property_A
     r, eta = samples.dist_prox[keep], slice_.radius_eta
@@ -593,8 +601,12 @@ def check_subdiff_implies_prox_eb(samples: ProbeSamples,
         theta1 = 1 + (c3 (L + M/eps_lo))^(1/gamma) (eta/2)^(1/gamma - 1)
         theta2 = (eta/2)^(1 - 1/gamma) + (c3 (L + M/eps_lo))^(1/gamma)
 
-    using theta1 for gamma <= 1 and theta2 beyond."""
+    using theta1 for gamma <= 1 and theta2 beyond; gated without
+    ``C.l_clause``, which the half-radius slice needs."""
     gamma, c3 = fit.exponent, fit.constant
+    if not C.l_clause:
+        return {"check": "subdiff_implies_prox_eb", "gated": True,
+                "reason": _NEEDS_L}
     if not (gamma > 0 and math.isfinite(gamma)):
         return {"check": "subdiff_implies_prox_eb", "gated": True,
                 "reason": "gamma fit not in (0, inf)"}
@@ -662,10 +674,12 @@ def check_gap_condition_links(samples: ProbeSamples, bregman_fit: EBFit,
     (i) a prox-residual EB with exponent p yields G >= mu (F - Fbar)^q
     with q = 1/min(1/p, 1) and mu the sampled envelope; (ii) a gap
     condition with (q, mu) forces the subdifferential lower bound
-    dist(0, subdiff F) >= sqrt(2 (m - eps_hi rho) mu) (F - Fbar)^(q/2)."""
-    if not math.isfinite(C.rho):
+    dist(0, subdiff F) >= sqrt(2 (m - eps_hi rho) mu) (F - Fbar)^(q/2).
+    Gated without ``C.rho_clause``."""
+    if not C.rho_clause:
         return {"check": "gap_condition_links", "gated": True,
-                "reason": "g is not semiconvex"}
+                "reason": _NEEDS_RHO if C.semiconvex
+                else "g is not semiconvex"}
     p = bregman_fit.exponent
     q = p if p > 1 else 1.0
     pos = (samples.value_gap > 0) & (samples.gap_value > 0)
@@ -708,8 +722,10 @@ def certify_rate_chain(beta_hat: float, sub_fit: EBFit, C: Constants,
     """Certified Q-linear ratio 1/(1 + a/(c0 theta1^2)) from a level-set
     subdifferential fit, with a = ``C.a``, c0 = ``C.c0``, gamma capped at
     1 and theta1 from ``prox_eb_thetas``; chain_ok when the observed ratio
-    stays within 5% of it.  Empty when the fitted gamma is not positive,
-    gated when theta1 is not finite."""
+    stays within 5% of it.  Gated without ``C.l_clause`` (a > 0) or when
+    theta1 is not finite, empty when the fitted gamma is not positive."""
+    if not C.l_clause:
+        return {"gated": True, "reason": _NEEDS_L}
     gamma = min(sub_fit.exponent, 1.0)
     if not gamma > 0:
         return {}
@@ -762,8 +778,8 @@ def check_level_set_rate_certificates(beta_levelset: float, refit_c3: float,
     kernel-EB constant theta' = 1 + c3' ``C.residual`` and, when theta'
     falls in (sqrt(c/b), sqrt(c/(b-1))) (undefined unless b > 1), the
     contraction bound beta <= sqrt(b - c/theta'^2).  Reverse: observed
-    contraction beta < 1 with semiconvex g bounds the refit constant by
-    c3' <= eps_hi / ((1 - beta) ``C.margin``)."""
+    contraction beta < 1 with semiconvex g and eps_hi < m/rho bounds the
+    refit constant by c3' <= eps_hi / ((1 - beta) ``C.margin``)."""
     out = {"check": "level_set_rate_certificates",
            "beta_levelset": beta_levelset, "refit_c3prime": refit_c3}
     _, b_frak, c_frak = C.descent
@@ -780,10 +796,12 @@ def check_level_set_rate_certificates(beta_levelset: float, refit_c3: float,
             out["forward_gated"] = "theta_prime outside admissible window"
     else:
         out["forward_gated"] = "requires b > 1 and c > 0"
-    if math.isfinite(C.rho) and beta_levelset < 1.0:
+    if C.rho_clause and beta_levelset < 1.0:
         c3_bound = C.eps_hi / ((1.0 - beta_levelset) * C.margin)
         out["reverse_c3_bound"] = c3_bound
         out["reverse_ok"] = bool(refit_c3 <= c3_bound * 1.05)
+    elif C.semiconvex and beta_levelset < 1.0:
+        out["reverse_gated"] = _NEEDS_RHO
     else:
         out["reverse_gated"] = "needs semiconvex g and beta < 1"
     return out
@@ -870,8 +888,7 @@ def certify_growth_conditions(problem: Problem, slice_: LevelSlice,
 
 
 def check_luo_tseng_bound(problem: Problem, samples: ProbeSamples,
-                          K: KernelSpec, eps: float, sigma: float,
-                          crit_points: Array) -> dict:
+                          K: KernelSpec, eps: float, sigma: float) -> dict:
     """Residual error bound dist(x, crit set) <= c6 ||x - p(x)|| with p(x)
     the euclidean prox-gradient update, over samples whose residual stays
     below sigma (the definition's domain).  Under a euclidean probe kernel
@@ -1053,7 +1070,7 @@ def eb_report(campaign: Campaign, seed: int,
     checks["growth_conditions"] = certify_growth_conditions(
         problem, slice_, crit, seed=seed, samples=samples)
     checks["luo_tseng"] = check_luo_tseng_bound(problem, samples, K, eps,
-                                                sigma, crit)
+                                                sigma)
     checks["critical_value_consistency"] = check_critical_value_consistency(
         problem, slice_.center, crit, delta=2.0 * slice_.radius_eta)
 

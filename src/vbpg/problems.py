@@ -71,15 +71,6 @@ def _pick_candidate(C: Array, H: Array) -> tuple[Array, Array]:
     return np.where(spread > 0.0, rule, t), spread > _TIE_SEP
 
 
-def _nonzero_den(den: Array) -> tuple[Array, Optional[Array]]:
-    """den with exact zeros replaced by 1, and their mask (None if there are
-    none); the caller overwrites the candidates divided by them."""
-    dead = den == 0.0
-    if not np.count_nonzero(dead):
-        return den, None
-    return np.where(dead, 1.0, den), dead
-
-
 def _quadratic_pick(g: "Regularizer", C: Array, v: Array, kappa: Array,
                     g_const: Array) -> tuple[Array, Array]:
     """Pick among candidates C of min_t g(t) + (kappa/2)(t - v)^2, stacked
@@ -277,13 +268,13 @@ class ScadRegularizer(Regularizer):
         C[5] = _clip(v - lam / kappa, 0.0, lam)
         C[6] = _clip(v + lam / kappa, -lam, 0.0)
         # middle pieces: stationary point of the blended quadratic; where
-        # den = 0 they fall back to the existing candidates lam and -lam
-        den, dead = _nonzero_den(kappa - 1.0 / (a - 1.0))
+        # den = 0 (divided by 1) they fall back to lam and -lam
+        den = kappa - 1.0 / (a - 1.0)
+        dead = den == 0.0
         kv, s = kappa * v, a * lam / (a - 1.0)
-        C[7] = _clip((kv - s) / den, lam, a * lam)
-        C[8] = _clip((kv + s) / den, -a * lam, -lam)
-        if dead is not None:
-            C[7, dead], C[8, dead] = lam, -lam
+        C[7] = _clip((kv - s) / (den + dead), lam, a * lam)
+        C[8] = _clip((kv + s) / (den + dead), -a * lam, -lam)
+        C[7, dead], C[8, dead] = lam, -lam
         # flat tails (0 duplicates the first candidate when v is inside)
         C[9] = np.where(np.abs(v) >= a * lam, v, 0.0)
         return _quadratic_pick(self, C, v, kappa, self._g_const)
@@ -339,13 +330,13 @@ class McpRegularizer(Regularizer):
         lam, gl = self.lam, self.gamma * self.lam
         C = np.empty((6, v.size))
         C[:3] = self._const
-        # firm-threshold points; where den = 0 they fall back to 0
-        den, dead = _nonzero_den(kappa - 1.0 / self.gamma)
+        # firm-threshold points, 0 where den = 0 (divided by 1 there)
+        den = kappa - 1.0 / self.gamma
+        dead = den == 0.0
         kv = kappa * v
-        C[3] = _clip((kv - lam) / den, 0.0, gl)
-        C[4] = _clip((kv + lam) / den, -gl, 0.0)
-        if dead is not None:
-            C[3:5, dead] = 0.0
+        C[3] = _clip((kv - lam) / (den + dead), 0.0, gl)
+        C[4] = _clip((kv + lam) / (den + dead), -gl, 0.0)
+        C[3:5, dead] = 0.0
         C[5] = np.where(np.abs(v) >= gl, v, 0.0)
         return _quadratic_pick(self, C, v, kappa, self._g_const)
 

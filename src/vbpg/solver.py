@@ -228,9 +228,9 @@ def summability_bound(problem: Problem, config: SolverConfig, x0: Array,
     """(F(x0) - F*) / a with a = ``Constants.a``: certified upper bound
     on the sum of squared step norms of a run from x0 that ends at or
     above F*, such as its own final value F(x^N), where the decrease
-    telescopes, so no estimate of inf F is needed; +inf when a <= 0,
-    where the decrease inequality certifies no bound."""
-    a = Constants.of(problem, config).a
-    if a <= 0:
+    telescopes, so no estimate of inf F is needed; +inf without
+    ``Constants.l_clause``, where the decrease certifies no bound."""
+    C = Constants.of(problem, config)
+    if not C.l_clause:
         return math.inf
-    return (problem.F(as_vector(x0)) - F_star) / a
+    return (problem.F(as_vector(x0)) - F_star) / C.a

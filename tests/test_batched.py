@@ -526,7 +526,7 @@ def test_finite_samples_skip_points_outside_dom_g():
 def test_luo_tseng_matches_per_sample_residuals(lasso_campaign):
     camp = lasso_campaign
     p, X = camp.problem, camp.samples.x
-    rep = check_luo_tseng_bound(p, camp.samples, EUC, 0.5, 0.12, camp.crit)
+    rep = check_luo_tseng_bound(p, camp.samples, EUC, 0.5, 0.12)
     r = [float(np.linalg.norm(x - p.g.scaled_prox(
         x, p.f.gradient(x), 1.0, 0.5)[0])) for x in X]
     assert annotate_points(p, EUC, 0.5, X).dist_prox.tolist() == r
@@ -549,10 +549,10 @@ def test_luo_tseng_uses_euclidean_residuals(K, monkeypatch):
                         samples.x).dist_prox
     assert np.array_equal(samples.dist_prox, r) == (K is EUC)
     ref = check_luo_tseng_bound(problem, replace(samples, dist_prox=r), EUC,
-                                eps, sigma, crit)
+                                eps, sigma)
     calls = []
     monkeypatch.setattr(diagnostics, "annotate_points",
                         lambda *a: calls.append(a) or annotate_points(*a))
-    rep = check_luo_tseng_bound(problem, samples, K, eps, sigma, crit)
+    rep = check_luo_tseng_bound(problem, samples, K, eps, sigma)
     assert rep == ref and not rep["gated"]
     assert len(calls) == (0 if K is EUC else 1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from vbpg.bregman import ProxError, ProxResult, annotate_points, prox_map
 from vbpg.checks import semiconvex_gap_slacks
 from vbpg.core import (Constants, KernelSpec, SolverConfig, sample_box,
-                       validate_config, vector_norm)
+                       vector_norm)
 from vbpg.problems import ProblemSpec, lasso_spec
 from vbpg.solver import vbpg_final_points, vbpg_run
 
@@ -208,9 +208,9 @@ class TestInnerCertificate:
         for _ in range(25):
             r = prox_map(p, K, eps, rng.uniform(-2, 2, 2))
             assert not r.certified and r.inner_iterations > 0
-        report = validate_config(p, SolverConfig.constant(eps, K))
+        C = Constants.of(p, SolverConfig.constant(eps, K))
         assert any(v.startswith("eps_max < m/rho violated")
-                   for v in report.violations)
+                   for v in C.violations)
 
     @pytest.mark.parametrize("K", [EUC, KernelSpec.diagonal([1.5, 0.5]),
                                    KernelSpec.quadratic([[1.5, 0.0],

@@ -13,7 +13,7 @@ import pytest
 
 from vbpg import bregman, checks, diagnostics, solver
 from vbpg.core import (Constants, KernelSpec, Problem, SolverConfig,
-                       sample_box, validate_config, vector_norm)
+                       sample_box, vector_norm)
 from vbpg.problems import (GridProxOracle, ProblemSpec, ShippedInstance,
                            shipped_instances)
 from vbpg.solver import summability_bound, vbpg_run
@@ -97,7 +97,7 @@ def _ref_prox_invariants(inst, rng, n=300):
         checks._record("prox_subgradient_bound", name, resid >= -1e-12,
                        resid)]
     rho = problem.g.semiconvex_rho
-    if 0 < rho < math.inf and validate_config(problem, config).ok:
+    if 0 < rho < math.inf and not consts.violations:
         worst = min(reference_semiconvex_slacks(problem, K, eps, X,
                                                 eps).values())
         records.append(checks._record("semiconvex_gap_bounds", name,
@@ -207,7 +207,7 @@ def test_solver_run_prices_its_bound_with_the_final_F(
     eps = 0.9 / problem.f.lipschitz_L
     config = SolverConfig.constant(eps, KernelSpec.euclidean())
     inst = ShippedInstance(spec, config, (0.5,) * dim, 2.0)
-    assert validate_config(problem, inst.config).ok
+    assert not Constants.of(problem, inst.config).violations
     runs, F_stars = [], []
     monkeypatch.setattr(checks, "vbpg_run",
                         lambda *a: runs.append(vbpg_run(*a)) or runs[-1])
@@ -252,7 +252,7 @@ def test_semiconvex_suite_runs_exactly_when_config_validates(Q, g_kind,
             records = checks.check_prox_invariants(inst, problem,
                                                    np.random.default_rng(0))
             names = [rec["name"] for rec in records]
-            ok = validate_config(problem, config).ok
+            ok = not Constants.of(problem, config).violations
             assert ("semiconvex_gap_bounds" in names) == ok, eps
             assert len(names) == 4 + ok, eps
             ran.append(ok)

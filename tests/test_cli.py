@@ -430,6 +430,41 @@ class TestFailureContract:
         assert proc.stderr == message + "\n"
         assert (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("name,problem,eps,message,gated", [
+        # eps = m/L = 1: a = 0 and m - eps L = 0
+        ("lasso", None, 1.0, "eps_max < m/L violated (1 >= 1)",
+         {"step_containment": "needs eps_max < m/L",
+          "subdiff_implies_prox_eb": "needs eps_max < m/L"}),
+        # m/L = 10, m/rho = 1.1: eps = 2 makes the margin negative
+        ("quad_mcp", {"kind": "quadratic", "params": {
+            "Q": [[0.1, 0.0], [0.0, 0.1]], "b": [0.05, -0.04],
+            "g": {"kind": "mcp", "lam": 0.3, "gamma": 1.1}}}, 2.0,
+         "eps_max < m/rho violated (2 >= 1.1)",
+         {"gap_condition_links": "needs eps_max < m/rho"}),
+    ], ids=["eps_at_m_over_L", "eps_beyond_m_over_rho"])
+    def test_inadmissible_probe_gates_its_bounds(self, tmp_path, name,
+                                                 problem, eps, message,
+                                                 gated):
+        # an advisory-mode probe of an inadmissible step runs, and each
+        # bound whose step-size clause fails reads gated, with no division
+        # by a nonpositive a, m - eps L or margin
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        cfg["problem"] = problem or cfg["problem"]
+        cfg["solver"]["epsilon"] = eps
+        proc = _cli(tmp_path, "probe", "--config",
+                    write_config(tmp_path, "c.json", cfg))
+        assert proc.returncode == 0
+        assert proc.stderr == f"validation: {message}\n"
+        assert len(proc.stdout.splitlines()) == 1
+        checks = json.loads((tmp_path / "o" / "eb_report.json")
+                            .read_text())["checks"]
+        for key, reason in gated.items():
+            assert checks[key]["gated"] and checks[key]["reason"] == reason
+        if problem is not None:
+            reverse = checks["level_set_rate_certificates"]
+            assert reverse["reverse_gated"] == "needs eps_max < m/rho"
+            assert "reverse_c3_bound" not in reverse
+
     @pytest.mark.parametrize("key,value,message", [
         ("center", [1, 1, 1], 'probe.center must be "solve" or a point: '
          "dimension mismatch: expected 2, got 3"),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vbpg.bregman import subgradient_rows
 from vbpg.core import (Constants, KernelSpec, SolverConfig, as_vector,
-                       fmt_float, grid_rows, sample_box, validate_config)
+                       fmt_float, grid_rows, sample_box)
 from vbpg.problems import ProblemSpec, quadratic_objective
 
 from reference import central_difference_error
@@ -21,38 +21,62 @@ def make_problem(Q, b, g_kind="zero", g_params=None):
                        g_params or {}, len(b)).build()
 
 
-class TestValidateConfig:
+def constants(problem, *epsilons):
+    return Constants.of(problem, SolverConfig(
+        epsilons=epsilons, kernels=(KernelSpec.euclidean(),)))
+
+
+class TestStepSizeClauses:
     def test_pass_euclidean(self):
         p = make_problem([[2.0, 0.0], [0.0, 2.0]], [0.0, 0.0])
-        cfg = SolverConfig.constant(0.4, KernelSpec.euclidean())
-        assert validate_config(p, cfg).ok  # 0.4 < 1/2
+        C = constants(p, 0.4)
+        assert C.l_clause and not C.violations  # 0.4 < 1/2
 
     def test_fail_eps_over_m_over_L(self):
         p = make_problem([[2.0, 0.0], [0.0, 2.0]], [0.0, 0.0])
-        cfg = SolverConfig.constant(0.6, KernelSpec.euclidean())
-        rep = validate_config(p, cfg)
-        assert not rep.ok
-        assert any("m/L" in v for v in rep.violations)
+        C = constants(p, 0.6)
+        assert not C.l_clause
+        assert C.violations == ("eps_max < m/L violated (0.6 >= 0.5)",)
 
     def test_both_clauses_evaluated_independently(self):
         # rho = 0.5 (mcp gamma=2), L = 0.1: caps are m/L = 10 and m/rho = 2,
         # so eps = 1.5 passes both clauses
         p = make_problem([[0.1]], [0.0], "mcp", {"lam": 1.0, "gamma": 2.0})
-        cfg = SolverConfig.constant(1.5, KernelSpec.euclidean())
-        rep = validate_config(p, cfg)
-        assert rep.ok
-        assert any("m/L" in c for c in rep.checked)
-        assert any("m/rho" in c for c in rep.checked)
+        C = constants(p, 1.5)
+        assert C.l_clause and C.rho_clause and not C.violations
         # and eps = 2.5 trips only the rho clause
-        rep2 = validate_config(p, SolverConfig.constant(2.5, KernelSpec.euclidean()))
-        assert [v for v in rep2.violations] and all("m/rho" in v for v in rep2.violations)
+        C = constants(p, 2.5)
+        assert C.l_clause and not C.rho_clause
+        assert C.violations == ("eps_max < m/rho violated (2.5 >= 2)",)
 
     def test_schedule_bounds_use_worst_case(self):
         p = make_problem([[2.0]], [0.0])
-        cfg = SolverConfig(epsilons=(0.1, 0.45), kernels=(KernelSpec.euclidean(),))
-        assert validate_config(p, cfg).ok
-        cfg2 = SolverConfig(epsilons=(0.1, 0.55), kernels=(KernelSpec.euclidean(),))
-        assert not validate_config(p, cfg2).ok
+        assert not constants(p, 0.1, 0.45).violations
+        C = constants(p, 0.1, 0.55)
+        assert not C.l_clause and C.violations
+
+    def test_boundary_gates_the_zero_divisors(self):
+        # eps = m/L makes a = 0 and m - eps L = 0, eps = m/rho makes the
+        # margin 0: the clause fails there, so no bound gated on it
+        # divides by zero
+        p = make_problem([[1.0]], [0.0], "mcp", {"lam": 1.0, "gamma": 2.0})
+        C = constants(p, 1.0)
+        assert C.a == 0.0 and C.m - C.eps_hi * C.L == 0.0
+        assert not C.l_clause and C.rho_clause
+        p = make_problem([[0.1]], [0.0], "mcp", {"lam": 1.0, "gamma": 2.0})
+        C = constants(p, 2.0)
+        assert C.margin == 0.0 and C.l_clause and not C.rho_clause
+
+    def test_rho_clause_needs_semiconvex_g(self):
+        # no step makes the prox of a g with no semiconvexity modulus
+        # single valued: the clause fails, and no violation is worded
+        p = make_problem([[1.0]], [0.0], "jump_quadratic", {"xbar": 0.5})
+        C = constants(p, 0.5)
+        assert not C.semiconvex and not C.rho_clause
+        assert C.l_clause and not C.violations
+        # a convex g (rho = 0) meets it at every step
+        C = constants(make_problem([[1.0]], [0.0], "l1", {"lam": 1.0}), 5.0)
+        assert C.rho_clause and C.margin == C.m
 
 
 def test_constants_take_the_bounds_over_the_schedule():

@@ -1,9 +1,13 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vbpg.cli import (problem_from_spec, problem_spec_from_config,
+                      solver_config_from_config)
 from vbpg.core import Constants, KernelSpec, Problem, SolverConfig, sample_ball
 from vbpg.diagnostics import (_DRAW_CHUNK, DegenerateSampleError, EBFit,
                               ProbeSamples, SliceEmptyError,
@@ -15,13 +19,15 @@ from vbpg.diagnostics import (_DRAW_CHUNK, DegenerateSampleError, EBFit,
                               check_subdiff_implies_prox_eb,
                               check_value_proximity, certify_growth_conditions,
                               check_luo_tseng_bound, critical_points,
-                              estimate_level_set_rate, estimate_q_linear_rate,
-                              fit_error_bound, kl_exponent_sweep,
-                              make_slice, probe_slice, run_campaign)
+                              eb_report, estimate_level_set_rate,
+                              estimate_q_linear_rate, fit_error_bound,
+                              kl_exponent_sweep, make_slice, probe_slice,
+                              run_campaign)
 from vbpg.problems import ProblemSpec, lasso_spec
 from vbpg.solver import vbpg_run
 
 EUC = KernelSpec.euclidean()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def rows(samples, index):
@@ -489,7 +495,7 @@ class TestGapConditionLinks:
         rep = check_gap_condition_links(
             jump_campaign.samples, fit,
             Constants.of(jump_campaign.problem, jump_campaign.config))
-        assert rep["gated"]
+        assert rep["gated"] and rep["reason"] == "g is not semiconvex"
 
 
 class TestRates:
@@ -605,6 +611,59 @@ class TestRateCertificates:
         assert rep["reverse_ok"]  # reverse direction still evaluated
 
 
+class TestStepSizeClauseGates:
+    """Beyond a step-size clause of ``Constants``, each bound that needs it
+    reads gated, with a reason naming the clause, where it used to write a
+    vacuous certificate or divide by a nonpositive constant."""
+
+    @pytest.mark.parametrize("name,eps", [("quad_mcp", 0.6), ("lasso", 1.2)])
+    def test_probe_beyond_m_over_L(self, name, eps):
+        # m/L is 0.480 for quad_mcp and 1 for lasso
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        cfg["solver"]["epsilon"] = eps
+        problem = problem_from_spec(problem_spec_from_config(cfg))
+        config = solver_config_from_config(cfg, problem)
+        assert not Constants.of(problem, config).l_clause
+        campaign = run_campaign(problem, config, cfg["x0"], cfg["probe"], 0)
+        checks = eb_report(campaign, 0)["checks"]
+        needs = "needs eps_max < m/L"
+        assert checks["step_containment"] == {
+            "check": "prox_step_containment", "gated": True, "reason": needs}
+        assert checks["subdiff_implies_prox_eb"] == {
+            "check": "subdiff_implies_prox_eb", "gated": True,
+            "reason": needs}
+        rate = checks["rate_chain"]
+        assert rate["gated"] and rate["reason"] == needs
+        assert "beta_certified" not in rate and "chain_ok" not in rate
+
+    def test_rate_chain_gated_where_a_is_not_positive(self):
+        # eps = 1.2 > m/L = 1 gives a < 0, so the certified ratio would
+        # exceed 1 and hold for any observed one
+        fit = EBFit("level_subdiff", exponent=1.0, constant=1.0,
+                    r_squared=1.0, n_samples=100, violated_fraction=0.0)
+        for eps in (1.0, 1.2):
+            C = Constants(1.0, 0.0, 1.0, 1.0, eps, eps, 4)
+            assert C.a <= 0
+            assert certify_rate_chain(0.9, fit, C, 0.5) == {
+                "gated": True, "reason": "needs eps_max < m/L"}
+
+    def test_margin_bounds_gated_beyond_m_over_rho(self, lasso_campaign):
+        # L = 0.1, rho = 1/1.1: m/L = 10 and m/rho = 1.1, so eps = 2 leaves
+        # the m/L clause met and makes the margin negative
+        C = Constants(0.1, 1.0 / 1.1, 1.0, 1.0, 2.0, 2.0, 2)
+        assert C.l_clause and not C.rho_clause and C.margin < 0
+        fit = fit_error_bound(lasso_campaign.samples, "level_bregman")
+        rep = check_gap_condition_links(lasso_campaign.samples, fit, C)
+        assert rep == {"check": "gap_condition_links", "gated": True,
+                       "reason": "needs eps_max < m/rho"}
+        rep = check_level_set_rate_certificates(0.5, 1.0, C)
+        assert rep["reverse_gated"] == "needs eps_max < m/rho"
+        assert "reverse_c3_bound" not in rep
+        # a contraction beta >= 1 keeps its own reason
+        rep = check_level_set_rate_certificates(1.0, 1.0, C)
+        assert rep["reverse_gated"] == "needs semiconvex g and beta < 1"
+
+
 class TestGrowthConditions:
     def test_strongly_convex_all_certify(self):
         p = ProblemSpec("iso", "quadratic", {"Q": [[1.0, 0.0], [0.0, 1.0]],
@@ -650,16 +709,14 @@ class TestGrowthConditions:
 class TestLuoTseng:
     def test_lasso_fit_and_bound(self, lasso_campaign):
         rep = check_luo_tseng_bound(lasso_campaign.problem,
-                                    lasso_campaign.samples, EUC, 0.5, 0.5,
-                                    lasso_campaign.crit)
+                                    lasso_campaign.samples, EUC, 0.5, 0.5)
         assert not rep["gated"]
         assert math.isfinite(rep["c6"]) and rep["c6"] > 0
         assert rep["n_violations"] == 0
 
     def test_residual_filter_semantics(self, lasso_campaign):
         rep = check_luo_tseng_bound(lasso_campaign.problem,
-                                    lasso_campaign.samples, EUC, 0.5, 0.12,
-                                    lasso_campaign.crit)
+                                    lasso_campaign.samples, EUC, 0.5, 0.12)
         assert rep["n_excluded"] > 0
 
     def test_critical_point_both_sides_zero(self, lasso_campaign):
@@ -682,7 +739,7 @@ class TestLuoTseng:
                             {"eta": 0.4, "nu": 0.2, "n_samples": 120,
                              "box_halfwidth": 1.8, "resolution": 0.005},
                             seed=3)
-        rep = check_luo_tseng_bound(p, camp.samples, K, 0.6, 0.5, camp.crit)
+        rep = check_luo_tseng_bound(p, camp.samples, K, 0.6, 0.5)
         assert not rep["gated"]
         assert rep["n_violations"] == 0
 
@@ -691,5 +748,5 @@ class TestLuoTseng:
                            {"Q": [[1.0]], "b": [0.0]},
                            "mcp", {"lam": 0.5, "gamma": 3.0}, 1)
         p = spec.build()
-        rep = check_luo_tseng_bound(p, [], EUC, 0.3, 0.5, np.zeros((1, 1)))
+        rep = check_luo_tseng_bound(p, [], EUC, 0.3, 0.5)
         assert rep["gated"]

@@ -208,6 +208,27 @@ def test_artifact_diff_probes_thinned_iterates(tmp_path):
     assert cfg == shipped  # the lasso probe, every third iterate kept
 
 
+def test_artifact_diff_probes_quad_mcp_beyond_m_over_L(tmp_path):
+    from vbpg.cli import problem_from_spec, problem_spec_from_config
+    from vbpg.cli import solver_config_from_config
+    from vbpg.core import Constants
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    path = tmp_path / "quad_mcp_eps0.6.json"
+    assert cmds["probe-quad_mcp_eps0.6"] == ["probe", "--config", str(path)]
+    cfg = json.loads(path.read_text())
+    shipped = json.loads((script["CONFIGS"] / "quad_mcp.json").read_text())
+    assert cfg["solver"].pop("epsilon") == 0.6
+    shipped["solver"].pop("epsilon")
+    assert cfg == shipped
+    # the step fails the m/L clause (m/L = 0.480) and meets the m/rho one
+    cfg["solver"]["epsilon"] = 0.6
+    problem = problem_from_spec(problem_spec_from_config(cfg))
+    C = Constants.of(problem, solver_config_from_config(cfg, problem))
+    assert not C.l_clause and C.rho_clause
+
+
 def test_artifact_diff_runs_a_sparse_solve_above_dimension_3(tmp_path):
     from vbpg.cli import main
     from vbpg.problems import _SUPPORT_MAX_NNZ, _SUPPORT_MIN_DIM
