@@ -26,8 +26,11 @@ nonconvex scalar profile ``pl_nonconvex`` (probed off its minimizer, at
 runs whose prox works on the point's coordinate, a numpy scalar), and
 on ``pow4`` under the one-entry kernels ``{"kind": "diagonal", "d":
 [1.0]}`` and ``{"kind": "quadratic", "A": [[1.0]]}`` (the same scalar
-path under a separable kernel other than the euclidean one),
-``check`` and ``compare``.
+path under a separable kernel other than the euclidean one), ``probe``
+on a 3-D lasso off its minimizer, on a logistic loss with l1 and on an
+indefinite quadratic on a box whose ``L_override`` is far below its
+curvature (the sublevel grid's cell bounds at d = 3, on an f without a
+column formula and under an overridden L), ``check`` and ``compare``.
 
 Each artifact prints "identical", or each moved CSV column or JSON field
 with its largest absolute change (inf when a value is not a finite
@@ -106,6 +109,36 @@ POWER_PROFILES = {
 # under a separable kernel other than the euclidean one
 ONE_ENTRY_KERNELS = {"diagonal": {"kind": "diagonal", "d": [1.0]},
                      "quadratic": {"kind": "quadratic", "A": [[1.0]]}}
+# probes whose sublevel grids take the other paths of the cell bounds on
+# F: d = 3 (A = I, centered off the minimizer), a logistic f, which has no
+# column formula (40 rows, L = 13.35, eps = 0.06 < 1/L), and f = x2^2 -
+# x1^2/2 on the box [-1, 1]^2 with L_override 0.01, far below the
+# curvature 2 that the bounds read; the solve ends at the corner (-1, 0)
+_PROBE = {"eta": 0.5, "n_samples": 200}
+CELL_BOUND_PROBES = {
+    "lasso3_offmin": {
+        "problem": {"kind": "lasso", "params": {
+            "A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            "b": [1.0, 0.8, -0.9], "lam": 0.5}},
+        "solver": {"epsilon": 0.5, "kernel": {"kind": "euclidean"},
+                   "max_iters": 400, "step_tol": 1e-9},
+        "x0": [0.0, 0.0, 0.0],
+        "probe": {**_PROBE, "center": [1.0, 1.0, 0.0]}},
+    "logistic_l1": {
+        "problem": {"kind": "logistic", "params": {
+            "n_rows": 40, "data_seed": 3, "g": {"kind": "l1", "lam": 0.5}}},
+        "solver": {"epsilon": 0.06, "kernel": {"kind": "euclidean"},
+                   "max_iters": 2000, "step_tol": 1e-10},
+        "x0": [1.0, -1.0], "probe": {**_PROBE, "center": "solve"}},
+    "box_quadratic_L_override": {
+        "problem": {"kind": "quadratic", "params": {
+            "Q": [[-1.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0],
+            "g": {"kind": "box", "lo": -1.0, "hi": 1.0},
+            "L_override": 0.01}},
+        "solver": {"epsilon": 0.5, "kernel": {"kind": "euclidean"},
+                   "max_iters": 400, "step_tol": 1e-12},
+        "x0": [-0.5, 0.5], "probe": {**_PROBE, "center": "solve"}},
+}
 SKIPPED = {"manifest.json"}
 STREAMS = ("stdout.txt", "stderr.txt")
 # exit codes other than 0 that a run is documented to end in: solve on the
@@ -224,6 +257,10 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
             "solver": {**POWER_PROFILES[pid], "kernel": kernel},
             "x0": [1.0]}))
         cmds[f"solve-{stem}"] = ["solve", "--config", str(path)]
+    for stem, cfg in CELL_BOUND_PROBES.items():
+        path = config_dir / f"{stem}.json"
+        path.write_text(json.dumps(cfg))
+        cmds[f"probe-{stem}"] = ["probe", "--config", str(path)]
     cmds["check"] = ["check"]
     cmds["compare"] = ["compare", "--config",
                        str(CONFIGS / "compare_kernels.json")]

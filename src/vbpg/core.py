@@ -114,7 +114,9 @@ class SmoothObjective:
     between them.  ``value_columns``, when set, is f as one formula of the
     coordinate columns (Python floats, batch columns or broadcast grid
     axes) that ``value`` is a view of, so f takes a grid's values from its
-    axes (``value_grid``).
+    axes (``value_grid``).  ``certified_L`` defaults to ``lipschitz_L``;
+    ``replace`` keeps it, so a config's ``L_override`` (fault injection)
+    lowers ``lipschitz_L`` but never the curvature a bound must trust.
     """
 
     value: Callable[[Array], float]
@@ -123,10 +125,13 @@ class SmoothObjective:
     convex: bool
     value_and_gradient: Optional[Callable[[Array], tuple]] = None
     value_columns: Optional[Callable] = None
+    certified_L: Optional[float] = None
 
     def __post_init__(self):
         if self.lipschitz_L < 0:
             raise ValueError("lipschitz_L must be nonnegative")
+        if self.certified_L is None:
+            object.__setattr__(self, "certified_L", self.lipschitz_L)
 
     def value_grad(self, x: Array) -> tuple:
         if self.value_and_gradient is not None:
@@ -253,6 +258,29 @@ class Problem:
         f from the axes where it has a column formula
         (``SmoothObjective.value_grid``)."""
         return self.f.value_grid(axes) + self.g.value_grid(axes)
+
+    def F_cell_bounds(self, axes, starts) -> Array:
+        """Lower bounds on F over the nodes of each cell of the tensor grid
+        over ``axes`` (last axis fastest; a cell spans the nodes from one of
+        ``starts`` to the next on every axis), less a roundoff pad: f(c) -
+        sum_j |d_j f(c)| r_j - (L/2) ||r||^2 (c the center, r the
+        half-widths, L = ``certified_L``) plus, g being separable, the sum
+        over the axes of g's least value at the cell's nodes.  The pad, 1e-9
+        times these terms' magnitudes, is far above F's few roundings."""
+        lo = [ax[starts] for ax in axes]
+        hi = [ax[np.append(starts[1:], len(ax)) - 1] for ax in axes]
+        C = grid_rows([(a + b) / 2 for a, b in zip(lo, hi)])
+        R = grid_rows([(b - a) / 2 for a, b in zip(lo, hi)])
+        S = np.abs(C) + R
+        g_min = sum(np.ix_(*[np.minimum.reduceat(self.g.values(ax), starts)
+                             for ax in axes])).ravel()
+        fc, slope = self.f.value_grad(C)
+        slope, L = np.abs(slope), self.f.certified_L
+        low = (fc - np.sum(slope * R, axis=1)
+               - 0.5 * L * np.sum(R * R, axis=1) + g_min)
+        return low - 1e-9 * (1.0 + np.abs(fc) + np.sum(slope * S, axis=1)
+                             + L * np.sum(S * S, axis=1)
+                             + np.nan_to_num(np.abs(g_min), posinf=0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -109,7 +109,9 @@ class ProbeSamples:
 _DEFAULT_RESOLUTION = {1: 1e-4, 2: 5e-3, 3: 0.05}
 _DIM_ERROR = "projection oracle requires dimension <= 3"
 
-# nodes a probe's sublevel grid may hold: about 6.5x the default 2-D grid
+# nodes a probe's sublevel grid may hold, about 6.5x the default 2-D grid:
+# it bounds the in-set mask, one bool per node; F itself runs only on the
+# cells whose lower bounds reach F_bar
 PROBE_GRID_BUDGET = 1 << 22
 
 # queries x candidates in one block of the nearest-candidate search; bounds
@@ -120,15 +122,8 @@ _PROJECT_CHUNK_ELEMS = 1 << 18
 # the temporaries in cache and memory bounded by the slab, not the grid
 _SLAB_NODES = 1 << 16
 
-
-def _grid_slabs(axes):
-    """(start, slab axes) over slabs of the first axis of the tensor grid
-    over ``axes``: the slabs' nodes, in order, are the grid's nodes, and
-    ``start`` is the flat index of a slab's first node."""
-    inner = math.prod(len(ax) for ax in axes[1:])
-    step = max(1, _SLAB_NODES // inner)
-    for lo in range(0, len(axes[0]), step):
-        yield lo * inner, [axes[0][lo:lo + step], *axes[1:]]
+# nodes per axis of a cell of the sublevel grid's lower bounds on F
+_CELL_NODES = 16
 
 
 def _sq_dists(P, X) -> Array:
@@ -163,18 +158,19 @@ class SublevelGrid:
     center and each query's own nearest node, each when it is in the set.
     That is exact: if the nearest in-set node p has every axis neighbour
     in the set, x lies within h/2 of p on every axis (a neighbour would be
-    nearer otherwise), so p is x's own nearest node.  The threshold and
-    the candidates are computed once per Fbar and cached.  Squared
-    distances add their coordinate columns left to right.
+    nearer otherwise), so p is x's own nearest node.  The in-set mask (one
+    bool per node, then the center) and the candidates are computed once
+    per Fbar and cached.  Squared distances add their coordinate columns
+    left to right.
 
-    ``values`` holds F at the nodes (last axis fastest), then at the
-    center.  The nodes' values are ``F_grid`` over slabs of the first
-    axis, with the bits of ``F_batch`` on the nodes' rows; a quadratic f
-    (one formula at d <= 3) and g both take them from the axes, so no
-    node array is built.  The center's value is ``F(center)``, the F_bar
-    of a slice centered there, so the seed is in the set at that level.
-    Node coordinates come from the axes when needed; ``points``, all of
-    them as rows, is built on first use only.
+    No F value is stored: per Fbar, F_grid (F_batch's bits on the nodes'
+    rows) runs in slabs on the smallest box of cells of _CELL_NODES nodes
+    per axis that holds every cell whose ``Problem.F_cell_bounds`` reaches
+    Fbar; every other node has F > Fbar, so the mask is the dense one.
+    The center's test reads ``center_F = F(center)``, the F_bar of a slice
+    centered there, so the seed is in the set at that level.  Node
+    coordinates come from the axes when needed; ``points``, all of them as
+    rows, is built on first use only.
     """
 
     def __init__(self, problem: Problem, center, halfwidth: float,
@@ -188,11 +184,7 @@ class SublevelGrid:
         self.axes = [np.linspace(ci - halfwidth, ci + halfwidth, n)
                      for ci in self.center]
         self.shape = (n,) * problem.dim
-        self.values = np.empty(n ** problem.dim + 1)
-        for start, slab in _grid_slabs(self.axes):
-            vals = problem.F_grid(slab)
-            self.values[start:start + len(vals)] = vals
-        self.values[-1] = problem.F(self.center)
+        self.center_F = problem.F(self.center)
         self._level = None  # (F_bar, in-set mask, candidate indices)
 
     @functools.cached_property
@@ -202,7 +194,7 @@ class SublevelGrid:
 
     def _columns(self, idx: Array) -> list:
         """Coordinate columns of the points at flat indices ``idx``."""
-        n_grid = len(self.values) - 1
+        n_grid = math.prod(self.shape)
         node = np.unravel_index(np.minimum(idx, n_grid - 1), self.shape)
         at_center = idx == n_grid
         return [np.where(at_center, c, ax[i])
@@ -212,18 +204,38 @@ class SublevelGrid:
         """In-set mask over the points and the shared search candidates
         (boundary nodes and the in-set center, in point order) at F_bar."""
         if self._level is None or self._level[0] != F_bar:
-            inside = self.values <= F_bar
-            n_grid = math.prod(self.shape)
-            on_grid = inside[:n_grid].reshape(self.shape)
-            padded = np.pad(on_grid, 1, constant_values=False)
-            interior = on_grid.copy()
-            for axis in range(on_grid.ndim):
+            n, n_grid = self.shape[0], math.prod(self.shape)
+            inside = np.zeros(n_grid + 1, dtype=bool)
+            inside[n_grid] = self.center_F <= F_bar
+            starts = np.arange(0, n, _CELL_NODES)
+            ends = np.append(starts[1:], n) - 1
+            reach = (self.problem.F_cell_bounds(self.axes, starts) <= F_bar
+                     ).reshape((len(starts),) * len(self.axes))
+            # the reaching cells' box, a view: F <= F_bar on it lands in
+            # ``inside``; every node off it is out of the set, as off the grid
+            box = tuple(slice(starts[i].min(initial=n),
+                              ends[i].max(initial=-1) + 1)
+                        for i in np.nonzero(reach))
+            on_box = inside[:n_grid].reshape(self.shape)[box]
+            sub = [ax[s] for ax, s in zip(self.axes, box)]
+            step = max(1, _SLAB_NODES // (math.prod(on_box.shape[1:]) or 1))
+            for lo in range(0, len(on_box), step):
+                on_box[lo:lo + step] = (self.problem.F_grid(
+                    [sub[0][lo:lo + step], *sub[1:]]) <= F_bar).reshape(
+                        (-1,) + on_box.shape[1:])
+            padded = np.pad(on_box, 1, constant_values=False)
+            interior = on_box.copy()
+            for axis in range(on_box.ndim):
                 for side in (slice(None, -2), slice(2, None)):
-                    window = [slice(1, -1)] * on_grid.ndim
+                    window = [slice(1, -1)] * on_box.ndim
                     window[axis] = side
                     interior &= padded[tuple(window)]
-            cand = np.concatenate([np.flatnonzero(on_grid & ~interior),
-                                   n_grid + np.flatnonzero(inside[n_grid:])])
+            edge = np.unravel_index(np.flatnonzero(on_box & ~interior),
+                                    on_box.shape)
+            cand = np.concatenate([
+                np.ravel_multi_index([i + s.start for i, s in zip(edge, box)],
+                                     self.shape),
+                n_grid + np.flatnonzero(inside[n_grid:])])
             self._level = (F_bar, inside, cand)
         return self._level[1], self._level[2]
 

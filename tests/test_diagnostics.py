@@ -23,7 +23,9 @@ from vbpg.diagnostics import (_DRAW_CHUNK, DegenerateSampleError, EBFit,
                               estimate_q_linear_rate, fit_error_bound,
                               kl_exponent_sweep, make_slice, probe_slice,
                               run_campaign)
-from vbpg.problems import ProblemSpec, lasso_spec
+from vbpg.problems import (ProblemSpec, build_regularizer,
+                           generate_logistic_data, lasso_spec,
+                           logistic_objective, quadratic_objective)
 from vbpg.solver import vbpg_run
 
 EUC = KernelSpec.euclidean()
@@ -83,7 +85,7 @@ def brute_project(grid, F_bar, x):
     F = grid.problem.F
     if F(x) <= F_bar:
         return 0.0, x.copy()
-    cand = grid.points[grid.values <= F_bar]
+    cand = grid.points[grid.problem.F_batch(grid.points) <= F_bar]
     if cand.shape[0] == 0:
         raise SliceEmptyError("empty")
     target = cand[np.argmin(np.sum((cand - x[None, :]) ** 2, axis=1))]
@@ -214,6 +216,160 @@ class TestBatchedProjection:
         X = c + np.random.default_rng(2).uniform(-0.5, 0.5, (50, 2))
         grid.project_many(sl.F_bar, X)
         assert calls["F"] == 0
+
+
+def dense_level_set(grid, F_bar):
+    """The oracle's definition of the in-set mask and the candidates: F at
+    every point, and the in-set nodes with an axis neighbour out of the
+    set or off the grid, then the in-set center."""
+    inside = grid.problem.F_batch(grid.points) <= F_bar
+    on_grid = inside[:-1].reshape(grid.shape)
+    edge = np.zeros_like(on_grid)
+    for axis in range(on_grid.ndim):
+        for shift in (1, -1):
+            neighbour = np.roll(on_grid, shift, axis=axis)
+            wrapped = [slice(None)] * on_grid.ndim
+            wrapped[axis] = 0 if shift == 1 else -1
+            neighbour[tuple(wrapped)] = False
+            edge |= on_grid & ~neighbour
+    cand = np.flatnonzero(edge)
+    if inside[-1]:
+        cand = np.append(cand, len(inside) - 1)
+    return inside, cand
+
+
+def assert_level_set_is_dense(grid, F_bar):
+    """The grid's cached mask and candidates at F_bar are the dense
+    definition's; returns the mask."""
+    inside, cand = grid._level_set(F_bar)
+    want_inside, want_cand = dense_level_set(grid, F_bar)
+    assert np.array_equal(inside, want_inside)
+    assert np.array_equal(cand, want_cand)
+    return inside
+
+
+# every regularizer kind; the box cuts the boxes below, and the jump is
+# put on a node of the first axis
+CELL_G = {"zero": {}, "l1": {"lam": 0.7}, "sq_l2": {"lam": 0.3},
+          "box": {"lo": -0.5, "hi": 0.6}, "scad": {"lam": 0.8, "a": 3.7},
+          "mcp": {"lam": 0.6, "gamma": 2.5}, "power": {"p": 1.5},
+          "jump_quadratic": None}
+
+
+def random_cell_case(rng, case):
+    """A seeded grid of 2 to 149 nodes per axis at d = 1, 2 or 3 over an
+    indefinite quadratic or a logistic f plus every kind of g in turn, and
+    an F_bar below min F, above max F, at a node's F or at a quantile
+    (mostly a low one, where the set is small)."""
+    d = int(rng.integers(1, 4))
+    n = int(rng.integers(2, {1: 150, 2: 60, 3: 28}[d]))
+    halfwidth = float(rng.uniform(0.3, 3.0))
+    resolution = 2 * halfwidth / (n - 1)
+    center = rng.uniform(-1.5, 1.5, d)
+    kind = list(CELL_G)[case % len(CELL_G)]
+    params = CELL_G[kind]
+    if params is None:
+        axis = np.linspace(center[0] - halfwidth, center[0] + halfwidth, n)
+        params = {"xbar": float(axis[rng.integers(n)])}
+    if rng.random() < 0.5:
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        Q = (U * rng.uniform(-3.0, 3.0, d)) @ U.T
+        f = quadratic_objective(0.5 * (Q + Q.T), rng.standard_normal(d))
+    else:
+        f = logistic_objective(*generate_logistic_data(
+            int(rng.integers(5, 40)), d, int(rng.integers(100))))
+    problem = Problem(f=f, g=build_regularizer(kind, params), dim=d)
+    grid = SublevelGrid(problem, center, halfwidth, resolution)
+    assert grid.shape == (n,) * d
+    values = problem.F_batch(grid.points)
+    finite = values[np.isfinite(values)]
+    if finite.size == 0:
+        return grid, 0.0
+    u = rng.random()
+    if u < 0.1:
+        return grid, float(finite.min()) - 1.0
+    if u < 0.2:
+        return grid, float(finite.max()) + 1.0
+    if u < 0.6:
+        return grid, float(rng.choice(finite))
+    return grid, float(np.quantile(finite, rng.random() ** 3))
+
+
+def counted_F_grid_rows(monkeypatch) -> list:
+    """Wraps ``Problem.F_grid``; the one-entry list counts the rows (grid
+    nodes) it evaluates."""
+    rows = [0]
+    F_grid = Problem.F_grid
+
+    def counted(self, axes):
+        values = F_grid(self, axes)
+        rows[0] += values.size
+        return values
+
+    monkeypatch.setattr(Problem, "F_grid", counted)
+    return rows
+
+
+class TestCellBounds:
+    """F is evaluated only on the box of cells whose lower bound reaches
+    F_bar; the in-set mask and the candidates stay the dense grid's."""
+
+    def test_mask_and_candidates_match_the_dense_grid(self, monkeypatch):
+        rows = counted_F_grid_rows(monkeypatch)
+        rng = np.random.default_rng(2028)
+        pruned = 0
+        for case in range(1200):
+            grid, F_bar = random_cell_case(rng, case)
+            before = rows[0]
+            assert_level_set_is_dense(grid, F_bar)
+            pruned += rows[0] - before < math.prod(grid.shape)
+        assert pruned > 400  # the bounds skip nodes in a third of them
+
+    def test_a_one_node_cell_keeps_its_node(self):
+        # f = -x on 17 nodes: the last cell is the node x = 1 alone, where
+        # the bound is F itself, and a linear f makes each cell's bound F
+        # at its right end; the pad keeps those nodes at their own F_bar
+        p = ProblemSpec("lin", "quadratic", {"Q": [[0.0]], "b": [-1.0]},
+                        "zero", {}, 1).build()
+        grid = SublevelGrid(p, [0.0], 1.0, 0.125)
+        assert grid.shape == (17,)
+        for F_bar in p.F_batch(grid.points):
+            assert_level_set_is_dense(grid, F_bar)
+
+    def test_an_overridden_L_does_not_lower_the_curvature(self):
+        # F = (x2^2 - x1^2/2) on the box [-1, 1]^2 has its least value
+        # -1/2 at (+-1, 0); L_override = 0.01 is far below |lambda_min| = 1,
+        # and a bound on it would drop the node (-1, 0), the first of a
+        # 16-node cell, so x would project onto (1, 0)
+        p = ProblemSpec("q", "quadratic",
+                        {"Q": [[-1.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0],
+                         "L_override": 0.01},
+                        "box", {"lo": -1.0, "hi": 1.0}, 2).build()
+        assert (p.f.lipschitz_L, p.f.certified_L) == (0.01, 2.0)
+        grid = SublevelGrid(p, [0.0, 0.0], 1.0)
+        F_bar = -0.5
+        inside = assert_level_set_is_dense(grid, F_bar)
+        assert np.array_equal(grid.points[inside], [[-1.0, 0.0], [1.0, 0.0]])
+        x = np.array([-0.9, 0.1])
+        d, proj = grid.project(F_bar, x)
+        assert np.allclose(proj, [-1.0, 0.0], rtol=0.0, atol=1e-12)
+        assert d == pytest.approx(math.hypot(0.1, 0.1), abs=1e-12)
+
+    @pytest.mark.parametrize("center,share", [(None, 0.05), ([1.0, 1.0], 0.2)],
+                             ids=["lasso", "lasso_offmin"])
+    def test_F_runs_on_few_nodes_of_the_lasso_probes(self, monkeypatch,
+                                                     center, share):
+        # at the minimizer the set is one node; off it, at F(1, 1), the set
+        # covers about 13% of the box
+        cfg = json.loads((CONFIGS / "lasso.json").read_text())
+        if center is not None:
+            cfg["probe"]["center"] = center
+        problem = problem_from_spec(problem_spec_from_config(cfg))
+        config = solver_config_from_config(cfg, problem)
+        rows = counted_F_grid_rows(monkeypatch)
+        campaign = run_campaign(problem, config, cfg["x0"], cfg["probe"], 5)
+        eb_report(campaign, 5)
+        assert 0 < rows[0] <= share * math.prod(campaign.grid.shape)
 
 
 class TestProbeSlice:

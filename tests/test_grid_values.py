@@ -268,18 +268,31 @@ def test_scalar_profile_objective(profile):
     assert_grid_bits(problem, AXES[:1])
 
 
+def assert_mask_is_F_batch(grid, levels):
+    """The in-set mask at each F_bar thresholds the bits F_batch gives the
+    grid's points (the nodes, then the center) as rows."""
+    values = grid.problem.F_batch(grid.points)
+    for F_bar in levels:
+        inside, _ = grid._level_set(F_bar)
+        assert len(grid.points) == len(inside)
+        assert np.array_equal(inside, values <= F_bar)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_sublevel_grid_values_are_F_batch(dim):
     # the nodes' values come from the axes and the center's from F(center);
-    # both keep the bits F_batch gives the same points as rows
+    # both keep the bits F_batch gives the same points as rows, so the
+    # in-set mask is the oracle's definition at every level
     rng = np.random.default_rng(dim)
     for seed in range(20):
         problem = quad_problem(dim, "scad", definite=False, seed=seed)
         center = rng.standard_normal(dim)
         grid = SublevelGrid(problem, center, 0.8,
                             {1: 0.01, 2: 0.05, 3: 0.2}[dim])
-        assert len(grid.points) == len(grid.values)
-        assert np.array_equal(grid.values, problem.F_batch(grid.points))
+        values = problem.F_batch(grid.points)
+        assert grid.center_F == values[-1]
+        assert_mask_is_F_batch(grid, [problem.F(center),
+                                      *rng.choice(values, 3)])
 
 
 @pytest.mark.parametrize("slab_nodes", [1, 1000, 1 << 16])
@@ -289,11 +302,12 @@ def test_sublevel_grid_independent_of_the_slab(monkeypatch, slab_nodes):
     monkeypatch.setattr(dx, "_SLAB_NODES", slab_nodes)
     flat = Problem(f=zero_objective(2),
                    g=build_regularizer("box", {"lo": -0.5, "hi": 0.7}), dim=2)
-    for problem, center in (
-            (quad_problem(2, "mcp", definite=False, seed=5), [0.3, -0.2]),
-            (flat, [0.0, 0.0])):
+    for problem, center, levels in (
+            (quad_problem(2, "mcp", definite=False, seed=5), [0.3, -0.2],
+             [-1.0, 0.2, 1.5, 4.0]),
+            (flat, [0.0, 0.0], [-1.0, 0.0, math.inf])):
         grid = SublevelGrid(problem, center, 1.0, 0.05)
-        assert np.array_equal(grid.values, problem.F_batch(grid.points))
+        assert_mask_is_F_batch(grid, levels)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -312,17 +326,22 @@ def test_column_sq_dists_keep_the_axis_sum_bits(dim):
 
 def test_sublevel_grid_builds_no_node_array():
     # the default 2-D probe grid: 801^2 nodes; the rows alone would take
-    # N d 8 bytes, the values N 8 bytes
+    # N d 8 bytes and the values N 8 bytes, but the grid keeps no F value:
+    # one projection, mask and candidates included, peaks below N 8 bytes
     problem = quad_problem(2, "scad", definite=False, seed=4)
+    center = np.array([0.2, -0.1])
+    X = center + np.random.default_rng(4).uniform(-1.0, 1.0, (50, 2))
     tracemalloc.start()
     try:
-        grid = SublevelGrid(problem, [0.2, -0.1], 2.0)
+        grid = SublevelGrid(problem, center, 2.0)
+        d, _ = grid.project_many(problem.F(center), X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     n_nodes = 801 ** 2
     assert grid.shape == (801, 801)
-    assert peak < n_nodes * 2 * 8
+    assert np.any(d > 0)
+    assert peak < n_nodes * 8
     assert "points" not in vars(grid)  # built on first use only
     assert np.array_equal(grid.points[-1], grid.center)
     assert len(grid.points) == n_nodes + 1

@@ -361,3 +361,27 @@ def test_artifact_diff_solves_pow4_under_the_one_entry_kernels(tmp_path):
                     + ["--seed", "7", "--out", str(out)]) == 0
         # a kernel of weight 1 gives the euclidean run's trace
         assert (out / "trace.csv").read_bytes() == want
+
+
+def test_artifact_diff_probes_the_cell_bound_paths(tmp_path):
+    from vbpg.cli import main, problem_from_spec, problem_spec_from_config
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    problems = {}
+    for stem in ("lasso3_offmin", "logistic_l1", "box_quadratic_L_override"):
+        path = tmp_path / f"{stem}.json"
+        assert cmds[f"probe-{stem}"] == ["probe", "--config", str(path)]
+        cfg = json.loads(path.read_text())
+        assert cfg == script["CELL_BOUND_PROBES"][stem]
+        problems[stem] = problem_from_spec(problem_spec_from_config(cfg))
+        out = tmp_path / stem
+        assert main(cmds[f"probe-{stem}"]
+                    + ["--seed", "7", "--out", str(out)]) == 0
+        assert (out / "probe.csv").exists()
+    # d = 3; an f without a column formula; an L_override (0.01) far
+    # below the curvature (2) that the cell bounds read
+    assert problems["lasso3_offmin"].dim == 3
+    assert problems["logistic_l1"].f.value_columns is None
+    f = problems["box_quadratic_L_override"].f
+    assert (f.lipschitz_L, f.certified_L) == (0.01, 2.0)
