@@ -18,9 +18,10 @@ iterative prox path, which no shipped config takes), ``solve`` and
 where f multiplies by Q over the iterate's support and the solver
 check prices its bound with the run's own final F), ``solve`` on the same data under MCP
 (gamma = 3) and SCAD (a = 3.7), ``solve`` on a generated sparse lasso
-at d = 50 under the kernel A'A + 0.1 I (the iterative prox path over
-many outer iterations, where each inner solve starts from the
-extrapolated iterate), ``solve`` and ``probe`` on the
+at d = 50 under the kernel A'A + 0.1 I, and on the same data under MCP
+and SCAD (the iterative prox path over many outer iterations, convex
+and nonconvex, where each inner solve starts from the prox point
+predicted from the last steps), ``solve`` and ``probe`` on the
 nonconvex scalar profile ``pl_nonconvex`` (probed off its minimizer, at
 0.7), ``solve`` on the power profiles ``pow4`` and ``abs_pow_3_2`` (d = 1
 runs whose prox works on the point's coordinate, a numpy scalar), and
@@ -88,8 +89,10 @@ SPARSE_PENALTIES = {"mcp": ({"kind": "mcp", "gamma": 3.0}, 1.0 / 3.0),
                     "scad": ({"kind": "scad", "a": 3.7}, 1.0 / 2.7)}
 # a seeded 2-sparse lasso with 200 rows at d = 50 under the kernel
 # A'A + 0.1 I at eps = 0.9 m/L, from x0 = 0, as the benchmark's
-# quadratic-kernel runs: each of its inner solves starts from the
-# extrapolated iterate, so this run shows what moves with that start
+# quadratic-kernel runs, and the same data under the ``SPARSE_PENALTIES``
+# at eps = 0.9 min(m/L, m/rho): each of their inner solves starts from
+# the prox point predicted from the last steps, so these runs show what
+# moves with that start
 QUAD_KERNEL_LASSO = {"rows": 200, "dim": 50, "support": 2, "data_seed": 2025,
                      "shift": 0.1}
 # f(x) = x^2 + 3 sin(x)^2 from x0 = 2.5, as the invariant suite's
@@ -186,16 +189,20 @@ def sparse_penalty_config(g: dict, rho: float) -> dict:
             "x0": [0.0] * A.shape[1]}
 
 
-def quad_kernel_lasso_config() -> dict:
-    """The ``QUAD_KERNEL_LASSO`` run: l1 under the kernel A'A + shift I at
-    eps = 0.9 m/L, m the kernel's smallest eigenvalue."""
+def quad_kernel_lasso_config(g: dict | None = None,
+                             rho: float = 0.0) -> dict:
+    """The ``QUAD_KERNEL_LASSO`` run under the kernel A'A + shift I: l1,
+    or the penalty ``g`` (weight lam) of semiconvexity modulus rho, at
+    eps = 0.9 min(m/L, m/rho), m the kernel's smallest eigenvalue."""
     A, b, lam, L = _sparse_data(QUAD_KERNEL_LASSO)
     K = A.T @ A + QUAD_KERNEL_LASSO["shift"] * np.eye(A.shape[1])
     m = float(np.linalg.eigvalsh(K)[0])
-    solver = {**_sparse_solver(0.9 * m / L),
+    eps = 0.9 * m / L if g is None else 0.9 * min(m / L, m / rho)
+    solver = {**_sparse_solver(eps),
               "kernel": {"kind": "quadratic", "A": K.tolist()}}
+    params = {"lam": lam} if g is None else {"g": {**g, "lam": lam}}
     return {"problem": {"kind": "lasso", "params": {
-                "A": A.tolist(), "b": b.tolist(), "lam": lam}},
+                "A": A.tolist(), "b": b.tolist(), **params}},
             "solver": solver, "x0": [0.0] * A.shape[1]}
 
 
@@ -239,9 +246,11 @@ def commands(config_dir: Path) -> dict[str, list[str]]:
         path = config_dir / f"sparse_{name}_d{SPARSE_LASSO['dim']}.json"
         path.write_text(json.dumps(sparse_penalty_config(g, rho)))
         cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
-    path = config_dir / f"quad_kernel_lasso_d{QUAD_KERNEL_LASSO['dim']}.json"
-    path.write_text(json.dumps(quad_kernel_lasso_config()))
-    cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
+    dim = QUAD_KERNEL_LASSO["dim"]
+    for name, (g, rho) in {"lasso": (None, 0.0), **SPARSE_PENALTIES}.items():
+        path = config_dir / f"quad_kernel_{name}_d{dim}.json"
+        path.write_text(json.dumps(quad_kernel_lasso_config(g, rho)))
+        cmds[f"solve-{path.stem}"] = ["solve", "--config", str(path)]
     path = config_dir / "pl_profile.json"
     path.write_text(json.dumps(PL_PROFILE))
     for command in ("solve", "probe"):

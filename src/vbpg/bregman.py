@@ -101,8 +101,8 @@ def prox_map(problem: Problem, K: KernelSpec, eps: float, x: Array,
     (1,) array, and rounds the same.  General quadratic kernels:
     ``_accelerated_prox``, from ``start`` (shaped as x) in place of x
     where the inner problem is strongly convex, mu = m/eps - rho > 0:
-    the solver passes its extrapolated iterate.  Separable kernels ignore
-    it.  ``grad_x`` is grad f(x) when the caller already has it.  x is
+    the solver passes the prox point it predicts from its last steps.
+    Separable kernels ignore it.  ``grad_x`` is grad f(x) when the caller already has it.  x is
     not validated again here (``vbpg_run`` validates its x0 once).
     """
     if eps <= 0:

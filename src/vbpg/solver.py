@@ -23,7 +23,7 @@ from itertools import cycle
 import numpy as np
 
 from .core import (Array, Constants, KernelSpec, Problem, SolverConfig,
-                   as_vector, fmt_float, row_norms)
+                   as_vector, fmt_float, row_dots, row_norms)
 from .bregman import prox_map, subgradient_rows
 
 
@@ -124,15 +124,17 @@ def _iterate(problem: Problem, config: SolverConfig, X: Array,
     ``FloatingPointError``.  Only the trace reads the subproblem value.
 
     When the schedule has a non-separable kernel (decided once per run),
-    iteration k >= 1 hands ``prox_map`` the start x^k + theta_k (x^k -
-    x^{k-1}), theta_k = min(s_{k-1}/s_{k-2}, 1) with s_j = ||x^j -
-    x^{j+1}|| the step norms already at hand (theta_1 = 0).  Its inner
-    loop uses the start only where mu = m/eps - rho > 0, and its
-    certified bound on the distance to the minimizer holds from any
-    start, so only the inner step count depends on it.  A stack keeps
-    one theta per row and filters it with the rows."""
+    iteration k >= 1 hands ``prox_map`` a start predicted from the prox
+    steps d_j = t^j - x^j already at hand (``_predicted_start``): x^k at
+    k = 1, then x^k plus a capped least-squares fit of the next step from
+    the last two.  Its inner loop uses the start only where mu = m/eps -
+    rho > 0, and its certified bound on the distance to the minimizer
+    holds from any start, so only the inner step count depends on it.  A
+    stack filters each row's step history with the rows."""
     warm = any(K.diag_weights(problem.dim) is None for K in config.kernels)
-    start, s_prev = None, math.inf  # the next prox's start, s_{k-1}
+    start = None  # the next prox's start
+    if warm:  # d_{k-1} and d_{k-2}: no step before the first
+        D1 = D2 = np.zeros_like(X)
     f_X, grad_X = problem.f.value_grad(X)
     g_X = problem.g.value(X)
     F_X = f_X + g_X
@@ -156,15 +158,14 @@ def _iterate(problem: Problem, config: SolverConfig, X: Array,
         if not finite(F_T):
             raise FloatingPointError(f"F became non-finite at iteration {k + 1}")
         stop = (step == 0.0) | (step <= tol)
-        if warm:  # t + theta (t - x), theta = min(s_k/s_{k-1}, 1)
-            theta = np.minimum(step / s_prev, 1.0)
-            start, s_prev = T + theta[..., None] * prox.step, step
         if trace is None:
             final[rows] = T
             going = ~stop
             rows, tol, X, grad_X = (a[going] for a in (rows, tol, T, grad_T))
             if warm:
-                start, s_prev = start[going], s_prev[going]
+                D0, D1, D2, step = (a[going]
+                                    for a in (prox.step, D1, D2, step))
+                start, D1, D2 = _predicted_start(X, D0, D1, D2, step), D0, D1
             continue
         # a one-entry point's prox ran on its coordinate: so does xi
         grad_t = grad_T if prox.step.ndim else grad_T[0]
@@ -187,7 +188,48 @@ def _iterate(problem: Problem, config: SolverConfig, X: Array,
             trace.terminated_reason = ("critical_point" if step == 0.0
                                        else "step_tol")
             break
+        if warm:
+            D0 = prox.step
+            start, D1, D2 = _predicted_start(X, D0, D1, D2, step), D0, D1
     return final if trace is None else X
+
+
+def _predicted_start(T: Array, D0: Array, D1: Array, D2: Array,
+                     s0) -> Array:
+    """T + p, p the next prox step predicted from the last three, d_k =
+    D0 (its norm s0 > 0), d_{k-1} = D1 and d_{k-2} = D2, over the last
+    axis: one point, or each row of (n, dim) arrays with the bits of its
+    own point.
+
+    a and b minimize ||a d_{k-1} + b d_{k-2} - d_k|| (five ``row_dots``
+    and a 2 x 2 Cramer solve), and p = a d_k + b d_{k-1}.  Where the Gram
+    determinant is at most 1e-10 ||d_{k-1}||^2 ||d_{k-2}||^2 (parallel
+    or zero past steps) the one-term fit p = c d_k, c = <d_k, d_{k-1}> /
+    ||d_{k-1}||^2, stands in, and c = 0 where d_{k-1} = 0 (no past step,
+    so the start is T).  p is capped at ||d_k||: the start is never
+    farther from T than T is from the last iterate.  Near a solution the
+    steps follow a fixed linear map, which the fit recovers (vector
+    extrapolation; Sidi, SIAM 2017)."""
+    g11, g22, g12 = row_dots(D1, D1), row_dots(D2, D2), row_dots(D1, D2)
+    r1, r2 = row_dots(D0, D1), row_dots(D0, D2)
+    det = g11 * g22 - g12 * g12
+    two = det > 1e-10 * g11 * g22
+    den = _where(two, det, g11)
+    den = _where(den > 0.0, den, 1.0)  # d_{k-1} = 0 gives r1 = 0
+    a = _where(two, r1 * g22 - r2 * g12, r1) / den
+    b = _where(two, g11 * r2 - g12 * r1, 0.0) / den
+    P = a[..., None] * D0 + b[..., None] * D1
+    norm = row_norms(P)
+    return T + (s0 / _where(norm > s0, norm, s0))[..., None] * P
+
+
+def _where(mask, x, y):
+    """``np.where(mask, x, y)`` on the rows of a stack; at a point, where
+    ``mask`` is one bool, the chosen value as a numpy scalar, without
+    np.where's dispatch on 0-d operands (about ten times the cost)."""
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, x, y)
+    return np.float64(x if mask else y)
 
 
 def block_preconditioner(Q: Array, block_sizes, c) -> Array:

@@ -197,6 +197,41 @@ def test_artifact_diff_runs_a_lasso_under_a_quadratic_kernel(tmp_path):
     assert max(inner[2:]) < inner[0]
 
 
+def test_artifact_diff_solves_the_quad_kernel_data_under_mcp_and_scad(
+        tmp_path):
+    import numpy as np
+    from vbpg.cli import main
+
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    cmds = script["commands"](tmp_path)
+    lasso = script["quad_kernel_lasso_config"]()
+    A = np.array(lasso["problem"]["params"]["A"])
+    lam = lasso["problem"]["params"]["lam"]
+    L = float(np.linalg.eigvalsh(A.T @ A)[-1])
+    m = float(np.linalg.eigvalsh(np.array(lasso["solver"]["kernel"]["A"]))[0])
+    for name, rho in (("mcp", 1.0 / 3.0), ("scad", 1.0 / 2.7)):
+        path = tmp_path / f"quad_kernel_{name}_d50.json"
+        assert cmds[f"solve-quad_kernel_{name}_d50"] == ["solve", "--config",
+                                                         str(path)]
+        cfg = json.loads(path.read_text())
+        # the lasso's data and kernel, the penalty at its weight, and a
+        # step within both clauses
+        params = cfg["problem"]["params"]
+        assert params.pop("g") == {**script["SPARSE_PENALTIES"][name][0],
+                                   "lam": lam}
+        assert params == {k: v for k, v in lasso["problem"]["params"].items()
+                          if k != "lam"}
+        assert cfg["solver"]["kernel"] == lasso["solver"]["kernel"]
+        assert cfg["solver"]["epsilon"] == 0.9 * min(m / L, m / rho)
+        out = tmp_path / name
+        assert main(cmds[f"solve-quad_kernel_{name}_d50"]
+                    + ["--seed", "7", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["terminated_reason"] == "step_tol"
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert min(int(row.split(",")[7]) for row in rows) > 0
+
+
 def test_artifact_diff_probes_thinned_iterates(tmp_path):
     script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
     cmds = script["commands"](tmp_path)

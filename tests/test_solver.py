@@ -167,11 +167,12 @@ class TestRun:
                     assert abs(Fa - Fb) <= 1e-6
 
 
-def sparse_l1_under_quadratic_kernel(seed, dim):
-    """An l1-regularized sparse least-squares problem, x'Qx/2 + c'x +
-    0.1 max|c| ||x||_1 with Q = G'G for a Gaussian (4 dim, dim) design G
-    and a planted signal on dim/20 coordinates, under the kernel
-    A = Q + 0.1 I at eps = 0.9 m/L."""
+def sparse_lsq_under_quadratic_kernel(seed, dim, g="l1"):
+    """A sparse least-squares problem x'Qx/2 + c'x + g(x) with Q = G'G for
+    a Gaussian (4 dim, dim) design G and a planted signal on dim/20
+    coordinates, under the kernel A = Q + 0.1 I at eps = 0.9 min(m/L,
+    m/rho).  g is l1, MCP (gamma 3) or SCAD (a 3.7) at weight 0.1 max|c|,
+    or the box [-1, 1]."""
     rng = np.random.default_rng(seed)
     n, k = 4 * dim, dim // 20
     G = rng.standard_normal((n, dim)) / np.sqrt(n)
@@ -180,9 +181,41 @@ def sparse_l1_under_quadratic_kernel(seed, dim):
     signal[support] = rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 2.0, k)
     Q = G.T @ G
     c = -(G.T @ (G @ signal + 0.05 * rng.standard_normal(n)))
-    p = quad(Q, c, "l1", {"lam": 0.1 * float(np.max(np.abs(c)))})
+    lam = 0.1 * float(np.max(np.abs(c)))
+    p = quad(Q, c, g, {"l1": {"lam": lam},
+                       "mcp": {"lam": lam, "gamma": 3.0},
+                       "scad": {"lam": lam, "a": 3.7},
+                       "box": {"lo": -1.0, "hi": 1.0}}[g])
     K = KernelSpec.quadratic(Q + 0.1 * np.eye(dim))
-    return p, K, 0.9 * K.m / p.f.lipschitz_L
+    rho = p.g.semiconvex_rho
+    return p, K, 0.9 * K.m / max(p.f.lipschitz_L, rho)
+
+
+def started_and_cold_steps(p, K, eps, dim):
+    """Inner steps of a run from x0 = 0 to step_tol 1e-8, and of cold
+    solves at its outer iterates; each started prox lands within the
+    certified distance of the cold solve's minimizer."""
+    cfg = SolverConfig.constant(eps, K, max_iters=20000, step_tol=1e-8)
+    trace = vbpg_run(p, cfg, np.zeros(dim))
+    assert trace.terminated_reason == "step_tol"
+    assert all(trace.inner_certified)
+    cold_steps = 0
+    for x, x_next in zip(trace.iterates[:-1], trace.iterates[1:]):
+        cold = prox_map(p, K, eps, x)
+        cold_steps += cold.inner_iterations
+        assert (np.linalg.norm(x_next - cold.minimizer)
+                <= 2e-10 * (1 + np.linalg.norm(x)))
+    return sum(trace.inner_iterations), cold_steps
+
+
+def fitted_start(t, d0, d1, d2=None):
+    """t plus the least-squares fit of the next step, a d0 + b d1 with
+    a d1 + b d2 closest to d0 (c d0 with c d1 closest to d0 when d2 is
+    None), capped at ||d0||: ``_predicted_start`` by ``lstsq``."""
+    D = np.column_stack([d1] if d2 is None else [d1, d2])
+    coef = np.linalg.lstsq(D, d0, rcond=None)[0]
+    p = coef[0] * d0 + (0.0 if d2 is None else coef[1] * d1)
+    return t + min(1.0, np.linalg.norm(d0) / np.linalg.norm(p)) * p
 
 
 class TestInnerSolve:
@@ -204,7 +237,7 @@ class TestInnerSolve:
         # inner iteration counts are deterministic: the accelerated solve
         # takes at most 0.85x the plain prox-gradient reference's steps
         # from the same outer iterates
-        p, K, eps = sparse_l1_under_quadratic_kernel(5101, 50)
+        p, K, eps = sparse_lsq_under_quadratic_kernel(5101, 50)
         cfg = SolverConfig.constant(eps, K, max_iters=20000, step_tol=1e-8)
         trace = vbpg_run(p, cfg, np.zeros(50))
         assert trace.terminated_reason == "step_tol"
@@ -214,21 +247,41 @@ class TestInnerSolve:
 
     @pytest.mark.parametrize("dim", [50, 200])
     def test_started_prox_within_certificate_of_cold_prox(self, dim):
-        # each prox starts from the extrapolated iterate: the run takes at
-        # most 0.6x the inner steps of cold solves at its own outer
-        # iterates, and each step lands within the certified distance of
-        # the cold solve's minimizer
-        p, K, eps = sparse_l1_under_quadratic_kernel(5101, dim)
-        cfg = SolverConfig.constant(eps, K, max_iters=20000, step_tol=1e-8)
-        trace = vbpg_run(p, cfg, np.zeros(dim))
-        assert trace.terminated_reason == "step_tol"
-        cold_steps = 0
-        for x, x_next in zip(trace.iterates[:-1], trace.iterates[1:]):
-            cold = prox_map(p, K, eps, x)
-            cold_steps += cold.inner_iterations
-            assert (np.linalg.norm(x_next - cold.minimizer)
-                    <= 2e-10 * (1 + np.linalg.norm(x)))
-        assert sum(trace.inner_iterations) <= 0.6 * cold_steps
+        # each prox starts from the predicted prox point: the run takes at
+        # most 0.3x the inner steps of cold solves at its own outer
+        # iterates (0.09 at d = 50, 0.22 at d = 200), and each step lands
+        # within the certified distance of the cold solve's minimizer
+        p, K, eps = sparse_lsq_under_quadratic_kernel(5101, dim)
+        started, cold = started_and_cold_steps(p, K, eps, dim)
+        assert started <= 0.3 * cold
+
+    @pytest.mark.parametrize("g,share", [("mcp", 0.2), ("scad", 0.2),
+                                         ("box", 0.45)])
+    def test_started_prox_under_nonconvex_and_box_penalties(self, g, share):
+        # MCP, SCAD and the box at d = 50 under A'A + 0.1 I: the started
+        # run takes 0.11, 0.12 and 0.36 of the cold solves' inner steps
+        p, K, eps = sparse_lsq_under_quadratic_kernel(5101, 50, g)
+        started, cold = started_and_cold_steps(p, K, eps, 50)
+        assert started <= share * cold
+
+    @pytest.mark.parametrize("decades,ceiling", [(2, 15000), (3, 50000),
+                                                 (4, 140000)])
+    def test_started_prox_under_ill_conditioned_kernels(self, decades,
+                                                        ceiling):
+        # g = 0 and Q = I in 5-D under kernels of condition 1e2-1e4 at
+        # eps = m/2: two 100-iteration runs stay certified with no
+        # ProxError, in 13,849, 45,264 and 127,847 inner steps
+        R, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
+        A = R @ np.diag(np.logspace(0, decades, 5)) @ R.T
+        K = KernelSpec.quadratic((A + A.T) / 2)
+        p = quad(np.eye(5), np.zeros(5))
+        cfg = SolverConfig.constant(K.m / 2, K, max_iters=100)
+        steps = 0
+        for x0 in np.random.default_rng(1).uniform(-1, 1, (2, 5)):
+            trace = vbpg_run(p, cfg, x0)
+            assert trace.n_iters == 100 and all(trace.inner_certified)
+            steps += sum(trace.inner_iterations)
+        assert steps <= ceiling
 
     @pytest.mark.parametrize("kernels,started", [
         ((EUC, KernelSpec.diagonal([1.25, 0.8])), False),
@@ -236,9 +289,11 @@ class TestInnerSolve:
         ids=["separable", "non_separable"])
     def test_start_only_under_a_non_separable_schedule(self, monkeypatch,
                                                        kernels, started):
-        # the first prox starts cold; from the second on, a schedule with a
-        # non-separable kernel passes x^k + theta (x^k - x^{k-1}) to every
-        # prox, and a separable one passes nothing
+        # the first prox starts cold and the second at x^1; from the third
+        # on, a schedule with a non-separable kernel passes x^k plus the
+        # capped fit of the next step d_k = x^{k+1} - x^k from the last
+        # ones, one-term at k = 2, two-term beyond; a separable one passes
+        # nothing
         starts = []
 
         def recording(problem, K, eps, x, grad_x=None, start=None):
@@ -247,18 +302,51 @@ class TestInnerSolve:
 
         monkeypatch.setattr(solver_mod, "prox_map", recording)
         p = quad([[2.0, 0.3], [0.3, 1.0]], [0.5, -0.4], "l1", {"lam": 0.1})
-        cfg = SolverConfig(epsilons=(0.3,), kernels=kernels, max_iters=6,
+        cfg = SolverConfig(epsilons=(0.3,), kernels=kernels, max_iters=8,
                            step_tol=0.0)
         trace = vbpg_run(p, cfg, np.array([1.5, 1.0]))
-        X, steps = trace.iterates, trace.step_norms
-        assert starts[0] is None
+        X = trace.iterates
+        assert trace.n_iters == 8 and starts[0] is None
         if not started:
-            assert len(starts) == 6 and all(z is None for z in starts)
+            assert all(z is None for z in starts)
             return
-        assert np.array_equal(starts[1], X[1])  # theta_1 = 0
-        for k in range(2, 6):
-            theta = min(steps[k - 1] / steps[k - 2], 1.0)
-            assert np.array_equal(starts[k], X[k] + theta * (X[k] - X[k - 1]))
+        d = [X[j + 1] - X[j] for j in range(7)]
+        assert np.array_equal(starts[1], X[1])
+        expected = [fitted_start(X[2], d[1], d[0])] + [
+            fitted_start(X[k], d[k - 1], d[k - 2], d[k - 3])
+            for k in range(3, 8)]
+        for k, z in enumerate(expected, start=2):
+            assert np.allclose(starts[k], z, rtol=1e-12, atol=1e-15)
+        # the cap binds on some starts and not on others
+        gaps = [np.linalg.norm(starts[k] - X[k]) / np.linalg.norm(d[k - 1])
+                for k in range(2, 8)]
+        assert min(gaps) < 0.99 and max(gaps) == pytest.approx(1.0)
+
+    def test_degenerate_histories_fall_back_to_the_one_term_fit(self):
+        # equal, opposite and zero past steps leave the 2 x 2 fit
+        # singular: the start is t plus the capped one-term fit c d_k
+        # (t itself when d_{k-1} = 0), finite, and a stack of the
+        # histories gives each row the bits of its own point
+        rng = np.random.default_rng(3)
+        t, d, e = rng.standard_normal((3, 4))
+        histories = [(d, d, d), (e, d, -d), (e, 2.0 * d, d), (e, d, 0 * d),
+                     (e, 0 * d, d), (e, 0 * d, 0 * d)]
+        starts = []
+        for d0, d1, d2 in histories:
+            z = solver_mod._predicted_start(t, d0, d1, d2,
+                                            np.linalg.norm(d0))
+            assert np.isfinite(z).all()
+            if d1.any():
+                assert np.allclose(z, fitted_start(t, d0, d1), rtol=1e-12,
+                                   atol=1e-15)
+            else:
+                assert np.array_equal(z, t)
+            starts.append(z)
+        history = [np.array(rows) for rows in zip(*histories)]
+        stacked = solver_mod._predicted_start(
+            np.tile(t, (len(histories), 1)), *history,
+            np.linalg.norm(history[0], axis=1))
+        assert stacked.tobytes() == np.array(starts).tobytes()
 
 
 class TestTraceEvery:
